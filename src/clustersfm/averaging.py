@@ -24,6 +24,7 @@ from scipy.sparse.linalg import factorized, spsolve
 from .errors import DataError, NumericalError
 from .geometry import rotation_angle, so3_exp, so3_log
 from .local_sfm import RelativeMotion
+from .utils import UnionFind
 
 logger = logging.getLogger(__name__)
 
@@ -73,22 +74,6 @@ class GlobalMotion:
 # ---------------------------------------------------------------------------
 # Rotation averaging
 # ---------------------------------------------------------------------------
-
-def _connected_components_of_pairs(cameras, pairs):
-    label = {c: c for c in cameras}
-
-    def find(x):
-        while label[x] != x:
-            label[x] = label[label[x]]
-            x = label[x]
-        return x
-
-    for (i, j) in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            label[max(ri, rj)] = min(ri, rj)
-    return {c: find(c) for c in cameras}
-
 
 def _spanning_tree_init(cameras, motions_by_pair, components):
     """Propagate rotations from each component root along the
@@ -142,7 +127,13 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
     motions_by_pair: dict[tuple, list] = {}
     for m in motions:
         motions_by_pair.setdefault((m.i, m.j), []).append(m)
-    components = _connected_components_of_pairs(cameras, motions_by_pair)
+    cam_pos = {c: k for k, c in enumerate(cameras)}
+    uf = UnionFind(len(cameras))
+    for (i, j) in motions_by_pair:
+        uf.union(cam_pos[i], cam_pos[j])
+    # each component is labelled by its smallest camera id, its gauge root
+    label = {k: group[0] for group in uf.groups() for k in group}
+    components = {c: cameras[label[k]] for k, c in enumerate(cameras)}
     n_comp = len(set(components.values()))
     if n_comp > 1:
         logger.warning("rotation graph has %d connected components", n_comp)
@@ -153,7 +144,6 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
                            len(missing), missing[:10])
 
     rotations = _spanning_tree_init(cameras, motions_by_pair, components)
-    cam_pos = {c: k for k, c in enumerate(cameras)}
 
     rows_i = np.array([cam_pos[m.i] for m in motions])
     rows_j = np.array([cam_pos[m.j] for m in motions])
@@ -204,6 +194,8 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
                 rotations[c] = rotations[c] @ so3_exp(delta[k])
         if step < ROTATION_UPDATE_TOL:
             break
+    else:
+        logger.warning("rotation averaging stopped at its cap of %d iterations", iterations)
 
     final_norms = np.empty(len(motions))
     for q, m in enumerate(motions):
@@ -273,7 +265,9 @@ def _solve_component(A, B, gauge_scale_col, gauge_cam_col, weights_fn, max_itera
                      relative_tol=L1_RELATIVE_TOL):
     """IRLS over the combined system [A | -B] z = 0 with the gauge scale
     fixed at 1 and the gauge camera at the origin (their columns removed;
-    the scale column moves to the right-hand side)."""
+    the scale column moves to the right-hand side). Returns (z, objective,
+    iterations, residual, capped); capped is True when the loop used all
+    max_iterations without meeting its stopping test."""
     n_rows = A.shape[0]
     scale_cols = [c for c in range(A.shape[1]) if c != gauge_scale_col]
     cam_cols = [c for c in range(B.shape[1]) if c // 3 != gauge_cam_col]
@@ -284,11 +278,12 @@ def _solve_component(A, B, gauge_scale_col, gauge_cam_col, weights_fn, max_itera
 
     n_vars = M.shape[1]
     if n_vars == 0:
-        return np.zeros(0), np.abs(d).sum(), 0, d
+        return np.zeros(0), np.abs(d).sum(), 0, d, False
     weights = np.ones(n_rows)
     z = None
     objective = None
     iterations = 0
+    capped = False
     for iterations in range(1, max_iterations + 1):
         Wsqrt = np.sqrt(weights)
         Mw = M.multiply(Wsqrt[:, None]).tocsr()
@@ -313,8 +308,10 @@ def _solve_component(A, B, gauge_scale_col, gauge_cam_col, weights_fn, max_itera
         weights = weights_fn(r)
         if not improved:
             break
+    else:
+        capped = True
     residual = M @ z - d
-    return z, objective, iterations, residual
+    return z, objective, iterations, residual, capped
 
 
 def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate | dict,
@@ -342,30 +339,16 @@ def _solve_translation(system, rotations, flavor, max_iterations,
     rot = rotations.rotations if isinstance(rotations, RotationEstimate) else rotations
     # connected components over cameras+clusters through equations
     nodes = [("cam", c) for c in system.camera_ids] + [("cl", k) for k in system.cluster_ids]
-    parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    cam_pos = {c: k for k, c in enumerate(system.camera_ids)}
+    cl_pos = {k: c for c, k in enumerate(system.cluster_ids)}
+    uf = UnionFind(len(nodes))
     for (i, j, k) in system.equations:
-        union(("cam", i), ("cam", j))
-        union(("cam", i), ("cl", k))
-    groups: dict = {}
-    for v in nodes:
-        groups.setdefault(find(v), []).append(v)
+        uf.union(cam_pos[i], cam_pos[j])
+        uf.union(cam_pos[i], len(cam_pos) + cl_pos[k])
+    groups = [[nodes[v] for v in group] for group in uf.groups()]
     if len(groups) > 1:
         logger.warning("translation system has %d connected components", len(groups))
 
-    cam_pos = {c: k for k, c in enumerate(system.camera_ids)}
-    cl_pos = {k: c for c, k in enumerate(system.cluster_ids)}
     A_csr = system.A.tocsr()
     B_csr = system.B.tocsr()
 
@@ -383,7 +366,7 @@ def _solve_translation(system, rotations, flavor, max_iterations,
             return np.ones_like(r)
         max_iterations = 1
 
-    for members in groups.values():
+    for members in groups:
         comp_cams = sorted(c for kind, c in members if kind == "cam")
         comp_cls = sorted(k for kind, k in members if kind == "cl")
         if not comp_cams or not comp_cls:
@@ -400,7 +383,7 @@ def _solve_translation(system, rotations, flavor, max_iterations,
         free_cls = [k for k in comp_cls if k != gauge_cluster]
         free_cams_comp = [c for c in comp_cams if c != gauge_cam]
         try:
-            z, objective, iterations, residual = _solve_component(
+            z, objective, iterations, residual, capped = _solve_component(
                 sub_A.tocoo(),
                 sub_B.tocoo(),
                 comp_cls.index(gauge_cluster),
@@ -418,6 +401,8 @@ def _solve_translation(system, rotations, flavor, max_iterations,
             raise NumericalError(
                 f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
             ) from exc
+        if capped and flavor == "l1":
+            logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
         total_objective += objective
         total_iterations = max(total_iterations, iterations)
         for pos, k in enumerate(free_cls):

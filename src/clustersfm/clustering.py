@@ -158,13 +158,6 @@ class ClusterSet:
     exhausted: bool
     dropped_cameras: list = field(default_factory=list)
 
-    def clusters_of_camera(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for cl in self.interdependent:
-            for c in cl.cameras:
-                out.setdefault(c, []).append(cl.id)
-        return out
-
     def independent_cluster_of(self) -> dict[int, int]:
         out = {}
         for cl in self.independent:
@@ -307,6 +300,31 @@ def _candidate_better(cand, best) -> bool:
 # Graph division
 # ---------------------------------------------------------------------------
 
+def _split_tree(graph: CameraGraph, cams: tuple, limit: int) -> ClusterTreeNode:
+    """Division tree of cams, bisected in pre-order until every leaf has at
+    most limit cameras."""
+    if len(cams) <= limit:
+        return ClusterTreeNode(cameras=cams)
+    a, b = bisect_normalized_cut(graph, cams)
+    return ClusterTreeNode(
+        cameras=cams, left=_split_tree(graph, a, limit), right=_split_tree(graph, b, limit)
+    )
+
+
+def _prune_tree(node: ClusterTreeNode, keep: set) -> ClusterTreeNode | None:
+    """Copy of the subtree restricted to the cameras in keep; nodes left
+    empty vanish and a node with one surviving child is replaced by it."""
+    cams = tuple(c for c in node.cameras if c in keep)
+    if not cams:
+        return None
+    if node.is_leaf:
+        return ClusterTreeNode(cameras=cams)
+    left, right = _prune_tree(node.left, keep), _prune_tree(node.right, keep)
+    if left is None or right is None:
+        return right if left is None else left
+    return ClusterTreeNode(cameras=cams, left=left, right=right)
+
+
 def divide(
     graph: CameraGraph, max_cluster_size: int, cameras=None
 ) -> tuple[list[Cluster], ClusterTree, list]:
@@ -316,14 +334,7 @@ def divide(
     if max_cluster_size < 2:
         raise ConfigurationError("max_cluster_size must be >= 2")
     cams = tuple(sorted(cameras) if cameras is not None else range(graph.num_cameras))
-
-    def build(node_cams: tuple) -> ClusterTreeNode:
-        if len(node_cams) <= max_cluster_size:
-            return ClusterTreeNode(cameras=node_cams)
-        a, b = bisect_normalized_cut(graph, node_cams)
-        return ClusterTreeNode(cameras=node_cams, left=build(a), right=build(b))
-
-    tree = ClusterTree(root=build(cams))
+    tree = ClusterTree(root=_split_tree(graph, cams, max_cluster_size))
     tree.assign_leaf_ids()
     tree.assign_cut_edges(graph)
     leaves = [
@@ -456,19 +467,6 @@ def expand(
 # Full clustering loop
 # ---------------------------------------------------------------------------
 
-def _recursive_parts(graph: CameraGraph, cams: tuple, limit: int):
-    """Nested binary split structure of cams down to the size limit."""
-    if len(cams) <= limit:
-        return tuple(sorted(cams))
-    a, b = bisect_normalized_cut(graph, cams)
-    return (_recursive_parts(graph, a, limit), _recursive_parts(graph, b, limit))
-
-
-def _leaf_of_ints(t) -> bool:
-    """Distinguish leaf camera tuples from (left, right) internal nodes."""
-    return all(isinstance(x, (int, np.integer)) for x in t)
-
-
 def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
     """Iterate graph division and expansion until every interdependent
     cluster satisfies the size cap and (unless the discarded edges run out)
@@ -514,18 +512,18 @@ def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
                 new_homes.append(homes[k])
                 new_fulls.append(fulls[k])
                 continue
-            struct = _recursive_parts(graph, tuple(sorted(fulls[k])), config.max_cluster_size)
-            subtree = _build_home_subtree(struct, homes[k])
+            split = _split_tree(graph, tuple(sorted(fulls[k])), config.max_cluster_size)
+            subtree = _prune_tree(split, homes[k])
             if subtree is None:
                 # all home cameras vanished (cannot happen: homes are subsets)
                 raise ClusteringError("re-division lost a cluster's home cameras")
             replacements[frozenset(homes[k])] = subtree
-            for part in _flat_parts(struct):
-                home_part = set(part) & homes[k]
+            for part in ClusterTree(root=split).leaves():
+                home_part = set(part.cameras) & homes[k]
                 if not home_part:
                     continue  # duplicate-only fragment: drop it from this family
                 new_homes.append(home_part)
-                new_fulls.append(set(part))
+                new_fulls.append(set(part.cameras))
         homes, fulls = new_homes, new_fulls
         _replace_leaves(tree, replacements)
 
@@ -536,25 +534,6 @@ def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
             last_state=last,
         )
     return _assemble(graph, tree, homes, fulls, config, dropped)
-
-
-def _flat_parts(struct) -> list[tuple]:
-    if _leaf_of_ints(struct):
-        return [struct]
-    return _flat_parts(struct[0]) + _flat_parts(struct[1])
-
-
-def _build_home_subtree(struct, home: set) -> ClusterTreeNode | None:
-    if _leaf_of_ints(struct):
-        cams = tuple(sorted(set(struct) & home))
-        return ClusterTreeNode(cameras=cams) if cams else None
-    left = _build_home_subtree(struct[0], home)
-    right = _build_home_subtree(struct[1], home)
-    if left is not None and right is not None:
-        return ClusterTreeNode(
-            cameras=tuple(sorted(left.cameras + right.cameras)), left=left, right=right
-        )
-    return left if left is not None else right
 
 
 def _replace_leaves(tree: ClusterTree, replacements: dict) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .geometry import rotation_angle, angle_between
+from .geometry import angle_between, rotation_angle, skew
 from .scene import Camera, MatchEdge, Pose
 
 ALIGN_RANK_TOL = 1e-9
@@ -163,7 +163,7 @@ def epipolar_error(
         t_rel = rotations[j] @ (centers[i] - centers[j])
         if np.linalg.norm(t_rel) < 1e-15:
             continue
-        E = _skew(t_rel) @ R_rel
+        E = skew(t_rel) @ R_rel
         F = np.linalg.inv(cameras[j].K).T @ E @ np.linalg.inv(cameras[i].K)
         xi = np.column_stack([edge.xy_i, np.ones(edge.weight)])
         xj = np.column_stack([edge.xy_j, np.ones(edge.weight)])
@@ -188,7 +188,3 @@ def connected_pair_count(points) -> int:
             for b in range(a + 1, len(cams)):
                 pairs.add((cams[a], cams[b]))
     return len(pairs)
-
-
-def _skew(v):
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])

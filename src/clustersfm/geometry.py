@@ -97,7 +97,7 @@ def ransac(
     residual_fn returns per-datum residuals.
 
     sample_size may exceed min_samples: non-minimal least-squares samples
-    average out measurement noise, which matters for近-degenerate fits.
+    average out measurement noise, which matters for near-degenerate fits.
     When a sample improves the consensus, the model is re-fit on its inliers
     with an annealed threshold (4x -> 2x -> 1x), the classic local
     optimization step. Returns (model, inlier_mask) or (None, None).
@@ -239,6 +239,12 @@ def decompose_essential(
 # ---------------------------------------------------------------------------
 # Triangulation
 # ---------------------------------------------------------------------------
+
+def projection_matrix(K: np.ndarray, R: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """3x4 camera matrix K [R | -Rc] of a world-to-camera rotation R and
+    camera center c."""
+    return K @ np.hstack([R, (-R @ c).reshape(3, 1)])
+
 
 def triangulate_two_view_batch(
     P1: np.ndarray, P2: np.ndarray, x1: np.ndarray, x2: np.ndarray

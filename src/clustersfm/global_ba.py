@@ -15,7 +15,7 @@ import numpy as np
 from . import ba_core
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
-from .geometry import triangulate_linear
+from .geometry import projection_matrix, triangulate_linear
 from .scene import Camera
 from .tracks import Track
 from .utils import parallel_map
@@ -58,14 +58,6 @@ class RoundLog:
     rms_px: float
 
 
-def _projection_setup(motion, cameras):
-    cams = sorted(motion.centers)
-    rot = np.array([motion.rotations[c] for c in cams])
-    cen = np.array([motion.centers[c] for c in cams])
-    intr = np.array([[cameras[c].focal, cameras[c].cx, cameras[c].cy] for c in cams])
-    return cams, rot, cen, intr
-
-
 def triangulate_global(
     tracks: list[Track],
     motion,
@@ -100,12 +92,7 @@ def triangulate_global(
         if len(sel) < min_views:
             out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "too_few_views"))
             continue
-        Ps = [
-            cameras[c].K @ np.hstack(
-                [motion.rotations[c], (-motion.rotations[c] @ motion.centers[c]).reshape(3, 1)]
-            )
-            for c in cams
-        ]
+        Ps = [projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in cams]
         try:
             X = triangulate_linear(Ps, xy)
         except NumericalError:
@@ -286,7 +273,7 @@ def distributed_bundle_adjust(
             if len(sel) < 2:
                 continue
             Ps = [
-                intrinsics_to_P(intrinsics[s], rotations[s], centers[s]) for s in sel
+                projection_matrix(cameras[cam_ids[s]].K, rotations[s], centers[s]) for s in sel
             ]
             xy = p.xy[[k for k, c in enumerate(p.cameras) if int(c) in cam_pos]]
             try:
@@ -325,11 +312,6 @@ def distributed_bundle_adjust(
         else:
             out_points.append(p)
     return out_motion, out_points, log
-
-
-def intrinsics_to_P(intr, R, c):
-    K = np.array([[intr[0], 0.0, intr[1]], [0.0, intr[0], intr[2]], [0.0, 0.0, 1.0]])
-    return K @ np.hstack([R, (-R @ c).reshape(3, 1)])
 
 
 def _point_cost(Ps, xy, X):

@@ -3,8 +3,10 @@ truth, cluster sets, tracks, relative motions, global motion, PLY exports,
 and the per-round cost log."""
 
 import csv
+import functools
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +21,37 @@ MATCH_GRAPH_VERSION = 1
 
 
 def _dump(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Write JSON through a temp file in the same directory, so a crash
+    never leaves a half-written file under the final name."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    os.replace(tmp, path)
 
 
 def _load(path):
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _checked(load):
+    """Report a missing or mistyped field of a loaded artifact as a
+    DataError naming the file."""
+
+    @functools.wraps(load)
+    def checked_load(path):
+        try:
+            return load(path)
+        except DataError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
+
+    return checked_load
 
 
 def file_hash(path) -> str:
@@ -60,6 +85,7 @@ def save_match_graph(path, cameras: list[Camera], matches: list[MatchEdge]) -> N
     _dump(path, payload)
 
 
+@_checked
 def load_match_graph(path):
     data = _load(path)
     if data.get("version") != MATCH_GRAPH_VERSION:
@@ -96,6 +122,7 @@ def save_ground_truth(path, poses: list[Pose]) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_ground_truth(path) -> list[Pose]:
     data = _load(path)
     poses = [None] * len(data)
@@ -104,6 +131,8 @@ def load_ground_truth(path) -> list[Pose]:
             R=np.asarray(rec["rotation"], dtype=float).reshape(3, 3),
             c=np.asarray(rec["center"], dtype=float),
         )
+    if any(p is None for p in poses):
+        raise DataError(f"{path}: camera ids are not 0..{len(poses) - 1}")
     return poses
 
 
@@ -146,6 +175,7 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_cluster_set(path) -> ClusterSet:
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"]))
@@ -181,6 +211,7 @@ def save_tracks(path, tracks: list[Track]) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_tracks(path) -> list[Track]:
     data = _load(path)
     tracks = []
@@ -231,6 +262,7 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_local_reconstructions(path) -> list[LocalReconstruction]:
     data = _load(path)
     out = []
@@ -264,6 +296,7 @@ def save_relative_motions(path, motions: list[RelativeMotion]) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_relative_motions(path) -> list[RelativeMotion]:
     data = _load(path)
     return [
@@ -302,6 +335,7 @@ def save_global_motion(path, motion) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_global_motion(path):
     from .averaging import GlobalMotion
 
@@ -334,6 +368,7 @@ def save_global_points(path, points) -> None:
     _dump(path, payload)
 
 
+@_checked
 def load_global_points(path):
     from .global_ba import GlobalPoint
 

@@ -19,6 +19,7 @@ from .geometry import (
     angle_between,
     decompose_essential,
     eight_point_essential,
+    projection_matrix,
     ransac,
     reprojection_residuals_pixels,
     resect_linear,
@@ -252,10 +253,7 @@ def estimate_seed_pair(
 def _triangulate_in_poses(poses, cams, xys, config: LocalSfMConfig):
     """Multi-view linear triangulation with cheirality, reprojection, and
     parallax-angle validation; None on rejection."""
-    Ps = [
-        cam.K @ np.hstack([R, (-R @ c).reshape(3, 1)])
-        for (R, c), cam in zip(poses, cams)
-    ]
+    Ps = [projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)]
     try:
         X = triangulate_linear(Ps, xys)
     except NumericalError:

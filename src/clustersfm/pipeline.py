@@ -171,7 +171,7 @@ def _load_manifest(out_dir) -> dict:
     path = _manifest_path(out_dir)
     if not path.exists():
         return {}
-    return json.loads(path.read_text())
+    return sfm_io._load(path)
 
 
 def _record_stage(out_dir, stage: str, config: PipelineConfig) -> None:
@@ -186,7 +186,7 @@ def _record_stage(out_dir, stage: str, config: PipelineConfig) -> None:
         if p.exists():
             entry["outputs"][name] = sfm_io.file_hash(p)
     manifest[stage] = entry
-    _manifest_path(out_dir).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    sfm_io._dump(_manifest_path(out_dir), manifest)
 
 
 def stage_status(out_dir) -> dict:
@@ -389,7 +389,7 @@ def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
         epipolar_median=med_epi,
     )
     payload = report.to_dict()
-    (out / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    sfm_io._dump(out / "report.json", payload)
     print(report.table())
     return payload
 
@@ -433,7 +433,10 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
         try:
             ret = STAGE_FUNCTIONS[stage](config, out_dir)
         except Exception as exc:
-            raise type(exc)(f"stage {stage!r} failed: {exc}") from exc
+            # name the stage in the message, keeping the exception object
+            # (type, attributes, traceback) intact
+            exc.args = (f"stage {stage!r} failed: {exc}",)
+            raise
         _record_stage(out_dir, stage, config)
         logger.info("stage %s: done in %.1fs", stage, time.time() - t0)
         if stage == "evaluate" and ret is not None:

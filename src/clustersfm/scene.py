@@ -70,9 +70,6 @@ class Pose:
         """Map world points (..., 3) into the camera frame."""
         return (np.asarray(X) - self.c) @ self.R.T
 
-    def projection_matrix(self, K: np.ndarray) -> np.ndarray:
-        return K @ np.hstack([self.R, (-self.R @ self.c).reshape(3, 1)])
-
 
 def project_point(pose: Pose, camera: Camera, X: np.ndarray) -> np.ndarray:
     """Project one world point to pixel coordinates.
@@ -151,10 +148,6 @@ class CameraGraph:
     def edge(self, i: int, j: int) -> MatchEdge:
         key = (i, j) if i < j else (j, i)
         return self.edges[key]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self.edges
 
     @property
     def total_weight(self) -> int:

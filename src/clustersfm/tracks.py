@@ -18,6 +18,7 @@ import numpy as np
 from .clustering import ClusterTree
 from .errors import DataError
 from .scene import MatchEdge
+from .utils import UnionFind
 
 MIN_TRACK_LENGTH = 2
 _FEATURE_SHIFT = 32
@@ -25,10 +26,6 @@ _FEATURE_SHIFT = 32
 
 def _key(camera: int, feature: int) -> int:
     return (camera << _FEATURE_SHIFT) | feature
-
-
-def _unkey(key: int) -> tuple[int, int]:
-    return key >> _FEATURE_SHIFT, key & ((1 << _FEATURE_SHIFT) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,33 +46,6 @@ class Track:
             (int(c), int(f), float(x), float(y))
             for c, f, (x, y) in zip(self.cameras, self.features, self.xy)
         )
-
-
-class UnionFind:
-    """Array-backed union-find with path compression and union by rank."""
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int64)
-        self.rank = np.zeros(size, dtype=np.int8)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
 
 
 @dataclass
@@ -113,11 +83,7 @@ def _components_from_matches(matches: list[MatchEdge], allowed=None) -> _NodeTra
     uf = UnionFind(len(keys))
     for a, b in pairs:
         uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for pos, key in enumerate(keys):
-        groups.setdefault(uf.find(pos), []).append(key)
-    components = [sorted(groups[root]) for root in sorted(groups)]
-    components.sort()
+    components = sorted(sorted(keys[pos] for pos in group) for group in uf.groups())
     poisoned = [_inconsistent(comp) for comp in components]
     return _NodeTracks(components=components, xy=xy, poisoned=poisoned)
 
@@ -161,18 +127,12 @@ def _merge_node_tracks(
     uf = UnionFind(len(components))
     for a, b in links:
         uf.union(a, b)
-    merged: dict[int, list[int]] = {}
-    merged_poison: dict[int, bool] = {}
-    for idx, comp in enumerate(components):
-        root = uf.find(idx)
-        merged.setdefault(root, []).extend(comp)
-        merged_poison[root] = merged_poison.get(root, False) or poisoned[idx]
-    out_components, out_poison = [], []
-    order = sorted(merged, key=lambda r: min(merged[r]))
-    for root in order:
-        comp = sorted(merged[root])
-        out_components.append(comp)
-        out_poison.append(merged_poison[root] or _inconsistent(comp))
+    merged = sorted(
+        (sorted(k for idx in group for k in components[idx]), any(poisoned[idx] for idx in group))
+        for group in uf.groups()
+    )
+    out_components = [comp for comp, _ in merged]
+    out_poison = [bad or _inconsistent(comp) for comp, bad in merged]
     return _NodeTracks(components=out_components, xy=xy, poisoned=out_poison)
 
 
@@ -217,17 +177,13 @@ def merge_tracks(left: list[Track], right: list[Track], cross: list[MatchEdge]) 
     return _emit(node)
 
 
-def generate_tracks(
-    tree: ClusterTree, matches: list[MatchEdge], stage_dir=None
-) -> list[Track]:
+def generate_tracks(tree: ClusterTree, matches: list[MatchEdge]) -> list[Track]:
     """Globally consistent tracks via bottom-up merging over the cluster tree.
 
     Leaf nodes consume the matches interior to their camera set; each
     internal node consumes the cut edges recorded at its split, so every
     match is processed exactly once and the result equals a flat union-find
-    over all matches. With stage_dir set, each node's intermediate tracks
-    are written to a JSON file named by the node's tree path (out-of-core
-    staging hook).
+    over all matches.
     """
     in_tree = set(tree.root.cameras)
     leaf_matches: dict[int, list[MatchEdge]] = {}
@@ -248,45 +204,23 @@ def generate_tracks(
 
     consumed = set()
 
-    def walk(node, path: str) -> _NodeTracks:
+    def walk(node) -> _NodeTracks:
         if node.is_leaf:
-            result = _components_from_matches(
+            return _components_from_matches(
                 leaf_matches.get(node.leaf_id, []), allowed=set(node.cameras)
             )
-        else:
-            left = walk(node.left, path + "L")
-            right = walk(node.right, path + "R")
-            cross = []
-            for pair in sorted(node.cut_edges):
-                if pair in cut_index:
-                    cross.append(cut_index[pair])
-                    consumed.add(pair)
-            result = _merge_node_tracks(left, right, cross)
-        if stage_dir is not None:
-            _stage_node(stage_dir, path, result)
-        return result
+        left = walk(node.left)
+        right = walk(node.right)
+        cross = []
+        for pair in sorted(node.cut_edges):
+            if pair in cut_index:
+                cross.append(cut_index[pair])
+                consumed.add(pair)
+        return _merge_node_tracks(left, right, cross)
 
-    root = walk(tree.root, "root")
+    root = walk(tree.root)
     missing = set(cut_index) - consumed
     if missing:
         raise DataError(f"{len(missing)} cross-leaf match edges not scoped by the tree")
     return _emit(root)
 
-
-def _stage_node(stage_dir, path: str, node: _NodeTracks) -> None:
-    import json
-    from pathlib import Path
-
-    payload = [
-        {
-            "poisoned": bad,
-            "elements": [
-                [k >> _FEATURE_SHIFT, k & ((1 << _FEATURE_SHIFT) - 1), *node.xy[k]]
-                for k in comp
-            ],
-        }
-        for comp, bad in zip(node.components, node.poisoned)
-    ]
-    out = Path(stage_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{path}.json").write_text(json.dumps(payload))

@@ -1,4 +1,4 @@
-"""Seeding and worker-pool helpers shared by all stages."""
+"""Seeding, union-find and worker-pool helpers shared by all stages."""
 
 import hashlib
 import os
@@ -43,3 +43,38 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+class UnionFind:
+    """Array-backed union-find with path compression and union by rank."""
+
+    def __init__(self, size: int):
+        self.parent = np.arange(size, dtype=np.int64)
+        self.rank = np.zeros(size, dtype=np.int8)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return int(root)
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+
+    def groups(self) -> list[list[int]]:
+        """Members of every set in ascending order; the sets are ordered by
+        their smallest member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())

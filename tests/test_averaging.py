@@ -85,14 +85,18 @@ def test_rotation_robustness_quick():
 
 
 def test_rotation_disconnected_components_reported():
+    # union by rank roots {3, 4, 5} at camera 4; the label must still be 3
     motions = [
         motion(0, 1, np.eye(3), np.zeros(3)),
-        motion(2, 3, np.eye(3), np.zeros(3)),
+        motion(4, 5, np.eye(3), np.zeros(3)),
+        motion(3, 5, np.eye(3), np.zeros(3)),
     ]
     est = rotation_averaging(motions)
     assert len(set(est.components.values())) == 2
+    # each component is labelled by its smallest camera id, the gauge root
+    assert est.components == {0: 0, 1: 0, 3: 3, 4: 3, 5: 3}
     assert rotation_angle(est.rotations[0]) < 1e-12
-    assert rotation_angle(est.rotations[2]) < 1e-12
+    assert rotation_angle(est.rotations[3]) < 1e-12
 
 
 def test_translation_system_single_block():

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
+import pytest
 
 from clustersfm import io as sfm_io
 from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
+from clustersfm.errors import DataError
 from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction, RelativeMotion
 from clustersfm.scene import build_camera_graph
@@ -113,3 +117,27 @@ def test_ply_export(tmp_path):
     sfm_io.save_ply_cameras(tmp_path / "c.ply", pts)
     cam_text = (tmp_path / "c.ply").read_text()
     assert "property uchar red" in cam_text
+
+
+def test_malformed_artifacts_raise_data_error(tmp_path):
+    scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
+    path = tmp_path / "matches.json"
+    sfm_io.save_match_graph(path, scene.cameras, matches)
+    assert not list(tmp_path.glob("*.tmp"))  # the temp file was renamed into place
+    data = json.loads(path.read_text())
+    for key, value in (("intrinsics", None), ("edges", [{"i": 0}]), ("numCameras", "six")):
+        broken = dict(data, **{key: value})
+        path.write_text(json.dumps(broken))
+        with pytest.raises(DataError, match="matches.json"):
+            sfm_io.load_match_graph(path)
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(DataError):
+        sfm_io.load_tracks(path)
+    with pytest.raises(DataError, match="cannot read"):
+        sfm_io.load_tracks(tmp_path)  # a directory
+    sfm_io.save_ground_truth(path, scene.poses)
+    data = json.loads(path.read_text())
+    data[0]["cameraId"] = 1  # camera 0 would be left without a pose
+    path.write_text(json.dumps(data))
+    with pytest.raises(DataError, match="camera ids"):
+        sfm_io.load_ground_truth(path)

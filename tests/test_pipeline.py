@@ -95,12 +95,16 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert not (tmp_path / "matches.json").exists()
 
 
-def test_cli_synth_and_status(tmp_path):
+def _synth_small(out_dir):
     code = cli_main([
-        "synth", "--output-dir", str(tmp_path), "--layout", "loop",
+        "synth", "--output-dir", str(out_dir), "--layout", "loop",
         "--cameras", "12", "--points", "100", "--seed", "7",
     ])
     assert code == 0
+
+
+def test_cli_synth_and_status(tmp_path):
+    _synth_small(tmp_path)
     assert (tmp_path / "matches.json").exists()
     assert cli_main(["status", "--output-dir", str(tmp_path)]) == 0
 
@@ -129,6 +133,41 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
                          "final_motion.json", "report.json")
         }
     assert hashes[1] == hashes[3]
+
+
+def test_stage_error_keeps_exception_object(tmp_path):
+    from clustersfm.clustering import ClusteringError
+
+    # one outer iteration cannot settle this clustering
+    config = PipelineConfig(output_dir=str(tmp_path), **dict(SMALL, max_outer_iterations=1))
+    run_pipeline(config, stages=["synth"])
+    with pytest.raises(ClusteringError) as info:
+        run_pipeline(config, stages=["cluster"])
+    assert "stage 'cluster' failed" in str(info.value)
+    assert info.value.last_state is not None
+    assert len(info.value.last_state.interdependent) >= 2
+
+
+def test_cli_malformed_artifact_exit_code(tmp_path, capsys):
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3  # no matches.json yet
+    _synth_small(tmp_path)
+    path = tmp_path / "matches.json"
+    data = json.loads(path.read_text())
+    del data["intrinsics"]
+    path.write_text(json.dumps(data))
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "intrinsics" in err
+
+
+def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):
+    _synth_small(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text[: len(text) // 2])
+    assert cli_main(["status", "--output-dir", str(tmp_path)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_stage_error_names_stage(tmp_path):

@@ -187,17 +187,3 @@ def test_union_find_basics():
     assert uf.find(3) != uf.find(0)
     # idempotent find
     assert uf.find(2) == uf.find(2)
-
-
-def test_out_of_core_staging_files(tmp_path):
-    rng = np.random.default_rng(12)
-    matches = random_instance(rng, 12, 120)
-    g = build_camera_graph(matches, 12)
-    _, tree, _ = divide(g, 4)
-    tracks = generate_tracks(tree, matches, stage_dir=tmp_path / "nodes")
-    files = sorted(p.name for p in (tmp_path / "nodes").glob("*.json"))
-    assert "root.json" in files
-    assert any(name.startswith("rootL") for name in files)
-    # staging must not change the result
-    again = generate_tracks(tree, matches)
-    assert canonical(tracks) == canonical(again)
