@@ -1,9 +1,18 @@
 """Levenberg-Marquardt reprojection minimization over poses and points.
 
 One implementation serves local incremental SfM, single-pose refinement and
-the partition solves of distributed bundle adjustment. Points are eliminated
-per iteration through the Schur complement, so each step costs one dense
-solve over the free camera blocks only.
+the partition solves of distributed bundle adjustment.
+
+Each Jacobian is reduced once to its normal-equation blocks (camera blocks
+H_cc, g_c; point blocks H_pp, g_p; one 6x3 coupling block W per observation
+of a free camera and a free point), which the gradient test and every
+damping retry share. A step eliminates the points through the Schur
+complement S = H_cc - (W H_pp^-1) W^T. S is dense, 6 x 6 per free camera,
+and is accumulated with one GEMM per slab of ASSEMBLY_BLOCK points: the W
+and W H_pp^-1 blocks of the slab are scattered into dense (6 Cf, 3 x slab)
+arrays, so the temporaries grow with the number of free cameras times the
+slab size, never with the number of points. The camera step is one dense
+solve of S; the points back-substitute per block.
 
 Parameterization: rotations update multiplicatively, R <- exp([w]x) R;
 centers and points additively. Residual of one observation is
@@ -22,6 +31,7 @@ DEFAULT_RELATIVE_TOL = 1e-10
 DEFAULT_GRADIENT_TOL = 1e-12
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e12
+ASSEMBLY_BLOCK = 128  # free points per dense slab of the Schur assembly
 
 
 @dataclass
@@ -169,38 +179,47 @@ def jacobian_dense(problem: BAProblem) -> np.ndarray:
 
 
 class _SchurStructure:
-    """Precomputed index arrays for assembling the reduced camera system."""
+    """Index arrays for assembling the reduced camera system, built once per
+    problem.
+
+    Coupling observations (free camera and free point) are sorted by point
+    and cut into slabs of ASSEMBLY_BLOCK points; each slab keeps the flat
+    positions of its 6x3 W blocks inside a dense (6 nc, 3 * slab) array.
+    """
 
     def __init__(self, problem: BAProblem):
-        self.cam_map = -np.ones(len(problem.rotations), dtype=np.int64)
+        cam_map = -np.ones(len(problem.rotations), dtype=np.int64)
         free_cam_ids = np.flatnonzero(problem.free_cams)
-        self.cam_map[free_cam_ids] = np.arange(len(free_cam_ids))
+        cam_map[free_cam_ids] = np.arange(len(free_cam_ids))
         self.n_free_cams = len(free_cam_ids)
-        self.pt_map = -np.ones(len(problem.points), dtype=np.int64)
+        pt_map = -np.ones(len(problem.points), dtype=np.int64)
         free_pt_ids = np.flatnonzero(problem.free_pts)
-        self.pt_map[free_pt_ids] = np.arange(len(free_pt_ids))
-        self.n_free_pts = len(free_pt_ids)
+        pt_map[free_pt_ids] = np.arange(len(free_pt_ids))
+        self.n_free_pts = npnt = len(free_pt_ids)
 
-        cam_idx = np.asarray(problem.cam_idx, dtype=np.int64)
-        pt_idx = np.asarray(problem.pt_idx, dtype=np.int64)
-        self.obs_cam = self.cam_map[cam_idx]  # -1 where camera fixed
-        self.obs_pt = self.pt_map[pt_idx]
-        # coupling observations: both the camera and the point are free
-        self.coupled = np.flatnonzero((self.obs_cam >= 0) & (self.obs_pt >= 0))
-        # sparse indices for the stacked W = J_c^T J_p block matrix
-        oc = self.obs_cam[self.coupled]
-        op = self.obs_pt[self.coupled]
-        self.w_rows = (6 * oc[:, None, None] + np.arange(6)[None, :, None]).repeat(3, axis=2).ravel()
-        self.w_cols = (3 * op[:, None, None] + np.arange(3)[None, None, :]).repeat(6, axis=1).ravel()
-        npnt = self.n_free_pts
-        self.hpp_rows = (3 * np.arange(npnt)[:, None, None] + np.arange(3)[None, :, None]).repeat(3, axis=2).ravel()
-        self.hpp_cols = (3 * np.arange(npnt)[:, None, None] + np.arange(3)[None, None, :]).repeat(3, axis=1).ravel()
+        self.obs_cam = cam_map[np.asarray(problem.cam_idx, dtype=np.int64)]  # -1 where fixed
+        self.obs_pt = pt_map[np.asarray(problem.pt_idx, dtype=np.int64)]
+        self.cam_obs = np.flatnonzero(self.obs_cam >= 0)
+        self.pt_obs = np.flatnonzero(self.obs_pt >= 0)
+        coupled = np.flatnonzero((self.obs_cam >= 0) & (self.obs_pt >= 0))
+        self.coupled = coupled[np.argsort(self.obs_pt[coupled], kind="stable")]
+        self.coupled_cam = oc = self.obs_cam[self.coupled]
+        self.coupled_pt = op = self.obs_pt[self.coupled]
+
+        self.slabs = []  # (first point, last point + 1, coupled slice, flat W positions)
+        starts = np.arange(0, npnt, ASSEMBLY_BLOCK)
+        bounds = np.searchsorted(op, np.append(starts, npnt))
+        for p0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+            p1 = min(p0 + ASSEMBLY_BLOCK, npnt)
+            rows = 6 * oc[lo:hi, None, None] + np.arange(6)[None, :, None]
+            cols = 3 * (op[lo:hi, None, None] - p0) + np.arange(3)[None, None, :]
+            self.slabs.append((p0, p1, slice(lo, hi), (rows * 3 * (p1 - p0) + cols).ravel()))
 
 
 def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """Accumulate values into target rows by index; bincount is much faster
     than np.add.at for many repeated indices."""
-    flat = values.reshape(len(values), -1)
+    flat = values.reshape(len(values), np.prod(values.shape[1:], dtype=np.int64))
     n = target.shape[0]
     out = np.empty((n, flat.shape[1]))
     for k in range(flat.shape[1]):
@@ -208,106 +227,69 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> Non
     target += out.reshape(target.shape)
 
 
-def _solve_lm_step(problem, struct, J_cam, J_pt, r, lam):
-    """One damped normal-equation solve; returns (d_cam (Cf,6), d_pt (Pf,3))."""
-    nc, npnt = struct.n_free_cams, struct.n_free_pts
-    obs_cam, obs_pt = struct.obs_cam, struct.obs_pt
+def _normal_equations(struct, J_cam, J_pt, r):
+    """Undamped blocks of J^T J and J^T r at one Jacobian: camera blocks
+    H_cc (Cf,6,6) and g_c (Cf,6), point blocks H_pp (Pf,3,3) and g_p (Pf,3),
+    and the coupling blocks W (one 6x3 per coupled observation, in
+    struct.coupled order)."""
+    cam_obs, pt_obs = struct.cam_obs, struct.pt_obs
+    H_cc = np.zeros((struct.n_free_cams, 6, 6))
+    g_c = np.zeros((struct.n_free_cams, 6))
+    J = J_cam[cam_obs].transpose(0, 2, 1)
+    _scatter_add(H_cc, struct.obs_cam[cam_obs], np.matmul(J, J_cam[cam_obs]))
+    _scatter_add(g_c, struct.obs_cam[cam_obs], np.matmul(J, r[cam_obs, :, None])[:, :, 0])
+    H_pp = np.zeros((struct.n_free_pts, 3, 3))
+    g_p = np.zeros((struct.n_free_pts, 3))
+    J = J_pt[pt_obs].transpose(0, 2, 1)
+    _scatter_add(H_pp, struct.obs_pt[pt_obs], np.matmul(J, J_pt[pt_obs]))
+    _scatter_add(g_p, struct.obs_pt[pt_obs], np.matmul(J, r[pt_obs, :, None])[:, :, 0])
+    W = np.matmul(J_cam[struct.coupled].transpose(0, 2, 1), J_pt[struct.coupled])
+    return H_cc, g_c, H_pp, g_p, W
 
-    cam_obs = np.flatnonzero(obs_cam >= 0)
-    pt_obs = np.flatnonzero(obs_pt >= 0)
 
-    H_cc = np.zeros((nc, 6, 6))
-    g_c = np.zeros((nc, 6))
-    if len(cam_obs):
-        J = J_cam[cam_obs]
-        JtJ = np.matmul(J.transpose(0, 2, 1), J)
-        Jtr = np.matmul(J.transpose(0, 2, 1), r[cam_obs, :, None])[:, :, 0]
-        _scatter_add(H_cc, obs_cam[cam_obs], JtJ)
-        _scatter_add(g_c, obs_cam[cam_obs], Jtr)
+def _damped(H, lam):
+    """H + lam diag(H) + 1e-12 I on every diagonal block."""
+    idx = np.arange(H.shape[1])
+    out = H.copy()
+    out[:, idx, idx] += lam * H[:, idx, idx] + 1e-12
+    return out
 
-    H_pp = np.zeros((npnt, 3, 3))
-    g_p = np.zeros((npnt, 3))
-    if len(pt_obs):
-        J = J_pt[pt_obs]
-        JtJ = np.matmul(J.transpose(0, 2, 1), J)
-        Jtr = np.matmul(J.transpose(0, 2, 1), r[pt_obs, :, None])[:, :, 0]
-        _scatter_add(H_pp, obs_pt[pt_obs], JtJ)
-        _scatter_add(g_p, obs_pt[pt_obs], Jtr)
 
-    # multiplicative damping on the block diagonals
-    idx3 = np.arange(3)
-    idx6 = np.arange(6)
-    H_cc_d = H_cc.copy()
-    H_cc_d[:, idx6, idx6] += lam * H_cc[:, idx6, idx6] + 1e-12
-    H_pp_d = H_pp.copy()
-    H_pp_d[:, idx3, idx3] += lam * H_pp[:, idx3, idx3] + 1e-12
+def _solve_lm_step(struct, normal, lam):
+    """One damped normal-equation solve; returns (d_cam (Cf,6), d_pt (Pf,3)),
+    or (None, None) when the damped system is singular.
 
-    if npnt == 0:
-        S = _blocks_to_dense(H_cc_d, nc)
-        try:
-            d_cam = np.linalg.solve(S, -g_c.ravel()).reshape(nc, 6)
-        except np.linalg.LinAlgError:
-            return None, None
-        return d_cam, np.zeros((0, 3))
-
+    Points are eliminated: S = H_cc - (W H_pp^-1) W^T is accumulated one
+    slab of points at a time with a dense GEMM, the camera step solves
+    S d_cam = -(g_c - W H_pp^-1 g_p), and the points back-substitute.
+    """
+    H_cc, g_c, H_pp, g_p, W = normal
+    nc = struct.n_free_cams
     try:
-        H_pp_inv = np.linalg.inv(H_pp_d)
+        H_pp_inv = np.linalg.inv(_damped(H_pp, lam))
     except np.linalg.LinAlgError:
         return None, None
 
-    if nc == 0:
-        d_pt = -np.matmul(H_pp_inv, g_p[:, :, None])[:, :, 0]
-        return np.zeros((0, 6)), d_pt
-
-    # stacked sparse W (6nc x 3npnt) and block-diagonal Hpp^-1
-    from scipy.sparse import coo_matrix
-
-    coupled = struct.coupled
-    W = np.matmul(J_cam[coupled].transpose(0, 2, 1), J_pt[coupled])  # (mc, 6, 3)
-    Wsp = coo_matrix(
-        (W.ravel(), (struct.w_rows, struct.w_cols)), shape=(6 * nc, 3 * npnt)
-    ).tocsr()
-    Hinv_sp = coo_matrix(
-        (H_pp_inv.ravel(), (struct.hpp_rows, struct.hpp_cols)), shape=(3 * npnt, 3 * npnt)
-    ).tocsr()
-
-    # reduced gradient and camera system: S = Hcc - W Hpp^-1 W^T
-    g_red = g_c.ravel() - Wsp @ (Hinv_sp @ g_p.ravel())
-    WH = Wsp @ Hinv_sp
-    S_dense = _blocks_to_dense(H_cc_d, nc) - (WH @ Wsp.T).toarray()
+    S = np.zeros((nc, 6, nc, 6))
+    S[np.arange(nc), :, np.arange(nc), :] = _damped(H_cc, lam)
+    S = S.reshape(6 * nc, 6 * nc)
+    g_red = g_c.ravel().copy()
+    for p0, p1, obs, flat in struct.slabs:
+        WH = np.matmul(W[obs], H_pp_inv[struct.coupled_pt[obs]])
+        shape = (6 * nc, 3 * (p1 - p0))
+        W_d = np.bincount(flat, weights=W[obs].ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+        WH_d = np.bincount(flat, weights=WH.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+        S -= WH_d @ W_d.T
+        g_red -= WH_d @ g_p[p0:p1].ravel()
     try:
-        d_cam_flat = np.linalg.solve(S_dense, -g_red)
+        d_cam = np.linalg.solve(S, -g_red).reshape(nc, 6)
     except np.linalg.LinAlgError:
         return None, None
-    d_cam = d_cam_flat.reshape(nc, 6)
 
     # back-substitute points: d_p = -Hpp^-1 (g_p + W^T d_cam)
-    rhs = g_p.ravel() + Wsp.T @ d_cam_flat
-    d_pt = -(Hinv_sp @ rhs).reshape(npnt, 3)
-    return d_cam, d_pt
-
-
-def _blocks_to_dense(diag_blocks, nc):
-    S = np.zeros((nc, nc, 6, 6))
-    S[np.arange(nc), np.arange(nc)] = diag_blocks
-    return S.transpose(0, 2, 1, 3).reshape(6 * nc, 6 * nc)
-
-
-def _gradient_inf_norm(problem, struct, J_cam, J_pt, r):
-    g = 0.0
-    cam_obs = np.flatnonzero(struct.obs_cam >= 0)
-    if len(cam_obs):
-        g_c = np.zeros((struct.n_free_cams, 6))
-        vals = np.matmul(J_cam[cam_obs].transpose(0, 2, 1), r[cam_obs, :, None])[:, :, 0]
-        _scatter_add(g_c, struct.obs_cam[cam_obs], vals)
-        g = max(g, float(np.abs(g_c).max(initial=0.0)))
-    pt_obs = np.flatnonzero(struct.obs_pt >= 0)
-    if len(pt_obs):
-        g_p = np.zeros((struct.n_free_pts, 3))
-        vals = np.matmul(J_pt[pt_obs].transpose(0, 2, 1), r[pt_obs, :, None])[:, :, 0]
-        _scatter_add(g_p, struct.obs_pt[pt_obs], vals)
-        g = max(g, float(np.abs(g_p).max(initial=0.0)))
-    return g
+    rhs = g_p.copy()
+    _scatter_add(rhs, struct.coupled_pt, np.matmul(d_cam[struct.coupled_cam, None, :], W)[:, 0, :])
+    return d_cam, -np.matmul(H_pp_inv, rhs[:, :, None])[:, :, 0]
 
 
 def lm_minimize(
@@ -339,24 +321,25 @@ def lm_minimize(
     if (struct.n_free_cams == 0 and struct.n_free_pts == 0) or cost <= cost_floor:
         converged = True
 
+    cam_ids = np.flatnonzero(problem.free_cams)
+    pt_ids = np.flatnonzero(problem.free_pts)
     while not converged and iterations < max_iterations and np.isfinite(cost):
-        J_cam, J_pt = jacobian_blocks(problem, rotations, centers, points)
-        if _gradient_inf_norm(problem, struct, J_cam, J_pt, r) < gradient_tol:
+        normal = _normal_equations(struct, *jacobian_blocks(problem, rotations, centers, points), r)
+        _, g_c, _, g_p, _ = normal
+        if max(np.abs(g_c).max(initial=0.0), np.abs(g_p).max(initial=0.0)) < gradient_tol:
             converged = True
             break
         accepted = False
         while iterations < max_iterations and lam <= LAMBDA_MAX:
-            d_cam, d_pt = _solve_lm_step(problem, struct, J_cam, J_pt, r, lam)
+            d_cam, d_pt = _solve_lm_step(struct, normal, lam)
             iterations += 1
             if d_cam is None:
                 lam *= 2.0
                 continue
             new_rot, new_cen, new_pts = rotations.copy(), centers.copy(), points.copy()
-            cam_ids = np.flatnonzero(problem.free_cams)
             for k, c in enumerate(cam_ids):
                 new_rot[c] = so3_exp(d_cam[k, :3]) @ rotations[c]
                 new_cen[c] = centers[c] + d_cam[k, 3:]
-            pt_ids = np.flatnonzero(problem.free_pts)
             if len(pt_ids):
                 new_pts[pt_ids] = points[pt_ids] + d_pt
             new_r = residuals(problem, new_rot, new_cen, new_pts)

@@ -225,7 +225,7 @@ def decompose_essential(
         for tc in (t, -t):
             P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
             P2 = np.hstack([R, tc.reshape(3, 1)])
-            X = triangulate_two_view_batch(P1, P2, rays_i, rays_j)
+            X, _ = triangulate_batch(np.stack([P1, P2]), np.stack([rays_i, rays_j], axis=1))
             z1 = X[:, 2]
             z2 = (X @ R.T + tc)[:, 2]
             count = int(((z1 > 0) & (z2 > 0)).sum())
@@ -246,24 +246,25 @@ def projection_matrix(K: np.ndarray, R: np.ndarray, c: np.ndarray) -> np.ndarray
     return K @ np.hstack([R, (-R @ c).reshape(3, 1)])
 
 
-def triangulate_two_view_batch(
-    P1: np.ndarray, P2: np.ndarray, x1: np.ndarray, x2: np.ndarray
-) -> np.ndarray:
-    """DLT triangulation of many correspondences for two 3x4 cameras.
+def triangulate_batch(Ps: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DLT triangulation of n points, each seen in the same number k >= 2
+    of views.
 
-    x1, x2 are inhomogeneous 2D coordinates in the frame P expects.
+    Ps are the 3x4 cameras, (k, 3, 4) shared by every point or (n, k, 3, 4)
+    per point; xs (n, k, 2) are inhomogeneous 2D coordinates in the frame
+    the Ps expect. Returns the (n, 3) points and an (n,) mask that is False
+    for a point at infinity (its homogeneous scale is clamped to 1e-15).
     """
-    n = len(x1)
-    A = np.empty((n, 4, 4))
-    A[:, 0] = x1[:, 0, None] * P1[2] - P1[0]
-    A[:, 1] = x1[:, 1, None] * P1[2] - P1[1]
-    A[:, 2] = x2[:, 0, None] * P2[2] - P2[0]
-    A[:, 3] = x2[:, 1, None] * P2[2] - P2[1]
+    n, k = xs.shape[:2]
+    A = np.empty((n, 2 * k, 4))
+    A[:, 0::2] = xs[:, :, 0, None] * Ps[..., 2, :] - Ps[..., 0, :]
+    A[:, 1::2] = xs[:, :, 1, None] * Ps[..., 2, :] - Ps[..., 1, :]
     _, _, Vt = np.linalg.svd(A)
     X = Vt[:, -1, :]
     w = X[:, 3]
-    w = np.where(np.abs(w) < 1e-15, 1e-15, w)
-    return X[:, :3] / w[:, None]
+    finite = np.abs(w) >= 1e-15
+    w = np.where(finite, w, 1e-15)
+    return X[:, :3] / w[:, None], finite
 
 
 def triangulate_linear(Ps: list[np.ndarray], xs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from . import ba_core
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
-from .geometry import projection_matrix, triangulate_linear
+from .geometry import projection_matrix, triangulate_batch, triangulate_linear
 from .scene import Camera
 from .tracks import Track
 from .utils import parallel_map
@@ -212,10 +212,25 @@ def distributed_bundle_adjust(
             free_pts=np.zeros(len(active), dtype=bool),
         )
         r = ba_core.residuals(problem)
-        finite = np.isfinite(r).all(axis=1)
-        cost = float(np.sum(r[finite] ** 2))
+        bad = int((~np.isfinite(r).all(axis=1)).sum())
+        if bad:
+            raise NumericalError(f"{bad} observations have non-finite residuals (point behind its camera)")
+        cost = float(np.sum(r**2))
         rms = float(np.sqrt(cost / max(len(r), 1)))
         return cost, rms
+
+    # boundary points grouped by their number of posed views, for the
+    # batched consensus re-triangulation
+    interior = {pi for part in partitions for pi in part.interior_points}
+    by_views: dict[int, list] = {}
+    for pi, p in enumerate(active):
+        keep = [k for k, c in enumerate(p.cameras) if int(c) in cam_pos]
+        if pi not in interior and len(keep) >= 2:
+            views = [cam_pos[int(p.cameras[k])] for k in keep]
+            by_views.setdefault(len(keep), []).append((pi, views, p.xy[keep]))
+    boundary_groups = [
+        tuple(np.array(column) for column in zip(*group)) for _, group in sorted(by_views.items())
+    ]
 
     log: list[RoundLog] = []
     cost, rms = global_cost()
@@ -263,25 +278,14 @@ def distributed_bundle_adjust(
                 positions[part.interior_points] = result.points[part.interior_points]
 
         # consensus: re-triangulate boundary points, guarded per point
-        boundary = sorted(
-            set(range(len(active)))
-            - {pi for part in partitions for pi in part.interior_points}
-        )
-        for pi in boundary:
-            p = active[pi]
-            sel = [cam_pos[int(c)] for c in p.cameras if int(c) in cam_pos]
-            if len(sel) < 2:
-                continue
-            Ps = [
-                projection_matrix(cameras[cam_ids[s]].K, rotations[s], centers[s]) for s in sel
-            ]
-            xy = p.xy[[k for k, c in enumerate(p.cameras) if int(c) in cam_pos]]
-            try:
-                X_new = triangulate_linear(Ps, xy)
-            except NumericalError:
-                continue
-            if _point_cost(Ps, xy, X_new) <= _point_cost(Ps, xy, positions[pi]):
-                positions[pi] = X_new
+        Ps = np.array([
+            projection_matrix(cameras[c].K, rotations[s], centers[s]) for s, c in enumerate(cam_ids)
+        ])
+        for pts, views, xy in boundary_groups:
+            P = Ps[views]
+            X_new, finite = triangulate_batch(P, xy)
+            take = finite & (_point_costs(P, xy, X_new) <= _point_costs(P, xy, positions[pts]))
+            positions[pts[take]] = X_new[take]
 
         cost_new, rms_new = global_cost()
         if cost_new > cost + 1e-9 * max(cost, 1.0):
@@ -314,12 +318,11 @@ def distributed_bundle_adjust(
     return out_motion, out_points, log
 
 
-def _point_cost(Ps, xy, X):
-    total = 0.0
-    Xh = np.append(X, 1.0)
-    for P, z in zip(Ps, xy):
-        uvw = P @ Xh
-        if uvw[2] <= 1e-12:
-            return np.inf
-        total += (uvw[0] / uvw[2] - z[0]) ** 2 + (uvw[1] / uvw[2] - z[1]) ** 2
-    return total
+def _point_costs(Ps, xy, X):
+    """Summed squared reprojection error of each point over its views: Ps
+    (n, k, 3, 4), xy (n, k, 2), X (n, 3); +inf for a point behind a view."""
+    Xh = np.column_stack([X, np.ones(len(X))])
+    uvw = np.matmul(Ps, Xh[:, None, :, None])[..., 0]
+    behind = uvw[..., 2:] <= 1e-12
+    err = uvw[..., :2] / np.where(behind, 1.0, uvw[..., 2:]) - xy
+    return np.where(behind.any(axis=(1, 2)), np.inf, (err**2).sum(axis=2).sum(axis=1))

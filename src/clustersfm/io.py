@@ -2,9 +2,11 @@
 truth, cluster sets, tracks, relative motions, global motion, PLY exports,
 and the per-round cost log."""
 
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -20,13 +22,24 @@ from .tracks import Track
 MATCH_GRAPH_VERSION = 1
 
 
-def _dump(path, payload) -> None:
-    """Write JSON through a temp file in the same directory, so a crash
-    never leaves a half-written file under the final name."""
+def _write(path, text: str) -> None:
+    """Write text through a temp file in the same directory, so a crash
+    never leaves a half-written file under the final name. A failed write
+    removes the temp file and raises a DataError naming the path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
+
+
+def _dump(path, payload) -> None:
+    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _load(path):
@@ -395,19 +408,18 @@ def load_global_points(path):
 
 def save_ply_points(path, positions: np.ndarray, colors: np.ndarray | None = None) -> None:
     positions = np.asarray(positions).reshape(-1, 3)
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(positions)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(positions)}"]
+    lines += ["property float x", "property float y", "property float z"]
+    if colors is not None:
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines.append("end_header")
+    for k, p in enumerate(positions):
+        line = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
         if colors is not None:
-            fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for k, p in enumerate(positions):
-            line = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
-            if colors is not None:
-                c = colors[k]
-                line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
-            fh.write(line + "\n")
+            c = colors[k]
+            line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
+        lines.append(line)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def save_ply_cameras(path, centers: np.ndarray, color=(255, 64, 64)) -> None:
@@ -417,8 +429,9 @@ def save_ply_cameras(path, centers: np.ndarray, color=(255, 64, 64)) -> None:
 
 
 def save_round_log(path, log) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "cost", "rms_px"])
-        for entry in log:
-            writer.writerow([entry.round, f"{entry.cost:.12g}", f"{entry.rms_px:.12g}"])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["round", "cost", "rms_px"])
+    for entry in log:
+        writer.writerow([entry.round, f"{entry.cost:.12g}", f"{entry.rms_px:.12g}"])
+    _write(path, buf.getvalue())

@@ -106,6 +106,7 @@ class ClusterTracks:
         self.track_ids = []
         self.cams = []  # per track: (n,) camera ids
         self.xys = []  # per track: (n, 2)
+        self.slot_of = []  # per track: camera id -> first slot seeing it
         self.cam_slots: dict[int, list] = {c: [] for c in inside}
         for t in tracks:
             mask = np.array([int(c) in inside for c in t.cameras])
@@ -116,8 +117,11 @@ class ClusterTracks:
             self.track_ids.append(int(t.id))
             self.cams.append(cams)
             self.xys.append(t.xy[mask])
+            slot_of = {}
             for slot, c in enumerate(cams):
                 self.cam_slots[int(c)].append((idx, slot))
+                slot_of.setdefault(int(c), slot)
+            self.slot_of.append(slot_of)
 
     def __len__(self) -> int:
         return len(self.track_ids)
@@ -127,9 +131,7 @@ class ClusterTracks:
         return sorted(t for t, _ in self.cam_slots.get(i, []) if t in set_j)
 
     def obs_of(self, t_idx: int, cam: int) -> np.ndarray:
-        cams = self.cams[t_idx]
-        slot = int(np.flatnonzero(cams == cam)[0])
-        return self.xys[t_idx][slot]
+        return self.xys[t_idx][self.slot_of[t_idx][cam]]
 
 
 # ---------------------------------------------------------------------------

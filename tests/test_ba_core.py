@@ -1,7 +1,13 @@
 import numpy as np
+import pytest
 
+from clustersfm import ba_core
 from clustersfm.ba_core import (
     BAProblem,
+    _normal_equations,
+    _SchurStructure,
+    _solve_lm_step,
+    jacobian_blocks,
     jacobian_dense,
     lm_minimize,
     pack_parameters,
@@ -122,3 +128,70 @@ def test_rescale_hook_is_cost_invariant():
     assert abs(np.linalg.norm(result.centers[1] - result.centers[0]) - 1.0) < 1e-9
     r = residuals(problem, result.rotations, result.centers, result.points)
     assert np.isfinite(r).all()
+
+
+def reference_step(problem, lam):
+    """Direct solve of the full damped normal equations
+    (J^T J + lam diag(J^T J) + 1e-12 I) delta = -J^T r."""
+    J = jacobian_dense(problem)
+    r = residuals(problem).ravel()
+    H = J.T @ J
+    H_d = H + lam * np.diag(np.diag(H)) + 1e-12 * np.eye(len(H))
+    return np.linalg.solve(H_d, -J.T @ r)
+
+
+def schur_step(problem, lam):
+    struct = _SchurStructure(problem)
+    normal = _normal_equations(struct, *jacobian_blocks(problem), residuals(problem))
+    d_cam, d_pt = _solve_lm_step(struct, normal, lam)
+    return np.concatenate([d_cam.ravel(), d_pt.ravel()])
+
+
+def perturbed_problem(seed, n_cams, n_pts):
+    """Noisy problem in the partition layout of the distributed BA: some
+    cameras and some points fixed, the state moved off the optimum."""
+    rng = np.random.default_rng(seed)
+    problem, _ = make_problem(rng, n_cams=n_cams, n_pts=n_pts, pixel_noise=1.0)
+    problem.free_cams[: n_cams // 3] = False
+    problem.free_pts = rng.random(n_pts) < 0.7
+    problem.centers = problem.centers + rng.normal(size=problem.centers.shape) * 0.05
+    problem.points = problem.points + rng.normal(size=problem.points.shape) * 0.05
+    # a camera may see a point twice (a track with two features in one view)
+    dup = rng.choice(len(problem.cam_idx), size=5, replace=False)
+    problem.cam_idx = np.append(problem.cam_idx, problem.cam_idx[dup])
+    problem.pt_idx = np.append(problem.pt_idx, problem.pt_idx[dup])
+    problem.pixels = np.vstack([problem.pixels, problem.pixels[dup] + 0.5])
+    return problem
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_schur_step_matches_dense_normal_equations(lam):
+    problem = perturbed_problem(6, n_cams=7, n_pts=40)
+    assert problem.free_cams.sum() and (~problem.free_cams).sum()
+    assert problem.free_pts.sum() and (~problem.free_pts).sum()
+    ref = reference_step(problem, lam)
+    assert np.allclose(schur_step(problem, lam), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+
+def test_schur_step_without_free_cameras_or_points():
+    problem = perturbed_problem(7, n_cams=5, n_pts=20)
+    problem.free_cams[:] = False
+    ref = reference_step(problem, 1e-3)
+    assert np.allclose(schur_step(problem, 1e-3), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+    problem = perturbed_problem(8, n_cams=5, n_pts=20)
+    problem.free_pts[:] = False
+    ref = reference_step(problem, 1e-3)
+    assert np.allclose(schur_step(problem, 1e-3), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+
+def test_schur_step_across_assembly_blocks(monkeypatch):
+    # more free points than one assembly block, with a partial last block
+    problem = perturbed_problem(9, n_cams=4, n_pts=ba_core.ASSEMBLY_BLOCK * 2)
+    assert problem.free_pts.sum() > ba_core.ASSEMBLY_BLOCK
+    assert problem.free_pts.sum() % ba_core.ASSEMBLY_BLOCK
+    ref = reference_step(problem, 1e-3)
+    assert np.allclose(schur_step(problem, 1e-3), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+    # many small blocks give the same step
+    monkeypatch.setattr(ba_core, "ASSEMBLY_BLOCK", 7)
+    assert np.allclose(schur_step(problem, 1e-3), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())

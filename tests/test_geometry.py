@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clustersfm.errors import NumericalError
 from clustersfm.geometry import (
     angle_between,
     decompose_essential,
@@ -13,6 +14,7 @@ from clustersfm.geometry import (
     skew,
     so3_exp,
     so3_log,
+    triangulate_batch,
     triangulate_linear,
     project_to_so3,
 )
@@ -146,3 +148,37 @@ def test_ransac_insufficient_data():
     rng = np.random.default_rng(8)
     model, mask = ransac(3, 8, lambda idx: None, lambda m: np.zeros(3), 1.0, rng)
     assert model is None and mask is None
+
+
+def test_triangulate_batch_matches_per_point_dlt():
+    rng = np.random.default_rng(8)
+    K = np.array([[800.0, 0.0, 640.0], [0.0, 800.0, 480.0], [0.0, 0.0, 1.0]])
+    n, k = 20, 4
+    Ps = np.empty((n, k, 3, 4))
+    xs = np.empty((n, k, 2))
+    X = rng.normal(size=(n, 3)) + np.array([0.0, 0.0, 10.0])
+    for i in range(n):
+        for v in range(k):
+            R = so3_exp(rng.normal(size=3) * 0.05)
+            Ps[i, v] = K @ np.hstack([R, (-R @ rng.normal(size=3)).reshape(3, 1)])
+            uvw = Ps[i, v] @ np.append(X[i], 1.0)
+            xs[i, v] = uvw[:2] / uvw[2] + rng.normal(size=2) * 0.5
+    out, finite = triangulate_batch(Ps, xs)
+    assert finite.all()
+    for i in range(n):
+        assert np.allclose(out[i], triangulate_linear(list(Ps[i]), xs[i]), atol=1e-9)
+    # shared cameras broadcast over the points
+    shared, _ = triangulate_batch(Ps[0], xs)
+    assert np.allclose(shared[0], out[0], atol=1e-12)
+
+
+def test_triangulate_batch_flags_points_at_infinity():
+    # parallel rays of two translated identity cameras meet at infinity
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P2 = np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])])
+    xs = np.array([[[0.2, 0.1], [0.2, 0.1]], [[0.0, 0.0], [-0.5, 0.0]]])
+    X, finite = triangulate_batch(np.stack([P1, P2]), xs)
+    assert finite.tolist() == [False, True]
+    assert np.allclose(X[1], [0.0, 0.0, 2.0])
+    with pytest.raises(NumericalError):
+        triangulate_linear([P1, P2], xs[0])

@@ -13,6 +13,7 @@ from clustersfm.global_ba import (
 from clustersfm.scene import build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import Track
+from clustersfm.errors import NumericalError
 from clustersfm.geometry import so3_exp
 
 
@@ -173,3 +174,45 @@ def test_single_partition_matches_monolithic():
     )
     reference = ba_core.lm_minimize(problem, max_iterations=240)
     assert abs(log[-1].cost - reference.cost) <= 1e-10 * max(reference.cost, 1e-12)
+
+
+def test_non_finite_residuals_raise(loop24):
+    scene, matches, graph, cs = loop24
+    motion = gt_motion(scene)
+    points = triangulate_global(tracks_from_scene(scene), motion, cs, scene.cameras)
+    partitions = build_partitions(points, cs, motion)
+    p = next(p for p in points if p.active)
+    # mirror the point through its first camera's center: behind that camera
+    c = int(p.cameras[0])
+    p.position = 2.0 * motion.centers[c] - p.position
+    behind = sum(
+        (motion.rotations[int(k)] @ (p.position - motion.centers[int(k)]))[2] <= 1e-12
+        for k in p.cameras
+    )
+    assert behind >= 1
+    with pytest.raises(NumericalError, match=f"^{behind} observations have non-finite residuals"):
+        distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=2)
+
+
+def test_point_costs_match_per_view_loop():
+    from clustersfm.global_ba import _point_costs
+
+    rng = np.random.default_rng(3)
+    n, k = 12, 3
+    Ps = rng.normal(size=(n, k, 3, 4))
+    Ps[..., 2, :] = [0.0, 0.0, 1.0, 5.0]  # depth z + 5
+    X = rng.normal(size=(n, 3))
+    X[0, 2] = -6.0  # behind every view
+    xy = rng.normal(size=(n, k, 2))
+    ref = []
+    for i in range(n):
+        total = 0.0
+        for P, z in zip(Ps[i], xy[i]):
+            uvw = P @ np.append(X[i], 1.0)
+            if uvw[2] <= 1e-12:
+                total = np.inf
+                break
+            total += (uvw[0] / uvw[2] - z[0]) ** 2 + (uvw[1] / uvw[2] - z[1]) ** 2
+        ref.append(total)
+    assert np.isinf(ref[0])
+    assert np.allclose(_point_costs(Ps, xy, X), ref, rtol=1e-12)

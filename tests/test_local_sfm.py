@@ -315,3 +315,22 @@ def test_run_local_sfm_noisy_monte_carlo():
     rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, CONFIG)
     assert len(rec.rotations) >= 48
     assert rec.mean_reprojection < 1.0
+
+
+def test_cluster_tracks_lookup_matches_scan():
+    rng = np.random.default_rng(12)
+    tracks = []
+    for tid in range(40):
+        # some tracks see a camera twice or leave the cluster; the first slot wins
+        cams = rng.integers(0, 8, size=int(rng.integers(2, 7)))
+        tracks.append(Track(id=tid, cameras=cams, features=np.arange(len(cams)),
+                            xy=rng.normal(size=(len(cams), 2)) * 100))
+    ct = ClusterTracks((0, 1, 2, 3, 4), tracks)
+    assert any(len(set(cams)) < len(cams) for cams in ct.cams)
+    pairs = 0
+    for t_idx, cams in enumerate(ct.cams):
+        for cam in set(cams.tolist()):
+            slot = int(np.flatnonzero(cams == cam)[0])
+            assert np.array_equal(ct.obs_of(t_idx, cam), ct.xys[t_idx][slot])
+            pairs += 1
+    assert pairs > 40

@@ -177,3 +177,13 @@ def test_stage_error_names_stage(tmp_path):
     with pytest.raises(Exception) as info:
         run_pipeline(config, stages=["cluster"])
     assert "stage 'cluster' failed" in str(info.value)
+
+
+def test_cli_unwritable_artifact_exit_code(tmp_path, capsys):
+    _synth_small(tmp_path)
+    (tmp_path / "clusters.json").mkdir()
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: stage 'cluster' failed:") and "clusters.json" in err
+    assert "\n" not in err
+    assert not list(tmp_path.glob("*.tmp"))
