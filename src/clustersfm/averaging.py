@@ -261,8 +261,7 @@ class _RankDeficiency(Exception):
         self.var_indices = var_indices
 
 
-def _solve_component(A, B, gauge_scale_col, gauge_cam_col, weights_fn, max_iterations,
-                     relative_tol=L1_RELATIVE_TOL):
+def _solve_component(A, B, gauge_scale_col, gauge_cam_col, max_iterations, relative_tol):
     """IRLS over the combined system [A | -B] z = 0 with the gauge scale
     fixed at 1 and the gauge camera at the origin (their columns removed;
     the scale column moves to the right-hand side). Returns (z, objective,
@@ -305,7 +304,7 @@ def _solve_component(A, B, gauge_scale_col, gauge_cam_col, weights_fn, max_itera
         z = z_new
         improved = objective is None or (objective - new_objective) > relative_tol * max(objective, 1e-300)
         objective = new_objective
-        weights = weights_fn(r)
+        weights = 1.0 / np.maximum(np.abs(r), L1_EPS)
         if not improved:
             break
     else:
@@ -323,19 +322,6 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
     of the equation graph, and the gauge cluster is the lowest cluster id
     measured at that camera. Components are solved independently.
     """
-    return _solve_translation(system, rotations, "l1", max_iterations, relative_tol)
-
-
-def solve_translation_l2(system: TranslationSystem, rotations: RotationEstimate | dict,
-                         max_iterations: int = 1,
-                         relative_tol: float = L1_RELATIVE_TOL) -> GlobalMotion:
-    """Unweighted least-squares baseline for the same system (comparison
-    oracle for the robust solver)."""
-    return _solve_translation(system, rotations, "l2", max_iterations, relative_tol)
-
-
-def _solve_translation(system, rotations, flavor, max_iterations,
-                       relative_tol=L1_RELATIVE_TOL) -> GlobalMotion:
     rot = rotations.rotations if isinstance(rotations, RotationEstimate) else rotations
     # connected components over cameras+clusters through equations
     nodes = [("cam", c) for c in system.camera_ids] + [("cl", k) for k in system.cluster_ids]
@@ -357,14 +343,6 @@ def _solve_translation(system, rotations, flavor, max_iterations,
     all_residuals = np.zeros(len(system.equations))
     total_objective = 0.0
     total_iterations = 0
-
-    if flavor == "l1":
-        def weights_fn(r):
-            return 1.0 / np.maximum(np.abs(r), L1_EPS)
-    else:
-        def weights_fn(r):
-            return np.ones_like(r)
-        max_iterations = 1
 
     for members in groups:
         comp_cams = sorted(c for kind, c in members if kind == "cam")
@@ -388,7 +366,6 @@ def _solve_translation(system, rotations, flavor, max_iterations,
                 sub_B.tocoo(),
                 comp_cls.index(gauge_cluster),
                 comp_cams.index(gauge_cam),
-                weights_fn,
                 max_iterations,
                 relative_tol,
             )
@@ -401,7 +378,7 @@ def _solve_translation(system, rotations, flavor, max_iterations,
             raise NumericalError(
                 f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
             ) from exc
-        if capped and flavor == "l1":
+        if capped and max_iterations > 1:
             logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
         total_objective += objective
         total_iterations = max(total_iterations, iterations)
@@ -427,3 +404,9 @@ def _solve_translation(system, rotations, flavor, max_iterations,
         objective=total_objective,
         iterations=total_iterations,
     )
+
+
+def solve_translation_l2(system: TranslationSystem, rotations: RotationEstimate | dict) -> GlobalMotion:
+    """Unweighted least-squares baseline for the same system (comparison
+    oracle for the robust solver): the first, unit-weight IRLS iterate."""
+    return solve_translation_l1(system, rotations, max_iterations=1)

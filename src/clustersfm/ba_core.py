@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import MIN_DEPTH
+
 DEFAULT_MAX_ITERATIONS = 50
 DEFAULT_RELATIVE_TOL = 1e-10
 DEFAULT_GRADIENT_TOL = 1e-12
@@ -82,7 +84,7 @@ def residuals(problem: BAProblem, rotations=None, centers=None, points=None) -> 
     Y = _camera_frame(rotations, centers, points, problem.cam_idx, problem.pt_idx)
     K = problem.intrinsics[problem.cam_idx]
     z = Y[:, 2]
-    bad = z <= 1e-12
+    bad = z <= MIN_DEPTH
     zs = np.where(bad, 1.0, z)
     u = K[:, 0] * Y[:, 0] / zs + K[:, 1]
     v = K[:, 0] * Y[:, 1] / zs + K[:, 2]

@@ -1,9 +1,12 @@
 """Multi-view geometry primitives: SO(3) maps, essential matrix estimation,
-linear triangulation, camera resection, and a generic RANSAC loop."""
+linear triangulation and its acceptance gate, camera resection, and a generic
+RANSAC loop."""
 
 import numpy as np
 
-from .errors import NumericalError
+# depth at or below which a point counts as behind a camera, in the
+# triangulation gate and in the bundle adjustment residuals
+MIN_DEPTH = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ def decompose_essential(
         for tc in (t, -t):
             P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
             P2 = np.hstack([R, tc.reshape(3, 1)])
-            X, _ = triangulate_batch(np.stack([P1, P2]), np.stack([rays_i, rays_j], axis=1))
+            X, _ = triangulate_linear(np.stack([P1, P2]), np.stack([rays_i, rays_j], axis=1))
             z1 = X[:, 2]
             z2 = (X @ R.T + tc)[:, 2]
             count = int(((z1 > 0) & (z2 > 0)).sum())
@@ -246,9 +249,9 @@ def projection_matrix(K: np.ndarray, R: np.ndarray, c: np.ndarray) -> np.ndarray
     return K @ np.hstack([R, (-R @ c).reshape(3, 1)])
 
 
-def triangulate_batch(Ps: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def triangulate_linear(Ps: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DLT triangulation of n points, each seen in the same number k >= 2
-    of views.
+    of views (Hartley & Sturm's homogeneous method).
 
     Ps are the 3x4 cameras, (k, 3, 4) shared by every point or (n, k, 3, 4)
     per point; xs (n, k, 2) are inhomogeneous 2D coordinates in the frame
@@ -267,21 +270,36 @@ def triangulate_batch(Ps: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     return X[:, :3] / w[:, None], finite
 
 
-def triangulate_linear(Ps: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
-    """Homogeneous least-squares triangulation from >= 2 views.
+def reprojection_offsets(Ps: np.ndarray, xs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each of n points through its k views: Ps (k, 3, 4) or
+    (n, k, 3, 4), xs (n, k, 2), X (n, 3).
 
-    Ps are 3x4 projection matrices; xs the matching 2D points, one row per
-    view, in the same coordinates the Ps produce.
+    Returns the (n, k, 2) offsets of the projections from xs and an (n, k)
+    mask of the views the point lies behind (depth <= MIN_DEPTH), whose
+    offsets are meaningless.
     """
-    A = np.empty((2 * len(Ps), 4))
-    for k, (P, x) in enumerate(zip(Ps, xs)):
-        A[2 * k] = x[0] * P[2] - P[0]
-        A[2 * k + 1] = x[1] * P[2] - P[1]
-    _, _, Vt = np.linalg.svd(A)
-    X = Vt[-1]
-    if abs(X[3]) < 1e-15:
-        raise NumericalError("triangulation at infinity")
-    return X[:3] / X[3]
+    Xh = np.column_stack([X, np.ones(len(X))])
+    uvw = np.matmul(Ps, Xh[:, None, :, None])[..., 0]
+    behind = uvw[..., 2] <= MIN_DEPTH
+    offsets = uvw[..., :2] / np.where(behind, 1.0, uvw[..., 2])[..., None] - xs
+    return offsets, behind
+
+
+def triangulation_status(
+    Ps: np.ndarray, xs: np.ndarray, X: np.ndarray, finite: np.ndarray, max_reprojection_px: float
+) -> np.ndarray:
+    """The acceptance gate of triangulated points: "active" when a point
+    lies in front of every view and reprojects within max_reprojection_px
+    of each observation. Otherwise the first failing view, in view order,
+    names the reason: "cheirality" (behind the view; a point at infinity
+    fails in its first view) or "reprojection". Arguments as for
+    reprojection_offsets, plus the finite mask of triangulate_linear."""
+    offsets, behind = reprojection_offsets(Ps, xs, X)
+    behind |= ~finite[:, None]
+    failed = behind | (np.hypot(offsets[..., 0], offsets[..., 1]) > max_reprojection_px)
+    first = np.argmax(failed, axis=1)
+    status = np.where(behind[np.arange(len(X)), first], "cheirality", "reprojection")
+    return np.where(failed.any(axis=1), status, "active")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ with a guard that never lets the global cost increase.
 """
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import ba_core
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
-from .geometry import projection_matrix, triangulate_batch, triangulate_linear
+from .geometry import projection_matrix, reprojection_offsets, triangulate_linear, triangulation_status
 from .scene import Camera
 from .tracks import Track
 from .utils import parallel_map
@@ -75,41 +76,27 @@ def triangulate_global(
     """
     posed = set(motion.centers)
     owner_of_camera = cluster_set.independent_cluster_of()
+    P_of = {c: projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in posed}
     out = []
+    by_views: dict[int, list] = {}
     for t in tracks:
         sel = [k for k, c in enumerate(t.cameras) if int(c) in posed]
         cams = np.array([int(t.cameras[k]) for k in sel])
         xy = t.xy[sel] if sel else np.zeros((0, 2))
-        owners = [owner_of_camera.get(int(c), -1) for c in cams]
-        cluster_id = -1
-        valid_owners = [o for o in owners if o >= 0]
-        if valid_owners:
-            counts = {}
-            for o in valid_owners:
-                counts[o] = counts.get(o, 0) + 1
-            best = max(counts.values())
-            cluster_id = min(o for o, n in counts.items() if n == best)
-        if len(sel) < min_views:
-            out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "too_few_views"))
-            continue
-        Ps = [projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in cams]
-        try:
-            X = triangulate_linear(Ps, xy)
-        except NumericalError:
-            out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "cheirality"))
-            continue
-        status = "active"
-        for k, c in enumerate(cams):
-            z = (motion.rotations[c] @ (X - motion.centers[c]))[2]
-            if z <= 0:
-                status = "cheirality"
-                break
-            uvw = Ps[k] @ np.append(X, 1.0)
-            err = np.hypot(uvw[0] / uvw[2] - xy[k, 0], uvw[1] / uvw[2] - xy[k, 1])
-            if err > max_reprojection_px:
-                status = "reprojection"
-                break
-        out.append(GlobalPoint(t.id, X if status == "active" else None, cluster_id, cams, xy, status))
+        counts = Counter(owner_of_camera[c] for c in cams if c in owner_of_camera)
+        cluster_id = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
+        out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "too_few_views"))
+        if len(sel) >= min_views:
+            by_views.setdefault(len(sel), []).append(out[-1])
+    # one DLT and one gate per posed-view count
+    for group in by_views.values():
+        Ps = np.array([[P_of[int(c)] for c in p.cameras] for p in group])
+        xy = np.array([p.xy for p in group])
+        X, finite = triangulate_linear(Ps, xy)
+        status = triangulation_status(Ps, xy, X, finite, max_reprojection_px)
+        for p, X_p, s in zip(group, X, status):
+            p.status = str(s)
+            p.position = X_p if p.active else None
     n_active = sum(p.active for p in out)
     logger.info("triangulated %d/%d tracks", n_active, len(out))
     return out
@@ -283,7 +270,7 @@ def distributed_bundle_adjust(
         ])
         for pts, views, xy in boundary_groups:
             P = Ps[views]
-            X_new, finite = triangulate_batch(P, xy)
+            X_new, finite = triangulate_linear(P, xy)
             take = finite & (_point_costs(P, xy, X_new) <= _point_costs(P, xy, positions[pts]))
             positions[pts[take]] = X_new[take]
 
@@ -321,8 +308,5 @@ def distributed_bundle_adjust(
 def _point_costs(Ps, xy, X):
     """Summed squared reprojection error of each point over its views: Ps
     (n, k, 3, 4), xy (n, k, 2), X (n, 3); +inf for a point behind a view."""
-    Xh = np.column_stack([X, np.ones(len(X))])
-    uvw = np.matmul(Ps, Xh[:, None, :, None])[..., 0]
-    behind = uvw[..., 2:] <= 1e-12
-    err = uvw[..., :2] / np.where(behind, 1.0, uvw[..., 2:]) - xy
-    return np.where(behind.any(axis=(1, 2)), np.inf, (err**2).sum(axis=2).sum(axis=1))
+    offsets, behind = reprojection_offsets(Ps, xy, X)
+    return np.where(behind.any(axis=1), np.inf, (offsets**2).sum(axis=2).sum(axis=1))

@@ -16,7 +16,6 @@ from . import ba_core
 from .clustering import Cluster
 from .errors import NumericalError
 from .geometry import (
-    angle_between,
     decompose_essential,
     eight_point_essential,
     projection_matrix,
@@ -25,6 +24,7 @@ from .geometry import (
     resect_linear,
     sampson_distance,
     triangulate_linear,
+    triangulation_status,
 )
 from .scene import Camera, CameraGraph
 from .tracks import Track
@@ -226,24 +226,13 @@ def estimate_seed_pair(
         if mask.sum() < config.min_seed_correspondences:
             continue
         # gauge: camera i at the origin, unit baseline
-        R_i, c_i = np.eye(3), np.zeros(3)
-        R_j, c_j = R, -R.T @ t
-        poses = {i: (R_i, c_i), j: (R_j, c_j)}
-        points, angles = {}, []
-        for t_idx, keep in zip(shared, mask):
-            if not keep:
-                continue
-            X = _triangulate_in_poses(
-                [poses[i], poses[j]],
-                [cameras[i], cameras[j]],
-                np.vstack([tracks.obs_of(t_idx, i), tracks.obs_of(t_idx, j)]),
-                config,
-            )
-            if X is None:
-                continue
-            points[t_idx] = X
-            angles.append(np.degrees(angle_between(c_i - X, c_j - X)))
-        if len(points) >= 8 and np.median(angles) >= config.seed_median_angle_deg:
+        c_i, c_j = np.zeros(3), -R.T @ t
+        poses = {i: (np.eye(3), c_i), j: (R, c_j)}
+        inliers = [t_idx for t_idx, keep in zip(shared, mask) if keep]
+        Ps = np.array([projection_matrix(cameras[c].K, *poses[c]) for c in (i, j)])
+        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), np.stack([xy_i[mask], xy_j[mask]], axis=1), config)
+        points = {t_idx: X_t for t_idx, X_t, keep in zip(inliers, X, ok) if keep}
+        if len(points) >= 8 and np.median(parallax[ok]) >= config.seed_median_angle_deg:
             return (i, j), poses, points
     raise SeedFailure("no seed pair with sufficient parallax")
 
@@ -252,37 +241,22 @@ def estimate_seed_pair(
 # Triangulation and resection against a partial reconstruction
 # ---------------------------------------------------------------------------
 
-def _triangulate_in_poses(poses, cams, xys, config: LocalSfMConfig):
-    """Multi-view linear triangulation with cheirality, reprojection, and
-    parallax-angle validation; None on rejection."""
-    Ps = [projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)]
-    try:
-        X = triangulate_linear(Ps, xys)
-    except NumericalError:
-        return None
-    max_angle = 0.0
-    for a in range(len(poses)):
-        R, c = poses[a]
-        z = (R @ (X - c))[2]
-        if z <= 0:
-            return None
-        uv = Ps[a] @ np.append(X, 1.0)
-        err = np.hypot(uv[0] / uv[2] - xys[a][0], uv[1] / uv[2] - xys[a][1])
-        if err > config.max_reprojection_px:
-            return None
-        for b in range(a + 1, len(poses)):
-            max_angle = max(
-                max_angle, np.degrees(angle_between(poses[a][1] - X, poses[b][1] - X))
-            )
-    if max_angle < config.triangulation_min_angle_deg:
-        return None
-    return X
+def _triangulate(Ps, centers, xys, config: LocalSfMConfig):
+    """Triangulate n tracks seen in the same k views: Ps (k, 3, 4) and
+    camera centers (k, 3) shared by every track, or (n, k, 3, 4) and
+    (n, k, 3) per track; xys (n, k, 2) pixels.
 
-
-def triangulate_track_local(poses, cams, xys, config: LocalSfMConfig | None = None):
-    """Public triangulation entry: poses is a list of (R, c), cams the
-    matching Camera objects, xys the (n, 2) observations."""
-    return _triangulate_in_poses(poses, cams, np.asarray(xys, dtype=float), config or LocalSfMConfig())
+    Returns the (n, 3) points, the mask of points that pass the shared
+    cheirality/reprojection gate and the parallax test, and each point's
+    largest pairwise parallax angle in degrees.
+    """
+    X, finite = triangulate_linear(Ps, xys)
+    ok = triangulation_status(Ps, xys, X, finite, config.max_reprojection_px) == "active"
+    rays = centers - X[:, None, :]
+    norms = np.linalg.norm(rays, axis=2)
+    cosines = np.matmul(rays, np.swapaxes(rays, 1, 2)) / np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
+    parallax = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0))).max(axis=(1, 2))
+    return X, ok & (parallax >= config.triangulation_min_angle_deg), parallax
 
 
 def register_next_view(
@@ -383,36 +357,52 @@ class _SfMState:
     def pose_of(self, cam):
         return self.rotations[cam], self.centers[cam]
 
-    def reproj_error(self, cam: int, t_idx: int) -> float:
-        R, c = self.pose_of(cam)
-        K = self.cameras[cam].K
-        err = reprojection_residuals_pixels(
-            R, -R @ c, K, self.points[t_idx][None, :], self.tracks.obs_of(t_idx, cam)[None, :]
-        )
-        return float(err[0])
-
     def add_camera_observations(self, cam: int):
         """Attach the freshly registered camera to existing active points."""
-        for t_idx, _slot in self.tracks.cam_slots.get(cam, []):
-            if t_idx in self.points:
-                if self.reproj_error(cam, t_idx) <= self.config.max_reprojection_px:
-                    self.inlier_cams[t_idx].append(cam)
+        tids = [t_idx for t_idx, _slot in self.tracks.cam_slots.get(cam, []) if t_idx in self.points]
+        if not tids:
+            return
+        R, c = self.pose_of(cam)
+        err = reprojection_residuals_pixels(
+            R, -R @ c, self.cameras[cam].K,
+            np.array([self.points[t] for t in tids]),
+            np.array([self.tracks.obs_of(t, cam) for t in tids]),
+        )
+        for t_idx in np.array(tids)[err <= self.config.max_reprojection_px]:
+            self.inlier_cams[int(t_idx)].append(cam)
 
-    def try_triangulate(self, t_idx: int) -> bool:
-        if t_idx in self.points or t_idx in self.dead_tracks:
-            return False
-        cams = [int(c) for c in self.tracks.cams[t_idx] if int(c) in self.rotations]
-        if len(cams) < 2:
-            return False
-        poses = [self.pose_of(c) for c in cams]
-        cam_objs = [self.cameras[c] for c in cams]
-        xys = np.array([self.tracks.obs_of(t_idx, c) for c in cams])
-        X = _triangulate_in_poses(poses, cam_objs, xys, self.config)
-        if X is None:
-            return False
-        self.points[t_idx] = X
-        self.inlier_cams[t_idx] = list(cams)
-        return True
+    def triangulate_new_tracks(self, cam: int):
+        """Triangulate the tracks through the freshly registered camera that
+        are neither active nor dead and now have >= 2 registered views: one
+        batch per view count, accepted points entering in track order."""
+        candidates = {}
+        for t_idx, _slot in self.tracks.cam_slots.get(cam, []):
+            if t_idx in self.points or t_idx in self.dead_tracks or t_idx in candidates:
+                continue
+            cams = [int(c) for c in self.tracks.cams[t_idx] if int(c) in self.rotations]
+            if len(cams) >= 2:
+                candidates[t_idx] = cams
+        P_of = {
+            c: projection_matrix(self.cameras[c].K, *self.pose_of(c))
+            for c in {c for cams in candidates.values() for c in cams}
+        }
+        by_views: dict[int, list] = {}
+        for t_idx, cams in candidates.items():
+            by_views.setdefault(len(cams), []).append(t_idx)
+        accepted = {}
+        for group in by_views.values():
+            views = [candidates[t] for t in group]
+            X, ok, _ = _triangulate(
+                np.array([[P_of[c] for c in cams] for cams in views]),
+                np.array([[self.centers[c] for c in cams] for cams in views]),
+                np.array([[self.tracks.obs_of(t, c) for c in cams] for t, cams in zip(group, views)]),
+                self.config,
+            )
+            accepted.update((t, X_t) for t, X_t, keep in zip(group, X, ok) if keep)
+        for t_idx in candidates:
+            if t_idx in accepted:
+                self.points[t_idx] = accepted[t_idx]
+                self.inlier_cams[t_idx] = list(candidates[t_idx])
 
     def bundle_adjust(self, max_iterations=None, relative_tol=None) -> ba_core.BAResult:
         """Local BA over all registered cameras and active points; the seed
@@ -465,10 +455,8 @@ class _SfMState:
             relative_tol=relative_tol or ba_core.DEFAULT_RELATIVE_TOL,
             rescale_fn=rescale,
         )
-        assert all(
-            b <= a + 1e-9 * max(a, 1.0)
-            for a, b in zip(result.cost_trace, result.cost_trace[1:])
-        ), "LM cost increased across accepted steps"
+        if any(b > a + 1e-9 * max(a, 1.0) for a, b in zip(result.cost_trace, result.cost_trace[1:])):
+            raise NumericalError(f"cluster {self.cluster_id}: local BA cost increased across accepted LM steps")
         for k, c in enumerate(cams):
             self.rotations[c] = result.rotations[k]
             self.centers[c] = result.centers[k]
@@ -553,9 +541,7 @@ def run_local_sfm(
             registrations += 1
             registered_one = True
             unregistered.remove(cam)
-            # triangulate tracks that just gained their second-plus view
-            for t_idx, _slot in ct.cam_slots.get(cam, []):
-                state.try_triangulate(t_idx)
+            state.triangulate_new_tracks(cam)
             if registrations % config.ba_every == 0 and len(state.points) >= 4:
                 state.bundle_adjust(
                     max_iterations=config.intermediate_ba_max_iterations,

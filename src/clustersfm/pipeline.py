@@ -11,7 +11,9 @@ changes any artifact.
 import dataclasses
 import json
 import logging
+import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +36,9 @@ from .tracks import Track, generate_tracks
 from .utils import parallel_map
 
 logger = logging.getLogger(__name__)
+
+# value types a PipelineConfig field of each annotated type accepts
+_ACCEPTED = {str: str, int: numbers.Integral, float: numbers.Real}
 
 STAGES = ("synth", "cluster", "tracks", "local-sfm", "average", "triangulate", "ba", "evaluate")
 
@@ -91,6 +96,13 @@ class PipelineConfig:
     ba_inner_iterations: int = 50
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = typing.get_args(f.type) or (f.type,)
+            if value is None and type(None) in kinds:
+                continue
+            if not isinstance(value, _ACCEPTED[kinds[0]]) or isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be {kinds[0].__name__}, got {value!r}")
         if self.layout not in LAYOUTS:
             raise ConfigurationError(f"unknown layout {self.layout!r}")
         if self.num_cameras < 2:
@@ -122,9 +134,13 @@ class PipelineConfig:
                 raise ConfigurationError(
                     "TOML config files need Python >= 3.11; use JSON instead"
                 ) from exc
-            data = tomllib.loads(path.read_text())
-        else:
-            data = json.loads(path.read_text())
+        try:
+            text = path.read_text()
+            data = tomllib.loads(text) if path.suffix == ".toml" else json.loads(text)
+        except OSError as exc:
+            raise ConfigurationError(f"{path}: cannot read config file ({exc.strerror})") from exc
+        except ValueError as exc:  # JSON, TOML and Unicode decode errors
+            raise ConfigurationError(f"{path}: malformed config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: config must be a flat table")
         data.update(overrides or {})

@@ -14,6 +14,8 @@ poisoned components are dropped at the root.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .clustering import ClusterTree
 from .errors import DataError
@@ -59,31 +61,24 @@ class _NodeTracks:
 
 
 def _components_from_matches(matches: list[MatchEdge], allowed=None) -> _NodeTracks:
-    keys: list[int] = []
-    index: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    xy: dict[int, tuple[float, float]] = {}
-
-    def intern(k: int) -> int:
-        pos = index.get(k)
-        if pos is None:
-            pos = len(keys)
-            index[k] = pos
-            keys.append(k)
-        return pos
-
     for edge in matches:
         if allowed is not None and (edge.i not in allowed or edge.j not in allowed):
             raise DataError(f"match edge ({edge.i}, {edge.j}) outside its tree node")
-        for fi, (xi, yi), fj, (xj, yj) in zip(edge.feat_i, edge.xy_i, edge.feat_j, edge.xy_j):
-            ka, kb = _key(edge.i, int(fi)), _key(edge.j, int(fj))
-            xy.setdefault(ka, (float(xi), float(yi)))
-            xy.setdefault(kb, (float(xj), float(yj)))
-            pairs.append((intern(ka), intern(kb)))
-    uf = UnionFind(len(keys))
-    for a, b in pairs:
-        uf.union(a, b)
-    components = sorted(sorted(keys[pos] for pos in group) for group in uf.groups())
+    if not matches:
+        return _NodeTracks(components=[], xy={}, poisoned=[])
+    # feature keys and pixels in first-seen order: a_0, b_0, a_1, b_1, ...
+    keys = np.concatenate([
+        np.column_stack([_key(e.i, e.feat_i), _key(e.j, e.feat_j)]).ravel() for e in matches
+    ])
+    pixels = np.concatenate([np.stack([e.xy_i, e.xy_j], axis=1).reshape(-1, 2) for e in matches])
+    unique, first, node = np.unique(keys, return_index=True, return_inverse=True)
+    pairs = node.reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(unique),) * 2)
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    components = sorted(group.tolist() for group in np.split(unique[order], bounds))
+    xy = dict(zip(unique.tolist(), map(tuple, pixels[first].tolist())))
     poisoned = [_inconsistent(comp) for comp in components]
     return _NodeTracks(components=components, xy=xy, poisoned=poisoned)
 

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 WORKERS_ENV_VAR = "CLUSTERSFM_WORKERS"
 
 
@@ -26,7 +28,10 @@ def seeded_rng(*parts) -> np.random.Generator:
 def default_worker_count() -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

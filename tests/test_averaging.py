@@ -265,3 +265,18 @@ def test_objective_monotone_under_irls(five_cluster_problem):
     # the L2 start can only improve under accepted IRLS iterations
     l2 = solve_translation_l2(system, est)
     assert sol.objective <= l2.objective + 1e-9
+
+
+def test_translation_cap_warning_only_for_irls(five_cluster_problem, caplog):
+    gt_R, gt_c, gt_scales, motions = five_cluster_problem
+    rng = np.random.default_rng(4)
+    noisy = [motion(m.i, m.j, m.rotation, m.translation + rng.normal(0, 0.02, 3), k=m.cluster_id)
+             for m in motions]
+    system = build_translation_system(noisy, gt_R)
+    with caplog.at_level("WARNING", logger="clustersfm.averaging"):
+        l2 = solve_translation_l2(system, gt_R)
+    assert l2.iterations == 1 and "cap" not in caplog.text
+    with caplog.at_level("WARNING", logger="clustersfm.averaging"):
+        l1 = solve_translation_l1(system, gt_R, max_iterations=2)
+    assert l1.iterations == 2 and "stopped at its cap of 2 iterations" in caplog.text
+    assert l1.objective < l2.objective

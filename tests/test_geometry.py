@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from clustersfm.errors import NumericalError
 from clustersfm.geometry import (
     angle_between,
     decompose_essential,
@@ -14,8 +13,8 @@ from clustersfm.geometry import (
     skew,
     so3_exp,
     so3_log,
-    triangulate_batch,
     triangulate_linear,
+    triangulation_status,
     project_to_so3,
 )
 
@@ -102,8 +101,9 @@ def test_triangulate_two_identity_cameras():
     X = np.array([0.0, 0.0, 2.0])
     x1 = (P1 @ np.append(X, 1))[:2] / (P1 @ np.append(X, 1))[2]
     x2 = (P2 @ np.append(X, 1))[:2] / (P2 @ np.append(X, 1))[2]
-    rec = triangulate_linear([P1, P2], np.vstack([x1, x2]))
-    assert np.abs(rec - X).max() < 1e-9
+    rec, finite = triangulate_linear(np.stack([P1, P2]), np.vstack([x1, x2])[None])
+    assert finite.tolist() == [True]
+    assert np.abs(rec[0] - X).max() < 1e-9
 
 
 def test_resect_linear_exact():
@@ -150,7 +150,31 @@ def test_ransac_insufficient_data():
     assert model is None and mask is None
 
 
-def test_triangulate_batch_matches_per_point_dlt():
+def _dlt_reference(Ps, xs):
+    """Per-point DLT, one 2k x 4 system per point; None at infinity."""
+    A = np.empty((2 * len(Ps), 4))
+    for v, (P, x) in enumerate(zip(Ps, xs)):
+        A[2 * v] = x[0] * P[2] - P[0]
+        A[2 * v + 1] = x[1] * P[2] - P[1]
+    X = np.linalg.svd(A)[2][-1]
+    return None if abs(X[3]) < 1e-15 else X[:3] / X[3]
+
+
+def _status_reference(Ps, xs, X, max_px):
+    """Per-view gate: the first view behind the camera or beyond max_px of
+    its observation names the failure."""
+    if X is None:
+        return "cheirality"
+    for P, x in zip(Ps, xs):
+        uvw = P @ np.append(X, 1.0)
+        if uvw[2] <= 1e-12:
+            return "cheirality"
+        if np.hypot(uvw[0] / uvw[2] - x[0], uvw[1] / uvw[2] - x[1]) > max_px:
+            return "reprojection"
+    return "active"
+
+
+def test_triangulate_linear_matches_per_point_dlt():
     rng = np.random.default_rng(8)
     K = np.array([[800.0, 0.0, 640.0], [0.0, 800.0, 480.0], [0.0, 0.0, 1.0]])
     n, k = 20, 4
@@ -163,22 +187,69 @@ def test_triangulate_batch_matches_per_point_dlt():
             Ps[i, v] = K @ np.hstack([R, (-R @ rng.normal(size=3)).reshape(3, 1)])
             uvw = Ps[i, v] @ np.append(X[i], 1.0)
             xs[i, v] = uvw[:2] / uvw[2] + rng.normal(size=2) * 0.5
-    out, finite = triangulate_batch(Ps, xs)
+    out, finite = triangulate_linear(Ps, xs)
     assert finite.all()
     for i in range(n):
-        assert np.allclose(out[i], triangulate_linear(list(Ps[i]), xs[i]), atol=1e-9)
+        assert np.array_equal(out[i], _dlt_reference(Ps[i], xs[i]))
     # shared cameras broadcast over the points
-    shared, _ = triangulate_batch(Ps[0], xs)
+    shared, _ = triangulate_linear(Ps[0], xs)
     assert np.allclose(shared[0], out[0], atol=1e-12)
 
 
-def test_triangulate_batch_flags_points_at_infinity():
+def test_triangulate_linear_flags_points_at_infinity():
     # parallel rays of two translated identity cameras meet at infinity
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     P2 = np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])])
     xs = np.array([[[0.2, 0.1], [0.2, 0.1]], [[0.0, 0.0], [-0.5, 0.0]]])
-    X, finite = triangulate_batch(np.stack([P1, P2]), xs)
+    X, finite = triangulate_linear(np.stack([P1, P2]), xs)
     assert finite.tolist() == [False, True]
     assert np.allclose(X[1], [0.0, 0.0, 2.0])
-    with pytest.raises(NumericalError):
-        triangulate_linear([P1, P2], xs[0])
+    assert triangulation_status(np.stack([P1, P2]), xs, X, finite, 4.0).tolist() == ["cheirality", "active"]
+
+
+def test_triangulation_status_matches_per_point_reference():
+    rng = np.random.default_rng(21)
+    K = np.array([[800.0, 0.0, 640.0], [0.0, 800.0, 480.0], [0.0, 0.0, 1.0]])
+    flip = np.diag([1.0, -1.0, -1.0])  # looks down -z
+    seen = set()
+    for k in range(2, 6):
+        n = 60
+        Ps = np.empty((n, k, 3, 4))
+        xs = np.empty((n, k, 2))
+        for i in range(n):
+            X = rng.normal(size=3) + np.array([0.0, 0.0, 10.0])
+            for v in range(k):
+                R = so3_exp(rng.normal(size=3) * 0.05)
+                c = np.array([2.0 * v - k, 0.3 * v, 0.0])
+                if i % 5 == 1 and v == i % k:
+                    R = flip @ R  # the point is behind this view
+                Ps[i, v] = K @ np.hstack([R, (-R @ c).reshape(3, 1)])
+                uvw = Ps[i, v] @ np.append(X, 1.0)
+                xs[i, v] = uvw[:2] / uvw[2] + rng.normal(size=2) * 0.5
+            if i % 5 == 2:
+                xs[i, i % k] += rng.choice([-1.0, 1.0], size=2) * rng.uniform(5.0, 40.0)  # > 4 px
+            if i % 5 == 3:
+                # translated copies of one camera see the same pixel: the
+                # parallel rays meet at infinity
+                Ps[i] = [K @ np.hstack([np.eye(3), [[-v], [0.0], [0.0]]]) for v in range(k)]
+                xs[i] = [700.0, 500.0]
+        X, finite = triangulate_linear(Ps, xs)
+        assert not finite[3::5].any() and finite[0::5].all()
+        status = triangulation_status(Ps, xs, X, finite, 4.0)
+        for i in range(n):
+            ref = _status_reference(Ps[i], xs[i], _dlt_reference(Ps[i], xs[i]), 4.0)
+            assert status[i] == ref, (k, i)
+            seen.add(ref)
+    assert seen == {"active", "cheirality", "reprojection"}
+
+
+def test_triangulation_status_first_failing_view_decides():
+    front = np.hstack([np.eye(3), [[0.0], [0.0], [5.0]]])  # depth z + 5
+    back = np.hstack([np.diag([1.0, 1.0, -1.0]), [[0.0], [0.0], [5.0]]])  # depth 5 - z
+    Ps = np.array([[front, back], [back, front], [front, front], [front, front]])
+    X = np.array([[0.0, 0.0, 6.0], [0.0, 0.0, 6.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    far, near = [9.0, 0.0], [0.0, 0.0]
+    xs = np.array([[far, near], [near, far], [near, near], [near, near]])
+    finite = np.array([True, True, True, False])
+    status = triangulation_status(Ps, xs, X, finite, 4.0)
+    assert status.tolist() == ["reprojection", "cheirality", "active", "cheirality"]

@@ -194,6 +194,33 @@ def test_non_finite_residuals_raise(loop24):
         distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=2)
 
 
+@pytest.mark.parametrize("flipped, perturbed, expected", [(2, 0, "reprojection"), (0, 2, "cheirality")])
+def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, expected):
+    from types import SimpleNamespace
+
+    from clustersfm.scene import Camera
+
+    # three cameras along x looking down +z; one is turned to look down -z,
+    # so the point is behind it, and another sees the point 30 px off
+    X = np.array([0.2, -0.1, 10.0])
+    rotations = {c: np.eye(3) for c in range(3)}
+    rotations[flipped] = np.diag([1.0, -1.0, -1.0])
+    centers = {c: np.array([c - 1.0, 0.0, 0.0]) for c in range(3)}
+    cameras = [Camera(id=c, focal=800.0, cx=640.0, cy=480.0, width=1280, height=960) for c in range(3)]
+    xy = []
+    for c in range(3):
+        Y = rotations[c] @ (X - centers[c])
+        xy.append([800.0 * Y[0] / Y[2] + 640.0, 800.0 * Y[1] / Y[2] + 480.0])
+    xy = np.array(xy)
+    xy[perturbed, 0] += 30.0
+    track = Track(id=0, cameras=np.arange(3), features=np.arange(3), xy=xy)
+    motion = GlobalMotion(rotations=rotations, centers=centers, scales={0: 1.0},
+                          residual_norms=np.zeros(0), objective=0.0)
+    cluster_set = SimpleNamespace(independent_cluster_of=lambda: {0: 0, 1: 0, 2: 0})
+    [point] = triangulate_global([track], motion, cluster_set, cameras)
+    assert point.status == expected and point.position is None
+
+
 def test_point_costs_match_per_view_loop():
     from clustersfm.global_ba import _point_costs
 

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from clustersfm import ba_core
 from clustersfm.clustering import Cluster, ClusterTree, ClusterTreeNode
-from clustersfm.geometry import angle_between, random_rotation, rotation_angle
+from clustersfm.errors import NumericalError
+from clustersfm.geometry import angle_between, projection_matrix, random_rotation, rotation_angle
 from clustersfm.local_sfm import (
     ClusterTracks,
     LocalReconstruction,
@@ -14,7 +18,8 @@ from clustersfm.local_sfm import (
     extract_relative_motions,
     register_next_view,
     run_local_sfm,
-    triangulate_track_local,
+    _SfMState,
+    _triangulate,
 )
 from clustersfm.evaluation import align_similarity
 from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
@@ -156,6 +161,14 @@ def test_register_thirty_percent_mislabeled():
     assert np.linalg.norm(c - c_gt) < 0.01 * diam
 
 
+def triangulate_one(poses, cams, xys, config=LocalSfMConfig()):
+    """One track through local SfM's batched triangulation; None when the
+    gate or the parallax test rejects it."""
+    Ps = np.array([projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)])
+    X, ok, _ = _triangulate(Ps, np.array([c for _, c in poses]), np.asarray(xys, dtype=float)[None], config)
+    return X[0] if ok[0] else None
+
+
 def test_triangulate_closed_form():
     cam = Camera(id=0, focal=1.0, cx=0.0, cy=0.0, width=2, height=2)
     poses = [(np.eye(3), np.array([0.5, 0.0, 0.0])), (np.eye(3), np.array([-0.5, 0.0, 0.0]))]
@@ -164,7 +177,7 @@ def test_triangulate_closed_form():
     for R, c in poses:
         Y = R @ (X - c)
         xys.append(Y[:2] / Y[2])
-    rec = triangulate_track_local(poses, [cam, cam], np.array(xys))
+    rec = triangulate_one(poses, [cam, cam], np.array(xys))
     assert rec is not None
     assert np.abs(rec - X).max() < 1e-9
 
@@ -176,7 +189,7 @@ def test_triangulate_rejects_behind_camera():
     poses = [(np.eye(3), np.array([0.5, 0.0, 0.0])), (flip, np.array([-0.5, 0.0, 4.0]))]
     X = np.array([0.0, 0.0, 2.0])
     xys = np.array([[(X - c)[0] / (X - c)[2], (X - c)[1] / (X - c)[2]] for R, c in [poses[0]]] + [[0.0, 0.0]])
-    assert triangulate_track_local(poses, [cam, cam], xys) is None
+    assert triangulate_one(poses, [cam, cam], xys) is None
 
 
 def test_triangulate_five_views_noisy_rms():
@@ -195,7 +208,7 @@ def test_triangulate_five_views_noisy_rms():
             Y = R @ (X - c)
             xys.append([800 * Y[0] / Y[2] + 640, 800 * Y[1] / Y[2] + 480])
         xys = np.array(xys) + rng.normal(0, 0.5, (5, 2))
-        rec = triangulate_track_local(poses, [cam] * 5, xys)
+        rec = triangulate_one(poses, [cam] * 5, xys)
         if rec is None:
             continue
         for (R, c), z in zip(poses, xys):
@@ -315,6 +328,86 @@ def test_run_local_sfm_noisy_monte_carlo():
     rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, CONFIG)
     assert len(rec.rotations) >= 48
     assert rec.mean_reprojection < 1.0
+
+
+def _triangulate_reference(poses, cams, xys, config):
+    """Per-track, per-view reference of local SfM triangulation: DLT, then
+    depth and reprojection in every view and the largest pairwise parallax."""
+    Ps = [projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)]
+    A = np.concatenate([[x[0] * P[2] - P[0], x[1] * P[2] - P[1]] for P, x in zip(Ps, xys)])
+    Xh = np.linalg.svd(A)[2][-1]
+    if abs(Xh[3]) < 1e-15:
+        return None
+    X = Xh[:3] / Xh[3]
+    max_angle = 0.0
+    for a, ((R, c), P, x) in enumerate(zip(poses, Ps, xys)):
+        if (R @ (X - c))[2] <= 0:
+            return None
+        uv = P @ np.append(X, 1.0)
+        if np.hypot(uv[0] / uv[2] - x[0], uv[1] / uv[2] - x[1]) > config.max_reprojection_px:
+            return None
+        for _, c_b in poses[a + 1:]:
+            max_angle = max(max_angle, np.degrees(angle_between(c - X, c_b - X)))
+    return X if max_angle >= config.triangulation_min_angle_deg else None
+
+
+def test_batched_triangulation_matches_per_track_reference():
+    from clustersfm.synthetic import _look_at
+
+    rng = np.random.default_rng(31)
+    cam = make_camera()
+    flip = np.diag([1.0, -1.0, -1.0])
+    target = np.array([0.0, 0.0, 10.0])
+    outcomes = set()
+    for k in range(2, 6):
+        poses_n, xys_n = [], []
+        for i in range(50):
+            case = i % 5  # 0 clean, 1 behind, 2 > 4 px, 3 at infinity, 4 < 1 degree
+            spread = 0.02 if case == 4 else 2.0
+            centers = [spread * np.array([v - k / 2, 0.15 * v, 0.0]) for v in range(k)]
+            poses = [(_look_at(c, target).R, c) for c in centers]
+            X = target + rng.normal(size=3)
+            if case == 3:
+                poses = [(np.eye(3), np.array([float(v), 0.0, 0.0])) for v in range(k)]
+            xys = []
+            for R, c in poses:
+                Y = R @ (X - c)
+                xys.append([800 * Y[0] / Y[2] + 640, 800 * Y[1] / Y[2] + 480])
+            xys = np.array(xys) + rng.normal(0, 0.3, (k, 2))
+            if case == 1:
+                v = i % k
+                poses[v] = (flip @ poses[v][0], poses[v][1])
+            if case == 2:
+                xys[i % k] += rng.choice([-1.0, 1.0], size=2) * rng.uniform(6.0, 30.0)
+            if case == 3:
+                xys[:] = [700.0, 500.0]
+            poses_n.append(poses)
+            xys_n.append(xys)
+        Ps = np.array([[projection_matrix(cam.K, R, c) for R, c in poses] for poses in poses_n])
+        centers = np.array([[c for _, c in poses] for poses in poses_n])
+        X, ok, _ = _triangulate(Ps, centers, np.array(xys_n), CONFIG)
+        for i, (poses, xys) in enumerate(zip(poses_n, xys_n)):
+            ref = _triangulate_reference(poses, [cam] * k, xys, CONFIG)
+            assert ok[i] == (ref is not None), (k, i)
+            if ref is not None:
+                assert np.array_equal(X[i], ref)
+            outcomes.add((i % 5, bool(ok[i])))
+    # clean tracks pass; each failure case is rejected
+    assert outcomes == {(0, True), (1, False), (2, False), (3, False), (4, False)}
+
+
+def test_local_ba_rising_cost_raises(monkeypatch):
+    tracks = [Track(id=t, cameras=np.array([0, 1]), features=np.array([t, t]), xy=np.zeros((2, 2)))
+              for t in range(5)]
+    state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)], CONFIG)
+    state.rotations = {0: np.eye(3), 1: np.eye(3)}
+    state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
+    state.points = {t: np.array([0.0, 0.0, 5.0 + t]) for t in range(5)}
+    state.inlier_cams = {t: [0, 1] for t in range(5)}
+    state.seed_pair = (0, 1)
+    monkeypatch.setattr(ba_core, "lm_minimize", lambda *a, **k: SimpleNamespace(cost_trace=[2.0, 1.0, 1.5]))
+    with pytest.raises(NumericalError, match="cost increased"):
+        state.bundle_adjust()
 
 
 def test_cluster_tracks_lookup_matches_scan():

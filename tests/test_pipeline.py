@@ -95,6 +95,50 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert not (tmp_path / "matches.json").exists()
 
 
+def _assert_config_error(capsys, argv, message):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error:") and message in err
+    assert "\n" not in err and "Traceback" not in err
+
+
+def test_cli_missing_config_file_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "absent.json"
+    _assert_config_error(capsys, ["run", "--output-dir", str(tmp_path / "o"), "--config", str(cfg)],
+                         "cannot read config file")
+
+
+def test_cli_invalid_json_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"seed": 1,')
+    _assert_config_error(capsys, ["run", "--output-dir", str(tmp_path / "o"), "--config", str(cfg)],
+                         "malformed config file")
+
+
+def test_cli_invalid_toml_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text("seed = \n")
+    _assert_config_error(capsys, ["run", "--output-dir", str(tmp_path / "o"), "--config", str(cfg)],
+                         "malformed config file")
+
+
+def test_cli_wrong_typed_config_value_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"seed": "x"}))
+    _assert_config_error(capsys, ["run", "--output-dir", str(tmp_path / "o"), "--config", str(cfg)],
+                         "seed must be int")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTERSFM_WORKERS", "abc")
+    _synth_small(tmp_path)
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 0
+    assert cli_main(["tracks", "--output-dir", str(tmp_path)]) == 0
+    _assert_config_error(capsys, ["local-sfm", "--output-dir", str(tmp_path)],
+                         "CLUSTERSFM_WORKERS must be an integer, got 'abc'")
+
+
 def _synth_small(out_dir):
     code = cli_main([
         "synth", "--output-dir", str(out_dir), "--layout", "loop",

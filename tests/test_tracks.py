@@ -62,6 +62,19 @@ def test_leaf_transitive_closure():
     assert tracks[0].canonical() == ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0))
 
 
+def test_leaf_first_seen_pixel_wins():
+    # camera 1 feature 3 appears in two edges with different pixels; the
+    # pixel of its first appearance in match order is kept
+    m1 = medge(0, 1, [(1, (0, 0), 3, (1, 1)), (2, (4, 4), 5, (6, 6))])
+    m2 = medge(1, 2, [(3, (9, 9), 7, (2, 2))])
+    m3 = medge(0, 2, [(2, (8, 8), 8, (3, 3))])
+    tracks = generate_tracks_leaf([0, 1, 2], [m1, m2, m3])
+    assert [t.canonical() for t in tracks] == [
+        ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0)),
+        ((0, 2, 4.0, 4.0), (1, 5, 6.0, 6.0), (2, 8, 3.0, 3.0)),
+    ]
+
+
 def test_leaf_inconsistent_component_discarded():
     # cycle putting two features of camera 0 into one component
     e01 = medge(0, 1, [(1, (0, 0), 3, (1, 1))])
