@@ -24,7 +24,7 @@ from scipy.sparse.linalg import factorized, spsolve
 from .errors import DataError, NumericalError
 from .geometry import rotation_angle, so3_exp, so3_log
 from .local_sfm import RelativeMotion
-from .utils import UnionFind
+from .utils import component_labels
 
 logger = logging.getLogger(__name__)
 
@@ -75,46 +75,30 @@ class GlobalMotion:
 # Rotation averaging
 # ---------------------------------------------------------------------------
 
-def _spanning_tree_init(cameras, motions_by_pair, components):
+def _spanning_tree_init(roots, motions_by_pair):
     """Propagate rotations from each component root along the
     maximum-support spanning tree (Kruskal, ties by camera pair)."""
-    rotations = {}
+    rotations = {root: np.eye(3) for root in roots}
     edges = sorted(
         motions_by_pair,
         key=lambda pair: (-max(m.support for m in motions_by_pair[pair]), pair),
     )
-    roots = {}
-    for c in cameras:
-        comp = components[c]
-        if comp not in roots or c < roots[comp]:
-            roots[comp] = c
-    for root in roots.values():
-        rotations[root] = np.eye(3)
-    adopted = {}
-    for pair in edges:
-        adopted[pair] = False
     changed = True
-    in_tree = set(rotations)
     while changed:
         changed = False
         for (i, j) in edges:
-            if adopted[(i, j)]:
+            if (i in rotations) == (j in rotations):
                 continue
             best = max(motions_by_pair[(i, j)], key=lambda m: m.support)
-            if i in in_tree and j not in in_tree:
+            if i in rotations:
                 rotations[j] = best.rotation @ rotations[i]
-                in_tree.add(j)
-                adopted[(i, j)] = True
-                changed = True
-            elif j in in_tree and i not in in_tree:
+            else:
                 rotations[i] = best.rotation.T @ rotations[j]
-                in_tree.add(i)
-                adopted[(i, j)] = True
-                changed = True
+            changed = True
     return rotations
 
 
-def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = None) -> RotationEstimate:
+def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
     """Robust global rotation averaging over all relative rotations.
 
     Disconnected measurement graphs are solved per connected component, each
@@ -128,29 +112,32 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
     for m in motions:
         motions_by_pair.setdefault((m.i, m.j), []).append(m)
     cam_pos = {c: k for k, c in enumerate(cameras)}
-    uf = UnionFind(len(cameras))
-    for (i, j) in motions_by_pair:
-        uf.union(cam_pos[i], cam_pos[j])
-    # each component is labelled by its smallest camera id, its gauge root
-    label = {k: group[0] for group in uf.groups() for k in group}
-    components = {c: cameras[label[k]] for k, c in enumerate(cameras)}
-    n_comp = len(set(components.values()))
-    if n_comp > 1:
-        logger.warning("rotation graph has %d connected components", n_comp)
-    if num_cameras is not None:
-        missing = sorted(set(range(num_cameras)) - set(cameras))
-        if missing:
-            logger.warning("%d camera(s) have no relative motions: %s",
-                           len(missing), missing[:10])
-
-    rotations = _spanning_tree_init(cameras, motions_by_pair, components)
-
     rows_i = np.array([cam_pos[m.i] for m in motions])
     rows_j = np.array([cam_pos[m.j] for m in motions])
     n = len(cameras)
+    labels = component_labels(n, rows_i, rows_j)
+    # each component is labelled by its smallest camera id, its gauge root
+    _, root_pos = np.unique(labels, return_index=True)
+    roots = [cameras[k] for k in root_pos]
+    components = {c: roots[labels[k]] for k, c in enumerate(cameras)}
+    if len(roots) > 1:
+        logger.warning("rotation graph has %d connected components", len(roots))
+
+    rotations = _spanning_tree_init(roots, motions_by_pair)
+
+    # +1/-1 incidence of d_i - d_j over the free (non-root) cameras
+    free = np.setdiff1d(np.arange(n), root_pos)
+    free_pos = -np.ones(n, dtype=np.int64)
+    free_pos[free] = np.arange(len(free))
+    cols = np.column_stack([free_pos[rows_i], free_pos[rows_j]]).ravel()
+    keep = cols >= 0
+    incidence = coo_matrix(
+        (np.tile([1.0, -1.0], len(motions))[keep],
+         (np.repeat(np.arange(len(motions)), 2)[keep], cols[keep])),
+        shape=(len(motions), len(free)),
+    ).tocsr()
+    entry_rows = np.repeat(np.arange(len(motions)), np.diff(incidence.indptr))
     iterations = 0
-    roots = {components[c] for c in cameras}
-    fixed = {cam_pos[r] for r in roots}
 
     for iterations in range(1, ROTATION_MAX_ITERATIONS + 1):
         # residual r_e = log(R_j^T R_ij R_i) per measurement
@@ -160,22 +147,12 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
         norms = np.linalg.norm(residuals, axis=1)
         if norms.max() < ROTATION_UPDATE_TOL:
             break  # already consistent; avoid amplifying float noise
-        weights = 1.0 / np.maximum(norms, ROTATION_IRLS_EPS)
+        sqrt_w = np.sqrt(1.0 / np.maximum(norms, ROTATION_IRLS_EPS))
 
         # weighted least squares on d_i - d_j = -r_e (3 decoupled solves)
-        free = np.array([k for k in range(n) if k not in fixed])
-        free_pos = -np.ones(n, dtype=np.int64)
-        free_pos[free] = np.arange(len(free))
-        rows, cols, vals = [], [], []
-        for q in range(len(motions)):
-            w = np.sqrt(weights[q])
-            for cam_row, sign in ((rows_i[q], 1.0), (rows_j[q], -1.0)):
-                if free_pos[cam_row] >= 0:
-                    rows.append(q)
-                    cols.append(free_pos[cam_row])
-                    vals.append(sign * w)
-        Asp = coo_matrix((vals, (rows, cols)), shape=(len(motions), len(free))).tocsr()
-        rhs = -residuals * np.sqrt(weights)[:, None]
+        Asp = incidence.copy()
+        Asp.data *= sqrt_w[entry_rows]
+        rhs = -residuals * sqrt_w[:, None]
         delta = np.zeros((n, 3))
         if len(free):
             H = (Asp.T @ Asp).tocsc()
@@ -188,10 +165,8 @@ def rotation_averaging(motions: list[RelativeMotion], num_cameras: int | None = 
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("rotation averaging system is singular")
         step = float(np.abs(delta).max()) if len(free) else 0.0
-        for c in cameras:
-            k = cam_pos[c]
-            if free_pos[k] >= 0:
-                rotations[c] = rotations[c] @ so3_exp(delta[k])
+        for k in free:
+            rotations[cameras[k]] = rotations[cameras[k]] @ so3_exp(delta[k])
         if step < ROTATION_UPDATE_TOL:
             break
     else:
@@ -323,17 +298,18 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
     measured at that camera. Components are solved independently.
     """
     rot = rotations.rotations if isinstance(rotations, RotationEstimate) else rotations
-    # connected components over cameras+clusters through equations
-    nodes = [("cam", c) for c in system.camera_ids] + [("cl", k) for k in system.cluster_ids]
+    # connected components over cameras + clusters through the equations
     cam_pos = {c: k for k, c in enumerate(system.camera_ids)}
     cl_pos = {k: c for c, k in enumerate(system.cluster_ids)}
-    uf = UnionFind(len(nodes))
-    for (i, j, k) in system.equations:
-        uf.union(cam_pos[i], cam_pos[j])
-        uf.union(cam_pos[i], len(cam_pos) + cl_pos[k])
-    groups = [[nodes[v] for v in group] for group in uf.groups()]
-    if len(groups) > 1:
-        logger.warning("translation system has %d connected components", len(groups))
+    n_cams = len(cam_pos)
+    eqs = np.array(
+        [(cam_pos[i], cam_pos[j], n_cams + cl_pos[k]) for (i, j, k) in system.equations],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    labels = component_labels(n_cams + len(cl_pos), eqs[:, [0, 0]].ravel(), eqs[:, 1:].ravel())
+    n_groups = int(labels.max(initial=-1)) + 1
+    if n_groups > 1:
+        logger.warning("translation system has %d connected components", n_groups)
 
     A_csr = system.A.tocsr()
     B_csr = system.B.tocsr()
@@ -344,13 +320,12 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
     total_objective = 0.0
     total_iterations = 0
 
-    for members in groups:
-        comp_cams = sorted(c for kind, c in members if kind == "cam")
-        comp_cls = sorted(k for kind, k in members if kind == "cl")
+    for g in range(n_groups):
+        comp_cams = [c for c, label in zip(system.camera_ids, labels) if label == g]
+        comp_cls = [k for k, label in zip(system.cluster_ids, labels[n_cams:]) if label == g]
         if not comp_cams or not comp_cls:
             continue
-        cam_set = set(comp_cams)
-        eq_sel = [q for q, (i, j, k) in enumerate(system.equations) if i in cam_set]
+        eq_sel = np.flatnonzero(labels[eqs[:, 0]] == g)
         row_sel = np.concatenate([[3 * q, 3 * q + 1, 3 * q + 2] for q in eq_sel])
         gauge_cam = comp_cams[0]
         gauge_cluster = min(

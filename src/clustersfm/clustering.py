@@ -54,7 +54,6 @@ class ClusterConfig:
 class Cluster:
     id: int
     cameras: tuple
-    edges: list = field(default_factory=list)
 
     def __post_init__(self):
         self.cameras = tuple(sorted(self.cameras))
@@ -337,10 +336,7 @@ def divide(
     tree = ClusterTree(root=_split_tree(graph, cams, max_cluster_size))
     tree.assign_leaf_ids()
     tree.assign_cut_edges(graph)
-    leaves = [
-        Cluster(id=k, cameras=leaf.cameras, edges=graph.induced_edges(leaf.cameras))
-        for k, leaf in enumerate(tree.leaves())
-    ]
+    leaves = [Cluster(id=k, cameras=leaf.cameras) for k, leaf in enumerate(tree.leaves())]
     leaf_of = {}
     for leaf in leaves:
         for c in leaf.cameras:
@@ -558,12 +554,8 @@ def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
         full = by_home.get(home)
         if full is None:
             raise ClusteringError("tree leaves out of sync with working clusters")
-        independent.append(
-            Cluster(id=k, cameras=leaf.cameras, edges=graph.induced_edges(leaf.cameras))
-        )
-        interdependent.append(
-            Cluster(id=k, cameras=tuple(sorted(full)), edges=graph.induced_edges(full))
-        )
+        independent.append(Cluster(id=k, cameras=leaf.cameras))
+        interdependent.append(Cluster(id=k, cameras=tuple(sorted(full))))
     kept = {c for h in homes for c in h}
     uncovered = [
         (i, j, edge.weight)

@@ -33,7 +33,7 @@ from .local_sfm import LocalSfMConfig, extract_relative_motions, run_local_sfm
 from .scene import build_camera_graph
 from .synthetic import LAYOUTS, generate_synthetic_scene
 from .tracks import Track, generate_tracks
-from .utils import parallel_map
+from .utils import default_worker_count, parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +117,9 @@ class PipelineConfig:
             raise ConfigurationError("max_cluster_size must be >= 2")
         if not (0.0 <= self.completeness_ratio < 1.0):
             raise ConfigurationError("completeness_ratio must be in [0, 1)")
-        if self.workers is not None and self.workers < 1:
+        if self.workers is None:
+            default_worker_count()  # a malformed worker variable fails before any stage
+        elif self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.ba_rounds < 1 or self.ba_inner_iterations < 1:
             raise ConfigurationError("bundle adjustment budgets must be >= 1")

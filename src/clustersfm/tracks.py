@@ -1,26 +1,24 @@
-"""Track generation: union-find over feature correspondences, performed
-hierarchically over the cluster tree so each merge step only touches the
-matches scoped to that tree node.
+"""Track generation: connected components of the feature correspondences,
+found hierarchically over the cluster tree so each merge step only touches
+the matches scoped to that tree node.
 
 A track is the connected component of the correspondence relation. A
 component containing two features of one camera is inconsistent; it is
 discarded whole rather than split. To keep the hierarchical result exactly
-equal to a flat union-find over all matches, inconsistent components are not
-dropped at intermediate nodes but carried with a poisoned flag; anything a
-later cross match attaches to a poisoned component becomes poisoned too, and
-poisoned components are dropped at the root.
+equal to one flat pass over all matches, inconsistent components are carried
+up the tree and dropped only at the root. A component only grows as it moves
+up, so one that holds two features of a camera at an inner node still holds
+them at the root.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .clustering import ClusterTree
 from .errors import DataError
 from .scene import MatchEdge
-from .utils import UnionFind
+from .utils import component_labels
 
 MIN_TRACK_LENGTH = 2
 _FEATURE_SHIFT = 32
@@ -52,96 +50,78 @@ class Track:
 
 @dataclass
 class _NodeTracks:
-    """Intermediate track sets flowing up the tree: per component, element
-    keys plus pixel positions, with a poisoned flag for inconsistency."""
+    """Intermediate track set flowing up the tree: feature keys grouped by
+    component (ascending within each, components ordered by their smallest
+    key), with each key's pixel and component label."""
 
-    components: list[list[int]]  # feature keys
-    xy: dict[int, tuple[float, float]]
-    poisoned: list[bool]
+    keys: np.ndarray  # (n,) feature keys
+    xy: np.ndarray  # (n, 2)
+    labels: np.ndarray  # (n,) non-decreasing component labels
+
+
+def _connect(keys: np.ndarray, xy: np.ndarray, pairs: np.ndarray) -> _NodeTracks:
+    """Components of the feature keys joined by pairs of positions in keys;
+    a key that occurs more than once keeps the pixel of its first position."""
+    unique, first, node = np.unique(keys, return_index=True, return_inverse=True)
+    labels = component_labels(len(unique), node[pairs[:, 0]], node[pairs[:, 1]])
+    order = np.argsort(labels, kind="stable")
+    return _NodeTracks(keys=unique[order], xy=xy[first[order]], labels=labels[order])
+
+
+def _match_arrays(matches: list[MatchEdge]):
+    """Feature keys and pixels of the match pairs in first-seen order
+    a_0, b_0, a_1, b_1, ..., and the position pairs that join them."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.column_stack([_key(e.i, e.feat_i), _key(e.j, e.feat_j)]).ravel() for e in matches
+    ])
+    xy = np.concatenate([np.zeros((0, 2))] + [
+        np.stack([e.xy_i, e.xy_j], axis=1).reshape(-1, 2) for e in matches
+    ])
+    return keys, xy, np.arange(len(keys)).reshape(-1, 2)
+
+
+def _chain(labels: np.ndarray) -> np.ndarray:
+    """Position pairs (p, p + 1) linking each run of equal labels."""
+    p = np.flatnonzero(labels[1:] == labels[:-1])
+    return np.column_stack([p, p + 1])
 
 
 def _components_from_matches(matches: list[MatchEdge], allowed=None) -> _NodeTracks:
     for edge in matches:
         if allowed is not None and (edge.i not in allowed or edge.j not in allowed):
             raise DataError(f"match edge ({edge.i}, {edge.j}) outside its tree node")
-    if not matches:
-        return _NodeTracks(components=[], xy={}, poisoned=[])
-    # feature keys and pixels in first-seen order: a_0, b_0, a_1, b_1, ...
-    keys = np.concatenate([
-        np.column_stack([_key(e.i, e.feat_i), _key(e.j, e.feat_j)]).ravel() for e in matches
-    ])
-    pixels = np.concatenate([np.stack([e.xy_i, e.xy_j], axis=1).reshape(-1, 2) for e in matches])
-    unique, first, node = np.unique(keys, return_index=True, return_inverse=True)
-    pairs = node.reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(unique),) * 2)
-    _, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.flatnonzero(np.diff(labels[order])) + 1
-    components = sorted(group.tolist() for group in np.split(unique[order], bounds))
-    xy = dict(zip(unique.tolist(), map(tuple, pixels[first].tolist())))
-    poisoned = [_inconsistent(comp) for comp in components]
-    return _NodeTracks(components=components, xy=xy, poisoned=poisoned)
-
-
-def _inconsistent(component: list[int]) -> bool:
-    cams = [k >> _FEATURE_SHIFT for k in component]
-    return len(cams) != len(set(cams))
+    return _connect(*_match_arrays(matches))
 
 
 def _merge_node_tracks(
     left: _NodeTracks, right: _NodeTracks, cross: list[MatchEdge]
 ) -> _NodeTracks:
-    """Union left and right track sets through the cross matches.
+    """Join left and right components through the cross matches.
 
-    Features seen only in a cross match enter as fresh singletons. Poison
-    propagates to every component a poisoned component touches.
+    The children's keys come first, so a child's pixel beats a cross pixel;
+    a feature seen only in cross matches keeps its first-seen pixel.
     """
-    components = left.components + right.components
-    poisoned = left.poisoned + right.poisoned
-    xy = dict(left.xy)
-    xy.update(right.xy)
-
-    owner: dict[int, int] = {}
-    for idx, comp in enumerate(components):
-        for k in comp:
-            owner[k] = idx
-
-    links: list[tuple[int, int]] = []
-    for edge in cross:
-        for fi, (xi, yi), fj, (xj, yj) in zip(edge.feat_i, edge.xy_i, edge.feat_j, edge.xy_j):
-            ka, kb = _key(edge.i, int(fi)), _key(edge.j, int(fj))
-            xy.setdefault(ka, (float(xi), float(yi)))
-            xy.setdefault(kb, (float(xj), float(yj)))
-            for k in (ka, kb):
-                if k not in owner:
-                    owner[k] = len(components)
-                    components.append([k])
-                    poisoned.append(False)
-            links.append((owner[ka], owner[kb]))
-
-    uf = UnionFind(len(components))
-    for a, b in links:
-        uf.union(a, b)
-    merged = sorted(
-        (sorted(k for idx in group for k in components[idx]), any(poisoned[idx] for idx in group))
-        for group in uf.groups()
+    keys, xy, pairs = _match_arrays(cross)
+    n_left, n_child = len(left.keys), len(left.keys) + len(right.keys)
+    return _connect(
+        np.concatenate([left.keys, right.keys, keys]),
+        np.concatenate([left.xy, right.xy, xy]),
+        np.concatenate([_chain(left.labels), _chain(right.labels) + n_left, pairs + n_child]),
     )
-    out_components = [comp for comp, _ in merged]
-    out_poison = [bad or _inconsistent(comp) for comp, bad in merged]
-    return _NodeTracks(components=out_components, xy=xy, poisoned=out_poison)
 
 
-def _emit(node: _NodeTracks, drop_short: bool = True) -> list[Track]:
+def _emit(node: _NodeTracks) -> list[Track]:
+    """Tracks of the consistent components with at least MIN_TRACK_LENGTH
+    features."""
+    cams = node.keys >> _FEATURE_SHIFT
+    feats = node.keys & ((1 << _FEATURE_SHIFT) - 1)
+    bounds = np.flatnonzero(np.diff(node.labels)) + 1
     tracks = []
-    for comp, bad in zip(node.components, node.poisoned):
-        if bad:
+    for c, f, xy in zip(np.split(cams, bounds), np.split(feats, bounds), np.split(node.xy, bounds)):
+        # keys ascend within a component, so a repeated camera is adjacent
+        if len(c) < MIN_TRACK_LENGTH or np.any(c[1:] == c[:-1]):
             continue
-        if drop_short and len(comp) < MIN_TRACK_LENGTH:
-            continue
-        cams = np.array([k >> _FEATURE_SHIFT for k in comp], dtype=np.int64)
-        feats = np.array([k & ((1 << _FEATURE_SHIFT) - 1) for k in comp], dtype=np.int64)
-        xy = np.array([node.xy[k] for k in comp], dtype=float).reshape(-1, 2)
-        tracks.append(Track(id=len(tracks), cameras=cams, features=feats, xy=xy))
+        tracks.append(Track(id=len(tracks), cameras=c, features=f, xy=xy))
     return tracks
 
 
@@ -154,16 +134,12 @@ def generate_tracks_leaf(cameras, matches: list[MatchEdge]) -> list[Track]:
 
 
 def _tracks_to_node(tracks: list[Track]) -> _NodeTracks:
-    components, xy = [], {}
-    for t in tracks:
-        comp = []
-        for c, f, (x, y) in zip(t.cameras, t.features, t.xy):
-            k = _key(int(c), int(f))
-            comp.append(k)
-            xy[k] = (float(x), float(y))
-        components.append(sorted(comp))
-    components.sort()
-    return _NodeTracks(components=components, xy=xy, poisoned=[False] * len(components))
+    keys = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [_key(t.cameras, t.features) for t in tracks]
+    )
+    xy = np.concatenate([np.zeros((0, 2))] + [t.xy for t in tracks])
+    labels = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
+    return _connect(keys, xy, _chain(labels))
 
 
 def merge_tracks(left: list[Track], right: list[Track], cross: list[MatchEdge]) -> list[Track]:
@@ -177,8 +153,8 @@ def generate_tracks(tree: ClusterTree, matches: list[MatchEdge]) -> list[Track]:
 
     Leaf nodes consume the matches interior to their camera set; each
     internal node consumes the cut edges recorded at its split, so every
-    match is processed exactly once and the result equals a flat union-find
-    over all matches.
+    match is processed exactly once and the result equals the connected
+    components of all matches at once.
     """
     in_tree = set(tree.root.cameras)
     leaf_matches: dict[int, list[MatchEdge]] = {}

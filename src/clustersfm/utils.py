@@ -1,10 +1,12 @@
-"""Seeding, union-find and worker-pool helpers shared by all stages."""
+"""Seeding, connected-component and worker-pool helpers shared by all stages."""
 
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError
 
@@ -50,36 +52,13 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
-class UnionFind:
-    """Array-backed union-find with path compression and union by rank."""
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int64)
-        self.rank = np.zeros(size, dtype=np.int8)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-    def groups(self) -> list[list[int]]:
-        """Members of every set in ascending order; the sets are ordered by
-        their smallest member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+def component_labels(n: int, a, b) -> np.ndarray:
+    """Connected-component label of each of n nodes joined by the edges
+    (a[k], b[k]). Labels count up from 0 in order of each component's
+    smallest node."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]

@@ -131,12 +131,11 @@ def test_cli_wrong_typed_config_value_exit_code(tmp_path, capsys):
 
 
 def test_cli_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CLUSTERSFM_WORKERS", "abc")
     _synth_small(tmp_path)
-    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 0
-    assert cli_main(["tracks", "--output-dir", str(tmp_path)]) == 0
-    _assert_config_error(capsys, ["local-sfm", "--output-dir", str(tmp_path)],
+    monkeypatch.setenv("CLUSTERSFM_WORKERS", "abc")
+    _assert_config_error(capsys, ["cluster", "--output-dir", str(tmp_path)],
                          "CLUSTERSFM_WORKERS must be an integer, got 'abc'")
+    assert not (tmp_path / "clusters.json").exists()
 
 
 def _synth_small(out_dir):

@@ -4,7 +4,8 @@ import pytest
 from clustersfm.clustering import ClusterTree, ClusterTreeNode, divide
 from clustersfm.errors import DataError
 from clustersfm.scene import MatchEdge, build_camera_graph
-from clustersfm.tracks import UnionFind, generate_tracks, generate_tracks_leaf, merge_tracks
+from clustersfm.tracks import generate_tracks, generate_tracks_leaf, merge_tracks
+from clustersfm.utils import component_labels
 
 
 def medge(i, j, pairs):
@@ -192,11 +193,51 @@ def test_idempotent_through_serialization(tmp_path):
     assert canonical(tracks) == canonical(again)
 
 
-def test_union_find_basics():
-    uf = UnionFind(6)
-    uf.union(0, 1)
-    uf.union(1, 2)
-    assert uf.find(2) == uf.find(0)
-    assert uf.find(3) != uf.find(0)
-    # idempotent find
-    assert uf.find(2) == uf.find(2)
+def test_merge_pixel_precedence():
+    # a child's pixel beats a cross pixel; of two cross pixels the first wins
+    left = generate_tracks_leaf([0, 1], [medge(0, 1, [(1, (0, 0), 3, (1, 1))])])
+    right = generate_tracks_leaf([2, 3], [medge(2, 3, [(7, (2, 2), 1, (3, 3))])])
+    cross = [
+        medge(1, 2, [(3, (9, 9), 7, (8, 8))]),
+        medge(0, 3, [(5, (5, 5), 6, (6, 6))]),
+        medge(1, 3, [(8, (7, 7), 6, (60, 60))]),
+    ]
+    assert [t.canonical() for t in merge_tracks(left, right, cross)] == [
+        ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0), (3, 1, 3.0, 3.0)),
+        ((0, 5, 5.0, 5.0), (1, 8, 7.0, 7.0), (3, 6, 6.0, 6.0)),
+    ]
+
+
+def test_component_inconsistent_at_inner_node_dropped_at_root():
+    # the inner node {0, 1, 2} joins two features of camera 2; the root then
+    # grows that component by camera 3, which alone would look consistent
+    matches = [
+        medge(0, 1, [(1, (0, 0), 1, (1, 1))]),
+        medge(0, 2, [(1, (0, 0), 1, (2, 2))]),
+        medge(1, 2, [(1, (1, 1), 2, (2, 3))]),
+        medge(0, 3, [(5, (5, 5), 5, (3, 5))]),
+        medge(2, 3, [(2, (2, 3), 1, (3, 3))]),
+    ]
+    inner = ClusterTreeNode(
+        cameras=(0, 1, 2),
+        left=ClusterTreeNode(cameras=(0, 1)),
+        right=ClusterTreeNode(cameras=(2,)),
+    )
+    tree = ClusterTree(root=ClusterTreeNode(
+        cameras=(0, 1, 2, 3), left=inner, right=ClusterTreeNode(cameras=(3,))
+    ))
+    tree.assign_leaf_ids()
+    tree.assign_cut_edges(build_camera_graph(matches, 4))
+    assert sorted(tree.root.cut_edges) == [(0, 3), (2, 3)]
+    tracks = generate_tracks(tree, matches)
+    assert [t.canonical() for t in tracks] == [((0, 5, 5.0, 5.0), (3, 5, 3.0, 5.0))]
+    assert canonical(tracks) == flat_union_find_oracle(matches)
+
+
+def test_component_labels():
+    # isolated nodes keep their own label; labels follow each component's
+    # smallest node whatever the edge order
+    assert component_labels(6, [5, 3], [4, 1]).tolist() == [0, 1, 2, 1, 3, 3]
+    assert component_labels(5, [4, 0], [3, 4]).tolist() == [0, 1, 2, 0, 0]
+    assert component_labels(3, [], []).tolist() == [0, 1, 2]
+    assert component_labels(0, [], []).tolist() == []
