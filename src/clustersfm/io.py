@@ -107,6 +107,8 @@ def load_match_graph(path):
         Camera(id=k, focal=c["focal"], cx=c["cx"], cy=c["cy"], width=c["width"], height=c["height"])
         for k, c in enumerate(data["intrinsics"])
     ]
+    if int(data["numCameras"]) != len(cameras):
+        raise DataError(f"{path}: numCameras is {data['numCameras']} but {len(cameras)} intrinsics are given")
     matches = []
     for e in data["edges"]:
         pairs = np.asarray(e["pairs"], dtype=float).reshape(-1, 6)
@@ -140,6 +142,8 @@ def load_ground_truth(path) -> list[Pose]:
     data = _load(path)
     poses = [None] * len(data)
     for rec in data:
+        if not 0 <= rec["cameraId"] < len(poses):
+            raise DataError(f"{path}: camera id {rec['cameraId']} is not in 0..{len(poses) - 1}")
         poses[rec["cameraId"]] = Pose(
             R=np.asarray(rec["rotation"], dtype=float).reshape(3, 3),
             c=np.asarray(rec["center"], dtype=float),
@@ -230,6 +234,8 @@ def load_tracks(path) -> list[Track]:
     tracks = []
     for rec in data:
         el = np.asarray(rec["elements"], dtype=float).reshape(-1, 4)
+        if np.any(np.diff(el[:, 0]) <= 0):
+            raise DataError(f"{path}: track {rec['id']}: cameras are not strictly ascending")
         tracks.append(
             Track(
                 id=int(rec["id"]),

@@ -99,39 +99,40 @@ class RelativeMotion:
 # ---------------------------------------------------------------------------
 
 class ClusterTracks:
-    """Tracks filtered to one cluster's cameras, with per-camera indexes."""
+    """The tracks seen by >= 2 cluster cameras as one observation table.
+
+    Row r says camera cam[r] sees track track[r] (an index into track_ids)
+    at pixel xy[r]. Rows are grouped by track in input order, with cameras
+    ascending inside each track, so a camera has at most one row per track.
+    """
 
     def __init__(self, cluster_cameras, tracks: list[Track]):
-        inside = set(int(c) for c in cluster_cameras)
-        self.track_ids = []
-        self.cams = []  # per track: (n,) camera ids
-        self.xys = []  # per track: (n, 2)
-        self.slot_of = []  # per track: camera id -> first slot seeing it
-        self.cam_slots: dict[int, list] = {c: [] for c in inside}
-        for t in tracks:
-            mask = np.array([int(c) in inside for c in t.cameras])
-            if mask.sum() < 2:
-                continue
-            idx = len(self.track_ids)
-            cams = t.cameras[mask].astype(int)
-            self.track_ids.append(int(t.id))
-            self.cams.append(cams)
-            self.xys.append(t.xy[mask])
-            slot_of = {}
-            for slot, c in enumerate(cams):
-                self.cam_slots[int(c)].append((idx, slot))
-                slot_of.setdefault(int(c), slot)
-            self.slot_of.append(slot_of)
+        owner = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
+        cams = np.concatenate([t.cameras for t in tracks] + [np.empty(0, np.int64)]).astype(np.int64)
+        xy = np.concatenate([t.xy for t in tracks] + [np.empty((0, 2))])
+        inside = np.isin(cams, np.asarray(cluster_cameras, dtype=np.int64))
+        kept = np.bincount(owner[inside], minlength=len(tracks)) >= 2
+        rows = inside & kept[owner]
+        self.track_ids = np.array([t.id for t in tracks], dtype=np.int64)[kept]
+        self.track = np.cumsum(kept)[owner[rows]] - 1
+        self.cam = cams[rows]
+        self.xy = xy[rows]
+        order = np.argsort(self.cam, kind="stable")
+        seen, starts = np.unique(self.cam[order], return_index=True)
+        self.rows_of = dict(zip(seen.tolist(), np.split(order, starts[1:])))  # camera -> rows
 
     def __len__(self) -> int:
         return len(self.track_ids)
 
-    def shared_tracks(self, i: int, j: int) -> list[int]:
-        set_j = {t for t, _ in self.cam_slots.get(j, [])}
-        return sorted(t for t, _ in self.cam_slots.get(i, []) if t in set_j)
+    def rows(self, cam: int) -> np.ndarray:
+        """The rows of one camera, in track order."""
+        return self.rows_of.get(cam, np.empty(0, dtype=np.int64))
 
-    def obs_of(self, t_idx: int, cam: int) -> np.ndarray:
-        return self.xys[t_idx][self.slot_of[t_idx][cam]]
+    def shared_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of cameras i and j on the tracks both see, in track order."""
+        rows_i, rows_j = self.rows(i), self.rows(j)
+        _, a, b = np.intersect1d(self.track[rows_i], self.track[rows_j], assume_unique=True, return_indices=True)
+        return rows_i[a], rows_j[b]
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +206,18 @@ def estimate_seed_pair(
 
     Candidates are visited by descending edge weight; the first pair whose
     RANSAC-inlier triangulations reach the median-angle threshold wins.
-    Returns (pair, poses dict, {track idx: xyz}).
+    Returns (pair, poses dict, (n, 2) table rows of the pair's views of the
+    n seed points, (n, 3) seed points).
     """
     candidates = sorted(
         ((i, j) for (i, j) in graph.induced_edges(cluster.cameras)),
         key=lambda e: (-graph.weight(*e), e),
     )
     for (i, j) in candidates:
-        shared = tracks.shared_tracks(i, j)
-        if len(shared) < config.min_seed_correspondences:
+        rows = np.column_stack(tracks.shared_rows(i, j))
+        if len(rows) < config.min_seed_correspondences:
             continue
-        xy_i = np.array([tracks.obs_of(t, i) for t in shared])
-        xy_j = np.array([tracks.obs_of(t, j) for t in shared])
+        xy_i, xy_j = tracks.xy[rows[:, 0]], tracks.xy[rows[:, 1]]
         est = estimate_relative_pose(
             cameras[i].K, cameras[j].K, xy_i, xy_j, config, rng
         )
@@ -228,12 +229,10 @@ def estimate_seed_pair(
         # gauge: camera i at the origin, unit baseline
         c_i, c_j = np.zeros(3), -R.T @ t
         poses = {i: (np.eye(3), c_i), j: (R, c_j)}
-        inliers = [t_idx for t_idx, keep in zip(shared, mask) if keep]
         Ps = np.array([projection_matrix(cameras[c].K, *poses[c]) for c in (i, j)])
-        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), np.stack([xy_i[mask], xy_j[mask]], axis=1), config)
-        points = {t_idx: X_t for t_idx, X_t, keep in zip(inliers, X, ok) if keep}
-        if len(points) >= 8 and np.median(parallax[ok]) >= config.seed_median_angle_deg:
-            return (i, j), poses, points
+        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), tracks.xy[rows[mask]], config)
+        if ok.sum() >= 8 and np.median(parallax[ok]) >= config.seed_median_angle_deg:
+            return (i, j), poses, rows[mask][ok], X[ok]
     raise SeedFailure("no seed pair with sufficient parallax")
 
 
@@ -335,8 +334,19 @@ def _refine_single_pose(camera: Camera, R, c, points3d, pixels):
 # Local bundle adjustment with gauge fixing and pruning
 # ---------------------------------------------------------------------------
 
+# track status in _SfMState
+NEW, ACTIVE, DEAD = 0, 1, 2
+
+
 class _SfMState:
-    """Mutable reconstruction state during the incremental loop."""
+    """Mutable reconstruction state during the incremental loop.
+
+    Per track: its point X and its status. A new track has no point yet; an
+    active one has a point and >= 2 inlier rows; a dead one lost its point
+    in pruning and is never triangulated again. Per table row: joined, the
+    registration index (seed pair 0 and 1) of the camera whose registration
+    made the row an inlier, or -1 when it is not one.
+    """
 
     def __init__(self, cluster_id, tracks: ClusterTracks, cameras, config):
         self.cluster_id = cluster_id
@@ -345,10 +355,9 @@ class _SfMState:
         self.config = config
         self.rotations: dict[int, np.ndarray] = {}
         self.centers: dict[int, np.ndarray] = {}
-        self.points: dict[int, np.ndarray] = {}  # track idx -> xyz
-        # per active track: list of camera ids currently used as inliers
-        self.inlier_cams: dict[int, list[int]] = {}
-        self.dead_tracks: set[int] = set()
+        self.X = np.zeros((len(tracks), 3))
+        self.status = np.full(len(tracks), NEW, dtype=np.int8)
+        self.joined = np.full(len(tracks.cam), -1, dtype=np.int64)
         self.seed_pair = None
 
     def registered(self):
@@ -357,75 +366,65 @@ class _SfMState:
     def pose_of(self, cam):
         return self.rotations[cam], self.centers[cam]
 
+    def active_count(self) -> int:
+        return int(np.count_nonzero(self.status == ACTIVE))
+
+    def active_rows(self, cam: int) -> np.ndarray:
+        """The camera's rows on active tracks, in track order."""
+        rows = self.tracks.rows(cam)
+        return rows[self.status[self.tracks.track[rows]] == ACTIVE]
+
     def add_camera_observations(self, cam: int):
         """Attach the freshly registered camera to existing active points."""
-        tids = [t_idx for t_idx, _slot in self.tracks.cam_slots.get(cam, []) if t_idx in self.points]
-        if not tids:
+        rows = self.active_rows(cam)
+        if not len(rows):
             return
         R, c = self.pose_of(cam)
         err = reprojection_residuals_pixels(
-            R, -R @ c, self.cameras[cam].K,
-            np.array([self.points[t] for t in tids]),
-            np.array([self.tracks.obs_of(t, cam) for t in tids]),
+            R, -R @ c, self.cameras[cam].K, self.X[self.tracks.track[rows]], self.tracks.xy[rows]
         )
-        for t_idx in np.array(tids)[err <= self.config.max_reprojection_px]:
-            self.inlier_cams[int(t_idx)].append(cam)
+        self.joined[rows[err <= self.config.max_reprojection_px]] = len(self.rotations) - 1
 
     def triangulate_new_tracks(self, cam: int):
-        """Triangulate the tracks through the freshly registered camera that
-        are neither active nor dead and now have >= 2 registered views: one
-        batch per view count, accepted points entering in track order."""
-        candidates = {}
-        for t_idx, _slot in self.tracks.cam_slots.get(cam, []):
-            if t_idx in self.points or t_idx in self.dead_tracks or t_idx in candidates:
-                continue
-            cams = [int(c) for c in self.tracks.cams[t_idx] if int(c) in self.rotations]
-            if len(cams) >= 2:
-                candidates[t_idx] = cams
-        P_of = {
-            c: projection_matrix(self.cameras[c].K, *self.pose_of(c))
-            for c in {c for cams in candidates.values() for c in cams}
-        }
-        by_views: dict[int, list] = {}
-        for t_idx, cams in candidates.items():
-            by_views.setdefault(len(cams), []).append(t_idx)
-        accepted = {}
-        for group in by_views.values():
-            views = [candidates[t] for t in group]
-            X, ok, _ = _triangulate(
-                np.array([[P_of[c] for c in cams] for cams in views]),
-                np.array([[self.centers[c] for c in cams] for cams in views]),
-                np.array([[self.tracks.obs_of(t, c) for c in cams] for t, cams in zip(group, views)]),
-                self.config,
-            )
-            accepted.update((t, X_t) for t, X_t, keep in zip(group, X, ok) if keep)
-        for t_idx in candidates:
-            if t_idx in accepted:
-                self.points[t_idx] = accepted[t_idx]
-                self.inlier_cams[t_idx] = list(candidates[t_idx])
+        """Triangulate the new tracks through the freshly registered camera
+        that now have >= 2 registered views: one batch per view count."""
+        tr = self.tracks
+        through = np.zeros(len(tr), dtype=bool)
+        through[tr.track[tr.rows(cam)]] = True
+        rows = np.flatnonzero((through & (self.status == NEW))[tr.track] & np.isin(tr.cam, self.registered()))
+        views = np.bincount(tr.track[rows], minlength=len(tr))[tr.track[rows]]
+        rows, views = rows[views >= 2], views[views >= 2]
+        if not len(rows):
+            return
+        used = np.unique(tr.cam[rows])
+        Ps = np.array([projection_matrix(self.cameras[c].K, *self.pose_of(c)) for c in used])
+        centers = np.array([self.centers[c] for c in used])
+        at = np.searchsorted(used, tr.cam[rows])
+        for k in np.unique(views):
+            group = rows[views == k].reshape(-1, k)  # one track per line, cameras ascending
+            views_k = at[views == k].reshape(-1, k)
+            X, ok, _ = _triangulate(Ps[views_k], centers[views_k], tr.xy[group], self.config)
+            t = tr.track[group[ok, 0]]
+            self.X[t] = X[ok]
+            self.status[t] = ACTIVE
+            self.joined[group[ok]] = len(self.rotations) - 1
 
     def bundle_adjust(self, max_iterations=None, relative_tol=None) -> ba_core.BAResult:
         """Local BA over all registered cameras and active points; the seed
         camera is pinned and the seed baseline renormalized to hold the
         gauge. Afterwards observations beyond the reprojection threshold are
-        dropped and starved points deactivated."""
+        dropped and starved points retired."""
+        tr = self.tracks
         cams = self.registered()
-        cam_pos = {c: k for k, c in enumerate(cams)}
-        pts = sorted(self.points)
-        pt_pos = {t: k for k, t in enumerate(pts)}
-        obs_cam, obs_pt, obs_xy = [], [], []
-        for t in pts:
-            for c in self.inlier_cams[t]:
-                obs_cam.append(cam_pos[c])
-                obs_pt.append(pt_pos[t])
-                obs_xy.append(self.tracks.obs_of(t, c))
+        # each point's observations in the order they joined
+        rows = np.flatnonzero(self.joined >= 0)
+        rows = rows[np.lexsort((self.joined[rows], tr.track[rows]))]
+        pts, pt_idx = np.unique(tr.track[rows], return_inverse=True)
         if len(pts) < 4 or len(cams) < 2:
             raise NumericalError("bundle adjustment needs >= 2 cameras and >= 4 points")
         free_cams = np.ones(len(cams), dtype=bool)
-        anchor, baseline = self.seed_pair
-        free_cams[cam_pos[anchor]] = False
-
-        anchor_pos, base_pos = cam_pos[anchor], cam_pos[baseline]
+        anchor_pos, base_pos = np.searchsorted(cams, self.seed_pair)
+        free_cams[anchor_pos] = False
 
         def rescale(rotations, centers, points):
             # cost-invariant similarity: unit seed baseline about the anchor
@@ -442,10 +441,10 @@ class _SfMState:
             rotations=np.array([self.rotations[c] for c in cams]),
             centers=np.array([self.centers[c] for c in cams]),
             intrinsics=np.array([[self.cameras[c].focal, self.cameras[c].cx, self.cameras[c].cy] for c in cams]),
-            points=np.array([self.points[t] for t in pts]),
-            cam_idx=np.array(obs_cam, dtype=np.int64),
-            pt_idx=np.array(obs_pt, dtype=np.int64),
-            pixels=np.array(obs_xy),
+            points=self.X[pts],
+            cam_idx=np.searchsorted(cams, tr.cam[rows]),
+            pt_idx=pt_idx,
+            pixels=tr.xy[rows],
             free_cams=free_cams,
             free_pts=np.ones(len(pts), dtype=bool),
         )
@@ -460,29 +459,20 @@ class _SfMState:
         for k, c in enumerate(cams):
             self.rotations[c] = result.rotations[k]
             self.centers[c] = result.centers[k]
-        for k, t in enumerate(pts):
-            self.points[t] = result.points[k]
-        # prune observations beyond the threshold, then re-validate points
-        o = 0
-        for t in pts:
-            keep = []
-            for c in self.inlier_cams[t]:
-                if result.residual_norms[o] <= self.config.max_reprojection_px:
-                    keep.append(c)
-                o += 1
-            self.inlier_cams[t] = keep
-        for t in pts:
-            if len(self.inlier_cams[t]) < 2:
-                del self.points[t]
-                del self.inlier_cams[t]
-                self.dead_tracks.add(t)
+        self.X[pts] = result.points
+        # prune observations beyond the threshold (or non-finite), then
+        # retire the points left with fewer than two
+        self.joined[rows[~(result.residual_norms <= self.config.max_reprojection_px)]] = -1
+        starved = np.bincount(tr.track[self.joined >= 0], minlength=len(tr)) < 2
+        self.status[starved & (self.status == ACTIVE)] = DEAD
+        self.joined[(self.status == DEAD)[tr.track]] = -1
         return result
 
 
 def run_local_sfm(
     graph: CameraGraph,
     cluster: Cluster,
-    tracks: list[Track] | ClusterTracks,
+    tracks: list[Track],
     cameras: list[Camera],
     config: LocalSfMConfig | None = None,
 ) -> LocalReconstruction:
@@ -493,13 +483,13 @@ def run_local_sfm(
     whose seed pair cannot be established is returned marked failed.
     """
     config = config or LocalSfMConfig()
-    ct = tracks if isinstance(tracks, ClusterTracks) else ClusterTracks(cluster.cameras, tracks)
+    ct = ClusterTracks(cluster.cameras, tracks)
     rng = seeded_rng(config.seed, "local_sfm", cluster.id)
     rec = LocalReconstruction(cluster_id=cluster.id)
     state = _SfMState(cluster.id, ct, cameras, config)
 
     try:
-        pair, poses, seed_points = estimate_seed_pair(graph, cluster, ct, cameras, config, rng)
+        pair, poses, seed_rows, seed_points = estimate_seed_pair(graph, cluster, ct, cameras, config, rng)
     except SeedFailure as exc:
         logger.warning("cluster %d: %s", cluster.id, exc)
         rec.failed = True
@@ -508,10 +498,10 @@ def run_local_sfm(
     for cam, (R, c) in poses.items():
         state.rotations[cam] = R
         state.centers[cam] = c
-    for t_idx, X in seed_points.items():
-        state.points[t_idx] = X
-        state.inlier_cams[t_idx] = [pair[0], pair[1]]
-    if len(state.points) >= 4:
+    state.X[ct.track[seed_rows[:, 0]]] = seed_points
+    state.status[ct.track[seed_rows[:, 0]]] = ACTIVE
+    state.joined[seed_rows] = [0, 1]
+    if state.active_count() >= 4:
         state.bundle_adjust()
 
     registrations = 0
@@ -520,18 +510,16 @@ def run_local_sfm(
         # next-best-view: most visible active points, ties by camera id
         visible = {}
         for cam in unregistered:
-            tids = [t for t, _ in ct.cam_slots.get(cam, []) if t in state.points]
-            if len(tids) >= config.resection_min_visible:
-                visible[cam] = tids
+            rows = state.active_rows(cam)
+            if len(rows) >= config.resection_min_visible:
+                visible[cam] = rows
         if not visible:
             break
         order = sorted(visible, key=lambda c: (-len(visible[c]), c))
         registered_one = False
         for cam in order:
-            tids = visible[cam]
-            pts3d = np.array([state.points[t] for t in tids])
-            pix = np.array([ct.obs_of(t, cam) for t in tids])
-            result = register_next_view(cameras[cam], pts3d, pix, config, rng)
+            rows = visible[cam]
+            result = register_next_view(cameras[cam], state.X[ct.track[rows]], ct.xy[rows], config, rng)
             if result is None:
                 continue
             R, c, mask = result
@@ -542,7 +530,7 @@ def run_local_sfm(
             registered_one = True
             unregistered.remove(cam)
             state.triangulate_new_tracks(cam)
-            if registrations % config.ba_every == 0 and len(state.points) >= 4:
+            if registrations % config.ba_every == 0 and state.active_count() >= 4:
                 state.bundle_adjust(
                     max_iterations=config.intermediate_ba_max_iterations,
                     relative_tol=1e-8,
@@ -551,21 +539,18 @@ def run_local_sfm(
         if not registered_one:
             break
 
-    if len(state.points) >= 4 and len(state.registered()) >= 2:
+    if state.active_count() >= 4 and len(state.registered()) >= 2:
         final = state.bundle_adjust()
         rec.mean_reprojection = float(np.mean(final.residual_norms)) if len(final.residual_norms) else float("nan")
 
     rec.seed_pair = state.seed_pair
     rec.rotations = dict(state.rotations)
     rec.centers = dict(state.centers)
-    rec.points = {ct.track_ids[t]: X for t, X in state.points.items()}
-    rec.observations = {
-        ct.track_ids[t]: [
-            (c, float(ct.obs_of(t, c)[0]), float(ct.obs_of(t, c)[1]))
-            for c in sorted(state.inlier_cams[t])
-        ]
-        for t in state.points
-    }
+    active = np.flatnonzero(state.status == ACTIVE)
+    rec.points = dict(zip(ct.track_ids[active].tolist(), state.X[active]))
+    rows = np.flatnonzero(state.joined >= 0)  # by track, cameras ascending
+    for t, c, (x, y) in zip(ct.track_ids[ct.track[rows]].tolist(), ct.cam[rows].tolist(), ct.xy[rows].tolist()):
+        rec.observations.setdefault(t, []).append((c, x, y))
     if len(rec.rotations) < 2:
         rec.failed = True
     return rec

@@ -82,18 +82,11 @@ class PipelineConfig:
     max_cluster_size: int = 100
     completeness_ratio: float = 0.7
     max_outer_iterations: int = 16
-    # local SfM
-    ransac_threshold_px: float = 2.0
-    ransac_confidence: float = 0.9999
-    ba_every: int = 5
-    ba_max_iterations: int = 50
-    max_reprojection_px: float = 4.0
     # averaging
     l1_max_iters: int = 200
     l1_tol: float = 1e-10
     # distributed BA
     ba_rounds: int = 10
-    ba_inner_iterations: int = 50
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -121,8 +114,8 @@ class PipelineConfig:
             default_worker_count()  # a malformed worker variable fails before any stage
         elif self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.ba_rounds < 1 or self.ba_inner_iterations < 1:
-            raise ConfigurationError("bundle adjustment budgets must be >= 1")
+        if self.ba_rounds < 1:
+            raise ConfigurationError("ba_rounds must be >= 1")
         if self.l1_max_iters < 1 or self.l1_tol <= 0:
             raise ConfigurationError("invalid L1 solver settings")
 
@@ -167,14 +160,7 @@ class PipelineConfig:
         ).hexdigest()
 
     def local_sfm_config(self) -> LocalSfMConfig:
-        return LocalSfMConfig(
-            ransac_threshold_px=self.ransac_threshold_px,
-            ransac_confidence=self.ransac_confidence,
-            ba_every=self.ba_every,
-            ba_max_iterations=self.ba_max_iterations,
-            max_reprojection_px=self.max_reprojection_px,
-            seed=self.seed,
-        )
+        return LocalSfMConfig(seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +175,12 @@ def _load_manifest(out_dir) -> dict:
     path = _manifest_path(out_dir)
     if not path.exists():
         return {}
-    return sfm_io._load(path)
+    manifest = sfm_io._load(path)
+    for entry in manifest.values() if isinstance(manifest, dict) else [None]:
+        tables = [entry.get(key) for key in ("inputs", "outputs")] if isinstance(entry, dict) else [None]
+        if not all(isinstance(t, dict) and all(isinstance(h, str) for h in t.values()) for t in tables):
+            raise DataError(f"{path}: malformed manifest: each stage needs inputs and outputs tables of name -> hash")
+    return manifest
 
 
 def _record_stage(out_dir, stage: str, config: PipelineConfig) -> None:
@@ -238,7 +229,7 @@ def stage_status(out_dir) -> dict:
             "present": present,
             "stale": stale,
             "hash": entry["outputs"] if entry else {},
-            "timestamp": entry["timestamp"] if entry else None,
+            "timestamp": entry.get("timestamp") if entry else None,
         }
     return out
 
@@ -352,13 +343,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json")
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
-    points = triangulate_global(
-        validated_tracks(tracks, recs),
-        motion,
-        cs,
-        cameras,
-        max_reprojection_px=config.max_reprojection_px,
-    )
+    points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.json", points)
 
 
@@ -374,7 +359,6 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
         points,
         cameras,
         rounds=config.ba_rounds,
-        inner_max_iterations=config.ba_inner_iterations,
         workers=config.workers,
     )
     out = Path(out_dir)
@@ -437,6 +421,7 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
     for s in selected:
         if s not in STAGES:
             raise ConfigurationError(f"unknown stage {s!r}")
+    _load_manifest(out_dir)  # a malformed manifest fails before any stage runs
     result = {}
     for stage in STAGES:
         if stage not in selected:

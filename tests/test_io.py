@@ -125,7 +125,8 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     sfm_io.save_match_graph(path, scene.cameras, matches)
     assert not list(tmp_path.glob("*.tmp"))  # the temp file was renamed into place
     data = json.loads(path.read_text())
-    for key, value in (("intrinsics", None), ("edges", [{"i": 0}]), ("numCameras", "six")):
+    for key, value in (("intrinsics", None), ("edges", [{"i": 0}]), ("numCameras", "six"),
+                       ("intrinsics", data["intrinsics"][:-1])):  # one camera without intrinsics
         broken = dict(data, **{key: value})
         path.write_text(json.dumps(broken))
         with pytest.raises(DataError, match="matches.json"):
@@ -135,9 +136,19 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         sfm_io.load_tracks(path)
     with pytest.raises(DataError, match="cannot read"):
         sfm_io.load_tracks(tmp_path)  # a directory
+    for elements in ([[3, 1, 0.0, 0.0], [1, 2, 0.0, 0.0]],  # unsorted cameras
+                     [[1, 1, 0.0, 0.0], [3, 2, 0.0, 0.0], [3, 5, 0.0, 0.0]]):  # a repeated camera
+        path.write_text(json.dumps([{"id": 0, "elements": [[0, 0, 0.0, 0.0], [1, 0, 0.0, 0.0]]},
+                                    {"id": 4, "elements": elements}]))
+        with pytest.raises(DataError, match="track 4: cameras are not strictly ascending"):
+            sfm_io.load_tracks(path)
     sfm_io.save_ground_truth(path, scene.poses)
     data = json.loads(path.read_text())
     data[0]["cameraId"] = 1  # camera 0 would be left without a pose
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match="camera ids"):
+        sfm_io.load_ground_truth(path)
+    data[0]["cameraId"] = -1  # would index the last camera
+    path.write_text(json.dumps(data))
+    with pytest.raises(DataError, match="camera id -1"):
         sfm_io.load_ground_truth(path)

@@ -8,6 +8,8 @@ from clustersfm.clustering import Cluster, ClusterTree, ClusterTreeNode
 from clustersfm.errors import NumericalError
 from clustersfm.geometry import angle_between, projection_matrix, random_rotation, rotation_angle
 from clustersfm.local_sfm import (
+    ACTIVE,
+    DEAD,
     ClusterTracks,
     LocalReconstruction,
     LocalSfMConfig,
@@ -402,28 +404,116 @@ def test_local_ba_rising_cost_raises(monkeypatch):
     state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)], CONFIG)
     state.rotations = {0: np.eye(3), 1: np.eye(3)}
     state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
-    state.points = {t: np.array([0.0, 0.0, 5.0 + t]) for t in range(5)}
-    state.inlier_cams = {t: [0, 1] for t in range(5)}
+    state.X[:] = [[0.0, 0.0, 5.0 + t] for t in range(5)]
+    state.status[:] = ACTIVE
+    state.joined[:] = state.tracks.cam  # the seed pair joins in camera order
     state.seed_pair = (0, 1)
     monkeypatch.setattr(ba_core, "lm_minimize", lambda *a, **k: SimpleNamespace(cost_trace=[2.0, 1.0, 1.5]))
     with pytest.raises(NumericalError, match="cost increased"):
         state.bundle_adjust()
 
 
-def test_cluster_tracks_lookup_matches_scan():
+def _three_view_state():
+    """Six points seen by three noise-free cameras, every point active with
+    cameras 1 and 2 as the seed pair, and camera 0 not registered yet."""
+    from clustersfm.synthetic import _look_at
+
+    rng = np.random.default_rng(21)
+    target = np.array([0.0, 0.0, 8.0])
+    poses = [_look_at(np.array([x, 0.2 * x, 0.0]), target) for x in (-1.0, 0.0, 1.0)]
+    cams = [make_camera(k) for k in range(3)]
+    points = target + rng.normal(size=(6, 3))
+    tracks = _tracks_for_pair(poses, cams, points)
+    assert [len(t) for t in tracks] == [3] * 6
+    state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams, CONFIG)
+    for k in (1, 2):
+        state.rotations[k], state.centers[k] = poses[k].R, poses[k].c
+    state.X[:] = points
+    state.status[:] = ACTIVE
+    state.joined[state.tracks.cam == 1] = 0
+    state.joined[state.tracks.cam == 2] = 1
+    state.seed_pair = (1, 2)
+    return state, poses
+
+
+def _capture_lm(monkeypatch, residuals=lambda problem: np.zeros(len(problem.pixels))):
+    """Replace LM by a no-op step that records each problem and reports the
+    given per-observation residuals."""
+    problems = []
+
+    def fake(problem, **kwargs):
+        problems.append(problem)
+        return ba_core.BAResult(
+            rotations=problem.rotations, centers=problem.centers, points=problem.points,
+            cost=0.0, initial_cost=0.0, iterations=1, converged=True,
+            residual_norms=residuals(problem), cost_trace=[0.0],
+        )
+
+    monkeypatch.setattr(ba_core, "lm_minimize", fake)
+    return problems
+
+
+def test_local_ba_orders_observations_by_join(monkeypatch):
+    # camera 0 registers after the seed pair: its observations come last in
+    # every point, although its id is the smallest
+    state, poses = _three_view_state()
+    state.rotations[0], state.centers[0] = poses[0].R, poses[0].c
+    state.add_camera_observations(0)
+    assert (state.joined[state.tracks.cam == 0] == 2).all()
+    problems = _capture_lm(monkeypatch)
+    state.bundle_adjust()
+    (problem,) = problems
+    assert np.array_equal(problem.pt_idx, np.repeat(np.arange(6), 3))
+    assert np.array_equal(np.array(state.registered())[problem.cam_idx], np.tile([1, 2, 0], 6))
+
+
+def test_local_ba_drops_non_finite_residual_and_retires_point(monkeypatch):
+    state, poses = _three_view_state()
+    tr = state.tracks
+
+    def residuals(problem):
+        res = np.zeros(len(problem.pixels))
+        res[1] = np.nan  # point 0 as seen by camera 2
+        return res
+
+    _capture_lm(monkeypatch, residuals)
+    state.bundle_adjust()
+    assert state.status[0] == DEAD and (state.status[1:] == ACTIVE).all()
+    assert (state.joined[tr.track == 0] == -1).all()
+    assert (state.joined[(tr.track > 0) & (tr.cam > 0)] >= 0).all()
+    # camera 0 registers and sees every point: the dead one is neither
+    # re-attached nor triangulated again
+    X_dead = state.X[0].copy()
+    state.rotations[0], state.centers[0] = poses[0].R, poses[0].c
+    state.add_camera_observations(0)
+    state.triangulate_new_tracks(0)
+    assert state.status[0] == DEAD and (state.joined[tr.track == 0] == -1).all()
+    assert np.array_equal(state.X[0], X_dead)
+    assert (state.joined[(tr.track > 0) & (tr.cam == 0)] == 2).all()
+
+
+def test_cluster_tracks_table_matches_scan():
     rng = np.random.default_rng(12)
     tracks = []
     for tid in range(40):
-        # some tracks see a camera twice or leave the cluster; the first slot wins
-        cams = rng.integers(0, 8, size=int(rng.integers(2, 7)))
-        tracks.append(Track(id=tid, cameras=cams, features=np.arange(len(cams)),
+        # strictly ascending cameras; some tracks leave the cluster
+        cams = np.sort(rng.choice(8, size=int(rng.integers(2, 7)), replace=False))
+        tracks.append(Track(id=100 + tid, cameras=cams, features=np.arange(len(cams)),
                             xy=rng.normal(size=(len(cams), 2)) * 100))
-    ct = ClusterTracks((0, 1, 2, 3, 4), tracks)
-    assert any(len(set(cams)) < len(cams) for cams in ct.cams)
-    pairs = 0
-    for t_idx, cams in enumerate(ct.cams):
-        for cam in set(cams.tolist()):
-            slot = int(np.flatnonzero(cams == cam)[0])
-            assert np.array_equal(ct.obs_of(t_idx, cam), ct.xys[t_idx][slot])
-            pairs += 1
-    assert pairs > 40
+    cluster = (0, 1, 2, 3, 4)
+    ct = ClusterTracks(cluster, tracks)
+    # per-track scan: the in-cluster elements of the tracks with >= 2 of them
+    expected = [(int(t.id), int(c), xy) for t in tracks if np.isin(t.cameras, cluster).sum() >= 2
+                for c, xy in zip(t.cameras, t.xy) if c in cluster]
+    assert 0 < len(ct) < len(tracks)
+    assert list(zip(ct.track_ids[ct.track].tolist(), ct.cam.tolist())) == [e[:2] for e in expected]
+    assert np.array_equal(ct.xy, np.array([e[2] for e in expected]))
+    assert np.array_equal(np.unique(ct.track), np.arange(len(ct)))
+    for cam in range(8):
+        assert np.array_equal(ct.rows(cam), np.flatnonzero(ct.cam == cam))
+    for i in cluster:
+        for j in cluster[i + 1:]:
+            rows_i, rows_j = ct.shared_rows(i, j)
+            shared = sorted(set(ct.track[ct.cam == i].tolist()) & set(ct.track[ct.cam == j].tolist()))
+            assert ct.track[rows_i].tolist() == shared == ct.track[rows_j].tolist()
+            assert (ct.cam[rows_i] == i).all() and (ct.cam[rows_j] == j).all()

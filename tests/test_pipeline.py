@@ -93,6 +93,10 @@ def test_cli_invalid_config_exit_code(tmp_path):
     ])
     assert code == 2
     assert not (tmp_path / "matches.json").exists()
+    cfg = tmp_path / "removed.json"
+    cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
+    assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
+    assert not (tmp_path / "matches.json").exists()
 
 
 def _assert_config_error(capsys, argv, message):
@@ -207,9 +211,13 @@ def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):
     _synth_small(tmp_path)
     manifest = tmp_path / "manifest.json"
     text = manifest.read_text()
-    manifest.write_text(text[: len(text) // 2])
-    assert cli_main(["status", "--output-dir", str(tmp_path)]) == 3
-    assert "manifest.json" in capsys.readouterr().err
+    for broken in (text[: len(text) // 2], "[]", json.dumps({"synth": {"inputs": 5}})):
+        manifest.write_text(broken)
+        assert cli_main(["status", "--output-dir", str(tmp_path)]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+    # a stage fails before it writes anything
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "clusters.json").exists()
     assert not list(tmp_path.glob("*.tmp"))
 
 
