@@ -27,6 +27,7 @@ MIN_GLOBAL_VIEWS = 3
 MAX_GLOBAL_REPROJECTION_PX = 4.0
 DEFAULT_ROUNDS = 10
 ROUND_RMS_TOL = 1e-6
+STATUSES = ("active", "too_few_views", "cheirality", "reprojection")
 
 
 @dataclass
@@ -36,7 +37,7 @@ class GlobalPoint:
     cluster_id: int  # owning independent cluster
     cameras: np.ndarray  # observing cameras (posed ones)
     xy: np.ndarray  # (n, 2)
-    status: str  # "active" | "too_few_views" | "cheirality" | "reprojection"
+    status: str  # one of STATUSES
 
     @property
     def active(self) -> bool:

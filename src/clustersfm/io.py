@@ -1,6 +1,7 @@
-"""File formats for every pipeline stage: versioned match-graph JSON, ground
-truth, cluster sets, tracks, relative motions, global motion, PLY exports,
-and the per-round cost log."""
+"""File formats for every pipeline stage: the match graph and the global
+points as versioned `.npz` archives of flat arrays plus offsets; ground
+truth, cluster sets, tracks, relative motions and global motion as JSON;
+PLY exports and the per-round cost log."""
 
 import contextlib
 import csv
@@ -9,28 +10,30 @@ import hashlib
 import io
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from .averaging import GlobalMotion
 from .clustering import Cluster, ClusterSet, ClusterTree, ClusterTreeNode
 from .errors import DataError
+from .global_ba import STATUSES, GlobalPoint
 from .local_sfm import LocalReconstruction, RelativeMotion
 from .scene import Camera, MatchEdge, Pose
 from .tracks import Track
 
-MATCH_GRAPH_VERSION = 1
+MATCH_GRAPH_VERSION = 2
 
 
-def _write(path, text: str) -> None:
-    """Write text through a temp file in the same directory, so a crash
+def _write(path, data: bytes) -> None:
+    """Write bytes through a temp file in the same directory, so a crash
     never leaves a half-written file under the final name. A failed write
     removes the temp file and raises a DataError naming the path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -39,7 +42,7 @@ def _write(path, text: str) -> None:
 
 
 def _dump(path, payload) -> None:
-    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
 
 
 def _load(path):
@@ -51,17 +54,56 @@ def _load(path):
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _save_npz(path, **arrays) -> None:
+    # numpy writes fixed zip timestamps, so equal arrays give equal bytes
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    _write(path, buf.getvalue())
+
+
+def _load_npz(path) -> dict:
+    """Every array of an `.npz` archive, read in full so that a damaged
+    member fails its CRC check here; object arrays are refused."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return dict(archive)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def _array(data: dict, key: str, dtype, *shape) -> np.ndarray:
+    """data[key] cast to dtype within its kind (no float to int) and reshaped;
+    a wrong kind is a TypeError and a wrong size a ValueError."""
+    return data[key].astype(dtype, casting="same_kind", copy=False).reshape(shape)
+
+
+def _flat(parts: list, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated rows of `parts` and the (len(parts) + 1,) offsets of
+    each part's rows; `empty` is the zero-row result and fixes the dtype."""
+    offsets = np.cumsum([0] + [len(p) for p in parts], dtype=np.int64)
+    return np.concatenate([empty, *parts]).astype(empty.dtype, copy=False), offsets
+
+
+def _spans(path, data: dict, count: int, total: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of each of `count` items, from offsets that
+    must rise from 0 to `total` rows."""
+    offsets = _array(data, "offsets", np.int64, count + 1)
+    if offsets[0] != 0 or offsets[-1] != total or np.any(np.diff(offsets) < 0):
+        raise DataError(f"{path}: offsets do not rise from 0 to {total}")
+    return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+
+
 def _checked(load):
-    """Report a missing or mistyped field of a loaded artifact as a
-    DataError naming the file."""
+    """Report a missing or mistyped field of a loaded artifact, or a damaged
+    archive, as a DataError naming the file."""
 
     @functools.wraps(load)
-    def checked_load(path):
+    def checked_load(path, *args):
         try:
-            return load(path)
+            return load(path, *args)
         except DataError:
             raise
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
     return checked_load
@@ -76,53 +118,35 @@ def file_hash(path) -> str:
 # ---------------------------------------------------------------------------
 
 def save_match_graph(path, cameras: list[Camera], matches: list[MatchEdge]) -> None:
-    payload = {
-        "version": MATCH_GRAPH_VERSION,
-        "numCameras": len(cameras),
-        "intrinsics": [
-            {"focal": c.focal, "cx": c.cx, "cy": c.cy, "width": c.width, "height": c.height}
-            for c in cameras
-        ],
-        "edges": [
-            {
-                "i": int(e.i),
-                "j": int(e.j),
-                "pairs": [
-                    [int(fi), float(xi), float(yi), int(fj), float(xj), float(yj)]
-                    for fi, (xi, yi), fj, (xj, yj) in zip(e.feat_i, e.xy_i, e.feat_j, e.xy_j)
-                ],
-            }
-            for e in matches
-        ],
-    }
-    _dump(path, payload)
+    feat, offsets = _flat([np.column_stack([e.feat_i, e.feat_j]) for e in matches], np.zeros((0, 2), np.int64))
+    xy, _ = _flat([np.hstack([e.xy_i, e.xy_j]) for e in matches], np.zeros((0, 4)))
+    _save_npz(path, version=np.int64(MATCH_GRAPH_VERSION), offsets=offsets, feat=feat, xy=xy,
+              intrinsics=np.array([[c.focal, c.cx, c.cy] for c in cameras], dtype=float),
+              size=np.array([[c.width, c.height] for c in cameras], dtype=np.int64),
+              edges=np.array([[e.i, e.j] for e in matches], dtype=np.int64))
 
 
 @_checked
 def load_match_graph(path):
-    data = _load(path)
-    if data.get("version") != MATCH_GRAPH_VERSION:
-        raise DataError(f"{path}: unsupported match-graph version {data.get('version')}")
+    data = _load_npz(path)
+    if data["version"] != MATCH_GRAPH_VERSION:
+        raise DataError(f"{path}: unsupported match-graph version {data['version']}")
+    intrinsics = _array(data, "intrinsics", float, -1, 3)
+    size = _array(data, "size", np.int64, len(intrinsics), 2)
     cameras = [
-        Camera(id=k, focal=c["focal"], cx=c["cx"], cy=c["cy"], width=c["width"], height=c["height"])
-        for k, c in enumerate(data["intrinsics"])
+        Camera(id=k, focal=f, cx=cx, cy=cy, width=w, height=h)
+        for k, ((f, cx, cy), (w, h)) in enumerate(zip(intrinsics.tolist(), size.tolist()))
     ]
-    if int(data["numCameras"]) != len(cameras):
-        raise DataError(f"{path}: numCameras is {data['numCameras']} but {len(cameras)} intrinsics are given")
-    matches = []
-    for e in data["edges"]:
-        pairs = np.asarray(e["pairs"], dtype=float).reshape(-1, 6)
-        matches.append(
-            MatchEdge(
-                i=int(e["i"]),
-                j=int(e["j"]),
-                feat_i=pairs[:, 0].astype(np.int64),
-                xy_i=pairs[:, 1:3],
-                feat_j=pairs[:, 3].astype(np.int64),
-                xy_j=pairs[:, 4:6],
-            )
-        )
-    return cameras, matches, int(data["numCameras"])
+    edges = _array(data, "edges", np.int64, -1, 2)
+    feat = _array(data, "feat", np.int64, -1, 2)
+    xy = _array(data, "xy", float, len(feat), 4)
+    if np.any((edges < 0) | (edges >= len(cameras))):
+        raise DataError(f"{path}: an edge camera is not in 0..{len(cameras) - 1}")
+    matches = [
+        MatchEdge(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
+        for (i, j), (a, b) in zip(edges.tolist(), _spans(path, data, len(edges), len(feat)))
+    ]
+    return cameras, matches, len(cameras)
 
 
 def save_ground_truth(path, poses: list[Pose]) -> None:
@@ -193,12 +217,17 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
 
 
 @_checked
-def load_cluster_set(path) -> ClusterSet:
+def load_cluster_set(path, num_cameras: int) -> ClusterSet:
+    """The cluster set; a cluster or tree camera outside the match graph's
+    0..num_cameras-1 is a DataError."""
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"]))
     tree.assign_leaf_ids()
     independent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["independent"])]
     interdependent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])]
+    for c in [tree.root.cameras] + [c.cameras for c in independent + interdependent]:
+        if not all(isinstance(k, int) and 0 <= k < num_cameras for k in c):
+            raise DataError(f"{path}: a cluster camera is not in the match graph's 0..{num_cameras - 1}")
     return ClusterSet(
         independent=independent,
         interdependent=interdependent,
@@ -356,8 +385,6 @@ def save_global_motion(path, motion) -> None:
 
 @_checked
 def load_global_motion(path):
-    from .averaging import GlobalMotion
-
     data = _load(path)
     rotations = {c["id"]: np.asarray(c["R"], dtype=float).reshape(3, 3) for c in data["cameras"]}
     centers = {c["id"]: np.asarray(c["c"], dtype=float) for c in data["cameras"]}
@@ -372,40 +399,34 @@ def load_global_motion(path):
 
 
 def save_global_points(path, points) -> None:
-    payload = [
-        {
-            "trackId": int(p.track_id),
-            "clusterId": int(p.cluster_id),
-            "status": p.status,
-            "position": np.asarray(p.position).tolist() if p.position is not None else None,
-            "observations": [
-                [int(c), float(x), float(y)] for c, (x, y) in zip(p.cameras, p.xy)
-            ],
-        }
-        for p in points
-    ]
-    _dump(path, payload)
+    cameras, offsets = _flat([p.cameras for p in points], np.zeros(0, np.int64))
+    xy, _ = _flat([p.xy for p in points], np.zeros((0, 2)))
+    _save_npz(path, offsets=offsets, cameras=cameras, xy=xy,
+              track=np.array([p.track_id for p in points], dtype=np.int64),
+              cluster=np.array([p.cluster_id for p in points], dtype=np.int64),
+              status=np.array([STATUSES.index(p.status) for p in points], dtype=np.int64),
+              has_position=np.array([p.position is not None for p in points], dtype=bool),
+              position=np.array([np.zeros(3) if p.position is None else p.position for p in points], dtype=float))
 
 
 @_checked
-def load_global_points(path):
-    from .global_ba import GlobalPoint
-
-    data = _load(path)
-    out = []
-    for rec in data:
-        obs = np.asarray(rec["observations"], dtype=float).reshape(-1, 3)
-        out.append(
-            GlobalPoint(
-                track_id=int(rec["trackId"]),
-                position=None if rec["position"] is None else np.asarray(rec["position"], dtype=float),
-                cluster_id=int(rec["clusterId"]),
-                cameras=obs[:, 0].astype(np.int64),
-                xy=obs[:, 1:3],
-                status=rec["status"],
-            )
-        )
-    return out
+def load_global_points(path) -> list[GlobalPoint]:
+    data = _load_npz(path)
+    track = _array(data, "track", np.int64, -1)
+    cluster = _array(data, "cluster", np.int64, len(track))
+    status = _array(data, "status", np.int64, len(track))
+    has_position = _array(data, "has_position", bool, len(track))
+    position = _array(data, "position", float, len(track), 3)
+    cameras = _array(data, "cameras", np.int64, -1)
+    xy = _array(data, "xy", float, len(cameras), 2)
+    if np.any((status < 0) | (status >= len(STATUSES))):
+        raise DataError(f"{path}: a status code is not in 0..{len(STATUSES) - 1}")
+    return [
+        GlobalPoint(track_id=t, position=X if h else None, cluster_id=c, cameras=cameras[a:b], xy=xy[a:b],
+                    status=STATUSES[s])
+        for t, c, s, h, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), has_position.tolist(),
+                                         position, _spans(path, data, len(track), len(cameras)))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +446,7 @@ def save_ply_points(path, positions: np.ndarray, colors: np.ndarray | None = Non
             c = colors[k]
             line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
         lines.append(line)
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_ply_cameras(path, centers: np.ndarray, color=(255, 64, 64)) -> None:
@@ -440,4 +461,4 @@ def save_round_log(path, log) -> None:
     writer.writerow(["round", "cost", "rms_px"])
     for entry in log:
         writer.writerow([entry.round, f"{entry.cost:.12g}", f"{entry.rms_px:.12g}"])
-    _write(path, buf.getvalue())
+    _write(path, buf.getvalue().encode())

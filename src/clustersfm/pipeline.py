@@ -43,25 +43,25 @@ _ACCEPTED = {str: str, int: numbers.Integral, float: numbers.Real}
 STAGES = ("synth", "cluster", "tracks", "local-sfm", "average", "triangulate", "ba", "evaluate")
 
 ARTIFACTS = {
-    "synth": ("matches.json", "ground_truth.json"),
+    "synth": ("matches.npz", "ground_truth.json"),
     "cluster": ("clusters.json",),
     "tracks": ("tracks.json",),
     "local-sfm": ("local_reconstructions.json", "relative_motions.json"),
     "average": ("global_motion.json",),
-    "triangulate": ("points.json",),
-    "ba": ("final_motion.json", "final_points.json", "points.ply", "cameras.ply", "ba_rounds.csv"),
+    "triangulate": ("points.npz",),
+    "ba": ("final_motion.json", "final_points.npz", "points.ply", "cameras.ply", "ba_rounds.csv"),
     "evaluate": ("report.json",),
 }
 
 STAGE_INPUTS = {
     "synth": (),
-    "cluster": ("matches.json",),
-    "tracks": ("matches.json", "clusters.json"),
-    "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
+    "cluster": ("matches.npz",),
+    "tracks": ("matches.npz", "clusters.json"),
+    "local-sfm": ("matches.npz", "clusters.json", "tracks.json"),
     "average": ("relative_motions.json",),
     "triangulate": ("tracks.json", "clusters.json", "global_motion.json", "local_reconstructions.json"),
-    "ba": ("points.json", "clusters.json", "global_motion.json", "matches.json"),
-    "evaluate": ("matches.json", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.json", "clusters.json"),
+    "ba": ("points.npz", "clusters.json", "global_motion.json", "matches.npz"),
+    "evaluate": ("matches.npz", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.npz", "clusters.json"),
 }
 
 
@@ -247,12 +247,12 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
         outlier_fraction=config.outlier_fraction,
         seed=config.seed,
     )
-    sfm_io.save_match_graph(Path(out_dir) / "matches.json", scene.cameras, matches)
+    sfm_io.save_match_graph(Path(out_dir) / "matches.npz", scene.cameras, matches)
     sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.json", scene.poses)
 
 
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
     graph = build_camera_graph(matches, n)
     cs = cluster_cameras(
         graph,
@@ -267,8 +267,8 @@ def stage_cluster(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_tracks(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json")
+    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
     in_tree = set(cs.tree.root.cameras)
     usable = [m for m in matches if m.i in in_tree and m.j in in_tree]
     if len(usable) < len(matches):
@@ -278,9 +278,9 @@ def stage_tracks(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
     graph = build_camera_graph(matches, n)
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json")
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
     sfm_config = config.local_sfm_config()
 
@@ -338,19 +338,19 @@ def validated_tracks(tracks, recs) -> list[Track]:
 
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
-    cameras, _, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cameras, _, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json")
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
     points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
-    sfm_io.save_global_points(Path(out_dir) / "points.json", points)
+    sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
 
 
 def stage_ba(config: PipelineConfig, out_dir) -> None:
-    cameras, _, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
-    points = sfm_io.load_global_points(Path(out_dir) / "points.json")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json")
+    cameras, _, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
+    points = sfm_io.load_global_points(Path(out_dir) / "points.npz")
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
     partitions = build_partitions(points, cs, motion)
     final_motion, final_points, log = distributed_bundle_adjust(
@@ -363,7 +363,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
     )
     out = Path(out_dir)
     sfm_io.save_global_motion(out / "final_motion.json", final_motion)
-    sfm_io.save_global_points(out / "final_points.json", final_points)
+    sfm_io.save_global_points(out / "final_points.npz", final_points)
     active = np.array([p.position for p in final_points if p.active]).reshape(-1, 3)
     sfm_io.save_ply_points(out / "points.ply", active)
     centers = np.array([final_motion.centers[c] for c in sorted(final_motion.centers)])
@@ -373,12 +373,12 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
 
 def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
-    cameras, matches, _ = sfm_io.load_match_graph(out / "matches.json")
+    cameras, matches, n = sfm_io.load_match_graph(out / "matches.npz")
     gt = sfm_io.load_ground_truth(out / "ground_truth.json")
     motions = sfm_io.load_relative_motions(out / "relative_motions.json")
     final_motion = sfm_io.load_global_motion(out / "final_motion.json")
-    points = sfm_io.load_global_points(out / "final_points.json")
-    cs = sfm_io.load_cluster_set(out / "clusters.json")
+    points = sfm_io.load_global_points(out / "final_points.npz")
+    cs = sfm_io.load_cluster_set(out / "clusters.json", n)
     med_epi = epipolar_error(final_motion.rotations, final_motion.centers, cameras, matches)
     report = pose_error_report(
         final_motion.rotations,

@@ -255,12 +255,12 @@ def test_criterion_7_loop_closure(loop_pipeline):
     out, config = loop_pipeline
     from clustersfm.io import load_cluster_set, load_match_graph
 
-    cs = load_cluster_set(out / "clusters.json")
+    cameras, matches, n = load_match_graph(out / "matches.npz")
+    cs = load_cluster_set(out / "clusters.json", n)
     assert len(cs.interdependent) == 4, "expected 4 interdependent clusters"
     gt = load_ground_truth(out / "ground_truth.json")
     final = load_global_motion(out / "final_motion.json")
-    points = load_global_points(out / "final_points.json")
-    cameras, matches, _ = load_match_graph(out / "matches.json")
+    points = load_global_points(out / "final_points.npz")
 
     cams = sorted(final.centers)
     est = np.array([final.centers[c] for c in cams])
@@ -362,9 +362,9 @@ def test_criterion_8_ba_correctness(loop_pipeline):
 def test_criterion_9_determinism(tmp_path):
     settings = dict(layout="orbit", num_cameras=18, num_points=250, pixel_sigma=0.3,
                     seed=5, max_cluster_size=8, completeness_ratio=0.7, ba_rounds=4)
-    tracked = ("matches.json", "clusters.json", "tracks.json", "relative_motions.json",
-               "global_motion.json", "points.json", "final_motion.json",
-               "final_points.json", "report.json")
+    tracked = ("matches.npz", "clusters.json", "tracks.json", "relative_motions.json",
+               "global_motion.json", "points.npz", "final_motion.json",
+               "final_points.npz", "report.json")
     hashes = []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}"

@@ -16,19 +16,33 @@ from conftest import geometric_graph
 
 def test_match_graph_roundtrip(tmp_path):
     scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
-    path = tmp_path / "matches.json"
+    path = tmp_path / "matches.npz"
     sfm_io.save_match_graph(path, scene.cameras, matches)
     cameras, loaded, n = sfm_io.load_match_graph(path)
     assert n == 6 and len(loaded) == len(matches)
+    assert cameras == scene.cameras
+    assert all(type(c.width) is int and type(c.height) is int for c in cameras)
     for a, b in zip(matches, loaded):
         assert (a.i, a.j) == (b.i, b.j)
-        assert np.array_equal(a.feat_i, b.feat_i)
-        assert np.array_equal(a.xy_j, b.xy_j)
+        for name in ("feat_i", "xy_i", "feat_j", "xy_j"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).dtype == getattr(b, name).dtype
     # graph built from the roundtrip matches is identical
     g1 = build_camera_graph(matches, 6)
     g2 = build_camera_graph(loaded, 6)
     assert sorted(g1.edges) == sorted(g2.edges)
     assert [e.weight for e in g1.edges.values()] == [e.weight for e in g2.edges.values()]
+
+
+def test_npz_saves_are_byte_identical(tmp_path):
+    scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
+    sfm_io.save_match_graph(tmp_path / "a.npz", scene.cameras, matches)
+    sfm_io.save_match_graph(tmp_path / "b.npz", scene.cameras, matches)
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    points = _points_of_every_status()
+    sfm_io.save_global_points(tmp_path / "a.npz", points)
+    sfm_io.save_global_points(tmp_path / "b.npz", points)
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
 def test_ground_truth_roundtrip(tmp_path):
@@ -45,11 +59,31 @@ def test_cluster_set_roundtrip(tmp_path):
     cs = cluster_cameras(g, ClusterConfig(max_cluster_size=30, completeness_ratio=0.4, seed=3))
     path = tmp_path / "clusters.json"
     sfm_io.save_cluster_set(path, cs)
-    loaded = sfm_io.load_cluster_set(path)
+    loaded = sfm_io.load_cluster_set(path, 80)
     assert [c.cameras for c in loaded.independent] == [c.cameras for c in cs.independent]
     assert [c.cameras for c in loaded.interdependent] == [c.cameras for c in cs.interdependent]
     assert loaded.discarded_edges == [tuple(e) for e in cs.discarded_edges]
     assert [l.cameras for l in loaded.tree.leaves()] == [l.cameras for l in cs.tree.leaves()]
+
+
+def test_cluster_set_cameras_checked_against_match_graph(tmp_path):
+    g = geometric_graph(30, 0.3, 5)
+    cs = cluster_cameras(g, ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3))
+    path = tmp_path / "clusters.json"
+    sfm_io.save_cluster_set(path, cs)
+    data = json.loads(path.read_text())
+    leaf = data["tree"]
+    while "leaf" not in leaf:
+        leaf = leaf["children"][0]
+    for cameras, bad in ((data["interdependent"][0], 999), (data["independent"][-1], 30),
+                         (leaf["cameras"], -1)):
+        cameras.append(bad)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=r"clusters.json: a cluster camera is not in the match graph's 0\.\.29"):
+            sfm_io.load_cluster_set(path, 30)
+        cameras.pop()
+    path.write_text(json.dumps(data))
+    assert sfm_io.load_cluster_set(path, 30).tree.root.cameras == cs.tree.root.cameras
 
 
 def test_relative_motions_roundtrip(tmp_path):
@@ -101,10 +135,38 @@ def test_global_motion_and_points_roundtrip(tmp_path):
         GlobalPoint(track_id=1, position=None, cluster_id=1,
                     cameras=np.array([0, 1]), xy=np.zeros((2, 2)), status="too_few_views"),
     ]
-    sfm_io.save_global_points(tmp_path / "pts.json", points)
-    loaded_pts = sfm_io.load_global_points(tmp_path / "pts.json")
+    sfm_io.save_global_points(tmp_path / "pts.npz", points)
+    loaded_pts = sfm_io.load_global_points(tmp_path / "pts.npz")
     assert loaded_pts[0].active and not loaded_pts[1].active
     assert np.allclose(loaded_pts[0].position, [1, 2, 3])
+
+
+def _points_of_every_status():
+    return [
+        GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]), cluster_id=0,
+                    cameras=np.array([0, 1, 2]), xy=np.arange(6.0).reshape(3, 2) / 3, status="active"),
+        GlobalPoint(track_id=1, position=None, cluster_id=1,
+                    cameras=np.array([0, 1]), xy=np.zeros((2, 2)), status="too_few_views"),
+        GlobalPoint(track_id=7, position=None, cluster_id=1,
+                    cameras=np.array([3, 4, 5, 6]), xy=np.full((4, 2), 0.1), status="cheirality"),
+        GlobalPoint(track_id=9, position=None, cluster_id=0,
+                    cameras=np.array([2]), xy=np.array([[1e-300, -2.5]]), status="reprojection"),
+    ]
+
+
+def test_global_points_roundtrip_exact(tmp_path):
+    path = tmp_path / "pts.npz"
+    for points in (_points_of_every_status(), []):
+        sfm_io.save_global_points(path, points)
+        loaded = sfm_io.load_global_points(path)
+        assert len(loaded) == len(points)
+        for a, b in zip(points, loaded):
+            assert (a.track_id, a.cluster_id, a.status) == (b.track_id, b.cluster_id, b.status)
+            assert type(b.track_id) is int and type(b.cluster_id) is int
+            assert (b.position is None) == (a.position is None)
+            assert a.position is None or np.array_equal(a.position, b.position)
+            assert np.array_equal(a.cameras, b.cameras) and b.cameras.dtype == np.int64
+            assert np.array_equal(a.xy, b.xy) and b.xy.shape == a.xy.shape
 
 
 def test_ply_export(tmp_path):
@@ -119,18 +181,53 @@ def test_ply_export(tmp_path):
     assert "property uchar red" in cam_text
 
 
+def _rewrite_npz(path, data, **changes):
+    """Save `data` to path with some arrays replaced; a None value drops the key."""
+    arrays = {k: v for k, v in dict(data, **changes).items() if v is not None}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def test_malformed_artifacts_raise_data_error(tmp_path):
     scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
-    path = tmp_path / "matches.json"
+    path = tmp_path / "matches.npz"
     sfm_io.save_match_graph(path, scene.cameras, matches)
     assert not list(tmp_path.glob("*.tmp"))  # the temp file was renamed into place
-    data = json.loads(path.read_text())
-    for key, value in (("intrinsics", None), ("edges", [{"i": 0}]), ("numCameras", "six"),
-                       ("intrinsics", data["intrinsics"][:-1])):  # one camera without intrinsics
-        broken = dict(data, **{key: value})
-        path.write_text(json.dumps(broken))
-        with pytest.raises(DataError, match="matches.json"):
+    good = path.read_bytes()
+    with np.load(path) as archive:
+        data = dict(archive)
+    offsets, edges = data["offsets"], data["edges"]
+    for changes, message in (
+        (dict(intrinsics=None), "intrinsics"),  # a missing key is named
+        (dict(edges=edges.astype(float)), "Cannot cast"),  # mistyped edges
+        (dict(version=np.int64(1)), "unsupported match-graph version 1"),
+        (dict(intrinsics=data["intrinsics"][:-1]), "malformed"),  # one camera without intrinsics
+        (dict(edges=edges.astype(object)), "Object arrays"),
+        (dict(offsets=offsets[[0, 2, 1, *range(3, len(offsets))]]), "offsets do not rise"),  # 1 and 2 swapped
+        (dict(offsets=np.append(offsets[:-1], offsets[-1] - 1)), "offsets do not rise"),  # ends before P
+        (dict(edges=np.where(edges == edges.max(), 6, edges)), "edge camera is not in 0..5"),
+    ):
+        _rewrite_npz(path, data, **changes)
+        with pytest.raises(DataError, match=f"matches.npz.*{message}"):
             sfm_io.load_match_graph(path)
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 0xFF
+    for damaged, message in ((good[: len(good) // 2], "BadZipFile"), (b"", "EOFError"),
+                             (bytes(flipped), "Bad CRC-32")):
+        path.write_bytes(damaged)
+        with pytest.raises(DataError, match=f"matches.npz: malformed artifact .*{message}"):
+            sfm_io.load_match_graph(path)
+    path = tmp_path / "points.npz"
+    sfm_io.save_global_points(path, _points_of_every_status())
+    with np.load(path) as archive:
+        data = dict(archive)
+    for changes, message in ((dict(status=data["status"] + 1), "status code is not in 0..3"),
+                             (dict(has_position=data["has_position"][:-1]), "malformed"),
+                             (dict(offsets=data["offsets"][::-1]), "offsets do not rise")):
+        _rewrite_npz(path, data, **changes)
+        with pytest.raises(DataError, match=f"points.npz.*{message}"):
+            sfm_io.load_global_points(path)
+    path = tmp_path / "artifact.json"
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError):
         sfm_io.load_tracks(path)
