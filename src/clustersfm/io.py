@@ -1,8 +1,9 @@
-"""File formats for every pipeline stage: the match graph and the global
-points as versioned `.npz` archives of flat arrays plus offsets; ground
-truth, cluster sets, tracks, relative motions and global motion as JSON;
-PLY exports and the per-round cost log."""
+"""File formats for every pipeline stage: the match graph as versioned
+JSON with its bulk arrays in base64, the global points as `.npz` archives
+of flat arrays plus offsets; ground truth, cluster sets, tracks, relative
+motions and global motion as JSON; PLY exports and the per-round cost log."""
 
+import base64
 import contextlib
 import csv
 import functools
@@ -72,37 +73,40 @@ def _load_npz(path) -> dict:
 
 
 def _array(data: dict, key: str, dtype, *shape) -> np.ndarray:
-    """data[key] cast to dtype within its kind (no float to int) and reshaped;
-    a wrong kind is a TypeError and a wrong size a ValueError."""
-    return data[key].astype(dtype, casting="same_kind", copy=False).reshape(shape)
+    """data[key], an array or a JSON list, cast to dtype within its kind (no
+    float to int; an empty list has no kind) and reshaped; a wrong kind is a
+    TypeError and a wrong size a ValueError."""
+    a = np.asarray(data[key])
+    return a.astype(dtype, casting="same_kind" if a.size else "unsafe", copy=False).reshape(shape)
 
 
 def _flat(parts: list, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated rows of `parts` and the (len(parts) + 1,) offsets of
-    each part's rows; `empty` is the zero-row result and fixes the dtype."""
-    offsets = np.cumsum([0] + [len(p) for p in parts], dtype=np.int64)
-    return np.concatenate([empty, *parts]).astype(empty.dtype, copy=False), offsets
+    each part's rows; `empty`, the zero-row result, fixes the dtype."""
+    return np.concatenate([empty, *parts]), np.cumsum([0] + [len(p) for p in parts], dtype=np.int64)
 
 
-def _spans(path, data: dict, count: int, total: int) -> list[tuple[int, int]]:
+def _spans(data: dict, count: int, total: int) -> list[tuple[int, int]]:
     """The (start, stop) rows of each of `count` items, from offsets that
     must rise from 0 to `total` rows."""
     offsets = _array(data, "offsets", np.int64, count + 1)
     if offsets[0] != 0 or offsets[-1] != total or np.any(np.diff(offsets) < 0):
-        raise DataError(f"{path}: offsets do not rise from 0 to {total}")
+        raise DataError(f"offsets do not rise from 0 to {total}")
     return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
 
 def _checked(load):
-    """Report a missing or mistyped field of a loaded artifact, or a damaged
-    archive, as a DataError naming the file."""
+    """Report a missing or mistyped field of a loaded artifact, a damaged
+    archive or any other DataError as a DataError naming the file."""
 
     @functools.wraps(load)
     def checked_load(path, *args):
         try:
             return load(path, *args)
-        except DataError:
-            raise
+        except DataError as exc:
+            if str(exc).startswith(f"{path}:"):
+                raise
+            raise DataError(f"{path}: {exc}") from exc
         except (AttributeError, IndexError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
@@ -120,17 +124,17 @@ def file_hash(path) -> str:
 def save_match_graph(path, cameras: list[Camera], matches: list[MatchEdge]) -> None:
     feat, offsets = _flat([np.column_stack([e.feat_i, e.feat_j]) for e in matches], np.zeros((0, 2), np.int64))
     xy, _ = _flat([np.hstack([e.xy_i, e.xy_j]) for e in matches], np.zeros((0, 4)))
-    _save_npz(path, version=np.int64(MATCH_GRAPH_VERSION), offsets=offsets, feat=feat, xy=xy,
-              intrinsics=np.array([[c.focal, c.cx, c.cy] for c in cameras], dtype=float),
-              size=np.array([[c.width, c.height] for c in cameras], dtype=np.int64),
-              edges=np.array([[e.i, e.j] for e in matches], dtype=np.int64))
+    _dump(path, {"version": MATCH_GRAPH_VERSION, "intrinsics": [[c.focal, c.cx, c.cy] for c in cameras],
+                 "size": [[c.width, c.height] for c in cameras], "edges": [[int(e.i), int(e.j)] for e in matches],
+                 "offsets": offsets.tolist(), "feat": base64.b64encode(feat.astype("<i8").tobytes()).decode(),
+                 "xy": base64.b64encode(xy.astype("<f8").tobytes()).decode()})
 
 
 @_checked
-def load_match_graph(path):
-    data = _load_npz(path)
-    if data["version"] != MATCH_GRAPH_VERSION:
-        raise DataError(f"{path}: unsupported match-graph version {data['version']}")
+def load_match_graph(path) -> tuple[list[Camera], list[MatchEdge]]:
+    data = _load(path)
+    if data.get("version") != MATCH_GRAPH_VERSION:
+        raise DataError(f"unsupported match-graph version {data.get('version')}")
     intrinsics = _array(data, "intrinsics", float, -1, 3)
     size = _array(data, "size", np.int64, len(intrinsics), 2)
     cameras = [
@@ -138,15 +142,16 @@ def load_match_graph(path):
         for k, ((f, cx, cy), (w, h)) in enumerate(zip(intrinsics.tolist(), size.tolist()))
     ]
     edges = _array(data, "edges", np.int64, -1, 2)
-    feat = _array(data, "feat", np.int64, -1, 2)
-    xy = _array(data, "xy", float, len(feat), 4)
+    # validate: a character outside the base64 alphabet is a ValueError
+    feat = np.frombuffer(base64.b64decode(data["feat"], validate=True), "<i8").reshape(-1, 2)
+    xy = np.frombuffer(base64.b64decode(data["xy"], validate=True), "<f8").reshape(len(feat), 4)
     if np.any((edges < 0) | (edges >= len(cameras))):
-        raise DataError(f"{path}: an edge camera is not in 0..{len(cameras) - 1}")
+        raise DataError(f"an edge camera is not in 0..{len(cameras) - 1}")
     matches = [
         MatchEdge(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
-        for (i, j), (a, b) in zip(edges.tolist(), _spans(path, data, len(edges), len(feat)))
+        for (i, j), (a, b) in zip(edges.tolist(), _spans(data, len(edges), len(feat)))
     ]
-    return cameras, matches, len(cameras)
+    return cameras, matches
 
 
 def save_ground_truth(path, poses: list[Pose]) -> None:
@@ -167,13 +172,13 @@ def load_ground_truth(path) -> list[Pose]:
     poses = [None] * len(data)
     for rec in data:
         if not 0 <= rec["cameraId"] < len(poses):
-            raise DataError(f"{path}: camera id {rec['cameraId']} is not in 0..{len(poses) - 1}")
+            raise DataError(f"camera id {rec['cameraId']} is not in 0..{len(poses) - 1}")
         poses[rec["cameraId"]] = Pose(
             R=np.asarray(rec["rotation"], dtype=float).reshape(3, 3),
             c=np.asarray(rec["center"], dtype=float),
         )
     if any(p is None for p in poses):
-        raise DataError(f"{path}: camera ids are not 0..{len(poses) - 1}")
+        raise DataError(f"camera ids are not 0..{len(poses) - 1}")
     return poses
 
 
@@ -227,7 +232,7 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
     interdependent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])]
     for c in [tree.root.cameras] + [c.cameras for c in independent + interdependent]:
         if not all(isinstance(k, int) and 0 <= k < num_cameras for k in c):
-            raise DataError(f"{path}: a cluster camera is not in the match graph's 0..{num_cameras - 1}")
+            raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}")
     return ClusterSet(
         independent=independent,
         interdependent=interdependent,
@@ -264,7 +269,7 @@ def load_tracks(path) -> list[Track]:
     for rec in data:
         el = np.asarray(rec["elements"], dtype=float).reshape(-1, 4)
         if np.any(np.diff(el[:, 0]) <= 0):
-            raise DataError(f"{path}: track {rec['id']}: cameras are not strictly ascending")
+            raise DataError(f"track {rec['id']}: cameras are not strictly ascending")
         tracks.append(
             Track(
                 id=int(rec["id"]),
@@ -420,12 +425,12 @@ def load_global_points(path) -> list[GlobalPoint]:
     cameras = _array(data, "cameras", np.int64, -1)
     xy = _array(data, "xy", float, len(cameras), 2)
     if np.any((status < 0) | (status >= len(STATUSES))):
-        raise DataError(f"{path}: a status code is not in 0..{len(STATUSES) - 1}")
+        raise DataError(f"a status code is not in 0..{len(STATUSES) - 1}")
     return [
         GlobalPoint(track_id=t, position=X if h else None, cluster_id=c, cameras=cameras[a:b], xy=xy[a:b],
                     status=STATUSES[s])
         for t, c, s, h, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), has_position.tolist(),
-                                         position, _spans(path, data, len(track), len(cameras)))
+                                         position, _spans(data, len(track), len(cameras)))
     ]
 
 

@@ -43,7 +43,7 @@ _ACCEPTED = {str: str, int: numbers.Integral, float: numbers.Real}
 STAGES = ("synth", "cluster", "tracks", "local-sfm", "average", "triangulate", "ba", "evaluate")
 
 ARTIFACTS = {
-    "synth": ("matches.npz", "ground_truth.json"),
+    "synth": ("matches.json", "ground_truth.json"),
     "cluster": ("clusters.json",),
     "tracks": ("tracks.json",),
     "local-sfm": ("local_reconstructions.json", "relative_motions.json"),
@@ -55,13 +55,13 @@ ARTIFACTS = {
 
 STAGE_INPUTS = {
     "synth": (),
-    "cluster": ("matches.npz",),
-    "tracks": ("matches.npz", "clusters.json"),
-    "local-sfm": ("matches.npz", "clusters.json", "tracks.json"),
+    "cluster": ("matches.json",),
+    "tracks": ("matches.json", "clusters.json"),
+    "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
     "average": ("relative_motions.json",),
     "triangulate": ("tracks.json", "clusters.json", "global_motion.json", "local_reconstructions.json"),
-    "ba": ("points.npz", "clusters.json", "global_motion.json", "matches.npz"),
-    "evaluate": ("matches.npz", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.npz", "clusters.json"),
+    "ba": ("points.npz", "clusters.json", "global_motion.json", "matches.json"),
+    "evaluate": ("matches.json", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.npz", "clusters.json"),
 }
 
 
@@ -247,13 +247,13 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
         outlier_fraction=config.outlier_fraction,
         seed=config.seed,
     )
-    sfm_io.save_match_graph(Path(out_dir) / "matches.npz", scene.cameras, matches)
+    sfm_io.save_match_graph(Path(out_dir) / "matches.json", scene.cameras, matches)
     sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.json", scene.poses)
 
 
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
-    graph = build_camera_graph(matches, n)
+    cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    graph = build_camera_graph(matches, len(cameras))
     cs = cluster_cameras(
         graph,
         ClusterConfig(
@@ -267,8 +267,8 @@ def stage_cluster(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_tracks(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
+    cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     in_tree = set(cs.tree.root.cameras)
     usable = [m for m in matches if m.i in in_tree and m.j in in_tree]
     if len(usable) < len(matches):
@@ -278,9 +278,9 @@ def stage_tracks(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
-    cameras, matches, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
-    graph = build_camera_graph(matches, n)
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
+    cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    graph = build_camera_graph(matches, len(cameras))
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
     sfm_config = config.local_sfm_config()
 
@@ -338,9 +338,9 @@ def validated_tracks(tracks, recs) -> list[Track]:
 
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
-    cameras, _, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
+    cameras, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
     points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
@@ -348,9 +348,9 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_ba(config: PipelineConfig, out_dir) -> None:
-    cameras, _, n = sfm_io.load_match_graph(Path(out_dir) / "matches.npz")
+    cameras, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     points = sfm_io.load_global_points(Path(out_dir) / "points.npz")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", n)
+    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
     partitions = build_partitions(points, cs, motion)
     final_motion, final_points, log = distributed_bundle_adjust(
@@ -373,12 +373,12 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
 
 def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
-    cameras, matches, n = sfm_io.load_match_graph(out / "matches.npz")
+    cameras, matches = sfm_io.load_match_graph(out / "matches.json")
     gt = sfm_io.load_ground_truth(out / "ground_truth.json")
     motions = sfm_io.load_relative_motions(out / "relative_motions.json")
     final_motion = sfm_io.load_global_motion(out / "final_motion.json")
     points = sfm_io.load_global_points(out / "final_points.npz")
-    cs = sfm_io.load_cluster_set(out / "clusters.json", n)
+    cs = sfm_io.load_cluster_set(out / "clusters.json", len(cameras))
     med_epi = epipolar_error(final_motion.rotations, final_motion.centers, cameras, matches)
     report = pose_error_report(
         final_motion.rotations,

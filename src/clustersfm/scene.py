@@ -187,6 +187,8 @@ def build_camera_graph(matches: list[MatchEdge], num_cameras: int) -> CameraGrap
         raise DataError("camera graph needs at least 2 cameras")
     edges: dict[tuple[int, int], MatchEdge] = {}
     for edge in matches:
+        if not (0 <= edge.i < num_cameras and 0 <= edge.j < num_cameras):
+            raise DataError(f"edge ({edge.i}, {edge.j}) references an unknown camera")
         key = (edge.i, edge.j)
         if key in edges:
             raise DuplicateEdgeError(f"duplicate match edge {key}")

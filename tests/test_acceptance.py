@@ -255,8 +255,8 @@ def test_criterion_7_loop_closure(loop_pipeline):
     out, config = loop_pipeline
     from clustersfm.io import load_cluster_set, load_match_graph
 
-    cameras, matches, n = load_match_graph(out / "matches.npz")
-    cs = load_cluster_set(out / "clusters.json", n)
+    cameras, matches = load_match_graph(out / "matches.json")
+    cs = load_cluster_set(out / "clusters.json", len(cameras))
     assert len(cs.interdependent) == 4, "expected 4 interdependent clusters"
     gt = load_ground_truth(out / "ground_truth.json")
     final = load_global_motion(out / "final_motion.json")
@@ -362,7 +362,7 @@ def test_criterion_8_ba_correctness(loop_pipeline):
 def test_criterion_9_determinism(tmp_path):
     settings = dict(layout="orbit", num_cameras=18, num_points=250, pixel_sigma=0.3,
                     seed=5, max_cluster_size=8, completeness_ratio=0.7, ba_rounds=4)
-    tracked = ("matches.npz", "clusters.json", "tracks.json", "relative_motions.json",
+    tracked = ("matches.json", "clusters.json", "tracks.json", "relative_motions.json",
                "global_motion.json", "points.npz", "final_motion.json",
                "final_points.npz", "report.json")
     hashes = []

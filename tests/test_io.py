@@ -16,10 +16,11 @@ from conftest import geometric_graph
 
 def test_match_graph_roundtrip(tmp_path):
     scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
-    path = tmp_path / "matches.npz"
+    path = tmp_path / "matches.json"
     sfm_io.save_match_graph(path, scene.cameras, matches)
-    cameras, loaded, n = sfm_io.load_match_graph(path)
-    assert n == 6 and len(loaded) == len(matches)
+    assert json.loads(path.read_text())["version"] == 2
+    cameras, loaded = sfm_io.load_match_graph(path)
+    assert len(cameras) == 6 and len(loaded) == len(matches)
     assert cameras == scene.cameras
     assert all(type(c.width) is int and type(c.height) is int for c in cameras)
     for a, b in zip(matches, loaded):
@@ -32,13 +33,15 @@ def test_match_graph_roundtrip(tmp_path):
     g2 = build_camera_graph(loaded, 6)
     assert sorted(g1.edges) == sorted(g2.edges)
     assert [e.weight for e in g1.edges.values()] == [e.weight for e in g2.edges.values()]
+    sfm_io.save_match_graph(path, scene.cameras, [])
+    assert sfm_io.load_match_graph(path) == (scene.cameras, [])
 
 
-def test_npz_saves_are_byte_identical(tmp_path):
+def test_saves_are_byte_identical(tmp_path):
     scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
-    sfm_io.save_match_graph(tmp_path / "a.npz", scene.cameras, matches)
-    sfm_io.save_match_graph(tmp_path / "b.npz", scene.cameras, matches)
-    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    sfm_io.save_match_graph(tmp_path / "a.json", scene.cameras, matches)
+    sfm_io.save_match_graph(tmp_path / "b.json", scene.cameras, matches)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     points = _points_of_every_status()
     sfm_io.save_global_points(tmp_path / "a.npz", points)
     sfm_io.save_global_points(tmp_path / "b.npz", points)
@@ -190,42 +193,55 @@ def _rewrite_npz(path, data, **changes):
 
 def test_malformed_artifacts_raise_data_error(tmp_path):
     scene, matches = generate_synthetic_scene("orbit", 6, 80, pixel_sigma=0.3, seed=1)
-    path = tmp_path / "matches.npz"
+    path = tmp_path / "matches.json"
     sfm_io.save_match_graph(path, scene.cameras, matches)
     assert not list(tmp_path.glob("*.tmp"))  # the temp file was renamed into place
+    good = path.read_text()
+    data = json.loads(good)
+    offsets, edges = data["offsets"], data["edges"]
+    for key, value, message in (
+        ("intrinsics", None, "intrinsics"),  # a missing key is named
+        ("edges", [{"i": 0}], "malformed"),
+        ("edges", [[i + 0.5, j] for i, j in edges], "Cannot cast"),  # no float to int
+        ("version", 1, "unsupported match-graph version 1"),
+        ("intrinsics", data["intrinsics"][:-1], "malformed"),  # one camera without intrinsics
+        ("feat", data["feat"][:-4], "malformed"),  # not a whole number of int64
+        ("xy", "*" + data["xy"][1:], "malformed"),  # outside the base64 alphabet
+        ("xy", [0.0, 1.0], "malformed"),  # a list where base64 is expected
+        ("offsets", [offsets[0], offsets[2], offsets[1], *offsets[3:]], "offsets do not rise"),  # 1 and 2 swapped
+        ("offsets", offsets[:-1] + [offsets[-1] - 1], "offsets do not rise"),  # ends before P
+        ("offsets", [0, 0, *offsets[2:]], "edge \\(0, 1\\) has no correspondences"),  # an empty edge
+        ("edges", [[i, 6 if j == 5 else j] for i, j in edges], "edge camera is not in 0..5"),
+    ):
+        broken = {k: v for k, v in dict(data, **{key: value}).items() if v is not None}
+        path.write_text(json.dumps(broken))
+        with pytest.raises(DataError, match=f"^{path}: .*{message}"):
+            sfm_io.load_match_graph(path)
+    for damaged, message in ((good[: len(good) // 2], "invalid JSON"), ("", "invalid JSON"),
+                             (json.dumps([data]), "malformed")):
+        path.write_text(damaged)
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            sfm_io.load_match_graph(path)
+    path = tmp_path / "points.npz"
+    sfm_io.save_global_points(path, _points_of_every_status())
     good = path.read_bytes()
     with np.load(path) as archive:
         data = dict(archive)
-    offsets, edges = data["offsets"], data["edges"]
-    for changes, message in (
-        (dict(intrinsics=None), "intrinsics"),  # a missing key is named
-        (dict(edges=edges.astype(float)), "Cannot cast"),  # mistyped edges
-        (dict(version=np.int64(1)), "unsupported match-graph version 1"),
-        (dict(intrinsics=data["intrinsics"][:-1]), "malformed"),  # one camera without intrinsics
-        (dict(edges=edges.astype(object)), "Object arrays"),
-        (dict(offsets=offsets[[0, 2, 1, *range(3, len(offsets))]]), "offsets do not rise"),  # 1 and 2 swapped
-        (dict(offsets=np.append(offsets[:-1], offsets[-1] - 1)), "offsets do not rise"),  # ends before P
-        (dict(edges=np.where(edges == edges.max(), 6, edges)), "edge camera is not in 0..5"),
-    ):
+    for changes, message in ((dict(status=data["status"] + 1), "status code is not in 0..3"),
+                             (dict(track=None), "track"),  # a missing key is named
+                             (dict(cameras=data["cameras"].astype(object)), "Object arrays"),
+                             (dict(cluster=data["cluster"] + 0.5), "Cannot cast"),
+                             (dict(has_position=data["has_position"][:-1]), "malformed"),
+                             (dict(offsets=data["offsets"][::-1]), "offsets do not rise")):
         _rewrite_npz(path, data, **changes)
-        with pytest.raises(DataError, match=f"matches.npz.*{message}"):
-            sfm_io.load_match_graph(path)
+        with pytest.raises(DataError, match=f"^{path}: .*{message}"):
+            sfm_io.load_global_points(path)
     flipped = bytearray(good)
     flipped[len(good) // 2] ^= 0xFF
     for damaged, message in ((good[: len(good) // 2], "BadZipFile"), (b"", "EOFError"),
                              (bytes(flipped), "Bad CRC-32")):
         path.write_bytes(damaged)
-        with pytest.raises(DataError, match=f"matches.npz: malformed artifact .*{message}"):
-            sfm_io.load_match_graph(path)
-    path = tmp_path / "points.npz"
-    sfm_io.save_global_points(path, _points_of_every_status())
-    with np.load(path) as archive:
-        data = dict(archive)
-    for changes, message in ((dict(status=data["status"] + 1), "status code is not in 0..3"),
-                             (dict(has_position=data["has_position"][:-1]), "malformed"),
-                             (dict(offsets=data["offsets"][::-1]), "offsets do not rise")):
-        _rewrite_npz(path, data, **changes)
-        with pytest.raises(DataError, match=f"points.npz.*{message}"):
+        with pytest.raises(DataError, match=f"^{path}: malformed artifact .*{message}"):
             sfm_io.load_global_points(path)
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps([1, 2]))

@@ -33,7 +33,7 @@ def small_run(tmp_path_factory):
 
 def test_full_run_produces_report(small_run):
     out, config, report = small_run
-    for name in ("matches.npz", "clusters.json", "tracks.json", "relative_motions.json",
+    for name in ("matches.json", "clusters.json", "tracks.json", "relative_motions.json",
                  "global_motion.json", "points.npz", "final_motion.json", "points.ply",
                  "cameras.ply", "ba_rounds.csv", "report.json"):
         assert (out / name).exists(), name
@@ -93,11 +93,11 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "run", "--output-dir", str(tmp_path), "--completeness-ratio", "1.5",
     ])
     assert code == 2
-    assert not (tmp_path / "matches.npz").exists()
+    assert not (tmp_path / "matches.json").exists()
     cfg = tmp_path / "removed.json"
     cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
-    assert not (tmp_path / "matches.npz").exists()
+    assert not (tmp_path / "matches.json").exists()
 
 
 def _assert_config_error(capsys, argv, message):
@@ -153,7 +153,7 @@ def _synth_small(out_dir):
 
 def test_cli_synth_and_status(tmp_path):
     _synth_small(tmp_path)
-    assert (tmp_path / "matches.npz").exists()
+    assert (tmp_path / "matches.json").exists()
     assert cli_main(["status", "--output-dir", str(tmp_path)]) == 0
 
 
@@ -163,8 +163,8 @@ def test_cli_config_file(tmp_path):
                                "pixel_sigma": 0.0, "seed": 3}))
     code = cli_main(["synth", "--output-dir", str(tmp_path / "o"), "--config", str(cfg)])
     assert code == 0
-    with np.load(tmp_path / "o" / "matches.npz") as data:
-        assert data["intrinsics"].shape == (8, 3)
+    data = json.loads((tmp_path / "o" / "matches.json").read_text())
+    assert len(data["intrinsics"]) == len(data["size"]) == 8
 
 
 def test_worker_count_does_not_change_artifacts(tmp_path):
@@ -177,7 +177,7 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
         run_pipeline(config)
         hashes[workers] = {
             name: file_hash(out / name)
-            for name in ("matches.npz", "clusters.json", "relative_motions.json", "global_motion.json",
+            for name in ("matches.json", "clusters.json", "relative_motions.json", "global_motion.json",
                          "points.npz", "final_motion.json", "final_points.npz", "report.json")
         }
     assert hashes[1] == hashes[3]
@@ -197,20 +197,19 @@ def test_stage_error_keeps_exception_object(tmp_path):
 
 
 def test_cli_malformed_artifact_exit_code(tmp_path, capsys):
-    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3  # no matches.npz yet
+    assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3  # no matches.json yet
     _synth_small(tmp_path)
-    path = tmp_path / "matches.npz"
-    with np.load(path) as archive:
-        data = {k: archive[k] for k in archive.files if k != "intrinsics"}
-    with open(path, "wb") as fh:
-        np.savez(fh, **data)
+    path = tmp_path / "matches.json"
+    data = json.loads(path.read_text())
+    del data["intrinsics"]
+    path.write_text(json.dumps(data))
     assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "intrinsics" in err
-    path.write_bytes(b"")  # an empty archive
+    path.write_bytes(b"")  # an empty match graph
     assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.strip()
-    assert err.startswith("data error:") and "matches.npz" in err and "\n" not in err
+    assert err.startswith("data error:") and "matches.json" in err and "\n" not in err
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -245,7 +244,7 @@ def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):
 def test_stage_error_names_stage(tmp_path):
     config = PipelineConfig(output_dir=str(tmp_path), **SMALL)
     run_pipeline(config, stages=["synth"])
-    (tmp_path / "matches.npz").write_text("{not json")
+    (tmp_path / "matches.json").write_text("{not json")
     with pytest.raises(Exception) as info:
         run_pipeline(config, stages=["cluster"])
     assert "stage 'cluster' failed" in str(info.value)

@@ -63,6 +63,11 @@ def test_build_camera_graph_direct_definition():
     assert g.num_cameras == 3
 
 
+def test_build_camera_graph_rejects_unknown_camera():
+    with pytest.raises(DataError, match=r"edge \(1, 3\) references an unknown camera"):
+        build_camera_graph([weighted_edge(0, 1, 5), weighted_edge(1, 3, 5)], 3)
+
+
 def test_build_camera_graph_empty_matches():
     g = build_camera_graph([], 2)
     assert g.num_cameras == 2 and len(g.edges) == 0
