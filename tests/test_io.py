@@ -206,7 +206,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         ("version", 1, "unsupported match-graph version 1"),
         ("intrinsics", data["intrinsics"][:-1], "malformed"),  # one camera without intrinsics
         ("feat", data["feat"][:-4], "malformed"),  # not a whole number of int64
-        ("xy", "*" + data["xy"][1:], "malformed"),  # outside the base64 alphabet
+        ("xy", data["xy"][:8] + "*" + data["xy"][8:], "malformed"),  # outside the base64 alphabet
         ("xy", [0.0, 1.0], "malformed"),  # a list where base64 is expected
         ("offsets", [offsets[0], offsets[2], offsets[1], *offsets[3:]], "offsets do not rise"),  # 1 and 2 swapped
         ("offsets", offsets[:-1] + [offsets[-1] - 1], "offsets do not rise"),  # ends before P
