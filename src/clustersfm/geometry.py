@@ -94,7 +94,6 @@ def ransac(
     confidence: float = 0.9999,
     max_iterations: int = 10000,
     sample_size: int | None = None,
-    local_optimize: bool = True,
 ):
     """Generic LO-RANSAC. fit_fn(indices) returns a model or None;
     residual_fn returns per-datum residuals.
@@ -112,8 +111,6 @@ def ransac(
         return None, None
 
     def optimized(model, mask):
-        if not local_optimize:
-            return model, mask
         current = model
         for factor in (4.0, 2.0, 1.0):
             inliers = residual_fn(current) < factor * threshold

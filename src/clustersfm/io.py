@@ -1,7 +1,8 @@
-"""File formats for every pipeline stage: the match graph as versioned
-JSON with its bulk arrays in base64, the global points as `.npz` archives
-of flat arrays plus offsets; ground truth, cluster sets, tracks, relative
-motions and global motion as JSON; PLY exports and the per-round cost log."""
+"""File formats for every pipeline stage: the match graph, tracks and local
+reconstructions as ragged tables (versioned JSON with their bulk arrays in
+base64), the global points as `.npz` archives of flat arrays plus offsets;
+ground truth, cluster sets, relative motions and global motion as JSON; PLY
+exports and the per-round cost log."""
 
 import base64
 import contextlib
@@ -24,7 +25,7 @@ from .local_sfm import LocalReconstruction, RelativeMotion
 from .scene import Camera, MatchEdge, Pose
 from .tracks import Track
 
-MATCH_GRAPH_VERSION = 2
+TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
 
 
 def _write(path, data: bytes) -> None:
@@ -51,7 +52,7 @@ def _load(path):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -86,13 +87,56 @@ def _flat(parts: list, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([empty, *parts]), np.cumsum([0] + [len(p) for p in parts], dtype=np.int64)
 
 
-def _spans(data: dict, count: int, total: int) -> list[tuple[int, int]]:
-    """The (start, stop) rows of each of `count` items, from offsets that
-    must rise from 0 to `total` rows."""
-    offsets = _array(data, "offsets", np.int64, count + 1)
+def _rising(offsets: np.ndarray, total: int) -> np.ndarray:
     if offsets[0] != 0 or offsets[-1] != total or np.any(np.diff(offsets) < 0):
         raise DataError(f"offsets do not rise from 0 to {total}")
-    return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    return offsets
+
+
+def _offsets(data: dict, count: int, total: int) -> np.ndarray:
+    """The (count + 1,) offsets of `count` items, which must rise from 0 to
+    `total` rows."""
+    return _rising(_array(data, "offsets", np.int64, count + 1), total)
+
+
+def _spans(offsets: np.ndarray):
+    """The (start, stop) rows of each item."""
+    return zip(offsets[:-1].tolist(), offsets[1:].tolist())
+
+
+def _save_table(path, offsets: np.ndarray, arrays: dict, **fields) -> None:
+    """Write a ragged table: a versioned JSON object of `fields` as they are,
+    the offsets of its items' rows and each of `arrays` as a base64 string
+    of its little-endian int64 or float64 values."""
+    encoded = {k: base64.b64encode(a.astype("<i8" if a.dtype.kind in "iu" else "<f8").tobytes()).decode()
+               for k, a in arrays.items()}
+    _dump(path, {"version": TABLE_VERSION, "offsets": offsets.tolist(), **fields, **encoded})
+
+
+def _load_table(path, name: str) -> dict:
+    """A ragged table written by _save_table; an older format of `name`, a
+    bare list or an object of another version, is refused."""
+    data = _load(path)
+    if not isinstance(data, dict):
+        raise DataError(f"malformed artifact: not a version-{TABLE_VERSION} {name} object")
+    if data.get("version") != TABLE_VERSION:
+        raise DataError(f"unsupported {name} version {data.get('version')}")
+    return data
+
+
+def _decoded(data: dict, key: str, dtype, *shape) -> np.ndarray:
+    """data[key], the base64 of little-endian values of dtype, as a
+    read-only view of the given shape; a character outside the base64
+    alphabet or a byte count that does not fit is a ValueError."""
+    return np.frombuffer(base64.b64decode(data[key], validate=True), np.dtype(dtype).newbyteorder("<")).reshape(shape)
+
+
+def _check_ascending(cameras: np.ndarray, offsets: np.ndarray, track_ids: np.ndarray) -> None:
+    """Each item's cameras must rise strictly: a track sees a camera once."""
+    owner = np.repeat(np.arange(len(track_ids)), np.diff(offsets))
+    bad = np.flatnonzero((np.diff(cameras) <= 0) & (owner[1:] == owner[:-1]))
+    if len(bad):
+        raise DataError(f"track {track_ids[owner[bad[0]]]}: cameras are not strictly ascending")
 
 
 def _checked(load):
@@ -124,32 +168,37 @@ def file_hash(path) -> str:
 def save_match_graph(path, cameras: list[Camera], matches: list[MatchEdge]) -> None:
     feat, offsets = _flat([np.column_stack([e.feat_i, e.feat_j]) for e in matches], np.zeros((0, 2), np.int64))
     xy, _ = _flat([np.hstack([e.xy_i, e.xy_j]) for e in matches], np.zeros((0, 4)))
-    _dump(path, {"version": MATCH_GRAPH_VERSION, "intrinsics": [[c.focal, c.cx, c.cy] for c in cameras],
-                 "size": [[c.width, c.height] for c in cameras], "edges": [[int(e.i), int(e.j)] for e in matches],
-                 "offsets": offsets.tolist(), "feat": base64.b64encode(feat.astype("<i8").tobytes()).decode(),
-                 "xy": base64.b64encode(xy.astype("<f8").tobytes()).decode()})
+    _save_table(path, offsets, {"feat": feat, "xy": xy}, intrinsics=[[c.focal, c.cx, c.cy] for c in cameras],
+                size=[[c.width, c.height] for c in cameras], edges=[[int(e.i), int(e.j)] for e in matches])
+
+
+def _cameras(data: dict) -> list[Camera]:
+    intrinsics = _array(data, "intrinsics", float, -1, 3)
+    size = _array(data, "size", np.int64, len(intrinsics), 2)
+    return [
+        Camera(id=k, focal=f, cx=cx, cy=cy, width=w, height=h)
+        for k, ((f, cx, cy), (w, h)) in enumerate(zip(intrinsics.tolist(), size.tolist()))
+    ]
+
+
+@_checked
+def load_cameras(path) -> list[Camera]:
+    """The cameras of a match graph, without building its edges."""
+    return _cameras(_load_table(path, "match-graph"))
 
 
 @_checked
 def load_match_graph(path) -> tuple[list[Camera], list[MatchEdge]]:
-    data = _load(path)
-    if data.get("version") != MATCH_GRAPH_VERSION:
-        raise DataError(f"unsupported match-graph version {data.get('version')}")
-    intrinsics = _array(data, "intrinsics", float, -1, 3)
-    size = _array(data, "size", np.int64, len(intrinsics), 2)
-    cameras = [
-        Camera(id=k, focal=f, cx=cx, cy=cy, width=w, height=h)
-        for k, ((f, cx, cy), (w, h)) in enumerate(zip(intrinsics.tolist(), size.tolist()))
-    ]
+    data = _load_table(path, "match-graph")
+    cameras = _cameras(data)
     edges = _array(data, "edges", np.int64, -1, 2)
-    # validate: a character outside the base64 alphabet is a ValueError
-    feat = np.frombuffer(base64.b64decode(data["feat"], validate=True), "<i8").reshape(-1, 2)
-    xy = np.frombuffer(base64.b64decode(data["xy"], validate=True), "<f8").reshape(len(feat), 4)
+    feat = _decoded(data, "feat", np.int64, -1, 2)
+    xy = _decoded(data, "xy", float, len(feat), 4)
     if np.any((edges < 0) | (edges >= len(cameras))):
         raise DataError(f"an edge camera is not in 0..{len(cameras) - 1}")
     matches = [
         MatchEdge(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
-        for (i, j), (a, b) in zip(edges.tolist(), _spans(data, len(edges), len(feat)))
+        for (i, j), (a, b) in zip(edges.tolist(), _spans(_offsets(data, len(edges), len(feat))))
     ]
     return cameras, matches
 
@@ -249,88 +298,90 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
 # ---------------------------------------------------------------------------
 
 def save_tracks(path, tracks: list[Track]) -> None:
-    payload = [
-        {
-            "id": int(t.id),
-            "elements": [
-                [int(c), int(f), float(x), float(y)]
-                for c, f, (x, y) in zip(t.cameras, t.features, t.xy)
-            ],
-        }
-        for t in tracks
-    ]
-    _dump(path, payload)
+    cameras, offsets = _flat([t.cameras for t in tracks], np.zeros(0, np.int64))
+    features, _ = _flat([t.features for t in tracks], np.zeros(0, np.int64))
+    xy, _ = _flat([t.xy for t in tracks], np.zeros((0, 2)))
+    track = np.array([t.id for t in tracks], dtype=np.int64)
+    _save_table(path, offsets, {"track": track, "cameras": cameras, "features": features, "xy": xy})
 
 
 @_checked
 def load_tracks(path) -> list[Track]:
-    data = _load(path)
-    tracks = []
-    for rec in data:
-        el = np.asarray(rec["elements"], dtype=float).reshape(-1, 4)
-        if np.any(np.diff(el[:, 0]) <= 0):
-            raise DataError(f"track {rec['id']}: cameras are not strictly ascending")
-        tracks.append(
-            Track(
-                id=int(rec["id"]),
-                cameras=el[:, 0].astype(np.int64),
-                features=el[:, 1].astype(np.int64),
-                xy=el[:, 2:4],
-            )
-        )
-    return tracks
+    data = _load_table(path, "tracks")
+    track = _decoded(data, "track", np.int64, -1)
+    cameras = _decoded(data, "cameras", np.int64, -1)
+    features = _decoded(data, "features", np.int64, len(cameras))
+    xy = _decoded(data, "xy", float, len(cameras), 2)
+    offsets = _offsets(data, len(track), len(cameras))
+    _check_ascending(cameras, offsets, track)
+    return [
+        Track(id=t, cameras=cameras[a:b], features=features[a:b], xy=xy[a:b])
+        for t, (a, b) in zip(track.tolist(), _spans(offsets))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Local reconstructions and relative motions
 # ---------------------------------------------------------------------------
 
+def _rows_per_point(rec: LocalReconstruction) -> np.ndarray:
+    """The inlier row count of each point; the rows must come grouped by
+    track in point order, so that offsets over the points describe them."""
+    tracks = rec.obs_tracks
+    first = np.flatnonzero(np.diff(tracks, prepend=tracks[:1] - 1))
+    if not np.array_equal(tracks[first], rec.point_tracks):
+        raise ValueError(f"cluster {rec.cluster_id}: the inlier rows are not grouped by the points' tracks")
+    return np.diff(np.append(first, len(tracks)))
+
+
 def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
-    payload = []
-    for rec in recs:
-        payload.append(
-            {
-                "clusterId": rec.cluster_id,
-                "failed": rec.failed,
-                "seedPair": list(rec.seed_pair) if rec.seed_pair else None,
-                "meanReprojection": rec.mean_reprojection if np.isfinite(rec.mean_reprojection) else None,
-                "cameras": [
-                    {
-                        "id": int(c),
-                        "rotation": np.asarray(rec.rotations[c]).ravel().tolist(),
-                        "center": np.asarray(rec.centers[c]).tolist(),
-                    }
-                    for c in sorted(rec.rotations)
-                ],
-                "points": [
-                    {
-                        "trackId": int(t),
-                        "position": np.asarray(rec.points[t]).tolist(),
-                        "observations": [[int(c), float(x), float(y)] for (c, x, y) in rec.observations[t]],
-                    }
-                    for t in sorted(rec.points)
-                ],
-            }
-        )
-    _dump(path, payload)
+    """One ragged table of every cluster's points, in cluster order, with
+    each point's inlier rows; the clusters' poses are flat arrays too."""
+    ints = np.zeros(0, np.int64)
+    counts, _ = _flat([_rows_per_point(r) for r in recs], ints)
+    arrays = {
+        "rotation": _flat([np.reshape([r.rotations[c] for c in r.registered], (-1, 3, 3)) for r in recs],
+                          np.zeros((0, 3, 3)))[0],
+        "center": _flat([np.reshape([r.centers[c] for c in r.registered], (-1, 3)) for r in recs], np.zeros((0, 3)))[0],
+        "track": _flat([r.point_tracks for r in recs], ints)[0],
+        "position": _flat([r.positions for r in recs], np.zeros((0, 3)))[0],
+        "cameras": _flat([r.obs_cameras for r in recs], ints)[0],
+        "xy": _flat([r.obs_xy for r in recs], np.zeros((0, 2)))[0],
+    }
+    clusters = [
+        {"clusterId": int(r.cluster_id), "failed": bool(r.failed),
+         "seedPair": [int(c) for c in r.seed_pair] if r.seed_pair else None,
+         "meanReprojection": r.mean_reprojection if np.isfinite(r.mean_reprojection) else None,
+         "registered": [int(c) for c in r.registered], "points": len(r.point_tracks)}
+        for r in recs
+    ]
+    _save_table(path, np.cumsum(np.append(0, counts)), arrays, clusters=clusters)
 
 
 @_checked
 def load_local_reconstructions(path) -> list[LocalReconstruction]:
-    data = _load(path)
+    data = _load_table(path, "local-reconstruction")
+    rotation = _decoded(data, "rotation", float, -1, 3, 3)
+    center = _decoded(data, "center", float, len(rotation), 3)
+    track = _decoded(data, "track", np.int64, -1)
+    position = _decoded(data, "position", float, len(track), 3)
+    cameras = _decoded(data, "cameras", np.int64, -1)
+    xy = _decoded(data, "xy", float, len(cameras), 2)
+    offsets = _offsets(data, len(track), len(cameras))
+    _check_ascending(cameras, offsets, track)
+    obs_tracks = np.repeat(track, np.diff(offsets))
+    clusters = data["clusters"]
+    poses = _rising(np.cumsum([0] + [len(c["registered"]) for c in clusters]), len(rotation))
+    points = _rising(np.cumsum([0] + [c["points"] for c in clusters]), len(track))
     out = []
-    for blob in data:
-        rec = LocalReconstruction(cluster_id=blob["clusterId"])
-        rec.failed = blob["failed"]
-        rec.seed_pair = tuple(blob["seedPair"]) if blob["seedPair"] else None
-        rec.mean_reprojection = blob["meanReprojection"] if blob["meanReprojection"] is not None else float("nan")
-        for cam in blob["cameras"]:
-            rec.rotations[cam["id"]] = np.asarray(cam["rotation"], dtype=float).reshape(3, 3)
-            rec.centers[cam["id"]] = np.asarray(cam["center"], dtype=float)
-        for pt in blob["points"]:
-            rec.points[pt["trackId"]] = np.asarray(pt["position"], dtype=float)
-            rec.observations[pt["trackId"]] = [(int(c), float(x), float(y)) for c, x, y in pt["observations"]]
-        out.append(rec)
+    for c, (a, b), (p, q) in zip(clusters, _spans(poses), _spans(points)):
+        rows = slice(offsets[p], offsets[q])
+        out.append(LocalReconstruction(
+            cluster_id=c["clusterId"], rotations=dict(zip(c["registered"], rotation[a:b])),
+            centers=dict(zip(c["registered"], center[a:b])), point_tracks=track[p:q], positions=position[p:q],
+            obs_tracks=obs_tracks[rows], obs_cameras=cameras[rows], obs_xy=xy[rows],
+            seed_pair=tuple(c["seedPair"]) if c["seedPair"] else None, failed=c["failed"],
+            mean_reprojection=float("nan") if c["meanReprojection"] is None else c["meanReprojection"]))
     return out
 
 
@@ -430,7 +481,7 @@ def load_global_points(path) -> list[GlobalPoint]:
         GlobalPoint(track_id=t, position=X if h else None, cluster_id=c, cameras=cameras[a:b], xy=xy[a:b],
                     status=STATUSES[s])
         for t, c, s, h, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), has_position.tolist(),
-                                         position, _spans(data, len(track), len(cameras)))
+                                         position, _spans(_offsets(data, len(track), len(cameras))))
     ]
 
 

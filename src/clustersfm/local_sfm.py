@@ -11,6 +11,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import ba_core
 from .clustering import Cluster
@@ -58,13 +59,21 @@ class SeedFailure(NumericalError):
 
 @dataclass
 class LocalReconstruction:
-    """One cluster's reconstruction in an arbitrary local frame and scale."""
+    """One cluster's reconstruction in an arbitrary local frame and scale.
+
+    Its points are track ids and positions; its inlier rows say camera
+    obs_cameras[r] sees track obs_tracks[r] at pixel obs_xy[r]. The rows are
+    grouped by track in point order, cameras ascending inside each track.
+    """
 
     cluster_id: int
     rotations: dict = field(default_factory=dict)  # camera id -> (3,3)
     centers: dict = field(default_factory=dict)  # camera id -> (3,)
-    points: dict = field(default_factory=dict)  # track id -> (3,)
-    observations: dict = field(default_factory=dict)  # track id -> [(cam, x, y)] inliers
+    point_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (p,)
+    positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (p, 3)
+    obs_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (r,)
+    obs_cameras: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (r,)
+    obs_xy: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))  # (r, 2)
     seed_pair: tuple | None = None
     failed: bool = False
     mean_reprojection: float = float("nan")
@@ -72,13 +81,6 @@ class LocalReconstruction:
     @property
     def registered(self) -> list[int]:
         return sorted(self.rotations)
-
-    def camera_point_index(self) -> dict[int, set]:
-        out: dict[int, set] = {}
-        for tid, obs in self.observations.items():
-            for cam, _x, _y in obs:
-                out.setdefault(cam, set()).add(tid)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,11 +548,11 @@ def run_local_sfm(
     rec.seed_pair = state.seed_pair
     rec.rotations = dict(state.rotations)
     rec.centers = dict(state.centers)
+    # an active track is exactly one with inlier rows
     active = np.flatnonzero(state.status == ACTIVE)
-    rec.points = dict(zip(ct.track_ids[active].tolist(), state.X[active]))
+    rec.point_tracks, rec.positions = ct.track_ids[active], state.X[active]
     rows = np.flatnonzero(state.joined >= 0)  # by track, cameras ascending
-    for t, c, (x, y) in zip(ct.track_ids[ct.track[rows]].tolist(), ct.cam[rows].tolist(), ct.xy[rows].tolist()):
-        rec.observations.setdefault(t, []).append((c, x, y))
+    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = ct.track_ids[ct.track[rows]], ct.cam[rows], ct.xy[rows]
     if len(rec.rotations) < 2:
         rec.failed = True
     return rec
@@ -559,16 +561,22 @@ def run_local_sfm(
 def extract_relative_motions(rec: LocalReconstruction, graph: CameraGraph) -> list[RelativeMotion]:
     """Relative motions for every graph edge with both endpoints registered
     in the cluster: R_ij = R_j R_i^T and t_ij = R_j (c_i - c_j), with the
-    support count equal to the shared inlier observations."""
+    support count equal to the tracks with inlier rows in both cameras."""
     if rec.failed or len(rec.rotations) < 2:
         return []
-    cam_points = rec.camera_point_index()
+    registered = rec.registered
+    # camera x track incidence of the inlier rows; its Gram matrix counts
+    # the tracks each pair of cameras shares
+    _, track = np.unique(rec.obs_tracks, return_inverse=True)
+    seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
+                      shape=(len(registered), track.max(initial=-1) + 1))
+    shared = (seen @ seen.T).toarray()
+    edges = graph.induced_edges(registered)
+    at = np.searchsorted(registered, np.reshape(edges, (-1, 2)))
     motions = []
-    registered = set(rec.rotations)
-    for (i, j) in graph.induced_edges(sorted(registered)):
+    for (i, j), support in zip(edges, shared[at[:, 0], at[:, 1]].tolist()):
         R_i, c_i = rec.rotations[i], rec.centers[i]
         R_j, c_j = rec.rotations[j], rec.centers[j]
-        support = len(cam_points.get(i, set()) & cam_points.get(j, set()))
         motions.append(
             RelativeMotion(
                 i=i,

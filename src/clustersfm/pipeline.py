@@ -310,35 +310,36 @@ def stage_average(config: PipelineConfig, out_dir) -> None:
 
 def validated_tracks(tracks, recs) -> list[Track]:
     """Tracks restricted to the observations the local reconstructions kept
-    as inliers; cameras validated in several clusters are deduplicated."""
-    by_id = {t.id: t for t in tracks}
-    merged: dict[int, dict[int, tuple]] = {}
-    for rec in recs:
-        for tid, obs in rec.observations.items():
-            store = merged.setdefault(tid, {})
-            for (cam, x, y) in obs:
-                store.setdefault(int(cam), (float(x), float(y)))
-    out = []
-    for tid in sorted(merged):
-        store = merged[tid]
-        if len(store) < 2 or tid not in by_id:
-            continue
-        src = by_id[tid]
-        feat_of = {int(c): int(f) for c, f in zip(src.cameras, src.features)}
-        cams = np.array(sorted(store), dtype=np.int64)
-        out.append(
-            Track(
-                id=tid,
-                cameras=cams,
-                features=np.array([feat_of.get(int(c), -1) for c in cams], dtype=np.int64),
-                xy=np.array([store[int(c)] for c in cams]),
-            )
-        )
-    return out
+    as inliers, by track id; of the rows of one camera on one track the
+    first in cluster order is kept. Tracks unknown to `tracks` or left with
+    fewer than 2 views are dropped."""
+    ints = np.zeros(0, dtype=np.int64)
+    track = np.concatenate([ints] + [r.obs_tracks for r in recs])
+    cam = np.concatenate([ints] + [r.obs_cameras for r in recs])
+    xy = np.concatenate([np.zeros((0, 2))] + [r.obs_xy for r in recs])
+    src_ids = np.array([t.id for t in tracks], dtype=np.int64)
+    src_cam = np.concatenate([ints] + [t.cameras for t in tracks])
+    src_feat = np.concatenate([ints] + [t.features for t in tracks])
+    # one sortable key per (track, camera)
+    stride = max(cam.max(initial=0), src_cam.max(initial=0)) + 1
+    src_key = np.repeat(src_ids, [len(t) for t in tracks]) * stride + src_cam
+    known = np.flatnonzero(np.isin(track, src_ids))
+    key, first = np.unique((track * stride + cam)[known], return_index=True)
+    rows = known[first]
+    by_key = np.argsort(src_key)
+    at = by_key[np.minimum(np.searchsorted(src_key, key, sorter=by_key), len(src_key) - 1)]
+    feat = np.where(src_key[at] == key, src_feat[at], -1)
+    cam, xy = cam[rows], xy[rows]
+    ids, starts, views = np.unique(track[rows], return_index=True, return_counts=True)
+    return [
+        Track(id=t, cameras=cam[a:a + n], features=feat[a:a + n], xy=xy[a:a + n])
+        for t, a, n in zip(ids.tolist(), starts.tolist(), views.tolist())
+        if n >= 2
+    ]
 
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
-    cameras, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
@@ -348,7 +349,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_ba(config: PipelineConfig, out_dir) -> None:
-    cameras, _ = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
+    cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     points = sfm_io.load_global_points(Path(out_dir) / "points.npz")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")

@@ -145,10 +145,6 @@ class CameraGraph:
         key = (i, j) if i < j else (j, i)
         return self.edges[key].weight
 
-    def edge(self, i: int, j: int) -> MatchEdge:
-        key = (i, j) if i < j else (j, i)
-        return self.edges[key]
-
     @property
     def total_weight(self) -> int:
         return sum(e.weight for e in self.edges.values())

@@ -1,5 +1,6 @@
 """Baseline that glues disjoint cluster reconstructions with chained
-similarity transforms estimated from their shared 3D tracks.
+similarity transforms estimated from their shared 3D tracks; the ablation of
+acceptance criterion 7.
 
 This is the exclusive-cluster merging strategy the interdependent-cluster
 pipeline is measured against: without overlap cameras, adjacent clusters
@@ -11,9 +12,9 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError
-from .evaluation import align_similarity
-from .local_sfm import LocalReconstruction
+from clustersfm.errors import NumericalError
+from clustersfm.evaluation import align_similarity
+from clustersfm.local_sfm import LocalReconstruction
 
 logger = logging.getLogger(__name__)
 
@@ -24,9 +25,9 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     """Chain per-cluster similarities over a maximum-common-track spanning
     tree rooted at the lowest cluster id.
 
-    Returns (rotations, centers, points) in the root cluster's frame;
-    clusters without enough common tracks to reach the root are dropped
-    with a warning.
+    Returns (rotations, centers) in the root cluster's frame; clusters
+    without enough common tracks to reach the root are dropped with a
+    warning.
     """
     recs = [r for r in reconstructions if not r.failed and len(r.rotations) >= 2]
     if not recs:
@@ -37,11 +38,10 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     edges = []
     for a in range(len(recs)):
         for b in range(a + 1, len(recs)):
-            common = sorted(set(recs[a].points) & set(recs[b].points))
+            common, in_a, in_b = np.intersect1d(recs[a].point_tracks, recs[b].point_tracks, return_indices=True)
             if len(common) < MIN_COMMON_TRACKS:
                 continue
-            pts_a = np.array([recs[a].points[t] for t in common])
-            pts_b = np.array([recs[b].points[t] for t in common])
+            pts_a, pts_b = recs[a].positions[in_a], recs[b].positions[in_b]
             try:
                 sim_ab = align_similarity(pts_b, pts_a)  # maps b frame -> a frame
                 sim_ba = align_similarity(pts_a, pts_b)
@@ -66,7 +66,7 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     if dropped:
         logger.warning("similarity merge dropped clusters %s (no common tracks)", dropped)
 
-    rotations, centers, points = {}, {}, {}
+    rotations, centers = {}, {}
     for k, rec in enumerate(recs):
         if k not in transform:
             continue
@@ -76,10 +76,7 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
                 continue  # first (lowest-id) cluster wins on duplicates
             rotations[cam] = rec.rotations[cam] @ Q.T
             centers[cam] = s * (Q @ rec.centers[cam]) + d
-        for t, X in rec.points.items():
-            if t not in points:
-                points[t] = s * (Q @ X) + d
-    return rotations, centers, points
+    return rotations, centers
 
 
 def _compose(outer, inner):

@@ -22,11 +22,11 @@ from clustersfm.io import file_hash, load_global_motion, load_global_points, loa
 from clustersfm.local_sfm import LocalSfMConfig, RelativeMotion, run_local_sfm
 from clustersfm.pipeline import PipelineConfig, run_pipeline
 from clustersfm.scene import build_camera_graph
-from clustersfm.similarity_merge import merge_by_similarity
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import parallel_map
 from conftest import geometric_graph
+from similarity_merge import merge_by_similarity
 from test_tracks import canonical, flat_union_find_oracle, random_instance
 
 
@@ -284,7 +284,7 @@ def test_criterion_7_loop_closure(loop_pipeline):
     recs = parallel_map(
         lambda cl: run_local_sfm(graph, cl, tracks, cameras, sfm_config), cs0.interdependent
     )
-    rot_m, cen_m, _ = merge_by_similarity(recs)
+    rot_m, cen_m = merge_by_similarity(recs)
     merged_epipolar = epipolar_error(rot_m, cen_m, cameras, matches)
 
     ok = (

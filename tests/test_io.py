@@ -11,6 +11,7 @@ from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction, RelativeMotion
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
+from clustersfm.tracks import Track
 from conftest import geometric_graph
 
 
@@ -46,6 +47,10 @@ def test_saves_are_byte_identical(tmp_path):
     sfm_io.save_global_points(tmp_path / "a.npz", points)
     sfm_io.save_global_points(tmp_path / "b.npz", points)
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    for save, value in ((sfm_io.save_tracks, _tracks()), (sfm_io.save_local_reconstructions, _local_reconstructions())):
+        save(tmp_path / "a.json", value)
+        save(tmp_path / "b.json", value)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_ground_truth_roundtrip(tmp_path):
@@ -104,19 +109,60 @@ def test_relative_motions_roundtrip(tmp_path):
     assert np.allclose(loaded[0].rotation, motions[0].rotation)
 
 
+def _local_reconstructions():
+    """A reconstructed cluster, a failed one and one with poses but no tracks."""
+    rng = np.random.default_rng(4)
+    from clustersfm.geometry import random_rotation
+
+    rec = LocalReconstruction(cluster_id=3, seed_pair=(0, 4), mean_reprojection=1 / 3)
+    rec.rotations = {c: random_rotation(rng) for c in (4, 0, 7)}
+    rec.centers = {c: rng.normal(size=3) for c in (0, 4, 7)}
+    rec.point_tracks, rec.positions = np.array([9, 5, 12]), rng.normal(size=(3, 3))
+    rec.obs_tracks, rec.obs_cameras = np.array([9, 9, 5, 5, 5, 12, 12]), np.array([0, 7, 0, 4, 7, 4, 7])
+    rec.obs_xy = rng.normal(size=(7, 2)) * 1e3
+    empty = LocalReconstruction(cluster_id=5, seed_pair=(2, 3))
+    empty.rotations, empty.centers = {2: np.eye(3), 3: np.eye(3)}, {2: np.zeros(3), 3: np.array([1e-300, 0, -0.0])}
+    return [rec, LocalReconstruction(cluster_id=4, failed=True), empty]
+
+
 def test_local_reconstructions_roundtrip(tmp_path):
-    rec = LocalReconstruction(cluster_id=3)
-    rec.rotations = {0: np.eye(3)}
-    rec.centers = {0: np.array([1.0, 2.0, 3.0])}
-    rec.points = {5: np.array([0.0, 0.0, 1.0])}
-    rec.observations = {5: [(0, 10.0, 20.0)]}
-    rec.seed_pair = (0, 1)
     path = tmp_path / "recs.json"
-    sfm_io.save_local_reconstructions(path, [rec])
-    loaded = sfm_io.load_local_reconstructions(path)[0]
-    assert loaded.cluster_id == 3 and loaded.seed_pair == (0, 1)
-    assert np.allclose(loaded.points[5], [0, 0, 1])
-    assert loaded.observations[5] == [(0, 10.0, 20.0)]
+    for recs in (_local_reconstructions(), []):
+        sfm_io.save_local_reconstructions(path, recs)
+        assert json.loads(path.read_text())["version"] == 2
+        loaded = sfm_io.load_local_reconstructions(path)
+        assert len(loaded) == len(recs)
+        for a, b in zip(recs, loaded):
+            assert (a.cluster_id, a.seed_pair, a.failed) == (b.cluster_id, b.seed_pair, b.failed)
+            assert a.registered == b.registered and type(b.cluster_id) is int
+            assert np.array_equal(a.mean_reprojection, b.mean_reprojection, equal_nan=True)  # NaN if failed
+            for c in a.registered:
+                assert np.array_equal(a.rotations[c], b.rotations[c]) and np.array_equal(a.centers[c], b.centers[c])
+            for name in ("point_tracks", "positions", "obs_tracks", "obs_cameras", "obs_xy"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                assert getattr(b, name).shape == getattr(a, name).shape, name
+                assert getattr(b, name).dtype == (np.int64 if name in ("point_tracks", "obs_tracks", "obs_cameras")
+                                                  else np.float64), name
+
+
+def _tracks():
+    return [
+        Track(id=0, cameras=np.array([0, 3]), features=np.array([7, 2]), xy=np.array([[1.5, 2.5], [-3.0, 1e-300]])),
+        Track(id=4, cameras=np.array([1, 2, 5]), features=np.array([0, 0, 9]), xy=np.arange(6.0).reshape(3, 2) / 7),
+    ]
+
+
+def test_tracks_roundtrip_exact(tmp_path):
+    path = tmp_path / "tracks.json"
+    for tracks in (_tracks(), []):
+        sfm_io.save_tracks(path, tracks)
+        loaded = sfm_io.load_tracks(path)
+        assert [t.id for t in loaded] == [t.id for t in tracks]
+        assert all(type(t.id) is int for t in loaded)
+        for a, b in zip(tracks, loaded):
+            for name in ("cameras", "features", "xy"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)) and getattr(b, name).shape == getattr(a, name).shape
+            assert b.cameras.dtype == b.features.dtype == np.int64 and b.xy.dtype == np.float64
 
 
 def test_global_motion_and_points_roundtrip(tmp_path):
@@ -249,12 +295,53 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         sfm_io.load_tracks(path)
     with pytest.raises(DataError, match="cannot read"):
         sfm_io.load_tracks(tmp_path)  # a directory
-    for elements in ([[3, 1, 0.0, 0.0], [1, 2, 0.0, 0.0]],  # unsorted cameras
-                     [[1, 1, 0.0, 0.0], [3, 2, 0.0, 0.0], [3, 5, 0.0, 0.0]]):  # a repeated camera
-        path.write_text(json.dumps([{"id": 0, "elements": [[0, 0, 0.0, 0.0], [1, 0, 0.0, 0.0]]},
-                                    {"id": 4, "elements": elements}]))
+    for cameras in ([3, 1], [1, 3, 3]):  # unsorted, and a repeated camera
+        bad = Track(id=4, cameras=np.array(cameras), features=np.zeros(len(cameras), np.int64),
+                    xy=np.zeros((len(cameras), 2)))
+        sfm_io.save_tracks(path, [*_tracks()[:1], bad])
         with pytest.raises(DataError, match="track 4: cameras are not strictly ascending"):
             sfm_io.load_tracks(path)
+    recs = _local_reconstructions()
+    recs[0].obs_cameras = np.array([0, 7, 0, 7, 4, 4, 7])  # the rows of track 5 are unsorted
+    sfm_io.save_local_reconstructions(path, recs)
+    with pytest.raises(DataError, match=f"^{path}: track 5: cameras are not strictly ascending"):
+        sfm_io.load_local_reconstructions(path)
+    recs[0].obs_tracks = np.array([9, 5, 9, 5, 5, 12, 12])
+    with pytest.raises(ValueError, match="cluster 3: the inlier rows are not grouped by the points' tracks"):
+        sfm_io.save_local_reconstructions(path, recs)
+    nested = {  # the formats of earlier releases
+        "tracks": [{"id": 0, "elements": [[0, 0, 0.0, 0.0], [1, 0, 0.0, 0.0]]}],
+        "local-reconstruction": [{"clusterId": 0, "failed": False, "seedPair": [0, 1], "meanReprojection": 0.5,
+                                  "cameras": [{"id": 0, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "center": [0, 0, 0]}],
+                                  "points": [{"trackId": 0, "position": [0, 0, 1], "observations": [[0, 1.0, 2.0]]}]}],
+    }
+    for save, value, load, name in (
+        (sfm_io.save_tracks, _tracks(), sfm_io.load_tracks, "tracks"),
+        (sfm_io.save_local_reconstructions, _local_reconstructions(), sfm_io.load_local_reconstructions,
+         "local-reconstruction"),
+    ):
+        path.write_text(json.dumps(nested[name]))
+        with pytest.raises(DataError, match=f"^{path}: malformed artifact: not a version-2 {name} object$"):
+            load(path)
+        save(path, value)
+        data = json.loads(path.read_text())
+        offsets = data["offsets"]
+        for key, change, message in (
+            ("version", 1, f"unsupported {name} version 1"),
+            ("xy", data["xy"][:-4], "malformed"),  # cut: not a whole number of float64
+            ("cameras", data["cameras"][:8] + "*" + data["cameras"][8:], "malformed"),  # outside the alphabet
+            ("offsets", [offsets[0], offsets[2], offsets[1], *offsets[3:]], "offsets do not rise"),
+            ("offsets", offsets[:-1] + [offsets[-1] + 1], "offsets do not rise"),  # ends after the last row
+            ("track", None, "track"),  # a missing key is named
+        ):
+            broken = {k: v for k, v in dict(data, **{key: change}).items() if v is not None}
+            path.write_text(json.dumps(broken))
+            with pytest.raises(DataError, match=f"^{path}: .*{message}"):
+                load(path)
+    data["clusters"][0]["points"] += 1  # the clusters claim one point more than the arrays hold
+    path.write_text(json.dumps(data))
+    with pytest.raises(DataError, match=f"^{path}: offsets do not rise from 0 to 3"):
+        sfm_io.load_local_reconstructions(path)
     sfm_io.save_ground_truth(path, scene.poses)
     data = json.loads(path.read_text())
     data[0]["cameraId"] = 1  # camera 0 would be left without a pose

@@ -269,8 +269,8 @@ def test_extract_relative_motions_identity_example():
     rec = LocalReconstruction(cluster_id=0)
     rec.rotations = {0: np.eye(3), 1: np.eye(3)}
     rec.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
-    rec.points = {0: np.zeros(3)}
-    rec.observations = {0: [(0, 0.0, 0.0), (1, 0.0, 0.0)]}
+    rec.point_tracks, rec.positions = np.array([0]), np.zeros((1, 3))
+    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2))
     from conftest import weighted_edge
 
     graph = build_camera_graph([weighted_edge(0, 1, 5)], 2)
@@ -293,12 +293,38 @@ def test_extract_relative_motions_similarity_gauge(orbit_run):
     moved = LocalReconstruction(cluster_id=0)
     moved.rotations = {c: rec.rotations[c] @ Q.T for c in rec.rotations}
     moved.centers = {c: s * (Q @ rec.centers[c]) + d for c in rec.centers}
-    moved.points = rec.points
-    moved.observations = rec.observations
+    moved.point_tracks, moved.positions = rec.point_tracks, rec.positions
+    moved.obs_tracks, moved.obs_cameras, moved.obs_xy = rec.obs_tracks, rec.obs_cameras, rec.obs_xy
     for m0, m1 in zip(base, extract_relative_motions(moved, graph)):
         # arccos cannot resolve equality below ~1.5e-8 rad
         assert rotation_angle(m0.rotation @ m1.rotation.T) < 1e-7
         assert np.abs(m1.translation - s * m0.translation).max() < 1e-6 * s
+
+
+def test_support_counts_shared_inlier_tracks(orbit_run):
+    scene, _, graph, _, rec = orbit_run
+    # reference: the set of tracks each camera keeps as inliers
+    tracks_of = {}
+    for t, c in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist()):
+        tracks_of.setdefault(c, set()).add(t)
+    motions = extract_relative_motions(rec, graph)
+    assert len(motions) == len(graph.induced_edges(rec.registered))
+    for m in motions:
+        assert m.support == len(tracks_of.get(m.i, set()) & tracks_of.get(m.j, set()))
+    assert sum(m.support > 0 for m in motions) > len(motions) // 2
+
+
+def test_run_local_sfm_inlier_rows_match_points(orbit_run):
+    _, _, _, tracks, rec = orbit_run
+    # each point's rows are contiguous, in point order, cameras ascending
+    first = np.flatnonzero(np.diff(rec.obs_tracks, prepend=-1))
+    assert np.array_equal(rec.obs_tracks[first], rec.point_tracks)
+    assert np.all(np.diff(np.append(first, len(rec.obs_tracks))) >= 2)
+    by_id = {t.id: t for t in tracks}
+    for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy):
+        k = by_id[t].cameras.tolist().index(c)
+        assert np.array_equal(by_id[t].xy[k], xy)
+    assert rec.positions.shape == (len(rec.point_tracks), 3) and rec.obs_xy.shape == (len(rec.obs_tracks), 2)
 
 
 def test_cross_cluster_consistency_noise_free(orbit_scene_small):

@@ -8,7 +8,10 @@ import pytest
 
 from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
-from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status
+from clustersfm.io import load_local_reconstructions, load_tracks
+from clustersfm.local_sfm import LocalReconstruction
+from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
+from clustersfm.tracks import Track
 
 
 SMALL = dict(
@@ -177,8 +180,9 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
         run_pipeline(config)
         hashes[workers] = {
             name: file_hash(out / name)
-            for name in ("matches.json", "clusters.json", "relative_motions.json", "global_motion.json",
-                         "points.npz", "final_motion.json", "final_points.npz", "report.json")
+            for name in ("matches.json", "clusters.json", "tracks.json", "local_reconstructions.json",
+                         "relative_motions.json", "global_motion.json", "points.npz", "final_motion.json",
+                         "final_points.npz", "report.json")
         }
     assert hashes[1] == hashes[3]
 
@@ -231,10 +235,11 @@ def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):
     _synth_small(tmp_path)
     manifest = tmp_path / "manifest.json"
     text = manifest.read_text()
-    for broken in (text[: len(text) // 2], "[]", json.dumps({"synth": {"inputs": 5}})):
-        manifest.write_text(broken)
+    for broken in (text[: len(text) // 2], "[]", json.dumps({"synth": {"inputs": 5}}), b"\xff\xfe"):
+        manifest.write_bytes(broken if isinstance(broken, bytes) else broken.encode())  # ff fe is not UTF-8
         assert cli_main(["status", "--output-dir", str(tmp_path)]) == 3
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert "manifest.json" in err and "\n" not in err
     # a stage fails before it writes anything
     assert cli_main(["cluster", "--output-dir", str(tmp_path)]) == 3
     assert not (tmp_path / "clusters.json").exists()
@@ -258,3 +263,54 @@ def test_cli_unwritable_artifact_exit_code(tmp_path, capsys):
     assert err.startswith("data error: stage 'cluster' failed:") and "clusters.json" in err
     assert "\n" not in err
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _validated_tracks_reference(tracks, recs):
+    """validated_tracks as a merge of per-track dicts: (id, cameras,
+    features, pixels) per track."""
+    by_id = {t.id: t for t in tracks}
+    merged = {}
+    for rec in recs:
+        for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy.tolist()):
+            merged.setdefault(t, {}).setdefault(c, xy)
+    out = []
+    for t in sorted(merged):
+        if len(merged[t]) < 2 or t not in by_id:
+            continue
+        feature_of = dict(zip(by_id[t].cameras.tolist(), by_id[t].features.tolist()))
+        cameras = sorted(merged[t])
+        out.append((t, cameras, [feature_of.get(c, -1) for c in cameras], [merged[t][c] for c in cameras]))
+    return out
+
+
+def _rec(cluster_id, tracks, cameras, xy):
+    return LocalReconstruction(cluster_id=cluster_id, obs_tracks=np.array(tracks), obs_cameras=np.array(cameras),
+                               obs_xy=np.array(xy, dtype=float))
+
+
+def test_validated_tracks_matches_dict_merge(small_run):
+    out, _, _ = small_run
+    tracks = load_tracks(out / "tracks.json")
+    recs = load_local_reconstructions(out / "local_reconstructions.json")
+    registered = [c for r in recs for c in r.registered]
+    assert len(set(registered)) < len(registered)  # the clusters overlap
+    made = [
+        Track(id=0, cameras=np.array([0, 1, 2]), features=np.array([10, 11, 12]), xy=np.zeros((3, 2))),
+        Track(id=1, cameras=np.array([1, 2]), features=np.array([20, 21]), xy=np.zeros((2, 2))),
+        Track(id=3, cameras=np.array([0, 4]), features=np.array([30, 31]), xy=np.zeros((2, 2))),
+    ]
+    made_recs = [
+        # track 7 is not in the tracks; camera 5 is not in track 1
+        _rec(0, [0, 0, 1, 1, 7, 7], [0, 1, 1, 5, 0, 1], [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [1, 1]]),
+        # camera 1 of track 0 again, with another pixel; track 3 keeps one view
+        _rec(1, [0, 0, 3], [1, 2, 4], [[-1, -1], [-2, -2], [5, 5]]),
+    ]
+    for tracks, recs in ((tracks, recs), (made, made_recs), (made, []), ([], made_recs)):
+        got = validated_tracks(tracks, recs)
+        assert [(t.id, t.cameras.tolist(), t.features.tolist(), t.xy.tolist()) for t in got] == \
+            _validated_tracks_reference(tracks, recs)
+        for t in got:
+            assert type(t.id) is int and t.cameras.dtype == t.features.dtype == np.int64
+            assert t.xy.dtype == np.float64 and t.xy.shape == (len(t), 2)
+    assert [(t.id, t.features.tolist(), t.xy.tolist()) for t in validated_tracks(made, made_recs)] == [
+        (0, [10, 11, 12], [[0, 1], [2, 3], [-2, -2]]), (1, [20, -1], [[4, 5], [6, 7]])]
