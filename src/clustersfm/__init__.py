@@ -18,7 +18,6 @@ from .clustering import (
     cluster_cameras,
     completeness_ratio,
     divide,
-    expand,
 )
 from .evaluation import ErrorReport, align_similarity, epipolar_error, pose_error_report
 from .global_ba import (

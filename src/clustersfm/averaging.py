@@ -123,7 +123,9 @@ def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
     if len(roots) > 1:
         logger.warning("rotation graph has %d connected components", len(roots))
 
-    rotations = _spanning_tree_init(roots, motions_by_pair)
+    tree = _spanning_tree_init(roots, motions_by_pair)
+    R = np.stack([tree[c] for c in cameras])
+    R_ij = np.stack([m.rotation for m in motions])
 
     # +1/-1 incidence of d_i - d_j over the free (non-root) cameras
     free = np.setdiff1d(np.arange(n), root_pos)
@@ -141,9 +143,7 @@ def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
 
     for iterations in range(1, ROTATION_MAX_ITERATIONS + 1):
         # residual r_e = log(R_j^T R_ij R_i) per measurement
-        residuals = np.empty((len(motions), 3))
-        for q, m in enumerate(motions):
-            residuals[q] = so3_log(rotations[m.j].T @ m.rotation @ rotations[m.i])
+        residuals = so3_log(R[rows_j].transpose(0, 2, 1) @ R_ij @ R[rows_i])
         norms = np.linalg.norm(residuals, axis=1)
         if norms.max() < ROTATION_UPDATE_TOL:
             break  # already consistent; avoid amplifying float noise
@@ -165,18 +165,15 @@ def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("rotation averaging system is singular")
         step = float(np.abs(delta).max()) if len(free) else 0.0
-        for k in free:
-            rotations[cameras[k]] = rotations[cameras[k]] @ so3_exp(delta[k])
+        R[free] = R[free] @ so3_exp(delta[free])
         if step < ROTATION_UPDATE_TOL:
             break
     else:
         logger.warning("rotation averaging stopped at its cap of %d iterations", iterations)
 
-    final_norms = np.empty(len(motions))
-    for q, m in enumerate(motions):
-        final_norms[q] = rotation_angle(rotations[m.j].T @ m.rotation @ rotations[m.i])
+    final_norms = rotation_angle(R[rows_j].transpose(0, 2, 1) @ R_ij @ R[rows_i])
     return RotationEstimate(
-        rotations=rotations,
+        rotations=dict(zip(cameras, R)),
         components=components,
         iterations=iterations,
         final_median_residual=float(np.median(final_norms)),

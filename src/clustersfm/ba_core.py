@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MIN_DEPTH
+from .geometry import MIN_DEPTH, so3_exp
 
 DEFAULT_MAX_ITERATIONS = 50
 DEFAULT_RELATIVE_TOL = 1e-10
@@ -147,15 +147,12 @@ def pack_parameters(problem: BAProblem) -> np.ndarray:
 
 def residual_vector_at(problem: BAProblem, params: np.ndarray) -> np.ndarray:
     """Flat residual vector at the given parameter vector (for FD checks)."""
-    from .geometry import so3_exp
-
     rotations, centers, points = problem.copy_state()
     cam_ids = np.flatnonzero(problem.free_cams)
-    for k, c in enumerate(cam_ids):
-        w = params[6 * k : 6 * k + 3]
-        rotations[c] = so3_exp(w) @ problem.rotations[c]
-        centers[c] = params[6 * k + 3 : 6 * k + 6]
     n_c = len(cam_ids)
+    cam_params = params[: 6 * n_c].reshape(n_c, 6)
+    rotations[cam_ids] = so3_exp(cam_params[:, :3]) @ problem.rotations[cam_ids]
+    centers[cam_ids] = cam_params[:, 3:]
     pt_ids = np.flatnonzero(problem.free_pts)
     points[pt_ids] = params[6 * n_c :].reshape(-1, 3)
     return residuals(problem, rotations, centers, points).ravel()
@@ -307,8 +304,6 @@ def lm_minimize(
     optional rescale_fn(rotations, centers, points) is applied after each
     accepted step to hold a gauge (it must leave the cost unchanged).
     """
-    from .geometry import so3_exp
-
     struct = _SchurStructure(problem)
     rotations, centers, points = problem.copy_state()
     r = residuals(problem, rotations, centers, points)
@@ -339,9 +334,8 @@ def lm_minimize(
                 lam *= 2.0
                 continue
             new_rot, new_cen, new_pts = rotations.copy(), centers.copy(), points.copy()
-            for k, c in enumerate(cam_ids):
-                new_rot[c] = so3_exp(d_cam[k, :3]) @ rotations[c]
-                new_cen[c] = centers[c] + d_cam[k, 3:]
+            new_rot[cam_ids] = so3_exp(d_cam[:, :3]) @ rotations[cam_ids]
+            new_cen[cam_ids] = centers[cam_ids] + d_cam[:, 3:]
             if len(pt_ids):
                 new_pts[pt_ids] = points[pt_ids] + d_pt
             new_r = residuals(problem, new_rot, new_cen, new_pts)

@@ -399,8 +399,8 @@ def _expand_in_place(
     completeness_threshold: float,
     seed: int,
 ) -> None:
-    """Shared expansion loop; mutates the family sets until no discarded edge
-    can add another camera.
+    """The expansion loop of cluster_cameras; mutates the family sets until
+    no discarded edge can add another camera.
 
     Edges are visited by descending weight (ties by ascending camera pair),
     repeatedly, so a needy cluster keeps absorbing boundary cameras until it
@@ -434,29 +434,6 @@ def _expand_in_place(
                     break
         if not changed:
             break
-
-
-def expand(
-    leaves: list[Cluster],
-    discarded: list,
-    completeness_threshold: float,
-    seed: int,
-) -> list[Cluster]:
-    """Grow disjoint leaf clusters by re-attaching discarded edges.
-
-    Exhausting the discarded edges before every cluster reaches the
-    threshold is reported by the caller, not fatal.
-    """
-    home_of = {}
-    for k, leaf in enumerate(leaves):
-        for c in leaf.cameras:
-            home_of[c] = k
-    families = [set(leaf.cameras) for leaf in leaves]
-    _expand_in_place(home_of, families, discarded, completeness_threshold, seed)
-    return [
-        Cluster(id=leaf.id, cameras=tuple(sorted(families[k])))
-        for k, leaf in enumerate(leaves)
-    ]
 
 
 # ---------------------------------------------------------------------------

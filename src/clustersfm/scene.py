@@ -128,6 +128,15 @@ class MatchEdge:
         if len(np.unique(self.feat_i)) != n or len(np.unique(self.feat_j)) != n:
             raise DataError(f"edge ({self.i}, {self.j}) repeats a feature index")
 
+    @classmethod
+    def unchecked(cls, **fields) -> "MatchEdge":
+        """An edge from arrays its caller has already checked as one table:
+        int64 features, (n, 2) float pixels, i < j, n >= 1 and no repeated
+        feature."""
+        edge = object.__new__(cls)
+        edge.__dict__.update(fields)
+        return edge
+
     @property
     def weight(self) -> int:
         return len(self.feat_i)

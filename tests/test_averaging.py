@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import factorized
+
 from clustersfm.averaging import (
+    ROTATION_IRLS_EPS,
+    ROTATION_MAX_ITERATIONS,
+    ROTATION_UPDATE_TOL,
     GlobalMotion,
+    _spanning_tree_init,
     build_translation_system,
     rotation_averaging,
     solve_translation_l1,
@@ -10,8 +17,9 @@ from clustersfm.averaging import (
 )
 from clustersfm.errors import NumericalError
 from clustersfm.evaluation import align_similarity
-from clustersfm.geometry import angle_between, random_rotation, rotation_angle
+from clustersfm.geometry import angle_between, random_rotation, rotation_angle, so3_exp, so3_log
 from clustersfm.local_sfm import RelativeMotion
+from clustersfm.utils import component_labels
 
 
 def motion(i, j, R, t, k=0, support=10):
@@ -97,6 +105,75 @@ def test_rotation_disconnected_components_reported():
     assert est.components == {0: 0, 1: 0, 3: 3, 4: 3, 5: 3}
     assert rotation_angle(est.rotations[0]) < 1e-12
     assert rotation_angle(est.rotations[3]) < 1e-12
+
+
+def _rotation_averaging_reference(motions):
+    """The IRLS of rotation_averaging one motion at a time: a dict of camera
+    rotations, one 3x3 product and one so3_log per motion, one so3_exp per
+    camera. Returns (rotations, iterations, final residuals)."""
+    cameras = sorted({m.i for m in motions} | {m.j for m in motions})
+    motions_by_pair = {}
+    for m in motions:
+        motions_by_pair.setdefault((m.i, m.j), []).append(m)
+    cam_pos = {c: k for k, c in enumerate(cameras)}
+    rows_i = np.array([cam_pos[m.i] for m in motions])
+    rows_j = np.array([cam_pos[m.j] for m in motions])
+    n = len(cameras)
+    _, root_pos = np.unique(component_labels(n, rows_i, rows_j), return_index=True)
+    rotations = _spanning_tree_init([cameras[k] for k in root_pos], motions_by_pair)
+    free = np.setdiff1d(np.arange(n), root_pos)
+    free_pos = -np.ones(n, dtype=np.int64)
+    free_pos[free] = np.arange(len(free))
+    cols = np.column_stack([free_pos[rows_i], free_pos[rows_j]]).ravel()
+    keep = cols >= 0
+    incidence = coo_matrix(
+        (np.tile([1.0, -1.0], len(motions))[keep],
+         (np.repeat(np.arange(len(motions)), 2)[keep], cols[keep])),
+        shape=(len(motions), len(free)),
+    ).tocsr()
+    entry_rows = np.repeat(np.arange(len(motions)), np.diff(incidence.indptr))
+    for iterations in range(1, ROTATION_MAX_ITERATIONS + 1):
+        residuals = np.empty((len(motions), 3))
+        for q, m in enumerate(motions):
+            residuals[q] = so3_log(rotations[m.j].T @ m.rotation @ rotations[m.i])
+        norms = np.linalg.norm(residuals, axis=1)
+        if norms.max() < ROTATION_UPDATE_TOL:
+            break
+        sqrt_w = np.sqrt(1.0 / np.maximum(norms, ROTATION_IRLS_EPS))
+        Asp = incidence.copy()
+        Asp.data *= sqrt_w[entry_rows]
+        rhs = -residuals * sqrt_w[:, None]
+        solve = factorized((Asp.T @ Asp).tocsc())
+        g = Asp.T @ rhs
+        delta = np.zeros((n, 3))
+        delta[free] = np.column_stack([solve(g[:, d]) for d in range(3)])
+        for k in free:
+            rotations[cameras[k]] = rotations[cameras[k]] @ so3_exp(delta[k])
+        if np.abs(delta).max() < ROTATION_UPDATE_TOL:
+            break
+    final = [rotation_angle(rotations[m.j].T @ m.rotation @ rotations[m.i]) for m in motions]
+    return rotations, iterations, final
+
+
+def test_rotation_averaging_matches_per_motion_reference_exactly():
+    rng = np.random.default_rng(12)
+    gt = {c: random_rotation(rng) for c in range(20)}
+    pairs = random_pair_graph(rng, 9, 24) + [(9 + i, 9 + j) for i, j in random_pair_graph(rng, 11, 30)]
+    motions = [motion(i, j, so3_exp(rng.normal(scale=0.02, size=3)) @ gt[j] @ gt[i].T, np.zeros(3),
+                      k=q % 3, support=int(rng.integers(5, 50)))
+               for q, (i, j) in enumerate(pairs)]
+    # a repeated pair from another cluster, and an outlier half a turn off
+    motions.append(motion(*pairs[3], random_rotation(rng), np.zeros(3), k=3))
+    i, j = pairs[-1]
+    motions.append(motion(i, j, so3_exp(np.array([0.0, 0.0, np.pi - 1e-3])) @ gt[j] @ gt[i].T, np.zeros(3)))
+    est = rotation_averaging(motions)
+    rotations, iterations, final = _rotation_averaging_reference(motions)
+    assert len(set(est.components.values())) == 2
+    assert 1 < est.iterations == iterations
+    assert sorted(est.rotations) == sorted(rotations)
+    for c, R in rotations.items():
+        assert np.array_equal(est.rotations[c], R)
+    assert est.final_median_residual == float(np.median(final))
 
 
 def test_translation_system_single_block():

@@ -4,11 +4,11 @@ import pytest
 from clustersfm.clustering import (
     Cluster,
     ClusterConfig,
+    _expand_in_place,
     bisect_normalized_cut,
     cluster_cameras,
     completeness_ratio,
     divide,
-    expand,
 )
 from clustersfm.errors import ConfigurationError
 from clustersfm.scene import build_camera_graph
@@ -72,6 +72,15 @@ def test_completeness_ratio_examples():
     c = Cluster(id=0, cameras=(1, 2))
     d = Cluster(id=1, cameras=(1, 2))
     assert completeness_ratio(c, [c, d]) == 1.0
+
+
+def expand(leaves, discarded, completeness_threshold, seed):
+    """Grow disjoint leaf clusters by re-attaching discarded edges, through
+    the expansion loop that cluster_cameras runs."""
+    home_of = {c: k for k, leaf in enumerate(leaves) for c in leaf.cameras}
+    families = [set(leaf.cameras) for leaf in leaves]
+    _expand_in_place(home_of, families, discarded, completeness_threshold, seed)
+    return [Cluster(id=leaf.id, cameras=tuple(sorted(families[k]))) for k, leaf in enumerate(leaves)]
 
 
 def test_expand_zero_threshold_is_identity():

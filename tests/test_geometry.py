@@ -51,6 +51,98 @@ def test_rotation_angle_and_projection():
     assert np.linalg.det(fixed) > 0
 
 
+def _skew_reference(v):
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _so3_exp_reference(w):
+    """One-vector Rodrigues map, the arithmetic every stacked row must get."""
+    theta = np.linalg.norm(w)
+    if theta < 1e-12:
+        W = _skew_reference(w)
+        return np.eye(3) + W + 0.5 * W @ W
+    W = _skew_reference(w / theta)
+    return np.eye(3) + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
+
+
+def _so3_log_reference(R):
+    """One-matrix logarithm with its three branches: small, near pi, generic."""
+    cos_theta = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if theta < 1e-10:
+        return w * 0.5
+    if np.pi - theta < 1e-6:
+        S = (R + R.T) * 0.5
+        aaT = (S - cos_theta * np.eye(3)) / max(1.0 - cos_theta, 1e-12)
+        k = int(np.argmax(np.diag(aaT)))
+        axis = aaT[:, k] / np.sqrt(max(aaT[k, k], 1e-15))
+        axis = axis / max(np.linalg.norm(axis), 1e-12)
+        if np.dot(w, axis) < 0.0:
+            axis = -axis
+        return axis * theta
+    return w * theta / (2.0 * np.sin(theta))
+
+
+def _so3_vectors(rng):
+    """Axis-angle vectors over every branch: random, tiny, zero, the band
+    below pi, and exactly pi."""
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([
+        rng.uniform(0.0, np.pi, 100),
+        rng.uniform(0.0, 1e-12, 50),
+        10.0 ** rng.uniform(-20, -10, 50),
+        np.zeros(50),
+        np.pi - rng.uniform(0.0, 1e-6, 100),
+        np.full(50, np.pi),
+    ])
+    return axes * angles[:, None]
+
+
+def test_stacked_so3_maps_match_one_matrix_reference_exactly():
+    rng = np.random.default_rng(30)
+    w = _so3_vectors(rng)
+    R = so3_exp(w)
+    assert R.shape == (len(w), 3, 3)
+    assert np.array_equal(R, np.array([_so3_exp_reference(v) for v in w]))
+    # rotations from the map, exact half-turns, and matrices off SO(3)
+    # whose trace leaves [-1, 3] and is clipped
+    half_turns = np.array([np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])])
+    noisy = R[:100] + rng.normal(scale=1e-3, size=(100, 3, 3))
+    mats = np.concatenate([R, half_turns, noisy, np.eye(3)[None]])
+    logs = so3_log(mats)
+    assert logs.shape == (len(mats), 3)
+    assert np.array_equal(logs, np.array([_so3_log_reference(M) for M in mats]))
+    angles = rotation_angle(mats)
+    assert angles.shape == (len(mats),)
+    assert np.array_equal(angles, [np.arccos(np.clip((np.trace(M) - 1.0) * 0.5, -1.0, 1.0)) for M in mats])
+    # every branch was exercised, with both axis signs near pi
+    theta = np.linalg.norm(logs, axis=1)
+    assert (theta < 1e-10).sum() > 100 and (np.pi - theta < 1e-6).sum() > 100
+    # (the near-pi axis is flipped onto the antisymmetric part when its
+    # largest component comes out negative)
+    near_pi = logs[np.pi - theta < 1e-6]
+    largest = near_pi[np.arange(len(near_pi)), np.argmax(np.abs(near_pi), axis=1)]
+    assert (largest < 0).any() and (largest > 0).any()
+
+
+def test_so3_maps_keep_the_one_matrix_shapes():
+    rng = np.random.default_rng(31)
+    w = _so3_vectors(rng)
+    for v in w[::7]:
+        R = so3_exp(v)
+        assert R.shape == (3, 3) and np.array_equal(R, _so3_exp_reference(v))
+        assert so3_log(R).shape == (3,) and np.array_equal(so3_log(R), _so3_log_reference(R))
+        assert type(rotation_angle(R)) is float
+    assert so3_exp(np.zeros((0, 3))).shape == (0, 3, 3)
+    assert so3_log(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert rotation_angle(np.zeros((0, 3, 3))).shape == (0,)
+    assert so3_exp(w.reshape(8, 50, 3)).shape == (8, 50, 3, 3)
+    assert np.array_equal(skew(w), np.array([_skew_reference(v) for v in w]))
+
+
 def two_view_setup(rng, n=60, outliers=0):
     R = so3_exp(np.array([0.05, -0.3, 0.1]))
     t = np.array([1.0, 0.2, -0.1])

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -245,6 +246,9 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     good = path.read_text()
     data = json.loads(good)
     offsets, edges = data["offsets"], data["edges"]
+    feat = np.frombuffer(base64.b64decode(data["feat"]), "<i8").reshape(-1, 2).copy()
+    feat[offsets[2] + 1, 1] = feat[offsets[2], 1]  # the third edge sees one feature of its j twice
+    (i2, j2), (i3, j3) = edges[2], edges[3]
     for key, value, message in (
         ("intrinsics", None, "intrinsics"),  # a missing key is named
         ("edges", [{"i": 0}], "malformed"),
@@ -257,6 +261,9 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         ("offsets", [offsets[0], offsets[2], offsets[1], *offsets[3:]], "offsets do not rise"),  # 1 and 2 swapped
         ("offsets", offsets[:-1] + [offsets[-1] - 1], "offsets do not rise"),  # ends before P
         ("offsets", [0, 0, *offsets[2:]], "edge \\(0, 1\\) has no correspondences"),  # an empty edge
+        ("feat", base64.b64encode(feat.tobytes()).decode(), f"edge \\({i2}, {j2}\\) repeats a feature index"),
+        ("edges", [*edges[:3], [j3, i3], *edges[4:]], f"match edge \\({j3}, {i3}\\) must have i < j"),
+        ("edges", [*edges[:3], [i3, i3], *edges[4:]], f"self match edge on camera {i3}"),
         ("edges", [[i, 6 if j == 5 else j] for i, j in edges], "edge camera is not in 0..5"),
     ):
         broken = {k: v for k, v in dict(data, **{key: value}).items() if v is not None}
