@@ -91,11 +91,6 @@ def align_similarity(estimated: np.ndarray, reference: np.ndarray):
     return s, R, t
 
 
-def _stacked(rotations, cams) -> np.ndarray:
-    """(len(cams), 3, 3) stack of rotations[c] for each camera c."""
-    return np.array([rotations[c] for c in cams]).reshape(-1, 3, 3)
-
-
 def _relative_translation(R_j, c_i, c_j):
     return R_j @ (c_i - c_j)
 
@@ -128,18 +123,16 @@ def pose_error_report(
 
     pairs = sorted({(min(i, j), max(i, j)) for (i, j) in measured_pairs
                     if i in rotations and j in rotations})
-    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    gt_R = [p.R for p in gt_poses]
-    Rij_est, Rij_gt = (
-        _stacked(Rs, second) @ _stacked(Rs, first).transpose(0, 2, 1) for Rs in (rotations, gt_R)
-    )
-    rot_errs = np.degrees(rotation_angle(Rij_est @ Rij_gt.transpose(0, 2, 1)))
-    dir_errs = []
+    rel_errs, dir_errs = [], []
     for (i, j) in pairs:
+        Rij_est = rotations[j] @ rotations[i].T
+        Rij_gt = gt_poses[j].R @ gt_poses[i].R.T
+        rel_errs.append(Rij_est @ Rij_gt.T)
         t_est = _relative_translation(rotations[j], centers[i], centers[j])
         t_gt = _relative_translation(gt_poses[j].R, gt_poses[i].c, gt_poses[j].c)
         if np.linalg.norm(t_est) > 1e-12 and np.linalg.norm(t_gt) > 1e-12:
             dir_errs.append(np.degrees(angle_between(t_est, t_gt)))
+    rot_errs = np.degrees(rotation_angle(np.reshape(rel_errs, (-1, 3, 3))))
     return ErrorReport(
         mean_position_error=float(residuals.mean()),
         median_position_error=float(np.median(residuals)),

@@ -196,25 +196,7 @@ def load_match_graph(path) -> tuple[list[Camera], list[MatchEdge]]:
     xy = _decoded(data, "xy", float, len(feat), 4)
     if np.any((edges < 0) | (edges >= len(cameras))):
         raise DataError(f"an edge camera is not in 0..{len(cameras) - 1}")
-    offsets = _offsets(data, len(edges), len(feat))
-    # the checks of MatchEdge, once over the whole table: i < j, at least
-    # one correspondence, and no feature index twice in one edge (sorted by
-    # edge, then feature, a repeat sits next to its twin)
-    owner = np.repeat(np.arange(len(edges)), np.diff(offsets))
-    faulty = (edges[:, 0] >= edges[:, 1]) | (offsets[1:] == offsets[:-1])
-    for column in feat.T:
-        order = np.lexsort((column, owner))
-        twin = (np.diff(owner[order]) == 0) & (np.diff(column[order]) == 0)
-        faulty[owner[order[1:][twin]]] = True
-
-    rows = [(i, j, a, b) for (i, j), (a, b) in zip(edges.tolist(), _spans(offsets))]
-
-    def edge(build, i, j, a, b):
-        return build(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
-
-    if faulty.any():
-        edge(MatchEdge, *rows[int(np.argmax(faulty))])  # its checks raise the DataError naming the edge
-    return cameras, [edge(MatchEdge.unchecked, *row) for row in rows]
+    return cameras, MatchEdge.from_table(edges, _offsets(data, len(edges), len(feat)), feat, xy)
 
 
 def save_ground_truth(path, poses: list[Pose]) -> None:

@@ -129,13 +129,37 @@ class MatchEdge:
             raise DataError(f"edge ({self.i}, {self.j}) repeats a feature index")
 
     @classmethod
-    def unchecked(cls, **fields) -> "MatchEdge":
-        """An edge from arrays its caller has already checked as one table:
-        int64 features, (n, 2) float pixels, i < j, n >= 1 and no repeated
-        feature."""
-        edge = object.__new__(cls)
-        edge.__dict__.update(fields)
-        return edge
+    def from_table(cls, edges, offsets, feat, xy) -> list["MatchEdge"]:
+        """Edges of one flat table: edge e = (i, j) is edges[e], with rows
+        offsets[e]:offsets[e + 1] of feat (P, 2) int64 and xy (P, 4) float.
+
+        The checks of __post_init__ run once over the whole table, and the
+        edges are built without repeating them: i < j, at least one
+        correspondence, and no feature index twice in one edge (sorted by
+        edge, then feature, a repeat sits next to its twin)."""
+        owner = np.repeat(np.arange(len(edges)), np.diff(offsets))
+        faulty = (edges[:, 0] >= edges[:, 1]) | (offsets[1:] == offsets[:-1])
+        for column in feat.T:
+            order = np.lexsort((column, owner))
+            twin = (np.diff(owner[order]) == 0) & (np.diff(column[order]) == 0)
+            faulty[owner[order[1:][twin]]] = True
+        spans = list(zip(edges.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()))
+
+        def fields(e):
+            (i, j), a, b = spans[e]
+            return dict(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
+
+        if faulty.any():
+            e = int(np.argmax(faulty))
+            cls(**fields(e))  # raises the DataError of __post_init__ naming the edge
+            raise DataError(f"edge {tuple(spans[e][0])} fails the match-table checks")
+
+        def unchecked(e):
+            edge = object.__new__(cls)
+            edge.__dict__.update(fields(e))
+            return edge
+
+        return [unchecked(e) for e in range(len(spans))]
 
     @property
     def weight(self) -> int:

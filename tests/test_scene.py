@@ -99,6 +99,31 @@ def test_edge_validation():
         MatchEdge(i=0, j=1, feat_i=f, xy_i=xy, feat_j=np.array([0, 1]), xy_j=xy)
 
 
+def test_match_table_builds_checked_edges_and_never_returns_a_flagged_one(monkeypatch):
+    from clustersfm.scene import MatchEdge
+
+    edges = np.array([[0, 1], [1, 3]])
+    offsets = np.array([0, 2, 5])
+    feat = np.array([[4, 7], [2, 9], [0, 1], [5, 2], [8, 3]])
+    xy = np.arange(20.0).reshape(5, 4)
+    built = MatchEdge.from_table(edges, offsets, feat, xy)
+    for edge, (i, j), a, b in zip(built, edges.tolist(), offsets[:-1], offsets[1:]):
+        ref = MatchEdge(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
+        assert (edge.i, edge.j) == (ref.i, ref.j)
+        for name in ("feat_i", "xy_i", "feat_j", "xy_j"):
+            assert np.array_equal(getattr(edge, name), getattr(ref, name))
+            assert getattr(edge, name).dtype == getattr(ref, name).dtype
+    repeated = feat.copy()
+    repeated[4, 1] = 2  # feature 2 of camera 3 twice in edge (1, 3)
+    with pytest.raises(DataError, match=r"edge \(1, 3\) repeats a feature index"):
+        MatchEdge.from_table(edges, offsets, repeated, xy)
+    # were the per-edge checks ever to accept what the table check flags,
+    # the table is still refused
+    monkeypatch.setattr(MatchEdge, "__post_init__", lambda self: None)
+    with pytest.raises(DataError, match=r"edge \(1, 3\) fails the match-table checks"):
+        MatchEdge.from_table(edges, offsets, repeated, xy)
+
+
 def test_isolated_cameras_kept_as_nodes():
     g = build_camera_graph([weighted_edge(0, 1, 5)], 4)
     assert g.num_cameras == 4
