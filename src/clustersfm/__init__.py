@@ -29,7 +29,6 @@ from .global_ba import (
 )
 from .local_sfm import (
     LocalReconstruction,
-    LocalSfMConfig,
     RelativeMotion,
     extract_relative_motions,
     run_local_sfm,

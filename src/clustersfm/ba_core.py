@@ -30,7 +30,7 @@ from .geometry import MIN_DEPTH, so3_exp
 
 DEFAULT_MAX_ITERATIONS = 50
 DEFAULT_RELATIVE_TOL = 1e-10
-DEFAULT_GRADIENT_TOL = 1e-12
+GRADIENT_TOL = 1e-12
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e12
 ASSEMBLY_BLOCK = 128  # free points per dense slab of the Schur assembly
@@ -128,53 +128,6 @@ def jacobian_blocks(problem: BAProblem, rotations=None, centers=None, points=Non
     J_cam = np.concatenate([J_rot, -AR], axis=2)
     J_pt = AR
     return J_cam, J_pt
-
-
-def pack_parameters(problem: BAProblem) -> np.ndarray:
-    """Parameter vector [w_c, c_c for free cams..., X_p for free points...].
-
-    Rotations enter as zero local increments around the current state.
-    """
-    n_c = int(problem.free_cams.sum())
-    n_p = int(problem.free_pts.sum())
-    params = np.zeros(6 * n_c + 3 * n_p)
-    params[6 * n_c :] = problem.points[problem.free_pts].ravel()
-    cam_ids = np.flatnonzero(problem.free_cams)
-    for k, c in enumerate(cam_ids):
-        params[6 * k + 3 : 6 * k + 6] = problem.centers[c]
-    return params
-
-
-def residual_vector_at(problem: BAProblem, params: np.ndarray) -> np.ndarray:
-    """Flat residual vector at the given parameter vector (for FD checks)."""
-    rotations, centers, points = problem.copy_state()
-    cam_ids = np.flatnonzero(problem.free_cams)
-    n_c = len(cam_ids)
-    cam_params = params[: 6 * n_c].reshape(n_c, 6)
-    rotations[cam_ids] = so3_exp(cam_params[:, :3]) @ problem.rotations[cam_ids]
-    centers[cam_ids] = cam_params[:, 3:]
-    pt_ids = np.flatnonzero(problem.free_pts)
-    points[pt_ids] = params[6 * n_c :].reshape(-1, 3)
-    return residuals(problem, rotations, centers, points).ravel()
-
-
-def jacobian_dense(problem: BAProblem) -> np.ndarray:
-    """Full analytic Jacobian (2M x (6 Cf + 3 Pf)) in pack_parameters order."""
-    J_cam, J_pt = jacobian_blocks(problem)
-    cam_ids = np.flatnonzero(problem.free_cams)
-    pt_ids = np.flatnonzero(problem.free_pts)
-    cpos = {c: k for k, c in enumerate(cam_ids)}
-    ppos = {p: k for k, p in enumerate(pt_ids)}
-    m = len(problem.cam_idx)
-    J = np.zeros((2 * m, 6 * len(cam_ids) + 3 * len(pt_ids)))
-    off = 6 * len(cam_ids)
-    for o in range(m):
-        c, p = problem.cam_idx[o], problem.pt_idx[o]
-        if c in cpos:
-            J[2 * o : 2 * o + 2, 6 * cpos[c] : 6 * cpos[c] + 6] = J_cam[o]
-        if p in ppos:
-            J[2 * o : 2 * o + 2, off + 3 * ppos[p] : off + 3 * ppos[p] + 3] = J_pt[o]
-    return J
 
 
 class _SchurStructure:
@@ -295,7 +248,6 @@ def lm_minimize(
     problem: BAProblem,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     relative_tol: float = DEFAULT_RELATIVE_TOL,
-    gradient_tol: float = DEFAULT_GRADIENT_TOL,
     rescale_fn=None,
 ) -> BAResult:
     """Minimize total squared reprojection error over the free blocks.
@@ -323,7 +275,7 @@ def lm_minimize(
     while not converged and iterations < max_iterations and np.isfinite(cost):
         normal = _normal_equations(struct, *jacobian_blocks(problem, rotations, centers, points), r)
         _, g_c, _, g_p, _ = normal
-        if max(np.abs(g_c).max(initial=0.0), np.abs(g_p).max(initial=0.0)) < gradient_tol:
+        if max(np.abs(g_c).max(initial=0.0), np.abs(g_p).max(initial=0.0)) < GRADIENT_TOL:
             converged = True
             break
         accepted = False

@@ -68,7 +68,6 @@ class ClusterTreeNode:
     cameras: tuple  # cameras covered by this node (home sets, no duplicates)
     left: "ClusterTreeNode | None" = None
     right: "ClusterTreeNode | None" = None
-    cut_edges: list = field(default_factory=list)  # edges separated at this split
     leaf_id: int | None = None
 
     @property
@@ -104,47 +103,6 @@ class ClusterTree:
     def assign_leaf_ids(self) -> None:
         for k, leaf in enumerate(self.leaves()):
             leaf.leaf_id = k
-
-    def assign_cut_edges(self, graph: CameraGraph) -> None:
-        """Attach every cross-leaf graph edge to the node where its endpoints
-        separate (deepest node containing both)."""
-        leaf_of = {}
-        for k, leaf in enumerate(self.leaves()):
-            for c in leaf.cameras:
-                leaf_of[c] = k
-
-        def clear(node):
-            node.cut_edges = []
-            if not node.is_leaf:
-                clear(node.left)
-                clear(node.right)
-
-        clear(self.root)
-        leaf_sets = {}
-
-        def leaf_range(node):
-            if node.is_leaf:
-                leaf_sets[id(node)] = {node.leaf_id if node.leaf_id is not None else -1}
-            else:
-                leaf_range(node.left)
-                leaf_range(node.right)
-                leaf_sets[id(node)] = leaf_sets[id(node.left)] | leaf_sets[id(node.right)]
-
-        self.assign_leaf_ids()
-        leaf_range(self.root)
-        for (i, j), edge in graph.edges.items():
-            li, lj = leaf_of.get(i), leaf_of.get(j)
-            if li is None or lj is None or li == lj:
-                continue
-            node = self.root
-            while True:
-                if li in leaf_sets[id(node.left)] and lj in leaf_sets[id(node.left)]:
-                    node = node.left
-                elif li in leaf_sets[id(node.right)] and lj in leaf_sets[id(node.right)]:
-                    node = node.right
-                else:
-                    node.cut_edges.append((i, j))
-                    break
 
 
 @dataclass
@@ -335,7 +293,6 @@ def divide(
     cams = tuple(sorted(cameras) if cameras is not None else range(graph.num_cameras))
     tree = ClusterTree(root=_split_tree(graph, cams, max_cluster_size))
     tree.assign_leaf_ids()
-    tree.assign_cut_edges(graph)
     leaves = [Cluster(id=k, cameras=leaf.cameras) for k, leaf in enumerate(tree.leaves())]
     leaf_of = {}
     for leaf in leaves:
@@ -522,7 +479,6 @@ def _replace_leaves(tree: ClusterTree, replacements: dict) -> None:
 
 def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
     tree.assign_leaf_ids()
-    tree.assign_cut_edges(graph)
     leaf_nodes = tree.leaves()
     by_home = {frozenset(h): set(f) for h, f in zip(homes, fulls)}
     independent, interdependent = [], []

@@ -7,6 +7,10 @@ import numpy as np
 # depth at or below which a point counts as behind a camera, in the
 # triangulation gate and in the bundle adjustment residuals
 MIN_DEPTH = 1e-12
+# the pipeline's one reprojection gate: a triangulated point is kept, and
+# an observation stays an inlier, only within this many pixels
+MAX_REPROJECTION_PX = 4.0
+RANSAC_CONFIDENCE = 0.9999
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +90,6 @@ def rotation_angle(R: np.ndarray) -> float | np.ndarray:
     return float(theta) if theta.ndim == 0 else theta
 
 
-def project_to_so3(M: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in Frobenius norm."""
-    U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return R
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return so3_exp(rng.normal(size=3) * rng.uniform(0.0, np.pi) / np.sqrt(3.0))
 
@@ -118,7 +113,6 @@ def ransac(
     residual_fn,
     threshold: float,
     rng: np.random.Generator,
-    confidence: float = 0.9999,
     max_iterations: int = 10000,
     sample_size: int | None = None,
 ):
@@ -172,7 +166,7 @@ def ransac(
             if denom >= -1e-15:
                 needed = max_iterations
             else:
-                needed = int(np.ceil(np.log(max(1.0 - confidence, 1e-15)) / denom))
+                needed = int(np.ceil(np.log(max(1.0 - RANSAC_CONFIDENCE, 1e-15)) / denom))
     if best_model is None:
         return None, None
     return best_model, best_mask
@@ -309,18 +303,16 @@ def reprojection_offsets(Ps: np.ndarray, xs: np.ndarray, X: np.ndarray) -> tuple
     return offsets, behind
 
 
-def triangulation_status(
-    Ps: np.ndarray, xs: np.ndarray, X: np.ndarray, finite: np.ndarray, max_reprojection_px: float
-) -> np.ndarray:
+def triangulation_status(Ps: np.ndarray, xs: np.ndarray, X: np.ndarray, finite: np.ndarray) -> np.ndarray:
     """The acceptance gate of triangulated points: "active" when a point
-    lies in front of every view and reprojects within max_reprojection_px
+    lies in front of every view and reprojects within MAX_REPROJECTION_PX
     of each observation. Otherwise the first failing view, in view order,
     names the reason: "cheirality" (behind the view; a point at infinity
     fails in its first view) or "reprojection". Arguments as for
     reprojection_offsets, plus the finite mask of triangulate_linear."""
     offsets, behind = reprojection_offsets(Ps, xs, X)
     behind |= ~finite[:, None]
-    failed = behind | (np.hypot(offsets[..., 0], offsets[..., 1]) > max_reprojection_px)
+    failed = behind | (np.hypot(offsets[..., 0], offsets[..., 1]) > MAX_REPROJECTION_PX)
     first = np.argmax(failed, axis=1)
     status = np.where(behind[np.arange(len(X)), first], "cheirality", "reprojection")
     return np.where(failed.any(axis=1), status, "active")

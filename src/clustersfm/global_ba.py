@@ -24,7 +24,6 @@ from .utils import parallel_map
 logger = logging.getLogger(__name__)
 
 MIN_GLOBAL_VIEWS = 3
-MAX_GLOBAL_REPROJECTION_PX = 4.0
 DEFAULT_ROUNDS = 10
 ROUND_RMS_TOL = 1e-6
 STATUSES = ("active", "too_few_views", "cheirality", "reprojection")
@@ -65,8 +64,6 @@ def triangulate_global(
     motion,
     cluster_set: ClusterSet,
     cameras: list[Camera],
-    min_views: int = MIN_GLOBAL_VIEWS,
-    max_reprojection_px: float = MAX_GLOBAL_REPROJECTION_PX,
 ) -> list[GlobalPoint]:
     """Triangulate every track against the averaged global poses.
 
@@ -87,14 +84,14 @@ def triangulate_global(
         counts = Counter(owner_of_camera[c] for c in cams if c in owner_of_camera)
         cluster_id = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
         out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "too_few_views"))
-        if len(sel) >= min_views:
+        if len(sel) >= MIN_GLOBAL_VIEWS:
             by_views.setdefault(len(sel), []).append(out[-1])
     # one DLT and one gate per posed-view count
     for group in by_views.values():
         Ps = np.array([[P_of[int(c)] for c in p.cameras] for p in group])
         xy = np.array([p.xy for p in group])
         X, finite = triangulate_linear(Ps, xy)
-        status = triangulation_status(Ps, xy, X, finite, max_reprojection_px)
+        status = triangulation_status(Ps, xy, X, finite)
         for p, X_p, s in zip(group, X, status):
             p.status = str(s)
             p.position = X_p if p.active else None
@@ -157,7 +154,6 @@ def distributed_bundle_adjust(
     cameras: list[Camera],
     rounds: int = DEFAULT_ROUNDS,
     inner_max_iterations: int = 50,
-    rms_tol: float = ROUND_RMS_TOL,
     workers: int | None = None,
 ):
     """Block-coordinate consensus bundle adjustment over the partitions.
@@ -282,7 +278,7 @@ def distributed_bundle_adjust(
             )
         cost, rms = cost_new, rms_new
         log.append(RoundLog(round=rnd, cost=cost, rms_px=rms))
-        if prev_rms - rms < rms_tol:
+        if prev_rms - rms < ROUND_RMS_TOL:
             break
         prev_rms = rms
 

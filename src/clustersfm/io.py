@@ -234,10 +234,7 @@ def load_ground_truth(path) -> list[Pose]:
 def _tree_to_json(node: ClusterTreeNode):
     if node.is_leaf:
         return {"leaf": node.leaf_id, "cameras": list(node.cameras)}
-    return {
-        "cutEdges": [[int(i), int(j)] for (i, j) in sorted(node.cut_edges)],
-        "children": [_tree_to_json(node.left), _tree_to_json(node.right)],
-    }
+    return {"children": [_tree_to_json(node.left), _tree_to_json(node.right)]}
 
 
 def _tree_from_json(data) -> ClusterTreeNode:
@@ -249,7 +246,6 @@ def _tree_from_json(data) -> ClusterTreeNode:
         cameras=tuple(sorted(left.cameras + right.cameras)),
         left=left,
         right=right,
-        cut_edges=[tuple(e) for e in data["cutEdges"]],
     )
 
 

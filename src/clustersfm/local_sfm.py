@@ -17,6 +17,7 @@ from . import ba_core
 from .clustering import Cluster
 from .errors import NumericalError
 from .geometry import (
+    MAX_REPROJECTION_PX,
     decompose_essential,
     eight_point_essential,
     projection_matrix,
@@ -34,23 +35,19 @@ from .utils import seeded_rng
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class LocalSfMConfig:
-    min_seed_correspondences: int = 16
-    seed_median_angle_deg: float = 2.0
-    ransac_threshold_px: float = 2.0
-    ransac_confidence: float = 0.9999
-    ransac_max_iterations: int = 10000
-    resection_min_visible: int = 12
-    resection_min_inliers: int = 12
-    resection_min_inlier_ratio: float = 0.3
-    resection_threshold_px: float = 4.0
-    triangulation_min_angle_deg: float = 1.0
-    max_reprojection_px: float = 4.0
-    ba_every: int = 5
-    ba_max_iterations: int = 50
-    intermediate_ba_max_iterations: int = 25
-    seed: int = 0
+# Fixed settings of the per-cluster reconstruction. Triangulated points,
+# the observations of a new camera and those kept after each bundle
+# adjustment all pass the one reprojection gate, geometry.MAX_REPROJECTION_PX.
+MIN_SEED_CORRESPONDENCES = 16
+SEED_MEDIAN_ANGLE_DEG = 2.0
+ESSENTIAL_THRESHOLD_PX = 2.0  # Sampson distance
+RESECTION_THRESHOLD_PX = 4.0
+RESECTION_MIN_INLIERS = 12  # also the active points a view needs in sight
+RESECTION_MIN_INLIER_RATIO = 0.3
+TRIANGULATION_MIN_ANGLE_DEG = 1.0
+BA_EVERY = 5  # registrations between intermediate bundle adjustments
+INTERMEDIATE_BA_MAX_ITERATIONS = 25
+INTERMEDIATE_BA_RELATIVE_TOL = 1e-8
 
 
 class SeedFailure(NumericalError):
@@ -150,7 +147,6 @@ def estimate_relative_pose(
     K_j: np.ndarray,
     xy_i: np.ndarray,
     xy_j: np.ndarray,
-    config: LocalSfMConfig,
     rng: np.random.Generator,
 ):
     """Essential-matrix relative pose with RANSAC on the Sampson distance.
@@ -174,10 +170,8 @@ def estimate_relative_pose(
         8,
         fit,
         residual,
-        config.ransac_threshold_px,
+        ESSENTIAL_THRESHOLD_PX,
         rng,
-        confidence=config.ransac_confidence,
-        max_iterations=config.ransac_max_iterations,
         sample_size=12,
     )
     if E is None or mask.sum() < 8:
@@ -186,7 +180,7 @@ def estimate_relative_pose(
     E_ref = eight_point_essential(rays_i[mask], rays_j[mask])
     if E_ref is not None:
         F = Kj_inv.T @ E_ref @ Ki_inv
-        mask_ref = sampson_distance(F, xy_i, xy_j) < config.ransac_threshold_px
+        mask_ref = sampson_distance(F, xy_i, xy_j) < ESSENTIAL_THRESHOLD_PX
         if mask_ref.sum() >= mask.sum():
             E, mask = E_ref, mask_ref
     pose = decompose_essential(E, rays_i[mask], rays_j[mask])
@@ -201,7 +195,6 @@ def estimate_seed_pair(
     cluster: Cluster,
     tracks: ClusterTracks,
     cameras: list[Camera],
-    config: LocalSfMConfig,
     rng: np.random.Generator,
 ):
     """Pick the strongest edge whose two-view geometry has enough parallax.
@@ -217,23 +210,21 @@ def estimate_seed_pair(
     )
     for (i, j) in candidates:
         rows = np.column_stack(tracks.shared_rows(i, j))
-        if len(rows) < config.min_seed_correspondences:
+        if len(rows) < MIN_SEED_CORRESPONDENCES:
             continue
         xy_i, xy_j = tracks.xy[rows[:, 0]], tracks.xy[rows[:, 1]]
-        est = estimate_relative_pose(
-            cameras[i].K, cameras[j].K, xy_i, xy_j, config, rng
-        )
+        est = estimate_relative_pose(cameras[i].K, cameras[j].K, xy_i, xy_j, rng)
         if est is None:
             continue
         R, t, mask = est
-        if mask.sum() < config.min_seed_correspondences:
+        if mask.sum() < MIN_SEED_CORRESPONDENCES:
             continue
         # gauge: camera i at the origin, unit baseline
         c_i, c_j = np.zeros(3), -R.T @ t
         poses = {i: (np.eye(3), c_i), j: (R, c_j)}
         Ps = np.array([projection_matrix(cameras[c].K, *poses[c]) for c in (i, j)])
-        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), tracks.xy[rows[mask]], config)
-        if ok.sum() >= 8 and np.median(parallax[ok]) >= config.seed_median_angle_deg:
+        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), tracks.xy[rows[mask]])
+        if ok.sum() >= 8 and np.median(parallax[ok]) >= SEED_MEDIAN_ANGLE_DEG:
             return (i, j), poses, rows[mask][ok], X[ok]
     raise SeedFailure("no seed pair with sufficient parallax")
 
@@ -242,7 +233,7 @@ def estimate_seed_pair(
 # Triangulation and resection against a partial reconstruction
 # ---------------------------------------------------------------------------
 
-def _triangulate(Ps, centers, xys, config: LocalSfMConfig):
+def _triangulate(Ps, centers, xys):
     """Triangulate n tracks seen in the same k views: Ps (k, 3, 4) and
     camera centers (k, 3) shared by every track, or (n, k, 3, 4) and
     (n, k, 3) per track; xys (n, k, 2) pixels.
@@ -252,19 +243,18 @@ def _triangulate(Ps, centers, xys, config: LocalSfMConfig):
     largest pairwise parallax angle in degrees.
     """
     X, finite = triangulate_linear(Ps, xys)
-    ok = triangulation_status(Ps, xys, X, finite, config.max_reprojection_px) == "active"
+    ok = triangulation_status(Ps, xys, X, finite) == "active"
     rays = centers - X[:, None, :]
     norms = np.linalg.norm(rays, axis=2)
     cosines = np.matmul(rays, np.swapaxes(rays, 1, 2)) / np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
     parallax = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0))).max(axis=(1, 2))
-    return X, ok & (parallax >= config.triangulation_min_angle_deg), parallax
+    return X, ok & (parallax >= TRIANGULATION_MIN_ANGLE_DEG), parallax
 
 
 def register_next_view(
     camera: Camera,
     points3d: np.ndarray,
     pixels: np.ndarray,
-    config: LocalSfMConfig,
     rng: np.random.Generator,
 ):
     """Absolute pose from 2D-3D correspondences: linear 6-point resection
@@ -273,7 +263,7 @@ def register_next_view(
     Returns (R, c, inlier_mask) or None if the view cannot be registered.
     """
     n = len(points3d)
-    if n < config.resection_min_visible:
+    if n < RESECTION_MIN_INLIERS:
         return None
     K = camera.K
     rays = _pixels_to_rays(K, pixels)
@@ -290,28 +280,27 @@ def register_next_view(
         6,
         fit,
         residual,
-        config.resection_threshold_px,
+        RESECTION_THRESHOLD_PX,
         rng,
-        confidence=config.ransac_confidence,
         max_iterations=1000,
     )
     if model is None:
         return None
     refit = resect_linear(points3d[mask], rays[mask])
     if refit is not None:
-        mask_ref = residual(refit) < config.resection_threshold_px
+        mask_ref = residual(refit) < RESECTION_THRESHOLD_PX
         if mask_ref.sum() >= mask.sum():
             model, mask = refit, mask_ref
     count = int(mask.sum())
-    if count < config.resection_min_inliers or count / n < config.resection_min_inlier_ratio:
+    if count < RESECTION_MIN_INLIERS or count / n < RESECTION_MIN_INLIER_RATIO:
         return None
     R, t = model
     c = -R.T @ t
     R, c = _refine_single_pose(camera, R, c, points3d[mask], pixels[mask])
     final_err = reprojection_residuals_pixels(R, -R @ c, K, points3d, pixels)
-    mask = final_err < config.resection_threshold_px
+    mask = final_err < RESECTION_THRESHOLD_PX
     count = int(mask.sum())
-    if count < config.resection_min_inliers or count / n < config.resection_min_inlier_ratio:
+    if count < RESECTION_MIN_INLIERS or count / n < RESECTION_MIN_INLIER_RATIO:
         return None
     return R, c, mask
 
@@ -350,11 +339,10 @@ class _SfMState:
     made the row an inlier, or -1 when it is not one.
     """
 
-    def __init__(self, cluster_id, tracks: ClusterTracks, cameras, config):
+    def __init__(self, cluster_id, tracks: ClusterTracks, cameras):
         self.cluster_id = cluster_id
         self.tracks = tracks
         self.cameras = cameras
-        self.config = config
         self.rotations: dict[int, np.ndarray] = {}
         self.centers: dict[int, np.ndarray] = {}
         self.X = np.zeros((len(tracks), 3))
@@ -385,7 +373,7 @@ class _SfMState:
         err = reprojection_residuals_pixels(
             R, -R @ c, self.cameras[cam].K, self.X[self.tracks.track[rows]], self.tracks.xy[rows]
         )
-        self.joined[rows[err <= self.config.max_reprojection_px]] = len(self.rotations) - 1
+        self.joined[rows[err <= MAX_REPROJECTION_PX]] = len(self.rotations) - 1
 
     def triangulate_new_tracks(self, cam: int):
         """Triangulate the new tracks through the freshly registered camera
@@ -405,13 +393,15 @@ class _SfMState:
         for k in np.unique(views):
             group = rows[views == k].reshape(-1, k)  # one track per line, cameras ascending
             views_k = at[views == k].reshape(-1, k)
-            X, ok, _ = _triangulate(Ps[views_k], centers[views_k], tr.xy[group], self.config)
+            X, ok, _ = _triangulate(Ps[views_k], centers[views_k], tr.xy[group])
             t = tr.track[group[ok, 0]]
             self.X[t] = X[ok]
             self.status[t] = ACTIVE
             self.joined[group[ok]] = len(self.rotations) - 1
 
-    def bundle_adjust(self, max_iterations=None, relative_tol=None) -> ba_core.BAResult:
+    def bundle_adjust(
+        self, max_iterations=ba_core.DEFAULT_MAX_ITERATIONS, relative_tol=ba_core.DEFAULT_RELATIVE_TOL
+    ) -> ba_core.BAResult:
         """Local BA over all registered cameras and active points; the seed
         camera is pinned and the seed baseline renormalized to hold the
         gauge. Afterwards observations beyond the reprojection threshold are
@@ -452,8 +442,8 @@ class _SfMState:
         )
         result = ba_core.lm_minimize(
             problem,
-            max_iterations=max_iterations or self.config.ba_max_iterations,
-            relative_tol=relative_tol or ba_core.DEFAULT_RELATIVE_TOL,
+            max_iterations=max_iterations,
+            relative_tol=relative_tol,
             rescale_fn=rescale,
         )
         if any(b > a + 1e-9 * max(a, 1.0) for a, b in zip(result.cost_trace, result.cost_trace[1:])):
@@ -464,7 +454,7 @@ class _SfMState:
         self.X[pts] = result.points
         # prune observations beyond the threshold (or non-finite), then
         # retire the points left with fewer than two
-        self.joined[rows[~(result.residual_norms <= self.config.max_reprojection_px)]] = -1
+        self.joined[rows[~(result.residual_norms <= MAX_REPROJECTION_PX)]] = -1
         starved = np.bincount(tr.track[self.joined >= 0], minlength=len(tr)) < 2
         self.status[starved & (self.status == ACTIVE)] = DEAD
         self.joined[(self.status == DEAD)[tr.track]] = -1
@@ -476,22 +466,21 @@ def run_local_sfm(
     cluster: Cluster,
     tracks: list[Track],
     cameras: list[Camera],
-    config: LocalSfMConfig | None = None,
+    seed: int,
 ) -> LocalReconstruction:
     """Incremental SfM over one interdependent cluster.
 
-    Deterministic for a fixed config seed: the cluster RNG is derived by
+    Deterministic for a fixed seed: the cluster RNG is derived from it by
     stable hashing, so worker scheduling cannot change results. A cluster
     whose seed pair cannot be established is returned marked failed.
     """
-    config = config or LocalSfMConfig()
     ct = ClusterTracks(cluster.cameras, tracks)
-    rng = seeded_rng(config.seed, "local_sfm", cluster.id)
+    rng = seeded_rng(seed, "local_sfm", cluster.id)
     rec = LocalReconstruction(cluster_id=cluster.id)
-    state = _SfMState(cluster.id, ct, cameras, config)
+    state = _SfMState(cluster.id, ct, cameras)
 
     try:
-        pair, poses, seed_rows, seed_points = estimate_seed_pair(graph, cluster, ct, cameras, config, rng)
+        pair, poses, seed_rows, seed_points = estimate_seed_pair(graph, cluster, ct, cameras, rng)
     except SeedFailure as exc:
         logger.warning("cluster %d: %s", cluster.id, exc)
         rec.failed = True
@@ -513,7 +502,7 @@ def run_local_sfm(
         visible = {}
         for cam in unregistered:
             rows = state.active_rows(cam)
-            if len(rows) >= config.resection_min_visible:
+            if len(rows) >= RESECTION_MIN_INLIERS:
                 visible[cam] = rows
         if not visible:
             break
@@ -521,7 +510,7 @@ def run_local_sfm(
         registered_one = False
         for cam in order:
             rows = visible[cam]
-            result = register_next_view(cameras[cam], state.X[ct.track[rows]], ct.xy[rows], config, rng)
+            result = register_next_view(cameras[cam], state.X[ct.track[rows]], ct.xy[rows], rng)
             if result is None:
                 continue
             R, c, mask = result
@@ -532,11 +521,8 @@ def run_local_sfm(
             registered_one = True
             unregistered.remove(cam)
             state.triangulate_new_tracks(cam)
-            if registrations % config.ba_every == 0 and state.active_count() >= 4:
-                state.bundle_adjust(
-                    max_iterations=config.intermediate_ba_max_iterations,
-                    relative_tol=1e-8,
-                )
+            if registrations % BA_EVERY == 0 and state.active_count() >= 4:
+                state.bundle_adjust(INTERMEDIATE_BA_MAX_ITERATIONS, INTERMEDIATE_BA_RELATIVE_TOL)
             break
         if not registered_one:
             break

@@ -29,7 +29,7 @@ from .clustering import ClusterConfig, cluster_cameras
 from .errors import ConfigurationError, DataError
 from .evaluation import connected_pair_count, epipolar_error, pose_error_report
 from .global_ba import build_partitions, distributed_bundle_adjust, triangulate_global
-from .local_sfm import LocalSfMConfig, extract_relative_motions, run_local_sfm
+from .local_sfm import extract_relative_motions, run_local_sfm
 from .scene import build_camera_graph
 from .synthetic import LAYOUTS, generate_synthetic_scene
 from .tracks import Track, generate_tracks
@@ -106,10 +106,13 @@ class PipelineConfig:
             raise ConfigurationError("pixel_sigma must be >= 0")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ConfigurationError("outlier_fraction must be in [0, 1)")
-        if self.max_cluster_size < 2:
-            raise ConfigurationError("max_cluster_size must be >= 2")
-        if not (0.0 <= self.completeness_ratio < 1.0):
-            raise ConfigurationError("completeness_ratio must be in [0, 1)")
+        # checks the clustering settings before any stage runs
+        self.cluster_config = ClusterConfig(
+            max_cluster_size=self.max_cluster_size,
+            completeness_ratio=self.completeness_ratio,
+            seed=self.seed,
+            max_outer_iterations=self.max_outer_iterations,
+        )
         if self.workers is None:
             default_worker_count()  # a malformed worker variable fails before any stage
         elif self.workers < 1:
@@ -158,9 +161,6 @@ class PipelineConfig:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()
-
-    def local_sfm_config(self) -> LocalSfMConfig:
-        return LocalSfMConfig(seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +254,7 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
     cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     graph = build_camera_graph(matches, len(cameras))
-    cs = cluster_cameras(
-        graph,
-        ClusterConfig(
-            max_cluster_size=config.max_cluster_size,
-            completeness_ratio=config.completeness_ratio,
-            seed=config.seed,
-            max_outer_iterations=config.max_outer_iterations,
-        ),
-    )
+    cs = cluster_cameras(graph, config.cluster_config)
     sfm_io.save_cluster_set(Path(out_dir) / "clusters.json", cs)
 
 
@@ -282,10 +274,9 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
     graph = build_camera_graph(matches, len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
-    sfm_config = config.local_sfm_config()
 
     def run_one(cluster):
-        return run_local_sfm(graph, cluster, tracks, cameras, sfm_config)
+        return run_local_sfm(graph, cluster, tracks, cameras, config.seed)
 
     recs = parallel_map(run_one, cs.interdependent, workers=config.workers)
     motions = []

@@ -41,12 +41,6 @@ class Track:
     def __len__(self) -> int:
         return len(self.cameras)
 
-    def canonical(self) -> tuple:
-        return tuple(
-            (int(c), int(f), float(x), float(y))
-            for c, f, (x, y) in zip(self.cameras, self.features, self.xy)
-        )
-
 
 @dataclass
 class _NodeTracks:
@@ -86,13 +80,6 @@ def _chain(labels: np.ndarray) -> np.ndarray:
     return np.column_stack([p, p + 1])
 
 
-def _components_from_matches(matches: list[MatchEdge], allowed=None) -> _NodeTracks:
-    for edge in matches:
-        if allowed is not None and (edge.i not in allowed or edge.j not in allowed):
-            raise DataError(f"match edge ({edge.i}, {edge.j}) outside its tree node")
-    return _connect(*_match_arrays(matches))
-
-
 def _merge_node_tracks(
     left: _NodeTracks, right: _NodeTracks, cross: list[MatchEdge]
 ) -> _NodeTracks:
@@ -129,8 +116,11 @@ def generate_tracks_leaf(cameras, matches: list[MatchEdge]) -> list[Track]:
     """Tracks of one leaf-pair sub-problem: connected components of the
     matches restricted to the given cameras, inconsistent components
     discarded whole."""
-    node = _components_from_matches(matches, allowed=set(cameras))
-    return _emit(node)
+    allowed = set(cameras)
+    for edge in matches:
+        if edge.i not in allowed or edge.j not in allowed:
+            raise DataError(f"match edge ({edge.i}, {edge.j}) outside its tree node")
+    return _emit(_connect(*_match_arrays(matches)))
 
 
 def _tracks_to_node(tracks: list[Track]) -> _NodeTracks:
@@ -151,47 +141,24 @@ def merge_tracks(left: list[Track], right: list[Track], cross: list[MatchEdge]) 
 def generate_tracks(tree: ClusterTree, matches: list[MatchEdge]) -> list[Track]:
     """Globally consistent tracks via bottom-up merging over the cluster tree.
 
-    Leaf nodes consume the matches interior to their camera set; each
-    internal node consumes the cut edges recorded at its split, so every
-    match is processed exactly once and the result equals the connected
-    components of all matches at once.
+    Each leaf consumes the matches inside its camera set; each inner node
+    consumes its cross matches, those with one camera in each child, in
+    (i, j) order. So every match is processed exactly once and the result
+    equals the connected components of all matches at once.
     """
     in_tree = set(tree.root.cameras)
-    leaf_matches: dict[int, list[MatchEdge]] = {}
-    leaf_of = {}
-    tree.assign_leaf_ids()
-    for leaf in tree.leaves():
-        for c in leaf.cameras:
-            leaf_of[c] = leaf.leaf_id
-    cut_index: dict[tuple[int, int], MatchEdge] = {}
     for edge in matches:
         if edge.i not in in_tree or edge.j not in in_tree:
             raise DataError(f"match edge ({edge.i}, {edge.j}) references a camera outside the tree")
-        li, lj = leaf_of[edge.i], leaf_of[edge.j]
-        if li == lj:
-            leaf_matches.setdefault(li, []).append(edge)
-        else:
-            cut_index[(edge.i, edge.j)] = edge
 
-    consumed = set()
-
-    def walk(node) -> _NodeTracks:
+    def walk(node, scoped: list[MatchEdge]) -> _NodeTracks:
         if node.is_leaf:
-            return _components_from_matches(
-                leaf_matches.get(node.leaf_id, []), allowed=set(node.cameras)
-            )
-        left = walk(node.left)
-        right = walk(node.right)
-        cross = []
-        for pair in sorted(node.cut_edges):
-            if pair in cut_index:
-                cross.append(cut_index[pair])
-                consumed.add(pair)
+            return _connect(*_match_arrays(scoped))
+        left_cams = set(node.left.cameras)
+        side = [(e.i in left_cams) + (e.j in left_cams) for e in scoped]  # 2 left, 0 right, 1 cross
+        left = walk(node.left, [e for e, s in zip(scoped, side) if s == 2])
+        right = walk(node.right, [e for e, s in zip(scoped, side) if s == 0])
+        cross = sorted((e for e, s in zip(scoped, side) if s == 1), key=lambda e: (e.i, e.j))
         return _merge_node_tracks(left, right, cross)
 
-    root = walk(tree.root)
-    missing = set(cut_index) - consumed
-    if missing:
-        raise DataError(f"{len(missing)} cross-leaf match edges not scoped by the tree")
-    return _emit(root)
-
+    return _emit(walk(tree.root, list(matches)))

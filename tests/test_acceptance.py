@@ -19,7 +19,7 @@ from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.evaluation import align_similarity, epipolar_error
 from clustersfm.geometry import angle_between, random_rotation, rotation_angle
 from clustersfm.io import file_hash, load_global_motion, load_global_points, load_ground_truth
-from clustersfm.local_sfm import LocalSfMConfig, RelativeMotion, run_local_sfm
+from clustersfm.local_sfm import RelativeMotion, run_local_sfm
 from clustersfm.pipeline import PipelineConfig, run_pipeline
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
@@ -280,9 +280,8 @@ def test_criterion_7_loop_closure(loop_pipeline):
                       seed=config.seed),
     )
     tracks = generate_tracks(cs0.tree, matches)
-    sfm_config = LocalSfMConfig(seed=config.seed)
     recs = parallel_map(
-        lambda cl: run_local_sfm(graph, cl, tracks, cameras, sfm_config), cs0.interdependent
+        lambda cl: run_local_sfm(graph, cl, tracks, cameras, config.seed), cs0.interdependent
     )
     rot_m, cen_m = merge_by_similarity(recs)
     merged_epipolar = epipolar_error(rot_m, cen_m, cameras, matches)
@@ -299,8 +298,7 @@ def test_criterion_7_loop_closure(loop_pipeline):
 
 
 def test_criterion_8_ba_correctness(loop_pipeline):
-    from test_ba_core import finite_difference_jacobian, make_problem, max_relative_error
-    from clustersfm.ba_core import jacobian_dense
+    from test_ba_core import finite_difference_jacobian, jacobian_dense, make_problem, max_relative_error
 
     rng = np.random.default_rng(77)
     worst = 0.0

@@ -8,10 +8,7 @@ from clustersfm.ba_core import (
     _SchurStructure,
     _solve_lm_step,
     jacobian_blocks,
-    jacobian_dense,
     lm_minimize,
-    pack_parameters,
-    residual_vector_at,
     residuals,
 )
 from clustersfm.geometry import so3_exp
@@ -46,6 +43,41 @@ def make_problem(rng, n_cams=4, n_pts=15, pixel_noise=0.0, fix_first=True):
         free_cams=free_cams,
         free_pts=np.ones(n_pts, dtype=bool),
     ), (rotations.copy(), centers.copy(), points.copy())
+
+
+def pack_parameters(problem):
+    """Parameter vector [w_c, c_c for free cams..., X_p for free points...];
+    rotations enter as zero local increments around the current state."""
+    cam_ids = np.flatnonzero(problem.free_cams)
+    cams = np.column_stack([np.zeros((len(cam_ids), 3)), problem.centers[cam_ids]])
+    return np.concatenate([cams.ravel(), problem.points[problem.free_pts].ravel()])
+
+
+def residual_vector_at(problem, params):
+    """Flat residual vector at a pack_parameters vector."""
+    rotations, centers, points = problem.copy_state()
+    cam_ids = np.flatnonzero(problem.free_cams)
+    cam_params = params[: 6 * len(cam_ids)].reshape(-1, 6)
+    rotations[cam_ids] = so3_exp(cam_params[:, :3]) @ problem.rotations[cam_ids]
+    centers[cam_ids] = cam_params[:, 3:]
+    points[problem.free_pts] = params[6 * len(cam_ids) :].reshape(-1, 3)
+    return residuals(problem, rotations, centers, points).ravel()
+
+
+def jacobian_dense(problem):
+    """Full analytic Jacobian (2M x (6 Cf + 3 Pf)) in pack_parameters order,
+    assembled from ba_core's per-observation blocks."""
+    J_cam, J_pt = jacobian_blocks(problem)
+    cpos = np.cumsum(problem.free_cams) - 1
+    ppos = np.cumsum(problem.free_pts) - 1
+    off = 6 * int(problem.free_cams.sum())
+    J = np.zeros((2 * len(problem.cam_idx), off + 3 * int(problem.free_pts.sum())))
+    for o, (c, p) in enumerate(zip(problem.cam_idx, problem.pt_idx)):
+        if problem.free_cams[c]:
+            J[2 * o : 2 * o + 2, 6 * cpos[c] : 6 * cpos[c] + 6] = J_cam[o]
+        if problem.free_pts[p]:
+            J[2 * o : 2 * o + 2, off + 3 * ppos[p] : off + 3 * ppos[p] + 3] = J_pt[o]
+    return J
 
 
 def finite_difference_jacobian(problem, h=1e-6):

@@ -166,22 +166,6 @@ def test_cluster_config_validation():
         ClusterConfig(completeness_ratio=1.5)
 
 
-def test_tree_cut_edge_scoping():
-    g = build_camera_graph([weighted_edge(i, i + 1, 1) for i in range(7)], 8)
-    _, tree, _ = divide(g, 2)
-    # every cross-leaf edge appears at exactly one node
-    seen = []
-
-    def walk(n):
-        seen.extend(n.cut_edges)
-        if not n.is_leaf:
-            walk(n.left)
-            walk(n.right)
-
-    walk(tree.root)
-    assert sorted(seen) == [(1, 2), (3, 4), (5, 6)]
-
-
 def test_non_termination_guard_carries_state():
     from clustersfm.clustering import ClusteringError
     from clustersfm.scene import build_camera_graph

@@ -15,8 +15,16 @@ from clustersfm.geometry import (
     so3_log,
     triangulate_linear,
     triangulation_status,
-    project_to_so3,
 )
+
+
+def project_to_so3(M):
+    """Nearest rotation matrix in Frobenius norm."""
+    U, _, Vt = np.linalg.svd(M)
+    R = U @ Vt
+    if np.linalg.det(R) < 0:
+        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    return R
 
 
 def test_so3_exp_log_roundtrip():
@@ -296,7 +304,7 @@ def test_triangulate_linear_flags_points_at_infinity():
     X, finite = triangulate_linear(np.stack([P1, P2]), xs)
     assert finite.tolist() == [False, True]
     assert np.allclose(X[1], [0.0, 0.0, 2.0])
-    assert triangulation_status(np.stack([P1, P2]), xs, X, finite, 4.0).tolist() == ["cheirality", "active"]
+    assert triangulation_status(np.stack([P1, P2]), xs, X, finite).tolist() == ["cheirality", "active"]
 
 
 def test_triangulation_status_matches_per_point_reference():
@@ -327,7 +335,7 @@ def test_triangulation_status_matches_per_point_reference():
                 xs[i] = [700.0, 500.0]
         X, finite = triangulate_linear(Ps, xs)
         assert not finite[3::5].any() and finite[0::5].all()
-        status = triangulation_status(Ps, xs, X, finite, 4.0)
+        status = triangulation_status(Ps, xs, X, finite)
         for i in range(n):
             ref = _status_reference(Ps[i], xs[i], _dlt_reference(Ps[i], xs[i]), 4.0)
             assert status[i] == ref, (k, i)
@@ -343,5 +351,5 @@ def test_triangulation_status_first_failing_view_decides():
     far, near = [9.0, 0.0], [0.0, 0.0]
     xs = np.array([[far, near], [near, far], [near, near], [near, near]])
     finite = np.array([True, True, True, False])
-    status = triangulation_status(Ps, xs, X, finite, 4.0)
+    status = triangulation_status(Ps, xs, X, finite)
     assert status.tolist() == ["reprojection", "cheirality", "active", "cheirality"]

@@ -6,13 +6,19 @@ import pytest
 from clustersfm import ba_core
 from clustersfm.clustering import Cluster, ClusterTree, ClusterTreeNode
 from clustersfm.errors import NumericalError
-from clustersfm.geometry import angle_between, projection_matrix, random_rotation, rotation_angle
+from clustersfm.geometry import (
+    MAX_REPROJECTION_PX,
+    angle_between,
+    projection_matrix,
+    random_rotation,
+    rotation_angle,
+)
 from clustersfm.local_sfm import (
     ACTIVE,
     DEAD,
     ClusterTracks,
+    TRIANGULATION_MIN_ANGLE_DEG,
     LocalReconstruction,
-    LocalSfMConfig,
     RelativeMotion,
     SeedFailure,
     estimate_relative_pose,
@@ -29,7 +35,7 @@ from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import Track, generate_tracks
 from clustersfm.utils import seeded_rng
 
-CONFIG = LocalSfMConfig(seed=11)
+SEED = 11
 
 
 def make_camera(idx=0):
@@ -49,7 +55,7 @@ def test_relative_pose_noise_free_exact():
     x1 = X[:, :2] / X[:, 2:3] * 800 + np.array([640, 480])
     Xc = X @ R_gt.T + t_gt
     x2 = Xc[:, :2] / Xc[:, 2:3] * 800 + np.array([640, 480])
-    result = estimate_relative_pose(cam.K, cam.K, x1, x2, CONFIG, seeded_rng(1))
+    result = estimate_relative_pose(cam.K, cam.K, x1, x2, seeded_rng(1))
     assert result is not None
     R, t, mask = result
     assert mask.all()
@@ -78,7 +84,7 @@ def test_relative_pose_forty_percent_outliers():
     x2[out_idx] = rng.uniform([0, 0], [1279, 959], size=(n_out, 2))
     true_inliers = np.ones(n, dtype=bool)
     true_inliers[out_idx] = False
-    result = estimate_relative_pose(cam.K, cam.K, x1, x2, CONFIG, seeded_rng(2))
+    result = estimate_relative_pose(cam.K, cam.K, x1, x2, seeded_rng(2))
     assert result is not None
     _, _, mask = result
     recall = (mask & true_inliers).sum() / true_inliers.sum()
@@ -117,7 +123,7 @@ def test_seed_pair_rejects_zero_baseline():
     graph = build_camera_graph([weighted_edge(0, 1, len(tracks))], 2)
     ct = ClusterTracks((0, 1), tracks)
     with pytest.raises(SeedFailure):
-        estimate_seed_pair(graph, Cluster(id=0, cameras=(0, 1)), ct, cams, CONFIG, seeded_rng(0))
+        estimate_seed_pair(graph, Cluster(id=0, cameras=(0, 1)), ct, cams, seeded_rng(0))
 
 
 def test_register_noise_free_exact():
@@ -130,7 +136,7 @@ def test_register_noise_free_exact():
     pose = Pose(R=R_gt, c=c_gt)
     for x in X:
         pix.append(project_point(pose, cam, x))
-    result = register_next_view(cam, X, np.array(pix), CONFIG, seeded_rng(1))
+    result = register_next_view(cam, X, np.array(pix), seeded_rng(1))
     assert result is not None
     R, c, mask = result
     assert mask.all()
@@ -141,7 +147,7 @@ def test_register_noise_free_exact():
 
 def test_register_too_few_points_deferred():
     cam = make_camera()
-    result = register_next_view(cam, np.zeros((5, 3)), np.zeros((5, 2)), CONFIG, seeded_rng(0))
+    result = register_next_view(cam, np.zeros((5, 3)), np.zeros((5, 2)), seeded_rng(0))
     assert result is None
 
 
@@ -155,7 +161,7 @@ def test_register_thirty_percent_mislabeled():
     pix = np.array([project_point(pose, cam, x) for x in X])
     bad = rng.choice(len(X), int(0.3 * len(X)), replace=False)
     pix[bad] = rng.uniform([0, 0], [1279, 959], size=(len(bad), 2))
-    result = register_next_view(cam, X, pix, CONFIG, seeded_rng(2))
+    result = register_next_view(cam, X, pix, seeded_rng(2))
     assert result is not None
     R, c, _ = result
     diam = np.linalg.norm(X.max(0) - X.min(0))
@@ -163,11 +169,11 @@ def test_register_thirty_percent_mislabeled():
     assert np.linalg.norm(c - c_gt) < 0.01 * diam
 
 
-def triangulate_one(poses, cams, xys, config=LocalSfMConfig()):
+def triangulate_one(poses, cams, xys):
     """One track through local SfM's batched triangulation; None when the
     gate or the parallax test rejects it."""
     Ps = np.array([projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)])
-    X, ok, _ = _triangulate(Ps, np.array([c for _, c in poses]), np.asarray(xys, dtype=float)[None], config)
+    X, ok, _ = _triangulate(Ps, np.array([c for _, c in poses]), np.asarray(xys, dtype=float)[None])
     return X[0] if ok[0] else None
 
 
@@ -228,7 +234,7 @@ def orbit_run(orbit_scene_small):
     tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(scene.num_cameras)), leaf_id=0))
     tracks = generate_tracks(tree, matches)
     cluster = Cluster(id=0, cameras=tuple(range(scene.num_cameras)))
-    rec = run_local_sfm(graph, cluster, tracks, scene.cameras, CONFIG)
+    rec = run_local_sfm(graph, cluster, tracks, scene.cameras, SEED)
     return scene, matches, graph, tracks, rec
 
 
@@ -247,7 +253,7 @@ def test_run_local_sfm_noise_free_all_registered(orbit_run):
 def test_run_local_sfm_deterministic(orbit_run):
     scene, matches, graph, tracks, rec = orbit_run
     cluster = Cluster(id=0, cameras=tuple(range(scene.num_cameras)))
-    rec2 = run_local_sfm(graph, cluster, tracks, scene.cameras, CONFIG)
+    rec2 = run_local_sfm(graph, cluster, tracks, scene.cameras, SEED)
     assert sorted(rec.rotations) == sorted(rec2.rotations)
     for c in rec.rotations:
         assert np.array_equal(rec.rotations[c], rec2.rotations[c])
@@ -260,7 +266,7 @@ def test_two_camera_cluster_is_seed_only(orbit_scene_small):
     tree = ClusterTree(root=ClusterTreeNode(cameras=(0, 1), leaf_id=0))
     sub = [m for m in matches if (m.i, m.j) == (0, 1)]
     tracks = generate_tracks(tree, sub)
-    rec = run_local_sfm(graph, Cluster(id=0, cameras=(0, 1)), tracks, scene.cameras, CONFIG)
+    rec = run_local_sfm(graph, Cluster(id=0, cameras=(0, 1)), tracks, scene.cameras, SEED)
     assert sorted(rec.rotations) == [0, 1]
     assert rec.seed_pair == (0, 1)
 
@@ -334,8 +340,8 @@ def test_cross_cluster_consistency_noise_free(orbit_scene_small):
     tracks = generate_tracks(tree, matches)
     cams_a = tuple(range(0, 12))
     cams_b = tuple(range(8, 20))
-    rec_a = run_local_sfm(graph, Cluster(id=0, cameras=cams_a), tracks, scene.cameras, CONFIG)
-    rec_b = run_local_sfm(graph, Cluster(id=1, cameras=cams_b), tracks, scene.cameras, CONFIG)
+    rec_a = run_local_sfm(graph, Cluster(id=0, cameras=cams_a), tracks, scene.cameras, SEED)
+    rec_b = run_local_sfm(graph, Cluster(id=1, cameras=cams_b), tracks, scene.cameras, SEED)
     ma = {(m.i, m.j): m for m in extract_relative_motions(rec_a, graph)}
     mb = {(m.i, m.j): m for m in extract_relative_motions(rec_b, graph)}
     shared = sorted(set(ma) & set(mb))
@@ -353,12 +359,12 @@ def test_run_local_sfm_noisy_monte_carlo():
     graph = build_camera_graph(matches, 50)
     tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(50)), leaf_id=0))
     tracks = generate_tracks(tree, matches)
-    rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, CONFIG)
+    rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, SEED)
     assert len(rec.rotations) >= 48
     assert rec.mean_reprojection < 1.0
 
 
-def _triangulate_reference(poses, cams, xys, config):
+def _triangulate_reference(poses, cams, xys):
     """Per-track, per-view reference of local SfM triangulation: DLT, then
     depth and reprojection in every view and the largest pairwise parallax."""
     Ps = [projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)]
@@ -372,11 +378,11 @@ def _triangulate_reference(poses, cams, xys, config):
         if (R @ (X - c))[2] <= 0:
             return None
         uv = P @ np.append(X, 1.0)
-        if np.hypot(uv[0] / uv[2] - x[0], uv[1] / uv[2] - x[1]) > config.max_reprojection_px:
+        if np.hypot(uv[0] / uv[2] - x[0], uv[1] / uv[2] - x[1]) > MAX_REPROJECTION_PX:
             return None
         for _, c_b in poses[a + 1:]:
             max_angle = max(max_angle, np.degrees(angle_between(c - X, c_b - X)))
-    return X if max_angle >= config.triangulation_min_angle_deg else None
+    return X if max_angle >= TRIANGULATION_MIN_ANGLE_DEG else None
 
 
 def test_batched_triangulation_matches_per_track_reference():
@@ -413,9 +419,9 @@ def test_batched_triangulation_matches_per_track_reference():
             xys_n.append(xys)
         Ps = np.array([[projection_matrix(cam.K, R, c) for R, c in poses] for poses in poses_n])
         centers = np.array([[c for _, c in poses] for poses in poses_n])
-        X, ok, _ = _triangulate(Ps, centers, np.array(xys_n), CONFIG)
+        X, ok, _ = _triangulate(Ps, centers, np.array(xys_n))
         for i, (poses, xys) in enumerate(zip(poses_n, xys_n)):
-            ref = _triangulate_reference(poses, [cam] * k, xys, CONFIG)
+            ref = _triangulate_reference(poses, [cam] * k, xys)
             assert ok[i] == (ref is not None), (k, i)
             if ref is not None:
                 assert np.array_equal(X[i], ref)
@@ -427,7 +433,7 @@ def test_batched_triangulation_matches_per_track_reference():
 def test_local_ba_rising_cost_raises(monkeypatch):
     tracks = [Track(id=t, cameras=np.array([0, 1]), features=np.array([t, t]), xy=np.zeros((2, 2)))
               for t in range(5)]
-    state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)], CONFIG)
+    state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)])
     state.rotations = {0: np.eye(3), 1: np.eye(3)}
     state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
     state.X[:] = [[0.0, 0.0, 5.0 + t] for t in range(5)]
@@ -451,7 +457,7 @@ def _three_view_state():
     points = target + rng.normal(size=(6, 3))
     tracks = _tracks_for_pair(poses, cams, points)
     assert [len(t) for t in tracks] == [3] * 6
-    state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams, CONFIG)
+    state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams)
     for k in (1, 2):
         state.rotations[k], state.centers[k] = poses[k].R, poses[k].c
     state.X[:] = points

@@ -87,6 +87,8 @@ def test_status_empty_dir(tmp_path):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         PipelineConfig(completeness_ratio=1.5)
+    with pytest.raises(ConfigurationError, match="max_outer_iterations"):
+        PipelineConfig(max_outer_iterations=0)
     with pytest.raises(ConfigurationError):
         PipelineConfig.from_dict({"not_a_key": 1})
 
@@ -99,6 +101,9 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert not (tmp_path / "matches.json").exists()
     cfg = tmp_path / "removed.json"
     cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
+    assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
+    assert not (tmp_path / "matches.json").exists()
+    cfg.write_text(json.dumps({"max_outer_iterations": 0}))  # checked before the synth stage
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
     assert not (tmp_path / "matches.json").exists()
 
