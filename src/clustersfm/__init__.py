@@ -34,8 +34,8 @@ from .local_sfm import (
     run_local_sfm,
 )
 from .pipeline import PipelineConfig, run_pipeline, stage_status
-from .scene import Camera, CameraGraph, MatchEdge, Pose, build_camera_graph, project_point
+from .scene import Camera, CameraGraph, MatchTable, Pose, build_camera_graph, project_point
 from .synthetic import SyntheticScene, generate_synthetic_scene
-from .tracks import Track, generate_tracks, generate_tracks_leaf, merge_tracks
+from .tracks import Track, generate_tracks
 
 __version__ = "0.1.0"

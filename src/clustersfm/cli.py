@@ -41,11 +41,6 @@ def _add_cluster(parser):
     parser.add_argument("--completeness-ratio", type=float, default=None)
 
 
-def _add_average(parser):
-    parser.add_argument("--l1-max-iters", type=int, default=None)
-    parser.add_argument("--l1-tol", type=float, default=None)
-
-
 def _add_ba(parser):
     parser.add_argument("--rounds", type=int, default=None, dest="ba_rounds")
 
@@ -63,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
             _add_synth(p)
         if name in ("cluster", "run"):
             _add_cluster(p)
-        if name in ("average", "run"):
-            _add_average(p)
         if name in ("ba", "run"):
             _add_ba(p)
         if name == "run":
@@ -77,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = (
     "seed", "workers", "layout", "num_cameras", "num_points", "pixel_sigma",
-    "outlier_fraction", "max_cluster_size", "completeness_ratio",
-    "l1_max_iters", "l1_tol", "ba_rounds",
+    "outlier_fraction", "max_cluster_size", "completeness_ratio", "ba_rounds",
 )
 
 

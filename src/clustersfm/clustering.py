@@ -300,8 +300,8 @@ def divide(
             leaf_of[c] = leaf.id
     inside = set(cams)
     discarded = [
-        (i, j, edge.weight)
-        for (i, j), edge in sorted(graph.edges.items())
+        (i, j, w)
+        for (i, j), w in sorted(graph.edges.items())
         if i in inside and j in inside and leaf_of[i] != leaf_of[j]
     ]
     return leaves, tree, discarded
@@ -424,8 +424,8 @@ def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
             for c in home:
                 home_of[c] = k
         cross = [
-            (i, j, edge.weight)
-            for (i, j), edge in sorted(graph.edges.items())
+            (i, j, w)
+            for (i, j), w in sorted(graph.edges.items())
             if i in home_of and j in home_of and home_of[i] != home_of[j]
         ]
         _expand_in_place(home_of, fulls, cross, config.completeness_ratio, config.seed)
@@ -491,8 +491,8 @@ def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
         interdependent.append(Cluster(id=k, cameras=tuple(sorted(full))))
     kept = {c for h in homes for c in h}
     uncovered = [
-        (i, j, edge.weight)
-        for (i, j), edge in sorted(graph.edges.items())
+        (i, j, w)
+        for (i, j), w in sorted(graph.edges.items())
         if i in kept and j in kept and not _contained(i, j, fulls)
     ]
     ratios = [completeness_ratio(cl, interdependent) for cl in interdependent]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .geometry import angle_between, rotation_angle, skew
-from .scene import Camera, MatchEdge, Pose
+from .scene import Camera, MatchTable, Pose
 
 ALIGN_RANK_TOL = 1e-9
 
@@ -151,13 +151,13 @@ def epipolar_error(
     rotations: dict,
     centers: dict,
     cameras: list[Camera],
-    matches: list[MatchEdge],
+    matches: MatchTable,
 ) -> float:
     """Median distance of correspondences to the epipolar lines induced by
     the estimated pair geometry, measured in the second image."""
     distances = []
-    for edge in matches:
-        i, j = edge.i, edge.j
+    spans = zip(matches.edges.tolist(), matches.offsets[:-1].tolist(), matches.offsets[1:].tolist())
+    for (i, j), a, b in spans:
         if i not in rotations or j not in rotations:
             continue
         R_rel = rotations[j] @ rotations[i].T
@@ -166,8 +166,8 @@ def epipolar_error(
             continue
         E = skew(t_rel) @ R_rel
         F = np.linalg.inv(cameras[j].K).T @ E @ np.linalg.inv(cameras[i].K)
-        xi = np.column_stack([edge.xy_i, np.ones(edge.weight)])
-        xj = np.column_stack([edge.xy_j, np.ones(edge.weight)])
+        xi = np.column_stack([matches.xy[a:b, :2], np.ones(b - a)])
+        xj = np.column_stack([matches.xy[a:b, 2:], np.ones(b - a)])
         lines = xi @ F.T  # epipolar line of each left feature in image j
         num = np.abs(np.sum(xj * lines, axis=1))
         den = np.hypot(lines[:, 0], lines[:, 1])

@@ -9,7 +9,7 @@ with a guard that never lets the global cost increase.
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class BAPartition:
     cameras: tuple
     owned_points: list  # indices into the active point list
     interior_points: list  # owned points seen only by this partition
-    obs_indices: np.ndarray  # indices into the global observation arrays
 
 
 @dataclass
@@ -110,14 +109,6 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion)
     posed = set(motion.centers)
     owner_of_camera = cluster_set.independent_cluster_of()
     active = [p for p in points if p.active]
-    obs_cam, obs_pt = [], []
-    for pi, p in enumerate(active):
-        for c in p.cameras:
-            obs_cam.append(int(c))
-            obs_pt.append(pi)
-    obs_cam = np.array(obs_cam, dtype=np.int64)
-    obs_pt = np.array(obs_pt, dtype=np.int64)
-
     cluster_ids = sorted({cl.id for cl in cluster_set.independent})
     partitions = []
     seen_cameras: set = set()
@@ -134,16 +125,7 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion)
         interior = [
             pi for pi in owned if all(int(c) in cam_set for c in active[pi].cameras)
         ]
-        obs_idx = np.flatnonzero(np.isin(obs_cam, list(cam_set)))
-        partitions.append(
-            BAPartition(
-                cluster_id=cid,
-                cameras=cams,
-                owned_points=owned,
-                interior_points=interior,
-                obs_indices=obs_idx,
-            )
-        )
+        partitions.append(BAPartition(cluster_id=cid, cameras=cams, owned_points=owned, interior_points=interior))
     return partitions
 
 
@@ -172,16 +154,14 @@ def distributed_bundle_adjust(
     intrinsics = np.array([[cameras[c].focal, cameras[c].cx, cameras[c].cy] for c in cam_ids])
     positions = np.array([p.position for p in active]) if active else np.zeros((0, 3))
 
-    obs_cam, obs_pt, obs_xy = [], [], []
-    for pi, p in enumerate(active):
-        for k, c in enumerate(p.cameras):
-            if int(c) in cam_pos:
-                obs_cam.append(cam_pos[int(c)])
-                obs_pt.append(pi)
-                obs_xy.append(p.xy[k])
-    obs_cam = np.array(obs_cam, dtype=np.int64)
-    obs_pt = np.array(obs_pt, dtype=np.int64)
-    obs_xy = np.array(obs_xy).reshape(-1, 2)
+    # the observation table: one row per view of an active point
+    obs_ids = np.concatenate([np.zeros(0, np.int64)] + [p.cameras for p in active])
+    unposed = np.setdiff1d(obs_ids, cam_ids)
+    if len(unposed):
+        raise DataError(f"point camera {unposed[0]} is not posed by the global motion")
+    obs_cam = np.searchsorted(cam_ids, obs_ids)
+    obs_pt = np.repeat(np.arange(len(active)), [len(p.cameras) for p in active])
+    obs_xy = np.concatenate([np.zeros((0, 2))] + [p.xy for p in active])
 
     def global_cost():
         problem = ba_core.BAProblem(
@@ -208,10 +188,9 @@ def distributed_bundle_adjust(
     interior = {pi for part in partitions for pi in part.interior_points}
     by_views: dict[int, list] = {}
     for pi, p in enumerate(active):
-        keep = [k for k, c in enumerate(p.cameras) if int(c) in cam_pos]
-        if pi not in interior and len(keep) >= 2:
-            views = [cam_pos[int(p.cameras[k])] for k in keep]
-            by_views.setdefault(len(keep), []).append((pi, views, p.xy[keep]))
+        if pi not in interior and len(p.cameras) >= 2:
+            views = [cam_pos[int(c)] for c in p.cameras]
+            by_views.setdefault(len(views), []).append((pi, views, p.xy))
     boundary_groups = [
         tuple(np.array(column) for column in zip(*group)) for _, group in sorted(by_views.items())
     ]
@@ -226,7 +205,7 @@ def distributed_bundle_adjust(
 
         def solve_partition(part: BAPartition):
             rot_s, cen_s, pos_s = state
-            sub_obs = part.obs_indices
+            sub_obs = np.flatnonzero(np.isin(obs_ids, part.cameras))
             free_cams = np.zeros(len(cam_ids), dtype=bool)
             free_cams[[cam_pos[c] for c in part.cameras]] = True
             free_pts = np.zeros(len(active), dtype=bool)

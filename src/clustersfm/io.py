@@ -22,7 +22,7 @@ from .clustering import Cluster, ClusterSet, ClusterTree, ClusterTreeNode
 from .errors import DataError
 from .global_ba import STATUSES, GlobalPoint
 from .local_sfm import LocalReconstruction, RelativeMotion
-from .scene import Camera, MatchEdge, Pose
+from .scene import Camera, MatchTable, Pose
 from .tracks import Track
 
 TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
@@ -165,11 +165,10 @@ def file_hash(path) -> str:
 # Match graph and ground truth
 # ---------------------------------------------------------------------------
 
-def save_match_graph(path, cameras: list[Camera], matches: list[MatchEdge]) -> None:
-    feat, offsets = _flat([np.column_stack([e.feat_i, e.feat_j]) for e in matches], np.zeros((0, 2), np.int64))
-    xy, _ = _flat([np.hstack([e.xy_i, e.xy_j]) for e in matches], np.zeros((0, 4)))
-    _save_table(path, offsets, {"feat": feat, "xy": xy}, intrinsics=[[c.focal, c.cx, c.cy] for c in cameras],
-                size=[[c.width, c.height] for c in cameras], edges=[[int(e.i), int(e.j)] for e in matches])
+def save_match_graph(path, cameras: list[Camera], matches: MatchTable) -> None:
+    _save_table(path, matches.offsets, {"feat": matches.feat, "xy": matches.xy},
+                intrinsics=[[c.focal, c.cx, c.cy] for c in cameras], size=[[c.width, c.height] for c in cameras],
+                edges=matches.edges.tolist())
 
 
 def _cameras(data: dict) -> list[Camera]:
@@ -188,15 +187,16 @@ def load_cameras(path) -> list[Camera]:
 
 
 @_checked
-def load_match_graph(path) -> tuple[list[Camera], list[MatchEdge]]:
+def load_match_graph(path) -> tuple[list[Camera], MatchTable]:
+    """The cameras and the match table, checked against the camera count."""
     data = _load_table(path, "match-graph")
     cameras = _cameras(data)
     edges = _array(data, "edges", np.int64, -1, 2)
     feat = _decoded(data, "feat", np.int64, -1, 2)
     xy = _decoded(data, "xy", float, len(feat), 4)
-    if np.any((edges < 0) | (edges >= len(cameras))):
-        raise DataError(f"an edge camera is not in 0..{len(cameras) - 1}")
-    return cameras, MatchEdge.from_table(edges, _offsets(data, len(edges), len(feat)), feat, xy)
+    matches = MatchTable(edges, _offsets(data, len(edges), len(feat)), feat, xy)
+    matches.check(len(cameras))
+    return cameras, matches
 
 
 def save_ground_truth(path, poses: list[Pose]) -> None:
@@ -432,8 +432,13 @@ def save_global_motion(path, motion) -> None:
 
 
 @_checked
-def load_global_motion(path):
+def load_global_motion(path, num_cameras: int):
+    """The global motion; a camera outside the match graph's
+    0..num_cameras-1 is a DataError."""
     data = _load(path)
+    for k in (c["id"] for c in data["cameras"]):
+        if not (isinstance(k, int) and 0 <= k < num_cameras):
+            raise DataError(f"motion camera {k} is not in the match graph's 0..{num_cameras - 1}")
     rotations = {c["id"]: np.asarray(c["R"], dtype=float).reshape(3, 3) for c in data["cameras"]}
     centers = {c["id"]: np.asarray(c["c"], dtype=float) for c in data["cameras"]}
     scales = {s["clusterId"]: s["alpha"] for s in data["scales"]}

@@ -14,7 +14,7 @@ import logging
 import numbers
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +82,6 @@ class PipelineConfig:
     max_cluster_size: int = 100
     completeness_ratio: float = 0.7
     max_outer_iterations: int = 16
-    # averaging
-    l1_max_iters: int = 200
-    l1_tol: float = 1e-10
     # distributed BA
     ba_rounds: int = 10
 
@@ -119,8 +116,6 @@ class PipelineConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.ba_rounds < 1:
             raise ConfigurationError("ba_rounds must be >= 1")
-        if self.l1_max_iters < 1 or self.l1_tol <= 0:
-            raise ConfigurationError("invalid L1 solver settings")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -261,11 +256,10 @@ def stage_cluster(config: PipelineConfig, out_dir) -> None:
 def stage_tracks(config: PipelineConfig, out_dir) -> None:
     cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    in_tree = set(cs.tree.root.cameras)
-    usable = [m for m in matches if m.i in in_tree and m.j in in_tree]
-    if len(usable) < len(matches):
-        logger.warning("dropping %d match edges touching dropped cameras", len(matches) - len(usable))
-    tracks = generate_tracks(cs.tree, usable)
+    usable = np.isin(matches.edges, cs.tree.root.cameras).all(axis=1)
+    if not usable.all():
+        logger.warning("dropping %d match edges touching dropped cameras", len(matches) - usable.sum())
+    tracks = generate_tracks(cs.tree, matches.take(usable))
     sfm_io.save_tracks(Path(out_dir) / "tracks.json", tracks)
 
 
@@ -293,9 +287,7 @@ def stage_average(config: PipelineConfig, out_dir) -> None:
     motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.json")
     estimate = rotation_averaging(motions)
     system = build_translation_system(motions, estimate)
-    motion = solve_translation_l1(
-        system, estimate, max_iterations=config.l1_max_iters, relative_tol=config.l1_tol
-    )
+    motion = solve_translation_l1(system, estimate)
     sfm_io.save_global_motion(Path(out_dir) / "global_motion.json", motion)
 
 
@@ -333,7 +325,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
+    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
     points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
@@ -343,7 +335,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     points = sfm_io.load_global_points(Path(out_dir) / "points.npz")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json")
+    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
     partitions = build_partitions(points, cs, motion)
     final_motion, final_points, log = distributed_bundle_adjust(
         partitions,
@@ -368,7 +360,7 @@ def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     cameras, matches = sfm_io.load_match_graph(out / "matches.json")
     gt = sfm_io.load_ground_truth(out / "ground_truth.json")
     motions = sfm_io.load_relative_motions(out / "relative_motions.json")
-    final_motion = sfm_io.load_global_motion(out / "final_motion.json")
+    final_motion = sfm_io.load_global_motion(out / "final_motion.json", len(cameras))
     points = sfm_io.load_global_points(out / "final_points.npz")
     cs = sfm_io.load_cluster_set(out / "clusters.json", len(cameras))
     med_epi = epipolar_error(final_motion.rotations, final_motion.centers, cameras, matches)

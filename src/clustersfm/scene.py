@@ -1,4 +1,4 @@
-"""Core data model: cameras, poses, match edges, and the weighted camera graph.
+"""Core data model: cameras, poses, the match table, and the weighted camera graph.
 
 Conventions used everywhere: rotations are world-to-camera, camera positions
 are stored as centers c in world units, and the projection of a world point X
@@ -99,88 +99,80 @@ def project_points(pose: Pose, camera: Camera, X: np.ndarray) -> tuple[np.ndarra
 
 
 @dataclass(frozen=True, eq=False)
-class MatchEdge:
-    """Verified feature correspondences between cameras i < j."""
+class MatchTable:
+    """The feature correspondences of every matched camera pair, as one flat
+    table: edge e joins cameras edges[e] = (i, j) through rows
+    offsets[e]:offsets[e + 1] of feat, the feature index in i and in j, and
+    xy, the pixel in i and then in j. `check` verifies it."""
 
-    i: int
-    j: int
-    feat_i: np.ndarray  # (n,) feature indices in camera i
-    xy_i: np.ndarray  # (n, 2) pixels in camera i
-    feat_j: np.ndarray
-    xy_j: np.ndarray
+    edges: np.ndarray  # (E, 2) int64
+    offsets: np.ndarray  # (E + 1,) int64
+    feat: np.ndarray  # (P, 2) int64
+    xy: np.ndarray  # (P, 4) float
 
-    def __post_init__(self):
-        if self.i == self.j:
-            raise DataError(f"self match edge on camera {self.i}")
-        if self.i > self.j:
-            raise DataError(f"match edge ({self.i}, {self.j}) must have i < j")
-        for name in ("feat_i", "feat_j"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-        for name in ("xy_i", "xy_j"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(-1, 2)
-            object.__setattr__(self, name, arr)
-        n = len(self.feat_i)
-        if n < 1:
-            raise DataError(f"edge ({self.i}, {self.j}) has no correspondences")
-        if not (len(self.feat_j) == len(self.xy_i) == len(self.xy_j) == n):
-            raise DataError(f"edge ({self.i}, {self.j}) has ragged correspondence arrays")
-        if len(np.unique(self.feat_i)) != n or len(np.unique(self.feat_j)) != n:
-            raise DataError(f"edge ({self.i}, {self.j}) repeats a feature index")
-
-    @classmethod
-    def from_table(cls, edges, offsets, feat, xy) -> list["MatchEdge"]:
-        """Edges of one flat table: edge e = (i, j) is edges[e], with rows
-        offsets[e]:offsets[e + 1] of feat (P, 2) int64 and xy (P, 4) float.
-
-        The checks of __post_init__ run once over the whole table, and the
-        edges are built without repeating them: i < j, at least one
-        correspondence, and no feature index twice in one edge (sorted by
-        edge, then feature, a repeat sits next to its twin)."""
-        owner = np.repeat(np.arange(len(edges)), np.diff(offsets))
-        faulty = (edges[:, 0] >= edges[:, 1]) | (offsets[1:] == offsets[:-1])
-        for column in feat.T:
-            order = np.lexsort((column, owner))
-            twin = (np.diff(owner[order]) == 0) & (np.diff(column[order]) == 0)
-            faulty[owner[order[1:][twin]]] = True
-        spans = list(zip(edges.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()))
-
-        def fields(e):
-            (i, j), a, b = spans[e]
-            return dict(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
-
-        if faulty.any():
-            e = int(np.argmax(faulty))
-            cls(**fields(e))  # raises the DataError of __post_init__ naming the edge
-            raise DataError(f"edge {tuple(spans[e][0])} fails the match-table checks")
-
-        def unchecked(e):
-            edge = object.__new__(cls)
-            edge.__dict__.update(fields(e))
-            return edge
-
-        return [unchecked(e) for e in range(len(spans))]
+    def __len__(self) -> int:
+        return len(self.edges)
 
     @property
-    def weight(self) -> int:
-        return len(self.feat_i)
+    def weights(self) -> np.ndarray:
+        """The correspondence count of each edge."""
+        return np.diff(self.offsets)
+
+    def row_cameras(self) -> np.ndarray:
+        """The cameras (i, j) of each row, (P, 2)."""
+        return np.repeat(self.edges, self.weights, axis=0)
+
+    def take(self, edges) -> "MatchTable":
+        """The table of the selected edges (indices, or a mask over the
+        edges), in the order given."""
+        counts = self.weights[edges]
+        offsets = np.append(0, np.cumsum(counts))
+        rows = np.repeat(self.offsets[:-1][edges] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return MatchTable(self.edges[edges], offsets, self.feat[rows], self.xy[rows])
+
+    def check(self, num_cameras: int) -> None:
+        """Raise a DataError naming the first faulty edge: a camera outside
+        0..num_cameras-1, i >= j, no correspondence, a feature index twice on
+        one side, or an (i, j) pair that an earlier edge already has
+        (DuplicateEdgeError)."""
+        i, j = self.edges.T
+        owner = np.repeat(np.arange(len(self)), self.weights)
+        repeats = np.zeros(len(self), dtype=bool)
+        for column in self.feat.T:  # sorted by edge, then feature, a repeat sits next to its twin
+            order = np.lexsort((column, owner))
+            twin = (np.diff(owner[order]) == 0) & (np.diff(column[order]) == 0)
+            repeats[owner[order[1:][twin]]] = True
+        duplicates = np.zeros(len(self), dtype=bool)
+        order = np.lexsort((j, i))  # stable, so the later edge of a pair is flagged
+        duplicates[order[1:][(np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)]] = True
+        checks = (
+            (((self.edges < 0) | (self.edges >= num_cameras)).any(axis=1),
+             "edge ({i}, {j}): an edge camera is not in 0..{last}"),
+            (i == j, "self match edge on camera {i}"),
+            (i > j, "match edge ({i}, {j}) must have i < j"),
+            (self.weights == 0, "edge ({i}, {j}) has no correspondences"),
+            (repeats, "edge ({i}, {j}) repeats a feature index"),
+            (duplicates, "duplicate match edge ({i}, {j})"),
+        )
+        faulty = np.any([mask for mask, _ in checks], axis=0)
+        if faulty.any():
+            e = int(np.argmax(faulty))
+            k = next(k for k, (mask, _) in enumerate(checks) if mask[e])
+            i, j = self.edges[e].tolist()
+            message = checks[k][1].format(i=i, j=j, last=num_cameras - 1)
+            raise (DuplicateEdgeError if k == len(checks) - 1 else DataError)(message)
 
 
 class CameraGraph:
     """Undirected camera graph with edge weight = correspondence count."""
 
-    def __init__(self, num_cameras: int, edges: dict[tuple[int, int], MatchEdge]):
+    def __init__(self, num_cameras: int, edges: dict[tuple[int, int], int]):
         self.num_cameras = num_cameras
-        self.edges = edges
+        self.edges = edges  # (i, j) -> weight, i < j
         self._adjacency = None
 
     def weight(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        return self.edges[key].weight
-
-    @property
-    def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges.values())
+        return self.edges[(i, j) if i < j else (j, i)]
 
     def adjacency(self):
         """Sparse symmetric weight matrix (CSR), built lazily."""
@@ -190,7 +182,7 @@ class CameraGraph:
             n = self.num_cameras
             if self.edges:
                 pairs = np.array(list(self.edges.keys()), dtype=np.int64)
-                w = np.array([e.weight for e in self.edges.values()], dtype=float)
+                w = np.array(list(self.edges.values()), dtype=float)
                 rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
                 cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
                 data = np.concatenate([w, w])
@@ -206,20 +198,10 @@ class CameraGraph:
         return sorted((i, j) for (i, j) in self.edges if i in inside and j in inside)
 
 
-def build_camera_graph(matches: list[MatchEdge], num_cameras: int) -> CameraGraph:
-    """Assemble the weighted camera graph from verified match edges.
-
-    Isolated cameras are retained as nodes; a repeated unordered pair is
-    rejected rather than merged.
-    """
+def build_camera_graph(matches: MatchTable, num_cameras: int) -> CameraGraph:
+    """The weighted camera graph of a checked match table; isolated cameras
+    are retained as nodes."""
     if num_cameras < 2:
         raise DataError("camera graph needs at least 2 cameras")
-    edges: dict[tuple[int, int], MatchEdge] = {}
-    for edge in matches:
-        if not (0 <= edge.i < num_cameras and 0 <= edge.j < num_cameras):
-            raise DataError(f"edge ({edge.i}, {edge.j}) references an unknown camera")
-        key = (edge.i, edge.j)
-        if key in edges:
-            raise DuplicateEdgeError(f"duplicate match edge {key}")
-        edges[key] = edge
-    return CameraGraph(num_cameras, dict(sorted(edges.items())))
+    pairs = map(tuple, matches.edges.tolist())
+    return CameraGraph(num_cameras, dict(sorted(zip(pairs, matches.weights.tolist()))))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .scene import Camera, MatchEdge, Pose, project_points
+from .scene import Camera, MatchTable, Pose, project_points
 
 LAYOUTS = ("grid", "orbit", "loop", "cityBlocks")
 
@@ -25,7 +25,7 @@ class SyntheticScene:
 
     feature_points[c][f] is the 3D point id behind feature f of camera c;
     feature_xy[c][f] is its (noisy) pixel observation. Outlier features
-    injected into the match list use indices >= len(feature_points[c]).
+    injected into the match table use indices >= len(feature_points[c]).
     """
 
     cameras: list[Camera]
@@ -50,19 +50,6 @@ class SyntheticScene:
         c = self.centers()
         d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
         return float(d.max())
-
-    def true_correspondence_mask(self, edge: MatchEdge) -> np.ndarray:
-        """True for correspondences that link real observations of one point."""
-        real_i = len(self.feature_points[edge.i])
-        real_j = len(self.feature_points[edge.j])
-        ok = (edge.feat_i < real_i) & (edge.feat_j < real_j)
-        out = np.zeros(edge.weight, dtype=bool)
-        idx = np.flatnonzero(ok)
-        if len(idx):
-            pi = self.feature_points[edge.i][edge.feat_i[idx]]
-            pj = self.feature_points[edge.j][edge.feat_j[idx]]
-            out[idx] = pi == pj
-        return out
 
 
 def _look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose:
@@ -198,8 +185,8 @@ def generate_synthetic_scene(
     focal: float = DEFAULT_FOCAL,
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
-) -> tuple[SyntheticScene, list[MatchEdge]]:
-    """Generate a ground-truth scene plus its pairwise match edges.
+) -> tuple[SyntheticScene, MatchTable]:
+    """Generate a ground-truth scene plus its pairwise match table.
 
     Matches are projections of shared 3D points with isotropic Gaussian
     pixel noise; outlier_fraction of each edge's correspondences are
@@ -274,7 +261,7 @@ def generate_synthetic_scene(
             for b in range(a + 1, len(vis)):
                 pair_points.setdefault((int(vis[a]), int(vis[b])), []).append(pid)
     next_extra = [len(fp) for fp in feature_points]
-    matches = []
+    pair_feat, pair_xy = [], []
     for (i, j) in sorted(pair_points):
         pids = pair_points[(i, j)]
         fi = np.array([feat_index[i][p] for p in pids], dtype=np.int64)
@@ -293,7 +280,14 @@ def generate_synthetic_scene(
             next_extra[j] += n_out
             xi = np.vstack([xi, rng.uniform([0, 0], [width - 1, height - 1], size=(n_out, 2))])
             xj = np.vstack([xj, rng.uniform([0, 0], [width - 1, height - 1], size=(n_out, 2))])
-        matches.append(MatchEdge(i=i, j=j, feat_i=fi, xy_i=xi, feat_j=fj, xy_j=xj))
+        pair_feat.append(np.column_stack([fi, fj]))
+        pair_xy.append(np.hstack([xi, xj]))
+    matches = MatchTable(
+        edges=np.array(sorted(pair_points), dtype=np.int64).reshape(-1, 2),
+        offsets=np.cumsum([0] + [len(f) for f in pair_feat], dtype=np.int64),
+        feat=np.concatenate([np.zeros((0, 2), np.int64), *pair_feat]),
+        xy=np.concatenate([np.zeros((0, 4)), *pair_xy]),
+    )
 
     scene = SyntheticScene(
         cameras=cameras,

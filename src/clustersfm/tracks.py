@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import ClusterTree
 from .errors import DataError
-from .scene import MatchEdge
+from .scene import MatchTable
 from .utils import component_labels
 
 MIN_TRACK_LENGTH = 2
@@ -62,16 +62,11 @@ def _connect(keys: np.ndarray, xy: np.ndarray, pairs: np.ndarray) -> _NodeTracks
     return _NodeTracks(keys=unique[order], xy=xy[first[order]], labels=labels[order])
 
 
-def _match_arrays(matches: list[MatchEdge]):
+def _match_arrays(matches: MatchTable):
     """Feature keys and pixels of the match pairs in first-seen order
     a_0, b_0, a_1, b_1, ..., and the position pairs that join them."""
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.column_stack([_key(e.i, e.feat_i), _key(e.j, e.feat_j)]).ravel() for e in matches
-    ])
-    xy = np.concatenate([np.zeros((0, 2))] + [
-        np.stack([e.xy_i, e.xy_j], axis=1).reshape(-1, 2) for e in matches
-    ])
-    return keys, xy, np.arange(len(keys)).reshape(-1, 2)
+    keys = _key(matches.row_cameras(), matches.feat).ravel()
+    return keys, matches.xy.reshape(-1, 2), np.arange(len(keys)).reshape(-1, 2)
 
 
 def _chain(labels: np.ndarray) -> np.ndarray:
@@ -80,9 +75,7 @@ def _chain(labels: np.ndarray) -> np.ndarray:
     return np.column_stack([p, p + 1])
 
 
-def _merge_node_tracks(
-    left: _NodeTracks, right: _NodeTracks, cross: list[MatchEdge]
-) -> _NodeTracks:
+def _merge_node_tracks(left: _NodeTracks, right: _NodeTracks, cross: MatchTable) -> _NodeTracks:
     """Join left and right components through the cross matches.
 
     The children's keys come first, so a child's pixel beats a cross pixel;
@@ -112,33 +105,7 @@ def _emit(node: _NodeTracks) -> list[Track]:
     return tracks
 
 
-def generate_tracks_leaf(cameras, matches: list[MatchEdge]) -> list[Track]:
-    """Tracks of one leaf-pair sub-problem: connected components of the
-    matches restricted to the given cameras, inconsistent components
-    discarded whole."""
-    allowed = set(cameras)
-    for edge in matches:
-        if edge.i not in allowed or edge.j not in allowed:
-            raise DataError(f"match edge ({edge.i}, {edge.j}) outside its tree node")
-    return _emit(_connect(*_match_arrays(matches)))
-
-
-def _tracks_to_node(tracks: list[Track]) -> _NodeTracks:
-    keys = np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [_key(t.cameras, t.features) for t in tracks]
-    )
-    xy = np.concatenate([np.zeros((0, 2))] + [t.xy for t in tracks])
-    labels = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
-    return _connect(keys, xy, _chain(labels))
-
-
-def merge_tracks(left: list[Track], right: list[Track], cross: list[MatchEdge]) -> list[Track]:
-    """Merge two sibling nodes' track lists through their cross matches."""
-    node = _merge_node_tracks(_tracks_to_node(left), _tracks_to_node(right), cross)
-    return _emit(node)
-
-
-def generate_tracks(tree: ClusterTree, matches: list[MatchEdge]) -> list[Track]:
+def generate_tracks(tree: ClusterTree, matches: MatchTable) -> list[Track]:
     """Globally consistent tracks via bottom-up merging over the cluster tree.
 
     Each leaf consumes the matches inside its camera set; each inner node
@@ -146,19 +113,18 @@ def generate_tracks(tree: ClusterTree, matches: list[MatchEdge]) -> list[Track]:
     (i, j) order. So every match is processed exactly once and the result
     equals the connected components of all matches at once.
     """
-    in_tree = set(tree.root.cameras)
-    for edge in matches:
-        if edge.i not in in_tree or edge.j not in in_tree:
-            raise DataError(f"match edge ({edge.i}, {edge.j}) references a camera outside the tree")
+    outside = ~np.isin(matches.edges, tree.root.cameras).all(axis=1)
+    if outside.any():
+        i, j = matches.edges[np.argmax(outside)].tolist()
+        raise DataError(f"match edge ({i}, {j}) references a camera outside the tree")
 
-    def walk(node, scoped: list[MatchEdge]) -> _NodeTracks:
+    def walk(node, scoped: MatchTable) -> _NodeTracks:
         if node.is_leaf:
             return _connect(*_match_arrays(scoped))
-        left_cams = set(node.left.cameras)
-        side = [(e.i in left_cams) + (e.j in left_cams) for e in scoped]  # 2 left, 0 right, 1 cross
-        left = walk(node.left, [e for e, s in zip(scoped, side) if s == 2])
-        right = walk(node.right, [e for e, s in zip(scoped, side) if s == 0])
-        cross = sorted((e for e, s in zip(scoped, side) if s == 1), key=lambda e: (e.i, e.j))
-        return _merge_node_tracks(left, right, cross)
+        side = np.isin(scoped.edges, node.left.cameras).sum(axis=1)  # 2 left, 0 right, 1 cross
+        cross = np.flatnonzero(side == 1)
+        i, j = scoped.edges[cross].T
+        left, right = walk(node.left, scoped.take(side == 2)), walk(node.right, scoped.take(side == 0))
+        return _merge_node_tracks(left, right, scoped.take(cross[np.lexsort((j, i))]))
 
-    return _emit(walk(tree.root, list(matches)))
+    return _emit(walk(tree.root, matches))

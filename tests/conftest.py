@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from clustersfm.scene import MatchEdge, build_camera_graph
+from clustersfm.scene import MatchTable, build_camera_graph
+
+
+def match_table(edges):
+    """The MatchTable of edges (i, j, feat (n, 2), xy (n, 4)), in the order given."""
+    return MatchTable(
+        edges=np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2),
+        offsets=np.cumsum([0] + [len(e[2]) for e in edges], dtype=np.int64),
+        feat=np.concatenate([np.zeros((0, 2), np.int64)] + [np.reshape(e[2], (-1, 2)).astype(np.int64) for e in edges]),
+        xy=np.concatenate([np.zeros((0, 4))] + [np.reshape(e[3], (-1, 4)).astype(float) for e in edges]),
+    )
 
 
 def weighted_edge(i, j, w):
-    """Match edge with w synthetic correspondences (structure-only tests)."""
+    """Edge (i, j, feat, xy) with w synthetic correspondences (structure-only tests)."""
     f = np.arange(w)
     xy = np.column_stack([np.arange(w, dtype=float), np.zeros(w)])
-    return MatchEdge(i=i, j=j, feat_i=f, xy_i=xy, feat_j=f, xy_j=xy)
+    return i, j, np.column_stack([f, f]), np.hstack([xy, xy])
 
 
 def geometric_graph(n, radius, seed, weight_hi=100):
@@ -19,7 +29,7 @@ def geometric_graph(n, radius, seed, weight_hi=100):
     pts = rng.uniform(0, 1, size=(n, 2))
     pairs = sorted(cKDTree(pts).query_pairs(radius))
     edges = [weighted_edge(i, j, int(rng.integers(1, weight_hi))) for i, j in pairs]
-    return build_camera_graph(edges, n)
+    return build_camera_graph(match_table(edges), n)
 
 
 @pytest.fixture(scope="session")

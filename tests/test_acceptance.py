@@ -3,7 +3,6 @@ its assertions hold. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import csv
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from clustersfm.averaging import (
 )
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.evaluation import align_similarity, epipolar_error
-from clustersfm.geometry import angle_between, random_rotation, rotation_angle
+from clustersfm.geometry import random_rotation, rotation_angle
 from clustersfm.io import file_hash, load_global_motion, load_global_points, load_ground_truth
 from clustersfm.local_sfm import RelativeMotion, run_local_sfm
 from clustersfm.pipeline import PipelineConfig, run_pipeline
@@ -74,7 +73,7 @@ def test_criterion_2_clustering_trends():
     for dc in (0.0, 0.3, 0.5, 0.7):
         cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=100, completeness_ratio=dc, seed=1))
         duplication.append(sum(c.size for c in cs.interdependent) / 1000.0)
-        discarded.append(sum(w for (_, _, w) in cs.discarded_edges) / graph.total_weight)
+        discarded.append(sum(w for (_, _, w) in cs.discarded_edges) / sum(graph.edges.values()))
     ok = duplication == sorted(duplication) and discarded == sorted(discarded, reverse=True)
     ok = ok and discarded[0] > discarded[-1]
     report(2, "duplication/discard ratios monotone in completeness threshold", ok,
@@ -89,7 +88,7 @@ def test_criterion_3_track_oracle_equivalence():
     for _ in range(100):
         ncams = int(rng.integers(6, 51))
         matches = random_instance(rng, ncams, int(rng.integers(10, 2001)))
-        if not matches:
+        if not len(matches):
             continue
         graph = build_camera_graph(matches, ncams)
         _, tree, _ = divide(graph, max(2, ncams // 3))
@@ -259,7 +258,7 @@ def test_criterion_7_loop_closure(loop_pipeline):
     cs = load_cluster_set(out / "clusters.json", len(cameras))
     assert len(cs.interdependent) == 4, "expected 4 interdependent clusters"
     gt = load_ground_truth(out / "ground_truth.json")
-    final = load_global_motion(out / "final_motion.json")
+    final = load_global_motion(out / "final_motion.json", len(cameras))
     points = load_global_points(out / "final_points.npz")
 
     cams = sorted(final.centers)

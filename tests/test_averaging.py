@@ -8,7 +8,6 @@ from clustersfm.averaging import (
     ROTATION_IRLS_EPS,
     ROTATION_MAX_ITERATIONS,
     ROTATION_UPDATE_TOL,
-    GlobalMotion,
     _spanning_tree_init,
     build_translation_system,
     rotation_averaging,
@@ -17,7 +16,7 @@ from clustersfm.averaging import (
 )
 from clustersfm.errors import NumericalError
 from clustersfm.evaluation import align_similarity
-from clustersfm.geometry import angle_between, random_rotation, rotation_angle, so3_exp, so3_log
+from clustersfm.geometry import random_rotation, rotation_angle, so3_exp, so3_log
 from clustersfm.local_sfm import RelativeMotion
 from clustersfm.utils import component_labels
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from clustersfm.clustering import (
@@ -12,13 +11,13 @@ from clustersfm.clustering import (
 )
 from clustersfm.errors import ConfigurationError
 from clustersfm.scene import build_camera_graph
-from conftest import geometric_graph, weighted_edge
+from conftest import geometric_graph, match_table, weighted_edge
 
 
 def test_bisect_weighted_path_exhaustive_minimum():
     # exhaustive check over all 7 bipartitions of {0,1,2,3} says {0,1}|{2,3}
     g = build_camera_graph(
-        [weighted_edge(0, 1, 10), weighted_edge(1, 2, 1), weighted_edge(2, 3, 10)], 4
+        match_table([weighted_edge(0, 1, 10), weighted_edge(1, 2, 1), weighted_edge(2, 3, 10)]), 4
     )
     a, b = bisect_normalized_cut(g)
     assert (a, b) == ((0, 1), (2, 3))
@@ -27,25 +26,25 @@ def test_bisect_weighted_path_exhaustive_minimum():
 def test_bisect_disconnected_components_first():
     edges = [weighted_edge(0, 1, 1), weighted_edge(1, 2, 1), weighted_edge(0, 2, 1),
              weighted_edge(3, 4, 1), weighted_edge(4, 5, 1), weighted_edge(3, 5, 1)]
-    a, b = bisect_normalized_cut(build_camera_graph(edges, 6))
+    a, b = bisect_normalized_cut(build_camera_graph(match_table(edges), 6))
     assert set(a) == {0, 1, 2} and set(b) == {3, 4, 5}
 
 
 def test_bisect_k4_balanced_tie_break():
     edges = [weighted_edge(i, j, 5) for i in range(4) for j in range(i + 1, 4)]
-    a, b = bisect_normalized_cut(build_camera_graph(edges, 4))
+    a, b = bisect_normalized_cut(build_camera_graph(match_table(edges), 4))
     assert len(a) == 2 and len(b) == 2
     assert 0 in a
 
 
 def test_divide_single_leaf():
-    g = build_camera_graph([weighted_edge(0, 1, 3), weighted_edge(1, 2, 3), weighted_edge(2, 3, 3)], 4)
+    g = build_camera_graph(match_table([weighted_edge(0, 1, 3), weighted_edge(1, 2, 3), weighted_edge(2, 3, 3)]), 4)
     leaves, tree, discarded = divide(g, 100)
     assert len(leaves) == 1 and discarded == [] and tree.depth() == 0
 
 
 def test_divide_path_of_eight():
-    g = build_camera_graph([weighted_edge(i, i + 1, 1) for i in range(7)], 8)
+    g = build_camera_graph(match_table([weighted_edge(i, i + 1, 1) for i in range(7)]), 8)
     leaves, tree, discarded = divide(g, 2)
     assert [l.cameras for l in leaves] == [(0, 1), (2, 3), (4, 5), (6, 7)]
     assert len(discarded) == 3
@@ -111,7 +110,7 @@ def test_expand_seed_changes_receiver_only():
 
 
 def test_cluster_cameras_single_cluster_reports_zero_ratio():
-    g = build_camera_graph([weighted_edge(0, 1, 4), weighted_edge(1, 2, 4)], 3)
+    g = build_camera_graph(match_table([weighted_edge(0, 1, 4), weighted_edge(1, 2, 4)]), 3)
     cs = cluster_cameras(g, ClusterConfig(max_cluster_size=100, completeness_ratio=0.7, seed=0))
     assert len(cs.interdependent) == 1
     assert cs.achieved_ratios == [0.0]

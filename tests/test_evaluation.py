@@ -15,7 +15,7 @@ from clustersfm.synthetic import generate_synthetic_scene
 @pytest.fixture(scope="module")
 def eval_scene():
     scene, matches = generate_synthetic_scene("orbit", 15, 300, pixel_sigma=0.0, seed=4)
-    pairs = [(e.i, e.j) for e in matches]
+    pairs = [tuple(e) for e in matches.edges.tolist()]
     return scene, matches, pairs
 
 

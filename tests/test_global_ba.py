@@ -5,7 +5,6 @@ from clustersfm import ba_core
 from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.global_ba import (
-    BAPartition,
     build_partitions,
     distributed_bundle_adjust,
     triangulate_global,
@@ -13,7 +12,7 @@ from clustersfm.global_ba import (
 from clustersfm.scene import build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import Track
-from clustersfm.errors import NumericalError
+from clustersfm.errors import DataError, NumericalError
 from clustersfm.geometry import so3_exp
 
 
@@ -101,8 +100,18 @@ def test_partition_structure(loop24):
     assert owned == sorted(set(owned))
     assert len(owned) == sum(p.active for p in points)
     # every observation appears in exactly one sub-problem
-    total_obs = sum(len(part.obs_indices) for part in partitions)
+    total_obs = sum(np.isin(p.cameras, part.cameras).sum() for part in partitions for p in points if p.active)
     assert total_obs == sum(len(p.cameras) for p in points if p.active)
+
+
+def test_point_camera_the_motion_does_not_pose_is_a_data_error(loop24):
+    scene, matches, graph, cs = loop24
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    motion = gt_motion(scene)
+    del motion.rotations[3], motion.centers[3]  # posed when the points were triangulated, not now
+    partitions = build_partitions(points, cs, motion)
+    with pytest.raises(DataError, match="^point camera 3 is not posed by the global motion$"):
+        distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
 
 
 def test_ground_truth_noise_free_terminates_immediately(loop24):

@@ -25,18 +25,15 @@ def test_match_graph_roundtrip(tmp_path):
     assert len(cameras) == 6 and len(loaded) == len(matches)
     assert cameras == scene.cameras
     assert all(type(c.width) is int and type(c.height) is int for c in cameras)
-    for a, b in zip(matches, loaded):
-        assert (a.i, a.j) == (b.i, b.j)
-        for name in ("feat_i", "xy_i", "feat_j", "xy_j"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert getattr(a, name).dtype == getattr(b, name).dtype
+    for name in ("edges", "offsets", "feat", "xy"):
+        assert np.array_equal(getattr(matches, name), getattr(loaded, name))
+        assert getattr(matches, name).dtype == getattr(loaded, name).dtype
     # graph built from the roundtrip matches is identical
-    g1 = build_camera_graph(matches, 6)
-    g2 = build_camera_graph(loaded, 6)
-    assert sorted(g1.edges) == sorted(g2.edges)
-    assert [e.weight for e in g1.edges.values()] == [e.weight for e in g2.edges.values()]
-    sfm_io.save_match_graph(path, scene.cameras, [])
-    assert sfm_io.load_match_graph(path) == (scene.cameras, [])
+    assert build_camera_graph(matches, 6).edges == build_camera_graph(loaded, 6).edges
+    sfm_io.save_match_graph(path, scene.cameras, matches.take([]))
+    cameras, empty = sfm_io.load_match_graph(path)
+    assert cameras == scene.cameras and empty.edges.shape == (0, 2) and empty.offsets.tolist() == [0]
+    assert empty.feat.shape == (0, 2) and empty.xy.shape == (0, 4)
 
 
 def test_saves_are_byte_identical(tmp_path):
@@ -175,7 +172,7 @@ def test_global_motion_and_points_roundtrip(tmp_path):
         objective=0.3,
     )
     sfm_io.save_global_motion(tmp_path / "gm.json", motion)
-    loaded = sfm_io.load_global_motion(tmp_path / "gm.json")
+    loaded = sfm_io.load_global_motion(tmp_path / "gm.json", 2)
     assert loaded.scales == {0: 1.0, 1: 2.5}
     assert np.allclose(loaded.centers[1], [1, 0, 0])
 
@@ -265,6 +262,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         ("edges", [*edges[:3], [j3, i3], *edges[4:]], f"match edge \\({j3}, {i3}\\) must have i < j"),
         ("edges", [*edges[:3], [i3, i3], *edges[4:]], f"self match edge on camera {i3}"),
         ("edges", [[i, 6 if j == 5 else j] for i, j in edges], "edge camera is not in 0..5"),
+        ("edges", [*edges[:3], edges[1], *edges[4:]], f"duplicate match edge \\({edges[1][0]}, {edges[1][1]}\\)"),
     ):
         broken = {k: v for k, v in dict(data, **{key: value}).items() if v is not None}
         path.write_text(json.dumps(broken))
@@ -359,3 +357,13 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match="camera id -1"):
         sfm_io.load_ground_truth(path)
+    motion = GlobalMotion(rotations={0: np.eye(3), 5: np.eye(3)}, centers={0: np.zeros(3), 5: np.ones(3)},
+                          scales={0: 1.0}, residual_norms=np.zeros(1), objective=0.0)
+    sfm_io.save_global_motion(path, motion)
+    assert sorted(sfm_io.load_global_motion(path, 6).centers) == [0, 5]
+    data = json.loads(path.read_text())
+    for camera in (999, -1, 6):  # -1 would take the last camera's intrinsics
+        data["cameras"][1]["id"] = camera
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: motion camera {camera} is not in the match graph's 0..5$"):
+            sfm_io.load_global_motion(path, 6)

@@ -19,7 +19,6 @@ from clustersfm.local_sfm import (
     ClusterTracks,
     TRIANGULATION_MIN_ANGLE_DEG,
     LocalReconstruction,
-    RelativeMotion,
     SeedFailure,
     estimate_relative_pose,
     estimate_seed_pair,
@@ -118,9 +117,9 @@ def test_seed_pair_rejects_zero_baseline():
     poses = [pose, Pose(R=np.eye(3), c=np.zeros(3))]  # identical poses
     points = rng.normal(size=(60, 3)) * 1.5 + np.array([0, 0, 6.0])
     tracks = _tracks_for_pair(poses, cams, points)
-    from conftest import weighted_edge
+    from conftest import match_table, weighted_edge
 
-    graph = build_camera_graph([weighted_edge(0, 1, len(tracks))], 2)
+    graph = build_camera_graph(match_table([weighted_edge(0, 1, len(tracks))]), 2)
     ct = ClusterTracks((0, 1), tracks)
     with pytest.raises(SeedFailure):
         estimate_seed_pair(graph, Cluster(id=0, cameras=(0, 1)), ct, cams, seeded_rng(0))
@@ -264,7 +263,7 @@ def test_two_camera_cluster_is_seed_only(orbit_scene_small):
     scene, matches = orbit_scene_small
     graph = build_camera_graph(matches, scene.num_cameras)
     tree = ClusterTree(root=ClusterTreeNode(cameras=(0, 1), leaf_id=0))
-    sub = [m for m in matches if (m.i, m.j) == (0, 1)]
+    sub = matches.take((matches.edges == (0, 1)).all(axis=1))
     tracks = generate_tracks(tree, sub)
     rec = run_local_sfm(graph, Cluster(id=0, cameras=(0, 1)), tracks, scene.cameras, SEED)
     assert sorted(rec.rotations) == [0, 1]
@@ -277,9 +276,9 @@ def test_extract_relative_motions_identity_example():
     rec.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
     rec.point_tracks, rec.positions = np.array([0]), np.zeros((1, 3))
     rec.obs_tracks, rec.obs_cameras, rec.obs_xy = np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2))
-    from conftest import weighted_edge
+    from conftest import match_table, weighted_edge
 
-    graph = build_camera_graph([weighted_edge(0, 1, 5)], 2)
+    graph = build_camera_graph(match_table([weighted_edge(0, 1, 5)]), 2)
     motions = extract_relative_motions(rec, graph)
     assert len(motions) == 1
     m = motions[0]

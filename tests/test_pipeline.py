@@ -1,7 +1,5 @@
 import json
-import os
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +101,10 @@ def test_cli_invalid_config_exit_code(tmp_path):
     cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
     assert not (tmp_path / "matches.json").exists()
+    for removed in ({"l1_max_iters": 200}, {"l1_tol": 1e-10}):  # averaging settings are constants now
+        cfg.write_text(json.dumps(removed))
+        assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
+        assert not (tmp_path / "matches.json").exists()
     cfg.write_text(json.dumps({"max_outer_iterations": 0}))  # checked before the synth stage
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
     assert not (tmp_path / "matches.json").exists()
@@ -234,6 +236,40 @@ def test_cli_cluster_camera_outside_match_graph_exit_code(small_run, tmp_path, c
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"data error: stage {stage!r} failed:") and "clusters.json" in err
         assert "not in the match graph's 0..17" in err and "\n" not in err
+
+
+def _one_line_data_error(capsys, stage, *fragments):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"data error: stage {stage!r} failed:") and "\n" not in err and "Traceback" not in err
+    assert all(f in err for f in fragments), err
+
+
+def test_cli_motion_camera_outside_match_graph_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    for name, stages in (("global_motion.json", ("triangulate", "ba")), ("final_motion.json", ("evaluate",))):
+        path = tmp_path / name
+        original = path.read_text()
+        data = json.loads(original)
+        for camera in (999, -1):  # -1 would take the last camera's intrinsics
+            data["cameras"][0]["id"] = camera
+            path.write_text(json.dumps(data))
+            for stage in stages:
+                assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, camera, stage)
+                _one_line_data_error(capsys, stage, name, f"motion camera {camera} is not in the match graph's 0..17")
+        path.write_text(original)
+
+
+def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "global_motion.json"
+    data = json.loads(path.read_text())
+    data["cameras"] = [c for c in data["cameras"] if c["id"] != 3]  # the points still see camera 3
+    path.write_text(json.dumps(data))
+    assert cli_main(["ba", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "ba", "point camera 3 is not posed by the global motion")
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):

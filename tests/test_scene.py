@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from clustersfm.errors import BehindCameraError, DataError, DuplicateEdgeError
-from clustersfm.geometry import random_rotation, so3_exp
+from clustersfm.geometry import random_rotation
 from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
-from conftest import weighted_edge
+from conftest import match_table, weighted_edge
 
 
 def test_project_identity_case():
@@ -57,74 +57,88 @@ def test_pose_validation():
 
 
 def test_build_camera_graph_direct_definition():
-    g = build_camera_graph([weighted_edge(0, 1, 50), weighted_edge(1, 2, 20)], 3)
+    g = build_camera_graph(match_table([weighted_edge(0, 1, 50), weighted_edge(1, 2, 20)]), 3)
     assert g.weight(0, 1) == 50
     assert g.weight(1, 2) == 20
     assert g.num_cameras == 3
 
 
-def test_build_camera_graph_rejects_unknown_camera():
-    with pytest.raises(DataError, match=r"edge \(1, 3\) references an unknown camera"):
-        build_camera_graph([weighted_edge(0, 1, 5), weighted_edge(1, 3, 5)], 3)
+def test_match_table_check_rejects_unknown_camera():
+    table = match_table([weighted_edge(0, 1, 5), weighted_edge(1, 3, 5)])
+    table.check(4)
+    with pytest.raises(DataError, match=r"^edge \(1, 3\): an edge camera is not in 0..2$"):
+        table.check(3)
+    with pytest.raises(DataError, match=r"^edge \(-1, 1\): an edge camera is not in 0..2$"):
+        match_table([weighted_edge(-1, 1, 5)]).check(3)
 
 
 def test_build_camera_graph_empty_matches():
-    g = build_camera_graph([], 2)
+    g = build_camera_graph(match_table([]), 2)
     assert g.num_cameras == 2 and len(g.edges) == 0
 
 
 def test_build_camera_graph_cycle_weight_total():
     edges = [weighted_edge(i, (i + 1) % 4, 10) if i < 3 else weighted_edge(0, 3, 10) for i in range(4)]
-    g = build_camera_graph(edges, 4)
-    assert len(g.edges) == 4
-    assert all(e.weight == 10 for e in g.edges.values())
-    assert g.total_weight == 40
+    g = build_camera_graph(match_table(edges), 4)
+    assert g.edges == {(0, 1): 10, (0, 3): 10, (1, 2): 10, (2, 3): 10}
+    assert sum(g.edges.values()) == 40
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(DuplicateEdgeError):
-        build_camera_graph([weighted_edge(0, 1, 5), weighted_edge(0, 1, 7)], 2)
+    with pytest.raises(DuplicateEdgeError, match=r"^duplicate match edge \(0, 1\)$"):
+        match_table([weighted_edge(0, 1, 5), weighted_edge(1, 2, 3), weighted_edge(0, 1, 7)]).check(3)
 
 
 def test_edge_validation():
-    with pytest.raises(DataError):
-        weighted_edge(2, 2, 3)
-    with pytest.raises(DataError):
-        weighted_edge(3, 1, 3)  # i > j
-    f = np.array([0, 0])
-    xy = np.zeros((2, 2))
-    from clustersfm.scene import MatchEdge
+    with pytest.raises(DataError, match="^self match edge on camera 2$"):
+        match_table([weighted_edge(2, 2, 3)]).check(3)
+    with pytest.raises(DataError, match=r"^match edge \(2, 1\) must have i < j$"):
+        match_table([weighted_edge(2, 1, 3)]).check(3)
+    with pytest.raises(DataError, match=r"^edge \(0, 1\) has no correspondences$"):
+        match_table([weighted_edge(0, 1, 0)]).check(3)
+    for feat in ([[0, 0], [0, 1]], [[0, 1], [1, 1]]):  # a feature of i, then of j, twice
+        with pytest.raises(DataError, match=r"^edge \(0, 1\) repeats a feature index$"):
+            match_table([(0, 1, feat, np.zeros((2, 4)))]).check(3)
 
-    with pytest.raises(DataError):
-        MatchEdge(i=0, j=1, feat_i=f, xy_i=xy, feat_j=np.array([0, 1]), xy_j=xy)
+
+def test_match_table_check_names_the_first_faulty_edge():
+    edges = [
+        (0, 1, [[4, 7], [2, 9]], np.zeros((2, 4))),
+        (1, 3, [[0, 1], [5, 2], [8, 2]], np.zeros((3, 4))),  # feature 2 of camera 3 twice
+        (2, 1, [[0, 0]], np.zeros((1, 4))),
+        (0, 1, [[1, 1]], np.zeros((1, 4))),
+    ]
+    match_table(edges[:1]).check(4)
+    # of several faulty edges the first is named, whatever its fault
+    with pytest.raises(DataError, match=r"^edge \(1, 3\) repeats a feature index$"):
+        match_table(edges).check(4)
+    with pytest.raises(DataError, match=r"^match edge \(2, 1\) must have i < j$"):
+        match_table(edges[:1] + edges[2:]).check(4)
+    # of several faults of one edge the range comes first
+    with pytest.raises(DataError, match=r"^edge \(1, 3\): an edge camera is not in 0..2$"):
+        match_table(edges).check(3)
 
 
-def test_match_table_builds_checked_edges_and_never_returns_a_flagged_one(monkeypatch):
-    from clustersfm.scene import MatchEdge
-
-    edges = np.array([[0, 1], [1, 3]])
-    offsets = np.array([0, 2, 5])
-    feat = np.array([[4, 7], [2, 9], [0, 1], [5, 2], [8, 3]])
-    xy = np.arange(20.0).reshape(5, 4)
-    built = MatchEdge.from_table(edges, offsets, feat, xy)
-    for edge, (i, j), a, b in zip(built, edges.tolist(), offsets[:-1], offsets[1:]):
-        ref = MatchEdge(i=i, j=j, feat_i=feat[a:b, 0], xy_i=xy[a:b, :2], feat_j=feat[a:b, 1], xy_j=xy[a:b, 2:])
-        assert (edge.i, edge.j) == (ref.i, ref.j)
-        for name in ("feat_i", "xy_i", "feat_j", "xy_j"):
-            assert np.array_equal(getattr(edge, name), getattr(ref, name))
-            assert getattr(edge, name).dtype == getattr(ref, name).dtype
-    repeated = feat.copy()
-    repeated[4, 1] = 2  # feature 2 of camera 3 twice in edge (1, 3)
-    with pytest.raises(DataError, match=r"edge \(1, 3\) repeats a feature index"):
-        MatchEdge.from_table(edges, offsets, repeated, xy)
-    # were the per-edge checks ever to accept what the table check flags,
-    # the table is still refused
-    monkeypatch.setattr(MatchEdge, "__post_init__", lambda self: None)
-    with pytest.raises(DataError, match=r"edge \(1, 3\) fails the match-table checks"):
-        MatchEdge.from_table(edges, offsets, repeated, xy)
+def test_match_table_take_selects_edges_in_the_order_given():
+    table = match_table([
+        (0, 1, [[4, 7], [2, 9]], np.arange(8.0).reshape(2, 4)),
+        (1, 3, [[0, 1], [5, 2], [8, 3]], np.arange(8.0, 20.0).reshape(3, 4)),
+        (2, 3, [[6, 6]], np.arange(20.0, 24.0).reshape(1, 4)),
+    ])
+    picked = table.take([2, 0])
+    assert picked.edges.tolist() == [[2, 3], [0, 1]]
+    assert picked.offsets.tolist() == [0, 1, 3]
+    assert picked.feat.tolist() == [[6, 6], [4, 7], [2, 9]]
+    assert np.array_equal(picked.xy, np.concatenate([table.xy[5:], table.xy[:2]]))
+    masked = table.take(np.array([False, True, True]))
+    assert masked.edges.tolist() == [[1, 3], [2, 3]] and masked.offsets.tolist() == [0, 3, 4]
+    assert np.array_equal(masked.xy, table.xy[2:]) and masked.feat.dtype == np.int64
+    empty = table.take(np.zeros(3, dtype=bool))
+    assert empty.edges.shape == (0, 2) and empty.offsets.tolist() == [0] and empty.xy.shape == (0, 4)
+    assert table.row_cameras().tolist() == [[0, 1], [0, 1], [1, 3], [1, 3], [1, 3], [2, 3]]
 
 
 def test_isolated_cameras_kept_as_nodes():
-    g = build_camera_graph([weighted_edge(0, 1, 5)], 4)
+    g = build_camera_graph(match_table([weighted_edge(0, 1, 5)]), 4)
     assert g.num_cameras == 4
     assert g.adjacency().shape == (4, 4)

@@ -7,15 +7,28 @@ from clustersfm.scene import project_point
 from clustersfm.synthetic import generate_synthetic_scene
 
 
+def true_correspondence_mask(scene, matches) -> np.ndarray:
+    """True for the rows of the match table that link real observations of
+    one point; injected outliers use feature indices past a camera's real
+    features."""
+    real = np.array([len(f) for f in scene.feature_points])
+    cams = matches.row_cameras()
+    ok = (matches.feat < real[cams]).all(axis=1)
+    points = np.concatenate(scene.feature_points)[(np.cumsum(real) - real)[cams[ok]] + matches.feat[ok]]
+    mask = np.zeros(len(ok), dtype=bool)
+    mask[ok] = points[:, 0] == points[:, 1]
+    return mask
+
+
 def test_noise_free_correspondences_exact(loop_scene_noisefree):
     scene, matches = loop_scene_noisefree
+    matches.check(scene.num_cameras)
+    assert true_correspondence_mask(scene, matches).all()
     checked = 0
-    for edge in matches:
-        mask = scene.true_correspondence_mask(edge)
-        assert mask.all()
-        for fi, xy in zip(edge.feat_i[:5], edge.xy_i[:5]):
-            pid = scene.feature_points[edge.i][fi]
-            proj = project_point(scene.poses[edge.i], scene.cameras[edge.i], scene.points[pid])
+    for (i, _), a in zip(matches.edges.tolist(), matches.offsets[:-1].tolist()):
+        for fi, xy in zip(matches.feat[a:a + 5, 0], matches.xy[a:a + 5, :2]):
+            pid = scene.feature_points[i][fi]
+            proj = project_point(scene.poses[i], scene.cameras[i], scene.points[pid])
             assert np.abs(proj - xy).max() < 1e-9
             checked += 1
     assert checked > 0
@@ -33,9 +46,8 @@ def test_seed_changes_noise_not_layout():
 def test_same_seed_is_deterministic():
     s1, m1 = generate_synthetic_scene("orbit", 8, 120, pixel_sigma=0.5, outlier_fraction=0.1, seed=9)
     s2, m2 = generate_synthetic_scene("orbit", 8, 120, pixel_sigma=0.5, outlier_fraction=0.1, seed=9)
-    assert len(m1) == len(m2)
-    for a, b in zip(m1, m2):
-        assert np.array_equal(a.xy_i, b.xy_i) and np.array_equal(a.feat_j, b.feat_j)
+    for name in ("edges", "offsets", "feat", "xy"):
+        assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
 
 def test_noise_sigma_calibration():
@@ -52,15 +64,15 @@ def test_noise_sigma_calibration():
 
 def test_noise_free_matches_are_epipolar_inliers(loop_scene_noisefree):
     scene, matches = loop_scene_noisefree
-    for edge in matches:
-        Ri, ci = scene.poses[edge.i].R, scene.poses[edge.i].c
-        Rj, cj = scene.poses[edge.j].R, scene.poses[edge.j].c
+    for (i, j), a, b in zip(matches.edges.tolist(), matches.offsets[:-1], matches.offsets[1:]):
+        Ri, ci = scene.poses[i].R, scene.poses[i].c
+        Rj, cj = scene.poses[j].R, scene.poses[j].c
         R_rel = Rj @ Ri.T
         t_rel = Rj @ (ci - cj)
         E = skew(t_rel) @ R_rel
-        F = np.linalg.inv(scene.cameras[edge.j].K).T @ E @ np.linalg.inv(scene.cameras[edge.i].K)
-        xi = np.column_stack([edge.xy_i, np.ones(edge.weight)])
-        xj = np.column_stack([edge.xy_j, np.ones(edge.weight)])
+        F = np.linalg.inv(scene.cameras[j].K).T @ E @ np.linalg.inv(scene.cameras[i].K)
+        xi = np.column_stack([matches.xy[a:b, :2], np.ones(b - a)])
+        xj = np.column_stack([matches.xy[a:b, 2:], np.ones(b - a)])
         lines = xi @ F.T
         dist = np.abs(np.sum(xj * lines, axis=1)) / np.hypot(lines[:, 0], lines[:, 1])
         assert dist.max() < 1e-6
@@ -70,12 +82,9 @@ def test_outlier_fraction_replaces_correspondences():
     scene, matches = generate_synthetic_scene(
         "orbit", 10, 200, pixel_sigma=0.0, outlier_fraction=0.2, seed=5
     )
-    fractions = []
-    for edge in matches:
-        mask = scene.true_correspondence_mask(edge)
-        if edge.weight >= 20:
-            fractions.append(1.0 - mask.mean())
-    assert fractions
+    true = np.add.reduceat(true_correspondence_mask(scene, matches), matches.offsets[:-1])
+    fractions = (1.0 - true / matches.weights)[matches.weights >= 20]
+    assert len(fractions)
     assert abs(np.mean(fractions) - 0.2) < 0.03
 
 
@@ -93,5 +102,6 @@ def test_all_layouts_generate(layout, n):
     scene, matches = generate_synthetic_scene(layout, n, 200, pixel_sigma=0.0, seed=2)
     assert scene.num_cameras == n
     assert len(matches) > 0
+    matches.check(n)
     # every point visible in >= 2 cameras
     assert min(len(v) for v in scene.visibility) >= 2

@@ -3,25 +3,34 @@ import pytest
 
 from clustersfm.clustering import ClusterTree, ClusterTreeNode, divide
 from clustersfm.errors import DataError
-from clustersfm.scene import MatchEdge, build_camera_graph
-from clustersfm.tracks import generate_tracks, generate_tracks_leaf, merge_tracks
+from clustersfm.scene import build_camera_graph
+from clustersfm.tracks import generate_tracks
 from clustersfm.utils import component_labels
+from conftest import match_table
 
 
 def medge(i, j, pairs):
-    return MatchEdge(
-        i=i,
-        j=j,
-        feat_i=np.array([p[0] for p in pairs]),
-        xy_i=np.array([p[1] for p in pairs], dtype=float),
-        feat_j=np.array([p[2] for p in pairs]),
-        xy_j=np.array([p[3] for p in pairs], dtype=float),
-    )
+    """Edge (i, j, feat, xy) of (feature in i, pixel in i, feature in j, pixel in j) pairs."""
+    return i, j, [(p[0], p[2]) for p in pairs], [(*p[1], *p[3]) for p in pairs]
+
+
+def leaf(cameras):
+    """A one-leaf tree over the cameras."""
+    return ClusterTree(root=ClusterTreeNode(cameras=tuple(cameras), leaf_id=0))
+
+
+def two_leaves(left, right):
+    """A root over two leaves with the given cameras."""
+    tree = ClusterTree(root=ClusterTreeNode(
+        cameras=tuple(sorted(left + right)), left=ClusterTreeNode(cameras=left), right=ClusterTreeNode(cameras=right)
+    ))
+    tree.assign_leaf_ids()
+    return tree
 
 
 def flat_union_find_oracle(matches):
-    """Independent reference: plain dict-based union-find over all matches,
-    whole-component consistency filter, min length 2."""
+    """Independent reference: plain dict-based union-find over all matches
+    of a match table, whole-component consistency filter, min length 2."""
     parent = {}
 
     def find(x):
@@ -31,14 +40,14 @@ def flat_union_find_oracle(matches):
         return x
 
     xy = {}
-    for e in matches:
-        for fi, pi, fj, pj in zip(e.feat_i, e.xy_i, e.feat_j, e.xy_j):
-            a, b = (e.i, int(fi)), (e.j, int(fj))
-            xy.setdefault(a, tuple(pi))
-            xy.setdefault(b, tuple(pj))
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+    for (i, j), (fi, fj), (xi, yi, xj, yj) in zip(matches.row_cameras().tolist(), matches.feat.tolist(),
+                                                  matches.xy.tolist()):
+        a, b = (i, fi), (j, fj)
+        xy.setdefault(a, (xi, yi))
+        xy.setdefault(b, (xj, yj))
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
     groups = {}
     for key in parent:
         groups.setdefault(find(key), []).append(key)
@@ -65,7 +74,7 @@ def canonical(tracks):
 def test_leaf_transitive_closure():
     m1 = medge(0, 1, [(1, (0, 0), 3, (1, 1))])
     m2 = medge(1, 2, [(3, (1, 1), 7, (2, 2))])
-    tracks = generate_tracks_leaf([0, 1, 2], [m1, m2])
+    tracks = generate_tracks(leaf([0, 1, 2]), match_table([m1, m2]))
     assert len(tracks) == 1
     assert as_tuple(tracks[0]) == ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0))
 
@@ -76,7 +85,7 @@ def test_leaf_first_seen_pixel_wins():
     m1 = medge(0, 1, [(1, (0, 0), 3, (1, 1)), (2, (4, 4), 5, (6, 6))])
     m2 = medge(1, 2, [(3, (9, 9), 7, (2, 2))])
     m3 = medge(0, 2, [(2, (8, 8), 8, (3, 3))])
-    tracks = generate_tracks_leaf([0, 1, 2], [m1, m2, m3])
+    tracks = generate_tracks(leaf([0, 1, 2]), match_table([m1, m2, m3]))
     assert [as_tuple(t) for t in tracks] == [
         ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0)),
         ((0, 2, 4.0, 4.0), (1, 5, 6.0, 6.0), (2, 8, 3.0, 3.0)),
@@ -88,40 +97,43 @@ def test_leaf_inconsistent_component_discarded():
     e01 = medge(0, 1, [(1, (0, 0), 3, (1, 1))])
     e02 = medge(0, 2, [(2, (5, 5), 9, (2, 2))])
     e12 = medge(1, 2, [(3, (1, 1), 9, (2, 2))])
-    assert generate_tracks_leaf([0, 1, 2], [e01, e02, e12]) == []
+    assert generate_tracks(leaf([0, 1, 2]), match_table([e01, e02, e12])) == []
 
 
 def test_leaf_rejects_out_of_scope_matches():
-    with pytest.raises(DataError):
-        generate_tracks_leaf([0, 1], [medge(1, 2, [(0, (0, 0), 0, (1, 1))])])
+    with pytest.raises(DataError, match=r"^match edge \(1, 2\) references a camera outside the tree$"):
+        generate_tracks(leaf([0, 1]), match_table([medge(1, 2, [(0, (0, 0), 0, (1, 1))])]))
 
 
 def test_merge_no_cross_is_union():
-    left = generate_tracks_leaf([0, 1], [medge(0, 1, [(1, (0, 0), 3, (1, 1))])])
-    right = generate_tracks_leaf([2, 3], [medge(2, 3, [(7, (2, 2), 1, (3, 3))])])
-    merged = merge_tracks(left, right, [])
-    assert canonical(merged) == canonical(left) | canonical(right)
+    left, right = medge(0, 1, [(1, (0, 0), 3, (1, 1))]), medge(2, 3, [(7, (2, 2), 1, (3, 3))])
+    merged = generate_tracks(two_leaves((0, 1), (2, 3)), match_table([left, right]))
+    assert canonical(merged) == (canonical(generate_tracks(leaf([0, 1]), match_table([left])))
+                                 | canonical(generate_tracks(leaf([2, 3]), match_table([right]))))
+    assert len(merged) == 2
 
 
 def test_merge_single_cross_match_joins():
-    left = generate_tracks_leaf([0, 1], [medge(0, 1, [(1, (0, 0), 3, (1, 1))])])
-    right = generate_tracks_leaf([2, 3], [medge(2, 3, [(7, (2, 2), 1, (3, 3))])])
-    merged = merge_tracks(left, right, [medge(1, 2, [(3, (1, 1), 7, (2, 2))])])
+    matches = match_table([
+        medge(0, 1, [(1, (0, 0), 3, (1, 1))]),
+        medge(1, 2, [(3, (1, 1), 7, (2, 2))]),
+        medge(2, 3, [(7, (2, 2), 1, (3, 3))]),
+    ])
+    merged = generate_tracks(two_leaves((0, 1), (2, 3)), matches)
     assert len(merged) == 1
     assert len(merged[0]) == 4
 
 
 def test_merge_chain_equals_flat_oracle():
-    all_matches = [
+    all_matches = match_table([
         medge(0, 1, [(1, (0, 0), 3, (1, 1))]),
         medge(2, 3, [(7, (2, 2), 1, (3, 3))]),
         medge(1, 2, [(3, (1, 1), 7, (2, 2))]),
         medge(3, 4, [(1, (3, 3), 0, (4, 4))]),
-    ]
-    left = generate_tracks_leaf([0, 1], [all_matches[0]])
-    right = generate_tracks_leaf([2, 3, 4], [all_matches[1], all_matches[3]])
-    merged = merge_tracks(left, right, [all_matches[2]])
+    ])
+    merged = generate_tracks(two_leaves((0, 1), (2, 3, 4)), all_matches)
     assert canonical(merged) == flat_union_find_oracle(all_matches)
+    assert len(merged) == 1
 
 
 def random_instance(rng, ncams, nmatches):
@@ -135,7 +147,7 @@ def random_instance(rng, ncams, nmatches):
         used["i"].add(fi)
         used["j"].add(fj)
         used["pairs"].append((fi, (float(fi), float(i)), fj, (float(fj), float(j))))
-    return [medge(i, j, d["pairs"]) for (i, j), d in sorted(edges.items()) if d["pairs"]]
+    return match_table([medge(i, j, d["pairs"]) for (i, j), d in sorted(edges.items()) if d["pairs"]])
 
 
 def test_hierarchical_equals_flat_on_random_instances():
@@ -143,7 +155,7 @@ def test_hierarchical_equals_flat_on_random_instances():
     for _ in range(25):
         ncams = int(rng.integers(6, 40))
         matches = random_instance(rng, ncams, int(rng.integers(5, 400)))
-        if not matches:
+        if not len(matches):
             continue
         g = build_camera_graph(matches, ncams)
         _, tree, _ = divide(g, max(2, ncams // 3))
@@ -161,18 +173,14 @@ def test_tree_shape_does_not_matter():
     assert all(r == results[0] for r in results)
 
 
-def test_single_leaf_tree_equals_leaf_generation():
+def test_single_leaf_tree_equals_flat_oracle():
     rng = np.random.default_rng(5)
     matches = random_instance(rng, 8, 60)
-    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(8)), leaf_id=0))
-    assert canonical(generate_tracks(tree, matches)) == canonical(
-        generate_tracks_leaf(range(8), matches)
-    )
+    assert canonical(generate_tracks(leaf(range(8)), matches)) == flat_union_find_oracle(matches)
 
 
 def test_zero_matches_empty_tracks():
-    tree = ClusterTree(root=ClusterTreeNode(cameras=(0, 1, 2), leaf_id=0))
-    assert generate_tracks(tree, []) == []
+    assert generate_tracks(leaf([0, 1, 2]), match_table([])) == []
 
 
 def test_track_invariants():
@@ -201,15 +209,16 @@ def test_idempotent_through_serialization(tmp_path):
 
 
 def test_merge_pixel_precedence():
-    # a child's pixel beats a cross pixel; of two cross pixels the first wins
-    left = generate_tracks_leaf([0, 1], [medge(0, 1, [(1, (0, 0), 3, (1, 1))])])
-    right = generate_tracks_leaf([2, 3], [medge(2, 3, [(7, (2, 2), 1, (3, 3))])])
-    cross = [
+    # a child's pixel beats a cross pixel; of two cross pixels the first in
+    # (i, j) order wins
+    matches = match_table([
+        medge(0, 1, [(1, (0, 0), 3, (1, 1))]),
+        medge(1, 3, [(8, (7, 7), 6, (60, 60))]),
         medge(1, 2, [(3, (9, 9), 7, (8, 8))]),
         medge(0, 3, [(5, (5, 5), 6, (6, 6))]),
-        medge(1, 3, [(8, (7, 7), 6, (60, 60))]),
-    ]
-    assert [as_tuple(t) for t in merge_tracks(left, right, cross)] == [
+        medge(2, 3, [(7, (2, 2), 1, (3, 3))]),
+    ])
+    assert [as_tuple(t) for t in generate_tracks(two_leaves((0, 1), (2, 3)), matches)] == [
         ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0), (3, 1, 3.0, 3.0)),
         ((0, 5, 5.0, 5.0), (1, 8, 7.0, 7.0), (3, 6, 6.0, 6.0)),
     ]
@@ -218,13 +227,13 @@ def test_merge_pixel_precedence():
 def test_component_inconsistent_at_inner_node_dropped_at_root():
     # the inner node {0, 1, 2} joins two features of camera 2; the root then
     # grows that component by camera 3, which alone would look consistent
-    matches = [
+    matches = match_table([
         medge(0, 1, [(1, (0, 0), 1, (1, 1))]),
         medge(0, 2, [(1, (0, 0), 1, (2, 2))]),
         medge(1, 2, [(1, (1, 1), 2, (2, 3))]),
         medge(0, 3, [(5, (5, 5), 5, (3, 5))]),
         medge(2, 3, [(2, (2, 3), 1, (3, 3))]),
-    ]
+    ])
     inner = ClusterTreeNode(
         cameras=(0, 1, 2),
         left=ClusterTreeNode(cameras=(0, 1)),
