@@ -7,7 +7,6 @@ from .averaging import (
     build_translation_system,
     rotation_averaging,
     solve_translation_l1,
-    solve_translation_l2,
 )
 from .clustering import (
     Cluster,

@@ -32,7 +32,7 @@ ROTATION_IRLS_EPS = 1e-6  # radians
 ROTATION_UPDATE_TOL = 1e-8
 ROTATION_MAX_ITERATIONS = 100
 L1_EPS = 1e-9
-L1_RELATIVE_TOL = 1e-10
+L1_RELATIVE_TOL = 1e-4  # stop when an iterate cuts the objective by at most this share
 L1_MAX_ITERATIONS = 200
 DEGENERATE_SCALE = 1e-12
 
@@ -350,7 +350,7 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
             raise NumericalError(
                 f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
             ) from exc
-        if capped and max_iterations > 1:
+        if capped:
             logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
         total_objective += objective
         total_iterations = max(total_iterations, iterations)
@@ -376,9 +376,3 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
         objective=total_objective,
         iterations=total_iterations,
     )
-
-
-def solve_translation_l2(system: TranslationSystem, rotations: RotationEstimate | dict) -> GlobalMotion:
-    """Unweighted least-squares baseline for the same system (comparison
-    oracle for the robust solver): the first, unit-weight IRLS iterate."""
-    return solve_translation_l1(system, rotations, max_iterations=1)

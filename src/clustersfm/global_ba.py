@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 MIN_GLOBAL_VIEWS = 3
 DEFAULT_ROUNDS = 10
-ROUND_RMS_TOL = 1e-6
+ROUND_RELATIVE_TOL = 1e-4  # stop when a round cuts the global cost by at most this share
 STATUSES = ("active", "too_few_views", "cheirality", "reprojection")
 
 
@@ -143,8 +143,10 @@ def distributed_bundle_adjust(
     Each round runs the partition solves in parallel (their sub-problems
     share no mutable state), then re-triangulates boundary points from all
     partitions' cameras with a per-point no-worsening guard, so the global
-    reprojection cost never increases between rounds. Returns
-    (motion, points, round_log).
+    reprojection cost never increases between rounds. The rounds stop when
+    one cuts the global cost by at most ROUND_RELATIVE_TOL of its value
+    before the round, or at the `rounds` cap. Returns (motion, points,
+    round_log).
     """
     active = [p for p in points if p.active]
     cam_ids = sorted(motion.centers)
@@ -198,7 +200,6 @@ def distributed_bundle_adjust(
     log: list[RoundLog] = []
     cost, rms = global_cost()
     log.append(RoundLog(round=0, cost=cost, rms_px=rms))
-    prev_rms = rms
 
     for rnd in range(1, rounds + 1):
         state = (rotations.copy(), centers.copy(), positions.copy())
@@ -255,11 +256,12 @@ def distributed_bundle_adjust(
             raise NumericalError(
                 f"global cost increased in round {rnd}: {cost:.6e} -> {cost_new:.6e}"
             )
-        cost, rms = cost_new, rms_new
-        log.append(RoundLog(round=rnd, cost=cost, rms_px=rms))
-        if prev_rms - rms < ROUND_RMS_TOL:
+        prev_cost, cost = cost, cost_new
+        log.append(RoundLog(round=rnd, cost=cost, rms_px=rms_new))
+        if prev_cost - cost <= ROUND_RELATIVE_TOL * prev_cost:
             break
-        prev_rms = rms
+    else:
+        logger.warning("distributed bundle adjustment stopped at its cap of %d rounds", rounds)
 
     out_motion = type(motion)(
         rotations={c: rotations[cam_pos[c]] for c in cam_ids},

@@ -298,7 +298,9 @@ def save_tracks(path, tracks: list[Track]) -> None:
 
 
 @_checked
-def load_tracks(path) -> list[Track]:
+def load_tracks(path, num_cameras: int) -> list[Track]:
+    """The tracks; a track camera outside the match graph's
+    0..num_cameras-1 is a DataError."""
     data = _load_table(path, "tracks")
     track = _decoded(data, "track", np.int64, -1)
     cameras = _decoded(data, "cameras", np.int64, -1)
@@ -306,6 +308,11 @@ def load_tracks(path) -> list[Track]:
     xy = _decoded(data, "xy", float, len(cameras), 2)
     offsets = _offsets(data, len(track), len(cameras))
     _check_ascending(cameras, offsets, track)
+    bad = np.flatnonzero((cameras < 0) | (cameras >= num_cameras))
+    if len(bad):
+        owner = np.searchsorted(offsets, bad[0], side="right") - 1
+        raise DataError(f"track {track[owner]}: camera {cameras[bad[0]]} is not in the match graph's "
+                        f"0..{num_cameras - 1}")
     return [
         Track(id=t, cameras=cameras[a:b], features=features[a:b], xy=xy[a:b])
         for t, (a, b) in zip(track.tolist(), _spans(offsets))

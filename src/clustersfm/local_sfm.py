@@ -47,7 +47,9 @@ RESECTION_MIN_INLIER_RATIO = 0.3
 TRIANGULATION_MIN_ANGLE_DEG = 1.0
 BA_EVERY = 5  # registrations between intermediate bundle adjustments
 INTERMEDIATE_BA_MAX_ITERATIONS = 25
-INTERMEDIATE_BA_RELATIVE_TOL = 1e-8
+# an intermediate BA only has to steady the model for the next resections;
+# the final BA runs to ba_core.DEFAULT_RELATIVE_TOL
+INTERMEDIATE_BA_RELATIVE_TOL = 1e-3
 
 
 class SeedFailure(NumericalError):

@@ -267,7 +267,7 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
     cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     graph = build_camera_graph(matches, len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
+    tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json", len(cameras))
 
     def run_one(cluster):
         return run_local_sfm(graph, cluster, tracks, cameras, config.seed)
@@ -323,7 +323,7 @@ def validated_tracks(tracks, recs) -> list[Track]:
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
-    tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json")
+    tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json", len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")

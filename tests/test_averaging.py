@@ -5,6 +5,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import factorized
 
 from clustersfm.averaging import (
+    L1_MAX_ITERATIONS,
     ROTATION_IRLS_EPS,
     ROTATION_MAX_ITERATIONS,
     ROTATION_UPDATE_TOL,
@@ -12,7 +13,6 @@ from clustersfm.averaging import (
     build_translation_system,
     rotation_averaging,
     solve_translation_l1,
-    solve_translation_l2,
 )
 from clustersfm.errors import NumericalError
 from clustersfm.evaluation import align_similarity
@@ -291,7 +291,7 @@ def test_l1_beats_l2_with_outliers():
             s, R, tt = align_similarity(est, gt_c)
             return np.median(np.linalg.norm(s * est @ R.T + tt - gt_c, axis=1))
 
-        wins += med(solve_translation_l1(system, gt_R)) < med(solve_translation_l2(system, gt_R))
+        wins += med(solve_translation_l1(system, gt_R)) < med(solve_translation_l1(system, gt_R, max_iterations=1))
     assert wins == 5
 
 
@@ -338,21 +338,54 @@ def test_objective_monotone_under_irls(five_cluster_problem):
     est = rotation_averaging(noisy)
     system = build_translation_system(noisy, est)
     sol = solve_translation_l1(system, est)
-    # the L2 start can only improve under accepted IRLS iterations
-    l2 = solve_translation_l2(system, est)
+    # the L2 start (the first, unit-weight iterate) can only improve under
+    # accepted IRLS iterations
+    l2 = solve_translation_l1(system, est, max_iterations=1)
     assert sol.objective <= l2.objective + 1e-9
 
 
-def test_translation_cap_warning_only_for_irls(five_cluster_problem, caplog):
+def test_translation_cap_warning(five_cluster_problem, caplog):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
     rng = np.random.default_rng(4)
     noisy = [motion(m.i, m.j, m.rotation, m.translation + rng.normal(0, 0.02, 3), k=m.cluster_id)
              for m in motions]
     system = build_translation_system(noisy, gt_R)
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l2 = solve_translation_l2(system, gt_R)
-    assert l2.iterations == 1 and "cap" not in caplog.text
+        l2 = solve_translation_l1(system, gt_R, max_iterations=1)
+    assert l2.iterations == 1 and "stopped at its cap of 1 iterations" in caplog.text
+    caplog.clear()
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
         l1 = solve_translation_l1(system, gt_R, max_iterations=2)
     assert l1.iterations == 2 and "stopped at its cap of 2 iterations" in caplog.text
     assert l1.objective < l2.objective
+
+
+def noisy_loop_system(seed, n=60, clusters=4, overlap=6, sigma=0.02):
+    """Translation equations of a closed camera loop covered by overlapping
+    clusters of unknown scale, each pair up to three cameras apart."""
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * np.arange(n) / n
+    gt_c = np.column_stack([10 * np.cos(theta), 10 * np.sin(theta), rng.normal(0, 0.5, n)])
+    gt_R = {c: random_rotation(rng) for c in range(n)}
+    motions = []
+    step = n // clusters
+    for k in range(clusters):
+        cams = [(k * step + d) % n for d in range(step + overlap)]
+        scale = rng.uniform(0.5, 2.0)
+        for a in range(len(cams)):
+            for b in range(a + 1, min(a + 4, len(cams))):
+                i, j = sorted((cams[a], cams[b]))
+                t = scale * (gt_R[j] @ (gt_c[i] - gt_c[j])) + rng.normal(0, sigma, 3)
+                motions.append(motion(i, j, gt_R[j] @ gt_R[i].T, t, k=k))
+    return build_translation_system(motions, gt_R), gt_R
+
+
+def test_translation_l1_stops_near_its_converged_objective(caplog):
+    for seed in range(3):
+        system, gt_R = noisy_loop_system(seed)
+        caplog.clear()
+        sol = solve_translation_l1(system, gt_R)
+        assert sol.iterations < L1_MAX_ITERATIONS // 4 and "cap" not in caplog.text, seed
+        # no relative stop: the IRLS runs until an iterate fails to improve, or to its cap
+        converged = solve_translation_l1(system, gt_R, relative_tol=0.0)
+        assert sol.objective - converged.objective <= 1e-3 * converged.objective, seed

@@ -5,6 +5,7 @@ from clustersfm import ba_core
 from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.global_ba import (
+    ROUND_RELATIVE_TOL,
     build_partitions,
     distributed_bundle_adjust,
     triangulate_global,
@@ -141,6 +142,41 @@ def test_global_cost_non_increasing(loop24):
     costs = [entry.cost for entry in log]
     assert all(b <= a + 1e-9 * max(a, 1.0) for a, b in zip(costs, costs[1:]))
     assert costs[-1] < costs[0]
+
+
+@pytest.fixture(scope="module")
+def orbit_perturbed(orbit_scene_small):
+    """Noisy tracks triangulated on perturbed poses of the conftest orbit,
+    split into four partitions: the rounds have work to do."""
+    scene, matches = orbit_scene_small
+    graph = build_camera_graph(matches, scene.num_cameras)
+    cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=6, completeness_ratio=0.0, seed=1))
+    rng = np.random.default_rng(4)
+    motion = gt_motion(scene)
+    for c in list(motion.centers)[1:]:
+        motion.rotations[c] = so3_exp(rng.normal(size=3) * 0.0005) @ motion.rotations[c]
+        motion.centers[c] = motion.centers[c] + rng.normal(size=3) * 0.005
+    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, cs, scene.cameras)
+    return scene, motion, points, build_partitions(points, cs, motion)
+
+
+def test_rounds_stop_on_relative_cost_drop(orbit_perturbed, caplog):
+    scene, motion, points, partitions = orbit_perturbed
+    assert len(partitions) >= 3
+    with caplog.at_level("WARNING", logger="clustersfm.global_ba"):
+        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=10)
+    assert len(log) - 1 < 10 and "cap" not in caplog.text
+    drops = [(before.cost - after.cost, before.cost) for before, after in zip(log, log[1:])]
+    assert drops[-1][0] <= ROUND_RELATIVE_TOL * drops[-1][1]
+    assert all(drop > ROUND_RELATIVE_TOL * cost for drop, cost in drops[:-1])
+
+
+def test_rounds_cap_warning(orbit_perturbed, caplog):
+    scene, motion, points, partitions = orbit_perturbed
+    with caplog.at_level("WARNING", logger="clustersfm.global_ba"):
+        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
+    assert len(log) == 2 and log[0].cost - log[1].cost > ROUND_RELATIVE_TOL * log[0].cost
+    assert "distributed bundle adjustment stopped at its cap of 1 rounds" in caplog.text
 
 
 def test_single_partition_matches_monolithic():

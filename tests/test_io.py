@@ -154,7 +154,7 @@ def test_tracks_roundtrip_exact(tmp_path):
     path = tmp_path / "tracks.json"
     for tracks in (_tracks(), []):
         sfm_io.save_tracks(path, tracks)
-        loaded = sfm_io.load_tracks(path)
+        loaded = sfm_io.load_tracks(path, 6)
         assert [t.id for t in loaded] == [t.id for t in tracks]
         assert all(type(t.id) is int for t in loaded)
         for a, b in zip(tracks, loaded):
@@ -297,15 +297,18 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError):
-        sfm_io.load_tracks(path)
+        sfm_io.load_tracks(path, 6)
     with pytest.raises(DataError, match="cannot read"):
-        sfm_io.load_tracks(tmp_path)  # a directory
-    for cameras in ([3, 1], [1, 3, 3]):  # unsorted, and a repeated camera
+        sfm_io.load_tracks(tmp_path, 6)  # a directory
+    for cameras, message in (([3, 1], "cameras are not strictly ascending"),  # unsorted
+                             ([1, 3, 3], "cameras are not strictly ascending"),  # a repeated camera
+                             ([1, 2, 6], "camera 6 is not in the match graph's 0..5$"),  # past the last camera
+                             ([-1, 2], "camera -1 is not in the match graph's 0..5$")):  # before the first
         bad = Track(id=4, cameras=np.array(cameras), features=np.zeros(len(cameras), np.int64),
                     xy=np.zeros((len(cameras), 2)))
         sfm_io.save_tracks(path, [*_tracks()[:1], bad])
-        with pytest.raises(DataError, match="track 4: cameras are not strictly ascending"):
-            sfm_io.load_tracks(path)
+        with pytest.raises(DataError, match=f"^{path}: track 4: {message}"):
+            sfm_io.load_tracks(path, 6)
     recs = _local_reconstructions()
     recs[0].obs_cameras = np.array([0, 7, 0, 7, 4, 4, 7])  # the rows of track 5 are unsorted
     sfm_io.save_local_reconstructions(path, recs)
@@ -321,7 +324,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                                   "points": [{"trackId": 0, "position": [0, 0, 1], "observations": [[0, 1.0, 2.0]]}]}],
     }
     for save, value, load, name in (
-        (sfm_io.save_tracks, _tracks(), sfm_io.load_tracks, "tracks"),
+        (sfm_io.save_tracks, _tracks(), lambda path: sfm_io.load_tracks(path, 6), "tracks"),
         (sfm_io.save_local_reconstructions, _local_reconstructions(), sfm_io.load_local_reconstructions,
          "local-reconstruction"),
     ):

@@ -6,7 +6,7 @@ import pytest
 
 from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
-from clustersfm.io import load_local_reconstructions, load_tracks
+from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
 from clustersfm.tracks import Track
@@ -260,6 +260,19 @@ def test_cli_motion_camera_outside_match_graph_exit_code(small_run, tmp_path, ca
         path.write_text(original)
 
 
+def test_cli_track_camera_outside_match_graph_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "tracks.json"
+    tracks = load_tracks(path, SMALL["num_cameras"])
+    first = tracks[0]
+    cameras = np.append(first.cameras[:-1], 999)  # still ascending
+    save_tracks(path, [Track(first.id, cameras, first.features, first.xy), *tracks[1:]])
+    for stage in ("local-sfm", "triangulate"):
+        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
+        _one_line_data_error(capsys, stage, "tracks.json", f"track {first.id}: camera 999 is not in the match graph's 0..17")
+
+
 def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
     out, _, _ = small_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
@@ -331,7 +344,7 @@ def _rec(cluster_id, tracks, cameras, xy):
 
 def test_validated_tracks_matches_dict_merge(small_run):
     out, _, _ = small_run
-    tracks = load_tracks(out / "tracks.json")
+    tracks = load_tracks(out / "tracks.json", SMALL["num_cameras"])
     recs = load_local_reconstructions(out / "local_reconstructions.json")
     registered = [c for r in recs for c in r.registered]
     assert len(set(registered)) < len(registered)  # the clusters overlap

@@ -204,7 +204,7 @@ def test_idempotent_through_serialization(tmp_path):
     _, tree, _ = divide(g, 4)
     tracks = generate_tracks(tree, matches)
     save_tracks(tmp_path / "t.json", tracks)
-    again = load_tracks(tmp_path / "t.json")
+    again = load_tracks(tmp_path / "t.json", 10)
     assert canonical(tracks) == canonical(again)
 
 
