@@ -35,6 +35,6 @@ from .local_sfm import (
 from .pipeline import PipelineConfig, run_pipeline, stage_status
 from .scene import Camera, CameraGraph, MatchTable, Pose, build_camera_graph, project_point
 from .synthetic import SyntheticScene, generate_synthetic_scene
-from .tracks import Track, generate_tracks
+from .tracks import TrackTable, generate_tracks
 
 __version__ = "0.1.0"

@@ -5,6 +5,7 @@ connectivity counts."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DataError, NumericalError
 from .geometry import angle_between, rotation_angle, skew
@@ -180,12 +181,10 @@ def epipolar_error(
 
 def connected_pair_count(points) -> int:
     """Number of camera pairs sharing at least one active 3D point."""
-    pairs = set()
-    for p in points:
-        if not getattr(p, "active", True):
-            continue
-        cams = sorted(int(c) for c in p.cameras)
-        for a in range(len(cams)):
-            for b in range(a + 1, len(cams)):
-                pairs.add((cams[a], cams[b]))
-    return len(pairs)
+    active = [p for p in points if p.active]
+    cams = np.concatenate([np.zeros(0, np.int64)] + [p.cameras for p in active])
+    point = np.repeat(np.arange(len(active)), [len(p.cameras) for p in active])
+    # camera x point incidence; its Gram matrix counts the points each pair shares
+    seen = csr_matrix((np.ones(len(cams), dtype=np.int64), (cams, point)),
+                      shape=(cams.max(initial=-1) + 1, len(active)))
+    return int(np.count_nonzero(np.triu((seen @ seen.T).toarray(), 1)))

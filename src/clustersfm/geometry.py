@@ -2,7 +2,11 @@
 linear triangulation and its acceptance gate, camera resection, and a generic
 RANSAC loop."""
 
+import logging
+
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 # depth at or below which a point counts as behind a camera, in the
 # triangulation gate and in the bundle adjustment residuals
@@ -123,7 +127,9 @@ def ransac(
     average out measurement noise, which matters for near-degenerate fits.
     When a sample improves the consensus, the model is re-fit on its inliers
     with an annealed threshold (4x -> 2x -> 1x), the classic local
-    optimization step. Returns (model, inlier_mask) or (None, None).
+    optimization step. A loop that reaches max_iterations before the
+    adaptive hypothesis count logs a warning. Returns (model, inlier_mask)
+    or (None, None).
     """
     sample_size = sample_size or min_samples
     if num_data < sample_size:
@@ -145,7 +151,7 @@ def ransac(
         return model, mask
 
     best_model, best_mask, best_count = None, None, -1
-    iteration, needed = 0, max_iterations
+    iteration, needed = 0, np.inf  # hypotheses the adaptive count asks for
     while iteration < min(needed, max_iterations):
         sample = rng.choice(num_data, size=sample_size, replace=False)
         model = fit_fn(sample)
@@ -159,14 +165,13 @@ def ransac(
             count = int(mask.sum())
         if count > best_count:
             best_model, best_mask, best_count = model, mask, count
+            # an all-inlier consensus asks for one hypothesis, which ends the loop
             ratio = max(count / num_data, 1e-9)
-            if ratio >= 1.0 - 1e-12:
-                break
             denom = np.log(max(1.0 - ratio**min_samples, 1e-15))
-            if denom >= -1e-15:
-                needed = max_iterations
-            else:
-                needed = int(np.ceil(np.log(max(1.0 - RANSAC_CONFIDENCE, 1e-15)) / denom))
+            needed = np.inf if denom >= -1e-15 else int(np.ceil(np.log(max(1.0 - RANSAC_CONFIDENCE, 1e-15)) / denom))
+    if needed > max_iterations:
+        logger.warning("RANSAC stopped at its cap of %d hypotheses with %d of %d data as inliers",
+                       max_iterations, max(best_count, 0), num_data)
     if best_model is None:
         return None, None
     return best_model, best_mask

@@ -8,7 +8,6 @@ with a guard that never lets the global cost increase.
 """
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .clustering import ClusterSet
 from .errors import DataError, NumericalError
 from .geometry import projection_matrix, reprojection_offsets, triangulate_linear, triangulation_status
 from .scene import Camera
-from .tracks import Track
+from .tracks import TrackTable
 from .utils import parallel_map
 
 logger = logging.getLogger(__name__)
@@ -59,7 +58,7 @@ class RoundLog:
 
 
 def triangulate_global(
-    tracks: list[Track],
+    tracks: TrackTable,
     motion,
     cluster_set: ClusterSet,
     cameras: list[Camera],
@@ -67,35 +66,40 @@ def triangulate_global(
     """Triangulate every track against the averaged global poses.
 
     Tracks failing the view-count, cheirality, or reprojection gates are
-    kept with a reason code, never silently dropped. Each accepted point is
-    owned by the independent cluster holding the plurality of its
-    observations (ties to the lowest cluster id).
+    kept with a reason code, never silently dropped. Each point keeps its
+    posed views; the independent cluster holding the plurality of them owns
+    it (ties to the lowest cluster id, -1 when no view is in one).
     """
-    posed = set(motion.centers)
-    owner_of_camera = cluster_set.independent_cluster_of()
-    P_of = {c: projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in posed}
-    out = []
-    by_views: dict[int, list] = {}
-    for t in tracks:
-        sel = [k for k, c in enumerate(t.cameras) if int(c) in posed]
-        cams = np.array([int(t.cameras[k]) for k in sel])
-        xy = t.xy[sel] if sel else np.zeros((0, 2))
-        counts = Counter(owner_of_camera[c] for c in cams if c in owner_of_camera)
-        cluster_id = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
-        out.append(GlobalPoint(t.id, None, cluster_id, cams, xy, "too_few_views"))
-        if len(sel) >= MIN_GLOBAL_VIEWS:
-            by_views.setdefault(len(sel), []).append(out[-1])
+    posed = np.array(sorted(motion.centers), dtype=np.int64)
+    rows = np.flatnonzero(np.isin(tracks.cameras, posed))  # the posed views, by track
+    cams, xy, track = tracks.cameras[rows], tracks.xy[rows], tracks.owner()[rows]
+    views = np.bincount(track, minlength=len(tracks))
+    offsets = np.append(0, np.cumsum(views))
+    # votes[t, k]: the posed views of track t in independent cluster k
+    cluster_of = cluster_set.independent_cluster_of()
+    lookup = np.full(len(cameras), -1)
+    lookup[list(cluster_of)] = list(cluster_of.values())
+    k = lookup.max(initial=0) + 1
+    cluster = lookup[cams]
+    seen = cluster >= 0
+    votes = np.bincount(track[seen] * k + cluster[seen], minlength=len(tracks) * k).reshape(-1, k)
+    owner = np.where(votes.any(axis=1), votes.argmax(axis=1), -1)  # argmax takes the lowest id of a tie
+    out = [
+        GlobalPoint(t, None, o, cams[a:b], xy[a:b], "too_few_views")
+        for t, o, a, b in zip(tracks.ids.tolist(), owner.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
+    P = np.array([projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in posed.tolist()])
+    at = np.searchsorted(posed, cams)
     # one DLT and one gate per posed-view count
-    for group in by_views.values():
-        Ps = np.array([[P_of[int(c)] for c in p.cameras] for p in group])
-        xy = np.array([p.xy for p in group])
-        X, finite = triangulate_linear(Ps, xy)
-        status = triangulation_status(Ps, xy, X, finite)
-        for p, X_p, s in zip(group, X, status):
+    for n in np.unique(views[views >= MIN_GLOBAL_VIEWS]).tolist():
+        group = np.flatnonzero(views == n)
+        group_rows = offsets[group, None] + np.arange(n)
+        Ps, group_xy = P[at[group_rows]], xy[group_rows]
+        X, finite = triangulate_linear(Ps, group_xy)
+        for p, X_p, s in zip([out[g] for g in group.tolist()], X, triangulation_status(Ps, group_xy, X, finite)):
             p.status = str(s)
             p.position = X_p if p.active else None
-    n_active = sum(p.active for p in out)
-    logger.info("triangulated %d/%d tracks", n_active, len(out))
+    logger.info("triangulated %d/%d tracks", sum(p.active for p in out), len(out))
     return out
 
 
@@ -107,7 +111,6 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion)
     owner.
     """
     posed = set(motion.centers)
-    owner_of_camera = cluster_set.independent_cluster_of()
     active = [p for p in points if p.active]
     cluster_ids = sorted({cl.id for cl in cluster_set.independent})
     partitions = []

@@ -1,8 +1,9 @@
 """File formats for every pipeline stage: the match graph, tracks and local
 reconstructions as ragged tables (versioned JSON with their bulk arrays in
-base64), the global points as `.npz` archives of flat arrays plus offsets;
-ground truth, cluster sets, relative motions and global motion as JSON; PLY
-exports and the per-round cost log."""
+base64; the match graph and the tracks load as the MatchTable and TrackTable
+of the arrays they store, checked once), the global points as `.npz`
+archives of flat arrays plus offsets; ground truth, cluster sets, relative
+motions and global motion as JSON; PLY exports and the per-round cost log."""
 
 import base64
 import contextlib
@@ -23,7 +24,7 @@ from .errors import DataError
 from .global_ba import STATUSES, GlobalPoint
 from .local_sfm import LocalReconstruction, RelativeMotion
 from .scene import Camera, MatchTable, Pose
-from .tracks import Track
+from .tracks import TrackTable, check_ascending
 
 TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
 
@@ -129,14 +130,6 @@ def _decoded(data: dict, key: str, dtype, *shape) -> np.ndarray:
     read-only view of the given shape; a character outside the base64
     alphabet or a byte count that does not fit is a ValueError."""
     return np.frombuffer(base64.b64decode(data[key], validate=True), np.dtype(dtype).newbyteorder("<")).reshape(shape)
-
-
-def _check_ascending(cameras: np.ndarray, offsets: np.ndarray, track_ids: np.ndarray) -> None:
-    """Each item's cameras must rise strictly: a track sees a camera once."""
-    owner = np.repeat(np.arange(len(track_ids)), np.diff(offsets))
-    bad = np.flatnonzero((np.diff(cameras) <= 0) & (owner[1:] == owner[:-1]))
-    if len(bad):
-        raise DataError(f"track {track_ids[owner[bad[0]]]}: cameras are not strictly ascending")
 
 
 def _checked(load):
@@ -289,34 +282,22 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
 # Tracks
 # ---------------------------------------------------------------------------
 
-def save_tracks(path, tracks: list[Track]) -> None:
-    cameras, offsets = _flat([t.cameras for t in tracks], np.zeros(0, np.int64))
-    features, _ = _flat([t.features for t in tracks], np.zeros(0, np.int64))
-    xy, _ = _flat([t.xy for t in tracks], np.zeros((0, 2)))
-    track = np.array([t.id for t in tracks], dtype=np.int64)
-    _save_table(path, offsets, {"track": track, "cameras": cameras, "features": features, "xy": xy})
+def save_tracks(path, tracks: TrackTable) -> None:
+    _save_table(path, tracks.offsets,
+                {"track": tracks.ids, "cameras": tracks.cameras, "features": tracks.features, "xy": tracks.xy})
 
 
 @_checked
-def load_tracks(path, num_cameras: int) -> list[Track]:
-    """The tracks; a track camera outside the match graph's
-    0..num_cameras-1 is a DataError."""
+def load_tracks(path, num_cameras: int) -> TrackTable:
+    """The track table as stored, checked against the camera count."""
     data = _load_table(path, "tracks")
-    track = _decoded(data, "track", np.int64, -1)
+    ids = _decoded(data, "track", np.int64, -1)
     cameras = _decoded(data, "cameras", np.int64, -1)
     features = _decoded(data, "features", np.int64, len(cameras))
     xy = _decoded(data, "xy", float, len(cameras), 2)
-    offsets = _offsets(data, len(track), len(cameras))
-    _check_ascending(cameras, offsets, track)
-    bad = np.flatnonzero((cameras < 0) | (cameras >= num_cameras))
-    if len(bad):
-        owner = np.searchsorted(offsets, bad[0], side="right") - 1
-        raise DataError(f"track {track[owner]}: camera {cameras[bad[0]]} is not in the match graph's "
-                        f"0..{num_cameras - 1}")
-    return [
-        Track(id=t, cameras=cameras[a:b], features=features[a:b], xy=xy[a:b])
-        for t, (a, b) in zip(track.tolist(), _spans(offsets))
-    ]
+    tracks = TrackTable(ids, _offsets(data, len(ids), len(cameras)), cameras, features, xy)
+    tracks.check(num_cameras)
+    return tracks
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +348,7 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     cameras = _decoded(data, "cameras", np.int64, -1)
     xy = _decoded(data, "xy", float, len(cameras), 2)
     offsets = _offsets(data, len(track), len(cameras))
-    _check_ascending(cameras, offsets, track)
+    check_ascending(cameras, offsets, track)
     obs_tracks = np.repeat(track, np.diff(offsets))
     clusters = data["clusters"]
     poses = _rising(np.cumsum([0] + [len(c["registered"]) for c in clusters]), len(rotation))

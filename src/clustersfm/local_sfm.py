@@ -29,7 +29,7 @@ from .geometry import (
     triangulation_status,
 )
 from .scene import Camera, CameraGraph
-from .tracks import Track
+from .tracks import TrackTable
 from .utils import seeded_rng
 
 logger = logging.getLogger(__name__)
@@ -107,17 +107,15 @@ class ClusterTracks:
     ascending inside each track, so a camera has at most one row per track.
     """
 
-    def __init__(self, cluster_cameras, tracks: list[Track]):
-        owner = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
-        cams = np.concatenate([t.cameras for t in tracks] + [np.empty(0, np.int64)]).astype(np.int64)
-        xy = np.concatenate([t.xy for t in tracks] + [np.empty((0, 2))])
-        inside = np.isin(cams, np.asarray(cluster_cameras, dtype=np.int64))
+    def __init__(self, cluster_cameras, tracks: TrackTable):
+        owner = tracks.owner()
+        inside = np.isin(tracks.cameras, np.asarray(cluster_cameras, dtype=np.int64))
         kept = np.bincount(owner[inside], minlength=len(tracks)) >= 2
         rows = inside & kept[owner]
-        self.track_ids = np.array([t.id for t in tracks], dtype=np.int64)[kept]
+        self.track_ids = tracks.ids[kept]
         self.track = np.cumsum(kept)[owner[rows]] - 1
-        self.cam = cams[rows]
-        self.xy = xy[rows]
+        self.cam = tracks.cameras[rows]
+        self.xy = tracks.xy[rows]
         order = np.argsort(self.cam, kind="stable")
         seen, starts = np.unique(self.cam[order], return_index=True)
         self.rows_of = dict(zip(seen.tolist(), np.split(order, starts[1:])))  # camera -> rows
@@ -466,7 +464,7 @@ class _SfMState:
 def run_local_sfm(
     graph: CameraGraph,
     cluster: Cluster,
-    tracks: list[Track],
+    tracks: TrackTable,
     cameras: list[Camera],
     seed: int,
 ) -> LocalReconstruction:

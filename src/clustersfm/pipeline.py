@@ -32,7 +32,7 @@ from .global_ba import build_partitions, distributed_bundle_adjust, triangulate_
 from .local_sfm import extract_relative_motions, run_local_sfm
 from .scene import build_camera_graph
 from .synthetic import LAYOUTS, generate_synthetic_scene
-from .tracks import Track, generate_tracks
+from .tracks import TrackTable, generate_tracks
 from .utils import default_worker_count, parallel_map
 
 logger = logging.getLogger(__name__)
@@ -291,34 +291,29 @@ def stage_average(config: PipelineConfig, out_dir) -> None:
     sfm_io.save_global_motion(Path(out_dir) / "global_motion.json", motion)
 
 
-def validated_tracks(tracks, recs) -> list[Track]:
+def validated_tracks(tracks: TrackTable, recs) -> TrackTable:
     """Tracks restricted to the observations the local reconstructions kept
     as inliers, by track id; of the rows of one camera on one track the
     first in cluster order is kept. Tracks unknown to `tracks` or left with
-    fewer than 2 views are dropped."""
+    fewer than 2 views are dropped; a view that `tracks` lacks gets feature
+    -1."""
     ints = np.zeros(0, dtype=np.int64)
     track = np.concatenate([ints] + [r.obs_tracks for r in recs])
     cam = np.concatenate([ints] + [r.obs_cameras for r in recs])
     xy = np.concatenate([np.zeros((0, 2))] + [r.obs_xy for r in recs])
-    src_ids = np.array([t.id for t in tracks], dtype=np.int64)
-    src_cam = np.concatenate([ints] + [t.cameras for t in tracks])
-    src_feat = np.concatenate([ints] + [t.features for t in tracks])
     # one sortable key per (track, camera)
-    stride = max(cam.max(initial=0), src_cam.max(initial=0)) + 1
-    src_key = np.repeat(src_ids, [len(t) for t in tracks]) * stride + src_cam
-    known = np.flatnonzero(np.isin(track, src_ids))
+    stride = max(cam.max(initial=0), tracks.cameras.max(initial=0)) + 1
+    src_key = tracks.ids[tracks.owner()] * stride + tracks.cameras
+    known = np.flatnonzero(np.isin(track, tracks.ids))
     key, first = np.unique((track * stride + cam)[known], return_index=True)
     rows = known[first]
     by_key = np.argsort(src_key)
     at = by_key[np.minimum(np.searchsorted(src_key, key, sorter=by_key), len(src_key) - 1)]
-    feat = np.where(src_key[at] == key, src_feat[at], -1)
-    cam, xy = cam[rows], xy[rows]
-    ids, starts, views = np.unique(track[rows], return_index=True, return_counts=True)
-    return [
-        Track(id=t, cameras=cam[a:a + n], features=feat[a:a + n], xy=xy[a:a + n])
-        for t, a, n in zip(ids.tolist(), starts.tolist(), views.tolist())
-        if n >= 2
-    ]
+    feat = np.where(src_key[at] == key, tracks.features[at], -1)
+    ids, owner, views = np.unique(track[rows], return_inverse=True, return_counts=True)
+    kept = views >= 2
+    rows, feat = rows[kept[owner]], feat[kept[owner]]
+    return TrackTable(ids[kept], np.append(0, np.cumsum(views[kept])), cam[rows], feat, xy[rows])
 
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:

@@ -24,22 +24,42 @@ MIN_TRACK_LENGTH = 2
 _FEATURE_SHIFT = 32
 
 
-def _key(camera: int, feature: int) -> int:
-    return (camera << _FEATURE_SHIFT) | feature
-
-
 @dataclass(frozen=True, eq=False)
-class Track:
-    """One 3D point's observations: (camera, feature, pixel) per element,
-    sorted by camera id, at most one element per camera."""
+class TrackTable:
+    """Every track as one flat table: track k has id ids[k] and the elements
+    offsets[k]:offsets[k + 1] of cameras (ascending within a track, so at
+    most one element per camera), features and xy. `check` verifies it."""
 
-    id: int
-    cameras: np.ndarray  # (n,) sorted camera ids
-    features: np.ndarray  # (n,)
-    xy: np.ndarray  # (n, 2)
+    ids: np.ndarray  # (T,) int64
+    offsets: np.ndarray  # (T + 1,) int64
+    cameras: np.ndarray  # (R,) int64
+    features: np.ndarray  # (R,) int64
+    xy: np.ndarray  # (R, 2) float
 
     def __len__(self) -> int:
-        return len(self.cameras)
+        return len(self.ids)
+
+    def owner(self) -> np.ndarray:
+        """The track index of each element, (R,)."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def check(self, num_cameras: int) -> None:
+        """Raise a DataError naming the first track whose cameras do not
+        rise strictly, else the first with a camera outside
+        0..num_cameras-1."""
+        check_ascending(self.cameras, self.offsets, self.ids)
+        bad = np.flatnonzero((self.cameras < 0) | (self.cameras >= num_cameras))
+        if len(bad):
+            raise DataError(f"track {self.ids[self.owner()[bad[0]]]}: camera {self.cameras[bad[0]]} is not in the "
+                            f"match graph's 0..{num_cameras - 1}")
+
+
+def check_ascending(cameras: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> None:
+    """Each item's cameras must rise strictly: a track sees a camera once."""
+    owner = np.repeat(np.arange(len(ids)), np.diff(offsets))
+    bad = np.flatnonzero((np.diff(cameras) <= 0) & (owner[1:] == owner[:-1]))
+    if len(bad):
+        raise DataError(f"track {ids[owner[bad[0]]]}: cameras are not strictly ascending")
 
 
 @dataclass
@@ -50,7 +70,7 @@ class _NodeTracks:
 
     keys: np.ndarray  # (n,) feature keys
     xy: np.ndarray  # (n, 2)
-    labels: np.ndarray  # (n,) non-decreasing component labels
+    labels: np.ndarray  # (n,) component labels, 0, 1, ... non-decreasing
 
 
 def _connect(keys: np.ndarray, xy: np.ndarray, pairs: np.ndarray) -> _NodeTracks:
@@ -65,7 +85,7 @@ def _connect(keys: np.ndarray, xy: np.ndarray, pairs: np.ndarray) -> _NodeTracks
 def _match_arrays(matches: MatchTable):
     """Feature keys and pixels of the match pairs in first-seen order
     a_0, b_0, a_1, b_1, ..., and the position pairs that join them."""
-    keys = _key(matches.row_cameras(), matches.feat).ravel()
+    keys = ((matches.row_cameras() << _FEATURE_SHIFT) | matches.feat).ravel()
     return keys, matches.xy.reshape(-1, 2), np.arange(len(keys)).reshape(-1, 2)
 
 
@@ -90,22 +110,20 @@ def _merge_node_tracks(left: _NodeTracks, right: _NodeTracks, cross: MatchTable)
     )
 
 
-def _emit(node: _NodeTracks) -> list[Track]:
-    """Tracks of the consistent components with at least MIN_TRACK_LENGTH
-    features."""
-    cams = node.keys >> _FEATURE_SHIFT
-    feats = node.keys & ((1 << _FEATURE_SHIFT) - 1)
-    bounds = np.flatnonzero(np.diff(node.labels)) + 1
-    tracks = []
-    for c, f, xy in zip(np.split(cams, bounds), np.split(feats, bounds), np.split(node.xy, bounds)):
-        # keys ascend within a component, so a repeated camera is adjacent
-        if len(c) < MIN_TRACK_LENGTH or np.any(c[1:] == c[:-1]):
-            continue
-        tracks.append(Track(id=len(tracks), cameras=c, features=f, xy=xy))
-    return tracks
+def _emit(node: _NodeTracks) -> TrackTable:
+    """The consistent components with at least MIN_TRACK_LENGTH features,
+    as tracks 0, 1, ... in component order."""
+    cams, labels = node.keys >> _FEATURE_SHIFT, node.labels
+    sizes = np.bincount(labels)
+    # keys ascend within a component, so a repeated camera is adjacent
+    twice = (cams[1:] == cams[:-1]) & (labels[1:] == labels[:-1])
+    kept = (sizes >= MIN_TRACK_LENGTH) & (np.bincount(labels[1:][twice], minlength=len(sizes)) == 0)
+    rows = kept[labels]
+    return TrackTable(ids=np.arange(kept.sum()), offsets=np.append(0, np.cumsum(sizes[kept])), cameras=cams[rows],
+                      features=node.keys[rows] & ((1 << _FEATURE_SHIFT) - 1), xy=node.xy[rows])
 
 
-def generate_tracks(tree: ClusterTree, matches: MatchTable) -> list[Track]:
+def generate_tracks(tree: ClusterTree, matches: MatchTable) -> TrackTable:
     """Globally consistent tracks via bottom-up merging over the cluster tree.
 
     Each leaf consumes the matches inside its camera set; each inner node

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clustersfm.scene import MatchTable, build_camera_graph
+from clustersfm.tracks import TrackTable
 
 
 def match_table(edges):
@@ -12,6 +13,24 @@ def match_table(edges):
         feat=np.concatenate([np.zeros((0, 2), np.int64)] + [np.reshape(e[2], (-1, 2)).astype(np.int64) for e in edges]),
         xy=np.concatenate([np.zeros((0, 4))] + [np.reshape(e[3], (-1, 4)).astype(float) for e in edges]),
     )
+
+
+def track_table(tracks):
+    """The TrackTable of tracks (id, cameras, features, xy), in the order given."""
+    return TrackTable(
+        ids=np.array([t[0] for t in tracks], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(t[1]) for t in tracks], dtype=np.int64),
+        cameras=np.concatenate([np.zeros(0, np.int64)] + [np.asarray(t[1], dtype=np.int64) for t in tracks]),
+        features=np.concatenate([np.zeros(0, np.int64)] + [np.asarray(t[2], dtype=np.int64) for t in tracks]),
+        xy=np.concatenate([np.zeros((0, 2))] + [np.reshape(t[3], (-1, 2)).astype(float) for t in tracks]),
+    )
+
+
+def track_rows(tracks):
+    """The (id, cameras, features, xy) of each track of a TrackTable."""
+    bounds = tracks.offsets[1:-1]
+    return list(zip(tracks.ids.tolist(), np.split(tracks.cameras, bounds), np.split(tracks.features, bounds),
+                    np.split(tracks.xy, bounds)))
 
 
 def weighted_edge(i, j, w):
@@ -30,6 +49,29 @@ def geometric_graph(n, radius, seed, weight_hi=100):
     pairs = sorted(cKDTree(pts).query_pairs(radius))
     edges = [weighted_edge(i, j, int(rng.integers(1, weight_hi))) for i, j in pairs]
     return build_camera_graph(match_table(edges), n)
+
+
+SMALL = dict(
+    layout="orbit",
+    num_cameras=18,
+    num_points=250,
+    pixel_sigma=0.3,
+    seed=5,
+    max_cluster_size=8,
+    completeness_ratio=0.7,
+    ba_rounds=4,
+)
+
+
+@pytest.fixture(scope="session")
+def small_run(tmp_path_factory):
+    """A full pipeline run of the SMALL scene: (out dir, config, report)."""
+    from clustersfm.pipeline import PipelineConfig, run_pipeline
+
+    out = tmp_path_factory.mktemp("run")
+    config = PipelineConfig(output_dir=str(out), **SMALL)
+    report = run_pipeline(config)
+    return out, config, report
 
 
 @pytest.fixture(scope="session")

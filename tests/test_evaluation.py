@@ -9,6 +9,7 @@ from clustersfm.evaluation import (
     pose_error_report,
 )
 from clustersfm.geometry import random_rotation, so3_exp
+from clustersfm.io import load_global_points
 from clustersfm.synthetic import generate_synthetic_scene
 
 
@@ -134,7 +135,7 @@ def test_error_monotone_in_noise():
     assert meds[0] <= meds[1] <= meds[2]
 
 
-def test_connected_pair_count():
+def test_connected_pair_count(small_run):
     class P:
         def __init__(self, cams, active=True):
             self.cameras = np.array(cams)
@@ -143,3 +144,8 @@ def test_connected_pair_count():
     points = [P([0, 1, 2]), P([1, 2]), P([3, 4], active=False)]
     # pairs: (0,1), (0,2), (1,2) -- inactive point contributes nothing
     assert connected_pair_count(points) == 3
+    assert connected_pair_count([]) == 0
+    # brute force over every pair of cameras of every active point of a run
+    points = load_global_points(small_run[0] / "final_points.npz")
+    pairs = {(a, b) for p in points if p.active for a in p.cameras.tolist() for b in p.cameras.tolist() if a < b}
+    assert 0 < connected_pair_count(points) == len(pairs)

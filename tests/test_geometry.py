@@ -222,14 +222,8 @@ def test_resect_linear_exact():
     assert np.abs(t_est - t).max() < 1e-8
 
 
-def test_ransac_finds_inliers():
-    rng = np.random.default_rng(7)
-    # robust line fit y = a x + b with 30% outliers
-    n = 100
-    x = rng.uniform(-1, 1, n)
-    y = 2.0 * x + 1.0 + rng.normal(0, 0.01, n)
-    out = rng.choice(n, 30, replace=False)
-    y[out] += rng.uniform(1, 5, 30)
+def _line_fit(x, y):
+    """fit and residual functions of a least-squares line y = a x + b."""
 
     def fit(idx):
         A = np.column_stack([x[idx], np.ones(len(idx))])
@@ -239,9 +233,35 @@ def test_ransac_finds_inliers():
     def residual(coef):
         return np.abs(coef[0] * x + coef[1] - y)
 
-    model, mask = ransac(n, 2, fit, residual, 0.05, rng)
+    return fit, residual
+
+
+def test_ransac_finds_inliers(caplog):
+    rng = np.random.default_rng(7)
+    # robust line fit y = a x + b with 30% outliers
+    n = 100
+    x = rng.uniform(-1, 1, n)
+    y = 2.0 * x + 1.0 + rng.normal(0, 0.01, n)
+    out = rng.choice(n, 30, replace=False)
+    y[out] += rng.uniform(1, 5, 30)
+
+    with caplog.at_level("WARNING", logger="clustersfm.geometry"):
+        model, mask = ransac(n, 2, *_line_fit(x, y), 0.05, rng)
     assert mask.sum() >= 68
     assert abs(model[0] - 2.0) < 0.05 and abs(model[1] - 1.0) < 0.05
+    assert not caplog.records  # the adaptive count stops it well before its cap
+
+
+def test_ransac_cap_warning(caplog):
+    # pure outliers: no line holds more than a few points, so the adaptive
+    # count asks for far more than 50 hypotheses
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(-1, 1, (2, 200))
+    with caplog.at_level("WARNING", logger="clustersfm.geometry"):
+        model, mask = ransac(200, 2, *_line_fit(x, y), 0.001, rng, max_iterations=50)
+    assert model is not None and mask.sum() < 10
+    assert [r.getMessage() for r in caplog.records] == [
+        f"RANSAC stopped at its cap of 50 hypotheses with {mask.sum()} of 200 data as inliers"]
 
 
 def test_ransac_insufficient_data():

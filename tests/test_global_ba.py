@@ -12,9 +12,10 @@ from clustersfm.global_ba import (
 )
 from clustersfm.scene import build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
-from clustersfm.tracks import Track
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.geometry import so3_exp
+from clustersfm.io import load_global_points, save_global_points
+from conftest import track_rows, track_table
 
 
 def gt_motion(scene):
@@ -39,8 +40,8 @@ def tracks_from_scene(scene, noise=0.0, seed=0):
         xy = np.array(xy)
         if noise:
             xy = xy + rng.normal(0, noise, xy.shape)
-        tracks.append(Track(id=pid, cameras=cams, features=np.arange(len(cams)), xy=xy))
-    return tracks
+        tracks.append((pid, cams, np.arange(len(cams)), xy))
+    return track_table(tracks)
 
 
 @pytest.fixture(scope="module")
@@ -64,18 +65,57 @@ def test_triangulate_global_noise_free(loop24):
 
 def test_triangulate_global_too_few_views(loop24):
     scene, matches, graph, cs = loop24
-    t = Track(id=0, cameras=np.array([0, 1]), features=np.array([0, 1]), xy=np.zeros((2, 2)))
-    points = triangulate_global([t], gt_motion(scene), cs, scene.cameras)
+    t = track_table([(0, [0, 1], [0, 1], np.zeros((2, 2)))])
+    points = triangulate_global(t, gt_motion(scene), cs, scene.cameras)
     assert points[0].status == "too_few_views"
     assert not points[0].active
+
+
+def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
+    from collections import Counter
+    from types import SimpleNamespace
+
+    scene = loop24[0]
+    motion = gt_motion(scene)
+    for c in (3, 10):
+        del motion.rotations[c], motion.centers[c]
+    # clusters of two cameras and four cameras in none, so ties are common
+    cluster_of = {c: c // 2 for c in range(20)}
+    made = {
+        900: [4, 6, 10, 11],  # a three-way tie 2/3/5, which unposed camera 10 would break for 5
+        901: [20, 21, 22],  # posed, in no cluster
+        902: [3, 10],  # no posed view
+        903: [1, 3, 7],  # two posed views, a tie 0/3
+        904: [8, 9, 12, 13],  # a tie 4/6 of two views each
+    }
+    tracks = track_table(track_rows(tracks_from_scene(scene))
+                         + [(t, cams, np.arange(len(cams)), np.ones((len(cams), 2))) for t, cams in made.items()])
+    points = triangulate_global(tracks, motion, SimpleNamespace(independent_cluster_of=lambda: cluster_of),
+                                scene.cameras)
+    assert len(points) == len(tracks)
+    for (t, cams, _, xy), p in zip(track_rows(tracks), points):
+        keep = [k for k, c in enumerate(cams.tolist()) if c in motion.centers]
+        counts = Counter(cluster_of[c] for c in cams[keep].tolist() if c in cluster_of)
+        owner = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
+        assert (p.track_id, p.cluster_id, p.cameras.tolist(), p.xy.tolist()) == \
+            (t, owner, cams[keep].tolist(), xy[keep].tolist())
+        assert p.cameras.dtype == np.int64 and p.xy.shape == (len(keep), 2)
+        if len(keep) < 3:
+            assert p.status == "too_few_views" and p.position is None
+        elif t < 900:  # a noise-free scene track
+            assert p.active and np.abs(p.position - scene.points[t]).max() < 1e-9
+    assert {p.track_id: p.cluster_id for p in points[-5:]} == {900: 2, 901: -1, 902: -1, 903: 0, 904: 4}
+    # a point without posed views keeps int64 cameras, so the ba stage can load it
+    save_global_points(tmp_path / "points.npz", points)
+    assert load_global_points(tmp_path / "points.npz")[-3].cameras.tolist() == []
 
 
 def test_triangulate_global_noisy_rms():
     scene, matches = generate_synthetic_scene("orbit", 10, 250, pixel_sigma=0.0, seed=6)
     graph = build_camera_graph(matches, 10)
     cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=5, completeness_ratio=0.0, seed=1))
-    tracks = [t for t in tracks_from_scene(scene, noise=0.5, seed=3) if len(t) >= 6]
-    assert tracks
+    tracks = track_table([t for t in track_rows(tracks_from_scene(scene, noise=0.5, seed=3)) if len(t[1]) >= 6])
+    assert len(tracks)
     points = triangulate_global(tracks, gt_motion(scene), cs, scene.cameras)
     sq = []
     for p in points:
@@ -258,11 +298,11 @@ def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, 
         xy.append([800.0 * Y[0] / Y[2] + 640.0, 800.0 * Y[1] / Y[2] + 480.0])
     xy = np.array(xy)
     xy[perturbed, 0] += 30.0
-    track = Track(id=0, cameras=np.arange(3), features=np.arange(3), xy=xy)
+    track = track_table([(0, np.arange(3), np.arange(3), xy)])
     motion = GlobalMotion(rotations=rotations, centers=centers, scales={0: 1.0},
                           residual_norms=np.zeros(0), objective=0.0)
     cluster_set = SimpleNamespace(independent_cluster_of=lambda: {0: 0, 1: 0, 2: 0})
-    [point] = triangulate_global([track], motion, cluster_set, cameras)
+    [point] = triangulate_global(track, motion, cluster_set, cameras)
     assert point.status == expected and point.position is None
 
 

@@ -12,8 +12,7 @@ from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction, RelativeMotion
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
-from clustersfm.tracks import Track
-from conftest import geometric_graph
+from conftest import geometric_graph, track_table
 
 
 def test_match_graph_roundtrip(tmp_path):
@@ -143,24 +142,22 @@ def test_local_reconstructions_roundtrip(tmp_path):
                                                   else np.float64), name
 
 
+_FIRST_TRACK = (0, [0, 3], [7, 2], [[1.5, 2.5], [-3.0, 1e-300]])
+
+
 def _tracks():
-    return [
-        Track(id=0, cameras=np.array([0, 3]), features=np.array([7, 2]), xy=np.array([[1.5, 2.5], [-3.0, 1e-300]])),
-        Track(id=4, cameras=np.array([1, 2, 5]), features=np.array([0, 0, 9]), xy=np.arange(6.0).reshape(3, 2) / 7),
-    ]
+    return track_table([_FIRST_TRACK, (4, [1, 2, 5], [0, 0, 9], np.arange(6.0).reshape(3, 2) / 7)])
 
 
 def test_tracks_roundtrip_exact(tmp_path):
     path = tmp_path / "tracks.json"
-    for tracks in (_tracks(), []):
+    for tracks in (_tracks(), track_table([])):
         sfm_io.save_tracks(path, tracks)
         loaded = sfm_io.load_tracks(path, 6)
-        assert [t.id for t in loaded] == [t.id for t in tracks]
-        assert all(type(t.id) is int for t in loaded)
-        for a, b in zip(tracks, loaded):
-            for name in ("cameras", "features", "xy"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)) and getattr(b, name).shape == getattr(a, name).shape
-            assert b.cameras.dtype == b.features.dtype == np.int64 and b.xy.dtype == np.float64
+        assert len(loaded) == len(tracks)
+        for name in ("ids", "offsets", "cameras", "features", "xy"):
+            a, b = getattr(tracks, name), getattr(loaded, name)
+            assert np.array_equal(a, b) and b.shape == a.shape and b.dtype == a.dtype, name
 
 
 def test_global_motion_and_points_roundtrip(tmp_path):
@@ -304,9 +301,10 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                              ([1, 3, 3], "cameras are not strictly ascending"),  # a repeated camera
                              ([1, 2, 6], "camera 6 is not in the match graph's 0..5$"),  # past the last camera
                              ([-1, 2], "camera -1 is not in the match graph's 0..5$")):  # before the first
-        bad = Track(id=4, cameras=np.array(cameras), features=np.zeros(len(cameras), np.int64),
-                    xy=np.zeros((len(cameras), 2)))
-        sfm_io.save_tracks(path, [*_tracks()[:1], bad])
+        bad = track_table([_FIRST_TRACK, (4, cameras, np.zeros(len(cameras)), np.zeros((len(cameras), 2)))])
+        with pytest.raises(DataError, match=f"^track 4: {message}"):
+            bad.check(6)
+        sfm_io.save_tracks(path, bad)
         with pytest.raises(DataError, match=f"^{path}: track 4: {message}"):
             sfm_io.load_tracks(path, 6)
     recs = _local_reconstructions()

@@ -31,8 +31,9 @@ from clustersfm.local_sfm import (
 from clustersfm.evaluation import align_similarity
 from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
-from clustersfm.tracks import Track, generate_tracks
+from clustersfm.tracks import generate_tracks
 from clustersfm.utils import seeded_rng
+from conftest import track_rows, track_table
 
 SEED = 11
 
@@ -104,10 +105,8 @@ def _tracks_for_pair(poses, cams, points):
                 cs.append(c)
                 xys.append(xy)
         if len(cs) >= 2:
-            tracks.append(
-                Track(id=pid, cameras=np.array(cs), features=np.full(len(cs), pid), xy=np.array(xys))
-            )
-    return tracks
+            tracks.append((pid, cs, np.full(len(cs), pid), xys))
+    return track_table(tracks)
 
 
 def test_seed_pair_rejects_zero_baseline():
@@ -325,10 +324,10 @@ def test_run_local_sfm_inlier_rows_match_points(orbit_run):
     first = np.flatnonzero(np.diff(rec.obs_tracks, prepend=-1))
     assert np.array_equal(rec.obs_tracks[first], rec.point_tracks)
     assert np.all(np.diff(np.append(first, len(rec.obs_tracks))) >= 2)
-    by_id = {t.id: t for t in tracks}
+    by_id = {t: (cams.tolist(), xys) for t, cams, _, xys in track_rows(tracks)}
     for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy):
-        k = by_id[t].cameras.tolist().index(c)
-        assert np.array_equal(by_id[t].xy[k], xy)
+        cams, xys = by_id[t]
+        assert np.array_equal(xys[cams.index(c)], xy)
     assert rec.positions.shape == (len(rec.point_tracks), 3) and rec.obs_xy.shape == (len(rec.obs_tracks), 2)
 
 
@@ -430,8 +429,7 @@ def test_batched_triangulation_matches_per_track_reference():
 
 
 def test_local_ba_rising_cost_raises(monkeypatch):
-    tracks = [Track(id=t, cameras=np.array([0, 1]), features=np.array([t, t]), xy=np.zeros((2, 2)))
-              for t in range(5)]
+    tracks = track_table([(t, [0, 1], [t, t], np.zeros((2, 2))) for t in range(5)])
     state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)])
     state.rotations = {0: np.eye(3), 1: np.eye(3)}
     state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
@@ -455,7 +453,7 @@ def _three_view_state():
     cams = [make_camera(k) for k in range(3)]
     points = target + rng.normal(size=(6, 3))
     tracks = _tracks_for_pair(poses, cams, points)
-    assert [len(t) for t in tracks] == [3] * 6
+    assert np.diff(tracks.offsets).tolist() == [3] * 6
     state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams)
     for k in (1, 2):
         state.rotations[k], state.centers[k] = poses[k].R, poses[k].c
@@ -529,13 +527,12 @@ def test_cluster_tracks_table_matches_scan():
     for tid in range(40):
         # strictly ascending cameras; some tracks leave the cluster
         cams = np.sort(rng.choice(8, size=int(rng.integers(2, 7)), replace=False))
-        tracks.append(Track(id=100 + tid, cameras=cams, features=np.arange(len(cams)),
-                            xy=rng.normal(size=(len(cams), 2)) * 100))
+        tracks.append((100 + tid, cams, np.arange(len(cams)), rng.normal(size=(len(cams), 2)) * 100))
     cluster = (0, 1, 2, 3, 4)
-    ct = ClusterTracks(cluster, tracks)
+    ct = ClusterTracks(cluster, track_table(tracks))
     # per-track scan: the in-cluster elements of the tracks with >= 2 of them
-    expected = [(int(t.id), int(c), xy) for t in tracks if np.isin(t.cameras, cluster).sum() >= 2
-                for c, xy in zip(t.cameras, t.xy) if c in cluster]
+    expected = [(t, int(c), p) for t, cams, _, xy in tracks if np.isin(cams, cluster).sum() >= 2
+                for c, p in zip(cams, xy) if c in cluster]
     assert 0 < len(ct) < len(tracks)
     assert list(zip(ct.track_ids[ct.track].tolist(), ct.cam.tolist())) == [e[:2] for e in expected]
     assert np.array_equal(ct.xy, np.array([e[2] for e in expected]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -9,27 +10,7 @@ from clustersfm.errors import ConfigurationError
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
-from clustersfm.tracks import Track
-
-
-SMALL = dict(
-    layout="orbit",
-    num_cameras=18,
-    num_points=250,
-    pixel_sigma=0.3,
-    seed=5,
-    max_cluster_size=8,
-    completeness_ratio=0.7,
-    ba_rounds=4,
-)
-
-
-@pytest.fixture(scope="module")
-def small_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("run")
-    config = PipelineConfig(output_dir=str(out), **SMALL)
-    report = run_pipeline(config)
-    return out, config, report
+from conftest import SMALL, track_rows, track_table
 
 
 def test_full_run_produces_report(small_run):
@@ -265,12 +246,13 @@ def test_cli_track_camera_outside_match_graph_exit_code(small_run, tmp_path, cap
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "tracks.json"
     tracks = load_tracks(path, SMALL["num_cameras"])
-    first = tracks[0]
-    cameras = np.append(first.cameras[:-1], 999)  # still ascending
-    save_tracks(path, [Track(first.id, cameras, first.features, first.xy), *tracks[1:]])
+    cameras = tracks.cameras.copy()
+    cameras[tracks.offsets[1] - 1] = 999  # the last camera of the first track, so it stays ascending
+    save_tracks(path, dataclasses.replace(tracks, cameras=cameras))
     for stage in ("local-sfm", "triangulate"):
         assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
-        _one_line_data_error(capsys, stage, "tracks.json", f"track {first.id}: camera 999 is not in the match graph's 0..17")
+        _one_line_data_error(capsys, stage, "tracks.json",
+                             f"track {tracks.ids[0]}: camera 999 is not in the match graph's 0..17")
 
 
 def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
@@ -322,7 +304,7 @@ def test_cli_unwritable_artifact_exit_code(tmp_path, capsys):
 def _validated_tracks_reference(tracks, recs):
     """validated_tracks as a merge of per-track dicts: (id, cameras,
     features, pixels) per track."""
-    by_id = {t.id: t for t in tracks}
+    by_id = {t: dict(zip(cams.tolist(), feats.tolist())) for t, cams, feats, _ in track_rows(tracks)}
     merged = {}
     for rec in recs:
         for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy.tolist()):
@@ -331,9 +313,8 @@ def _validated_tracks_reference(tracks, recs):
     for t in sorted(merged):
         if len(merged[t]) < 2 or t not in by_id:
             continue
-        feature_of = dict(zip(by_id[t].cameras.tolist(), by_id[t].features.tolist()))
         cameras = sorted(merged[t])
-        out.append((t, cameras, [feature_of.get(c, -1) for c in cameras], [merged[t][c] for c in cameras]))
+        out.append((t, cameras, [by_id[t].get(c, -1) for c in cameras], [merged[t][c] for c in cameras]))
     return out
 
 
@@ -348,23 +329,23 @@ def test_validated_tracks_matches_dict_merge(small_run):
     recs = load_local_reconstructions(out / "local_reconstructions.json")
     registered = [c for r in recs for c in r.registered]
     assert len(set(registered)) < len(registered)  # the clusters overlap
-    made = [
-        Track(id=0, cameras=np.array([0, 1, 2]), features=np.array([10, 11, 12]), xy=np.zeros((3, 2))),
-        Track(id=1, cameras=np.array([1, 2]), features=np.array([20, 21]), xy=np.zeros((2, 2))),
-        Track(id=3, cameras=np.array([0, 4]), features=np.array([30, 31]), xy=np.zeros((2, 2))),
-    ]
+    made = track_table([
+        (0, [0, 1, 2], [10, 11, 12], np.zeros((3, 2))),
+        (1, [1, 2], [20, 21], np.zeros((2, 2))),
+        (3, [0, 4], [30, 31], np.zeros((2, 2))),
+    ])
     made_recs = [
         # track 7 is not in the tracks; camera 5 is not in track 1
         _rec(0, [0, 0, 1, 1, 7, 7], [0, 1, 1, 5, 0, 1], [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [1, 1]]),
         # camera 1 of track 0 again, with another pixel; track 3 keeps one view
         _rec(1, [0, 0, 3], [1, 2, 4], [[-1, -1], [-2, -2], [5, 5]]),
     ]
-    for tracks, recs in ((tracks, recs), (made, made_recs), (made, []), ([], made_recs)):
+    for tracks, recs in ((tracks, recs), (made, made_recs), (made, []), (track_table([]), made_recs)):
         got = validated_tracks(tracks, recs)
-        assert [(t.id, t.cameras.tolist(), t.features.tolist(), t.xy.tolist()) for t in got] == \
+        assert [(t, cams.tolist(), feats.tolist(), xy.tolist()) for t, cams, feats, xy in track_rows(got)] == \
             _validated_tracks_reference(tracks, recs)
-        for t in got:
-            assert type(t.id) is int and t.cameras.dtype == t.features.dtype == np.int64
-            assert t.xy.dtype == np.float64 and t.xy.shape == (len(t), 2)
-    assert [(t.id, t.features.tolist(), t.xy.tolist()) for t in validated_tracks(made, made_recs)] == [
+        assert got.ids.dtype == got.offsets.dtype == got.cameras.dtype == got.features.dtype == np.int64
+        assert got.xy.dtype == np.float64 and got.xy.shape == (len(got.cameras), 2)
+        got.check(SMALL["num_cameras"])
+    assert [(t, feats.tolist(), xy.tolist()) for t, _, feats, xy in track_rows(validated_tracks(made, made_recs))] == [
         (0, [10, 11, 12], [[0, 1], [2, 3], [-2, -2]]), (1, [20, -1], [[4, 5], [6, 7]])]

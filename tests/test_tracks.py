@@ -6,7 +6,7 @@ from clustersfm.errors import DataError
 from clustersfm.scene import build_camera_graph
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import component_labels
-from conftest import match_table
+from conftest import match_table, track_rows
 
 
 def medge(i, j, pairs):
@@ -60,15 +60,15 @@ def flat_union_find_oracle(matches):
     return out
 
 
-def as_tuple(track):
-    """A track as ((camera, feature, x, y), ...), comparable by value."""
-    return tuple(
-        (int(c), int(f), float(x), float(y)) for c, f, (x, y) in zip(track.cameras, track.features, track.xy)
-    )
+def as_tuples(tracks):
+    """Each track of a TrackTable as ((camera, feature, x, y), ...),
+    comparable by value."""
+    return [tuple((int(c), int(f), float(x), float(y)) for c, f, (x, y) in zip(cams, feats, xy))
+            for _, cams, feats, xy in track_rows(tracks)]
 
 
 def canonical(tracks):
-    return {as_tuple(t) for t in tracks}
+    return set(as_tuples(tracks))
 
 
 def test_leaf_transitive_closure():
@@ -76,7 +76,7 @@ def test_leaf_transitive_closure():
     m2 = medge(1, 2, [(3, (1, 1), 7, (2, 2))])
     tracks = generate_tracks(leaf([0, 1, 2]), match_table([m1, m2]))
     assert len(tracks) == 1
-    assert as_tuple(tracks[0]) == ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0))
+    assert as_tuples(tracks)[0] == ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0))
 
 
 def test_leaf_first_seen_pixel_wins():
@@ -86,7 +86,7 @@ def test_leaf_first_seen_pixel_wins():
     m2 = medge(1, 2, [(3, (9, 9), 7, (2, 2))])
     m3 = medge(0, 2, [(2, (8, 8), 8, (3, 3))])
     tracks = generate_tracks(leaf([0, 1, 2]), match_table([m1, m2, m3]))
-    assert [as_tuple(t) for t in tracks] == [
+    assert as_tuples(tracks) == [
         ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0)),
         ((0, 2, 4.0, 4.0), (1, 5, 6.0, 6.0), (2, 8, 3.0, 3.0)),
     ]
@@ -97,7 +97,7 @@ def test_leaf_inconsistent_component_discarded():
     e01 = medge(0, 1, [(1, (0, 0), 3, (1, 1))])
     e02 = medge(0, 2, [(2, (5, 5), 9, (2, 2))])
     e12 = medge(1, 2, [(3, (1, 1), 9, (2, 2))])
-    assert generate_tracks(leaf([0, 1, 2]), match_table([e01, e02, e12])) == []
+    assert len(generate_tracks(leaf([0, 1, 2]), match_table([e01, e02, e12]))) == 0
 
 
 def test_leaf_rejects_out_of_scope_matches():
@@ -121,7 +121,7 @@ def test_merge_single_cross_match_joins():
     ])
     merged = generate_tracks(two_leaves((0, 1), (2, 3)), matches)
     assert len(merged) == 1
-    assert len(merged[0]) == 4
+    assert merged.offsets.tolist() == [0, 4]
 
 
 def test_merge_chain_equals_flat_oracle():
@@ -180,7 +180,8 @@ def test_single_leaf_tree_equals_flat_oracle():
 
 
 def test_zero_matches_empty_tracks():
-    assert generate_tracks(leaf([0, 1, 2]), match_table([])) == []
+    tracks = generate_tracks(leaf([0, 1, 2]), match_table([]))
+    assert len(tracks) == 0 and tracks.offsets.tolist() == [0] and tracks.xy.shape == (0, 2)
 
 
 def test_track_invariants():
@@ -188,11 +189,13 @@ def test_track_invariants():
     matches = random_instance(rng, 20, 400)
     g = build_camera_graph(matches, 20)
     _, tree, _ = divide(g, 5)
-    for t in generate_tracks(tree, matches):
-        assert len(t) >= 2
-        cams = t.cameras.tolist()
-        assert cams == sorted(cams)
-        assert len(set(cams)) == len(cams)
+    tracks = generate_tracks(tree, matches)
+    tracks.check(20)  # cameras strictly ascending within each track
+    assert tracks.ids.tolist() == list(range(len(tracks)))
+    assert np.diff(tracks.offsets).min() >= 2
+    for array in (tracks.ids, tracks.offsets, tracks.cameras, tracks.features):
+        assert array.dtype == np.int64
+    assert tracks.xy.dtype == np.float64 and tracks.xy.shape == (len(tracks.cameras), 2)
 
 
 def test_idempotent_through_serialization(tmp_path):
@@ -218,7 +221,7 @@ def test_merge_pixel_precedence():
         medge(0, 3, [(5, (5, 5), 6, (6, 6))]),
         medge(2, 3, [(7, (2, 2), 1, (3, 3))]),
     ])
-    assert [as_tuple(t) for t in generate_tracks(two_leaves((0, 1), (2, 3)), matches)] == [
+    assert as_tuples(generate_tracks(two_leaves((0, 1), (2, 3)), matches)) == [
         ((0, 1, 0.0, 0.0), (1, 3, 1.0, 1.0), (2, 7, 2.0, 2.0), (3, 1, 3.0, 3.0)),
         ((0, 5, 5.0, 5.0), (1, 8, 7.0, 7.0), (3, 6, 6.0, 6.0)),
     ]
@@ -244,7 +247,7 @@ def test_component_inconsistent_at_inner_node_dropped_at_root():
     ))
     tree.assign_leaf_ids()
     tracks = generate_tracks(tree, matches)
-    assert [as_tuple(t) for t in tracks] == [((0, 5, 5.0, 5.0), (3, 5, 3.0, 5.0))]
+    assert as_tuples(tracks) == [((0, 5, 5.0, 5.0), (3, 5, 3.0, 5.0))]
     assert canonical(tracks) == flat_union_find_oracle(matches)
 
 
