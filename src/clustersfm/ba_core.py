@@ -9,10 +9,12 @@ of a free camera and a free point), which the gradient test and every
 damping retry share. A step eliminates the points through the Schur
 complement S = H_cc - (W H_pp^-1) W^T. S is dense, 6 x 6 per free camera,
 and is accumulated with one GEMM per slab of ASSEMBLY_BLOCK points: the W
-and W H_pp^-1 blocks of the slab are scattered into dense (6 Cf, 3 x slab)
-arrays, so the temporaries grow with the number of free cameras times the
-slab size, never with the number of points. The camera step is one dense
-solve of S; the points back-substitute per block.
+and W H_pp^-1 blocks of the slab are scattered into dense (6 Cs, 3 x slab)
+arrays, where Cs counts the free cameras that see a point of the slab, and
+the product is subtracted from the rows and columns of those cameras. The
+temporaries grow with the cameras a slab sees times the slab size, never
+with all free cameras or with the number of points. The camera step is one
+dense solve of S; the points back-substitute per block.
 
 Parameterization: rotations update multiplicatively, R <- exp([w]x) R;
 centers and points additively. Residual of one observation is
@@ -22,11 +24,15 @@ project(R (X - c)) - pixel, so the Jacobian blocks are
     dY/dw = -[Y]x,   dY/dc = -R,   dY/dX = R,      with Y = R (X - c).
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .geometry import MIN_DEPTH, so3_exp
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_ITERATIONS = 50
 DEFAULT_RELATIVE_TOL = 1e-10
@@ -135,8 +141,11 @@ class _SchurStructure:
     problem.
 
     Coupling observations (free camera and free point) are sorted by point
-    and cut into slabs of ASSEMBLY_BLOCK points; each slab keeps the flat
-    positions of its 6x3 W blocks inside a dense (6 nc, 3 * slab) array.
+    and cut into slabs of ASSEMBLY_BLOCK points. Each slab keeps the sorted
+    free cameras its observations touch, their rows in the reduced system,
+    and the flat positions of its 6x3 W blocks inside a compact
+    (6 x slab cameras, 3 x slab points) array. Per-block sums over
+    observations are products with sparse 0/1 matrices, one per kind of sum.
     """
 
     def __init__(self, problem: BAProblem):
@@ -149,34 +158,36 @@ class _SchurStructure:
         pt_map[free_pt_ids] = np.arange(len(free_pt_ids))
         self.n_free_pts = npnt = len(free_pt_ids)
 
-        self.obs_cam = cam_map[np.asarray(problem.cam_idx, dtype=np.int64)]  # -1 where fixed
-        self.obs_pt = pt_map[np.asarray(problem.pt_idx, dtype=np.int64)]
-        self.cam_obs = np.flatnonzero(self.obs_cam >= 0)
-        self.pt_obs = np.flatnonzero(self.obs_pt >= 0)
-        coupled = np.flatnonzero((self.obs_cam >= 0) & (self.obs_pt >= 0))
-        self.coupled = coupled[np.argsort(self.obs_pt[coupled], kind="stable")]
-        self.coupled_cam = oc = self.obs_cam[self.coupled]
-        self.coupled_pt = op = self.obs_pt[self.coupled]
+        obs_cam = cam_map[np.asarray(problem.cam_idx, dtype=np.int64)]  # -1 where fixed
+        obs_pt = pt_map[np.asarray(problem.pt_idx, dtype=np.int64)]
+        self.cam_obs = np.flatnonzero(obs_cam >= 0)
+        self.pt_obs = np.flatnonzero(obs_pt >= 0)
+        coupled = np.flatnonzero((obs_cam >= 0) & (obs_pt >= 0))
+        self.coupled = coupled[np.argsort(obs_pt[coupled], kind="stable")]
+        self.coupled_cam = oc = obs_cam[self.coupled]
+        self.coupled_pt = op = obs_pt[self.coupled]
+        # sums over observations, in observation order within each block
+        self.sum_by_cam = _summing_matrix(obs_cam[self.cam_obs], self.n_free_cams)
+        self.sum_by_pt = _summing_matrix(obs_pt[self.pt_obs], npnt)
+        self.sum_coupled_by_pt = _summing_matrix(op, npnt)
 
-        self.slabs = []  # (first point, last point + 1, coupled slice, flat W positions)
+        self.slabs = []  # (first point, last point + 1, coupled slice, reduced rows, flat W positions)
         starts = np.arange(0, npnt, ASSEMBLY_BLOCK)
         bounds = np.searchsorted(op, np.append(starts, npnt))
         for p0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
             p1 = min(p0 + ASSEMBLY_BLOCK, npnt)
-            rows = 6 * oc[lo:hi, None, None] + np.arange(6)[None, :, None]
+            cams, local = np.unique(oc[lo:hi], return_inverse=True)
+            rows = 6 * local[:, None, None] + np.arange(6)[None, :, None]  # in the compact array
             cols = 3 * (op[lo:hi, None, None] - p0) + np.arange(3)[None, None, :]
-            self.slabs.append((p0, p1, slice(lo, hi), (rows * 3 * (p1 - p0) + cols).ravel()))
+            reduced = (6 * cams[:, None] + np.arange(6)).ravel()  # the same rows in S
+            self.slabs.append((p0, p1, slice(lo, hi), reduced, (rows * 3 * (p1 - p0) + cols).ravel()))
 
 
-def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """Accumulate values into target rows by index; bincount is much faster
-    than np.add.at for many repeated indices."""
-    flat = values.reshape(len(values), np.prod(values.shape[1:], dtype=np.int64))
-    n = target.shape[0]
-    out = np.empty((n, flat.shape[1]))
-    for k in range(flat.shape[1]):
-        out[:, k] = np.bincount(idx, weights=flat[:, k], minlength=n)
-    target += out.reshape(target.shape)
+def _summing_matrix(block_of, n_blocks):
+    """(n_blocks, len(block_of)) 0/1 CSR matrix whose product with per-row
+    values sums them into their blocks."""
+    m = len(block_of)
+    return csr_matrix((np.ones(m), (block_of, np.arange(m))), shape=(n_blocks, m))
 
 
 def _normal_equations(struct, J_cam, J_pt, r):
@@ -185,18 +196,14 @@ def _normal_equations(struct, J_cam, J_pt, r):
     and the coupling blocks W (one 6x3 per coupled observation, in
     struct.coupled order)."""
     cam_obs, pt_obs = struct.cam_obs, struct.pt_obs
-    H_cc = np.zeros((struct.n_free_cams, 6, 6))
-    g_c = np.zeros((struct.n_free_cams, 6))
     J = J_cam[cam_obs].transpose(0, 2, 1)
-    _scatter_add(H_cc, struct.obs_cam[cam_obs], np.matmul(J, J_cam[cam_obs]))
-    _scatter_add(g_c, struct.obs_cam[cam_obs], np.matmul(J, r[cam_obs, :, None])[:, :, 0])
-    H_pp = np.zeros((struct.n_free_pts, 3, 3))
-    g_p = np.zeros((struct.n_free_pts, 3))
+    H_cc = struct.sum_by_cam @ np.matmul(J, J_cam[cam_obs]).reshape(-1, 36)
+    g_c = struct.sum_by_cam @ np.matmul(J, r[cam_obs, :, None]).reshape(-1, 6)
     J = J_pt[pt_obs].transpose(0, 2, 1)
-    _scatter_add(H_pp, struct.obs_pt[pt_obs], np.matmul(J, J_pt[pt_obs]))
-    _scatter_add(g_p, struct.obs_pt[pt_obs], np.matmul(J, r[pt_obs, :, None])[:, :, 0])
+    H_pp = struct.sum_by_pt @ np.matmul(J, J_pt[pt_obs]).reshape(-1, 9)
+    g_p = struct.sum_by_pt @ np.matmul(J, r[pt_obs, :, None]).reshape(-1, 3)
     W = np.matmul(J_cam[struct.coupled].transpose(0, 2, 1), J_pt[struct.coupled])
-    return H_cc, g_c, H_pp, g_p, W
+    return H_cc.reshape(-1, 6, 6), g_c, H_pp.reshape(-1, 3, 3), g_p, W
 
 
 def _damped(H, lam):
@@ -226,21 +233,20 @@ def _solve_lm_step(struct, normal, lam):
     S[np.arange(nc), :, np.arange(nc), :] = _damped(H_cc, lam)
     S = S.reshape(6 * nc, 6 * nc)
     g_red = g_c.ravel().copy()
-    for p0, p1, obs, flat in struct.slabs:
+    for p0, p1, obs, rows, flat in struct.slabs:
         WH = np.matmul(W[obs], H_pp_inv[struct.coupled_pt[obs]])
-        shape = (6 * nc, 3 * (p1 - p0))
+        shape = (len(rows), 3 * (p1 - p0))
         W_d = np.bincount(flat, weights=W[obs].ravel(), minlength=shape[0] * shape[1]).reshape(shape)
         WH_d = np.bincount(flat, weights=WH.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
-        S -= WH_d @ W_d.T
-        g_red -= WH_d @ g_p[p0:p1].ravel()
+        S[np.ix_(rows, rows)] -= WH_d @ W_d.T
+        g_red[rows] -= WH_d @ g_p[p0:p1].ravel()
     try:
         d_cam = np.linalg.solve(S, -g_red).reshape(nc, 6)
     except np.linalg.LinAlgError:
         return None, None
 
     # back-substitute points: d_p = -Hpp^-1 (g_p + W^T d_cam)
-    rhs = g_p.copy()
-    _scatter_add(rhs, struct.coupled_pt, np.matmul(d_cam[struct.coupled_cam, None, :], W)[:, 0, :])
+    rhs = g_p + struct.sum_coupled_by_pt @ np.matmul(d_cam[struct.coupled_cam, None, :], W)[:, 0, :]
     return d_cam, -np.matmul(H_pp_inv, rhs[:, :, None])[:, :, 0]
 
 
@@ -254,7 +260,8 @@ def lm_minimize(
 
     Cost is non-increasing across accepted steps by construction. The
     optional rescale_fn(rotations, centers, points) is applied after each
-    accepted step to hold a gauge (it must leave the cost unchanged).
+    accepted step to hold a gauge (it must leave the cost unchanged). A
+    call that reaches max_iterations before its stop test logs a warning.
     """
     struct = _SchurStructure(problem)
     rotations, centers, points = problem.copy_state()
@@ -309,6 +316,9 @@ def lm_minimize(
             lam *= 2.0
         if not accepted:
             break
+    if not converged and iterations >= max_iterations:
+        logger.warning("LM stopped at its cap of %d iterations (cost %.6e from %.6e)",
+                       max_iterations, cost, initial_cost)
 
     norms = np.linalg.norm(residuals(problem, rotations, centers, points), axis=1)
     return BAResult(

@@ -23,7 +23,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help=f"worker pool size (default: ${WORKERS_ENV_VAR} or CPU count)",
+        help=(f"worker count (default: ${WORKERS_ENV_VAR} or CPU count); "
+              "the stages run on one thread, so it changes nothing yet"),
     )
     parser.add_argument("--verbose", action="store_true")
 

@@ -139,17 +139,17 @@ def distributed_bundle_adjust(
     cameras: list[Camera],
     rounds: int = DEFAULT_ROUNDS,
     inner_max_iterations: int = 50,
-    workers: int | None = None,
 ):
     """Block-coordinate consensus bundle adjustment over the partitions.
 
-    Each round runs the partition solves in parallel (their sub-problems
-    share no mutable state), then re-triangulates boundary points from all
-    partitions' cameras with a per-point no-worsening guard, so the global
-    reprojection cost never increases between rounds. The rounds stop when
-    one cuts the global cost by at most ROUND_RELATIVE_TOL of its value
-    before the round, or at the `rounds` cap. Returns (motion, points,
-    round_log).
+    Each round solves the partitions one after another, each from the
+    state at the start of the round (their sub-problems share no mutable
+    state, so the order does not matter), then re-triangulates boundary
+    points from all partitions' cameras with a per-point no-worsening
+    guard, so the global reprojection cost never increases between
+    rounds. The rounds stop when one cuts the global cost by at most
+    ROUND_RELATIVE_TOL of its value before the round, or at the `rounds`
+    cap. Returns (motion, points, round_log).
     """
     active = [p for p in points if p.active]
     cam_ids = sorted(motion.centers)
@@ -228,7 +228,7 @@ def distributed_bundle_adjust(
             result = ba_core.lm_minimize(problem, max_iterations=inner_max_iterations)
             return part, result
 
-        results = parallel_map(solve_partition, partitions, workers=workers)
+        results = parallel_map(solve_partition, partitions)
         for part, result in results:
             if result.cost > result.initial_cost + 1e-12:
                 logger.warning(

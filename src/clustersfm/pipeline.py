@@ -71,7 +71,7 @@ class PipelineConfig:
 
     output_dir: str = "out"
     seed: int = 0
-    workers: int | None = None
+    workers: int | None = None  # validated, but the stages run on one thread
     # synthetic scene
     layout: str = "loop"
     num_cameras: int = 60
@@ -272,7 +272,7 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
     def run_one(cluster):
         return run_local_sfm(graph, cluster, tracks, cameras, config.seed)
 
-    recs = parallel_map(run_one, cs.interdependent, workers=config.workers)
+    recs = parallel_map(run_one, cs.interdependent)
     motions = []
     for rec in recs:
         motions.extend(extract_relative_motions(rec, graph))
@@ -338,7 +338,6 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
         points,
         cameras,
         rounds=config.ba_rounds,
-        workers=config.workers,
     )
     out = Path(out_dir)
     sfm_io.save_global_motion(out / "final_motion.json", final_motion)

@@ -1,8 +1,7 @@
-"""Seeding, connected-component and worker-pool helpers shared by all stages."""
+"""Seeding, connected-component and stage-mapping helpers shared by all stages."""
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -37,19 +36,17 @@ def default_worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(fn, items, workers: int | None = None) -> list:
-    """Apply fn to items on a bounded thread pool, results in input order.
+def parallel_map(fn, items) -> list:
+    """Apply fn to each item in order on the calling thread; results in input
+    order, and the first exception raised ends the map.
 
-    Work items must not share mutable state; with that contract the result
-    is independent of the worker count.
+    The stages map their clusters and BA partitions through this one name:
+    perfbench wraps `pipeline.parallel_map` and `global_ba.parallel_map` to
+    time the calls and count the items, and a process pool over the
+    clusters can later go behind it. A thread pool does not pay: the
+    interpreter lock serialises the small NumPy calls of RANSAC and LM.
     """
-    items = list(items)
-    if workers is None:
-        workers = default_worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def component_labels(n: int, a, b) -> np.ndarray:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,51 @@ def test_schur_step_across_assembly_blocks(monkeypatch):
     # many small blocks give the same step
     monkeypatch.setattr(ba_core, "ASSEMBLY_BLOCK", 7)
     assert np.allclose(schur_step(problem, 1e-3), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+
+def banded_problem(seed, n_cams=8, n_pts=60):
+    """Noisy problem where each point is seen by a window of 3 consecutive
+    cameras, points ordered along the band: camera 0 is fixed, and the last
+    camera is free but sees only fixed points."""
+    rng = np.random.default_rng(seed)
+    problem, _ = make_problem(rng, n_cams=n_cams, n_pts=n_pts, pixel_noise=1.0)
+    first = np.arange(n_pts) * (n_cams - 2) // n_pts
+    keep = np.flatnonzero((problem.cam_idx >= first[problem.pt_idx]) & (problem.cam_idx < first[problem.pt_idx] + 3))
+    keep = rng.permutation(keep)
+    problem.cam_idx, problem.pt_idx, problem.pixels = problem.cam_idx[keep], problem.pt_idx[keep], problem.pixels[keep]
+    problem.free_pts = np.ones(n_pts, dtype=bool)
+    problem.free_pts[np.unique(problem.pt_idx[problem.cam_idx == n_cams - 1])] = False
+    problem.centers = problem.centers + rng.normal(size=problem.centers.shape) * 0.05
+    problem.points = problem.points + rng.normal(size=problem.points.shape) * 0.05
+    return problem
+
+
+def test_schur_step_with_slabs_that_see_some_cameras(monkeypatch):
+    monkeypatch.setattr(ba_core, "ASSEMBLY_BLOCK", 8)
+    problem = banded_problem(10)
+    struct = _SchurStructure(problem)
+    assert len(struct.slabs) > 1
+    slab_rows = [rows for *_, rows, _ in struct.slabs]
+    assert all(len(rows) < 6 * struct.n_free_cams for rows in slab_rows)
+    # the last free camera sees no free point, so no slab touches its rows
+    last = 6 * (struct.n_free_cams - 1)
+    assert not np.isin(np.concatenate(slab_rows), np.arange(last, last + 6)).any()
+    for lam in (1e-3, 1.0):
+        ref = reference_step(problem, lam)
+        assert np.allclose(schur_step(problem, lam), ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+
+def test_lm_warns_when_it_stops_at_its_cap(caplog):
+    problem = perturbed_problem(11, n_cams=5, n_pts=20)
+    with caplog.at_level(logging.WARNING, logger="clustersfm.ba_core"):
+        result = lm_minimize(problem, max_iterations=1)
+    assert not result.converged and result.iterations == 1
+    assert [r.getMessage().split(" (")[0] for r in caplog.records] == ["LM stopped at its cap of 1 iterations"]
+
+
+def test_lm_that_converges_does_not_warn(caplog):
+    problem = perturbed_problem(11, n_cams=5, n_pts=20)
+    with caplog.at_level(logging.WARNING, logger="clustersfm.ba_core"):
+        result = lm_minimize(problem, max_iterations=100)
+    assert result.converged
+    assert not caplog.records

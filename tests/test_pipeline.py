@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from clustersfm.errors import ConfigurationError
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
+from clustersfm.utils import parallel_map
 from conftest import SMALL, track_rows, track_table
 
 
@@ -173,6 +175,39 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
                          "final_points.npz", "report.json")
         }
     assert hashes[1] == hashes[3]
+
+
+def test_stages_run_on_the_calling_thread(tmp_path, monkeypatch):
+    from clustersfm import ba_core, pipeline
+
+    threads = {"local sfm": set(), "lm": set()}
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            threads[name].add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # lm_minimize serves both the local SfM and the BA partition solves
+    monkeypatch.setattr(pipeline, "run_local_sfm", recorded("local sfm", pipeline.run_local_sfm))
+    monkeypatch.setattr(ba_core, "lm_minimize", recorded("lm", ba_core.lm_minimize))
+    run_pipeline(PipelineConfig(output_dir=str(tmp_path), workers=3, **SMALL))
+    assert threads == {"local sfm": {threading.main_thread()}, "lm": {threading.main_thread()}}
+
+
+def test_parallel_map_keeps_order_and_stops_at_the_first_error():
+    assert parallel_map(lambda x: 10 * x, iter([3, 1, 2])) == [30, 10, 20]
+    ran = []
+
+    def fail_on_odd(x):
+        ran.append(x)
+        if x % 2:
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        parallel_map(fail_on_odd, [0, 1, 2, 3])
+    assert ran == [0, 1]
 
 
 def test_stage_error_keeps_exception_object(tmp_path):
