@@ -3,8 +3,6 @@
 from .averaging import (
     GlobalMotion,
     RotationEstimate,
-    TranslationSystem,
-    build_translation_system,
     rotation_averaging,
     solve_translation_l1,
 )
@@ -28,7 +26,7 @@ from .global_ba import (
 )
 from .local_sfm import (
     LocalReconstruction,
-    RelativeMotion,
+    MotionTable,
     extract_relative_motions,
     run_local_sfm,
 )

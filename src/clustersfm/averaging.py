@@ -1,4 +1,5 @@
-"""Global motion averaging from per-cluster relative motions.
+"""Global motion averaging from per-cluster relative motions, taken as one
+MotionTable whose rows are the equations of both solvers.
 
 Rotation averaging: spanning-tree initialization followed by iteratively
 reweighted least squares in the SO(3) tangent space with an L1-flavored
@@ -6,11 +7,11 @@ weight, one global relinearization per iteration.
 
 Translation averaging: the relative translations of cluster k share one
 unknown scale a_k, giving the linear relation a_k R_j^T t_ij = c_i - c_j per
-measured pair. Stacking every such equation over all clusters yields
-A x_s = B y_c, solved jointly for all cluster scales and camera centers as a
-robust L1 problem (IRLS) after pinning one center and one scale. Because the
-scale of every baseline is encoded explicitly, collinear camera motion stays
-well posed.
+motion. Stacking every such equation over all clusters yields A x_s = B y_c,
+built from the arrays of the table and solved jointly for all cluster scales
+and camera centers as a robust L1 problem (IRLS) after pinning one center
+and one scale. Because the scale of every baseline is encoded explicitly,
+collinear camera motion stays well posed.
 """
 
 import logging
@@ -23,7 +24,7 @@ from scipy.sparse.linalg import factorized, spsolve
 
 from .errors import DataError, NumericalError
 from .geometry import rotation_angle, so3_exp, so3_log
-from .local_sfm import RelativeMotion
+from .local_sfm import MotionTable
 from .utils import component_labels
 
 logger = logging.getLogger(__name__)
@@ -46,22 +47,6 @@ class RotationEstimate:
 
 
 @dataclass
-class TranslationSystem:
-    """Stacked equations a_k R_j^T t_ij^k = c_i - c_j.
-
-    A holds the p = R_j^T t_ij^k column blocks (3 rows per equation, one per
-    cluster column); B holds the +I/-I camera blocks. equations[q] = (i, j,
-    k) maps row block q back to its measurement.
-    """
-
-    A: "coo_matrix"
-    B: "coo_matrix"
-    cluster_ids: list[int]  # column order of A
-    camera_ids: list[int]  # column-block order of B
-    equations: list[tuple]
-
-
-@dataclass
 class GlobalMotion:
     rotations: dict  # camera id -> (3,3)
     centers: dict  # camera id -> (3,)
@@ -75,45 +60,41 @@ class GlobalMotion:
 # Rotation averaging
 # ---------------------------------------------------------------------------
 
-def _spanning_tree_init(roots, motions_by_pair):
+def _spanning_tree_init(roots, motions: MotionTable):
     """Propagate rotations from each component root along the
-    maximum-support spanning tree (Kruskal, ties by camera pair)."""
+    maximum-support spanning tree (Kruskal, ties by camera pair), each pair
+    through its first motion of highest support."""
     rotations = {root: np.eye(3) for root in roots}
-    edges = sorted(
-        motions_by_pair,
-        key=lambda pair: (-max(m.support for m in motions_by_pair[pair]), pair),
-    )
+    rows = np.lexsort((-motions.support, motions.pairs[:, 1], motions.pairs[:, 0]))  # stable
+    _, first = np.unique(motions.pairs[rows], axis=0, return_index=True)
+    best = rows[first]  # by pair
+    edges = best[np.argsort(-motions.support[best], kind="stable")]
     changed = True
     while changed:
         changed = False
-        for (i, j) in edges:
+        for q, (i, j) in zip(edges.tolist(), motions.pairs[edges].tolist()):
             if (i in rotations) == (j in rotations):
                 continue
-            best = max(motions_by_pair[(i, j)], key=lambda m: m.support)
             if i in rotations:
-                rotations[j] = best.rotation @ rotations[i]
+                rotations[j] = motions.rotation[q] @ rotations[i]
             else:
-                rotations[i] = best.rotation.T @ rotations[j]
+                rotations[i] = motions.rotation[q].T @ rotations[j]
             changed = True
     return rotations
 
 
-def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
+def rotation_averaging(motions: MotionTable) -> RotationEstimate:
     """Robust global rotation averaging over all relative rotations.
 
     Disconnected measurement graphs are solved per connected component, each
     with its own identity-gauge root; the component labels are reported so
     callers can treat them separately.
     """
-    if not motions:
+    if not len(motions):
         raise DataError("no relative motions to average")
-    cameras = sorted({m.i for m in motions} | {m.j for m in motions})
-    motions_by_pair: dict[tuple, list] = {}
-    for m in motions:
-        motions_by_pair.setdefault((m.i, m.j), []).append(m)
-    cam_pos = {c: k for k, c in enumerate(cameras)}
-    rows_i = np.array([cam_pos[m.i] for m in motions])
-    rows_j = np.array([cam_pos[m.j] for m in motions])
+    cameras, rows = np.unique(motions.pairs, return_inverse=True)
+    cameras = cameras.tolist()
+    rows_i, rows_j = rows.reshape(-1, 2).T
     n = len(cameras)
     labels = component_labels(n, rows_i, rows_j)
     # each component is labelled by its smallest camera id, its gauge root
@@ -123,9 +104,9 @@ def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
     if len(roots) > 1:
         logger.warning("rotation graph has %d connected components", len(roots))
 
-    tree = _spanning_tree_init(roots, motions_by_pair)
+    tree = _spanning_tree_init(roots, motions)
     R = np.stack([tree[c] for c in cameras])
-    R_ij = np.stack([m.rotation for m in motions])
+    R_ij = motions.rotation
 
     # +1/-1 incidence of d_i - d_j over the free (non-root) cameras
     free = np.setdiff1d(np.arange(n), root_pos)
@@ -184,47 +165,6 @@ def rotation_averaging(motions: list[RelativeMotion]) -> RotationEstimate:
 # Translation averaging
 # ---------------------------------------------------------------------------
 
-def build_translation_system(
-    motions: list[RelativeMotion], rotations: RotationEstimate | dict
-) -> TranslationSystem:
-    """One 3-row equation block per (pair, cluster) measurement; duplicate
-    pairs observed in several clusters keep one block each, tied to their
-    own cluster scale column."""
-    rot = rotations.rotations if isinstance(rotations, RotationEstimate) else rotations
-    cluster_ids = sorted({m.cluster_id for m in motions})
-    camera_ids = sorted({m.i for m in motions} | {m.j for m in motions})
-    for m in motions:
-        if m.i not in rot or m.j not in rot:
-            raise DataError(f"motion ({m.i}, {m.j}) lacks a rotation estimate")
-    col_of_cluster = {k: c for c, k in enumerate(cluster_ids)}
-    col_of_camera = {c: k for k, c in enumerate(camera_ids)}
-
-    a_rows, a_cols, a_vals = [], [], []
-    b_rows, b_cols, b_vals = [], [], []
-    equations = []
-    for q, m in enumerate(motions):
-        p = rot[m.j].T @ m.translation
-        r0 = 3 * q
-        ck = col_of_cluster[m.cluster_id]
-        for d in range(3):
-            a_rows.append(r0 + d)
-            a_cols.append(ck)
-            a_vals.append(p[d])
-        for cam, sign in ((m.i, 1.0), (m.j, -1.0)):
-            c0 = 3 * col_of_camera[cam]
-            for d in range(3):
-                b_rows.append(r0 + d)
-                b_cols.append(c0 + d)
-                b_vals.append(sign)
-        equations.append((m.i, m.j, m.cluster_id))
-    n_rows = 3 * len(motions)
-    A = coo_matrix((a_vals, (a_rows, a_cols)), shape=(n_rows, len(cluster_ids)))
-    B = coo_matrix((b_vals, (b_rows, b_cols)), shape=(n_rows, 3 * len(camera_ids)))
-    return TranslationSystem(
-        A=A, B=B, cluster_ids=cluster_ids, camera_ids=camera_ids, equations=equations
-    )
-
-
 class _RankDeficiency(Exception):
     """Internal: carries the non-finite variable indices of a failed solve."""
 
@@ -233,15 +173,16 @@ class _RankDeficiency(Exception):
         self.var_indices = var_indices
 
 
-def _solve_component(A, B, gauge_scale_col, gauge_cam_col, max_iterations, relative_tol):
+def _solve_component(A, B, gauge_scale_col, max_iterations, relative_tol):
     """IRLS over the combined system [A | -B] z = 0 with the gauge scale
-    fixed at 1 and the gauge camera at the origin (their columns removed;
-    the scale column moves to the right-hand side). Returns (z, objective,
-    iterations, residual, capped); capped is True when the loop used all
-    max_iterations without meeting its stopping test."""
+    fixed at 1 and the gauge camera, the first column block of B, at the
+    origin (their columns removed; the scale column moves to the right-hand
+    side). Returns (z, objective, iterations, residual, capped); capped is
+    True when the loop used all max_iterations without meeting its stopping
+    test."""
     n_rows = A.shape[0]
     scale_cols = [c for c in range(A.shape[1]) if c != gauge_scale_col]
-    cam_cols = [c for c in range(B.shape[1]) if c // 3 != gauge_cam_col]
+    cam_cols = list(range(3, B.shape[1]))
     A_csc = A.tocsc()
     B_csc = B.tocsc()
     M = sp_hstack([A_csc[:, scale_cols], -B_csc[:, cam_cols]]).tocsr()
@@ -285,67 +226,67 @@ def _solve_component(A, B, gauge_scale_col, gauge_cam_col, max_iterations, relat
     return z, objective, iterations, residual, capped
 
 
-def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate | dict,
+def solve_translation_l1(motions: MotionTable, rotations: dict,
                          max_iterations: int = L1_MAX_ITERATIONS,
                          relative_tol: float = L1_RELATIVE_TOL) -> GlobalMotion:
     """Minimize ||A x_s - B y_c||_1 with c_gauge = 0 and alpha_gauge = 1.
+
+    Each motion q gives the 3 rows 3q..3q+2: A holds p = R_j^T t_ij in the
+    column of its cluster, and B holds +I at camera i and -I at camera j. A
+    pair measured in several clusters gives one block per cluster, each tied
+    to its own cluster scale. `rotations` maps camera id to R.
 
     The gauge camera is the smallest camera id of each connected component
     of the equation graph, and the gauge cluster is the lowest cluster id
     measured at that camera. Components are solved independently.
     """
-    rot = rotations.rotations if isinstance(rotations, RotationEstimate) else rotations
+    cameras, cam = np.unique(motions.pairs, return_inverse=True)
+    clusters, cl = np.unique(motions.cluster, return_inverse=True)
+    cam = cam.reshape(-1, 2)
+    posed = np.array([c in rotations for c in cameras.tolist()], dtype=bool)
+    lacking = ~posed[cam].all(axis=1)
+    if lacking.any():
+        i, j = motions.pairs[np.argmax(lacking)].tolist()
+        raise DataError(f"motion ({i}, {j}) lacks a rotation estimate")
+    R = np.array([rotations[c] for c in cameras.tolist()]).reshape(-1, 3, 3)
+    p = (R[cam[:, 1]].transpose(0, 2, 1) @ motions.translation[:, :, None])[:, :, 0]
+    m, n_cams = len(motions), len(cameras)
+    d = np.arange(3)
+    A = coo_matrix((p.ravel(), (np.arange(3 * m), np.repeat(cl, 3))), shape=(3 * m, len(clusters))).tocsr()
+    B = coo_matrix((np.broadcast_to([[1.0], [-1.0]], (m, 2, 3)).ravel(),
+                    (np.repeat(3 * np.arange(m), 6) + np.tile(d, 2 * m), (3 * cam[:, :, None] + d).ravel())),
+                   shape=(3 * m, 3 * n_cams)).tocsr()
+
     # connected components over cameras + clusters through the equations
-    cam_pos = {c: k for k, c in enumerate(system.camera_ids)}
-    cl_pos = {k: c for c, k in enumerate(system.cluster_ids)}
-    n_cams = len(cam_pos)
-    eqs = np.array(
-        [(cam_pos[i], cam_pos[j], n_cams + cl_pos[k]) for (i, j, k) in system.equations],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    labels = component_labels(n_cams + len(cl_pos), eqs[:, [0, 0]].ravel(), eqs[:, 1:].ravel())
+    labels = component_labels(n_cams + len(clusters), np.repeat(cam[:, 0], 2),
+                              np.column_stack([cam[:, 1], n_cams + cl]).ravel())
     n_groups = int(labels.max(initial=-1)) + 1
     if n_groups > 1:
         logger.warning("translation system has %d connected components", n_groups)
 
-    A_csr = system.A.tocsr()
-    B_csr = system.B.tocsr()
-
     centers = {}
     scales = {}
-    all_residuals = np.zeros(len(system.equations))
+    all_residuals = np.zeros(m)
     total_objective = 0.0
     total_iterations = 0
 
     for g in range(n_groups):
-        comp_cams = [c for c, label in zip(system.camera_ids, labels) if label == g]
-        comp_cls = [k for k, label in zip(system.cluster_ids, labels[n_cams:]) if label == g]
-        if not comp_cams or not comp_cls:
-            continue
-        eq_sel = np.flatnonzero(labels[eqs[:, 0]] == g)
-        row_sel = np.concatenate([[3 * q, 3 * q + 1, 3 * q + 2] for q in eq_sel])
-        gauge_cam = comp_cams[0]
-        gauge_cluster = min(
-            k for (i, j, k) in (system.equations[q] for q in eq_sel) if i == gauge_cam or j == gauge_cam
-        )
-        sub_A = A_csr[row_sel][:, [cl_pos[k] for k in comp_cls]]
-        sub_B = B_csr[row_sel][:, np.concatenate([[3 * cam_pos[c], 3 * cam_pos[c] + 1, 3 * cam_pos[c] + 2] for c in comp_cams])]
-        free_cls = [k for k in comp_cls if k != gauge_cluster]
-        free_cams_comp = [c for c in comp_cams if c != gauge_cam]
+        comp_cams = np.flatnonzero(labels[:n_cams] == g)  # ascending: the first is the gauge camera
+        comp_cls = np.flatnonzero(labels[n_cams:] == g)
+        eq_sel = np.flatnonzero(labels[cam[:, 0]] == g)
+        at_gauge = (cam[eq_sel] == comp_cams[0]).any(axis=1)
+        gauge = np.searchsorted(comp_cls, cl[eq_sel][at_gauge].min())
+        rows = (3 * eq_sel[:, None] + d).ravel()
+        free_cls = clusters[np.delete(comp_cls, gauge)].tolist()
+        free_cams = cameras[comp_cams[1:]].tolist()
+        off = len(free_cls)
         try:
             z, objective, iterations, residual, capped = _solve_component(
-                sub_A.tocoo(),
-                sub_B.tocoo(),
-                comp_cls.index(gauge_cluster),
-                comp_cams.index(gauge_cam),
-                max_iterations,
-                relative_tol,
+                A[rows][:, comp_cls].tocoo(), B[rows][:, (3 * comp_cams[:, None] + d).ravel()].tocoo(), gauge,
+                max_iterations, relative_tol,
             )
         except _RankDeficiency as exc:
-            off = len(free_cls)
-            bad_cams = sorted(
-                {free_cams_comp[(v - off) // 3] for v in exc.var_indices if v >= off}
-            )
+            bad_cams = sorted({free_cams[(v - off) // 3] for v in exc.var_indices if v >= off})
             bad_cls = sorted({free_cls[v] for v in exc.var_indices if v < off})
             raise NumericalError(
                 f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
@@ -354,22 +295,17 @@ def solve_translation_l1(system: TranslationSystem, rotations: RotationEstimate 
             logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
         total_objective += objective
         total_iterations = max(total_iterations, iterations)
-        for pos, k in enumerate(free_cls):
-            scales[k] = float(z[pos])
-        scales[gauge_cluster] = 1.0
-        off = len(free_cls)
-        for pos, c in enumerate(free_cams_comp):
-            centers[c] = z[off + 3 * pos : off + 3 * pos + 3].copy()
-        centers[gauge_cam] = np.zeros(3)
-        res3 = residual.reshape(-1, 3)
-        for local_q, q in enumerate(eq_sel):
-            all_residuals[q] = np.linalg.norm(res3[local_q])
+        scales.update(zip(free_cls, z[:off].tolist()))
+        scales[clusters[comp_cls[gauge]].item()] = 1.0
+        centers.update(zip(free_cams, z[off:].reshape(-1, 3).copy()))
+        centers[cameras[comp_cams[0]].item()] = np.zeros(3)
+        all_residuals[eq_sel] = [np.linalg.norm(r) for r in residual.reshape(-1, 3)]
 
     bad = sorted(k for k, a in scales.items() if a <= DEGENERATE_SCALE)
     if bad:
         raise NumericalError(f"degenerate scale for cluster(s) {bad}")
     return GlobalMotion(
-        rotations={c: rot[c] for c in system.camera_ids if c in rot},
+        rotations={c: rotations[c] for c in cameras.tolist()},
         centers=centers,
         scales=scales,
         residual_norms=all_residuals,

@@ -2,8 +2,10 @@
 reconstructions as ragged tables (versioned JSON with their bulk arrays in
 base64; the match graph and the tracks load as the MatchTable and TrackTable
 of the arrays they store, checked once), the global points as `.npz`
-archives of flat arrays plus offsets; ground truth, cluster sets, relative
-motions and global motion as JSON; PLY exports and the per-round cost log."""
+archives of flat arrays plus offsets; the relative motions as a JSON list of
+one object per motion, which loads as a checked MotionTable; ground truth,
+cluster sets and global motion as JSON; PLY exports and the per-round cost
+log."""
 
 import base64
 import contextlib
@@ -22,7 +24,7 @@ from .averaging import GlobalMotion
 from .clustering import Cluster, ClusterSet, ClusterTree, ClusterTreeNode
 from .errors import DataError
 from .global_ba import STATUSES, GlobalPoint
-from .local_sfm import LocalReconstruction, RelativeMotion
+from .local_sfm import LocalReconstruction, MotionTable
 from .scene import Camera, MatchTable, Pose
 from .tracks import TrackTable, check_ascending
 
@@ -365,35 +367,23 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     return out
 
 
-def save_relative_motions(path, motions: list[RelativeMotion]) -> None:
-    payload = [
-        {
-            "i": int(m.i),
-            "j": int(m.j),
-            "k": int(m.cluster_id),
-            "R": np.asarray(m.rotation).ravel().tolist(),
-            "t": np.asarray(m.translation).tolist(),
-            "support": int(m.support),
-        }
-        for m in motions
-    ]
-    _dump(path, payload)
+def save_relative_motions(path, motions: MotionTable) -> None:
+    """A list of {i, j, k, R, t, support} objects, one per motion, in table order."""
+    columns = zip(motions.pairs.tolist(), motions.cluster.tolist(), motions.rotation.reshape(-1, 9).tolist(),
+                  motions.translation.tolist(), motions.support.tolist())
+    _dump(path, [{"i": i, "j": j, "k": k, "R": R, "t": t, "support": support}
+                 for (i, j), k, R, t, support in columns])
 
 
 @_checked
-def load_relative_motions(path) -> list[RelativeMotion]:
+def load_relative_motions(path) -> MotionTable:
     data = _load(path)
-    return [
-        RelativeMotion(
-            i=int(m["i"]),
-            j=int(m["j"]),
-            cluster_id=int(m["k"]),
-            rotation=np.asarray(m["R"], dtype=float).reshape(3, 3),
-            translation=np.asarray(m["t"], dtype=float),
-            support=int(m["support"]),
-        )
-        for m in data
-    ]
+    ids = np.array([[m["i"], m["j"], m["k"], m["support"]] for m in data] or np.zeros((0, 4), dtype=np.int64))
+    motions = MotionTable(pairs=ids[:, :2], cluster=ids[:, 2], support=ids[:, 3],
+                          rotation=np.array([m["R"] for m in data], dtype=float).reshape(-1, 3, 3),
+                          translation=np.array([m["t"] for m in data], dtype=float).reshape(-1, 3))
+    motions.check()
+    return motions
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 
 from . import ba_core
 from .clustering import Cluster
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .geometry import (
     MAX_REPROJECTION_PX,
     decompose_essential,
@@ -83,16 +83,44 @@ class LocalReconstruction:
 
 
 @dataclass(frozen=True, eq=False)
-class RelativeMotion:
-    """Relative pose of pair (i, j) measured inside cluster k; the
-    translation carries the cluster's arbitrary scale."""
+class MotionTable:
+    """Every relative motion as one table: row q is the pose of the camera
+    pair pairs[q] = (i, j), i < j, measured inside cluster cluster[q], with
+    R_ij = R_j R_i^T, t_ij = R_j (c_i - c_j) in that cluster's arbitrary
+    scale, and the count of tracks both cameras keep. `check` verifies it."""
 
-    i: int
-    j: int
-    cluster_id: int
-    rotation: np.ndarray  # R_ij = R_j R_i^T
-    translation: np.ndarray  # t_ij = R_j (c_i - c_j), cluster scale
-    support: int
+    pairs: np.ndarray  # (m, 2) int64
+    cluster: np.ndarray  # (m,) int64
+    rotation: np.ndarray  # (m, 3, 3)
+    translation: np.ndarray  # (m, 3)
+    support: np.ndarray  # (m,) int64
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def check(self) -> None:
+        """Raise a DataError naming the first motion with an id that is not
+        an integer, else the first whose pair is not 0 <= i < j, whose
+        support is negative, whose R or t is not finite, or that repeats a
+        pair its cluster has already measured."""
+        ids = np.column_stack([self.pairs, self.cluster, self.support])
+        if ids.dtype.kind not in "iu":  # name a fractional id if there is one
+            fractional = (ids != np.trunc(ids)).any(axis=1)
+            self._fail(fractional if fractional.any() else np.ones(len(self), dtype=bool), "an id is not an integer")
+        i, j = self.pairs.T
+        self._fail((i < 0) | (i >= j), "the pair is not 0 <= i < j")
+        self._fail(self.support < 0, "the support is negative")
+        self._fail(~(np.isfinite(self.rotation).all(axis=(1, 2)) & np.isfinite(self.translation).all(axis=1)),
+                   "R or t is not finite")
+        repeated = np.ones(len(self), dtype=bool)
+        repeated[np.unique(ids[:, :3], axis=0, return_index=True)[1]] = False  # all but each first (i, j, k)
+        self._fail(repeated, "its cluster measures this pair twice")
+
+    def _fail(self, bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            q = int(np.argmax(bad))
+            (i, j), k = self.pairs[q].tolist(), self.cluster[q].item()
+            raise DataError(f"motion {q} ({i}, {j}) in cluster {k}: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,33 +572,27 @@ def run_local_sfm(
     return rec
 
 
-def extract_relative_motions(rec: LocalReconstruction, graph: CameraGraph) -> list[RelativeMotion]:
-    """Relative motions for every graph edge with both endpoints registered
-    in the cluster: R_ij = R_j R_i^T and t_ij = R_j (c_i - c_j), with the
-    support count equal to the tracks with inlier rows in both cameras."""
-    if rec.failed or len(rec.rotations) < 2:
-        return []
-    registered = rec.registered
-    # camera x track incidence of the inlier rows; its Gram matrix counts
-    # the tracks each pair of cameras shares
-    _, track = np.unique(rec.obs_tracks, return_inverse=True)
-    seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
-                      shape=(len(registered), track.max(initial=-1) + 1))
-    shared = (seen @ seen.T).toarray()
-    edges = graph.induced_edges(registered)
-    at = np.searchsorted(registered, np.reshape(edges, (-1, 2)))
-    motions = []
-    for (i, j), support in zip(edges, shared[at[:, 0], at[:, 1]].tolist()):
-        R_i, c_i = rec.rotations[i], rec.centers[i]
-        R_j, c_j = rec.rotations[j], rec.centers[j]
-        motions.append(
-            RelativeMotion(
-                i=i,
-                j=j,
-                cluster_id=rec.cluster_id,
-                rotation=R_j @ R_i.T,
-                translation=R_j @ (c_i - c_j),
-                support=support,
-            )
-        )
-    return motions
+def extract_relative_motions(recs: list[LocalReconstruction], graph: CameraGraph) -> MotionTable:
+    """The motions of every cluster, in the order of recs, for every graph
+    edge with both endpoints registered in the cluster: R_ij = R_j R_i^T and
+    t_ij = R_j (c_i - c_j), with the support count equal to the tracks with
+    inlier rows in both cameras. A failed cluster has none."""
+    parts = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 3, 3)), np.zeros((0, 3)),
+              np.zeros(0, dtype=np.int64))]  # the empty table, which fixes the dtypes
+    for rec in recs:
+        if rec.failed or len(rec.rotations) < 2:
+            continue
+        registered = rec.registered
+        # camera x track incidence of the inlier rows; its Gram matrix counts
+        # the tracks each pair of cameras shares
+        _, track = np.unique(rec.obs_tracks, return_inverse=True)
+        seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
+                          shape=(len(registered), track.max(initial=-1) + 1))
+        shared = (seen @ seen.T).toarray()
+        pairs = np.reshape(graph.induced_edges(registered), (-1, 2)).astype(np.int64)
+        i, j = np.searchsorted(registered, pairs).T
+        R = np.stack([rec.rotations[c] for c in registered])
+        centers = np.stack([rec.centers[c] for c in registered])
+        parts.append((pairs, np.full(len(pairs), rec.cluster_id, dtype=np.int64), R[j] @ R[i].transpose(0, 2, 1),
+                      (R[j] @ (centers[i] - centers[j])[:, :, None])[:, :, 0], shared[i, j]))
+    return MotionTable(*(np.concatenate(column) for column in zip(*parts)))

@@ -20,11 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sfm_io
-from .averaging import (
-    build_translation_system,
-    rotation_averaging,
-    solve_translation_l1,
-)
+from .averaging import rotation_averaging, solve_translation_l1
 from .clustering import ClusterConfig, cluster_cameras
 from .errors import ConfigurationError, DataError
 from .evaluation import connected_pair_count, epipolar_error, pose_error_report
@@ -273,9 +269,7 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
         return run_local_sfm(graph, cluster, tracks, cameras, config.seed)
 
     recs = parallel_map(run_one, cs.interdependent)
-    motions = []
-    for rec in recs:
-        motions.extend(extract_relative_motions(rec, graph))
+    motions = extract_relative_motions(recs, graph)
     sfm_io.save_local_reconstructions(Path(out_dir) / "local_reconstructions.json", recs)
     sfm_io.save_relative_motions(Path(out_dir) / "relative_motions.json", motions)
     failed = [r.cluster_id for r in recs if r.failed]
@@ -286,8 +280,7 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
 def stage_average(config: PipelineConfig, out_dir) -> None:
     motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.json")
     estimate = rotation_averaging(motions)
-    system = build_translation_system(motions, estimate)
-    motion = solve_translation_l1(system, estimate)
+    motion = solve_translation_l1(motions, estimate.rotations)
     sfm_io.save_global_motion(Path(out_dir) / "global_motion.json", motion)
 
 
@@ -362,7 +355,7 @@ def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
         final_motion.rotations,
         final_motion.centers,
         gt,
-        [(m.i, m.j) for m in motions],
+        motions.pairs.tolist(),
         num_points=sum(p.active for p in points),
         num_connected_pairs=connected_pair_count(points),
         num_clusters=len(cs.interdependent),

@@ -1,6 +1,9 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
+from clustersfm.local_sfm import MotionTable
 from clustersfm.scene import MatchTable, build_camera_graph
 from clustersfm.tracks import TrackTable
 
@@ -24,6 +27,27 @@ def track_table(tracks):
         features=np.concatenate([np.zeros(0, np.int64)] + [np.asarray(t[2], dtype=np.int64) for t in tracks]),
         xy=np.concatenate([np.zeros((0, 2))] + [np.reshape(t[3], (-1, 2)).astype(float) for t in tracks]),
     )
+
+
+Motion = namedtuple("Motion", "i j k R t support")
+
+
+def motion_table(motions):
+    """The MotionTable of motions (i, j, k, R, t, support), in the order given."""
+    return MotionTable(
+        pairs=np.array([m[:2] for m in motions], dtype=np.int64).reshape(-1, 2),
+        cluster=np.array([m[2] for m in motions], dtype=np.int64),
+        rotation=np.array([m[3] for m in motions], dtype=float).reshape(-1, 3, 3),
+        translation=np.array([m[4] for m in motions], dtype=float).reshape(-1, 3),
+        support=np.array([m[5] for m in motions], dtype=np.int64),
+    )
+
+
+def motion_rows(motions):
+    """The Motion (i, j, k, R, t, support) of each row of a MotionTable."""
+    return [Motion(i, j, k, R, t, support) for (i, j), k, R, t, support in zip(
+        motions.pairs.tolist(), motions.cluster.tolist(), motions.rotation, motions.translation,
+        motions.support.tolist())]
 
 
 def track_rows(tracks):

@@ -8,22 +8,18 @@ import numpy as np
 import pytest
 
 from clustersfm import ba_core
-from clustersfm.averaging import (
-    build_translation_system,
-    rotation_averaging,
-    solve_translation_l1,
-)
+from clustersfm.averaging import rotation_averaging, solve_translation_l1
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.evaluation import align_similarity, epipolar_error
 from clustersfm.geometry import random_rotation, rotation_angle
 from clustersfm.io import file_hash, load_global_motion, load_global_points, load_ground_truth
-from clustersfm.local_sfm import RelativeMotion, run_local_sfm
+from clustersfm.local_sfm import run_local_sfm
 from clustersfm.pipeline import PipelineConfig, run_pipeline
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import parallel_map
-from conftest import geometric_graph
+from conftest import geometric_graph, motion_table
 from similarity_merge import merge_by_similarity
 from test_tracks import canonical, flat_union_find_oracle, random_instance
 
@@ -119,21 +115,14 @@ def test_criterion_4_noise_free_motion_averaging():
             if i != j:
                 pairs.add((i, j))
         for (i, j) in sorted(pairs):
-            motions.append(
-                RelativeMotion(
-                    i=i, j=j, cluster_id=k,
-                    rotation=local_R[j] @ local_R[i].T,
-                    translation=local_R[j] @ (local_c[i] - local_c[j]),
-                    support=10,
-                )
-            )
+            motions.append((i, j, k, local_R[j] @ local_R[i].T, local_R[j] @ (local_c[i] - local_c[j]), 10))
+    motions = motion_table(motions)
     estimate = rotation_averaging(motions)
     cams = sorted(estimate.rotations)
     Q = gt_R[cams[0]].T @ estimate.rotations[cams[0]]
     rot_err = max(rotation_angle(estimate.rotations[c].T @ (gt_R[c] @ Q)) for c in cams)
 
-    system = build_translation_system(motions, estimate)
-    sol = solve_translation_l1(system, estimate)
+    sol = solve_translation_l1(motions, estimate.rotations)
     est_c = np.array([sol.centers[c] for c in range(n)])
     s, R, t = align_similarity(est_c, gt_c)
     rmse = np.sqrt(((s * est_c @ R.T + t - gt_c) ** 2).sum(axis=1).mean())
@@ -168,17 +157,16 @@ def test_criterion_5_l1_robustness():
             if r.uniform() < 0.2:
                 bad = r.normal(size=3)
                 t = bad / np.linalg.norm(bad) * np.linalg.norm(t)
-            motions.append(RelativeMotion(i=i, j=j, cluster_id=0, rotation=gt_R[j] @ gt_R[i].T,
-                                          translation=t, support=10))
-        system = build_translation_system(motions, gt_R)
+            motions.append((i, j, 0, gt_R[j] @ gt_R[i].T, t, 10))
+        motions = motion_table(motions)
 
         def median_error(sol):
             est = np.array([sol.centers[c] for c in range(n)])
             s, R, t0 = align_similarity(est, gt_c)
             return np.median(np.linalg.norm(s * est @ R.T + t0 - gt_c, axis=1))
 
-        wins += median_error(solve_translation_l1(system, gt_R)) < median_error(
-            solve_translation_l1(system, gt_R, max_iterations=1)  # the L2 solution
+        wins += median_error(solve_translation_l1(motions, gt_R)) < median_error(
+            solve_translation_l1(motions, gt_R, max_iterations=1)  # the L2 solution
         )
     report(5, "L1 beats L2 under 20% outlier equations in >= 95% of trials",
            wins >= 48, f"{wins}/50 trials")
@@ -197,13 +185,9 @@ def test_criterion_6_rotation_robustness():
     for trial in range(50):
         r = np.random.default_rng(trial)
         gt = {c: random_rotation(r) for c in range(n)}
-        motions = [
-            RelativeMotion(i=i, j=j, cluster_id=0,
-                           rotation=random_rotation(r) if r.uniform() < 0.3 else gt[j] @ gt[i].T,
-                           translation=np.zeros(3), support=10)
-            for (i, j) in pairs
-        ]
-        est = rotation_averaging(motions)
+        motions = [(i, j, 0, random_rotation(r) if r.uniform() < 0.3 else gt[j] @ gt[i].T, np.zeros(3), 10)
+                   for (i, j) in pairs]
+        est = rotation_averaging(motion_table(motions))
         Q = gt[0].T @ est.rotations[0]
         med = np.degrees(np.median([rotation_angle(est.rotations[c].T @ (gt[c] @ Q)) for c in range(n)]))
         wins += med < 2.0

@@ -4,25 +4,28 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import factorized
 
+from clustersfm import averaging
 from clustersfm.averaging import (
     L1_MAX_ITERATIONS,
     ROTATION_IRLS_EPS,
     ROTATION_MAX_ITERATIONS,
     ROTATION_UPDATE_TOL,
-    _spanning_tree_init,
-    build_translation_system,
     rotation_averaging,
     solve_translation_l1,
 )
-from clustersfm.errors import NumericalError
+from clustersfm.errors import DataError, NumericalError
 from clustersfm.evaluation import align_similarity
 from clustersfm.geometry import random_rotation, rotation_angle, so3_exp, so3_log
-from clustersfm.local_sfm import RelativeMotion
 from clustersfm.utils import component_labels
+from conftest import Motion, motion_table
 
 
 def motion(i, j, R, t, k=0, support=10):
-    return RelativeMotion(i=i, j=j, cluster_id=k, rotation=R, translation=t, support=support)
+    return Motion(i, j, k, R, t, support)
+
+
+def averaged(motions):
+    return rotation_averaging(motion_table(motions))
 
 
 def random_pair_graph(rng, n, m):
@@ -43,7 +46,7 @@ def gauge_rotation_errors(est, gt):
 
 def test_identity_fixed_point():
     motions = [motion(i, i + 1, np.eye(3), np.array([1.0, 0, 0])) for i in range(5)]
-    est = rotation_averaging(motions)
+    est = averaged(motions)
     assert max(rotation_angle(R) for R in est.rotations.values()) == 0.0
     assert est.final_median_residual < 1e-12
 
@@ -55,7 +58,7 @@ def test_rotation_noise_free_exact():
     pairs = random_pair_graph(rng, n, 200)
     motions = [motion(i, j, gt[j] @ gt[i].T, np.zeros(3), support=int(rng.integers(5, 50)))
                for (i, j) in pairs]
-    est = rotation_averaging(motions)
+    est = averaged(motions)
     assert max(gauge_rotation_errors(est.rotations, gt)) < 1e-6
 
 
@@ -67,9 +70,9 @@ def test_rotation_gauge_invariance_of_residuals():
     pairs = random_pair_graph(rng, n, 30)
     motions = [motion(i, j, random_rotation(rng), np.zeros(3)) for (i, j) in pairs]
     Q = random_rotation(rng)
-    r0 = [rotation_angle(gt[j].T @ m.rotation @ gt[i]) for m, (i, j) in zip(motions, pairs)]
+    r0 = [rotation_angle(gt[j].T @ m.R @ gt[i]) for m, (i, j) in zip(motions, pairs)]
     # R -> R Q (global gauge change)
-    r1 = [rotation_angle((gt[j] @ Q).T @ m.rotation @ (gt[i] @ Q)) for m, (i, j) in zip(motions, pairs)]
+    r1 = [rotation_angle((gt[j] @ Q).T @ m.R @ (gt[i] @ Q)) for m, (i, j) in zip(motions, pairs)]
     assert np.abs(np.array(r0) - np.array(r1)).max() < 1e-9
 
 
@@ -85,7 +88,7 @@ def test_rotation_robustness_quick():
             motion(i, j, random_rotation(r) if r.uniform() < 0.3 else gt[j] @ gt[i].T, np.zeros(3))
             for (i, j) in pairs
         ]
-        est = rotation_averaging(motions)
+        est = averaged(motions)
         med = np.degrees(np.median(gauge_rotation_errors(est.rotations, gt)))
         wins += med < 2.0
     assert wins >= 4
@@ -98,7 +101,7 @@ def test_rotation_disconnected_components_reported():
         motion(4, 5, np.eye(3), np.zeros(3)),
         motion(3, 5, np.eye(3), np.zeros(3)),
     ]
-    est = rotation_averaging(motions)
+    est = averaged(motions)
     assert len(set(est.components.values())) == 2
     # each component is labelled by its smallest camera id, the gauge root
     assert est.components == {0: 0, 1: 0, 3: 3, 4: 3, 5: 3}
@@ -106,20 +109,40 @@ def test_rotation_disconnected_components_reported():
     assert rotation_angle(est.rotations[3]) < 1e-12
 
 
+def _spanning_tree_reference(roots, motions):
+    """The spanning-tree start one motion at a time: the motions of each
+    pair in a dict of lists, the pairs by falling best support, then by pair."""
+    motions_by_pair = {}
+    for m in motions:
+        motions_by_pair.setdefault((m.i, m.j), []).append(m)
+    rotations = {root: np.eye(3) for root in roots}
+    edges = sorted(motions_by_pair, key=lambda pair: (-max(m.support for m in motions_by_pair[pair]), pair))
+    changed = True
+    while changed:
+        changed = False
+        for (i, j) in edges:
+            if (i in rotations) == (j in rotations):
+                continue
+            best = max(motions_by_pair[(i, j)], key=lambda m: m.support)
+            if i in rotations:
+                rotations[j] = best.R @ rotations[i]
+            else:
+                rotations[i] = best.R.T @ rotations[j]
+            changed = True
+    return rotations
+
+
 def _rotation_averaging_reference(motions):
     """The IRLS of rotation_averaging one motion at a time: a dict of camera
     rotations, one 3x3 product and one so3_log per motion, one so3_exp per
     camera. Returns (rotations, iterations, final residuals)."""
     cameras = sorted({m.i for m in motions} | {m.j for m in motions})
-    motions_by_pair = {}
-    for m in motions:
-        motions_by_pair.setdefault((m.i, m.j), []).append(m)
     cam_pos = {c: k for k, c in enumerate(cameras)}
     rows_i = np.array([cam_pos[m.i] for m in motions])
     rows_j = np.array([cam_pos[m.j] for m in motions])
     n = len(cameras)
     _, root_pos = np.unique(component_labels(n, rows_i, rows_j), return_index=True)
-    rotations = _spanning_tree_init([cameras[k] for k in root_pos], motions_by_pair)
+    rotations = _spanning_tree_reference([cameras[k] for k in root_pos], motions)
     free = np.setdiff1d(np.arange(n), root_pos)
     free_pos = -np.ones(n, dtype=np.int64)
     free_pos[free] = np.arange(len(free))
@@ -134,7 +157,7 @@ def _rotation_averaging_reference(motions):
     for iterations in range(1, ROTATION_MAX_ITERATIONS + 1):
         residuals = np.empty((len(motions), 3))
         for q, m in enumerate(motions):
-            residuals[q] = so3_log(rotations[m.j].T @ m.rotation @ rotations[m.i])
+            residuals[q] = so3_log(rotations[m.j].T @ m.R @ rotations[m.i])
         norms = np.linalg.norm(residuals, axis=1)
         if norms.max() < ROTATION_UPDATE_TOL:
             break
@@ -150,7 +173,7 @@ def _rotation_averaging_reference(motions):
             rotations[cameras[k]] = rotations[cameras[k]] @ so3_exp(delta[k])
         if np.abs(delta).max() < ROTATION_UPDATE_TOL:
             break
-    final = [rotation_angle(rotations[m.j].T @ m.rotation @ rotations[m.i]) for m in motions]
+    final = [rotation_angle(rotations[m.j].T @ m.R @ rotations[m.i]) for m in motions]
     return rotations, iterations, final
 
 
@@ -161,11 +184,12 @@ def test_rotation_averaging_matches_per_motion_reference_exactly():
     motions = [motion(i, j, so3_exp(rng.normal(scale=0.02, size=3)) @ gt[j] @ gt[i].T, np.zeros(3),
                       k=q % 3, support=int(rng.integers(5, 50)))
                for q, (i, j) in enumerate(pairs)]
-    # a repeated pair from another cluster, and an outlier half a turn off
-    motions.append(motion(*pairs[3], random_rotation(rng), np.zeros(3), k=3))
+    # a pair repeated by another cluster at equal support, whose first motion
+    # starts the tree, and an outlier half a turn off
+    motions.append(motion(*pairs[3], random_rotation(rng), np.zeros(3), k=3, support=motions[3].support))  # a tie
     i, j = pairs[-1]
     motions.append(motion(i, j, so3_exp(np.array([0.0, 0.0, np.pi - 1e-3])) @ gt[j] @ gt[i].T, np.zeros(3)))
-    est = rotation_averaging(motions)
+    est = averaged(motions)
     rotations, iterations, final = _rotation_averaging_reference(motions)
     assert len(set(est.components.values())) == 2
     assert 1 < est.iterations == iterations
@@ -176,46 +200,127 @@ def test_rotation_averaging_matches_per_motion_reference_exactly():
 
 
 def test_translation_system_single_block():
-    rot = {0: np.eye(3), 1: np.eye(3)}
-    system = build_translation_system([motion(0, 1, np.eye(3), np.array([1.0, 0, 0]))], rot)
-    A = system.A.toarray()
-    B = system.B.toarray()
-    assert A.shape == (3, 1)
-    assert np.allclose(A[:, 0], [1.0, 0.0, 0.0])
-    assert np.allclose(B[:, :3], np.eye(3))
-    assert np.allclose(B[:, 3:], -np.eye(3))
+    # one motion is the one block a R_j^T t_ij = c_i - c_j: camera j sits at -R_j^T t_ij
+    rng = np.random.default_rng(1)
+    rot = {0: random_rotation(rng), 1: random_rotation(rng)}
+    t = np.array([1.0, 2.0, -0.5])
+    sol = solve_translation_l1(motion_table([motion(0, 1, rot[1] @ rot[0].T, t)]), rot)
+    assert sol.scales == {0: 1.0} and sol.residual_norms.shape == (1,)
+    assert np.array_equal(sol.centers[0], np.zeros(3))
+    assert np.allclose(sol.centers[1], -rot[1].T @ t, atol=1e-12)
 
 
 def test_translation_system_duplicate_pair_two_blocks():
+    # a pair measured in two clusters gives two blocks, each on its own scale
     rot = {0: np.eye(3), 1: np.eye(3)}
     motions = [
         motion(0, 1, np.eye(3), np.array([1.0, 0, 0]), k=0),
         motion(0, 1, np.eye(3), np.array([2.0, 0, 0]), k=1),
     ]
-    system = build_translation_system(motions, rot)
-    A = system.A.toarray()
-    assert A.shape == (6, 2)
-    assert np.allclose(A[:3, 0], [1, 0, 0]) and np.allclose(A[:3, 1], 0)
-    assert np.allclose(A[3:, 1], [2, 0, 0]) and np.allclose(A[3:, 0], 0)
+    sol = solve_translation_l1(motion_table(motions), rot)
+    assert sol.residual_norms.shape == (2,) and sol.residual_norms.max() < 1e-12
+    assert sol.scales[0] == 1.0 and abs(sol.scales[1] - 0.5) < 1e-12
 
 
 def test_translation_system_structural_counts():
     rng = np.random.default_rng(7)
     n = 20
     rot = {c: random_rotation(rng) for c in range(n)}
+    centers = rng.normal(size=(n, 3))
     pairs = random_pair_graph(rng, n, 60)
-    motions = [motion(i, j, rot[j] @ rot[i].T, rng.normal(size=3), k=int(rng.integers(0, 3)))
-               for (i, j) in pairs]
-    system = build_translation_system(motions, rot)
-    assert system.A.shape[0] == 3 * len(motions)
-    assert system.A.nnz == 3 * len(motions)
-    assert system.B.nnz == 6 * len(motions)
+    motions = [motion(i, j, rot[j] @ rot[i].T, (k + 1) * rot[j] @ (centers[i] - centers[j]), k=k)
+               for (i, j), k in zip(pairs, rng.integers(0, 3, len(pairs)).tolist())]
+    sol = solve_translation_l1(motion_table(motions), rot)
+    assert sol.residual_norms.shape == (len(motions),)
+    assert sorted(sol.scales) == sorted({m.k for m in motions})
+    assert sorted(sol.centers) == sorted(sol.rotations) == list(range(n))
+    i, j = pairs[5]
+    with pytest.raises(DataError, match=f"^motion \\({i}, {j}\\) lacks a rotation estimate$"):
+        solve_translation_l1(motion_table(motions), {c: R for c, R in rot.items() if c != j})
+
+
+def _translation_reference(motions, rot):
+    """solve_translation_l1 one motion at a time: the per-motion A/B builder
+    (3 rows per motion; A holds R_j^T t in its cluster's column, B holds +I
+    at camera i, then -I at camera j) and the component split over the
+    list of motions. Returns (scales, centers, residual norms, objective,
+    iterations)."""
+    cluster_ids = sorted({m.k for m in motions})
+    camera_ids = sorted({m.i for m in motions} | {m.j for m in motions})
+    col_of_cluster = {k: c for c, k in enumerate(cluster_ids)}
+    col_of_camera = {c: k for k, c in enumerate(camera_ids)}
+    a_rows, a_cols, a_vals, b_rows, b_cols, b_vals = [], [], [], [], [], []
+    for q, m in enumerate(motions):
+        p = rot[m.j].T @ m.t
+        for d in range(3):
+            a_rows.append(3 * q + d)
+            a_cols.append(col_of_cluster[m.k])
+            a_vals.append(p[d])
+        for cam, sign in ((m.i, 1.0), (m.j, -1.0)):
+            for d in range(3):
+                b_rows.append(3 * q + d)
+                b_cols.append(3 * col_of_camera[cam] + d)
+                b_vals.append(sign)
+    A = coo_matrix((a_vals, (a_rows, a_cols)), shape=(3 * len(motions), len(cluster_ids))).tocsr()
+    B = coo_matrix((b_vals, (b_rows, b_cols)), shape=(3 * len(motions), 3 * len(camera_ids))).tocsr()
+    n_cams = len(camera_ids)
+    eqs = np.array([(col_of_camera[m.i], col_of_camera[m.j], n_cams + col_of_cluster[m.k]) for m in motions])
+    labels = component_labels(n_cams + len(cluster_ids), eqs[:, [0, 0]].ravel(), eqs[:, 1:].ravel())
+    scales, centers, norms = {}, {}, np.zeros(len(motions))
+    objective, iterations = 0.0, 0
+    for g in range(labels.max() + 1):
+        comp_cams = [c for c, label in zip(camera_ids, labels) if label == g]
+        comp_cls = [k for k, label in zip(cluster_ids, labels[n_cams:]) if label == g]
+        eq_sel = np.flatnonzero(labels[eqs[:, 0]] == g)
+        gauge_cluster = min(motions[q].k for q in eq_sel if comp_cams[0] in (motions[q].i, motions[q].j))
+        rows = np.concatenate([[3 * q, 3 * q + 1, 3 * q + 2] for q in eq_sel])
+        cols = np.concatenate([[3 * col_of_camera[c] + d for d in range(3)] for c in comp_cams])
+        z, obj, its, residual, _ = averaging._solve_component(
+            A[rows][:, [col_of_cluster[k] for k in comp_cls]].tocoo(), B[rows][:, cols].tocoo(),
+            comp_cls.index(gauge_cluster), L1_MAX_ITERATIONS, averaging.L1_RELATIVE_TOL)
+        objective += obj
+        iterations = max(iterations, its)
+        free_cls = [k for k in comp_cls if k != gauge_cluster]
+        for pos, k in enumerate(free_cls):
+            scales[k] = float(z[pos])
+        scales[gauge_cluster] = 1.0
+        for pos, c in enumerate(comp_cams[1:]):
+            centers[c] = z[len(free_cls) + 3 * pos : len(free_cls) + 3 * pos + 3]
+        centers[comp_cams[0]] = np.zeros(3)
+        for local_q, q in enumerate(eq_sel):
+            norms[q] = np.linalg.norm(residual.reshape(-1, 3)[local_q])
+    return scales, centers, norms, objective, iterations
+
+
+def test_translation_matches_per_motion_reference_exactly():
+    # two components of two clusters each; the cameras two clusters share
+    # give pairs measured in both, and the motions come in shuffled order
+    rng = np.random.default_rng(13)
+    gt_R = {c: random_rotation(rng) for c in range(14)}
+    gt_c = rng.normal(scale=5.0, size=(14, 3))
+    motions = []
+    for k, cams in ((5, range(0, 5)), (2, range(3, 8)), (9, range(8, 12)), (7, range(10, 14))):
+        scale = rng.uniform(0.5, 2.0)
+        motions += [motion(i, j, gt_R[j] @ gt_R[i].T,
+                           scale * gt_R[j] @ (gt_c[i] - gt_c[j]) + rng.normal(scale=0.05, size=3), k=k)
+                    for i in cams for j in cams if i < j]
+    motions = [motions[q] for q in rng.permutation(len(motions))]
+    rot = {c: so3_exp(rng.normal(scale=0.01, size=3)) @ R for c, R in gt_R.items()}
+    sol = solve_translation_l1(motion_table(motions), rot)
+    scales, centers, norms, objective, iterations = _translation_reference(motions, rot)
+    assert sol.scales == scales and len(scales) == 4
+    assert sorted(sol.centers) == sorted(centers) == list(range(14))
+    for c, center in centers.items():
+        assert np.array_equal(sol.centers[c], center)
+    assert np.array_equal(sol.residual_norms, norms) and norms.max() > 0
+    assert sol.objective == objective and sol.iterations == iterations > 1
+    assert all(sol.rotations[c] is rot[c] for c in range(14))
 
 
 def test_translation_two_camera_identity():
     rot = {0: np.eye(3), 1: np.eye(3)}
-    system = build_translation_system([motion(0, 1, np.eye(3), np.array([1.0, 0, 0]))], rot)
-    sol = solve_translation_l1(system, rot)
+    table = motion_table([motion(0, 1, np.eye(3), np.array([1.0, 0, 0]))])
+    sol = solve_translation_l1(table, rot)
     assert np.allclose(sol.centers[0], 0)
     assert np.allclose(sol.centers[1], [-1.0, 0.0, 0.0], atol=1e-12)
     assert sol.scales == {0: 1.0}
@@ -246,9 +351,8 @@ def five_cluster_problem():
 
 def test_translation_noise_free_scale_recovery(five_cluster_problem):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
-    est = rotation_averaging(motions)
-    system = build_translation_system(motions, est)
-    sol = solve_translation_l1(system, est)
+    table = motion_table(motions)
+    sol = solve_translation_l1(table, rotation_averaging(table).rotations)
     expect = np.array([1.0 / s for s in gt_scales])
     expect /= expect[0]
     got = np.array([sol.scales[k] for k in range(5)])
@@ -284,14 +388,14 @@ def test_l1_beats_l2_with_outliers():
                 bad = r.normal(size=3)
                 t = bad / np.linalg.norm(bad) * np.linalg.norm(t)
             motions.append(motion(i, j, gt_R[j] @ gt_R[i].T, t))
-        system = build_translation_system(motions, gt_R)
+        table = motion_table(motions)
 
         def med(sol):
             est = np.array([sol.centers[c] for c in range(n)])
             s, R, tt = align_similarity(est, gt_c)
             return np.median(np.linalg.norm(s * est @ R.T + tt - gt_c, axis=1))
 
-        wins += med(solve_translation_l1(system, gt_R)) < med(solve_translation_l1(system, gt_R, max_iterations=1))
+        wins += med(solve_translation_l1(table, gt_R)) < med(solve_translation_l1(table, gt_R, max_iterations=1))
     assert wins == 5
 
 
@@ -307,8 +411,8 @@ def test_collinear_motion_well_posed():
         for i in range(lo, hi - 1):
             for j in range(i + 1, hi):
                 motions.append(motion(i, j, np.eye(3), s * (gt_c[i] - gt_c[j]), k=k))
-    system = build_translation_system(motions, rot)
-    sol = solve_translation_l1(system, rot)
+    table = motion_table(motions)
+    sol = solve_translation_l1(table, rot)
     est = np.array([sol.centers[c] for c in range(n)])
     scale = gt_c[-1, 0] / est[-1, 0]
     assert np.abs(scale * est - gt_c).max() < 1e-8
@@ -323,9 +427,9 @@ def test_degenerate_scale_raises():
         motion(2, 3, np.eye(3), np.array([0.0, 0, 0]), k=1),  # zero translation
         motion(1, 2, np.eye(3), np.array([1.0, 0, 0]), k=0),
     ]
-    system = build_translation_system(motions, rot)
+    table = motion_table(motions)
     with pytest.raises(NumericalError):
-        solve_translation_l1(system, rot)
+        solve_translation_l1(table, rot)
 
 
 def test_objective_monotone_under_irls(five_cluster_problem):
@@ -333,35 +437,35 @@ def test_objective_monotone_under_irls(five_cluster_problem):
     rng = np.random.default_rng(3)
     noisy = []
     for m in motions:
-        t = m.translation + rng.normal(0, 0.02, 3)
-        noisy.append(motion(m.i, m.j, m.rotation, t, k=m.cluster_id))
-    est = rotation_averaging(noisy)
-    system = build_translation_system(noisy, est)
-    sol = solve_translation_l1(system, est)
+        t = m.t + rng.normal(0, 0.02, 3)
+        noisy.append(motion(m.i, m.j, m.R, t, k=m.k))
+    table = motion_table(noisy)
+    est = rotation_averaging(table)
+    sol = solve_translation_l1(table, est.rotations)
     # the L2 start (the first, unit-weight iterate) can only improve under
     # accepted IRLS iterations
-    l2 = solve_translation_l1(system, est, max_iterations=1)
+    l2 = solve_translation_l1(table, est.rotations, max_iterations=1)
     assert sol.objective <= l2.objective + 1e-9
 
 
 def test_translation_cap_warning(five_cluster_problem, caplog):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
     rng = np.random.default_rng(4)
-    noisy = [motion(m.i, m.j, m.rotation, m.translation + rng.normal(0, 0.02, 3), k=m.cluster_id)
+    noisy = [motion(m.i, m.j, m.R, m.t + rng.normal(0, 0.02, 3), k=m.k)
              for m in motions]
-    system = build_translation_system(noisy, gt_R)
+    table = motion_table(noisy)
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l2 = solve_translation_l1(system, gt_R, max_iterations=1)
+        l2 = solve_translation_l1(table, gt_R, max_iterations=1)
     assert l2.iterations == 1 and "stopped at its cap of 1 iterations" in caplog.text
     caplog.clear()
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l1 = solve_translation_l1(system, gt_R, max_iterations=2)
+        l1 = solve_translation_l1(table, gt_R, max_iterations=2)
     assert l1.iterations == 2 and "stopped at its cap of 2 iterations" in caplog.text
     assert l1.objective < l2.objective
 
 
-def noisy_loop_system(seed, n=60, clusters=4, overlap=6, sigma=0.02):
-    """Translation equations of a closed camera loop covered by overlapping
+def noisy_loop_motions(seed, n=60, clusters=4, overlap=6, sigma=0.02):
+    """Relative motions of a closed camera loop covered by overlapping
     clusters of unknown scale, each pair up to three cameras apart."""
     rng = np.random.default_rng(seed)
     theta = 2 * np.pi * np.arange(n) / n
@@ -377,15 +481,15 @@ def noisy_loop_system(seed, n=60, clusters=4, overlap=6, sigma=0.02):
                 i, j = sorted((cams[a], cams[b]))
                 t = scale * (gt_R[j] @ (gt_c[i] - gt_c[j])) + rng.normal(0, sigma, 3)
                 motions.append(motion(i, j, gt_R[j] @ gt_R[i].T, t, k=k))
-    return build_translation_system(motions, gt_R), gt_R
+    return motion_table(motions), gt_R
 
 
 def test_translation_l1_stops_near_its_converged_objective(caplog):
     for seed in range(3):
-        system, gt_R = noisy_loop_system(seed)
+        table, gt_R = noisy_loop_motions(seed)
         caplog.clear()
-        sol = solve_translation_l1(system, gt_R)
+        sol = solve_translation_l1(table, gt_R)
         assert sol.iterations < L1_MAX_ITERATIONS // 4 and "cap" not in caplog.text, seed
         # no relative stop: the IRLS runs until an iterate fails to improve, or to its cap
-        converged = solve_translation_l1(system, gt_R, relative_tol=0.0)
+        converged = solve_translation_l1(table, gt_R, relative_tol=0.0)
         assert sol.objective - converged.objective <= 1e-3 * converged.objective, seed

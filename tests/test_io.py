@@ -9,10 +9,10 @@ from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.errors import DataError
 from clustersfm.global_ba import GlobalPoint
-from clustersfm.local_sfm import LocalReconstruction, RelativeMotion
+from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
-from conftest import geometric_graph, track_table
+from conftest import geometric_graph, motion_table, track_table
 
 
 def test_match_graph_roundtrip(tmp_path):
@@ -91,19 +91,34 @@ def test_cluster_set_cameras_checked_against_match_graph(tmp_path):
     assert sfm_io.load_cluster_set(path, 30).tree.root.cameras == cs.tree.root.cameras
 
 
-def test_relative_motions_roundtrip(tmp_path):
+def _motions():
+    """Three motions: pair (0, 1) measured by clusters 2 and 0, and (1, 4)."""
     rng = np.random.default_rng(0)
     from clustersfm.geometry import random_rotation
 
-    motions = [
-        RelativeMotion(i=0, j=1, cluster_id=2, rotation=random_rotation(rng),
-                       translation=rng.normal(size=3), support=17)
-    ]
+    return motion_table([(0, 1, 2, random_rotation(rng), rng.normal(size=3), 17),
+                         (1, 4, 2, random_rotation(rng), rng.normal(size=3), 0),
+                         (0, 1, 0, random_rotation(rng), rng.normal(size=3) * 1e-300, 3)])
+
+
+def test_relative_motions_roundtrip(tmp_path, small_run):
     path = tmp_path / "motions.json"
-    sfm_io.save_relative_motions(path, motions)
-    loaded = sfm_io.load_relative_motions(path)
-    assert loaded[0].cluster_id == 2 and loaded[0].support == 17
-    assert np.allclose(loaded[0].rotation, motions[0].rotation)
+    for motions in (_motions(), motion_table([])):
+        sfm_io.save_relative_motions(path, motions)
+        loaded = sfm_io.load_relative_motions(path)
+        assert len(loaded) == len(motions)
+        for name in ("pairs", "cluster", "rotation", "translation", "support"):
+            assert np.array_equal(getattr(loaded, name), getattr(motions, name)), name
+            assert getattr(loaded, name).dtype == getattr(motions, name).dtype, name
+            assert getattr(loaded, name).shape == getattr(motions, name).shape, name
+    # the format is a list of {i, j, k, R, t, support} objects, and a
+    # pipeline artifact saves back to the same bytes
+    assert json.loads(path.read_text()) == []
+    out, _, _ = small_run
+    artifact = out / "relative_motions.json"
+    assert set(json.loads(artifact.read_text())[0]) == {"i", "j", "k", "R", "t", "support"}
+    sfm_io.save_relative_motions(path, sfm_io.load_relative_motions(artifact))
+    assert path.read_bytes() == artifact.read_bytes()
 
 
 def _local_reconstructions():
@@ -368,3 +383,23 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(DataError, match=f"^{path}: motion camera {camera} is not in the match graph's 0..5$"):
             sfm_io.load_global_motion(path, 6)
+    sfm_io.save_relative_motions(path, _motions())
+    good = json.loads(path.read_text())
+    for q, key, value, message in (
+        (1, "j", 1, "motion 1 \\(1, 1\\) in cluster 2: the pair is not 0 <= i < j"),  # a self pair
+        (1, "i", 5, "motion 1 \\(5, 4\\) in cluster 2: the pair is not 0 <= i < j"),  # reversed
+        (0, "i", -1, "motion 0 \\(-1, 1\\) in cluster 2: the pair is not 0 <= i < j"),
+        (2, "support", -3, "motion 2 \\(0, 1\\) in cluster 0: the support is negative"),
+        (1, "i", 1.5, "motion 1 \\(1.5, 4.0\\) in cluster 2.0: an id is not an integer"),  # int() made it 1
+        (2, "k", 0.5, "motion 2 \\(0.0, 1.0\\) in cluster 0.5: an id is not an integer"),
+        (2, "R", [float("nan")] * 9, "motion 2 \\(0, 1\\) in cluster 0: R or t is not finite"),
+        (1, "t", [0.0, float("inf"), 0.0], "motion 1 \\(1, 4\\) in cluster 2: R or t is not finite"),
+        (2, "k", 2, "motion 2 \\(0, 1\\) in cluster 2: its cluster measures this pair twice"),
+        (0, "R", [1.0] * 8, "malformed"),
+        (0, "support", None, ".*support"),  # a missing key is named
+    ):
+        data = json.loads(json.dumps(good))
+        data[q][key] = value
+        path.write_text(json.dumps([{k: v for k, v in m.items() if v is not None} for m in data]))
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            sfm_io.load_relative_motions(path)

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,7 @@ from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import seeded_rng
-from conftest import track_rows, track_table
+from conftest import motion_rows, track_rows, track_table
 
 SEED = 11
 
@@ -278,19 +279,24 @@ def test_extract_relative_motions_identity_example():
     from conftest import match_table, weighted_edge
 
     graph = build_camera_graph(match_table([weighted_edge(0, 1, 5)]), 2)
-    motions = extract_relative_motions(rec, graph)
-    assert len(motions) == 1
-    m = motions[0]
-    assert np.allclose(m.rotation, np.eye(3))
-    assert np.allclose(m.translation, [-1.0, 0.0, 0.0])
-    assert m.support == 1
+    # the same pair measured again by cluster 7, at twice the scale, after a
+    # failed cluster that adds nothing
+    twice = dataclasses.replace(rec, cluster_id=7, centers={0: np.zeros(3), 1: np.array([2.0, 0.0, 0.0])})
+    motions = extract_relative_motions([rec, LocalReconstruction(cluster_id=4, failed=True), twice], graph)
+    assert len(motions) == 2 and motions.pairs.tolist() == [[0, 1], [0, 1]] and motions.cluster.tolist() == [0, 7]
+    assert np.array_equal(motions.rotation, np.stack([np.eye(3), np.eye(3)]))
+    assert np.array_equal(motions.translation, [[-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    assert motions.support.tolist() == [1, 1]
+    motions.check()
+    empty = extract_relative_motions([LocalReconstruction(cluster_id=4, failed=True)], graph)
+    assert len(empty) == 0 and empty.pairs.shape == (0, 2) and empty.rotation.shape == (0, 3, 3)
 
 
 def test_extract_relative_motions_similarity_gauge(orbit_run):
     # R_ij invariant and t scales uniformly under a similarity of the frame
     scene, _, graph, _, rec = orbit_run
     rng = np.random.default_rng(9)
-    base = extract_relative_motions(rec, graph)
+    base = motion_rows(extract_relative_motions([rec], graph))
     s = rng.uniform(0.3, 3.0)
     Q = random_rotation(rng)
     d = rng.normal(size=3)
@@ -299,10 +305,10 @@ def test_extract_relative_motions_similarity_gauge(orbit_run):
     moved.centers = {c: s * (Q @ rec.centers[c]) + d for c in rec.centers}
     moved.point_tracks, moved.positions = rec.point_tracks, rec.positions
     moved.obs_tracks, moved.obs_cameras, moved.obs_xy = rec.obs_tracks, rec.obs_cameras, rec.obs_xy
-    for m0, m1 in zip(base, extract_relative_motions(moved, graph)):
+    for m0, m1 in zip(base, motion_rows(extract_relative_motions([moved], graph))):
         # arccos cannot resolve equality below ~1.5e-8 rad
-        assert rotation_angle(m0.rotation @ m1.rotation.T) < 1e-7
-        assert np.abs(m1.translation - s * m0.translation).max() < 1e-6 * s
+        assert rotation_angle(m0.R @ m1.R.T) < 1e-7
+        assert np.abs(m1.t - s * m0.t).max() < 1e-6 * s
 
 
 def test_support_counts_shared_inlier_tracks(orbit_run):
@@ -311,10 +317,14 @@ def test_support_counts_shared_inlier_tracks(orbit_run):
     tracks_of = {}
     for t, c in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist()):
         tracks_of.setdefault(c, set()).add(t)
-    motions = extract_relative_motions(rec, graph)
-    assert len(motions) == len(graph.induced_edges(rec.registered))
+    motions = motion_rows(extract_relative_motions([rec], graph))
+    assert [(m.i, m.j) for m in motions] == graph.induced_edges(rec.registered)
     for m in motions:
         assert m.support == len(tracks_of.get(m.i, set()) & tracks_of.get(m.j, set()))
+        # the stacked products are the per-motion ones, bit for bit
+        R_i, R_j = rec.rotations[m.i], rec.rotations[m.j]
+        assert np.array_equal(m.R, R_j @ R_i.T)
+        assert np.array_equal(m.t, R_j @ (rec.centers[m.i] - rec.centers[m.j]))
     assert sum(m.support > 0 for m in motions) > len(motions) // 2
 
 
@@ -340,13 +350,14 @@ def test_cross_cluster_consistency_noise_free(orbit_scene_small):
     cams_b = tuple(range(8, 20))
     rec_a = run_local_sfm(graph, Cluster(id=0, cameras=cams_a), tracks, scene.cameras, SEED)
     rec_b = run_local_sfm(graph, Cluster(id=1, cameras=cams_b), tracks, scene.cameras, SEED)
-    ma = {(m.i, m.j): m for m in extract_relative_motions(rec_a, graph)}
-    mb = {(m.i, m.j): m for m in extract_relative_motions(rec_b, graph)}
+    motions = motion_rows(extract_relative_motions([rec_a, rec_b], graph))
+    ma = {(m.i, m.j): m for m in motions if m.k == 0}
+    mb = {(m.i, m.j): m for m in motions if m.k == 1}
     shared = sorted(set(ma) & set(mb))
     assert shared
     for pair in shared:
-        assert rotation_angle(ma[pair].rotation @ mb[pair].rotation.T) < 1e-6
-        assert angle_between(ma[pair].translation, mb[pair].translation) < 1e-6
+        assert rotation_angle(ma[pair].R @ mb[pair].R.T) < 1e-6
+        assert angle_between(ma[pair].t, mb[pair].t) < 1e-6
 
 
 def test_run_local_sfm_noisy_monte_carlo():

@@ -276,6 +276,31 @@ def test_cli_motion_camera_outside_match_graph_exit_code(small_run, tmp_path, ca
         path.write_text(original)
 
 
+def test_cli_bad_relative_motion_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "relative_motions.json"
+    original = json.loads(path.read_text())
+    first = original[0]
+    i, j, k = first["i"], first["j"], first["k"]
+    for changes, message in (
+        (dict(j=i), f"motion 0 ({i}, {i}) in cluster {k}: the pair is not 0 <= i < j"),  # a self pair
+        (dict(i=j, j=i), f"motion 0 ({j}, {i}) in cluster {k}: the pair is not 0 <= i < j"),
+        (dict(i=-1), f"motion 0 (-1, {j}) in cluster {k}: the pair is not 0 <= i < j"),
+        (dict(support=-3), f"motion 0 ({i}, {j}) in cluster {k}: the support is negative"),
+        (dict(i=i + 0.5), f"motion 0 ({i + 0.5}, {float(j)}) in cluster {float(k)}: an id is not an integer"),
+        (dict(R=[float("nan")] * 9), f"motion 0 ({i}, {j}) in cluster {k}: R or t is not finite"),
+    ):
+        path.write_text(json.dumps([dict(first, **changes), *original[1:]]))
+        assert cli_main(["average", "--output-dir", str(tmp_path)]) == 3, changes
+        _one_line_data_error(capsys, "average", "relative_motions.json", message)
+    path.write_text(json.dumps([*original, first]))  # the first motion's cluster measures its pair again
+    assert cli_main(["average", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "average", f"motion {len(original)} ({i}, {j}) in cluster {k}: "
+                                            "its cluster measures this pair twice")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_cli_track_camera_outside_match_graph_exit_code(small_run, tmp_path, capsys):
     out, _, _ = small_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
