@@ -40,17 +40,24 @@ DEGENERATE_SCALE = 1e-12
 
 @dataclass
 class RotationEstimate:
-    rotations: dict  # camera id -> (3,3), gauge: component roots = identity
-    components: dict  # camera id -> component label
+    """Camera rotations; each component's root, its smallest camera, is the identity."""
+
+    cameras: np.ndarray  # (n,) int64, strictly ascending
+    rotation: np.ndarray  # (n, 3, 3)
+    components: np.ndarray  # (n,) the root camera of each camera's component
     iterations: int
     final_median_residual: float  # radians
 
 
 @dataclass
 class GlobalMotion:
-    rotations: dict  # camera id -> (3,3)
-    centers: dict  # camera id -> (3,)
-    scales: dict  # cluster id -> float
+    """Camera poses, and the scale of each cluster's relative translations."""
+
+    cameras: np.ndarray  # (n,) int64, strictly ascending
+    rotation: np.ndarray  # (n, 3, 3)
+    center: np.ndarray  # (n, 3)
+    clusters: np.ndarray  # (k,) int64, strictly ascending
+    scale: np.ndarray  # (k,) of each cluster
     residual_norms: np.ndarray  # per-equation L2 norm of a_k R^T t - (c_i - c_j)
     objective: float  # final L1 objective
     iterations: int = 0
@@ -93,19 +100,17 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
     if not len(motions):
         raise DataError("no relative motions to average")
     cameras, rows = np.unique(motions.pairs, return_inverse=True)
-    cameras = cameras.tolist()
     rows_i, rows_j = rows.reshape(-1, 2).T
     n = len(cameras)
     labels = component_labels(n, rows_i, rows_j)
     # each component is labelled by its smallest camera id, its gauge root
     _, root_pos = np.unique(labels, return_index=True)
-    roots = [cameras[k] for k in root_pos]
-    components = {c: roots[labels[k]] for k, c in enumerate(cameras)}
+    roots = cameras[root_pos]
     if len(roots) > 1:
         logger.warning("rotation graph has %d connected components", len(roots))
 
-    tree = _spanning_tree_init(roots, motions)
-    R = np.stack([tree[c] for c in cameras])
+    tree = _spanning_tree_init(roots.tolist(), motions)
+    R = np.stack([tree[c] for c in cameras.tolist()])
     R_ij = motions.rotation
 
     # +1/-1 incidence of d_i - d_j over the free (non-root) cameras
@@ -154,8 +159,9 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
 
     final_norms = rotation_angle(R[rows_j].transpose(0, 2, 1) @ R_ij @ R[rows_i])
     return RotationEstimate(
-        rotations=dict(zip(cameras, R)),
-        components=components,
+        cameras=cameras,
+        rotation=R,
+        components=roots[labels],
         iterations=iterations,
         final_median_residual=float(np.median(final_norms)),
     )
@@ -226,7 +232,7 @@ def _solve_component(A, B, gauge_scale_col, max_iterations, relative_tol):
     return z, objective, iterations, residual, capped
 
 
-def solve_translation_l1(motions: MotionTable, rotations: dict,
+def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
                          max_iterations: int = L1_MAX_ITERATIONS,
                          relative_tol: float = L1_RELATIVE_TOL) -> GlobalMotion:
     """Minimize ||A x_s - B y_c||_1 with c_gauge = 0 and alpha_gauge = 1.
@@ -234,7 +240,8 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
     Each motion q gives the 3 rows 3q..3q+2: A holds p = R_j^T t_ij in the
     column of its cluster, and B holds +I at camera i and -I at camera j. A
     pair measured in several clusters gives one block per cluster, each tied
-    to its own cluster scale. `rotations` maps camera id to R.
+    to its own cluster scale. The rotations are those of `estimate`, or of
+    any pose table with ascending `cameras` and their `rotation`.
 
     The gauge camera is the smallest camera id of each connected component
     of the equation graph, and the gauge cluster is the lowest cluster id
@@ -243,12 +250,11 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
     cameras, cam = np.unique(motions.pairs, return_inverse=True)
     clusters, cl = np.unique(motions.cluster, return_inverse=True)
     cam = cam.reshape(-1, 2)
-    posed = np.array([c in rotations for c in cameras.tolist()], dtype=bool)
-    lacking = ~posed[cam].all(axis=1)
+    lacking = ~np.isin(motions.pairs, estimate.cameras).all(axis=1)
     if lacking.any():
         i, j = motions.pairs[np.argmax(lacking)].tolist()
         raise DataError(f"motion ({i}, {j}) lacks a rotation estimate")
-    R = np.array([rotations[c] for c in cameras.tolist()]).reshape(-1, 3, 3)
+    R = estimate.rotation[np.searchsorted(estimate.cameras, cameras)]
     p = (R[cam[:, 1]].transpose(0, 2, 1) @ motions.translation[:, :, None])[:, :, 0]
     m, n_cams = len(motions), len(cameras)
     d = np.arange(3)
@@ -264,8 +270,8 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
     if n_groups > 1:
         logger.warning("translation system has %d connected components", n_groups)
 
-    centers = {}
-    scales = {}
+    center = np.zeros((n_cams, 3))  # each gauge camera stays at the origin
+    scale = np.ones(len(clusters))  # and each gauge cluster at 1
     all_residuals = np.zeros(m)
     total_objective = 0.0
     total_iterations = 0
@@ -277,8 +283,7 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
         at_gauge = (cam[eq_sel] == comp_cams[0]).any(axis=1)
         gauge = np.searchsorted(comp_cls, cl[eq_sel][at_gauge].min())
         rows = (3 * eq_sel[:, None] + d).ravel()
-        free_cls = clusters[np.delete(comp_cls, gauge)].tolist()
-        free_cams = cameras[comp_cams[1:]].tolist()
+        free_cls = np.delete(comp_cls, gauge)
         off = len(free_cls)
         try:
             z, objective, iterations, residual, capped = _solve_component(
@@ -286,8 +291,9 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
                 max_iterations, relative_tol,
             )
         except _RankDeficiency as exc:
-            bad_cams = sorted({free_cams[(v - off) // 3] for v in exc.var_indices if v >= off})
-            bad_cls = sorted({free_cls[v] for v in exc.var_indices if v < off})
+            v = exc.var_indices
+            bad_cams = np.unique(cameras[comp_cams[1 + (v[v >= off] - off) // 3]]).tolist()
+            bad_cls = clusters[free_cls[v[v < off]]].tolist()
             raise NumericalError(
                 f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
             ) from exc
@@ -295,19 +301,19 @@ def solve_translation_l1(motions: MotionTable, rotations: dict,
             logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
         total_objective += objective
         total_iterations = max(total_iterations, iterations)
-        scales.update(zip(free_cls, z[:off].tolist()))
-        scales[clusters[comp_cls[gauge]].item()] = 1.0
-        centers.update(zip(free_cams, z[off:].reshape(-1, 3).copy()))
-        centers[cameras[comp_cams[0]].item()] = np.zeros(3)
+        scale[free_cls] = z[:off]
+        center[comp_cams[1:]] = z[off:].reshape(-1, 3)
         all_residuals[eq_sel] = [np.linalg.norm(r) for r in residual.reshape(-1, 3)]
 
-    bad = sorted(k for k, a in scales.items() if a <= DEGENERATE_SCALE)
+    bad = clusters[scale <= DEGENERATE_SCALE].tolist()
     if bad:
         raise NumericalError(f"degenerate scale for cluster(s) {bad}")
     return GlobalMotion(
-        rotations={c: rotations[c] for c in cameras.tolist()},
-        centers=centers,
-        scales=scales,
+        cameras=cameras,
+        rotation=R,
+        center=center,
+        clusters=clusters,
+        scale=scale,
         residual_norms=all_residuals,
         objective=total_objective,
         iterations=total_iterations,

@@ -92,14 +92,6 @@ class ClusterTree:
         walk(self.root)
         return out
 
-    def depth(self) -> int:
-        def d(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(self.root)
-
     def assign_leaf_ids(self) -> None:
         for k, leaf in enumerate(self.leaves()):
             leaf.leaf_id = k

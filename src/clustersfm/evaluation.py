@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .averaging import GlobalMotion
 from .errors import DataError, NumericalError
 from .geometry import angle_between, rotation_angle, skew
 from .scene import Camera, MatchTable, Pose
@@ -97,8 +98,7 @@ def _relative_translation(R_j, c_i, c_j):
 
 
 def pose_error_report(
-    rotations: dict,
-    centers: dict,
+    motion: GlobalMotion,
     gt_poses: list[Pose],
     measured_pairs,
     num_points: int = 0,
@@ -111,25 +111,28 @@ def pose_error_report(
     Position errors are computed after similarity alignment of the camera
     centers; relative rotation/translation errors need no alignment (they
     are similarity invariant). measured_pairs lists the (i, j) camera pairs
-    to evaluate, typically the pairs carrying relative motions.
+    to evaluate, typically the pairs carrying relative motions; a pair with
+    a camera the motion does not pose is skipped.
     """
-    common = sorted(c for c in rotations if 0 <= c < len(gt_poses))
+    with_gt = (motion.cameras >= 0) & (motion.cameras < len(gt_poses))
+    common = motion.cameras[with_gt].tolist()
     if len(common) < 3:
         raise DataError("need at least 3 cameras with ground truth")
-    est_c = np.array([centers[c] for c in common])
+    est_c = motion.center[with_gt]
     gt_c = np.array([gt_poses[c].c for c in common])
     s, R, t = align_similarity(est_c, gt_c)
     aligned = (s * (est_c @ R.T)) + t
     residuals = np.linalg.norm(aligned - gt_c, axis=1)
 
-    pairs = sorted({(min(i, j), max(i, j)) for (i, j) in measured_pairs
-                    if i in rotations and j in rotations})
+    pairs = np.unique(np.sort(np.asarray(measured_pairs, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+    pairs = pairs[np.isin(pairs, motion.cameras).all(axis=1)]
+    rot, cen = motion.rotation, motion.center
     rel_errs, dir_errs = [], []
-    for (i, j) in pairs:
-        Rij_est = rotations[j] @ rotations[i].T
+    for (i, j), (a, b) in zip(pairs.tolist(), np.searchsorted(motion.cameras, pairs).tolist()):
+        Rij_est = rot[b] @ rot[a].T
         Rij_gt = gt_poses[j].R @ gt_poses[i].R.T
         rel_errs.append(Rij_est @ Rij_gt.T)
-        t_est = _relative_translation(rotations[j], centers[i], centers[j])
+        t_est = _relative_translation(rot[b], cen[a], cen[b])
         t_gt = _relative_translation(gt_poses[j].R, gt_poses[i].c, gt_poses[j].c)
         if np.linalg.norm(t_est) > 1e-12 and np.linalg.norm(t_gt) > 1e-12:
             dir_errs.append(np.degrees(angle_between(t_est, t_gt)))
@@ -149,20 +152,21 @@ def pose_error_report(
 
 
 def epipolar_error(
-    rotations: dict,
-    centers: dict,
+    motion: GlobalMotion,
     cameras: list[Camera],
     matches: MatchTable,
 ) -> float:
     """Median distance of correspondences to the epipolar lines induced by
-    the estimated pair geometry, measured in the second image."""
+    the estimated pair geometry, measured in the second image, over the
+    edges with both cameras posed."""
     distances = []
-    spans = zip(matches.edges.tolist(), matches.offsets[:-1].tolist(), matches.offsets[1:].tolist())
-    for (i, j), a, b in spans:
-        if i not in rotations or j not in rotations:
-            continue
-        R_rel = rotations[j] @ rotations[i].T
-        t_rel = rotations[j] @ (centers[i] - centers[j])
+    posed = np.isin(matches.edges, motion.cameras).all(axis=1)
+    rot, cen = motion.rotation, motion.center
+    spans = zip(matches.edges[posed].tolist(), np.searchsorted(motion.cameras, matches.edges[posed]).tolist(),
+                matches.offsets[:-1][posed].tolist(), matches.offsets[1:][posed].tolist())
+    for (i, j), (p, q), a, b in spans:
+        R_rel = rot[q] @ rot[p].T
+        t_rel = rot[q] @ (cen[p] - cen[q])
         if np.linalg.norm(t_rel) < 1e-15:
             continue
         E = skew(t_rel) @ R_rel

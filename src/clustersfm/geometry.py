@@ -94,10 +94,6 @@ def rotation_angle(R: np.ndarray) -> float | np.ndarray:
     return float(theta) if theta.ndim == 0 else theta
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return so3_exp(rng.normal(size=3) * rng.uniform(0.0, np.pi) / np.sqrt(3.0))
-
-
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     """Angle between two vectors in radians."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)

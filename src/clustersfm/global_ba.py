@@ -8,11 +8,12 @@ with a guard that never lets the global cost increase.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ba_core
+from .averaging import GlobalMotion
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
 from .geometry import projection_matrix, reprojection_offsets, triangulate_linear, triangulation_status
@@ -59,7 +60,7 @@ class RoundLog:
 
 def triangulate_global(
     tracks: TrackTable,
-    motion,
+    motion: GlobalMotion,
     cluster_set: ClusterSet,
     cameras: list[Camera],
 ) -> list[GlobalPoint]:
@@ -70,7 +71,7 @@ def triangulate_global(
     posed views; the independent cluster holding the plurality of them owns
     it (ties to the lowest cluster id, -1 when no view is in one).
     """
-    posed = np.array(sorted(motion.centers), dtype=np.int64)
+    posed = motion.cameras
     rows = np.flatnonzero(np.isin(tracks.cameras, posed))  # the posed views, by track
     cams, xy, track = tracks.cameras[rows], tracks.xy[rows], tracks.owner()[rows]
     views = np.bincount(track, minlength=len(tracks))
@@ -88,7 +89,8 @@ def triangulate_global(
         GlobalPoint(t, None, o, cams[a:b], xy[a:b], "too_few_views")
         for t, o, a, b in zip(tracks.ids.tolist(), owner.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
     ]
-    P = np.array([projection_matrix(cameras[c].K, motion.rotations[c], motion.centers[c]) for c in posed.tolist()])
+    P = np.array([projection_matrix(cameras[c].K, R, center)
+                  for c, R, center in zip(posed.tolist(), motion.rotation, motion.center)])
     at = np.searchsorted(posed, cams)
     # one DLT and one gate per posed-view count
     for n in np.unique(views[views >= MIN_GLOBAL_VIEWS]).tolist():
@@ -103,14 +105,14 @@ def triangulate_global(
     return out
 
 
-def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion) -> list[BAPartition]:
+def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion: GlobalMotion) -> list[BAPartition]:
     """Assemble disjoint per-independent-cluster sub-problems.
 
     Every observation lands in exactly one partition (its camera's
     cluster); a point is interior when all its observations stay inside its
     owner.
     """
-    posed = set(motion.centers)
+    posed = set(motion.cameras.tolist())
     active = [p for p in points if p.active]
     cluster_ids = sorted({cl.id for cl in cluster_set.independent})
     partitions = []
@@ -134,7 +136,7 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion)
 
 def distributed_bundle_adjust(
     partitions: list[BAPartition],
-    motion,
+    motion: GlobalMotion,
     points: list[GlobalPoint],
     cameras: list[Camera],
     rounds: int = DEFAULT_ROUNDS,
@@ -152,10 +154,9 @@ def distributed_bundle_adjust(
     cap. Returns (motion, points, round_log).
     """
     active = [p for p in points if p.active]
-    cam_ids = sorted(motion.centers)
-    cam_pos = {c: k for k, c in enumerate(cam_ids)}
-    rotations = np.array([motion.rotations[c] for c in cam_ids])
-    centers = np.array([motion.centers[c] for c in cam_ids])
+    cam_ids = motion.cameras
+    rotations = motion.rotation.copy()
+    centers = motion.center.copy()
     intrinsics = np.array([[cameras[c].focal, cameras[c].cx, cameras[c].cy] for c in cam_ids])
     positions = np.array([p.position for p in active]) if active else np.zeros((0, 3))
 
@@ -194,8 +195,7 @@ def distributed_bundle_adjust(
     by_views: dict[int, list] = {}
     for pi, p in enumerate(active):
         if pi not in interior and len(p.cameras) >= 2:
-            views = [cam_pos[int(c)] for c in p.cameras]
-            by_views.setdefault(len(views), []).append((pi, views, p.xy))
+            by_views.setdefault(len(p.cameras), []).append((pi, np.searchsorted(cam_ids, p.cameras), p.xy))
     boundary_groups = [
         tuple(np.array(column) for column in zip(*group)) for _, group in sorted(by_views.items())
     ]
@@ -211,7 +211,7 @@ def distributed_bundle_adjust(
             rot_s, cen_s, pos_s = state
             sub_obs = np.flatnonzero(np.isin(obs_ids, part.cameras))
             free_cams = np.zeros(len(cam_ids), dtype=bool)
-            free_cams[[cam_pos[c] for c in part.cameras]] = True
+            free_cams[np.searchsorted(cam_ids, part.cameras)] = True
             free_pts = np.zeros(len(active), dtype=bool)
             free_pts[part.interior_points] = True
             problem = ba_core.BAProblem(
@@ -238,7 +238,7 @@ def distributed_bundle_adjust(
                     result.cost,
                 )
                 continue
-            sel = [cam_pos[c] for c in part.cameras]
+            sel = np.searchsorted(cam_ids, part.cameras)
             rotations[sel] = result.rotations[sel]
             centers[sel] = result.centers[sel]
             if part.interior_points:
@@ -246,7 +246,7 @@ def distributed_bundle_adjust(
 
         # consensus: re-triangulate boundary points, guarded per point
         Ps = np.array([
-            projection_matrix(cameras[c].K, rotations[s], centers[s]) for s, c in enumerate(cam_ids)
+            projection_matrix(cameras[c].K, rotations[s], centers[s]) for s, c in enumerate(cam_ids.tolist())
         ])
         for pts, views, xy in boundary_groups:
             P = Ps[views]
@@ -266,13 +266,7 @@ def distributed_bundle_adjust(
     else:
         logger.warning("distributed bundle adjustment stopped at its cap of %d rounds", rounds)
 
-    out_motion = type(motion)(
-        rotations={c: rotations[cam_pos[c]] for c in cam_ids},
-        centers={c: centers[cam_pos[c]] for c in cam_ids},
-        scales=dict(getattr(motion, "scales", {})),
-        residual_norms=np.zeros(0),
-        objective=cost,
-    )
+    out_motion = replace(motion, rotation=rotations, center=centers, residual_norms=np.zeros(0), objective=cost)
     out_points = []
     idx = 0
     for p in points:

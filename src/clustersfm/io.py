@@ -322,9 +322,8 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
     ints = np.zeros(0, np.int64)
     counts, _ = _flat([_rows_per_point(r) for r in recs], ints)
     arrays = {
-        "rotation": _flat([np.reshape([r.rotations[c] for c in r.registered], (-1, 3, 3)) for r in recs],
-                          np.zeros((0, 3, 3)))[0],
-        "center": _flat([np.reshape([r.centers[c] for c in r.registered], (-1, 3)) for r in recs], np.zeros((0, 3)))[0],
+        "rotation": _flat([r.rotation for r in recs], np.zeros((0, 3, 3)))[0],
+        "center": _flat([r.center for r in recs], np.zeros((0, 3)))[0],
         "track": _flat([r.point_tracks for r in recs], ints)[0],
         "position": _flat([r.positions for r in recs], np.zeros((0, 3)))[0],
         "cameras": _flat([r.obs_cameras for r in recs], ints)[0],
@@ -334,7 +333,7 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
         {"clusterId": int(r.cluster_id), "failed": bool(r.failed),
          "seedPair": [int(c) for c in r.seed_pair] if r.seed_pair else None,
          "meanReprojection": r.mean_reprojection if np.isfinite(r.mean_reprojection) else None,
-         "registered": [int(c) for c in r.registered], "points": len(r.point_tracks)}
+         "registered": r.registered.tolist(), "points": len(r.point_tracks)}
         for r in recs
     ]
     _save_table(path, np.cumsum(np.append(0, counts)), arrays, clusters=clusters)
@@ -342,6 +341,8 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
 
 @_checked
 def load_local_reconstructions(path) -> list[LocalReconstruction]:
+    """Every cluster's reconstruction; a cluster whose registered cameras
+    do not rise strictly is a DataError."""
     data = _load_table(path, "local-reconstruction")
     rotation = _decoded(data, "rotation", float, -1, 3, 3)
     center = _decoded(data, "center", float, len(rotation), 3)
@@ -353,14 +354,18 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     check_ascending(cameras, offsets, track)
     obs_tracks = np.repeat(track, np.diff(offsets))
     clusters = data["clusters"]
-    poses = _rising(np.cumsum([0] + [len(c["registered"]) for c in clusters]), len(rotation))
+    registered = [_array(c, "registered", np.int64, -1) for c in clusters]
+    for c, cams in zip(clusters, registered):
+        if np.any(np.diff(cams) <= 0):
+            raise DataError(f"cluster {c['clusterId']}: the registered cameras do not rise strictly")
+    poses = _rising(np.cumsum([0] + [len(cams) for cams in registered]), len(rotation))
     points = _rising(np.cumsum([0] + [c["points"] for c in clusters]), len(track))
     out = []
-    for c, (a, b), (p, q) in zip(clusters, _spans(poses), _spans(points)):
+    for c, cams, (a, b), (p, q) in zip(clusters, registered, _spans(poses), _spans(points)):
         rows = slice(offsets[p], offsets[q])
         out.append(LocalReconstruction(
-            cluster_id=c["clusterId"], rotations=dict(zip(c["registered"], rotation[a:b])),
-            centers=dict(zip(c["registered"], center[a:b])), point_tracks=track[p:q], positions=position[p:q],
+            cluster_id=c["clusterId"], registered=cams, rotation=rotation[a:b], center=center[a:b],
+            point_tracks=track[p:q], positions=position[p:q],
             obs_tracks=obs_tracks[rows], obs_cameras=cameras[rows], obs_xy=xy[rows],
             seed_pair=tuple(c["seedPair"]) if c["seedPair"] else None, failed=c["failed"],
             mean_reprojection=float("nan") if c["meanReprojection"] is None else c["meanReprojection"]))
@@ -376,13 +381,14 @@ def save_relative_motions(path, motions: MotionTable) -> None:
 
 
 @_checked
-def load_relative_motions(path) -> MotionTable:
+def load_relative_motions(path, num_cameras: int) -> MotionTable:
+    """The motion table, checked against the match graph's camera count."""
     data = _load(path)
     ids = np.array([[m["i"], m["j"], m["k"], m["support"]] for m in data] or np.zeros((0, 4), dtype=np.int64))
     motions = MotionTable(pairs=ids[:, :2], cluster=ids[:, 2], support=ids[:, 3],
                           rotation=np.array([m["R"] for m in data], dtype=float).reshape(-1, 3, 3),
                           translation=np.array([m["t"] for m in data], dtype=float).reshape(-1, 3))
-    motions.check()
+    motions.check(num_cameras)
     return motions
 
 
@@ -390,43 +396,44 @@ def load_relative_motions(path) -> MotionTable:
 # Global motion and points
 # ---------------------------------------------------------------------------
 
-def save_global_motion(path, motion) -> None:
-    payload = {
-        "cameras": [
-            {
-                "id": int(c),
-                "R": np.asarray(motion.rotations[c]).ravel().tolist(),
-                "c": np.asarray(motion.centers[c]).tolist(),
-            }
-            for c in sorted(motion.centers)
-        ],
-        "scales": [
-            {"clusterId": int(k), "alpha": float(motion.scales[k])} for k in sorted(motion.scales)
-        ],
-        "residuals": np.asarray(motion.residual_norms).tolist(),
-        "objective": float(motion.objective),
-    }
-    _dump(path, payload)
+def save_global_motion(path, motion: GlobalMotion) -> None:
+    poses = zip(motion.cameras.tolist(), motion.rotation.reshape(-1, 9).tolist(), motion.center.tolist())
+    scales = zip(motion.clusters.tolist(), motion.scale.tolist())
+    _dump(path, {"cameras": [{"id": k, "R": R, "c": c} for k, R, c in poses],
+                 "scales": [{"clusterId": k, "alpha": alpha} for k, alpha in scales],
+                 "residuals": np.asarray(motion.residual_norms).tolist(), "objective": float(motion.objective)})
 
 
 @_checked
-def load_global_motion(path, num_cameras: int):
-    """The global motion; a camera outside the match graph's
-    0..num_cameras-1 is a DataError."""
+def load_global_motion(path, num_cameras: int) -> GlobalMotion:
+    """The global motion. A DataError names the first camera outside the
+    match graph's 0..num_cameras-1, or whose id does not rise strictly
+    from the one before it, or whose R or c is not finite, and a cluster
+    id of the scales that is not an integer or that they repeat."""
     data = _load(path)
-    for k in (c["id"] for c in data["cameras"]):
+    ids = [c["id"] for c in data["cameras"]]
+    for k in ids:
         if not (isinstance(k, int) and 0 <= k < num_cameras):
             raise DataError(f"motion camera {k} is not in the match graph's 0..{num_cameras - 1}")
-    rotations = {c["id"]: np.asarray(c["R"], dtype=float).reshape(3, 3) for c in data["cameras"]}
-    centers = {c["id"]: np.asarray(c["c"], dtype=float) for c in data["cameras"]}
-    scales = {s["clusterId"]: s["alpha"] for s in data["scales"]}
-    return GlobalMotion(
-        rotations=rotations,
-        centers=centers,
-        scales=scales,
-        residual_norms=np.asarray(data["residuals"], dtype=float),
-        objective=float(data["objective"]),
-    )
+    cameras = np.array(ids, dtype=np.int64)
+    falling = np.flatnonzero(np.diff(cameras) <= 0)
+    if len(falling):
+        a, b = cameras[falling[0]:falling[0] + 2].tolist()
+        raise DataError(f"motion camera {b} follows camera {a}: the ids must rise strictly")
+    rotation = np.array([c["R"] for c in data["cameras"]], dtype=float).reshape(len(ids), 3, 3)
+    center = np.array([c["c"] for c in data["cameras"]], dtype=float).reshape(len(ids), 3)
+    bad = ~(np.isfinite(rotation).all(axis=(1, 2)) & np.isfinite(center).all(axis=1))
+    if bad.any():
+        raise DataError(f"motion camera {cameras[np.argmax(bad)]}: R or c is not finite")
+    cluster_ids = [s["clusterId"] for s in data["scales"]]
+    if not all(isinstance(k, int) for k in cluster_ids):
+        raise DataError("a clusterId of the scales is not an integer")
+    clusters, first = np.unique(np.array(cluster_ids, dtype=np.int64), return_index=True)
+    if len(clusters) < len(cluster_ids):
+        raise DataError(f"the scales repeat cluster {np.delete(cluster_ids, first)[0]}")
+    scale = np.array([s["alpha"] for s in data["scales"]], dtype=float)[first]
+    return GlobalMotion(cameras=cameras, rotation=rotation, center=center, clusters=clusters, scale=scale,
+                        residual_norms=np.asarray(data["residuals"], dtype=float), objective=float(data["objective"]))
 
 
 def save_global_points(path, points) -> None:

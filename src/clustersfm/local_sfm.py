@@ -60,14 +60,16 @@ class SeedFailure(NumericalError):
 class LocalReconstruction:
     """One cluster's reconstruction in an arbitrary local frame and scale.
 
-    Its points are track ids and positions; its inlier rows say camera
-    obs_cameras[r] sees track obs_tracks[r] at pixel obs_xy[r]. The rows are
-    grouped by track in point order, cameras ascending inside each track.
+    Its registered cameras have the poses rotation and center; its points
+    are track ids and positions; its inlier rows say camera obs_cameras[r]
+    sees track obs_tracks[r] at pixel obs_xy[r]. The rows are grouped by
+    track in point order, cameras ascending inside each track.
     """
 
     cluster_id: int
-    rotations: dict = field(default_factory=dict)  # camera id -> (3,3)
-    centers: dict = field(default_factory=dict)  # camera id -> (3,)
+    registered: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (n,) strictly ascending
+    rotation: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))  # (n, 3, 3)
+    center: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (n, 3)
     point_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (p,)
     positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (p, 3)
     obs_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (r,)
@@ -76,10 +78,6 @@ class LocalReconstruction:
     seed_pair: tuple | None = None
     failed: bool = False
     mean_reprojection: float = float("nan")
-
-    @property
-    def registered(self) -> list[int]:
-        return sorted(self.rotations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +96,10 @@ class MotionTable:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def check(self) -> None:
+    def check(self, num_cameras: int) -> None:
         """Raise a DataError naming the first motion with an id that is not
         an integer, else the first whose pair is not 0 <= i < j, whose
+        camera j is outside the match graph's 0..num_cameras-1, whose
         support is negative, whose R or t is not finite, or that repeats a
         pair its cluster has already measured."""
         ids = np.column_stack([self.pairs, self.cluster, self.support])
@@ -109,6 +108,7 @@ class MotionTable:
             self._fail(fractional if fractional.any() else np.ones(len(self), dtype=bool), "an id is not an integer")
         i, j = self.pairs.T
         self._fail((i < 0) | (i >= j), "the pair is not 0 <= i < j")
+        self._fail(j >= num_cameras, f"a camera is not in the match graph's 0..{num_cameras - 1}")
         self._fail(self.support < 0, "the support is negative")
         self._fail(~(np.isfinite(self.rotation).all(axis=(1, 2)) & np.isfinite(self.translation).all(axis=1)),
                    "R or t is not finite")
@@ -560,14 +560,16 @@ def run_local_sfm(
         rec.mean_reprojection = float(np.mean(final.residual_norms)) if len(final.residual_norms) else float("nan")
 
     rec.seed_pair = state.seed_pair
-    rec.rotations = dict(state.rotations)
-    rec.centers = dict(state.centers)
+    cams = state.registered()
+    rec.registered = np.array(cams, dtype=np.int64)
+    rec.rotation = np.array([state.rotations[c] for c in cams]).reshape(-1, 3, 3)
+    rec.center = np.array([state.centers[c] for c in cams]).reshape(-1, 3)
     # an active track is exactly one with inlier rows
     active = np.flatnonzero(state.status == ACTIVE)
     rec.point_tracks, rec.positions = ct.track_ids[active], state.X[active]
     rows = np.flatnonzero(state.joined >= 0)  # by track, cameras ascending
     rec.obs_tracks, rec.obs_cameras, rec.obs_xy = ct.track_ids[ct.track[rows]], ct.cam[rows], ct.xy[rows]
-    if len(rec.rotations) < 2:
+    if len(rec.registered) < 2:
         rec.failed = True
     return rec
 
@@ -580,7 +582,7 @@ def extract_relative_motions(recs: list[LocalReconstruction], graph: CameraGraph
     parts = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 3, 3)), np.zeros((0, 3)),
               np.zeros(0, dtype=np.int64))]  # the empty table, which fixes the dtypes
     for rec in recs:
-        if rec.failed or len(rec.rotations) < 2:
+        if rec.failed or len(rec.registered) < 2:
             continue
         registered = rec.registered
         # camera x track incidence of the inlier rows; its Gram matrix counts
@@ -589,10 +591,9 @@ def extract_relative_motions(recs: list[LocalReconstruction], graph: CameraGraph
         seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
                           shape=(len(registered), track.max(initial=-1) + 1))
         shared = (seen @ seen.T).toarray()
-        pairs = np.reshape(graph.induced_edges(registered), (-1, 2)).astype(np.int64)
+        pairs = np.reshape(graph.induced_edges(registered.tolist()), (-1, 2)).astype(np.int64)
         i, j = np.searchsorted(registered, pairs).T
-        R = np.stack([rec.rotations[c] for c in registered])
-        centers = np.stack([rec.centers[c] for c in registered])
+        R, c = rec.rotation, rec.center
         parts.append((pairs, np.full(len(pairs), rec.cluster_id, dtype=np.int64), R[j] @ R[i].transpose(0, 2, 1),
-                      (R[j] @ (centers[i] - centers[j])[:, :, None])[:, :, 0], shared[i, j]))
+                      (R[j] @ (c[i] - c[j])[:, :, None])[:, :, 0], shared[i, j]))
     return MotionTable(*(np.concatenate(column) for column in zip(*parts)))

@@ -54,7 +54,7 @@ STAGE_INPUTS = {
     "cluster": ("matches.json",),
     "tracks": ("matches.json", "clusters.json"),
     "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
-    "average": ("relative_motions.json",),
+    "average": ("matches.json", "relative_motions.json"),
     "triangulate": ("tracks.json", "clusters.json", "global_motion.json", "local_reconstructions.json"),
     "ba": ("points.npz", "clusters.json", "global_motion.json", "matches.json"),
     "evaluate": ("matches.json", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.npz", "clusters.json"),
@@ -278,9 +278,10 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
 
 
 def stage_average(config: PipelineConfig, out_dir) -> None:
-    motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.json")
+    cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
+    motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.json", len(cameras))
     estimate = rotation_averaging(motions)
-    motion = solve_translation_l1(motions, estimate.rotations)
+    motion = solve_translation_l1(motions, estimate)
     sfm_io.save_global_motion(Path(out_dir) / "global_motion.json", motion)
 
 
@@ -337,8 +338,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
     sfm_io.save_global_points(out / "final_points.npz", final_points)
     active = np.array([p.position for p in final_points if p.active]).reshape(-1, 3)
     sfm_io.save_ply_points(out / "points.ply", active)
-    centers = np.array([final_motion.centers[c] for c in sorted(final_motion.centers)])
-    sfm_io.save_ply_cameras(out / "cameras.ply", centers)
+    sfm_io.save_ply_cameras(out / "cameras.ply", final_motion.center)
     sfm_io.save_round_log(out / "ba_rounds.csv", log)
 
 
@@ -346,16 +346,15 @@ def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
     cameras, matches = sfm_io.load_match_graph(out / "matches.json")
     gt = sfm_io.load_ground_truth(out / "ground_truth.json")
-    motions = sfm_io.load_relative_motions(out / "relative_motions.json")
+    motions = sfm_io.load_relative_motions(out / "relative_motions.json", len(cameras))
     final_motion = sfm_io.load_global_motion(out / "final_motion.json", len(cameras))
     points = sfm_io.load_global_points(out / "final_points.npz")
     cs = sfm_io.load_cluster_set(out / "clusters.json", len(cameras))
-    med_epi = epipolar_error(final_motion.rotations, final_motion.centers, cameras, matches)
+    med_epi = epipolar_error(final_motion, cameras, matches)
     report = pose_error_report(
-        final_motion.rotations,
-        final_motion.centers,
+        final_motion,
         gt,
-        motions.pairs.tolist(),
+        motions.pairs,
         num_points=sum(p.active for p in points),
         num_connected_pairs=connected_pair_count(points),
         num_clusters=len(cs.interdependent),

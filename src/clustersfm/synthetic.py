@@ -42,15 +42,6 @@ class SyntheticScene:
     def num_cameras(self) -> int:
         return len(self.cameras)
 
-    def centers(self) -> np.ndarray:
-        return np.array([p.c for p in self.poses])
-
-    def diameter(self) -> float:
-        """Max pairwise distance between camera centers."""
-        c = self.centers()
-        d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
-        return float(d.max())
-
 
 def _look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose:
     z = np.asarray(target, dtype=float) - center

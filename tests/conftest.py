@@ -3,6 +3,8 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from clustersfm.averaging import GlobalMotion
+from clustersfm.geometry import so3_exp
 from clustersfm.local_sfm import MotionTable
 from clustersfm.scene import MatchTable, build_camera_graph
 from clustersfm.tracks import TrackTable
@@ -48,6 +50,31 @@ def motion_rows(motions):
     return [Motion(i, j, k, R, t, support) for (i, j), k, R, t, support in zip(
         motions.pairs.tolist(), motions.cluster.tolist(), motions.rotation, motions.translation,
         motions.support.tolist())]
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """exp of a random rotation vector: a normal draw scaled by an angle uniform in [0, pi), over sqrt(3)."""
+    return so3_exp(rng.normal(size=3) * rng.uniform(0.0, np.pi) / np.sqrt(3.0))
+
+
+def global_motion(rotations, centers=None, scales=None, residual_norms=(), objective=0.0):
+    """The GlobalMotion of {camera: R} and {camera: c} (every center at the
+    origin when centers is None) with {cluster: scale}, cameras and clusters
+    ascending. solve_translation_l1 reads only its cameras and rotations, so
+    it also stands in for a RotationEstimate."""
+    cameras = sorted(rotations)
+    centers = {c: np.zeros(3) for c in cameras} if centers is None else centers
+    assert sorted(centers) == cameras
+    scales = scales or {}
+    return GlobalMotion(
+        cameras=np.array(cameras, dtype=np.int64),
+        rotation=np.array([rotations[c] for c in cameras], dtype=float).reshape(-1, 3, 3),
+        center=np.array([centers[c] for c in cameras], dtype=float).reshape(-1, 3),
+        clusters=np.array(sorted(scales), dtype=np.int64),
+        scale=np.array([scales[k] for k in sorted(scales)], dtype=float),
+        residual_norms=np.asarray(residual_norms, dtype=float),
+        objective=objective,
+    )
 
 
 def track_rows(tracks):

@@ -15,6 +15,7 @@ import numpy as np
 from clustersfm.errors import NumericalError
 from clustersfm.evaluation import align_similarity
 from clustersfm.local_sfm import LocalReconstruction
+from conftest import global_motion
 
 logger = logging.getLogger(__name__)
 
@@ -25,11 +26,11 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     """Chain per-cluster similarities over a maximum-common-track spanning
     tree rooted at the lowest cluster id.
 
-    Returns (rotations, centers) in the root cluster's frame; clusters
-    without enough common tracks to reach the root are dropped with a
-    warning.
+    Returns the merged poses as a GlobalMotion in the root cluster's frame;
+    clusters without enough common tracks to reach the root are dropped
+    with a warning.
     """
-    recs = [r for r in reconstructions if not r.failed and len(r.rotations) >= 2]
+    recs = [r for r in reconstructions if not r.failed and len(r.registered) >= 2]
     if not recs:
         raise NumericalError("no usable cluster reconstructions to merge")
     recs = sorted(recs, key=lambda r: r.cluster_id)
@@ -71,12 +72,12 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
         if k not in transform:
             continue
         s, Q, d = transform[k]
-        for cam in rec.rotations:
+        for cam, R, c in zip(rec.registered.tolist(), rec.rotation, rec.center):
             if cam in rotations:
                 continue  # first (lowest-id) cluster wins on duplicates
-            rotations[cam] = rec.rotations[cam] @ Q.T
-            centers[cam] = s * (Q @ rec.centers[cam]) + d
-    return rotations, centers
+            rotations[cam] = R @ Q.T
+            centers[cam] = s * (Q @ c) + d
+    return global_motion(rotations, centers)
 
 
 def _compose(outer, inner):

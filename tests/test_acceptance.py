@@ -11,7 +11,7 @@ from clustersfm import ba_core
 from clustersfm.averaging import rotation_averaging, solve_translation_l1
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.evaluation import align_similarity, epipolar_error
-from clustersfm.geometry import random_rotation, rotation_angle
+from clustersfm.geometry import rotation_angle
 from clustersfm.io import file_hash, load_global_motion, load_global_points, load_ground_truth
 from clustersfm.local_sfm import run_local_sfm
 from clustersfm.pipeline import PipelineConfig, run_pipeline
@@ -19,7 +19,7 @@ from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import parallel_map
-from conftest import geometric_graph, motion_table
+from conftest import geometric_graph, global_motion, motion_table, random_rotation
 from similarity_merge import merge_by_similarity
 from test_tracks import canonical, flat_union_find_oracle, random_instance
 
@@ -118,19 +118,19 @@ def test_criterion_4_noise_free_motion_averaging():
             motions.append((i, j, k, local_R[j] @ local_R[i].T, local_R[j] @ (local_c[i] - local_c[j]), 10))
     motions = motion_table(motions)
     estimate = rotation_averaging(motions)
-    cams = sorted(estimate.rotations)
-    Q = gt_R[cams[0]].T @ estimate.rotations[cams[0]]
-    rot_err = max(rotation_angle(estimate.rotations[c].T @ (gt_R[c] @ Q)) for c in cams)
+    Q = gt_R[estimate.cameras[0]].T @ estimate.rotation[0]
+    rot_err = max(rotation_angle(R.T @ (gt_R[c] @ Q)) for c, R in zip(estimate.cameras.tolist(), estimate.rotation))
 
-    sol = solve_translation_l1(motions, estimate.rotations)
-    est_c = np.array([sol.centers[c] for c in range(n)])
+    sol = solve_translation_l1(motions, estimate)
+    assert sol.cameras.tolist() == list(range(n)) and sol.clusters.tolist() == list(range(5))
+    est_c = sol.center
     s, R, t = align_similarity(est_c, gt_c)
     rmse = np.sqrt(((s * est_c @ R.T + t - gt_c) ** 2).sum(axis=1).mean())
     diam = np.linalg.norm(gt_c[:, None] - gt_c[None], axis=-1).max()
 
     expected = np.array([1.0 / s_k for s_k in gt_scales])
     expected /= expected[0]
-    alpha_err = np.abs(np.array([sol.scales[k] for k in range(5)]) - expected).max()
+    alpha_err = np.abs(sol.scale - expected).max()
     elapsed = time.time() - t0
     ok = rot_err < 1e-6 and rmse < 1e-6 * diam and alpha_err < 1e-8 and elapsed < 60
     report(4, "noise-free 200-camera/5-cluster motion averaging exact", ok,
@@ -148,6 +148,7 @@ def test_criterion_5_l1_robustness():
         if i != j:
             pairs.add((i, j))
     pairs = sorted(pairs)
+    gt_estimate = global_motion(gt_R)
     wins = 0
     for trial in range(50):
         r = np.random.default_rng(1000 + trial)
@@ -161,12 +162,12 @@ def test_criterion_5_l1_robustness():
         motions = motion_table(motions)
 
         def median_error(sol):
-            est = np.array([sol.centers[c] for c in range(n)])
-            s, R, t0 = align_similarity(est, gt_c)
-            return np.median(np.linalg.norm(s * est @ R.T + t0 - gt_c, axis=1))
+            assert sol.cameras.tolist() == list(range(n))
+            s, R, t0 = align_similarity(sol.center, gt_c)
+            return np.median(np.linalg.norm(s * sol.center @ R.T + t0 - gt_c, axis=1))
 
-        wins += median_error(solve_translation_l1(motions, gt_R)) < median_error(
-            solve_translation_l1(motions, gt_R, max_iterations=1)  # the L2 solution
+        wins += median_error(solve_translation_l1(motions, gt_estimate)) < median_error(
+            solve_translation_l1(motions, gt_estimate, max_iterations=1)  # the L2 solution
         )
     report(5, "L1 beats L2 under 20% outlier equations in >= 95% of trials",
            wins >= 48, f"{wins}/50 trials")
@@ -188,8 +189,9 @@ def test_criterion_6_rotation_robustness():
         motions = [(i, j, 0, random_rotation(r) if r.uniform() < 0.3 else gt[j] @ gt[i].T, np.zeros(3), 10)
                    for (i, j) in pairs]
         est = rotation_averaging(motion_table(motions))
-        Q = gt[0].T @ est.rotations[0]
-        med = np.degrees(np.median([rotation_angle(est.rotations[c].T @ (gt[c] @ Q)) for c in range(n)]))
+        assert est.cameras.tolist() == list(range(n))
+        Q = gt[0].T @ est.rotation[0]
+        med = np.degrees(np.median([rotation_angle(est.rotation[c].T @ (gt[c] @ Q)) for c in range(n)]))
         wins += med < 2.0
     report(6, "rotation averaging with 30% outliers: median < 2 deg in >= 90% of trials",
            wins >= 45, f"{wins}/50 trials")
@@ -219,9 +221,8 @@ def mean_reprojection(points, motion, cameras):
     for p in points:
         if not p.active:
             continue
-        for c, xy in zip(p.cameras, p.xy):
-            c = int(c)
-            R, cen = motion.rotations[c], motion.centers[c]
+        for c, k, xy in zip(p.cameras.tolist(), np.searchsorted(motion.cameras, p.cameras), p.xy):
+            R, cen = motion.rotation[k], motion.center[k]
             Y = R @ (p.position - cen)
             if Y[2] <= 0:
                 errors.append(np.inf)
@@ -244,15 +245,15 @@ def test_criterion_7_loop_closure(loop_pipeline):
     final = load_global_motion(out / "final_motion.json", len(cameras))
     points = load_global_points(out / "final_points.npz")
 
-    cams = sorted(final.centers)
-    est = np.array([final.centers[c] for c in cams])
+    cams = final.cameras.tolist()
+    est = final.center
     ref = np.array([gt[c].c for c in cams])
     s, R, t = align_similarity(est, ref)
     rmse = np.sqrt(((s * est @ R.T + t - ref) ** 2).sum(axis=1).mean())
     gt_centers = np.array([p.c for p in gt])
     diam = np.linalg.norm(gt_centers[:, None] - gt_centers[None], axis=-1).max()
     reproj = mean_reprojection(points, final, cameras)
-    full_epipolar = epipolar_error(final.rotations, final.centers, cameras, matches)
+    full_epipolar = epipolar_error(final, cameras, matches)
 
     # ablation: disjoint clusters merged by chained similarities
     graph = build_camera_graph(matches, len(cameras))
@@ -265,8 +266,7 @@ def test_criterion_7_loop_closure(loop_pipeline):
     recs = parallel_map(
         lambda cl: run_local_sfm(graph, cl, tracks, cameras, config.seed), cs0.interdependent
     )
-    rot_m, cen_m = merge_by_similarity(recs)
-    merged_epipolar = epipolar_error(rot_m, cen_m, cameras, matches)
+    merged_epipolar = epipolar_error(merge_by_similarity(recs), cameras, matches)
 
     ok = (
         len(cams) == 120
@@ -310,19 +310,19 @@ def test_criterion_8_ba_correctness(loop_pipeline):
     cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=100, completeness_ratio=0.0, seed=1))
     motion = gt_motion(scene)
     r2 = np.random.default_rng(2)
-    for c in list(motion.centers)[1:]:
-        motion.centers[c] = motion.centers[c] + r2.normal(size=3) * 0.01
+    for k in range(1, len(motion.cameras)):
+        motion.center[k] = motion.center[k] + r2.normal(size=3) * 0.01
     points = triangulate_global(tracks_from_scene(scene, noise=0.4, seed=1), motion, cs, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras,
                                           rounds=3, inner_max_iterations=80)
     active = [p for p in points if p.active]
-    cam_ids = sorted(motion.centers)
+    cam_ids = motion.cameras.tolist()
     cam_pos = {c: k for k, c in enumerate(cam_ids)}
     obs = [(cam_pos[int(c)], pi, p.xy[k]) for pi, p in enumerate(active) for k, c in enumerate(p.cameras)]
     problem = ba_core.BAProblem(
-        rotations=np.array([motion.rotations[c] for c in cam_ids]),
-        centers=np.array([motion.centers[c] for c in cam_ids]),
+        rotations=motion.rotation.copy(),
+        centers=motion.center.copy(),
         intrinsics=np.array([[scene.cameras[c].focal, scene.cameras[c].cx, scene.cameras[c].cy] for c in cam_ids]),
         points=np.array([p.position for p in active]),
         cam_idx=np.array([o[0] for o in obs]),

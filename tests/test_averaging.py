@@ -15,9 +15,9 @@ from clustersfm.averaging import (
 )
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.evaluation import align_similarity
-from clustersfm.geometry import random_rotation, rotation_angle, so3_exp, so3_log
+from clustersfm.geometry import rotation_angle, so3_exp, so3_log
 from clustersfm.utils import component_labels
-from conftest import Motion, motion_table
+from conftest import Motion, global_motion, motion_table, random_rotation
 
 
 def motion(i, j, R, t, k=0, support=10):
@@ -38,16 +38,15 @@ def random_pair_graph(rng, n, m):
 
 
 def gauge_rotation_errors(est, gt):
-    """Per-camera angular error after aligning the rotation gauge."""
-    cams = sorted(est)
-    Q = gt[cams[0]].T @ est[cams[0]]
-    return [rotation_angle(est[c].T @ (gt[c] @ Q)) for c in cams]
+    """Per-camera angular error of a pose table after aligning the rotation gauge."""
+    Q = gt[est.cameras[0]].T @ est.rotation[0]
+    return [rotation_angle(R.T @ (gt[c] @ Q)) for c, R in zip(est.cameras.tolist(), est.rotation)]
 
 
 def test_identity_fixed_point():
     motions = [motion(i, i + 1, np.eye(3), np.array([1.0, 0, 0])) for i in range(5)]
     est = averaged(motions)
-    assert max(rotation_angle(R) for R in est.rotations.values()) == 0.0
+    assert rotation_angle(est.rotation).max() == 0.0
     assert est.final_median_residual < 1e-12
 
 
@@ -59,7 +58,7 @@ def test_rotation_noise_free_exact():
     motions = [motion(i, j, gt[j] @ gt[i].T, np.zeros(3), support=int(rng.integers(5, 50)))
                for (i, j) in pairs]
     est = averaged(motions)
-    assert max(gauge_rotation_errors(est.rotations, gt)) < 1e-6
+    assert max(gauge_rotation_errors(est, gt)) < 1e-6
 
 
 def test_rotation_gauge_invariance_of_residuals():
@@ -89,7 +88,7 @@ def test_rotation_robustness_quick():
             for (i, j) in pairs
         ]
         est = averaged(motions)
-        med = np.degrees(np.median(gauge_rotation_errors(est.rotations, gt)))
+        med = np.degrees(np.median(gauge_rotation_errors(est, gt)))
         wins += med < 2.0
     assert wins >= 4
 
@@ -102,11 +101,10 @@ def test_rotation_disconnected_components_reported():
         motion(3, 5, np.eye(3), np.zeros(3)),
     ]
     est = averaged(motions)
-    assert len(set(est.components.values())) == 2
     # each component is labelled by its smallest camera id, the gauge root
-    assert est.components == {0: 0, 1: 0, 3: 3, 4: 3, 5: 3}
-    assert rotation_angle(est.rotations[0]) < 1e-12
-    assert rotation_angle(est.rotations[3]) < 1e-12
+    assert est.cameras.tolist() == [0, 1, 3, 4, 5]
+    assert est.components.tolist() == [0, 0, 3, 3, 3]
+    assert rotation_angle(est.rotation[[0, 2]]).max() < 1e-12  # cameras 0 and 3
 
 
 def _spanning_tree_reference(roots, motions):
@@ -191,11 +189,11 @@ def test_rotation_averaging_matches_per_motion_reference_exactly():
     motions.append(motion(i, j, so3_exp(np.array([0.0, 0.0, np.pi - 1e-3])) @ gt[j] @ gt[i].T, np.zeros(3)))
     est = averaged(motions)
     rotations, iterations, final = _rotation_averaging_reference(motions)
-    assert len(set(est.components.values())) == 2
+    assert len(np.unique(est.components)) == 2
     assert 1 < est.iterations == iterations
-    assert sorted(est.rotations) == sorted(rotations)
-    for c, R in rotations.items():
-        assert np.array_equal(est.rotations[c], R)
+    assert est.cameras.tolist() == sorted(rotations)
+    for c, R in zip(est.cameras.tolist(), est.rotation):
+        assert np.array_equal(R, rotations[c])
     assert est.final_median_residual == float(np.median(final))
 
 
@@ -204,10 +202,10 @@ def test_translation_system_single_block():
     rng = np.random.default_rng(1)
     rot = {0: random_rotation(rng), 1: random_rotation(rng)}
     t = np.array([1.0, 2.0, -0.5])
-    sol = solve_translation_l1(motion_table([motion(0, 1, rot[1] @ rot[0].T, t)]), rot)
-    assert sol.scales == {0: 1.0} and sol.residual_norms.shape == (1,)
-    assert np.array_equal(sol.centers[0], np.zeros(3))
-    assert np.allclose(sol.centers[1], -rot[1].T @ t, atol=1e-12)
+    sol = solve_translation_l1(motion_table([motion(0, 1, rot[1] @ rot[0].T, t)]), global_motion(rot))
+    assert sol.clusters.tolist() == [0] and sol.scale.tolist() == [1.0] and sol.residual_norms.shape == (1,)
+    assert np.array_equal(sol.center[0], np.zeros(3))
+    assert np.allclose(sol.center[1], -rot[1].T @ t, atol=1e-12)
 
 
 def test_translation_system_duplicate_pair_two_blocks():
@@ -217,9 +215,9 @@ def test_translation_system_duplicate_pair_two_blocks():
         motion(0, 1, np.eye(3), np.array([1.0, 0, 0]), k=0),
         motion(0, 1, np.eye(3), np.array([2.0, 0, 0]), k=1),
     ]
-    sol = solve_translation_l1(motion_table(motions), rot)
+    sol = solve_translation_l1(motion_table(motions), global_motion(rot))
     assert sol.residual_norms.shape == (2,) and sol.residual_norms.max() < 1e-12
-    assert sol.scales[0] == 1.0 and abs(sol.scales[1] - 0.5) < 1e-12
+    assert sol.clusters.tolist() == [0, 1] and sol.scale[0] == 1.0 and abs(sol.scale[1] - 0.5) < 1e-12
 
 
 def test_translation_system_structural_counts():
@@ -230,13 +228,13 @@ def test_translation_system_structural_counts():
     pairs = random_pair_graph(rng, n, 60)
     motions = [motion(i, j, rot[j] @ rot[i].T, (k + 1) * rot[j] @ (centers[i] - centers[j]), k=k)
                for (i, j), k in zip(pairs, rng.integers(0, 3, len(pairs)).tolist())]
-    sol = solve_translation_l1(motion_table(motions), rot)
+    sol = solve_translation_l1(motion_table(motions), global_motion(rot))
     assert sol.residual_norms.shape == (len(motions),)
-    assert sorted(sol.scales) == sorted({m.k for m in motions})
-    assert sorted(sol.centers) == sorted(sol.rotations) == list(range(n))
+    assert sol.clusters.tolist() == sorted({m.k for m in motions}) and sol.scale.shape == sol.clusters.shape
+    assert sol.cameras.tolist() == list(range(n)) and sol.rotation.shape == (n, 3, 3) and sol.center.shape == (n, 3)
     i, j = pairs[5]
     with pytest.raises(DataError, match=f"^motion \\({i}, {j}\\) lacks a rotation estimate$"):
-        solve_translation_l1(motion_table(motions), {c: R for c, R in rot.items() if c != j})
+        solve_translation_l1(motion_table(motions), global_motion({c: R for c, R in rot.items() if c != j}))
 
 
 def _translation_reference(motions, rot):
@@ -306,24 +304,24 @@ def test_translation_matches_per_motion_reference_exactly():
                     for i in cams for j in cams if i < j]
     motions = [motions[q] for q in rng.permutation(len(motions))]
     rot = {c: so3_exp(rng.normal(scale=0.01, size=3)) @ R for c, R in gt_R.items()}
-    sol = solve_translation_l1(motion_table(motions), rot)
+    sol = solve_translation_l1(motion_table(motions), global_motion(rot))
     scales, centers, norms, objective, iterations = _translation_reference(motions, rot)
-    assert sol.scales == scales and len(scales) == 4
-    assert sorted(sol.centers) == sorted(centers) == list(range(14))
+    assert dict(zip(sol.clusters.tolist(), sol.scale.tolist())) == scales and len(scales) == 4
+    assert sol.cameras.tolist() == sorted(centers) == list(range(14))
     for c, center in centers.items():
-        assert np.array_equal(sol.centers[c], center)
+        assert np.array_equal(sol.center[c], center)
     assert np.array_equal(sol.residual_norms, norms) and norms.max() > 0
     assert sol.objective == objective and sol.iterations == iterations > 1
-    assert all(sol.rotations[c] is rot[c] for c in range(14))
+    assert np.array_equal(sol.rotation, [rot[c] for c in range(14)])
 
 
 def test_translation_two_camera_identity():
     rot = {0: np.eye(3), 1: np.eye(3)}
     table = motion_table([motion(0, 1, np.eye(3), np.array([1.0, 0, 0]))])
-    sol = solve_translation_l1(table, rot)
-    assert np.allclose(sol.centers[0], 0)
-    assert np.allclose(sol.centers[1], [-1.0, 0.0, 0.0], atol=1e-12)
-    assert sol.scales == {0: 1.0}
+    sol = solve_translation_l1(table, global_motion(rot))
+    assert np.allclose(sol.center[0], 0)
+    assert np.allclose(sol.center[1], [-1.0, 0.0, 0.0], atol=1e-12)
+    assert sol.clusters.tolist() == [0] and sol.scale.tolist() == [1.0]
 
 
 @pytest.fixture(scope="module")
@@ -352,14 +350,14 @@ def five_cluster_problem():
 def test_translation_noise_free_scale_recovery(five_cluster_problem):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
     table = motion_table(motions)
-    sol = solve_translation_l1(table, rotation_averaging(table).rotations)
+    sol = solve_translation_l1(table, rotation_averaging(table))
     expect = np.array([1.0 / s for s in gt_scales])
     expect /= expect[0]
-    got = np.array([sol.scales[k] for k in range(5)])
-    assert np.abs(got - expect).max() < 1e-8
+    assert sol.clusters.tolist() == list(range(5))
+    assert np.abs(sol.scale - expect).max() < 1e-8
     # centers match the ground truth after similarity alignment
-    cams = sorted(sol.centers)
-    est_c = np.array([sol.centers[c] for c in cams])
+    cams = sol.cameras
+    est_c = sol.center
     s, R, t = align_similarity(est_c, gt_c[cams])
     rmse = np.sqrt(((s * est_c @ R.T + t - gt_c[cams]) ** 2).sum(axis=1).mean())
     diam = np.linalg.norm(gt_c[:, None] - gt_c[None], axis=-1).max()
@@ -367,9 +365,9 @@ def test_translation_noise_free_scale_recovery(five_cluster_problem):
     # Eq. residual identity on noise-free input
     assert sol.residual_norms.max() < 1e-8
     # gauge contract
-    assert np.allclose(sol.centers[0], 0.0)
-    assert sol.scales[0] == 1.0
-    assert all(a > 0 for a in sol.scales.values())
+    assert sol.cameras[0] == 0 and np.allclose(sol.center[0], 0.0)
+    assert sol.scale[0] == 1.0
+    assert (sol.scale > 0).all()
 
 
 def test_l1_beats_l2_with_outliers():
@@ -391,11 +389,12 @@ def test_l1_beats_l2_with_outliers():
         table = motion_table(motions)
 
         def med(sol):
-            est = np.array([sol.centers[c] for c in range(n)])
-            s, R, tt = align_similarity(est, gt_c)
-            return np.median(np.linalg.norm(s * est @ R.T + tt - gt_c, axis=1))
+            assert sol.cameras.tolist() == list(range(n))
+            s, R, tt = align_similarity(sol.center, gt_c)
+            return np.median(np.linalg.norm(s * sol.center @ R.T + tt - gt_c, axis=1))
 
-        wins += med(solve_translation_l1(table, gt_R)) < med(solve_translation_l1(table, gt_R, max_iterations=1))
+        rot = global_motion(gt_R)
+        wins += med(solve_translation_l1(table, rot)) < med(solve_translation_l1(table, rot, max_iterations=1))
     assert wins == 5
 
 
@@ -412,8 +411,8 @@ def test_collinear_motion_well_posed():
             for j in range(i + 1, hi):
                 motions.append(motion(i, j, np.eye(3), s * (gt_c[i] - gt_c[j]), k=k))
     table = motion_table(motions)
-    sol = solve_translation_l1(table, rot)
-    est = np.array([sol.centers[c] for c in range(n)])
+    sol = solve_translation_l1(table, global_motion(rot))
+    est = sol.center
     scale = gt_c[-1, 0] / est[-1, 0]
     assert np.abs(scale * est - gt_c).max() < 1e-8
 
@@ -428,8 +427,13 @@ def test_degenerate_scale_raises():
         motion(1, 2, np.eye(3), np.array([1.0, 0, 0]), k=0),
     ]
     table = motion_table(motions)
-    with pytest.raises(NumericalError):
-        solve_translation_l1(table, rot)
+    with pytest.raises(NumericalError, match=r"^translation system under-constrained: cameras \[1, 2, 3\], "
+                                             r"clusters \[1\]$"):
+        solve_translation_l1(table, global_motion(rot))
+    # cluster 1 sees the pair of cluster 0 the other way round: its scale is -1
+    flipped = [motion(0, 1, np.eye(3), np.array([s, 0, 0]), k=k) for k, s in ((0, 1.0), (1, -1.0))]
+    with pytest.raises(NumericalError, match=r"^degenerate scale for cluster\(s\) \[1\]$"):
+        solve_translation_l1(motion_table(flipped), global_motion(rot))
 
 
 def test_objective_monotone_under_irls(five_cluster_problem):
@@ -441,10 +445,10 @@ def test_objective_monotone_under_irls(five_cluster_problem):
         noisy.append(motion(m.i, m.j, m.R, t, k=m.k))
     table = motion_table(noisy)
     est = rotation_averaging(table)
-    sol = solve_translation_l1(table, est.rotations)
+    sol = solve_translation_l1(table, est)
     # the L2 start (the first, unit-weight iterate) can only improve under
     # accepted IRLS iterations
-    l2 = solve_translation_l1(table, est.rotations, max_iterations=1)
+    l2 = solve_translation_l1(table, est, max_iterations=1)
     assert sol.objective <= l2.objective + 1e-9
 
 
@@ -455,11 +459,11 @@ def test_translation_cap_warning(five_cluster_problem, caplog):
              for m in motions]
     table = motion_table(noisy)
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l2 = solve_translation_l1(table, gt_R, max_iterations=1)
+        l2 = solve_translation_l1(table, global_motion(gt_R), max_iterations=1)
     assert l2.iterations == 1 and "stopped at its cap of 1 iterations" in caplog.text
     caplog.clear()
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l1 = solve_translation_l1(table, gt_R, max_iterations=2)
+        l1 = solve_translation_l1(table, global_motion(gt_R), max_iterations=2)
     assert l1.iterations == 2 and "stopped at its cap of 2 iterations" in caplog.text
     assert l1.objective < l2.objective
 
@@ -481,15 +485,15 @@ def noisy_loop_motions(seed, n=60, clusters=4, overlap=6, sigma=0.02):
                 i, j = sorted((cams[a], cams[b]))
                 t = scale * (gt_R[j] @ (gt_c[i] - gt_c[j])) + rng.normal(0, sigma, 3)
                 motions.append(motion(i, j, gt_R[j] @ gt_R[i].T, t, k=k))
-    return motion_table(motions), gt_R
+    return motion_table(motions), global_motion(gt_R)
 
 
 def test_translation_l1_stops_near_its_converged_objective(caplog):
     for seed in range(3):
-        table, gt_R = noisy_loop_motions(seed)
+        table, rot = noisy_loop_motions(seed)
         caplog.clear()
-        sol = solve_translation_l1(table, gt_R)
+        sol = solve_translation_l1(table, rot)
         assert sol.iterations < L1_MAX_ITERATIONS // 4 and "cap" not in caplog.text, seed
         # no relative stop: the IRLS runs until an iterate fails to improve, or to its cap
-        converged = solve_translation_l1(table, gt_R, relative_tol=0.0)
+        converged = solve_translation_l1(table, rot, relative_tol=0.0)
         assert sol.objective - converged.objective <= 1e-3 * converged.objective, seed

@@ -14,6 +14,11 @@ from clustersfm.scene import build_camera_graph
 from conftest import geometric_graph, match_table, weighted_edge
 
 
+def depth(node) -> int:
+    """Edges on the longest path from a cluster tree node down to a leaf."""
+    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+
 def test_bisect_weighted_path_exhaustive_minimum():
     # exhaustive check over all 7 bipartitions of {0,1,2,3} says {0,1}|{2,3}
     g = build_camera_graph(
@@ -40,7 +45,7 @@ def test_bisect_k4_balanced_tie_break():
 def test_divide_single_leaf():
     g = build_camera_graph(match_table([weighted_edge(0, 1, 3), weighted_edge(1, 2, 3), weighted_edge(2, 3, 3)]), 4)
     leaves, tree, discarded = divide(g, 100)
-    assert len(leaves) == 1 and discarded == [] and tree.depth() == 0
+    assert len(leaves) == 1 and discarded == [] and depth(tree.root) == 0
 
 
 def test_divide_path_of_eight():

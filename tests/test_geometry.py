@@ -5,7 +5,6 @@ from clustersfm.geometry import (
     angle_between,
     decompose_essential,
     eight_point_essential,
-    random_rotation,
     ransac,
     resect_linear,
     rotation_angle,
@@ -16,6 +15,7 @@ from clustersfm.geometry import (
     triangulate_linear,
     triangulation_status,
 )
+from conftest import random_rotation
 
 
 def project_to_so3(M):

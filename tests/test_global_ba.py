@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from clustersfm import ba_core
-from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.global_ba import (
     ROUND_RELATIVE_TOL,
@@ -15,17 +14,13 @@ from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.geometry import so3_exp
 from clustersfm.io import load_global_points, save_global_points
-from conftest import track_rows, track_table
+from conftest import global_motion, track_rows, track_table
 
 
-def gt_motion(scene):
-    return GlobalMotion(
-        rotations={c: scene.poses[c].R.copy() for c in range(scene.num_cameras)},
-        centers={c: scene.poses[c].c.copy() for c in range(scene.num_cameras)},
-        scales={0: 1.0},
-        residual_norms=np.zeros(0),
-        objective=0.0,
-    )
+def gt_motion(scene, unposed=()):
+    """The ground-truth poses of the scene's cameras but those in unposed."""
+    cams = [c for c in range(scene.num_cameras) if c not in unposed]
+    return global_motion({c: scene.poses[c].R for c in cams}, {c: scene.poses[c].c for c in cams}, {0: 1.0})
 
 
 def tracks_from_scene(scene, noise=0.0, seed=0):
@@ -76,9 +71,7 @@ def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
     from types import SimpleNamespace
 
     scene = loop24[0]
-    motion = gt_motion(scene)
-    for c in (3, 10):
-        del motion.rotations[c], motion.centers[c]
+    motion = gt_motion(scene, unposed=(3, 10))
     # clusters of two cameras and four cameras in none, so ties are common
     cluster_of = {c: c // 2 for c in range(20)}
     made = {
@@ -94,7 +87,7 @@ def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
                                 scene.cameras)
     assert len(points) == len(tracks)
     for (t, cams, _, xy), p in zip(track_rows(tracks), points):
-        keep = [k for k, c in enumerate(cams.tolist()) if c in motion.centers]
+        keep = [k for k, c in enumerate(cams.tolist()) if c in motion.cameras]
         counts = Counter(cluster_of[c] for c in cams[keep].tolist() if c in cluster_of)
         owner = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
         assert (p.track_id, p.cluster_id, p.cameras.tolist(), p.xy.tolist()) == \
@@ -148,8 +141,7 @@ def test_partition_structure(loop24):
 def test_point_camera_the_motion_does_not_pose_is_a_data_error(loop24):
     scene, matches, graph, cs = loop24
     points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
-    motion = gt_motion(scene)
-    del motion.rotations[3], motion.centers[3]  # posed when the points were triangulated, not now
+    motion = gt_motion(scene, unposed=(3,))  # posed when the points were triangulated, not now
     partitions = build_partitions(points, cs, motion)
     with pytest.raises(DataError, match="^point camera 3 is not posed by the global motion$"):
         distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
@@ -171,9 +163,10 @@ def test_global_cost_non_increasing(loop24):
     scene, matches, graph, cs = loop24
     rng = np.random.default_rng(4)
     motion = gt_motion(scene)
-    for c in list(motion.centers)[1:]:
-        motion.rotations[c] = so3_exp(rng.normal(size=3) * 0.002) @ motion.rotations[c]
-        motion.centers[c] = motion.centers[c] + rng.normal(size=3) * 0.02
+    for k in range(1, len(motion.cameras)):
+        motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.002) @ motion.rotation[k]
+        motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.02
+    before = motion.rotation.copy(), motion.center.copy()
     points = triangulate_global(tracks_from_scene(scene), motion, cs, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     final, out_points, log = distributed_bundle_adjust(
@@ -182,6 +175,10 @@ def test_global_cost_non_increasing(loop24):
     costs = [entry.cost for entry in log]
     assert all(b <= a + 1e-9 * max(a, 1.0) for a, b in zip(costs, costs[1:]))
     assert costs[-1] < costs[0]
+    # the result is a new pose table over the same cameras; the input keeps its poses
+    assert np.array_equal(final.cameras, motion.cameras) and not np.array_equal(final.center, motion.center)
+    assert np.array_equal(motion.rotation, before[0]) and np.array_equal(motion.center, before[1])
+    assert np.array_equal(final.clusters, motion.clusters) and np.array_equal(final.scale, motion.scale)
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +190,9 @@ def orbit_perturbed(orbit_scene_small):
     cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=6, completeness_ratio=0.0, seed=1))
     rng = np.random.default_rng(4)
     motion = gt_motion(scene)
-    for c in list(motion.centers)[1:]:
-        motion.rotations[c] = so3_exp(rng.normal(size=3) * 0.0005) @ motion.rotations[c]
-        motion.centers[c] = motion.centers[c] + rng.normal(size=3) * 0.005
+    for k in range(1, len(motion.cameras)):
+        motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.0005) @ motion.rotation[k]
+        motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.005
     points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, cs, scene.cameras)
     return scene, motion, points, build_partitions(points, cs, motion)
 
@@ -226,8 +223,8 @@ def test_single_partition_matches_monolithic():
     assert len(cs.independent) == 1
     rng = np.random.default_rng(2)
     motion = gt_motion(scene)
-    for c in list(motion.centers)[1:]:
-        motion.centers[c] = motion.centers[c] + rng.normal(size=3) * 0.01
+    for k in range(1, len(motion.cameras)):
+        motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.01
     tracks = tracks_from_scene(scene, noise=0.4, seed=1)
     points = triangulate_global(tracks, motion, cs, scene.cameras)
     partitions = build_partitions(points, cs, motion)
@@ -238,7 +235,7 @@ def test_single_partition_matches_monolithic():
 
     # monolithic oracle: one LM over the identical problem
     active = [p for p in points if p.active]
-    cam_ids = sorted(motion.centers)
+    cam_ids = motion.cameras.tolist()
     cam_pos = {c: k for k, c in enumerate(cam_ids)}
     obs_cam, obs_pt, obs_xy = [], [], []
     for pi, p in enumerate(active):
@@ -247,8 +244,8 @@ def test_single_partition_matches_monolithic():
             obs_pt.append(pi)
             obs_xy.append(p.xy[k])
     problem = ba_core.BAProblem(
-        rotations=np.array([motion.rotations[c] for c in cam_ids]),
-        centers=np.array([motion.centers[c] for c in cam_ids]),
+        rotations=motion.rotation.copy(),
+        centers=motion.center.copy(),
         intrinsics=np.array([[scene.cameras[c].focal, scene.cameras[c].cx, scene.cameras[c].cy] for c in cam_ids]),
         points=np.array([p.position for p in active]),
         cam_idx=np.array(obs_cam),
@@ -269,9 +266,9 @@ def test_non_finite_residuals_raise(loop24):
     p = next(p for p in points if p.active)
     # mirror the point through its first camera's center: behind that camera
     c = int(p.cameras[0])
-    p.position = 2.0 * motion.centers[c] - p.position
+    p.position = 2.0 * motion.center[c] - p.position  # camera c at row c: every camera is posed
     behind = sum(
-        (motion.rotations[int(k)] @ (p.position - motion.centers[int(k)]))[2] <= 1e-12
+        (motion.rotation[k] @ (p.position - motion.center[k]))[2] <= 1e-12
         for k in p.cameras
     )
     assert behind >= 1
@@ -299,8 +296,7 @@ def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, 
     xy = np.array(xy)
     xy[perturbed, 0] += 30.0
     track = track_table([(0, np.arange(3), np.arange(3), xy)])
-    motion = GlobalMotion(rotations=rotations, centers=centers, scales={0: 1.0},
-                          residual_norms=np.zeros(0), objective=0.0)
+    motion = global_motion(rotations, centers, {0: 1.0})
     cluster_set = SimpleNamespace(independent_cluster_of=lambda: {0: 0, 1: 0, 2: 0})
     [point] = triangulate_global(track, motion, cluster_set, cameras)
     assert point.status == expected and point.position is None

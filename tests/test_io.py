@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from clustersfm import io as sfm_io
-from clustersfm.averaging import GlobalMotion
 from clustersfm.clustering import ClusterConfig, cluster_cameras
 from clustersfm.errors import DataError
 from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
-from conftest import geometric_graph, motion_table, track_table
+from conftest import geometric_graph, global_motion, motion_table, random_rotation, track_table
 
 
 def test_match_graph_roundtrip(tmp_path):
@@ -94,7 +93,6 @@ def test_cluster_set_cameras_checked_against_match_graph(tmp_path):
 def _motions():
     """Three motions: pair (0, 1) measured by clusters 2 and 0, and (1, 4)."""
     rng = np.random.default_rng(0)
-    from clustersfm.geometry import random_rotation
 
     return motion_table([(0, 1, 2, random_rotation(rng), rng.normal(size=3), 17),
                          (1, 4, 2, random_rotation(rng), rng.normal(size=3), 0),
@@ -105,7 +103,7 @@ def test_relative_motions_roundtrip(tmp_path, small_run):
     path = tmp_path / "motions.json"
     for motions in (_motions(), motion_table([])):
         sfm_io.save_relative_motions(path, motions)
-        loaded = sfm_io.load_relative_motions(path)
+        loaded = sfm_io.load_relative_motions(path, 5)
         assert len(loaded) == len(motions)
         for name in ("pairs", "cluster", "rotation", "translation", "support"):
             assert np.array_equal(getattr(loaded, name), getattr(motions, name)), name
@@ -117,23 +115,25 @@ def test_relative_motions_roundtrip(tmp_path, small_run):
     out, _, _ = small_run
     artifact = out / "relative_motions.json"
     assert set(json.loads(artifact.read_text())[0]) == {"i", "j", "k", "R", "t", "support"}
-    sfm_io.save_relative_motions(path, sfm_io.load_relative_motions(artifact))
+    num_cameras = len(sfm_io.load_cameras(out / "matches.json"))
+    sfm_io.save_relative_motions(path, sfm_io.load_relative_motions(artifact, num_cameras))
     assert path.read_bytes() == artifact.read_bytes()
 
 
 def _local_reconstructions():
     """A reconstructed cluster, a failed one and one with poses but no tracks."""
     rng = np.random.default_rng(4)
-    from clustersfm.geometry import random_rotation
 
     rec = LocalReconstruction(cluster_id=3, seed_pair=(0, 4), mean_reprojection=1 / 3)
-    rec.rotations = {c: random_rotation(rng) for c in (4, 0, 7)}
-    rec.centers = {c: rng.normal(size=3) for c in (0, 4, 7)}
+    rotations = {c: random_rotation(rng) for c in (4, 0, 7)}
+    rec.registered, rec.rotation = np.array([0, 4, 7]), np.array([rotations[c] for c in (0, 4, 7)])
+    rec.center = rng.normal(size=(3, 3))
     rec.point_tracks, rec.positions = np.array([9, 5, 12]), rng.normal(size=(3, 3))
     rec.obs_tracks, rec.obs_cameras = np.array([9, 9, 5, 5, 5, 12, 12]), np.array([0, 7, 0, 4, 7, 4, 7])
     rec.obs_xy = rng.normal(size=(7, 2)) * 1e3
-    empty = LocalReconstruction(cluster_id=5, seed_pair=(2, 3))
-    empty.rotations, empty.centers = {2: np.eye(3), 3: np.eye(3)}, {2: np.zeros(3), 3: np.array([1e-300, 0, -0.0])}
+    empty = LocalReconstruction(cluster_id=5, seed_pair=(2, 3), registered=np.array([2, 3]),
+                                rotation=np.array([np.eye(3), np.eye(3)]),
+                                center=np.array([np.zeros(3), [1e-300, 0, -0.0]]))
     return [rec, LocalReconstruction(cluster_id=4, failed=True), empty]
 
 
@@ -146,15 +146,13 @@ def test_local_reconstructions_roundtrip(tmp_path):
         assert len(loaded) == len(recs)
         for a, b in zip(recs, loaded):
             assert (a.cluster_id, a.seed_pair, a.failed) == (b.cluster_id, b.seed_pair, b.failed)
-            assert a.registered == b.registered and type(b.cluster_id) is int
+            assert type(b.cluster_id) is int
             assert np.array_equal(a.mean_reprojection, b.mean_reprojection, equal_nan=True)  # NaN if failed
-            for c in a.registered:
-                assert np.array_equal(a.rotations[c], b.rotations[c]) and np.array_equal(a.centers[c], b.centers[c])
-            for name in ("point_tracks", "positions", "obs_tracks", "obs_cameras", "obs_xy"):
+            ints = ("registered", "point_tracks", "obs_tracks", "obs_cameras")
+            for name in ints + ("rotation", "center", "positions", "obs_xy"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
                 assert getattr(b, name).shape == getattr(a, name).shape, name
-                assert getattr(b, name).dtype == (np.int64 if name in ("point_tracks", "obs_tracks", "obs_cameras")
-                                                  else np.float64), name
+                assert getattr(b, name).dtype == (np.int64 if name in ints else np.float64), name
 
 
 _FIRST_TRACK = (0, [0, 3], [7, 2], [[1.5, 2.5], [-3.0, 1e-300]])
@@ -175,18 +173,24 @@ def test_tracks_roundtrip_exact(tmp_path):
             assert np.array_equal(a, b) and b.shape == a.shape and b.dtype == a.dtype, name
 
 
-def test_global_motion_and_points_roundtrip(tmp_path):
-    motion = GlobalMotion(
-        rotations={0: np.eye(3), 1: np.eye(3)},
-        centers={0: np.zeros(3), 1: np.array([1.0, 0, 0])},
-        scales={0: 1.0, 1: 2.5},
-        residual_norms=np.array([0.1, 0.2]),
-        objective=0.3,
-    )
-    sfm_io.save_global_motion(tmp_path / "gm.json", motion)
-    loaded = sfm_io.load_global_motion(tmp_path / "gm.json", 2)
-    assert loaded.scales == {0: 1.0, 1: 2.5}
-    assert np.allclose(loaded.centers[1], [1, 0, 0])
+def test_global_motion_and_points_roundtrip(tmp_path, small_run):
+    rng = np.random.default_rng(2)
+    motion = global_motion({0: np.eye(3), 1: random_rotation(rng), 4: np.eye(3)},
+                           {0: np.zeros(3), 1: np.array([1.0, 0, 1e-300]), 4: rng.normal(size=3)},
+                           {0: 1.0, 1: 2.5, 3: 1 / 3}, residual_norms=[0.1, 0.2], objective=0.3)
+    for saved in (motion, global_motion({})):
+        sfm_io.save_global_motion(tmp_path / "gm.json", saved)
+        loaded = sfm_io.load_global_motion(tmp_path / "gm.json", 5)
+        for name in ("cameras", "rotation", "center", "clusters", "scale", "residual_norms"):
+            a, b = getattr(saved, name), getattr(loaded, name)
+            assert np.array_equal(a, b) and b.shape == a.shape and b.dtype == a.dtype, name
+        assert loaded.objective == saved.objective
+    # a pipeline artifact saves back to the same bytes
+    out = small_run[0]
+    artifact = out / "final_motion.json"
+    sfm_io.save_global_motion(tmp_path / "gm.json",
+                              sfm_io.load_global_motion(artifact, len(sfm_io.load_cameras(out / "matches.json"))))
+    assert (tmp_path / "gm.json").read_bytes() == artifact.read_bytes()
 
     points = [
         GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]), cluster_id=0,
@@ -373,16 +377,40 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match="camera id -1"):
         sfm_io.load_ground_truth(path)
-    motion = GlobalMotion(rotations={0: np.eye(3), 5: np.eye(3)}, centers={0: np.zeros(3), 5: np.ones(3)},
-                          scales={0: 1.0}, residual_norms=np.zeros(1), objective=0.0)
+    motion = global_motion({0: np.eye(3), 5: np.eye(3)}, {0: np.zeros(3), 5: np.ones(3)}, {0: 1.0, 2: 0.5},
+                           residual_norms=np.zeros(1))
     sfm_io.save_global_motion(path, motion)
-    assert sorted(sfm_io.load_global_motion(path, 6).centers) == [0, 5]
-    data = json.loads(path.read_text())
+    assert sfm_io.load_global_motion(path, 6).cameras.tolist() == [0, 5]
+    good = json.loads(path.read_text())
     for camera in (999, -1, 6):  # -1 would take the last camera's intrinsics
+        data = json.loads(json.dumps(good))
         data["cameras"][1]["id"] = camera
         path.write_text(json.dumps(data))
         with pytest.raises(DataError, match=f"^{path}: motion camera {camera} is not in the match graph's 0..5$"):
             sfm_io.load_global_motion(path, 6)
+    nan, inf = float("nan"), float("inf")
+    for change, message in (
+        (lambda d: d["cameras"][1].update(id=0), "motion camera 0 follows camera 0: the ids must rise strictly"),
+        (lambda d: d["cameras"].reverse(), "motion camera 0 follows camera 5: the ids must rise strictly"),
+        (lambda d: d["cameras"][1].update(R=[nan] * 9), "motion camera 5: R or c is not finite"),
+        (lambda d: d["cameras"][0].update(c=[0.0, inf, 0.0]), "motion camera 0: R or c is not finite"),
+        (lambda d: d["scales"][1].update(clusterId=0), "the scales repeat cluster 0"),
+        (lambda d: d["scales"][1].update(clusterId=0.5), "a clusterId of the scales is not an integer"),
+        (lambda d: d["cameras"][0].update(R=[1.0] * 8), "malformed"),
+    ):
+        data = json.loads(json.dumps(good))
+        change(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            sfm_io.load_global_motion(path, 6)
+    sfm_io.save_local_reconstructions(path, _local_reconstructions())
+    good = json.loads(path.read_text())
+    for registered in ([0, 0, 7], [4, 0, 7]):  # a repeated camera, cameras out of order
+        data = json.loads(json.dumps(good))
+        data["clusters"][0]["registered"] = registered
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: cluster 3: the registered cameras do not rise strictly$"):
+            sfm_io.load_local_reconstructions(path)
     sfm_io.save_relative_motions(path, _motions())
     good = json.loads(path.read_text())
     for q, key, value, message in (
@@ -395,6 +423,8 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         (2, "R", [float("nan")] * 9, "motion 2 \\(0, 1\\) in cluster 0: R or t is not finite"),
         (1, "t", [0.0, float("inf"), 0.0], "motion 1 \\(1, 4\\) in cluster 2: R or t is not finite"),
         (2, "k", 2, "motion 2 \\(0, 1\\) in cluster 2: its cluster measures this pair twice"),
+        (1, "j", 5, "motion 1 \\(1, 5\\) in cluster 2: a camera is not in the match graph's 0..4"),  # the first past
+        (0, "j", 999, "motion 0 \\(0, 999\\) in cluster 2: a camera is not in the match graph's 0..4"),
         (0, "R", [1.0] * 8, "malformed"),
         (0, "support", None, ".*support"),  # a missing key is named
     ):
@@ -402,4 +432,4 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         data[q][key] = value
         path.write_text(json.dumps([{k: v for k, v in m.items() if v is not None} for m in data]))
         with pytest.raises(DataError, match=f"^{path}: {message}"):
-            sfm_io.load_relative_motions(path)
+            sfm_io.load_relative_motions(path, 5)

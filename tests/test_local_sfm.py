@@ -11,7 +11,6 @@ from clustersfm.geometry import (
     MAX_REPROJECTION_PX,
     angle_between,
     projection_matrix,
-    random_rotation,
     rotation_angle,
 )
 from clustersfm.local_sfm import (
@@ -34,7 +33,7 @@ from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import seeded_rng
-from conftest import motion_rows, track_rows, track_table
+from conftest import motion_rows, random_rotation, track_rows, track_table
 
 SEED = 11
 
@@ -237,26 +236,31 @@ def orbit_run(orbit_scene_small):
     return scene, matches, graph, tracks, rec
 
 
+def diameter(scene) -> float:
+    """Max pairwise distance between camera centers."""
+    c = np.array([p.c for p in scene.poses])
+    return float(np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1).max())
+
+
 def test_run_local_sfm_noise_free_all_registered(orbit_run):
     scene, _, graph, _, rec = orbit_run
     assert not rec.failed
-    assert len(rec.rotations) == scene.num_cameras
-    est = np.array([rec.centers[c] for c in sorted(rec.rotations)])
-    gt = np.array([scene.poses[c].c for c in sorted(rec.rotations)])
+    assert rec.registered.tolist() == list(range(scene.num_cameras)) and rec.registered.dtype == np.int64
+    assert rec.rotation.shape == (scene.num_cameras, 3, 3) and rec.center.shape == (scene.num_cameras, 3)
+    est = rec.center
+    gt = np.array([scene.poses[c].c for c in rec.registered.tolist()])
     s, R, t = align_similarity(est, gt)
     aligned = s * est @ R.T + t
     rmse = np.sqrt(((aligned - gt) ** 2).sum(axis=1).mean())
-    assert rmse < 1e-6 * scene.diameter()
+    assert rmse < 1e-6 * diameter(scene)
 
 
 def test_run_local_sfm_deterministic(orbit_run):
     scene, matches, graph, tracks, rec = orbit_run
     cluster = Cluster(id=0, cameras=tuple(range(scene.num_cameras)))
     rec2 = run_local_sfm(graph, cluster, tracks, scene.cameras, SEED)
-    assert sorted(rec.rotations) == sorted(rec2.rotations)
-    for c in rec.rotations:
-        assert np.array_equal(rec.rotations[c], rec2.rotations[c])
-        assert np.array_equal(rec.centers[c], rec2.centers[c])
+    for name in ("registered", "rotation", "center"):
+        assert np.array_equal(getattr(rec, name), getattr(rec2, name)), name
 
 
 def test_two_camera_cluster_is_seed_only(orbit_scene_small):
@@ -266,14 +270,13 @@ def test_two_camera_cluster_is_seed_only(orbit_scene_small):
     sub = matches.take((matches.edges == (0, 1)).all(axis=1))
     tracks = generate_tracks(tree, sub)
     rec = run_local_sfm(graph, Cluster(id=0, cameras=(0, 1)), tracks, scene.cameras, SEED)
-    assert sorted(rec.rotations) == [0, 1]
+    assert rec.registered.tolist() == [0, 1]
     assert rec.seed_pair == (0, 1)
 
 
 def test_extract_relative_motions_identity_example():
-    rec = LocalReconstruction(cluster_id=0)
-    rec.rotations = {0: np.eye(3), 1: np.eye(3)}
-    rec.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
+    rec = LocalReconstruction(cluster_id=0, registered=np.array([0, 1]), rotation=np.stack([np.eye(3), np.eye(3)]),
+                              center=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     rec.point_tracks, rec.positions = np.array([0]), np.zeros((1, 3))
     rec.obs_tracks, rec.obs_cameras, rec.obs_xy = np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2))
     from conftest import match_table, weighted_edge
@@ -281,13 +284,13 @@ def test_extract_relative_motions_identity_example():
     graph = build_camera_graph(match_table([weighted_edge(0, 1, 5)]), 2)
     # the same pair measured again by cluster 7, at twice the scale, after a
     # failed cluster that adds nothing
-    twice = dataclasses.replace(rec, cluster_id=7, centers={0: np.zeros(3), 1: np.array([2.0, 0.0, 0.0])})
+    twice = dataclasses.replace(rec, cluster_id=7, center=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     motions = extract_relative_motions([rec, LocalReconstruction(cluster_id=4, failed=True), twice], graph)
     assert len(motions) == 2 and motions.pairs.tolist() == [[0, 1], [0, 1]] and motions.cluster.tolist() == [0, 7]
     assert np.array_equal(motions.rotation, np.stack([np.eye(3), np.eye(3)]))
     assert np.array_equal(motions.translation, [[-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
     assert motions.support.tolist() == [1, 1]
-    motions.check()
+    motions.check(2)
     empty = extract_relative_motions([LocalReconstruction(cluster_id=4, failed=True)], graph)
     assert len(empty) == 0 and empty.pairs.shape == (0, 2) and empty.rotation.shape == (0, 3, 3)
 
@@ -300,11 +303,8 @@ def test_extract_relative_motions_similarity_gauge(orbit_run):
     s = rng.uniform(0.3, 3.0)
     Q = random_rotation(rng)
     d = rng.normal(size=3)
-    moved = LocalReconstruction(cluster_id=0)
-    moved.rotations = {c: rec.rotations[c] @ Q.T for c in rec.rotations}
-    moved.centers = {c: s * (Q @ rec.centers[c]) + d for c in rec.centers}
-    moved.point_tracks, moved.positions = rec.point_tracks, rec.positions
-    moved.obs_tracks, moved.obs_cameras, moved.obs_xy = rec.obs_tracks, rec.obs_cameras, rec.obs_xy
+    moved = dataclasses.replace(rec, rotation=np.array([R @ Q.T for R in rec.rotation]),
+                                center=np.array([s * (Q @ c) + d for c in rec.center]))
     for m0, m1 in zip(base, motion_rows(extract_relative_motions([moved], graph))):
         # arccos cannot resolve equality below ~1.5e-8 rad
         assert rotation_angle(m0.R @ m1.R.T) < 1e-7
@@ -318,13 +318,14 @@ def test_support_counts_shared_inlier_tracks(orbit_run):
     for t, c in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist()):
         tracks_of.setdefault(c, set()).add(t)
     motions = motion_rows(extract_relative_motions([rec], graph))
-    assert [(m.i, m.j) for m in motions] == graph.induced_edges(rec.registered)
+    assert [(m.i, m.j) for m in motions] == graph.induced_edges(rec.registered.tolist())
+    row = {c: k for k, c in enumerate(rec.registered.tolist())}
     for m in motions:
         assert m.support == len(tracks_of.get(m.i, set()) & tracks_of.get(m.j, set()))
         # the stacked products are the per-motion ones, bit for bit
-        R_i, R_j = rec.rotations[m.i], rec.rotations[m.j]
+        R_i, R_j = rec.rotation[row[m.i]], rec.rotation[row[m.j]]
         assert np.array_equal(m.R, R_j @ R_i.T)
-        assert np.array_equal(m.t, R_j @ (rec.centers[m.i] - rec.centers[m.j]))
+        assert np.array_equal(m.t, R_j @ (rec.center[row[m.i]] - rec.center[row[m.j]]))
     assert sum(m.support > 0 for m in motions) > len(motions) // 2
 
 
@@ -369,7 +370,7 @@ def test_run_local_sfm_noisy_monte_carlo():
     tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(50)), leaf_id=0))
     tracks = generate_tracks(tree, matches)
     rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, SEED)
-    assert len(rec.rotations) >= 48
+    assert len(rec.registered) >= 48
     assert rec.mean_reprojection < 1.0
 
 

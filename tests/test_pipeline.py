@@ -298,6 +298,49 @@ def test_cli_bad_relative_motion_exit_code(small_run, tmp_path, capsys):
     assert cli_main(["average", "--output-dir", str(tmp_path)]) == 3
     _one_line_data_error(capsys, "average", f"motion {len(original)} ({i}, {j}) in cluster {k}: "
                                             "its cluster measures this pair twice")
+    for camera in (SMALL["num_cameras"], 999):  # still i < j, but past the match graph's last camera
+        path.write_text(json.dumps([dict(first, j=camera), *original[1:]]))
+        for stage in ("average", "evaluate"):
+            assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (camera, stage)
+            _one_line_data_error(capsys, stage, "relative_motions.json",
+                                 f"motion 0 ({i}, {camera}) in cluster {k}: a camera is not in the match graph's 0..17")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_bad_pose_table_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    nan, inf = float("nan"), float("inf")
+    for name, stages in (("global_motion.json", ("triangulate", "ba")), ("final_motion.json", ("evaluate",))):
+        path = tmp_path / name
+        original = path.read_text()
+        first, second = json.loads(original)["cameras"][:2]
+        cluster = json.loads(original)["scales"][0]["clusterId"]
+        for change, message in (
+            (lambda d: d["cameras"][1].update(id=first["id"]),  # the last entry of an id would win
+             f"motion camera {first['id']} follows camera {first['id']}: the ids must rise strictly"),
+            (lambda d: d["cameras"].insert(0, d["cameras"].pop(1)),
+             f"motion camera {first['id']} follows camera {second['id']}: the ids must rise strictly"),
+            (lambda d: d["cameras"][1].update(R=[nan] * 9), f"motion camera {second['id']}: R or c is not finite"),
+            (lambda d: d["cameras"][0].update(c=[0.0, inf, 0.0]), f"motion camera {first['id']}: R or c is not finite"),
+            (lambda d: d["scales"].append(dict(d["scales"][0], alpha=2.0)), f"the scales repeat cluster {cluster}"),
+            (lambda d: d["scales"][0].update(clusterId=cluster + 0.5), "a clusterId of the scales is not an integer"),
+        ):
+            data = json.loads(original)
+            change(data)
+            path.write_text(json.dumps(data))
+            for stage in stages:
+                assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, message, stage)
+                _one_line_data_error(capsys, stage, name, message)
+        path.write_text(original)
+    path = tmp_path / "local_reconstructions.json"
+    data = json.loads(path.read_text())
+    cluster = data["clusters"][0]
+    cluster["registered"][1] = cluster["registered"][0]
+    path.write_text(json.dumps(data))
+    assert cli_main(["triangulate", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "triangulate", "local_reconstructions.json",
+                         f"cluster {cluster['clusterId']}: the registered cameras do not rise strictly")
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from clustersfm.errors import BehindCameraError, DataError, DuplicateEdgeError
-from clustersfm.geometry import random_rotation
 from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
-from conftest import match_table, weighted_edge
+from conftest import match_table, random_rotation, weighted_edge
 
 
 def test_project_identity_case():
