@@ -31,7 +31,7 @@ from .local_sfm import (
     run_local_sfm,
 )
 from .pipeline import PipelineConfig, run_pipeline, stage_status
-from .scene import Camera, CameraGraph, MatchTable, Pose, build_camera_graph, project_point
+from .scene import CameraGraph, CameraTable, MatchTable, build_camera_graph
 from .synthetic import SyntheticScene, generate_synthetic_scene
 from .tracks import TrackTable, generate_tracks
 

@@ -40,7 +40,7 @@ DEGENERATE_SCALE = 1e-12
 
 @dataclass
 class RotationEstimate:
-    """Camera rotations; each component's root, its smallest camera, is the identity."""
+    """The camera rotations; each component's root, its smallest camera, is the identity."""
 
     cameras: np.ndarray  # (n,) int64, strictly ascending
     rotation: np.ndarray  # (n, 3, 3)
@@ -51,7 +51,7 @@ class RotationEstimate:
 
 @dataclass
 class GlobalMotion:
-    """Camera poses, and the scale of each cluster's relative translations."""
+    """The camera poses, and the scale of each cluster's relative translations."""
 
     cameras: np.ndarray  # (n,) int64, strictly ascending
     rotation: np.ndarray  # (n, 3, 3)

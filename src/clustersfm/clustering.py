@@ -1,4 +1,4 @@
-"""Camera clustering: iterative graph division and expansion.
+"""Clustering the cameras: iterative graph division and expansion.
 
 Division recursively bisects the camera graph with a spectral normalized cut
 until every piece respects the size cap. Expansion then walks the discarded

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from .averaging import GlobalMotion
 from .errors import DataError, NumericalError
 from .geometry import angle_between, rotation_angle, skew
-from .scene import Camera, MatchTable, Pose
+from .scene import CameraTable, MatchTable
 
 ALIGN_RANK_TOL = 1e-9
 
@@ -99,14 +99,16 @@ def _relative_translation(R_j, c_i, c_j):
 
 def pose_error_report(
     motion: GlobalMotion,
-    gt_poses: list[Pose],
+    gt_rotation: np.ndarray,
+    gt_center: np.ndarray,
     measured_pairs,
     num_points: int = 0,
     num_connected_pairs: int = 0,
     num_clusters: int = 0,
     epipolar_median: float | None = None,
 ) -> ErrorReport:
-    """Errors of an estimated reconstruction against ground truth.
+    """Errors of an estimated reconstruction against the true rotations
+    (n, 3, 3) and centers (n, 3), indexed by camera id.
 
     Position errors are computed after similarity alignment of the camera
     centers; relative rotation/translation errors need no alignment (they
@@ -114,12 +116,12 @@ def pose_error_report(
     to evaluate, typically the pairs carrying relative motions; a pair with
     a camera the motion does not pose is skipped.
     """
-    with_gt = (motion.cameras >= 0) & (motion.cameras < len(gt_poses))
-    common = motion.cameras[with_gt].tolist()
+    with_gt = (motion.cameras >= 0) & (motion.cameras < len(gt_rotation))
+    common = motion.cameras[with_gt]
     if len(common) < 3:
         raise DataError("need at least 3 cameras with ground truth")
     est_c = motion.center[with_gt]
-    gt_c = np.array([gt_poses[c].c for c in common])
+    gt_c = gt_center[common]
     s, R, t = align_similarity(est_c, gt_c)
     aligned = (s * (est_c @ R.T)) + t
     residuals = np.linalg.norm(aligned - gt_c, axis=1)
@@ -130,10 +132,10 @@ def pose_error_report(
     rel_errs, dir_errs = [], []
     for (i, j), (a, b) in zip(pairs.tolist(), np.searchsorted(motion.cameras, pairs).tolist()):
         Rij_est = rot[b] @ rot[a].T
-        Rij_gt = gt_poses[j].R @ gt_poses[i].R.T
+        Rij_gt = gt_rotation[j] @ gt_rotation[i].T
         rel_errs.append(Rij_est @ Rij_gt.T)
         t_est = _relative_translation(rot[b], cen[a], cen[b])
-        t_gt = _relative_translation(gt_poses[j].R, gt_poses[i].c, gt_poses[j].c)
+        t_gt = _relative_translation(gt_rotation[j], gt_center[i], gt_center[j])
         if np.linalg.norm(t_est) > 1e-12 and np.linalg.norm(t_gt) > 1e-12:
             dir_errs.append(np.degrees(angle_between(t_est, t_gt)))
     rot_errs = np.degrees(rotation_angle(np.reshape(rel_errs, (-1, 3, 3))))
@@ -153,13 +155,14 @@ def pose_error_report(
 
 def epipolar_error(
     motion: GlobalMotion,
-    cameras: list[Camera],
+    cameras: CameraTable,
     matches: MatchTable,
 ) -> float:
     """Median distance of correspondences to the epipolar lines induced by
     the estimated pair geometry, measured in the second image, over the
     edges with both cameras posed."""
     distances = []
+    K_inv = np.linalg.inv(cameras.K())
     posed = np.isin(matches.edges, motion.cameras).all(axis=1)
     rot, cen = motion.rotation, motion.center
     spans = zip(matches.edges[posed].tolist(), np.searchsorted(motion.cameras, matches.edges[posed]).tolist(),
@@ -170,7 +173,7 @@ def epipolar_error(
         if np.linalg.norm(t_rel) < 1e-15:
             continue
         E = skew(t_rel) @ R_rel
-        F = np.linalg.inv(cameras[j].K).T @ E @ np.linalg.inv(cameras[i].K)
+        F = K_inv[j].T @ E @ K_inv[i]
         xi = np.column_stack([matches.xy[a:b, :2], np.ones(b - a)])
         xj = np.column_stack([matches.xy[a:b, 2:], np.ones(b - a)])
         lines = xi @ F.T  # epipolar line of each left feature in image j

@@ -320,7 +320,7 @@ def triangulation_status(Ps: np.ndarray, xs: np.ndarray, X: np.ndarray, finite: 
 
 
 # ---------------------------------------------------------------------------
-# Camera resection (absolute pose from 2D-3D)
+# Resection (absolute camera pose from 2D-3D)
 # ---------------------------------------------------------------------------
 
 def resect_linear(points3d: np.ndarray, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -17,7 +17,7 @@ from .averaging import GlobalMotion
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
 from .geometry import projection_matrix, reprojection_offsets, triangulate_linear, triangulation_status
-from .scene import Camera
+from .scene import CameraTable
 from .tracks import TrackTable
 from .utils import parallel_map
 
@@ -62,7 +62,7 @@ def triangulate_global(
     tracks: TrackTable,
     motion: GlobalMotion,
     cluster_set: ClusterSet,
-    cameras: list[Camera],
+    cameras: CameraTable,
 ) -> list[GlobalPoint]:
     """Triangulate every track against the averaged global poses.
 
@@ -89,8 +89,7 @@ def triangulate_global(
         GlobalPoint(t, None, o, cams[a:b], xy[a:b], "too_few_views")
         for t, o, a, b in zip(tracks.ids.tolist(), owner.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
     ]
-    P = np.array([projection_matrix(cameras[c].K, R, center)
-                  for c, R, center in zip(posed.tolist(), motion.rotation, motion.center)])
+    P = np.array([projection_matrix(K, R, c) for K, R, c in zip(cameras.K(posed), motion.rotation, motion.center)])
     at = np.searchsorted(posed, cams)
     # one DLT and one gate per posed-view count
     for n in np.unique(views[views >= MIN_GLOBAL_VIEWS]).tolist():
@@ -138,7 +137,7 @@ def distributed_bundle_adjust(
     partitions: list[BAPartition],
     motion: GlobalMotion,
     points: list[GlobalPoint],
-    cameras: list[Camera],
+    cameras: CameraTable,
     rounds: int = DEFAULT_ROUNDS,
     inner_max_iterations: int = 50,
 ):
@@ -157,7 +156,7 @@ def distributed_bundle_adjust(
     cam_ids = motion.cameras
     rotations = motion.rotation.copy()
     centers = motion.center.copy()
-    intrinsics = np.array([[cameras[c].focal, cameras[c].cx, cameras[c].cy] for c in cam_ids])
+    intrinsics, Ks = cameras.intrinsics[cam_ids], cameras.K(cam_ids)
     positions = np.array([p.position for p in active]) if active else np.zeros((0, 3))
 
     # the observation table: one row per view of an active point
@@ -245,9 +244,7 @@ def distributed_bundle_adjust(
                 positions[part.interior_points] = result.points[part.interior_points]
 
         # consensus: re-triangulate boundary points, guarded per point
-        Ps = np.array([
-            projection_matrix(cameras[c].K, rotations[s], centers[s]) for s, c in enumerate(cam_ids.tolist())
-        ])
+        Ps = np.array([projection_matrix(K, R, c) for K, R, c in zip(Ks, rotations, centers)])
         for pts, views, xy in boundary_groups:
             P = Ps[views]
             X_new, finite = triangulate_linear(P, xy)

@@ -3,8 +3,9 @@ reconstructions as ragged tables (versioned JSON with their bulk arrays in
 base64; the match graph and the tracks load as the MatchTable and TrackTable
 of the arrays they store, checked once), the global points as `.npz`
 archives of flat arrays plus offsets; the relative motions as a JSON list of
-one object per motion, which loads as a checked MotionTable; ground truth,
-cluster sets and global motion as JSON; PLY exports and the per-round cost
+one object per motion, which loads as a checked MotionTable; ground truth
+(which loads as rotation and center arrays indexed by camera id), cluster
+sets and global motion as JSON; PLY exports and the per-round cost
 log."""
 
 import base64
@@ -25,10 +26,11 @@ from .clustering import Cluster, ClusterSet, ClusterTree, ClusterTreeNode
 from .errors import DataError
 from .global_ba import STATUSES, GlobalPoint
 from .local_sfm import LocalReconstruction, MotionTable
-from .scene import Camera, MatchTable, Pose
+from .scene import CameraTable, MatchTable
 from .tracks import TrackTable, check_ascending
 
 TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
+ROTATION_TOL = 1e-9  # of a ground-truth rotation: |R^T R - I| and |det R - 1|
 
 
 def _write(path, data: bytes) -> None:
@@ -160,30 +162,28 @@ def file_hash(path) -> str:
 # Match graph and ground truth
 # ---------------------------------------------------------------------------
 
-def save_match_graph(path, cameras: list[Camera], matches: MatchTable) -> None:
+def save_match_graph(path, cameras: CameraTable, matches: MatchTable) -> None:
     _save_table(path, matches.offsets, {"feat": matches.feat, "xy": matches.xy},
-                intrinsics=[[c.focal, c.cx, c.cy] for c in cameras], size=[[c.width, c.height] for c in cameras],
-                edges=matches.edges.tolist())
+                intrinsics=cameras.intrinsics.tolist(), size=cameras.size.tolist(), edges=matches.edges.tolist())
 
 
-def _cameras(data: dict) -> list[Camera]:
+def _cameras(data: dict) -> CameraTable:
     intrinsics = _array(data, "intrinsics", float, -1, 3)
-    size = _array(data, "size", np.int64, len(intrinsics), 2)
-    return [
-        Camera(id=k, focal=f, cx=cx, cy=cy, width=w, height=h)
-        for k, ((f, cx, cy), (w, h)) in enumerate(zip(intrinsics.tolist(), size.tolist()))
-    ]
+    cameras = CameraTable(intrinsics, _array(data, "size", np.int64, len(intrinsics), 2))
+    cameras.check()
+    return cameras
 
 
 @_checked
-def load_cameras(path) -> list[Camera]:
-    """The cameras of a match graph, without building its edges."""
+def load_cameras(path) -> CameraTable:
+    """The checked camera table of a match graph, without building its edges."""
     return _cameras(_load_table(path, "match-graph"))
 
 
 @_checked
-def load_match_graph(path) -> tuple[list[Camera], MatchTable]:
-    """The cameras and the match table, checked against the camera count."""
+def load_match_graph(path) -> tuple[CameraTable, MatchTable]:
+    """The checked camera table, and the match table checked against its
+    camera count."""
     data = _load_table(path, "match-graph")
     cameras = _cameras(data)
     edges = _array(data, "edges", np.int64, -1, 2)
@@ -194,32 +194,41 @@ def load_match_graph(path) -> tuple[list[Camera], MatchTable]:
     return cameras, matches
 
 
-def save_ground_truth(path, poses: list[Pose]) -> None:
-    payload = [
-        {
-            "cameraId": k,
-            "rotation": np.asarray(p.R).ravel().tolist(),
-            "center": np.asarray(p.c).tolist(),
-        }
-        for k, p in enumerate(poses)
-    ]
-    _dump(path, payload)
+def save_ground_truth(path, rotation: np.ndarray, center: np.ndarray) -> None:
+    """One {cameraId, rotation, center} object per camera, in camera order."""
+    poses = zip(rotation.reshape(-1, 9).tolist(), center.tolist())
+    _dump(path, [{"cameraId": k, "rotation": R, "center": c} for k, (R, c) in enumerate(poses)])
 
 
 @_checked
-def load_ground_truth(path) -> list[Pose]:
+def load_ground_truth(path, num_cameras: int) -> tuple[np.ndarray, np.ndarray]:
+    """The true rotations (n, 3, 3) and centers (n, 3), indexed by camera
+    id. A DataError names the first camera id that is not an integer in the
+    match graph's 0..num_cameras-1, one that repeats or the first missing
+    one, and then the first camera whose R or c is not finite or whose R is
+    not a rotation."""
     data = _load(path)
-    poses = [None] * len(data)
-    for rec in data:
-        if not 0 <= rec["cameraId"] < len(poses):
-            raise DataError(f"camera id {rec['cameraId']} is not in 0..{len(poses) - 1}")
-        poses[rec["cameraId"]] = Pose(
-            R=np.asarray(rec["rotation"], dtype=float).reshape(3, 3),
-            c=np.asarray(rec["center"], dtype=float),
-        )
-    if any(p is None for p in poses):
-        raise DataError(f"camera ids are not 0..{len(poses) - 1}")
-    return poses
+    ids = [rec["cameraId"] for rec in data]
+    for k in ids:
+        if not (isinstance(k, int) and 0 <= k < num_cameras):
+            raise DataError(f"ground-truth camera {k} is not in the match graph's 0..{num_cameras - 1}")
+    cameras, first = np.unique(np.array(ids, dtype=np.int64), return_index=True)
+    if len(cameras) < len(ids):
+        raise DataError(f"the ground truth repeats camera {np.delete(ids, first)[0]}")
+    if len(cameras) < num_cameras:
+        raise DataError(f"the ground truth lacks camera {np.setdiff1d(np.arange(num_cameras), cameras)[0]}")
+    rotation = np.array([data[k]["rotation"] for k in first.tolist()], dtype=float).reshape(num_cameras, 3, 3)
+    center = np.array([data[k]["center"] for k in first.tolist()], dtype=float).reshape(num_cameras, 3)
+    bad = ~(np.isfinite(rotation).all(axis=(1, 2)) & np.isfinite(center).all(axis=1))
+    if bad.any():
+        raise DataError(f"ground-truth camera {np.argmax(bad)}: R or c is not finite")
+    err = np.abs(rotation.transpose(0, 2, 1) @ rotation - np.eye(3)).max(axis=(1, 2))
+    det = np.linalg.det(rotation)
+    bad = ~((err < ROTATION_TOL) & (np.abs(det - 1.0) < ROTATION_TOL))
+    if bad.any():
+        k = np.argmax(bad)
+        raise DataError(f"ground-truth camera {k}: R is not a rotation (|R^T R - I| = {err[k]:.2e}, det {det[k]:.6g})")
+    return rotation, center
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +457,10 @@ def save_global_points(path, points) -> None:
 
 
 @_checked
-def load_global_points(path) -> list[GlobalPoint]:
+def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
+    """The points; a DataError names the first point whose cameras do not
+    rise strictly, else the first with a camera outside the match graph's
+    0..num_cameras-1."""
     data = _load_npz(path)
     track = _array(data, "track", np.int64, -1)
     cluster = _array(data, "cluster", np.int64, len(track))
@@ -459,11 +471,13 @@ def load_global_points(path) -> list[GlobalPoint]:
     xy = _array(data, "xy", float, len(cameras), 2)
     if np.any((status < 0) | (status >= len(STATUSES))):
         raise DataError(f"a status code is not in 0..{len(STATUSES) - 1}")
+    offsets = _offsets(data, len(track), len(cameras))
+    check_ascending(cameras, offsets, track, num_cameras)
     return [
         GlobalPoint(track_id=t, position=X if h else None, cluster_id=c, cameras=cameras[a:b], xy=xy[a:b],
                     status=STATUSES[s])
         for t, c, s, h, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), has_position.tolist(),
-                                         position, _spans(_offsets(data, len(track), len(cameras))))
+                                         position, _spans(offsets))
     ]
 
 

@@ -28,7 +28,7 @@ from .geometry import (
     triangulate_linear,
     triangulation_status,
 )
-from .scene import Camera, CameraGraph
+from .scene import CameraGraph, CameraTable
 from .tracks import TrackTable
 from .utils import seeded_rng
 
@@ -222,7 +222,7 @@ def estimate_seed_pair(
     graph: CameraGraph,
     cluster: Cluster,
     tracks: ClusterTracks,
-    cameras: list[Camera],
+    cameras: CameraTable,
     rng: np.random.Generator,
 ):
     """Pick the strongest edge whose two-view geometry has enough parallax.
@@ -241,7 +241,8 @@ def estimate_seed_pair(
         if len(rows) < MIN_SEED_CORRESPONDENCES:
             continue
         xy_i, xy_j = tracks.xy[rows[:, 0]], tracks.xy[rows[:, 1]]
-        est = estimate_relative_pose(cameras[i].K, cameras[j].K, xy_i, xy_j, rng)
+        Ks = cameras.K([i, j])
+        est = estimate_relative_pose(*Ks, xy_i, xy_j, rng)
         if est is None:
             continue
         R, t, mask = est
@@ -250,7 +251,7 @@ def estimate_seed_pair(
         # gauge: camera i at the origin, unit baseline
         c_i, c_j = np.zeros(3), -R.T @ t
         poses = {i: (np.eye(3), c_i), j: (R, c_j)}
-        Ps = np.array([projection_matrix(cameras[c].K, *poses[c]) for c in (i, j)])
+        Ps = np.array([projection_matrix(K, *poses[c]) for K, c in zip(Ks, (i, j))])
         X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), tracks.xy[rows[mask]])
         if ok.sum() >= 8 and np.median(parallax[ok]) >= SEED_MEDIAN_ANGLE_DEG:
             return (i, j), poses, rows[mask][ok], X[ok]
@@ -280,20 +281,20 @@ def _triangulate(Ps, centers, xys):
 
 
 def register_next_view(
-    camera: Camera,
+    K: np.ndarray,
     points3d: np.ndarray,
     pixels: np.ndarray,
     rng: np.random.Generator,
 ):
-    """Absolute pose from 2D-3D correspondences: linear 6-point resection
-    inside RANSAC, then single-pose refinement on the inliers.
+    """Absolute pose of the camera with calibration K from 2D-3D
+    correspondences: linear 6-point resection inside RANSAC, then
+    single-pose refinement on the inliers.
 
     Returns (R, c, inlier_mask) or None if the view cannot be registered.
     """
     n = len(points3d)
     if n < RESECTION_MIN_INLIERS:
         return None
-    K = camera.K
     rays = _pixels_to_rays(K, pixels)
 
     def fit(idx):
@@ -324,7 +325,7 @@ def register_next_view(
         return None
     R, t = model
     c = -R.T @ t
-    R, c = _refine_single_pose(camera, R, c, points3d[mask], pixels[mask])
+    R, c = _refine_single_pose(K, R, c, points3d[mask], pixels[mask])
     final_err = reprojection_residuals_pixels(R, -R @ c, K, points3d, pixels)
     mask = final_err < RESECTION_THRESHOLD_PX
     count = int(mask.sum())
@@ -333,11 +334,11 @@ def register_next_view(
     return R, c, mask
 
 
-def _refine_single_pose(camera: Camera, R, c, points3d, pixels):
+def _refine_single_pose(K: np.ndarray, R, c, points3d, pixels):
     problem = ba_core.BAProblem(
         rotations=R[None, :, :].copy(),
         centers=c[None, :].copy(),
-        intrinsics=np.array([[camera.focal, camera.cx, camera.cy]]),
+        intrinsics=np.array([[K[0, 0], K[0, 2], K[1, 2]]]),  # focal, cx, cy
         points=points3d.copy(),
         cam_idx=np.zeros(len(points3d), dtype=np.int64),
         pt_idx=np.arange(len(points3d), dtype=np.int64),
@@ -367,7 +368,7 @@ class _SfMState:
     made the row an inlier, or -1 when it is not one.
     """
 
-    def __init__(self, cluster_id, tracks: ClusterTracks, cameras):
+    def __init__(self, cluster_id, tracks: ClusterTracks, cameras: CameraTable):
         self.cluster_id = cluster_id
         self.tracks = tracks
         self.cameras = cameras
@@ -399,7 +400,7 @@ class _SfMState:
             return
         R, c = self.pose_of(cam)
         err = reprojection_residuals_pixels(
-            R, -R @ c, self.cameras[cam].K, self.X[self.tracks.track[rows]], self.tracks.xy[rows]
+            R, -R @ c, self.cameras.K([cam])[0], self.X[self.tracks.track[rows]], self.tracks.xy[rows]
         )
         self.joined[rows[err <= MAX_REPROJECTION_PX]] = len(self.rotations) - 1
 
@@ -415,7 +416,7 @@ class _SfMState:
         if not len(rows):
             return
         used = np.unique(tr.cam[rows])
-        Ps = np.array([projection_matrix(self.cameras[c].K, *self.pose_of(c)) for c in used])
+        Ps = np.array([projection_matrix(K, *self.pose_of(c)) for K, c in zip(self.cameras.K(used), used)])
         centers = np.array([self.centers[c] for c in used])
         at = np.searchsorted(used, tr.cam[rows])
         for k in np.unique(views):
@@ -460,7 +461,7 @@ class _SfMState:
         problem = ba_core.BAProblem(
             rotations=np.array([self.rotations[c] for c in cams]),
             centers=np.array([self.centers[c] for c in cams]),
-            intrinsics=np.array([[self.cameras[c].focal, self.cameras[c].cx, self.cameras[c].cy] for c in cams]),
+            intrinsics=self.cameras.intrinsics[cams],
             points=self.X[pts],
             cam_idx=np.searchsorted(cams, tr.cam[rows]),
             pt_idx=pt_idx,
@@ -493,7 +494,7 @@ def run_local_sfm(
     graph: CameraGraph,
     cluster: Cluster,
     tracks: TrackTable,
-    cameras: list[Camera],
+    cameras: CameraTable,
     seed: int,
 ) -> LocalReconstruction:
     """Incremental SfM over one interdependent cluster.
@@ -538,7 +539,7 @@ def run_local_sfm(
         registered_one = False
         for cam in order:
             rows = visible[cam]
-            result = register_next_view(cameras[cam], state.X[ct.track[rows]], ct.xy[rows], rng)
+            result = register_next_view(cameras.K([cam])[0], state.X[ct.track[rows]], ct.xy[rows], rng)
             if result is None:
                 continue
             R, c, mask = result

@@ -239,7 +239,7 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
         seed=config.seed,
     )
     sfm_io.save_match_graph(Path(out_dir) / "matches.json", scene.cameras, matches)
-    sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.json", scene.poses)
+    sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.json", scene.rotation, scene.center)
 
 
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
@@ -322,7 +322,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
 
 def stage_ba(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
-    points = sfm_io.load_global_points(Path(out_dir) / "points.npz")
+    points = sfm_io.load_global_points(Path(out_dir) / "points.npz", len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
     partitions = build_partitions(points, cs, motion)
@@ -345,15 +345,16 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
 def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
     cameras, matches = sfm_io.load_match_graph(out / "matches.json")
-    gt = sfm_io.load_ground_truth(out / "ground_truth.json")
+    gt_rotation, gt_center = sfm_io.load_ground_truth(out / "ground_truth.json", len(cameras))
     motions = sfm_io.load_relative_motions(out / "relative_motions.json", len(cameras))
     final_motion = sfm_io.load_global_motion(out / "final_motion.json", len(cameras))
-    points = sfm_io.load_global_points(out / "final_points.npz")
+    points = sfm_io.load_global_points(out / "final_points.npz", len(cameras))
     cs = sfm_io.load_cluster_set(out / "clusters.json", len(cameras))
     med_epi = epipolar_error(final_motion, cameras, matches)
     report = pose_error_report(
         final_motion,
-        gt,
+        gt_rotation,
+        gt_center,
         motions.pairs,
         num_points=sum(p.active for p in points),
         num_connected_pairs=connected_pair_count(points),

@@ -1,4 +1,5 @@
-"""Core data model: cameras, poses, the match table, and the weighted camera graph.
+"""Core data model: the camera table, the match table, and the weighted
+camera graph.
 
 Conventions used everywhere: rotations are world-to-camera, camera positions
 are stored as centers c in world units, and the projection of a world point X
@@ -9,93 +10,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DataError, DuplicateEdgeError
-
-ROTATION_ORTHONORMALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Camera:
-    """Calibrated pinhole camera; intrinsics are known and never optimized."""
-
-    id: int
-    focal: float
-    cx: float
-    cy: float
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.focal <= 0:
-            raise DataError(f"camera {self.id}: focal must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise DataError(f"camera {self.id}: principal point outside image")
-
-    @property
-    def K(self) -> np.ndarray:
-        return np.array(
-            [[self.focal, 0.0, self.cx], [0.0, self.focal, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    def contains(self, xy: np.ndarray) -> np.ndarray:
-        """Boolean mask of pixel coordinates inside the image bounds."""
-        xy = np.atleast_2d(xy)
-        return (
-            (xy[:, 0] >= 0.0)
-            & (xy[:, 0] <= self.width - 1)
-            & (xy[:, 1] >= 0.0)
-            & (xy[:, 1] <= self.height - 1)
-        )
+from .errors import DataError, DuplicateEdgeError
 
 
 @dataclass(frozen=True, eq=False)
-class Pose:
-    """World-to-camera rotation R plus camera center c (world units)."""
+class CameraTable:
+    """The calibrated pinhole cameras, whose intrinsics are known and never
+    optimized: camera k has intrinsics[k] = (focal, cx, cy) and an image of
+    size[k] = (width, height) pixels. `check` verifies them."""
 
-    R: np.ndarray
-    c: np.ndarray
+    intrinsics: np.ndarray  # (n, 3) float
+    size: np.ndarray  # (n, 2) int64
 
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        c = np.asarray(self.c, dtype=float).reshape(3)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "c", c)
-        err = np.abs(R.T @ R - np.eye(3)).max()
-        if err >= ROTATION_ORTHONORMALITY_TOL:
-            raise DataError(f"rotation not orthonormal (|R^T R - I| = {err:.2e})")
-        if abs(np.linalg.det(R) - 1.0) >= ROTATION_ORTHONORMALITY_TOL:
-            raise DataError("rotation determinant must be +1")
+    def __len__(self) -> int:
+        return len(self.intrinsics)
 
-    def world_to_camera(self, X: np.ndarray) -> np.ndarray:
-        """Map world points (..., 3) into the camera frame."""
-        return (np.asarray(X) - self.c) @ self.R.T
+    def K(self, cameras=slice(None)) -> np.ndarray:
+        """The (m, 3, 3) calibration matrices of the cameras (an index
+        array or a mask), all by default."""
+        focal, cx, cy = self.intrinsics[cameras].T
+        K = np.zeros((len(focal), 3, 3))
+        K[:, 0, 0] = K[:, 1, 1] = focal
+        K[:, 0, 2], K[:, 1, 2], K[:, 2, 2] = cx, cy, 1.0
+        return K
 
-
-def project_point(pose: Pose, camera: Camera, X: np.ndarray) -> np.ndarray:
-    """Project one world point to pixel coordinates.
-
-    Raises BehindCameraError if the point has non-positive depth.
-    """
-    x_cam = pose.R @ (np.asarray(X, dtype=float).reshape(3) - pose.c)
-    if x_cam[2] <= 0.0:
-        raise BehindCameraError(f"point has depth {x_cam[2]:.6g}")
-    u = camera.focal * x_cam[0] / x_cam[2] + camera.cx
-    v = camera.focal * x_cam[1] / x_cam[2] + camera.cy
-    return np.array([u, v])
-
-
-def project_points(pose: Pose, camera: Camera, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (N, 3) points; returns (pixels, depths).
-
-    Points behind the camera get NaN pixels instead of raising.
-    """
-    x_cam = pose.world_to_camera(np.asarray(X, dtype=float))
-    depths = x_cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = camera.focal * x_cam[:, :2] / depths[:, None]
-    uv = uv + np.array([camera.cx, camera.cy])
-    uv[depths <= 0.0] = np.nan
-    return uv, depths
+    def check(self) -> None:
+        """Raise a DataError naming the first camera whose focal, cx or cy is
+        not finite, whose focal is not positive, whose image is smaller than
+        one pixel or whose principal point lies outside its image."""
+        focal, cx, cy = self.intrinsics.T
+        width, height = self.size.T
+        checks = (
+            (~np.isfinite(self.intrinsics).all(axis=1), "focal, cx or cy is not finite"),
+            (~(focal > 0), "focal must be positive"),
+            ((width < 1) | (height < 1), "image must be at least 1 x 1 pixels"),
+            (~((0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)), "principal point outside image"),
+        )
+        faulty = np.any([bad for bad, _ in checks], axis=0)
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            raise DataError(f"camera {k}: {next(what for bad, what in checks if bad[k])}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 """Synthetic ground-truth scenes standing in for real capture sessions.
 
-Camera layouts are deterministic functions of the layout name and camera
+The camera layouts are deterministic functions of the layout name and camera
 count; point placement, pixel noise, and outlier injection all come from the
 seed, so two seeds share the exact same camera geometry.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .scene import Camera, MatchTable, Pose, project_points
+from .scene import CameraTable, MatchTable
 
 LAYOUTS = ("grid", "orbit", "loop", "cityBlocks")
 
@@ -23,13 +23,15 @@ DEFAULT_HEIGHT = 960
 class SyntheticScene:
     """Ground-truth oracle for a generated scene.
 
+    The pose of camera k is rotation[k] (world-to-camera) and center[k].
     feature_points[c][f] is the 3D point id behind feature f of camera c;
     feature_xy[c][f] is its (noisy) pixel observation. Outlier features
     injected into the match table use indices >= len(feature_points[c]).
     """
 
-    cameras: list[Camera]
-    poses: list[Pose]
+    cameras: CameraTable
+    rotation: np.ndarray  # (n, 3, 3)
+    center: np.ndarray  # (n, 3) world units
     points: np.ndarray  # (P, 3) world units
     visibility: list[np.ndarray]  # per point: sorted camera ids
     feature_points: list[np.ndarray]  # per camera: point id per feature
@@ -43,7 +45,8 @@ class SyntheticScene:
         return len(self.cameras)
 
 
-def _look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose:
+def _look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """The world-to-camera rotation of a camera at center looking at target."""
     z = np.asarray(target, dtype=float) - center
     z = z / np.linalg.norm(z)
     up = np.asarray(up, dtype=float)
@@ -54,33 +57,33 @@ def _look_at(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose
         nx = np.linalg.norm(x)
     x = x / nx
     y = np.cross(z, x)
-    return Pose(R=np.vstack([x, y, z]), c=np.asarray(center, dtype=float))
+    return np.vstack([x, y, z])
 
 
-def _layout_orbit(n: int) -> tuple[list[Pose], dict]:
+def _layout_orbit(n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     theta = 2.0 * np.pi * np.arange(n) / n
     radius = 10.0
     centers = np.stack(
         [radius * np.cos(theta), radius * np.sin(theta), 1.5 * np.sin(3.0 * theta)], axis=1
     )
-    poses = [_look_at(c, np.zeros(3)) for c in centers]
+    rotation = np.array([_look_at(c, np.zeros(3)) for c in centers])
     region = {"kind": "ball", "center": np.zeros(3), "radius": 3.0}
-    return poses, region
+    return rotation, centers, region
 
 
-def _layout_loop(n: int) -> tuple[list[Pose], dict]:
+def _layout_loop(n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     theta = 2.0 * np.pi * np.arange(n) / n
     radius = 10.0
     centers = np.stack(
         [radius * np.cos(theta), radius * np.sin(theta), 0.5 * np.sin(2.0 * theta)], axis=1
     )
     outward = np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
-    poses = [_look_at(c, c + 5.0 * d) for c, d in zip(centers, outward)]
+    rotation = np.array([_look_at(c, c + 5.0 * d) for c, d in zip(centers, outward)])
     region = {"kind": "cylinder", "r_min": 16.0, "r_max": 22.0, "z_min": -4.0, "z_max": 5.0}
-    return poses, region
+    return rotation, centers, region
 
 
-def _layout_grid(n: int) -> tuple[list[Pose], dict]:
+def _layout_grid(n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     if n < 4:
         raise ConfigurationError("grid layout needs at least 4 cameras")
     cols = int(np.ceil(np.sqrt(n)))
@@ -90,14 +93,14 @@ def _layout_grid(n: int) -> tuple[list[Pose], dict]:
         r, c = divmod(k, cols)
         centers.append([spacing * c, spacing * r, 8.0 + 0.3 * ((r + c) % 3)])
     centers = np.array(centers)
-    poses = [_look_at(c, c + np.array([0.0, 0.0, -5.0]), up=(0.0, 1.0, 0.0)) for c in centers]
+    rotation = np.array([_look_at(c, c + np.array([0.0, 0.0, -5.0]), up=(0.0, 1.0, 0.0)) for c in centers])
     lo = centers[:, :2].min(axis=0) - 3.0
     hi = centers[:, :2].max(axis=0) + 3.0
     region = {"kind": "slab", "lo": lo, "hi": hi, "z_min": 0.0, "z_max": 1.5}
-    return poses, region
+    return rotation, centers, region
 
 
-def _layout_city_blocks(n: int) -> tuple[list[Pose], dict]:
+def _layout_city_blocks(n: int) -> tuple[np.ndarray, np.ndarray, dict]:
     if n < 4:
         raise ConfigurationError("cityBlocks layout needs at least 4 cameras")
     blocks_per_side = max(2, int(round(np.sqrt(n / 12.0))))
@@ -123,9 +126,10 @@ def _layout_city_blocks(n: int) -> tuple[list[Pose], dict]:
             side = -1.0
         centers.append([x, y, 2.0])
         targets.append([x, y + side * 5.0, 1.5])
-    poses = [_look_at(np.array(c), np.array(t)) for c, t in zip(centers, targets)]
+    centers = np.array(centers)
+    rotation = np.array([_look_at(c, np.array(t)) for c, t in zip(centers, targets)])
     region = {"kind": "blocks", "blocks_per_side": blocks_per_side, "pitch": pitch}
-    return poses, region
+    return rotation, centers, region
 
 
 def _sample_region(region: dict, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,7 +158,8 @@ def _sample_region(region: dict, count: int, rng: np.random.Generator) -> np.nda
     raise ConfigurationError(f"unknown point region kind {kind!r}")
 
 
-def _layout_poses(layout: str, num_cameras: int) -> tuple[list[Pose], dict]:
+def _layout_poses(layout: str, num_cameras: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The (n, 3, 3) rotations, the (n, 3) centers and the point region of a layout."""
     if layout == "orbit":
         return _layout_orbit(num_cameras)
     if layout == "loop":
@@ -193,11 +198,11 @@ def generate_synthetic_scene(
     if not (0.0 <= outlier_fraction < 1.0):
         raise ConfigurationError("outlierFraction must be in [0, 1)")
 
-    poses, region = _layout_poses(layout, num_cameras)
-    cameras = [
-        Camera(id=i, focal=focal, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
-        for i in range(num_cameras)
-    ]
+    rotation, center, region = _layout_poses(layout, num_cameras)
+    principal, last_pixel = np.array([width / 2.0, height / 2.0]), np.array([width - 1, height - 1])
+    cameras = CameraTable(np.tile([focal, *principal], (num_cameras, 1)),
+                          np.tile(np.array([width, height], dtype=np.int64), (num_cameras, 1)))
+    cameras.check()
     rng = np.random.default_rng(seed)
 
     # Rejection-sample points until num_points land in >= 2 views.
@@ -209,14 +214,12 @@ def generate_synthetic_scene(
         cand = _sample_region(region, max(need * 2, 64), rng)
         uv_all = np.empty((num_cameras, len(cand), 2))
         vis_all = np.empty((num_cameras, len(cand)), dtype=bool)
-        for ci, (pose, cam) in enumerate(zip(poses, cameras)):
-            uv, depth = project_points(pose, cam, cand)
-            ok = depth > 0.1
-            ok &= np.where(np.isnan(uv).any(axis=1), False, True)
-            inb = np.zeros(len(cand), dtype=bool)
-            inb[ok] = cam.contains(uv[ok])
-            uv_all[ci] = uv
-            vis_all[ci] = ok & inb
+        for ci in range(num_cameras):  # visible: in front of the camera and inside its image
+            x_cam = (cand - center[ci]) @ rotation[ci].T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                uv_all[ci] = focal * x_cam[:, :2] / x_cam[:, 2:] + principal
+                inside = ((uv_all[ci] >= 0.0) & (uv_all[ci] <= last_pixel)).all(axis=1)
+            vis_all[ci] = (x_cam[:, 2] > 0.1) & inside
         good = vis_all.sum(axis=0) >= 2
         for idx in np.flatnonzero(good):
             if len(points_list) >= num_points:
@@ -282,7 +285,8 @@ def generate_synthetic_scene(
 
     scene = SyntheticScene(
         cameras=cameras,
-        poses=poses,
+        rotation=rotation,
+        center=center,
         points=points,
         visibility=vis_list,
         feature_points=feature_points,

@@ -47,19 +47,23 @@ class TrackTable:
         """Raise a DataError naming the first track whose cameras do not
         rise strictly, else the first with a camera outside
         0..num_cameras-1."""
-        check_ascending(self.cameras, self.offsets, self.ids)
-        bad = np.flatnonzero((self.cameras < 0) | (self.cameras >= num_cameras))
-        if len(bad):
-            raise DataError(f"track {self.ids[self.owner()[bad[0]]]}: camera {self.cameras[bad[0]]} is not in the "
-                            f"match graph's 0..{num_cameras - 1}")
+        check_ascending(self.cameras, self.offsets, self.ids, num_cameras)
 
 
-def check_ascending(cameras: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> None:
-    """Each item's cameras must rise strictly: a track sees a camera once."""
+def check_ascending(cameras: np.ndarray, offsets: np.ndarray, ids: np.ndarray, num_cameras: int | None = None) -> None:
+    """Each item's cameras must rise strictly: a track sees a camera once.
+    Given num_cameras, they must also lie in the match graph's
+    0..num_cameras-1."""
     owner = np.repeat(np.arange(len(ids)), np.diff(offsets))
     bad = np.flatnonzero((np.diff(cameras) <= 0) & (owner[1:] == owner[:-1]))
     if len(bad):
         raise DataError(f"track {ids[owner[bad[0]]]}: cameras are not strictly ascending")
+    if num_cameras is None:
+        return
+    bad = np.flatnonzero((cameras < 0) | (cameras >= num_cameras))
+    if len(bad):
+        raise DataError(f"track {ids[owner[bad[0]]]}: camera {cameras[bad[0]]} is not in the "
+                        f"match graph's 0..{num_cameras - 1}")
 
 
 @dataclass

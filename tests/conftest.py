@@ -4,10 +4,28 @@ import numpy as np
 import pytest
 
 from clustersfm.averaging import GlobalMotion
+from clustersfm.errors import BehindCameraError
 from clustersfm.geometry import so3_exp
 from clustersfm.local_sfm import MotionTable
-from clustersfm.scene import MatchTable, build_camera_graph
+from clustersfm.scene import CameraTable, MatchTable, build_camera_graph
 from clustersfm.tracks import TrackTable
+
+
+def camera_table(n, focal=800.0, cx=640.0, cy=480.0, width=1280, height=960):
+    """The CameraTable of n cameras that share one calibration."""
+    return CameraTable(np.tile(np.array([focal, cx, cy], dtype=float), (n, 1)),
+                       np.tile(np.array([width, height], dtype=np.int64), (n, 1)))
+
+
+def project_point(R, c, intrinsics, X) -> np.ndarray:
+    """The pixel of one world point X in the camera with pose (R, c) and
+    intrinsics (focal, cx, cy); BehindCameraError if its depth is not
+    positive."""
+    x_cam = R @ (np.asarray(X, dtype=float).reshape(3) - c)
+    if x_cam[2] <= 0.0:
+        raise BehindCameraError(f"point has depth {x_cam[2]:.6g}")
+    focal, cx, cy = intrinsics
+    return np.array([focal * x_cam[0] / x_cam[2] + cx, focal * x_cam[1] / x_cam[2] + cy])
 
 
 def match_table(edges):

@@ -227,9 +227,9 @@ def mean_reprojection(points, motion, cameras):
             if Y[2] <= 0:
                 errors.append(np.inf)
                 continue
-            cam = cameras[c]
-            u = cam.focal * Y[0] / Y[2] + cam.cx
-            v = cam.focal * Y[1] / Y[2] + cam.cy
+            focal, cx, cy = cameras.intrinsics[c]
+            u = focal * Y[0] / Y[2] + cx
+            v = focal * Y[1] / Y[2] + cy
             errors.append(np.hypot(u - xy[0], v - xy[1]))
     return float(np.mean(errors))
 
@@ -241,16 +241,15 @@ def test_criterion_7_loop_closure(loop_pipeline):
     cameras, matches = load_match_graph(out / "matches.json")
     cs = load_cluster_set(out / "clusters.json", len(cameras))
     assert len(cs.interdependent) == 4, "expected 4 interdependent clusters"
-    gt = load_ground_truth(out / "ground_truth.json")
+    _, gt_centers = load_ground_truth(out / "ground_truth.json", len(cameras))
     final = load_global_motion(out / "final_motion.json", len(cameras))
-    points = load_global_points(out / "final_points.npz")
+    points = load_global_points(out / "final_points.npz", len(cameras))
 
     cams = final.cameras.tolist()
     est = final.center
-    ref = np.array([gt[c].c for c in cams])
+    ref = gt_centers[final.cameras]
     s, R, t = align_similarity(est, ref)
     rmse = np.sqrt(((s * est @ R.T + t - ref) ** 2).sum(axis=1).mean())
-    gt_centers = np.array([p.c for p in gt])
     diam = np.linalg.norm(gt_centers[:, None] - gt_centers[None], axis=-1).max()
     reproj = mean_reprojection(points, final, cameras)
     full_epipolar = epipolar_error(final, cameras, matches)
@@ -323,7 +322,7 @@ def test_criterion_8_ba_correctness(loop_pipeline):
     problem = ba_core.BAProblem(
         rotations=motion.rotation.copy(),
         centers=motion.center.copy(),
-        intrinsics=np.array([[scene.cameras[c].focal, scene.cameras[c].cx, scene.cameras[c].cy] for c in cam_ids]),
+        intrinsics=scene.cameras.intrinsics[cam_ids],
         points=np.array([p.position for p in active]),
         cam_idx=np.array([o[0] for o in obs]),
         pt_idx=np.array([o[1] for o in obs]),

@@ -20,7 +20,7 @@ from clustersfm.synthetic import _look_at
 def make_problem(rng, n_cams=4, n_pts=15, pixel_noise=0.0, fix_first=True):
     centers = rng.normal(size=(n_cams, 3)) * 2.0
     target = np.array([0.0, 0.0, 30.0])
-    rotations = np.array([_look_at(c, target).R for c in centers])
+    rotations = np.array([_look_at(c, target) for c in centers])
     points = rng.normal(size=(n_pts, 3)) + target
     intr = np.tile(np.array([800.0, 640.0, 480.0]), (n_cams, 1))
     cam_idx, pt_idx = np.meshgrid(np.arange(n_cams), np.arange(n_pts), indexing="ij")

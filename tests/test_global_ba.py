@@ -9,18 +9,18 @@ from clustersfm.global_ba import (
     distributed_bundle_adjust,
     triangulate_global,
 )
-from clustersfm.scene import build_camera_graph, project_point
+from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.geometry import so3_exp
 from clustersfm.io import load_global_points, save_global_points
-from conftest import global_motion, track_rows, track_table
+from conftest import camera_table, global_motion, project_point, track_rows, track_table
 
 
 def gt_motion(scene, unposed=()):
     """The ground-truth poses of the scene's cameras but those in unposed."""
     cams = [c for c in range(scene.num_cameras) if c not in unposed]
-    return global_motion({c: scene.poses[c].R for c in cams}, {c: scene.poses[c].c for c in cams}, {0: 1.0})
+    return global_motion({c: scene.rotation[c] for c in cams}, {c: scene.center[c] for c in cams}, {0: 1.0})
 
 
 def tracks_from_scene(scene, noise=0.0, seed=0):
@@ -100,7 +100,7 @@ def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
     assert {p.track_id: p.cluster_id for p in points[-5:]} == {900: 2, 901: -1, 902: -1, 903: 0, 904: 4}
     # a point without posed views keeps int64 cameras, so the ba stage can load it
     save_global_points(tmp_path / "points.npz", points)
-    assert load_global_points(tmp_path / "points.npz")[-3].cameras.tolist() == []
+    assert load_global_points(tmp_path / "points.npz", scene.num_cameras)[-3].cameras.tolist() == []
 
 
 def test_triangulate_global_noisy_rms():
@@ -115,7 +115,7 @@ def test_triangulate_global_noisy_rms():
         if not p.active:
             continue
         for c, xy in zip(p.cameras, p.xy):
-            proj = project_point(scene.poses[int(c)], scene.cameras[int(c)], p.position)
+            proj = project_point(scene.rotation[c], scene.center[c], scene.cameras.intrinsics[c], p.position)
             sq.append(((proj - xy) ** 2).sum())
     assert sq
     assert np.sqrt(np.mean(sq)) <= 1.5
@@ -246,7 +246,7 @@ def test_single_partition_matches_monolithic():
     problem = ba_core.BAProblem(
         rotations=motion.rotation.copy(),
         centers=motion.center.copy(),
-        intrinsics=np.array([[scene.cameras[c].focal, scene.cameras[c].cx, scene.cameras[c].cy] for c in cam_ids]),
+        intrinsics=scene.cameras.intrinsics[cam_ids],
         points=np.array([p.position for p in active]),
         cam_idx=np.array(obs_cam),
         pt_idx=np.array(obs_pt),
@@ -280,15 +280,13 @@ def test_non_finite_residuals_raise(loop24):
 def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, expected):
     from types import SimpleNamespace
 
-    from clustersfm.scene import Camera
-
     # three cameras along x looking down +z; one is turned to look down -z,
     # so the point is behind it, and another sees the point 30 px off
     X = np.array([0.2, -0.1, 10.0])
     rotations = {c: np.eye(3) for c in range(3)}
     rotations[flipped] = np.diag([1.0, -1.0, -1.0])
     centers = {c: np.array([c - 1.0, 0.0, 0.0]) for c in range(3)}
-    cameras = [Camera(id=c, focal=800.0, cx=640.0, cy=480.0, width=1280, height=960) for c in range(3)]
+    cameras = camera_table(3)
     xy = []
     for c in range(3):
         Y = rotations[c] @ (X - centers[c])

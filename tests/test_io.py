@@ -21,8 +21,10 @@ def test_match_graph_roundtrip(tmp_path):
     assert json.loads(path.read_text())["version"] == 2
     cameras, loaded = sfm_io.load_match_graph(path)
     assert len(cameras) == 6 and len(loaded) == len(matches)
-    assert cameras == scene.cameras
-    assert all(type(c.width) is int and type(c.height) is int for c in cameras)
+    for name, dtype in (("intrinsics", np.float64), ("size", np.int64)):
+        a, b = getattr(scene.cameras, name), getattr(cameras, name)
+        assert np.array_equal(a, b) and b.shape == a.shape and b.dtype == dtype, name
+        assert np.array_equal(getattr(sfm_io.load_cameras(path), name), a), name
     for name in ("edges", "offsets", "feat", "xy"):
         assert np.array_equal(getattr(matches, name), getattr(loaded, name))
         assert getattr(matches, name).dtype == getattr(loaded, name).dtype
@@ -30,7 +32,8 @@ def test_match_graph_roundtrip(tmp_path):
     assert build_camera_graph(matches, 6).edges == build_camera_graph(loaded, 6).edges
     sfm_io.save_match_graph(path, scene.cameras, matches.take([]))
     cameras, empty = sfm_io.load_match_graph(path)
-    assert cameras == scene.cameras and empty.edges.shape == (0, 2) and empty.offsets.tolist() == [0]
+    assert np.array_equal(cameras.intrinsics, scene.cameras.intrinsics) and np.array_equal(cameras.size, scene.cameras.size)
+    assert empty.edges.shape == (0, 2) and empty.offsets.tolist() == [0]
     assert empty.feat.shape == (0, 2) and empty.xy.shape == (0, 4)
 
 
@@ -52,10 +55,16 @@ def test_saves_are_byte_identical(tmp_path):
 def test_ground_truth_roundtrip(tmp_path):
     scene, _ = generate_synthetic_scene("loop", 10, 100, seed=2)
     path = tmp_path / "gt.json"
-    sfm_io.save_ground_truth(path, scene.poses)
-    loaded = sfm_io.load_ground_truth(path)
-    for a, b in zip(scene.poses, loaded):
-        assert np.allclose(a.R, b.R) and np.allclose(a.c, b.c)
+    sfm_io.save_ground_truth(path, scene.rotation, scene.center)
+    data = json.loads(path.read_text())
+    assert [set(rec) for rec in data] == [{"cameraId", "rotation", "center"}] * 10
+    rotation, center = sfm_io.load_ground_truth(path, 10)
+    assert np.array_equal(rotation, scene.rotation) and rotation.shape == (10, 3, 3) and rotation.dtype == np.float64
+    assert np.array_equal(center, scene.center) and center.shape == (10, 3) and center.dtype == np.float64
+    path.write_text(json.dumps(data[::-1]))  # the ids index the arrays, in whatever order they come
+    assert all(np.array_equal(a, b) for a, b in zip(sfm_io.load_ground_truth(path, 10), (rotation, center)))
+    sfm_io.save_ground_truth(path, rotation, center)
+    assert json.loads(path.read_text()) == data
 
 
 def test_cluster_set_roundtrip(tmp_path):
@@ -199,7 +208,7 @@ def test_global_motion_and_points_roundtrip(tmp_path, small_run):
                     cameras=np.array([0, 1]), xy=np.zeros((2, 2)), status="too_few_views"),
     ]
     sfm_io.save_global_points(tmp_path / "pts.npz", points)
-    loaded_pts = sfm_io.load_global_points(tmp_path / "pts.npz")
+    loaded_pts = sfm_io.load_global_points(tmp_path / "pts.npz", 3)
     assert loaded_pts[0].active and not loaded_pts[1].active
     assert np.allclose(loaded_pts[0].position, [1, 2, 3])
 
@@ -221,7 +230,7 @@ def test_global_points_roundtrip_exact(tmp_path):
     path = tmp_path / "pts.npz"
     for points in (_points_of_every_status(), []):
         sfm_io.save_global_points(path, points)
-        loaded = sfm_io.load_global_points(path)
+        loaded = sfm_io.load_global_points(path, 7)
         assert len(loaded) == len(points)
         for a, b in zip(points, loaded):
             assert (a.track_id, a.cluster_id, a.status) == (b.track_id, b.cluster_id, b.status)
@@ -289,6 +298,24 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         path.write_text(damaged)
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sfm_io.load_match_graph(path)
+    nan, inf = float("nan"), float("inf")
+    for key, camera, value, message in (
+        ("intrinsics", 3, [nan, 640.0, 480.0], "focal, cx or cy is not finite"),
+        ("intrinsics", 3, [inf, 640.0, 480.0], "focal, cx or cy is not finite"),
+        ("intrinsics", 3, [800.0, -inf, 480.0], "focal, cx or cy is not finite"),
+        ("intrinsics", 3, [800.0, 640.0, nan], "focal, cx or cy is not finite"),
+        ("intrinsics", 3, [0.0, 640.0, 480.0], "focal must be positive"),
+        ("intrinsics", 3, [800.0, 1280.0, 480.0], "principal point outside image"),
+        ("intrinsics", 3, [800.0, 640.0, -1.0], "principal point outside image"),
+        ("size", 2, [0, 960], "image must be at least 1 x 1 pixels"),
+        ("size", 2, [1280, -960], "image must be at least 1 x 1 pixels"),
+    ):
+        broken = json.loads(good)
+        broken[key][camera] = value
+        path.write_text(json.dumps(broken))
+        for load in (sfm_io.load_match_graph, sfm_io.load_cameras):
+            with pytest.raises(DataError, match=f"^{path}: camera {camera}: {message}$"):
+                load(path)
     path = tmp_path / "points.npz"
     sfm_io.save_global_points(path, _points_of_every_status())
     good = path.read_bytes()
@@ -299,17 +326,31 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                              (dict(cameras=data["cameras"].astype(object)), "Object arrays"),
                              (dict(cluster=data["cluster"] + 0.5), "Cannot cast"),
                              (dict(has_position=data["has_position"][:-1]), "malformed"),
-                             (dict(offsets=data["offsets"][::-1]), "offsets do not rise")):
+                             (dict(offsets=data["offsets"][::-1]), "offsets do not rise"),
+                             (dict(cameras=np.append(data["cameras"][:-1], 7)),  # point 9 sees camera 2
+                              "track 9: camera 7 is not in the match graph's 0..6$"),
+                             (dict(cameras=np.append(999, data["cameras"][1:])),
+                              "track 0: cameras are not strictly ascending$"),
+                             (dict(cameras=np.append(-1, data["cameras"][1:])),
+                              "track 0: camera -1 is not in the match graph's 0..6$"),
+                             (dict(cameras=np.append([1, 0], data["cameras"][2:])),  # the first two swapped
+                              "track 0: cameras are not strictly ascending$"),
+                             (dict(cameras=np.append([0, 0], data["cameras"][2:])),  # a repeated camera
+                              "track 0: cameras are not strictly ascending$")):
         _rewrite_npz(path, data, **changes)
         with pytest.raises(DataError, match=f"^{path}: .*{message}"):
-            sfm_io.load_global_points(path)
+            sfm_io.load_global_points(path, 7)
+    _rewrite_npz(path, data)
+    assert len(sfm_io.load_global_points(path, 7)) == 4
+    with pytest.raises(DataError, match=f"^{path}: track 7: camera 6 is not in the match graph's 0..5$"):
+        sfm_io.load_global_points(path, 6)
     flipped = bytearray(good)
     flipped[len(good) // 2] ^= 0xFF
     for damaged, message in ((good[: len(good) // 2], "BadZipFile"), (b"", "EOFError"),
                              (bytes(flipped), "Bad CRC-32")):
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=f"^{path}: malformed artifact .*{message}"):
-            sfm_io.load_global_points(path)
+            sfm_io.load_global_points(path, 7)
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError):
@@ -367,16 +408,30 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match=f"^{path}: offsets do not rise from 0 to 3"):
         sfm_io.load_local_reconstructions(path)
-    sfm_io.save_ground_truth(path, scene.poses)
-    data = json.loads(path.read_text())
-    data[0]["cameraId"] = 1  # camera 0 would be left without a pose
-    path.write_text(json.dumps(data))
-    with pytest.raises(DataError, match="camera ids"):
-        sfm_io.load_ground_truth(path)
-    data[0]["cameraId"] = -1  # would index the last camera
-    path.write_text(json.dumps(data))
-    with pytest.raises(DataError, match="camera id -1"):
-        sfm_io.load_ground_truth(path)
+    sfm_io.save_ground_truth(path, scene.rotation, scene.center)
+    good = json.loads(path.read_text())
+    flipped = np.diag([1.0, 1.0, -1.0]).ravel().tolist()
+    for change, message in (
+        (lambda d: d.pop(), "the ground truth lacks camera 5"),  # the last camera
+        (lambda d: d.pop(2), "the ground truth lacks camera 2"),
+        (lambda d: d.append(dict(d[0], cameraId=6)), "ground-truth camera 6 is not in the match graph's 0..5"),
+        (lambda d: d[0].update(cameraId=1), "the ground truth repeats camera 1"),  # camera 0 without a pose
+        (lambda d: d[0].update(cameraId=-1), "ground-truth camera -1 is not in the match graph's 0..5"),
+        (lambda d: d[0].update(cameraId=1.0), "ground-truth camera 1.0 is not in the match graph's 0..5"),
+        (lambda d: d[2].update(rotation=[nan] * 9), "ground-truth camera 2: R or c is not finite"),
+        (lambda d: d[4].update(center=[0.0, nan, 0.0]), "ground-truth camera 4: R or c is not finite"),
+        (lambda d: d[1].update(center=[inf, 0.0, 0.0]), "ground-truth camera 1: R or c is not finite"),
+        (lambda d: d[3].update(rotation=[2.0] + d[3]["rotation"][1:]),
+         r"ground-truth camera 3: R is not a rotation \(\|R\^T R - I\| = "),
+        (lambda d: d[3].update(rotation=flipped), r"ground-truth camera 3: R is not a rotation .*det -1\)"),
+        (lambda d: d[0].update(rotation=[1.0] * 8), "malformed"),
+        (lambda d: d[0].pop("center"), "malformed .*center"),  # a missing key is named
+    ):
+        data = json.loads(json.dumps(good))
+        change(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            sfm_io.load_ground_truth(path, 6)
     motion = global_motion({0: np.eye(3), 5: np.eye(3)}, {0: np.zeros(3), 5: np.ones(3)}, {0: 1.0, 2: 0.5},
                            residual_norms=np.zeros(1))
     sfm_io.save_global_motion(path, motion)

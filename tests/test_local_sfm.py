@@ -29,22 +29,19 @@ from clustersfm.local_sfm import (
     _triangulate,
 )
 from clustersfm.evaluation import align_similarity
-from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
+from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import seeded_rng
-from conftest import motion_rows, random_rotation, track_rows, track_table
+from conftest import camera_table, motion_rows, project_point, random_rotation, track_rows, track_table
 
 SEED = 11
-
-
-def make_camera(idx=0):
-    return Camera(id=idx, focal=800.0, cx=640.0, cy=480.0, width=1280, height=960)
+CAMERA = camera_table(1)  # focal 800, principal point (640, 480), 1280 x 960 pixels
+K = CAMERA.K()[0]
 
 
 def test_relative_pose_noise_free_exact():
     rng = np.random.default_rng(0)
-    cam = make_camera()
     # moderate rotation, unit baseline
     from clustersfm.geometry import so3_exp
 
@@ -55,7 +52,7 @@ def test_relative_pose_noise_free_exact():
     x1 = X[:, :2] / X[:, 2:3] * 800 + np.array([640, 480])
     Xc = X @ R_gt.T + t_gt
     x2 = Xc[:, :2] / Xc[:, 2:3] * 800 + np.array([640, 480])
-    result = estimate_relative_pose(cam.K, cam.K, x1, x2, seeded_rng(1))
+    result = estimate_relative_pose(K, K, x1, x2, seeded_rng(1))
     assert result is not None
     R, t, mask = result
     assert mask.all()
@@ -66,7 +63,6 @@ def test_relative_pose_noise_free_exact():
 def test_relative_pose_forty_percent_outliers():
     # well-conditioned wide-baseline pair; inlier recall >= 95%
     rng = np.random.default_rng(3)
-    cam = make_camera()
     from clustersfm.geometry import so3_exp
 
     R_gt = so3_exp(np.array([0.0, -0.5, 0.1]))
@@ -84,24 +80,25 @@ def test_relative_pose_forty_percent_outliers():
     x2[out_idx] = rng.uniform([0, 0], [1279, 959], size=(n_out, 2))
     true_inliers = np.ones(n, dtype=bool)
     true_inliers[out_idx] = False
-    result = estimate_relative_pose(cam.K, cam.K, x1, x2, seeded_rng(2))
+    result = estimate_relative_pose(K, K, x1, x2, seeded_rng(2))
     assert result is not None
     _, _, mask = result
     recall = (mask & true_inliers).sum() / true_inliers.sum()
     assert recall >= 0.95
 
 
-def _tracks_for_pair(poses, cams, points):
+def _tracks_for_pair(rotation, center, cameras, points):
     """Tracks with one observation per camera for the given GT geometry."""
     tracks = []
     for pid, X in enumerate(points):
         xys, cs = [], []
-        for c, (pose, cam) in enumerate(zip(poses, cams)):
+        for c, (R, center_c, intrinsics, (width, height)) in enumerate(
+                zip(rotation, center, cameras.intrinsics, cameras.size)):
             try:
-                xy = project_point(pose, cam, X)
+                xy = project_point(R, center_c, intrinsics, X)
             except Exception:
                 continue
-            if 0 <= xy[0] < cam.width and 0 <= xy[1] < cam.height:
+            if 0 <= xy[0] < width and 0 <= xy[1] < height:
                 cs.append(c)
                 xys.append(xy)
         if len(cs) >= 2:
@@ -111,11 +108,9 @@ def _tracks_for_pair(poses, cams, points):
 
 def test_seed_pair_rejects_zero_baseline():
     rng = np.random.default_rng(4)
-    cams = [make_camera(0), make_camera(1)]
-    pose = Pose(R=np.eye(3), c=np.zeros(3))
-    poses = [pose, Pose(R=np.eye(3), c=np.zeros(3))]  # identical poses
+    cams = camera_table(2)
     points = rng.normal(size=(60, 3)) * 1.5 + np.array([0, 0, 6.0])
-    tracks = _tracks_for_pair(poses, cams, points)
+    tracks = _tracks_for_pair(np.array([np.eye(3)] * 2), np.zeros((2, 3)), cams, points)  # identical poses
     from conftest import match_table, weighted_edge
 
     graph = build_camera_graph(match_table([weighted_edge(0, 1, len(tracks))]), 2)
@@ -126,15 +121,13 @@ def test_seed_pair_rejects_zero_baseline():
 
 def test_register_noise_free_exact():
     rng = np.random.default_rng(5)
-    cam = make_camera()
     R_gt = random_rotation(rng)
     c_gt = rng.normal(size=3)
     X = (rng.normal(size=(50, 3)) * 2 + np.array([0, 0, 8.0])) @ R_gt + c_gt
     pix = []
-    pose = Pose(R=R_gt, c=c_gt)
     for x in X:
-        pix.append(project_point(pose, cam, x))
-    result = register_next_view(cam, X, np.array(pix), seeded_rng(1))
+        pix.append(project_point(R_gt, c_gt, CAMERA.intrinsics[0], x))
+    result = register_next_view(K, X, np.array(pix), seeded_rng(1))
     assert result is not None
     R, c, mask = result
     assert mask.all()
@@ -144,22 +137,19 @@ def test_register_noise_free_exact():
 
 
 def test_register_too_few_points_deferred():
-    cam = make_camera()
-    result = register_next_view(cam, np.zeros((5, 3)), np.zeros((5, 2)), seeded_rng(0))
+    result = register_next_view(K, np.zeros((5, 3)), np.zeros((5, 2)), seeded_rng(0))
     assert result is None
 
 
 def test_register_thirty_percent_mislabeled():
     rng = np.random.default_rng(6)
-    cam = make_camera()
     R_gt = random_rotation(rng)
     c_gt = rng.normal(size=3)
     X = (rng.normal(size=(120, 3)) * 2 + np.array([0, 0, 8.0])) @ R_gt + c_gt
-    pose = Pose(R=R_gt, c=c_gt)
-    pix = np.array([project_point(pose, cam, x) for x in X])
+    pix = np.array([project_point(R_gt, c_gt, CAMERA.intrinsics[0], x) for x in X])
     bad = rng.choice(len(X), int(0.3 * len(X)), replace=False)
     pix[bad] = rng.uniform([0, 0], [1279, 959], size=(len(bad), 2))
-    result = register_next_view(cam, X, pix, seeded_rng(2))
+    result = register_next_view(K, X, pix, seeded_rng(2))
     assert result is not None
     R, c, _ = result
     diam = np.linalg.norm(X.max(0) - X.min(0))
@@ -167,45 +157,45 @@ def test_register_thirty_percent_mislabeled():
     assert np.linalg.norm(c - c_gt) < 0.01 * diam
 
 
-def triangulate_one(poses, cams, xys):
-    """One track through local SfM's batched triangulation; None when the
-    gate or the parallax test rejects it."""
-    Ps = np.array([projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)])
+def triangulate_one(poses, K, xys):
+    """One track through local SfM's batched triangulation, every view with
+    calibration K; None when the gate or the parallax test rejects it."""
+    Ps = np.array([projection_matrix(K, R, c) for R, c in poses])
     X, ok, _ = _triangulate(Ps, np.array([c for _, c in poses]), np.asarray(xys, dtype=float)[None])
     return X[0] if ok[0] else None
 
 
+UNIT_K = camera_table(1, focal=1.0, cx=0.0, cy=0.0, width=2, height=2).K()[0]
+
+
 def test_triangulate_closed_form():
-    cam = Camera(id=0, focal=1.0, cx=0.0, cy=0.0, width=2, height=2)
     poses = [(np.eye(3), np.array([0.5, 0.0, 0.0])), (np.eye(3), np.array([-0.5, 0.0, 0.0]))]
     X = np.array([0.0, 0.0, 2.0])
     xys = []
     for R, c in poses:
         Y = R @ (X - c)
         xys.append(Y[:2] / Y[2])
-    rec = triangulate_one(poses, [cam, cam], np.array(xys))
+    rec = triangulate_one(poses, UNIT_K, np.array(xys))
     assert rec is not None
     assert np.abs(rec - X).max() < 1e-9
 
 
 def test_triangulate_rejects_behind_camera():
-    cam = Camera(id=0, focal=1.0, cx=0.0, cy=0.0, width=2, height=2)
     # second camera faces away from the point
     flip = np.diag([1.0, -1.0, -1.0])
     poses = [(np.eye(3), np.array([0.5, 0.0, 0.0])), (flip, np.array([-0.5, 0.0, 4.0]))]
     X = np.array([0.0, 0.0, 2.0])
     xys = np.array([[(X - c)[0] / (X - c)[2], (X - c)[1] / (X - c)[2]] for R, c in [poses[0]]] + [[0.0, 0.0]])
-    assert triangulate_one(poses, [cam, cam], xys) is None
+    assert triangulate_one(poses, UNIT_K, xys) is None
 
 
 def test_triangulate_five_views_noisy_rms():
     rng = np.random.default_rng(7)
-    cam = make_camera()
     centers = np.array([[2 * k - 4.0, 0.3 * k, 0.0] for k in range(5)])
     from clustersfm.synthetic import _look_at
 
     target = np.array([0.0, 0.0, 10.0])
-    poses = [(_look_at(c, target).R, c) for c in centers]
+    poses = [(_look_at(c, target), c) for c in centers]
     errors = []
     for _ in range(60):
         X = target + rng.normal(size=3)
@@ -214,7 +204,7 @@ def test_triangulate_five_views_noisy_rms():
             Y = R @ (X - c)
             xys.append([800 * Y[0] / Y[2] + 640, 800 * Y[1] / Y[2] + 480])
         xys = np.array(xys) + rng.normal(0, 0.5, (5, 2))
-        rec = triangulate_one(poses, [cam] * 5, xys)
+        rec = triangulate_one(poses, K, xys)
         if rec is None:
             continue
         for (R, c), z in zip(poses, xys):
@@ -238,7 +228,7 @@ def orbit_run(orbit_scene_small):
 
 def diameter(scene) -> float:
     """Max pairwise distance between camera centers."""
-    c = np.array([p.c for p in scene.poses])
+    c = scene.center
     return float(np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1).max())
 
 
@@ -248,7 +238,7 @@ def test_run_local_sfm_noise_free_all_registered(orbit_run):
     assert rec.registered.tolist() == list(range(scene.num_cameras)) and rec.registered.dtype == np.int64
     assert rec.rotation.shape == (scene.num_cameras, 3, 3) and rec.center.shape == (scene.num_cameras, 3)
     est = rec.center
-    gt = np.array([scene.poses[c].c for c in rec.registered.tolist()])
+    gt = scene.center[rec.registered]
     s, R, t = align_similarity(est, gt)
     aligned = s * est @ R.T + t
     rmse = np.sqrt(((aligned - gt) ** 2).sum(axis=1).mean())
@@ -374,10 +364,11 @@ def test_run_local_sfm_noisy_monte_carlo():
     assert rec.mean_reprojection < 1.0
 
 
-def _triangulate_reference(poses, cams, xys):
-    """Per-track, per-view reference of local SfM triangulation: DLT, then
-    depth and reprojection in every view and the largest pairwise parallax."""
-    Ps = [projection_matrix(cam.K, R, c) for (R, c), cam in zip(poses, cams)]
+def _triangulate_reference(poses, K, xys):
+    """Per-track, per-view reference of local SfM triangulation, every view
+    with calibration K: DLT, then depth and reprojection in every view and
+    the largest pairwise parallax."""
+    Ps = [projection_matrix(K, R, c) for R, c in poses]
     A = np.concatenate([[x[0] * P[2] - P[0], x[1] * P[2] - P[1]] for P, x in zip(Ps, xys)])
     Xh = np.linalg.svd(A)[2][-1]
     if abs(Xh[3]) < 1e-15:
@@ -399,7 +390,6 @@ def test_batched_triangulation_matches_per_track_reference():
     from clustersfm.synthetic import _look_at
 
     rng = np.random.default_rng(31)
-    cam = make_camera()
     flip = np.diag([1.0, -1.0, -1.0])
     target = np.array([0.0, 0.0, 10.0])
     outcomes = set()
@@ -409,7 +399,7 @@ def test_batched_triangulation_matches_per_track_reference():
             case = i % 5  # 0 clean, 1 behind, 2 > 4 px, 3 at infinity, 4 < 1 degree
             spread = 0.02 if case == 4 else 2.0
             centers = [spread * np.array([v - k / 2, 0.15 * v, 0.0]) for v in range(k)]
-            poses = [(_look_at(c, target).R, c) for c in centers]
+            poses = [(_look_at(c, target), c) for c in centers]
             X = target + rng.normal(size=3)
             if case == 3:
                 poses = [(np.eye(3), np.array([float(v), 0.0, 0.0])) for v in range(k)]
@@ -427,11 +417,11 @@ def test_batched_triangulation_matches_per_track_reference():
                 xys[:] = [700.0, 500.0]
             poses_n.append(poses)
             xys_n.append(xys)
-        Ps = np.array([[projection_matrix(cam.K, R, c) for R, c in poses] for poses in poses_n])
+        Ps = np.array([[projection_matrix(K, R, c) for R, c in poses] for poses in poses_n])
         centers = np.array([[c for _, c in poses] for poses in poses_n])
         X, ok, _ = _triangulate(Ps, centers, np.array(xys_n))
         for i, (poses, xys) in enumerate(zip(poses_n, xys_n)):
-            ref = _triangulate_reference(poses, [cam] * k, xys)
+            ref = _triangulate_reference(poses, K, xys)
             assert ok[i] == (ref is not None), (k, i)
             if ref is not None:
                 assert np.array_equal(X[i], ref)
@@ -442,7 +432,7 @@ def test_batched_triangulation_matches_per_track_reference():
 
 def test_local_ba_rising_cost_raises(monkeypatch):
     tracks = track_table([(t, [0, 1], [t, t], np.zeros((2, 2))) for t in range(5)])
-    state = _SfMState(0, ClusterTracks((0, 1), tracks), [make_camera(0), make_camera(1)])
+    state = _SfMState(0, ClusterTracks((0, 1), tracks), camera_table(2))
     state.rotations = {0: np.eye(3), 1: np.eye(3)}
     state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
     state.X[:] = [[0.0, 0.0, 5.0 + t] for t in range(5)]
@@ -461,20 +451,21 @@ def _three_view_state():
 
     rng = np.random.default_rng(21)
     target = np.array([0.0, 0.0, 8.0])
-    poses = [_look_at(np.array([x, 0.2 * x, 0.0]), target) for x in (-1.0, 0.0, 1.0)]
-    cams = [make_camera(k) for k in range(3)]
+    center = np.array([[x, 0.2 * x, 0.0] for x in (-1.0, 0.0, 1.0)])
+    rotation = np.array([_look_at(c, target) for c in center])
+    cams = camera_table(3)
     points = target + rng.normal(size=(6, 3))
-    tracks = _tracks_for_pair(poses, cams, points)
+    tracks = _tracks_for_pair(rotation, center, cams, points)
     assert np.diff(tracks.offsets).tolist() == [3] * 6
     state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams)
     for k in (1, 2):
-        state.rotations[k], state.centers[k] = poses[k].R, poses[k].c
+        state.rotations[k], state.centers[k] = rotation[k], center[k]
     state.X[:] = points
     state.status[:] = ACTIVE
     state.joined[state.tracks.cam == 1] = 0
     state.joined[state.tracks.cam == 2] = 1
     state.seed_pair = (1, 2)
-    return state, poses
+    return state, rotation, center
 
 
 def _capture_lm(monkeypatch, residuals=lambda problem: np.zeros(len(problem.pixels))):
@@ -497,8 +488,8 @@ def _capture_lm(monkeypatch, residuals=lambda problem: np.zeros(len(problem.pixe
 def test_local_ba_orders_observations_by_join(monkeypatch):
     # camera 0 registers after the seed pair: its observations come last in
     # every point, although its id is the smallest
-    state, poses = _three_view_state()
-    state.rotations[0], state.centers[0] = poses[0].R, poses[0].c
+    state, rotation, center = _three_view_state()
+    state.rotations[0], state.centers[0] = rotation[0], center[0]
     state.add_camera_observations(0)
     assert (state.joined[state.tracks.cam == 0] == 2).all()
     problems = _capture_lm(monkeypatch)
@@ -509,7 +500,7 @@ def test_local_ba_orders_observations_by_join(monkeypatch):
 
 
 def test_local_ba_drops_non_finite_residual_and_retires_point(monkeypatch):
-    state, poses = _three_view_state()
+    state, rotation, center = _three_view_state()
     tr = state.tracks
 
     def residuals(problem):
@@ -525,7 +516,7 @@ def test_local_ba_drops_non_finite_residual_and_retires_point(monkeypatch):
     # camera 0 registers and sees every point: the dead one is neither
     # re-attached nor triangulated again
     X_dead = state.X[0].copy()
-    state.rotations[0], state.centers[0] = poses[0].R, poses[0].c
+    state.rotations[0], state.centers[0] = rotation[0], center[0]
     state.add_camera_observations(0)
     state.triangulate_new_tracks(0)
     assert state.status[0] == DEAD and (state.joined[tr.track == 0] == -1).all()

@@ -370,6 +370,77 @@ def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_cli_bad_ground_truth_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "ground_truth.json"
+    original = path.read_text()
+    last, nan = SMALL["num_cameras"] - 1, float("nan")
+    for change, message in (
+        (lambda d: d.pop(), f"the ground truth lacks camera {last}"),  # was an IndexError
+        (lambda d: d.append(dict(d[0], cameraId=last + 1)),  # was accepted
+         f"ground-truth camera {last + 1} is not in the match graph's 0..{last}"),
+        (lambda d: d[1].update(cameraId=0), "the ground truth repeats camera 0"),
+        (lambda d: d[3].update(rotation=[nan] * 9), "ground-truth camera 3: R or c is not finite"),  # reported nan
+        (lambda d: d[3].update(center=[0.0, nan, 0.0]), "ground-truth camera 3: R or c is not finite"),  # SVD failed
+        (lambda d: d[5].update(rotation=[1.001] + d[5]["rotation"][1:]), "ground-truth camera 5: R is not a rotation"),
+    ):
+        data = json.loads(original)
+        change(data)
+        path.write_text(json.dumps(data))
+        assert cli_main(["evaluate", "--output-dir", str(tmp_path)]) == 3, message
+        _one_line_data_error(capsys, "evaluate", "ground_truth.json", message)
+    path.write_text(original)
+    assert cli_main(["evaluate", "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+def test_cli_bad_camera_table_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "matches.json"
+    original = path.read_text()
+    nan, inf = float("nan"), float("inf")
+    for key, value, message in (
+        ("intrinsics", [nan, 640.0, 480.0], "camera 3: focal, cx or cy is not finite"),  # every stage exited 0
+        ("intrinsics", [inf, 640.0, 480.0], "camera 3: focal, cx or cy is not finite"),
+        ("intrinsics", [-800.0, 640.0, 480.0], "camera 3: focal must be positive"),
+        ("size", [0, 0], "camera 3: image must be at least 1 x 1 pixels"),
+    ):
+        data = json.loads(original)
+        data[key][3] = value
+        path.write_text(json.dumps(data))
+        for stage in ("cluster", "tracks", "local-sfm", "average", "triangulate", "ba", "evaluate"):
+            assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (message, stage)
+            _one_line_data_error(capsys, stage, "matches.json", message)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_bad_points_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    for name, stage in (("points.npz", "ba"), ("final_points.npz", "evaluate")):
+        path = tmp_path / name
+        original = path.read_bytes()
+        with np.load(path) as archive:
+            data = dict(archive)
+        k = int(np.argmax(np.diff(data["offsets"]) >= 2))  # the first point with two cameras
+        (a, b), track, cameras = data["offsets"][k:k + 2], data["track"][k], data["cameras"]
+        for rows, value, message in (
+            (b - 1, 999, f"track {track}: camera 999 is not in the match graph's 0..17"),  # was accepted
+            (a, cameras[a + 1], f"track {track}: cameras are not strictly ascending"),  # a repeat
+            ([a, a + 1], cameras[[a + 1, a]], f"track {track}: cameras are not strictly ascending"),  # swapped
+        ):
+            changed = cameras.copy()
+            changed[rows] = value
+            with open(path, "wb") as fh:
+                np.savez(fh, **dict(data, cameras=changed))
+            assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, message)
+            _one_line_data_error(capsys, stage, name, message)
+        path.write_bytes(original)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_cli_status_corrupt_manifest_exit_code(tmp_path, capsys):
     _synth_small(tmp_path)
     manifest = tmp_path / "manifest.json"

@@ -1,58 +1,94 @@
 import numpy as np
 import pytest
 
+from clustersfm import io as sfm_io
 from clustersfm.errors import BehindCameraError, DataError, DuplicateEdgeError
-from clustersfm.scene import Camera, Pose, build_camera_graph, project_point
-from conftest import match_table, random_rotation, weighted_edge
+from clustersfm.scene import build_camera_graph
+from conftest import camera_table, match_table, project_point, random_rotation, weighted_edge
 
 
 def test_project_identity_case():
-    cam = Camera(id=0, focal=1.0, cx=0.0, cy=0.0, width=2, height=2)
-    pose = Pose(R=np.eye(3), c=np.zeros(3))
-    assert np.allclose(project_point(pose, cam, [0, 0, 1]), [0, 0])
+    assert np.allclose(project_point(np.eye(3), np.zeros(3), (1.0, 0.0, 0.0), [0, 0, 1]), [0, 0])
 
 
 def test_project_hand_evaluated():
-    cam = Camera(id=0, focal=2.0, cx=100.0, cy=100.0, width=200, height=200)
-    pose = Pose(R=np.eye(3), c=np.zeros(3))
     # x = 2*1/2 + 100 = 101
-    assert np.allclose(project_point(pose, cam, [1, 1, 2]), [101, 101])
+    assert np.allclose(project_point(np.eye(3), np.zeros(3), (2.0, 100.0, 100.0), [1, 1, 2]), [101, 101])
 
 
 def test_project_behind_camera():
-    cam = Camera(id=0, focal=1.0, cx=0.0, cy=0.0, width=2, height=2)
-    pose = Pose(R=np.eye(3), c=np.array([0.0, 0.0, 5.0]))
     with pytest.raises(BehindCameraError):
-        project_point(pose, cam, [0, 0, 1])
+        project_point(np.eye(3), np.array([0.0, 0.0, 5.0]), (1.0, 0.0, 0.0), [0, 0, 1])
 
 
 def test_projection_rigid_invariance():
     # applying one rigid transform to both pose and point leaves pixels fixed
     rng = np.random.default_rng(1)
-    cam = Camera(id=0, focal=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    intrinsics = (500.0, 320.0, 240.0)
     for _ in range(20):
         R = random_rotation(rng)
         c = rng.normal(size=3)
         X = c + rng.normal(size=3) + np.array([0, 0, 5.0]) @ R  # keep in front
-        pose = Pose(R=R, c=c)
         try:
-            base = project_point(pose, cam, X)
+            base = project_point(R, c, intrinsics, X)
         except BehindCameraError:
             continue
         Q = random_rotation(rng)
         d = rng.normal(size=3)
-        pose2 = Pose(R=R @ Q.T, c=Q @ c + d)
-        moved = project_point(pose2, cam, Q @ X + d)
+        moved = project_point(R @ Q.T, Q @ c + d, intrinsics, Q @ X + d)
         assert np.allclose(base, moved, atol=1e-8)
 
 
-def test_pose_validation():
-    with pytest.raises(DataError):
-        Pose(R=np.eye(3) * 1.001, c=np.zeros(3))
+def test_pose_validation(tmp_path):
+    path = tmp_path / "ground_truth.json"
+    rotation, center = np.array([np.eye(3)] * 3), np.zeros((3, 3))
+    sfm_io.save_ground_truth(path, rotation, center)
+    assert all(np.array_equal(a, b) for a, b in zip(sfm_io.load_ground_truth(path, 3), (rotation, center)))
     bad = np.eye(3)
     bad[0, 0] = -1.0  # det -1
-    with pytest.raises(DataError):
-        Pose(R=bad, c=np.zeros(3))
+    for R, message in ((np.eye(3) * 1.001, r"\|R\^T R - I\| = 2.00e-03"), (bad, r"det -1\)$")):
+        sfm_io.save_ground_truth(path, np.array([np.eye(3), R, np.eye(3)]), center)
+        with pytest.raises(DataError, match=f"^{path}: ground-truth camera 1: R is not a rotation .*{message}"):
+            sfm_io.load_ground_truth(path, 3)
+
+
+def test_camera_table_K_stacks_the_calibrations():
+    cameras = camera_table(3)
+    cameras.intrinsics[1] = [500.0, 320.0, 240.0]
+    assert len(cameras) == 3
+    K = cameras.K(np.array([1, 0]))
+    assert K.shape == (2, 3, 3) and K.dtype == np.float64
+    assert np.array_equal(K[0], [[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(K[1], [[800.0, 0.0, 640.0], [0.0, 800.0, 480.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(cameras.K(), cameras.K([0, 1, 2])) and cameras.K([]).shape == (0, 3, 3)
+
+
+def test_camera_table_check_names_the_first_faulty_camera():
+    camera_table(4).check()
+    camera_table(0).check()
+    nan, inf = float("nan"), float("inf")
+    for column, value, message in (
+        (0, 0.0, "focal must be positive"),
+        (0, -800.0, "focal must be positive"),
+        (0, nan, "focal, cx or cy is not finite"),
+        (0, inf, "focal, cx or cy is not finite"),
+        (1, nan, "focal, cx or cy is not finite"),
+        (2, -inf, "focal, cx or cy is not finite"),
+        (1, 1280.0, "principal point outside image"),  # cx must be below the width
+        (2, -0.5, "principal point outside image"),
+    ):
+        cameras = camera_table(4)
+        cameras.intrinsics[2, column] = value
+        cameras.intrinsics[3, 0] = -1.0  # a later faulty camera is not named
+        with pytest.raises(DataError, match=f"^camera 2: {message}$"):
+            cameras.check()
+    for size in ((0, 960), (1280, 0), (-5, 960)):
+        cameras = camera_table(4, cx=0.0, cy=0.0)
+        cameras.size[1] = size
+        with pytest.raises(DataError, match="^camera 1: image must be at least 1 x 1 pixels$"):
+            cameras.check()
+    with pytest.raises(DataError, match="^camera 0: principal point outside image$"):
+        camera_table(2, cx=2.0, width=2).check()
 
 
 def test_build_camera_graph_direct_definition():

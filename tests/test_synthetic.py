@@ -3,8 +3,8 @@ import pytest
 
 from clustersfm.errors import ConfigurationError
 from clustersfm.geometry import skew
-from clustersfm.scene import project_point
 from clustersfm.synthetic import generate_synthetic_scene
+from conftest import project_point
 
 
 def true_correspondence_mask(scene, matches) -> np.ndarray:
@@ -28,7 +28,7 @@ def test_noise_free_correspondences_exact(loop_scene_noisefree):
     for (i, _), a in zip(matches.edges.tolist(), matches.offsets[:-1].tolist()):
         for fi, xy in zip(matches.feat[a:a + 5, 0], matches.xy[a:a + 5, :2]):
             pid = scene.feature_points[i][fi]
-            proj = project_point(scene.poses[i], scene.cameras[i], scene.points[pid])
+            proj = project_point(scene.rotation[i], scene.center[i], scene.cameras.intrinsics[i], scene.points[pid])
             assert np.abs(proj - xy).max() < 1e-9
             checked += 1
     assert checked > 0
@@ -37,8 +37,8 @@ def test_noise_free_correspondences_exact(loop_scene_noisefree):
 def test_seed_changes_noise_not_layout():
     s1, _ = generate_synthetic_scene("loop", 10, 100, pixel_sigma=0.7, seed=1)
     s2, _ = generate_synthetic_scene("loop", 10, 100, pixel_sigma=0.7, seed=2)
-    for p1, p2 in zip(s1.poses, s2.poses):
-        assert np.array_equal(p1.R, p2.R) and np.array_equal(p1.c, p2.c)
+    assert np.array_equal(s1.rotation, s2.rotation) and np.array_equal(s1.center, s2.center)
+    assert s1.rotation.shape == (10, 3, 3) and s1.center.shape == (10, 3)
     # noise realizations differ
     assert not np.array_equal(np.vstack(s1.feature_xy), np.vstack(s2.feature_xy))
 
@@ -56,7 +56,8 @@ def test_noise_sigma_calibration():
     for cam_id in range(scene.num_cameras):
         pids = scene.feature_points[cam_id]
         for f, pid in enumerate(pids):
-            exact = project_point(scene.poses[cam_id], scene.cameras[cam_id], scene.points[pid])
+            exact = project_point(scene.rotation[cam_id], scene.center[cam_id], scene.cameras.intrinsics[cam_id],
+                                  scene.points[pid])
             residuals.extend((scene.feature_xy[cam_id][f] - exact).tolist())
     std = np.std(residuals)
     assert 0.45 <= std <= 0.55
@@ -64,13 +65,14 @@ def test_noise_sigma_calibration():
 
 def test_noise_free_matches_are_epipolar_inliers(loop_scene_noisefree):
     scene, matches = loop_scene_noisefree
+    K = scene.cameras.K()
     for (i, j), a, b in zip(matches.edges.tolist(), matches.offsets[:-1], matches.offsets[1:]):
-        Ri, ci = scene.poses[i].R, scene.poses[i].c
-        Rj, cj = scene.poses[j].R, scene.poses[j].c
+        Ri, ci = scene.rotation[i], scene.center[i]
+        Rj, cj = scene.rotation[j], scene.center[j]
         R_rel = Rj @ Ri.T
         t_rel = Rj @ (ci - cj)
         E = skew(t_rel) @ R_rel
-        F = np.linalg.inv(scene.cameras[j].K).T @ E @ np.linalg.inv(scene.cameras[i].K)
+        F = np.linalg.inv(K[j]).T @ E @ np.linalg.inv(K[i])
         xi = np.column_stack([matches.xy[a:b, :2], np.ones(b - a)])
         xj = np.column_stack([matches.xy[a:b, 2:], np.ones(b - a)])
         lines = xi @ F.T
