@@ -15,7 +15,3 @@ class DuplicateEdgeError(DataError):
 
 class NumericalError(RuntimeError):
     """A solver reached a degenerate or unrecoverable numerical state."""
-
-
-class BehindCameraError(ValueError):
-    """A 3D point has non-positive depth in the camera frame."""

@@ -263,9 +263,9 @@ def decompose_essential(
 # ---------------------------------------------------------------------------
 
 def projection_matrix(K: np.ndarray, R: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """3x4 camera matrix K [R | -Rc] of a world-to-camera rotation R and
-    camera center c."""
-    return K @ np.hstack([R, (-R @ c).reshape(3, 1)])
+    """3x4 camera matrices K [R | -Rc] of world-to-camera rotations R and
+    camera centers c: K and R (..., 3, 3), c (..., 3) -> (..., 3, 4)."""
+    return K @ np.concatenate([R, -R @ c[..., None]], axis=-1)
 
 
 def triangulate_linear(Ps: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

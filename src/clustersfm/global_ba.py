@@ -89,7 +89,7 @@ def triangulate_global(
         GlobalPoint(t, None, o, cams[a:b], xy[a:b], "too_few_views")
         for t, o, a, b in zip(tracks.ids.tolist(), owner.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
     ]
-    P = np.array([projection_matrix(K, R, c) for K, R, c in zip(cameras.K(posed), motion.rotation, motion.center)])
+    P = projection_matrix(cameras.K(posed), motion.rotation, motion.center)
     at = np.searchsorted(posed, cams)
     # one DLT and one gate per posed-view count
     for n in np.unique(views[views >= MIN_GLOBAL_VIEWS]).tolist():
@@ -109,21 +109,20 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion:
 
     Every observation lands in exactly one partition (its camera's
     cluster); a point is interior when all its observations stay inside its
-    owner.
+    owner. A point owned by no independent cluster (-1) is a boundary
+    point; any other unknown owner is a DataError.
     """
     posed = set(motion.cameras.tolist())
     active = [p for p in points if p.active]
     cluster_ids = sorted({cl.id for cl in cluster_set.independent})
+    unknown = [p.track_id for p in points if p.cluster_id != -1 and p.cluster_id not in cluster_ids]
+    if unknown:
+        raise DataError(f"point of track {unknown[0]}: its cluster is neither -1 nor an independent cluster id")
     partitions = []
-    seen_cameras: set = set()
     for cid in cluster_ids:
         cams = tuple(sorted(c for c in cluster_set.independent[cid].cameras if c in posed))
         if not cams:
             continue
-        overlap = seen_cameras.intersection(cams)
-        if overlap:
-            raise DataError(f"independent clusters share cameras {sorted(overlap)}")
-        seen_cameras.update(cams)
         cam_set = set(cams)
         owned = [pi for pi, p in enumerate(active) if p.cluster_id == cid]
         interior = [
@@ -244,7 +243,7 @@ def distributed_bundle_adjust(
                 positions[part.interior_points] = result.points[part.interior_points]
 
         # consensus: re-triangulate boundary points, guarded per point
-        Ps = np.array([projection_matrix(K, R, c) for K, R, c in zip(Ks, rotations, centers)])
+        Ps = projection_matrix(Ks, rotations, centers)
         for pts, views, xy in boundary_groups:
             P = Ps[views]
             X_new, finite = triangulate_linear(P, xy)

@@ -14,6 +14,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import zipfile
@@ -268,16 +269,32 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
 
 @_checked
 def load_cluster_set(path, num_cameras: int) -> ClusterSet:
-    """The cluster set; a cluster or tree camera outside the match graph's
-    0..num_cameras-1 is a DataError."""
+    """The cluster set. A DataError names the first cluster or tree leaf
+    with a camera outside the match graph's 0..num_cameras-1 or with
+    cameras that do not rise strictly, else the first tree leaf k that is
+    not independent cluster k, else two independent clusters that share a
+    camera."""
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"]))
     tree.assign_leaf_ids()
+    leaves = [list(leaf.cameras) for leaf in tree.leaves()]
+    named = [(f"{kind} cluster {k}", list(c)) for kind in ("independent", "interdependent")
+             for k, c in enumerate(data[kind])] + [(f"tree leaf {k}", c) for k, c in enumerate(leaves)]
+    for name, cameras in named:
+        if not all(isinstance(c, int) and 0 <= c < num_cameras for c in cameras):
+            raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}: {name}")
+        if any(b <= a for a, b in zip(cameras, cameras[1:])):
+            raise DataError(f"{name}: cameras are not strictly ascending")
+    for k, (leaf, cameras) in enumerate(itertools.zip_longest(leaves, data["independent"])):
+        if leaf != cameras:
+            raise DataError(f"tree leaf {k} is not independent cluster {k}")
+    owner = {}
+    for k, cameras in enumerate(data["independent"]):
+        for c in cameras:
+            if owner.setdefault(c, k) != k:
+                raise DataError(f"independent clusters {owner[c]} and {k} share camera {c}")
     independent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["independent"])]
     interdependent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])]
-    for c in [tree.root.cameras] + [c.cameras for c in independent + interdependent]:
-        if not all(isinstance(k, int) and 0 <= k < num_cameras for k in c):
-            raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}")
     return ClusterSet(
         independent=independent,
         interdependent=interdependent,

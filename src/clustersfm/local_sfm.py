@@ -130,36 +130,39 @@ class MotionTable:
 class ClusterTracks:
     """The tracks seen by >= 2 cluster cameras as one observation table.
 
-    Row r says camera cam[r] sees track track[r] (an index into track_ids)
-    at pixel xy[r]. Rows are grouped by track in input order, with cameras
-    ascending inside each track, so a camera has at most one row per track.
+    The cluster's cameras, ascending, give each camera its index k. Row r
+    says the camera of index pos[r] sees track track[r] (an index into
+    track_ids) at pixel xy[r]. Rows are grouped by track in input order,
+    with cameras ascending inside each track, so a camera has at most one
+    row per track.
     """
 
     def __init__(self, cluster_cameras, tracks: TrackTable):
+        self.cameras = np.asarray(cluster_cameras, dtype=np.int64)
         owner = tracks.owner()
-        inside = np.isin(tracks.cameras, np.asarray(cluster_cameras, dtype=np.int64))
+        inside = np.isin(tracks.cameras, self.cameras)
         kept = np.bincount(owner[inside], minlength=len(tracks)) >= 2
         rows = inside & kept[owner]
         self.track_ids = tracks.ids[kept]
         self.track = np.cumsum(kept)[owner[rows]] - 1
-        self.cam = tracks.cameras[rows]
+        self.pos = np.searchsorted(self.cameras, tracks.cameras[rows])
         self.xy = tracks.xy[rows]
-        order = np.argsort(self.cam, kind="stable")
-        seen, starts = np.unique(self.cam[order], return_index=True)
-        self.rows_of = dict(zip(seen.tolist(), np.split(order, starts[1:])))  # camera -> rows
+        self._by_camera = np.argsort(self.pos, kind="stable")
+        self._offsets = np.append(0, np.cumsum(np.bincount(self.pos, minlength=len(self.cameras))))
 
     def __len__(self) -> int:
         return len(self.track_ids)
 
-    def rows(self, cam: int) -> np.ndarray:
-        """The rows of one camera, in track order."""
-        return self.rows_of.get(cam, np.empty(0, dtype=np.int64))
+    def rows(self, k: int) -> np.ndarray:
+        """The rows of the camera of index k, in track order."""
+        return self._by_camera[self._offsets[k]:self._offsets[k + 1]]
 
-    def shared_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of cameras i and j on the tracks both see, in track order."""
-        rows_i, rows_j = self.rows(i), self.rows(j)
-        _, a, b = np.intersect1d(self.track[rows_i], self.track[rows_j], assume_unique=True, return_indices=True)
-        return rows_i[a], rows_j[b]
+    def shared_rows(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the cameras of indices a and b on the tracks both
+        see, in track order."""
+        rows_a, rows_b = self.rows(a), self.rows(b)
+        _, i, j = np.intersect1d(self.track[rows_a], self.track[rows_b], assume_unique=True, return_indices=True)
+        return rows_a[i], rows_b[j]
 
 
 # ---------------------------------------------------------------------------
@@ -218,43 +221,32 @@ def estimate_relative_pose(
     return R, t, mask
 
 
-def estimate_seed_pair(
-    graph: CameraGraph,
-    cluster: Cluster,
-    tracks: ClusterTracks,
-    cameras: CameraTable,
-    rng: np.random.Generator,
-):
-    """Pick the strongest edge whose two-view geometry has enough parallax.
+def estimate_seed_pair(graph: CameraGraph, tracks: ClusterTracks, K: np.ndarray, rng: np.random.Generator):
+    """Pick the strongest edge whose two-view geometry has enough parallax;
+    K (n, 3, 3) are the calibrations of the cluster's n cameras.
 
     Candidates are visited by descending edge weight; the first pair whose
     RANSAC-inlier triangulations reach the median-angle threshold wins.
-    Returns (pair, poses dict, (n, 2) table rows of the pair's views of the
-    n seed points, (n, 3) seed points).
+    Returns (the pair's camera indices, its (2, 3, 3) rotations and (2, 3)
+    centers, (m, 2) table rows of the pair's views of the m seed points,
+    (m, 3) seed points).
     """
-    candidates = sorted(
-        ((i, j) for (i, j) in graph.induced_edges(cluster.cameras)),
-        key=lambda e: (-graph.weight(*e), e),
-    )
-    for (i, j) in candidates:
-        rows = np.column_stack(tracks.shared_rows(i, j))
+    edges = sorted(graph.induced_edges(tracks.cameras.tolist()), key=lambda e: (-graph.weight(*e), e))
+    for pair in np.searchsorted(tracks.cameras, np.reshape(edges, (-1, 2))).tolist():
+        rows = np.column_stack(tracks.shared_rows(*pair))
         if len(rows) < MIN_SEED_CORRESPONDENCES:
             continue
-        xy_i, xy_j = tracks.xy[rows[:, 0]], tracks.xy[rows[:, 1]]
-        Ks = cameras.K([i, j])
-        est = estimate_relative_pose(*Ks, xy_i, xy_j, rng)
+        est = estimate_relative_pose(*K[pair], tracks.xy[rows[:, 0]], tracks.xy[rows[:, 1]], rng)
         if est is None:
             continue
         R, t, mask = est
         if mask.sum() < MIN_SEED_CORRESPONDENCES:
             continue
-        # gauge: camera i at the origin, unit baseline
-        c_i, c_j = np.zeros(3), -R.T @ t
-        poses = {i: (np.eye(3), c_i), j: (R, c_j)}
-        Ps = np.array([projection_matrix(K, *poses[c]) for K, c in zip(Ks, (i, j))])
-        X, ok, parallax = _triangulate(Ps, np.array([c_i, c_j]), tracks.xy[rows[mask]])
+        # gauge: the first camera at the origin, unit baseline
+        rotation, center = np.array([np.eye(3), R]), np.array([np.zeros(3), -R.T @ t])
+        X, ok, parallax = _triangulate(projection_matrix(K[pair], rotation, center), center, tracks.xy[rows[mask]])
         if ok.sum() >= 8 and np.median(parallax[ok]) >= SEED_MEDIAN_ANGLE_DEG:
-            return (i, j), poses, rows[mask][ok], X[ok]
+            return tuple(pair), rotation, center, rows[mask][ok], X[ok]
     raise SeedFailure("no seed pair with sufficient parallax")
 
 
@@ -361,72 +353,72 @@ NEW, ACTIVE, DEAD = 0, 1, 2
 class _SfMState:
     """Mutable reconstruction state during the incremental loop.
 
-    Per track: its point X and its status. A new track has no point yet; an
-    active one has a point and >= 2 inlier rows; a dead one lost its point
-    in pruning and is never triangulated again. Per table row: joined, the
-    registration index (seed pair 0 and 1) of the camera whose registration
-    made the row an inlier, or -1 when it is not one.
+    Per cluster camera, by its index k: its calibration, its pose and
+    whether it is registered. Per track: its point X and its status. A new
+    track has no point yet; an active one has a point and >= 2 inlier rows;
+    a dead one lost its point in pruning and is never triangulated again.
+    Per table row: joined, the registration index (seed pair 0 and 1) of
+    the camera whose registration made the row an inlier, or -1 when it is
+    not one.
     """
 
     def __init__(self, cluster_id, tracks: ClusterTracks, cameras: CameraTable):
+        n = len(tracks.cameras)
         self.cluster_id = cluster_id
         self.tracks = tracks
-        self.cameras = cameras
-        self.rotations: dict[int, np.ndarray] = {}
-        self.centers: dict[int, np.ndarray] = {}
+        self.K = cameras.K(tracks.cameras)
+        self.intrinsics = cameras.intrinsics[tracks.cameras]
+        self.rotation = np.zeros((n, 3, 3))
+        self.center = np.zeros((n, 3))
+        self.registered = np.zeros(n, dtype=bool)
         self.X = np.zeros((len(tracks), 3))
         self.status = np.full(len(tracks), NEW, dtype=np.int8)
-        self.joined = np.full(len(tracks.cam), -1, dtype=np.int64)
-        self.seed_pair = None
+        self.joined = np.full(len(tracks.pos), -1, dtype=np.int64)
+        self.seed_pair = None  # camera indices
 
-    def registered(self):
-        return sorted(self.rotations)
-
-    def pose_of(self, cam):
-        return self.rotations[cam], self.centers[cam]
+    def register(self, k: int, R: np.ndarray, c: np.ndarray) -> int:
+        """Give camera k its pose; returns its registration index."""
+        self.rotation[k], self.center[k], self.registered[k] = R, c, True
+        return int(np.count_nonzero(self.registered)) - 1
 
     def active_count(self) -> int:
         return int(np.count_nonzero(self.status == ACTIVE))
 
-    def active_rows(self, cam: int) -> np.ndarray:
-        """The camera's rows on active tracks, in track order."""
-        rows = self.tracks.rows(cam)
+    def active_rows(self, k: int) -> np.ndarray:
+        """Camera k's rows on active tracks, in track order."""
+        rows = self.tracks.rows(k)
         return rows[self.status[self.tracks.track[rows]] == ACTIVE]
 
-    def add_camera_observations(self, cam: int):
-        """Attach the freshly registered camera to existing active points."""
-        rows = self.active_rows(cam)
+    def add_camera_observations(self, k: int, index: int):
+        """Attach camera k, registered as the index-th, to existing active
+        points."""
+        rows = self.active_rows(k)
         if not len(rows):
             return
-        R, c = self.pose_of(cam)
-        err = reprojection_residuals_pixels(
-            R, -R @ c, self.cameras.K([cam])[0], self.X[self.tracks.track[rows]], self.tracks.xy[rows]
-        )
-        self.joined[rows[err <= MAX_REPROJECTION_PX]] = len(self.rotations) - 1
+        R, c = self.rotation[k], self.center[k]
+        err = reprojection_residuals_pixels(R, -R @ c, self.K[k], self.X[self.tracks.track[rows]], self.tracks.xy[rows])
+        self.joined[rows[err <= MAX_REPROJECTION_PX]] = index
 
-    def triangulate_new_tracks(self, cam: int):
-        """Triangulate the new tracks through the freshly registered camera
-        that now have >= 2 registered views: one batch per view count."""
+    def triangulate_new_tracks(self, k: int, index: int):
+        """Triangulate the new tracks through camera k, registered as the
+        index-th, that now have >= 2 registered views: one batch per view
+        count."""
         tr = self.tracks
         through = np.zeros(len(tr), dtype=bool)
-        through[tr.track[tr.rows(cam)]] = True
-        rows = np.flatnonzero((through & (self.status == NEW))[tr.track] & np.isin(tr.cam, self.registered()))
+        through[tr.track[tr.rows(k)]] = True
+        rows = np.flatnonzero((through & (self.status == NEW))[tr.track] & self.registered[tr.pos])
         views = np.bincount(tr.track[rows], minlength=len(tr))[tr.track[rows]]
         rows, views = rows[views >= 2], views[views >= 2]
         if not len(rows):
             return
-        used = np.unique(tr.cam[rows])
-        Ps = np.array([projection_matrix(K, *self.pose_of(c)) for K, c in zip(self.cameras.K(used), used)])
-        centers = np.array([self.centers[c] for c in used])
-        at = np.searchsorted(used, tr.cam[rows])
-        for k in np.unique(views):
-            group = rows[views == k].reshape(-1, k)  # one track per line, cameras ascending
-            views_k = at[views == k].reshape(-1, k)
-            X, ok, _ = _triangulate(Ps[views_k], centers[views_k], tr.xy[group])
+        Ps = projection_matrix(self.K, self.rotation, self.center)
+        for m in np.unique(views):
+            group = rows[views == m].reshape(-1, m)  # one track per line, cameras ascending
+            X, ok, _ = _triangulate(Ps[tr.pos[group]], self.center[tr.pos[group]], tr.xy[group])
             t = tr.track[group[ok, 0]]
             self.X[t] = X[ok]
             self.status[t] = ACTIVE
-            self.joined[group[ok]] = len(self.rotations) - 1
+            self.joined[group[ok]] = index
 
     def bundle_adjust(
         self, max_iterations=ba_core.DEFAULT_MAX_ITERATIONS, relative_tol=ba_core.DEFAULT_RELATIVE_TOL
@@ -436,7 +428,7 @@ class _SfMState:
         gauge. Afterwards observations beyond the reprojection threshold are
         dropped and starved points retired."""
         tr = self.tracks
-        cams = self.registered()
+        cams = np.flatnonzero(self.registered)
         # each point's observations in the order they joined
         rows = np.flatnonzero(self.joined >= 0)
         rows = rows[np.lexsort((self.joined[rows], tr.track[rows]))]
@@ -459,11 +451,11 @@ class _SfMState:
             return rotations, centers, points
 
         problem = ba_core.BAProblem(
-            rotations=np.array([self.rotations[c] for c in cams]),
-            centers=np.array([self.centers[c] for c in cams]),
-            intrinsics=self.cameras.intrinsics[cams],
+            rotations=self.rotation[cams],
+            centers=self.center[cams],
+            intrinsics=self.intrinsics[cams],
             points=self.X[pts],
-            cam_idx=np.searchsorted(cams, tr.cam[rows]),
+            cam_idx=np.searchsorted(cams, tr.pos[rows]),
             pt_idx=pt_idx,
             pixels=tr.xy[rows],
             free_cams=free_cams,
@@ -477,9 +469,7 @@ class _SfMState:
         )
         if any(b > a + 1e-9 * max(a, 1.0) for a, b in zip(result.cost_trace, result.cost_trace[1:])):
             raise NumericalError(f"cluster {self.cluster_id}: local BA cost increased across accepted LM steps")
-        for k, c in enumerate(cams):
-            self.rotations[c] = result.rotations[k]
-            self.centers[c] = result.centers[k]
+        self.rotation[cams], self.center[cams] = result.rotations, result.centers
         self.X[pts] = result.points
         # prune observations beyond the threshold (or non-finite), then
         # retire the points left with fewer than two
@@ -509,67 +499,52 @@ def run_local_sfm(
     state = _SfMState(cluster.id, ct, cameras)
 
     try:
-        pair, poses, seed_rows, seed_points = estimate_seed_pair(graph, cluster, ct, cameras, rng)
+        pair, rotation, center, seed_rows, seed_points = estimate_seed_pair(graph, ct, state.K, rng)
     except SeedFailure as exc:
         logger.warning("cluster %d: %s", cluster.id, exc)
         rec.failed = True
         return rec
     state.seed_pair = pair
-    for cam, (R, c) in poses.items():
-        state.rotations[cam] = R
-        state.centers[cam] = c
+    for k, R, c in zip(pair, rotation, center):
+        state.register(k, R, c)
     state.X[ct.track[seed_rows[:, 0]]] = seed_points
     state.status[ct.track[seed_rows[:, 0]]] = ACTIVE
     state.joined[seed_rows] = [0, 1]
     if state.active_count() >= 4:
         state.bundle_adjust()
 
-    registrations = 0
-    unregistered = [c for c in cluster.cameras if c not in state.rotations]
-    while unregistered:
+    while True:
         # next-best-view: most visible active points, ties by camera id
-        visible = {}
-        for cam in unregistered:
-            rows = state.active_rows(cam)
-            if len(rows) >= RESECTION_MIN_INLIERS:
-                visible[cam] = rows
-        if not visible:
-            break
-        order = sorted(visible, key=lambda c: (-len(visible[c]), c))
-        registered_one = False
-        for cam in order:
-            rows = visible[cam]
-            result = register_next_view(cameras.K([cam])[0], state.X[ct.track[rows]], ct.xy[rows], rng)
+        visible = np.bincount(ct.pos[state.status[ct.track] == ACTIVE], minlength=len(ct.cameras))
+        visible[state.registered] = 0
+        order = np.argsort(-visible, kind="stable")
+        for k in order[visible[order] >= RESECTION_MIN_INLIERS].tolist():
+            rows = state.active_rows(k)
+            result = register_next_view(state.K[k], state.X[ct.track[rows]], ct.xy[rows], rng)
             if result is None:
                 continue
-            R, c, mask = result
-            state.rotations[cam] = R
-            state.centers[cam] = c
-            state.add_camera_observations(cam)
-            registrations += 1
-            registered_one = True
-            unregistered.remove(cam)
-            state.triangulate_new_tracks(cam)
-            if registrations % BA_EVERY == 0 and state.active_count() >= 4:
+            R, c, _ = result
+            index = state.register(k, R, c)
+            state.add_camera_observations(k, index)
+            state.triangulate_new_tracks(k, index)
+            if (index - 1) % BA_EVERY == 0 and state.active_count() >= 4:
                 state.bundle_adjust(INTERMEDIATE_BA_MAX_ITERATIONS, INTERMEDIATE_BA_RELATIVE_TOL)
             break
-        if not registered_one:
+        else:
             break
 
-    if state.active_count() >= 4 and len(state.registered()) >= 2:
+    if state.active_count() >= 4 and np.count_nonzero(state.registered) >= 2:
         final = state.bundle_adjust()
         rec.mean_reprojection = float(np.mean(final.residual_norms)) if len(final.residual_norms) else float("nan")
 
-    rec.seed_pair = state.seed_pair
-    cams = state.registered()
-    rec.registered = np.array(cams, dtype=np.int64)
-    rec.rotation = np.array([state.rotations[c] for c in cams]).reshape(-1, 3, 3)
-    rec.center = np.array([state.centers[c] for c in cams]).reshape(-1, 3)
+    rec.seed_pair = tuple(ct.cameras[list(pair)].tolist())
+    rec.registered = ct.cameras[state.registered]
+    rec.rotation, rec.center = state.rotation[state.registered], state.center[state.registered]
     # an active track is exactly one with inlier rows
     active = np.flatnonzero(state.status == ACTIVE)
     rec.point_tracks, rec.positions = ct.track_ids[active], state.X[active]
     rows = np.flatnonzero(state.joined >= 0)  # by track, cameras ascending
-    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = ct.track_ids[ct.track[rows]], ct.cam[rows], ct.xy[rows]
+    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = ct.track_ids[ct.track[rows]], ct.cameras[ct.pos[rows]], ct.xy[rows]
     if len(rec.registered) < 2:
         rec.failed = True
     return rec

@@ -87,8 +87,8 @@ class MatchTable:
     def check(self, num_cameras: int) -> None:
         """Raise a DataError naming the first faulty edge: a camera outside
         0..num_cameras-1, i >= j, no correspondence, a feature index twice on
-        one side, or an (i, j) pair that an earlier edge already has
-        (DuplicateEdgeError)."""
+        one side, a pixel that is not finite, or an (i, j) pair that an
+        earlier edge already has (DuplicateEdgeError)."""
         i, j = self.edges.T
         owner = np.repeat(np.arange(len(self)), self.weights)
         repeats = np.zeros(len(self), dtype=bool)
@@ -96,6 +96,8 @@ class MatchTable:
             order = np.lexsort((column, owner))
             twin = (np.diff(owner[order]) == 0) & (np.diff(column[order]) == 0)
             repeats[owner[order[1:][twin]]] = True
+        non_finite = np.zeros(len(self), dtype=bool)
+        non_finite[owner[~np.isfinite(self.xy).all(axis=1)]] = True
         duplicates = np.zeros(len(self), dtype=bool)
         order = np.lexsort((j, i))  # stable, so the later edge of a pair is flagged
         duplicates[order[1:][(np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)]] = True
@@ -106,6 +108,7 @@ class MatchTable:
             (i > j, "match edge ({i}, {j}) must have i < j"),
             (self.weights == 0, "edge ({i}, {j}) has no correspondences"),
             (repeats, "edge ({i}, {j}) repeats a feature index"),
+            (non_finite, "edge ({i}, {j}) has a pixel that is not finite"),
             (duplicates, "duplicate match edge ({i}, {j})"),
         )
         faulty = np.any([mask for mask, _ in checks], axis=0)

@@ -46,8 +46,11 @@ class TrackTable:
     def check(self, num_cameras: int) -> None:
         """Raise a DataError naming the first track whose cameras do not
         rise strictly, else the first with a camera outside
-        0..num_cameras-1."""
+        0..num_cameras-1, else the first with a pixel that is not finite."""
         check_ascending(self.cameras, self.offsets, self.ids, num_cameras)
+        bad = np.flatnonzero(~np.isfinite(self.xy).all(axis=1))
+        if len(bad):
+            raise DataError(f"track {self.ids[self.owner()[bad[0]]]}: a pixel is not finite")
 
 
 def check_ascending(cameras: np.ndarray, offsets: np.ndarray, ids: np.ndarray, num_cameras: int | None = None) -> None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from clustersfm.averaging import GlobalMotion
-from clustersfm.errors import BehindCameraError
 from clustersfm.geometry import so3_exp
 from clustersfm.local_sfm import MotionTable
 from clustersfm.scene import CameraTable, MatchTable, build_camera_graph
@@ -17,6 +16,10 @@ def camera_table(n, focal=800.0, cx=640.0, cy=480.0, width=1280, height=960):
                        np.tile(np.array([width, height], dtype=np.int64), (n, 1)))
 
 
+class BehindCameraError(ValueError):
+    """A 3D point has non-positive depth in the camera frame."""
+
+
 def project_point(R, c, intrinsics, X) -> np.ndarray:
     """The pixel of one world point X in the camera with pose (R, c) and
     intrinsics (focal, cx, cy); BehindCameraError if its depth is not
@@ -26,6 +29,11 @@ def project_point(R, c, intrinsics, X) -> np.ndarray:
         raise BehindCameraError(f"point has depth {x_cam[2]:.6g}")
     focal, cx, cy = intrinsics
     return np.array([focal * x_cam[0] / x_cam[2] + cx, focal * x_cam[1] / x_cam[2] + cy])
+
+
+def tree_leaves(node) -> list[dict]:
+    """The leaf objects of a clusters.json tree, in leaf-id order."""
+    return [node] if "leaf" in node else tree_leaves(node["children"][0]) + tree_leaves(node["children"][1])
 
 
 def match_table(edges):

@@ -5,6 +5,7 @@ from clustersfm.geometry import (
     angle_between,
     decompose_essential,
     eight_point_essential,
+    projection_matrix,
     ransac,
     resect_linear,
     rotation_angle,
@@ -292,6 +293,22 @@ def _status_reference(Ps, xs, X, max_px):
         if np.hypot(uvw[0] / uvw[2] - x[0], uvw[1] / uvw[2] - x[1]) > max_px:
             return "reprojection"
     return "active"
+
+
+def test_stacked_projection_matrix_matches_per_camera_formula_exactly():
+    rng = np.random.default_rng(13)
+    n = 2000
+    R = so3_exp(rng.normal(size=(n, 3)))
+    c = rng.normal(size=(n, 3)) * 10
+    K = np.zeros((n, 3, 3))
+    K[:, 0, 0] = K[:, 1, 1] = rng.uniform(100.0, 2000.0, n)
+    K[:, :2, 2] = rng.uniform(0.0, 1000.0, (n, 2))
+    K[:, 2, 2] = 1.0
+    # the one-camera formula of K [R | -Rc]
+    reference = np.array([K_i @ np.hstack([R_i, (-R_i @ c_i).reshape(3, 1)]) for K_i, R_i, c_i in zip(K, R, c)])
+    assert np.array_equal(projection_matrix(K, R, c), reference)
+    assert np.array_equal(projection_matrix(K[5], R[5], c[5]), reference[5])  # one camera keeps its (3, 4) shape
+    assert projection_matrix(K[:0], R[:0], c[:0]).shape == (0, 3, 4)
 
 
 def test_triangulate_linear_matches_per_point_dlt():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,17 @@ def test_point_camera_the_motion_does_not_pose_is_a_data_error(loop24):
     partitions = build_partitions(points, cs, motion)
     with pytest.raises(DataError, match="^point camera 3 is not posed by the global motion$"):
         distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
+
+
+def test_point_of_an_unknown_cluster_is_a_data_error(loop24):
+    scene, matches, graph, cs = loop24
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    build_partitions([dataclasses.replace(points[0], cluster_id=-1)] + points[1:], cs, gt_motion(scene))
+    for cluster in (len(cs.independent), 99, -2):
+        with pytest.raises(DataError, match=f"^point of track {points[3].track_id}: its cluster is neither -1 nor "
+                                            "an independent cluster id$"):
+            build_partitions(points[:3] + [dataclasses.replace(points[3], cluster_id=cluster)] + points[4:],
+                             cs, gt_motion(scene))
 
 
 def test_ground_truth_noise_free_terminates_immediately(loop24):

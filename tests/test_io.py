@@ -11,7 +11,7 @@ from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
-from conftest import geometric_graph, global_motion, motion_table, random_rotation, track_table
+from conftest import geometric_graph, global_motion, motion_table, random_rotation, track_table, tree_leaves
 
 
 def test_match_graph_roundtrip(tmp_path):
@@ -298,6 +298,12 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         path.write_text(damaged)
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sfm_io.load_match_graph(path)
+    for value in (float("nan"), float("inf")):  # a pixel of the fourth edge
+        xy = np.frombuffer(base64.b64decode(data["xy"]), "<f8").reshape(-1, 4).copy()
+        xy[offsets[3] + 1, 2] = value
+        path.write_text(json.dumps(dict(data, xy=base64.b64encode(xy.tobytes()).decode())))
+        with pytest.raises(DataError, match=f"^{path}: edge \\({i3}, {j3}\\) has a pixel that is not finite$"):
+            sfm_io.load_match_graph(path)
     nan, inf = float("nan"), float("inf")
     for key, camera, value, message in (
         ("intrinsics", 3, [nan, 640.0, 480.0], "focal, cx or cy is not finite"),
@@ -351,6 +357,33 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=f"^{path}: malformed artifact .*{message}"):
             sfm_io.load_global_points(path, 7)
+    path = tmp_path / "clusters.json"
+    sfm_io.save_cluster_set(path, cluster_cameras(geometric_graph(30, 0.3, 5),
+                                                  ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3)))
+    good = path.read_text()
+    independent = json.loads(good)["independent"]
+    c, last = independent[0][0], len(independent) - 1
+
+    def share(d):  # camera c of cluster 0 joins independent cluster 1 and tree leaf 1 too
+        for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
+            cameras[:] = sorted(cameras + [c])
+
+    for change, message in (
+        (lambda d: tree_leaves(d["tree"])[0]["cameras"].pop(), "tree leaf 0 is not independent cluster 0"),
+        (lambda d: d["independent"][1].pop(), "tree leaf 1 is not independent cluster 1"),
+        (lambda d: d["independent"].pop(), f"tree leaf {last} is not independent cluster {last}"),
+        (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
+         "interdependent cluster 0: cameras are not strictly ascending"),
+        (lambda d: d["independent"][0].reverse(), "independent cluster 0: cameras are not strictly ascending"),
+        (lambda d: tree_leaves(d["tree"])[1]["cameras"].append(tree_leaves(d["tree"])[1]["cameras"][-1]),
+         "tree leaf 1: cameras are not strictly ascending"),
+        (share, f"independent clusters 0 and 1 share camera {c}"),
+    ):
+        data = json.loads(good)
+        change(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: {message}$"):
+            sfm_io.load_cluster_set(path, 30)
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError):
@@ -366,6 +399,13 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
             bad.check(6)
         sfm_io.save_tracks(path, bad)
         with pytest.raises(DataError, match=f"^{path}: track 4: {message}"):
+            sfm_io.load_tracks(path, 6)
+    for value in (float("nan"), float("-inf")):
+        bad = track_table([_FIRST_TRACK, (4, [1, 3], [0, 0], [[0.0, 0.0], [2.0, value]])])
+        with pytest.raises(DataError, match="^track 4: a pixel is not finite$"):
+            bad.check(6)
+        sfm_io.save_tracks(path, bad)
+        with pytest.raises(DataError, match=f"^{path}: track 4: a pixel is not finite$"):
             sfm_io.load_tracks(path, 6)
     recs = _local_reconstructions()
     recs[0].obs_cameras = np.array([0, 7, 0, 7, 4, 4, 7])  # the rows of track 5 are unsorted

@@ -116,7 +116,7 @@ def test_seed_pair_rejects_zero_baseline():
     graph = build_camera_graph(match_table([weighted_edge(0, 1, len(tracks))]), 2)
     ct = ClusterTracks((0, 1), tracks)
     with pytest.raises(SeedFailure):
-        estimate_seed_pair(graph, Cluster(id=0, cameras=(0, 1)), ct, cams, seeded_rng(0))
+        estimate_seed_pair(graph, ct, cams.K(ct.cameras), seeded_rng(0))
 
 
 def test_register_noise_free_exact():
@@ -341,6 +341,9 @@ def test_cross_cluster_consistency_noise_free(orbit_scene_small):
     cams_b = tuple(range(8, 20))
     rec_a = run_local_sfm(graph, Cluster(id=0, cameras=cams_a), tracks, scene.cameras, SEED)
     rec_b = run_local_sfm(graph, Cluster(id=1, cameras=cams_b), tracks, scene.cameras, SEED)
+    # the second cluster's camera indices are not its camera ids
+    assert set(rec_b.seed_pair) <= set(rec_b.registered.tolist()) <= set(cams_b)
+    assert set(rec_b.obs_cameras.tolist()) <= set(rec_b.registered.tolist())
     motions = motion_rows(extract_relative_motions([rec_a, rec_b], graph))
     ma = {(m.i, m.j): m for m in motions if m.k == 0}
     mb = {(m.i, m.j): m for m in motions if m.k == 1}
@@ -433,11 +436,11 @@ def test_batched_triangulation_matches_per_track_reference():
 def test_local_ba_rising_cost_raises(monkeypatch):
     tracks = track_table([(t, [0, 1], [t, t], np.zeros((2, 2))) for t in range(5)])
     state = _SfMState(0, ClusterTracks((0, 1), tracks), camera_table(2))
-    state.rotations = {0: np.eye(3), 1: np.eye(3)}
-    state.centers = {0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])}
+    assert state.register(0, np.eye(3), np.zeros(3)) == 0
+    assert state.register(1, np.eye(3), np.array([1.0, 0.0, 0.0])) == 1
     state.X[:] = [[0.0, 0.0, 5.0 + t] for t in range(5)]
     state.status[:] = ACTIVE
-    state.joined[:] = state.tracks.cam  # the seed pair joins in camera order
+    state.joined[:] = state.tracks.pos  # the seed pair joins in camera order
     state.seed_pair = (0, 1)
     monkeypatch.setattr(ba_core, "lm_minimize", lambda *a, **k: SimpleNamespace(cost_trace=[2.0, 1.0, 1.5]))
     with pytest.raises(NumericalError, match="cost increased"):
@@ -459,11 +462,11 @@ def _three_view_state():
     assert np.diff(tracks.offsets).tolist() == [3] * 6
     state = _SfMState(0, ClusterTracks((0, 1, 2), tracks), cams)
     for k in (1, 2):
-        state.rotations[k], state.centers[k] = rotation[k], center[k]
+        state.register(k, rotation[k], center[k])
     state.X[:] = points
     state.status[:] = ACTIVE
-    state.joined[state.tracks.cam == 1] = 0
-    state.joined[state.tracks.cam == 2] = 1
+    state.joined[state.tracks.pos == 1] = 0
+    state.joined[state.tracks.pos == 2] = 1
     state.seed_pair = (1, 2)
     return state, rotation, center
 
@@ -489,14 +492,16 @@ def test_local_ba_orders_observations_by_join(monkeypatch):
     # camera 0 registers after the seed pair: its observations come last in
     # every point, although its id is the smallest
     state, rotation, center = _three_view_state()
-    state.rotations[0], state.centers[0] = rotation[0], center[0]
-    state.add_camera_observations(0)
-    assert (state.joined[state.tracks.cam == 0] == 2).all()
+    index = state.register(0, rotation[0], center[0])
+    assert index == 2
+    state.add_camera_observations(0, index)
+    assert (state.joined[state.tracks.pos == 0] == 2).all()
     problems = _capture_lm(monkeypatch)
     state.bundle_adjust()
     (problem,) = problems
     assert np.array_equal(problem.pt_idx, np.repeat(np.arange(6), 3))
-    assert np.array_equal(np.array(state.registered())[problem.cam_idx], np.tile([1, 2, 0], 6))
+    registered = state.tracks.cameras[state.registered]
+    assert np.array_equal(registered[problem.cam_idx], np.tile([1, 2, 0], 6))
 
 
 def test_local_ba_drops_non_finite_residual_and_retires_point(monkeypatch):
@@ -512,16 +517,16 @@ def test_local_ba_drops_non_finite_residual_and_retires_point(monkeypatch):
     state.bundle_adjust()
     assert state.status[0] == DEAD and (state.status[1:] == ACTIVE).all()
     assert (state.joined[tr.track == 0] == -1).all()
-    assert (state.joined[(tr.track > 0) & (tr.cam > 0)] >= 0).all()
+    assert (state.joined[(tr.track > 0) & (tr.pos > 0)] >= 0).all()
     # camera 0 registers and sees every point: the dead one is neither
     # re-attached nor triangulated again
     X_dead = state.X[0].copy()
-    state.rotations[0], state.centers[0] = rotation[0], center[0]
-    state.add_camera_observations(0)
-    state.triangulate_new_tracks(0)
+    index = state.register(0, rotation[0], center[0])
+    state.add_camera_observations(0, index)
+    state.triangulate_new_tracks(0, index)
     assert state.status[0] == DEAD and (state.joined[tr.track == 0] == -1).all()
     assert np.array_equal(state.X[0], X_dead)
-    assert (state.joined[(tr.track > 0) & (tr.cam == 0)] == 2).all()
+    assert (state.joined[(tr.track > 0) & (tr.pos == 0)] == 2).all()
 
 
 def test_cluster_tracks_table_matches_scan():
@@ -531,20 +536,25 @@ def test_cluster_tracks_table_matches_scan():
         # strictly ascending cameras; some tracks leave the cluster
         cams = np.sort(rng.choice(8, size=int(rng.integers(2, 7)), replace=False))
         tracks.append((100 + tid, cams, np.arange(len(cams)), rng.normal(size=(len(cams), 2)) * 100))
-    cluster = (0, 1, 2, 3, 4)
-    ct = ClusterTracks(cluster, track_table(tracks))
-    # per-track scan: the in-cluster elements of the tracks with >= 2 of them
-    expected = [(t, int(c), p) for t, cams, _, xy in tracks if np.isin(cams, cluster).sum() >= 2
-                for c, p in zip(cams, xy) if c in cluster]
-    assert 0 < len(ct) < len(tracks)
-    assert list(zip(ct.track_ids[ct.track].tolist(), ct.cam.tolist())) == [e[:2] for e in expected]
-    assert np.array_equal(ct.xy, np.array([e[2] for e in expected]))
-    assert np.array_equal(np.unique(ct.track), np.arange(len(ct)))
-    for cam in range(8):
-        assert np.array_equal(ct.rows(cam), np.flatnonzero(ct.cam == cam))
-    for i in cluster:
-        for j in cluster[i + 1:]:
-            rows_i, rows_j = ct.shared_rows(i, j)
-            shared = sorted(set(ct.track[ct.cam == i].tolist()) & set(ct.track[ct.cam == j].tolist()))
-            assert ct.track[rows_i].tolist() == shared == ct.track[rows_j].tolist()
-            assert (ct.cam[rows_i] == i).all() and (ct.cam[rows_j] == j).all()
+    # the second cluster's camera indices differ from its camera ids
+    for cluster in ((0, 1, 2, 3, 4), (1, 3, 4, 6)):
+        ct = ClusterTracks(cluster, track_table(tracks))
+        assert ct.cameras.tolist() == list(cluster)
+        cam = ct.cameras[ct.pos]
+        # per-track scan: the in-cluster elements of the tracks with >= 2 of them
+        expected = [(t, int(c), p) for t, cams, _, xy in tracks if np.isin(cams, cluster).sum() >= 2
+                    for c, p in zip(cams, xy) if c in cluster]
+        assert 0 < len(ct) < len(tracks)
+        assert list(zip(ct.track_ids[ct.track].tolist(), cam.tolist())) == [e[:2] for e in expected]
+        assert np.array_equal(ct.xy, np.array([e[2] for e in expected]))
+        assert np.array_equal(np.unique(ct.track), np.arange(len(ct)))
+        # every row holds a cluster camera, and rows(k) are the rows of camera k
+        assert np.isin(cam, cluster).all()
+        for k, c in enumerate(cluster):
+            assert np.array_equal(ct.rows(k), np.flatnonzero(cam == c))
+        for a, i in enumerate(cluster):
+            for b, j in enumerate(cluster[a + 1:], a + 1):
+                rows_i, rows_j = ct.shared_rows(a, b)
+                shared = sorted(set(ct.track[cam == i].tolist()) & set(ct.track[cam == j].tolist()))
+                assert ct.track[rows_i].tolist() == shared == ct.track[rows_j].tolist()
+                assert (cam[rows_i] == i).all() and (cam[rows_j] == j).all()

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import shutil
@@ -12,7 +13,7 @@ from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
 from clustersfm.utils import parallel_map
-from conftest import SMALL, track_rows, track_table
+from conftest import SMALL, track_rows, track_table, tree_leaves
 
 
 def test_full_run_produces_report(small_run):
@@ -438,6 +439,72 @@ def test_cli_bad_points_exit_code(small_run, tmp_path, capsys):
             assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, message)
             _one_line_data_error(capsys, stage, name, message)
         path.write_bytes(original)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "clusters.json"
+    original = path.read_text()
+    c = json.loads(original)["independent"][0][0]
+
+    def share(d):  # camera c of cluster 0 joins independent cluster 1 and tree leaf 1 too
+        for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
+            cameras[:] = sorted(cameras + [c])
+
+    for change, message, stages in (
+        (lambda d: tree_leaves(d["tree"])[0]["cameras"].pop(), "tree leaf 0 is not independent cluster 0",
+         ("tracks", "triangulate", "ba")),  # each exited 0
+        (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
+         "interdependent cluster 0: cameras are not strictly ascending", ("local-sfm",)),  # exited 0
+        (share, f"independent clusters 0 and 1 share camera {c}", ("triangulate", "ba")),  # triangulate exited 0
+    ):
+        data = json.loads(original)
+        change(data)
+        path.write_text(json.dumps(data))
+        for stage in stages:
+            assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (message, stage)
+            _one_line_data_error(capsys, stage, "clusters.json", message)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_point_of_an_unknown_cluster_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "points.npz"
+    with np.load(path) as archive:
+        data = dict(archive)
+    for cluster in (99, -2):  # 99 exited 0 and made the point a boundary point
+        with open(path, "wb") as fh:
+            np.savez(fh, **dict(data, cluster=np.append(data["cluster"][:-1], cluster)))
+        assert cli_main(["ba", "--output-dir", str(tmp_path)]) == 3, cluster
+        _one_line_data_error(capsys, "ba", f"point of track {data['track'][-1]}: its cluster is neither -1 nor "
+                                           "an independent cluster id")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_non_finite_pixel_exit_code(small_run, tmp_path, capsys):
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "matches.json"
+    data = json.loads(path.read_text())
+    xy = np.frombuffer(base64.b64decode(data["xy"]), "<f8").reshape(-1, 4).copy()
+    xy[data["offsets"][2], 1] = float("nan")  # a pixel of the third edge; every stage exited 0
+    path.write_text(json.dumps(dict(data, xy=base64.b64encode(xy.tobytes()).decode())))
+    (i, j) = data["edges"][2]
+    for stage in ("cluster", "tracks", "local-sfm", "evaluate"):
+        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
+        _one_line_data_error(capsys, stage, "matches.json", f"edge ({i}, {j}) has a pixel that is not finite")
+    shutil.copy(out / "matches.json", path)
+    path = tmp_path / "tracks.json"
+    tracks = load_tracks(path, SMALL["num_cameras"])
+    xy = tracks.xy.copy()
+    xy[tracks.offsets[1], 0] = float("inf")  # the first pixel of the second track
+    save_tracks(path, dataclasses.replace(tracks, xy=xy))
+    for stage in ("local-sfm", "triangulate"):
+        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
+        _one_line_data_error(capsys, stage, "tracks.json", f"track {tracks.ids[1]}: a pixel is not finite")
     assert not list(tmp_path.glob("*.tmp"))
 
 

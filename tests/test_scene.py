@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from clustersfm import io as sfm_io
-from clustersfm.errors import BehindCameraError, DataError, DuplicateEdgeError
+from clustersfm.errors import DataError, DuplicateEdgeError
 from clustersfm.scene import build_camera_graph
-from conftest import camera_table, match_table, project_point, random_rotation, weighted_edge
+from conftest import BehindCameraError, camera_table, match_table, project_point, random_rotation, weighted_edge
 
 
 def test_project_identity_case():
