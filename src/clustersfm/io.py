@@ -13,7 +13,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -34,23 +33,32 @@ TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
 ROTATION_TOL = 1e-9  # of a ground-truth rotation: |R^T R - I| and |det R - 1|
 
 
-def _write(path, data: bytes) -> None:
-    """Write bytes through a temp file in the same directory, so a crash
-    never leaves a half-written file under the final name. A failed write
-    removes the temp file and raises a DataError naming the path."""
+@contextlib.contextmanager
+def _temp_file(path, mode: str = "w"):
+    """An open temp file in the directory of path, moved onto path when the
+    block ends, so a crash never leaves a half-written file under the final
+    name. A failed block removes the temp file; a failed write raises a
+    DataError naming the path. Text is UTF-8, its newlines written as they
+    are."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        tmp.write_bytes(data)
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
+        raise
 
 
 def _dump(path, payload) -> None:
-    _write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
+    with _temp_file(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _load(path):
@@ -64,9 +72,8 @@ def _load(path):
 
 def _save_npz(path, **arrays) -> None:
     # numpy writes fixed zip timestamps, so equal arrays give equal bytes
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    _write(path, buf.getvalue())
+    with _temp_file(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _load_npz(path) -> dict:
@@ -77,6 +84,11 @@ def _load_npz(path) -> dict:
             return dict(archive)
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def _is_id(value) -> bool:
+    """A JSON integer: an int, but not true or false, which load as bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _array(data: dict, key: str, dtype, *shape) -> np.ndarray:
@@ -211,8 +223,8 @@ def load_ground_truth(path, num_cameras: int) -> tuple[np.ndarray, np.ndarray]:
     data = _load(path)
     ids = [rec["cameraId"] for rec in data]
     for k in ids:
-        if not (isinstance(k, int) and 0 <= k < num_cameras):
-            raise DataError(f"ground-truth camera {k} is not in the match graph's 0..{num_cameras - 1}")
+        if not (_is_id(k) and 0 <= k < num_cameras):
+            raise DataError(f"ground-truth camera {json.dumps(k)} is not in the match graph's 0..{num_cameras - 1}")
     cameras, first = np.unique(np.array(ids, dtype=np.int64), return_index=True)
     if len(cameras) < len(ids):
         raise DataError(f"the ground truth repeats camera {np.delete(ids, first)[0]}")
@@ -269,19 +281,22 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
 
 @_checked
 def load_cluster_set(path, num_cameras: int) -> ClusterSet:
-    """The cluster set. A DataError names the first cluster or tree leaf
+    """The cluster set. A DataError names the first tree leaf whose stored
+    id is not its depth-first index, else the first cluster or tree leaf
     with a camera outside the match graph's 0..num_cameras-1 or with
     cameras that do not rise strictly, else the first tree leaf k that is
     not independent cluster k, else two independent clusters that share a
     camera."""
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"]))
-    tree.assign_leaf_ids()
+    for k, leaf in enumerate(tree.leaves()):
+        if not (_is_id(leaf.leaf_id) and leaf.leaf_id == k):
+            raise DataError(f"tree leaf {k} has the id {json.dumps(leaf.leaf_id)}, not its depth-first index {k}")
     leaves = [list(leaf.cameras) for leaf in tree.leaves()]
     named = [(f"{kind} cluster {k}", list(c)) for kind in ("independent", "interdependent")
              for k, c in enumerate(data[kind])] + [(f"tree leaf {k}", c) for k, c in enumerate(leaves)]
     for name, cameras in named:
-        if not all(isinstance(c, int) and 0 <= c < num_cameras for c in cameras):
+        if not all(_is_id(c) and 0 <= c < num_cameras for c in cameras):
             raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}: {name}")
         if any(b <= a for a, b in zip(cameras, cameras[1:])):
             raise DataError(f"{name}: cameras are not strictly ascending")
@@ -408,9 +423,14 @@ def save_relative_motions(path, motions: MotionTable) -> None:
 
 @_checked
 def load_relative_motions(path, num_cameras: int) -> MotionTable:
-    """The motion table, checked against the match graph's camera count."""
+    """The motion table, checked against the match graph's camera count; a
+    DataError names the first motion with an id that is true or false."""
     data = _load(path)
-    ids = np.array([[m["i"], m["j"], m["k"], m["support"]] for m in data] or np.zeros((0, 4), dtype=np.int64))
+    rows = [[m["i"], m["j"], m["k"], m["support"]] for m in data]
+    for q, row in enumerate(rows):
+        if any(isinstance(v, bool) for v in row):
+            raise DataError(f"motion {q}: an id is true or false, not an integer")
+    ids = np.array(rows or np.zeros((0, 4), dtype=np.int64))
     motions = MotionTable(pairs=ids[:, :2], cluster=ids[:, 2], support=ids[:, 3],
                           rotation=np.array([m["R"] for m in data], dtype=float).reshape(-1, 3, 3),
                           translation=np.array([m["t"] for m in data], dtype=float).reshape(-1, 3))
@@ -439,8 +459,8 @@ def load_global_motion(path, num_cameras: int) -> GlobalMotion:
     data = _load(path)
     ids = [c["id"] for c in data["cameras"]]
     for k in ids:
-        if not (isinstance(k, int) and 0 <= k < num_cameras):
-            raise DataError(f"motion camera {k} is not in the match graph's 0..{num_cameras - 1}")
+        if not (_is_id(k) and 0 <= k < num_cameras):
+            raise DataError(f"motion camera {json.dumps(k)} is not in the match graph's 0..{num_cameras - 1}")
     cameras = np.array(ids, dtype=np.int64)
     falling = np.flatnonzero(np.diff(cameras) <= 0)
     if len(falling):
@@ -452,7 +472,7 @@ def load_global_motion(path, num_cameras: int) -> GlobalMotion:
     if bad.any():
         raise DataError(f"motion camera {cameras[np.argmax(bad)]}: R or c is not finite")
     cluster_ids = [s["clusterId"] for s in data["scales"]]
-    if not all(isinstance(k, int) for k in cluster_ids):
+    if not all(_is_id(k) for k in cluster_ids):
         raise DataError("a clusterId of the scales is not an integer")
     clusters, first = np.unique(np.array(cluster_ids, dtype=np.int64), return_index=True)
     if len(clusters) < len(cluster_ids):
@@ -509,13 +529,14 @@ def save_ply_points(path, positions: np.ndarray, colors: np.ndarray | None = Non
     if colors is not None:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    for k, p in enumerate(positions):
-        line = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
-        if colors is not None:
-            c = colors[k]
-            line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
-        lines.append(line)
-    _write(path, ("\n".join(lines) + "\n").encode())
+    with _temp_file(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+        for k, p in enumerate(positions):
+            line = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
+            if colors is not None:
+                c = colors[k]
+                line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
+            fh.write(line + "\n")
 
 
 def save_ply_cameras(path, centers: np.ndarray, color=(255, 64, 64)) -> None:
@@ -525,9 +546,8 @@ def save_ply_cameras(path, centers: np.ndarray, color=(255, 64, 64)) -> None:
 
 
 def save_round_log(path, log) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "cost", "rms_px"])
-    for entry in log:
-        writer.writerow([entry.round, f"{entry.cost:.12g}", f"{entry.rms_px:.12g}"])
-    _write(path, buf.getvalue().encode())
+    with _temp_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "cost", "rms_px"])
+        for entry in log:
+            writer.writerow([entry.round, f"{entry.cost:.12g}", f"{entry.rms_px:.12g}"])

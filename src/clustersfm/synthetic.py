@@ -171,6 +171,113 @@ def _layout_poses(layout: str, num_cameras: int) -> tuple[np.ndarray, np.ndarray
     raise ConfigurationError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
 
 
+def _sample_points(region: dict, rotation: np.ndarray, center: np.ndarray, focal: float, principal: np.ndarray,
+                   last_pixel: np.ndarray, num_points: int, rng: np.random.Generator):
+    """Rejection-sample points until num_points land in >= 2 views: each
+    round draws max(2 * need, 64) candidates and keeps the first `need` that
+    two cameras see. Returns the points (P, 3), the camera x point
+    visibility matrix (n, P) and the exact pixel of every visible (camera,
+    point) in that order; fewer than num_points points if 40 rounds do not
+    find them."""
+    n = len(rotation)
+    points, visible, cams, pixels = [], [], [], []
+    need = num_points
+    for _ in range(40):
+        if need <= 0:
+            break
+        cand = _sample_region(region, max(need * 2, 64), rng)
+        vis = np.empty((n, len(cand)), dtype=bool)
+        seen = []  # per camera, the pixels of the candidates it sees
+        for ci in range(n):  # visible: in front of the camera and inside its image
+            x_cam = (cand - center[ci]) @ rotation[ci].T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                uv = focal * x_cam[:, :2] / x_cam[:, 2:] + principal
+                inside = ((uv >= 0.0) & (uv <= last_pixel)).all(axis=1)
+            vis[ci] = (x_cam[:, 2] > 0.1) & inside
+            seen.append(uv[vis[ci]])
+        kept = np.zeros(len(cand), dtype=bool)
+        kept[np.flatnonzero(vis.sum(axis=0) >= 2)[:need]] = True
+        points.append(cand[kept])
+        visible.append(vis[:, kept])
+        cams.append(np.nonzero(visible[-1])[0])
+        pixels.append(np.concatenate(seen)[kept[np.nonzero(vis)[1]]])
+        need -= len(points[-1])
+    order = np.argsort(np.concatenate(cams), kind="stable")  # (round, camera, point) to (camera, point)
+    return np.concatenate(points), np.hstack(visible), np.concatenate(pixels)[order]
+
+
+def _shared_points(visible: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cameras i < j and the point of each (i, j, point) that both
+    cameras see, sorted by i, j and point; built per view count."""
+    n, num_points = visible.shape
+    views = visible.sum(axis=0)
+    point_cams = np.nonzero(visible.T)[1]  # each point's cameras, ascending
+    first = np.cumsum(views) - views
+    keys = []
+    for m in np.unique(views).tolist():
+        pts = np.flatnonzero(views == m)
+        cams = point_cams[first[pts, None] + np.arange(m)]
+        a, b = np.triu_indices(m, 1)
+        keys.append(((cams[:, a] * n + cams[:, b]) * num_points + pts[:, None]).ravel())
+    key = np.concatenate(keys)
+    key.sort()
+    pair, p = np.divmod(key, num_points)
+    return pair // n, pair % n, p
+
+
+def _inject_outliers(edges: np.ndarray, offsets: np.ndarray, feat: np.ndarray, pixels: np.ndarray,
+                     features: np.ndarray, outlier_fraction: float, width: int, height: int,
+                     rng: np.random.Generator) -> None:
+    """Replace round(outlier_fraction * rows) rows of each edge, in place.
+
+    Each edge, in (i, j) order, draws the rows it drops and then, for each,
+    a uniform pixel in i and one in j. Its kept rows move up, and the last
+    rows get the new pixels under new feature indices, which each camera
+    numbers on from its `features` real ones, edge after edge."""
+    rows = np.diff(offsets)
+    n_out = np.rint(outlier_fraction * rows).astype(np.int64)
+    if not n_out.any():
+        return
+    keep = np.ones(len(feat), dtype=bool)
+    new_xy = []
+    low, high = [0, 0], [width - 1, height - 1]
+    for e, k in zip(np.flatnonzero(n_out).tolist(), n_out[n_out > 0].tolist()):
+        keep[offsets[e] + rng.choice(int(rows[e]), size=k, replace=False)] = False
+        xi = rng.uniform(low, high, size=(k, 2))
+        xj = rng.uniform(low, high, size=(k, 2))
+        new_xy.append(np.hstack([xi, xj]))
+    cams = np.repeat(edges, n_out, axis=0).ravel()  # of the new features, row after row, i then j
+    order = np.argsort(cams, kind="stable")
+    new_feat = np.empty_like(cams)
+    new_feat[order] = features[cams[order]] + np.arange(len(cams)) - np.searchsorted(cams[order], cams[order])
+    new = np.arange(len(feat)) >= np.repeat(offsets[1:] - n_out, rows)
+    feat[~new], pixels[~new] = feat[keep], pixels[keep]
+    feat[new], pixels[new] = new_feat.reshape(-1, 2), np.concatenate(new_xy)
+
+
+def _match_table(visible: np.ndarray, xy: np.ndarray, outlier_fraction: float, width: int, height: int,
+                 rng: np.random.Generator) -> MatchTable:
+    """The matches of every camera pair that shares points, given the
+    visibility matrix and the features' pixels in (camera, point) order:
+    one row per shared point, then the outliers of each edge."""
+    i, j, p = _shared_points(visible)
+    offsets = np.append(np.flatnonzero(np.diff(i * len(visible) + j, prepend=-1)), len(p))
+    edges = np.column_stack([i[offsets[:-1]], j[offsets[:-1]]])
+    rank = np.cumsum(visible, axis=1, dtype=np.int32) - 1  # feature index of point p in camera c, where visible
+    feat = np.empty((len(p), 2), dtype=np.int64)
+    feat[:, 0] = rank[i, p]
+    feat[:, 1] = rank[j, p]
+    del rank, p  # freed as soon as they are used: the triples and tables set synth's peak memory
+    features = visible.sum(axis=1)
+    start = np.cumsum(features) - features
+    pixels = np.empty((len(feat), 4))
+    pixels[:, :2] = xy[start[i] + feat[:, 0]]
+    pixels[:, 2:] = xy[start[j] + feat[:, 1]]
+    del i, j
+    _inject_outliers(edges, offsets, feat, pixels, features, outlier_fraction, width, height, rng)
+    return MatchTable(edges=edges, offsets=offsets, feat=feat, xy=pixels)
+
+
 def generate_synthetic_scene(
     layout: str,
     num_cameras: int,
@@ -188,15 +295,20 @@ def generate_synthetic_scene(
     pixel noise; outlier_fraction of each edge's correspondences are
     replaced by fresh uniform-random image points (new feature indices on
     both sides, so real feature tracks stay uncorrupted).
+
+    The random draws come in a fixed order, which keeps the scene of a seed
+    the same bytes: one region sample per rejection round, then the pixel
+    noise of every feature in (camera, point id) order, then per edge in
+    (i, j) order the rows it drops and the pixels of its outliers.
     """
     if num_cameras < 2:
         raise ConfigurationError("need at least 2 cameras")
     if num_points < 1:
         raise ConfigurationError("need at least 1 point")
     if pixel_sigma < 0:
-        raise ConfigurationError("pixelSigma must be >= 0")
+        raise ConfigurationError("pixel_sigma must be >= 0")
     if not (0.0 <= outlier_fraction < 1.0):
-        raise ConfigurationError("outlierFraction must be in [0, 1)")
+        raise ConfigurationError("outlier_fraction must be in [0, 1)")
 
     rotation, center, region = _layout_poses(layout, num_cameras)
     principal, last_pixel = np.array([width / 2.0, height / 2.0]), np.array([width - 1, height - 1])
@@ -205,92 +317,25 @@ def generate_synthetic_scene(
     cameras.check()
     rng = np.random.default_rng(seed)
 
-    # Rejection-sample points until num_points land in >= 2 views.
-    points_list, vis_list, exact_uv = [], [], []
-    for _ in range(40):
-        need = num_points - len(points_list)
-        if need <= 0:
-            break
-        cand = _sample_region(region, max(need * 2, 64), rng)
-        uv_all = np.empty((num_cameras, len(cand), 2))
-        vis_all = np.empty((num_cameras, len(cand)), dtype=bool)
-        for ci in range(num_cameras):  # visible: in front of the camera and inside its image
-            x_cam = (cand - center[ci]) @ rotation[ci].T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uv_all[ci] = focal * x_cam[:, :2] / x_cam[:, 2:] + principal
-                inside = ((uv_all[ci] >= 0.0) & (uv_all[ci] <= last_pixel)).all(axis=1)
-            vis_all[ci] = (x_cam[:, 2] > 0.1) & inside
-        good = vis_all.sum(axis=0) >= 2
-        for idx in np.flatnonzero(good):
-            if len(points_list) >= num_points:
-                break
-            points_list.append(cand[idx])
-            vis_list.append(np.flatnonzero(vis_all[:, idx]))
-            exact_uv.append({int(ci): uv_all[ci, idx].copy() for ci in vis_list[-1]})
-    if len(points_list) < num_points:
+    points, visible, xy = _sample_points(region, rotation, center, focal, principal, last_pixel, num_points, rng)
+    if len(points) < num_points:
         raise ConfigurationError(
             f"layout {layout!r} with {num_cameras} cameras cannot host {num_points} points"
         )
-    points = np.array(points_list)
+    # Camera c's features are the points it sees, in id order.
+    if pixel_sigma > 0:
+        xy += rng.normal(0.0, pixel_sigma, size=xy.shape)
+    matches = _match_table(visible, xy, outlier_fraction, width, height, rng)
 
-    # Per-camera feature tables; noise drawn in (camera, point-id) order.
-    cam_point_ids: list[list[int]] = [[] for _ in range(num_cameras)]
-    for pid, vis in enumerate(vis_list):
-        for ci in vis:
-            cam_point_ids[ci].append(pid)
-    feature_points, feature_xy, feat_index = [], [], []
-    for ci in range(num_cameras):
-        pids = np.array(sorted(cam_point_ids[ci]), dtype=np.int64)
-        xy = np.array([exact_uv[p][ci] for p in pids]).reshape(-1, 2)
-        if pixel_sigma > 0 and len(xy):
-            xy = xy + rng.normal(0.0, pixel_sigma, size=xy.shape)
-        feature_points.append(pids)
-        feature_xy.append(xy)
-        feat_index.append({int(p): f for f, p in enumerate(pids)})
-
-    # Shared-point matches per camera pair, then per-edge outlier injection.
-    pair_points: dict[tuple[int, int], list[int]] = {}
-    for pid, vis in enumerate(vis_list):
-        for a in range(len(vis)):
-            for b in range(a + 1, len(vis)):
-                pair_points.setdefault((int(vis[a]), int(vis[b])), []).append(pid)
-    next_extra = [len(fp) for fp in feature_points]
-    pair_feat, pair_xy = [], []
-    for (i, j) in sorted(pair_points):
-        pids = pair_points[(i, j)]
-        fi = np.array([feat_index[i][p] for p in pids], dtype=np.int64)
-        fj = np.array([feat_index[j][p] for p in pids], dtype=np.int64)
-        xi = feature_xy[i][fi]
-        xj = feature_xy[j][fj]
-        n = len(pids)
-        n_out = int(round(outlier_fraction * n))
-        if n_out > 0:
-            drop = rng.choice(n, size=n_out, replace=False)
-            keep = np.setdiff1d(np.arange(n), drop)
-            fi, fj, xi, xj = fi[keep], fj[keep], xi[keep], xj[keep]
-            fi = np.concatenate([fi, next_extra[i] + np.arange(n_out)])
-            fj = np.concatenate([fj, next_extra[j] + np.arange(n_out)])
-            next_extra[i] += n_out
-            next_extra[j] += n_out
-            xi = np.vstack([xi, rng.uniform([0, 0], [width - 1, height - 1], size=(n_out, 2))])
-            xj = np.vstack([xj, rng.uniform([0, 0], [width - 1, height - 1], size=(n_out, 2))])
-        pair_feat.append(np.column_stack([fi, fj]))
-        pair_xy.append(np.hstack([xi, xj]))
-    matches = MatchTable(
-        edges=np.array(sorted(pair_points), dtype=np.int64).reshape(-1, 2),
-        offsets=np.cumsum([0] + [len(f) for f in pair_feat], dtype=np.int64),
-        feat=np.concatenate([np.zeros((0, 2), np.int64), *pair_feat]),
-        xy=np.concatenate([np.zeros((0, 4)), *pair_xy]),
-    )
-
+    per_camera = np.cumsum(visible.sum(axis=1))[:-1]
     scene = SyntheticScene(
         cameras=cameras,
         rotation=rotation,
         center=center,
         points=points,
-        visibility=vis_list,
-        feature_points=feature_points,
-        feature_xy=feature_xy,
+        visibility=np.split(np.nonzero(visible.T)[1], np.cumsum(visible.sum(axis=0))[:-1]),
+        feature_points=np.split(np.nonzero(visible)[1], per_camera),
+        feature_xy=np.split(xy, per_camera),
         pixel_sigma=pixel_sigma,
         outlier_fraction=outlier_fraction,
         seed=seed,

@@ -368,7 +368,15 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
             cameras[:] = sorted(cameras + [c])
 
+    def swap(d):  # the first two leaves trade ids
+        a, b = tree_leaves(d["tree"])[:2]
+        a["leaf"], b["leaf"] = b["leaf"], a["leaf"]
+
     for change, message in (
+        (lambda d: [leaf.update(leaf=99) for leaf in tree_leaves(d["tree"])],  # accepted: the loader renumbered the leaves
+         "tree leaf 0 has the id 99, not its depth-first index 0"),
+        (swap, "tree leaf 0 has the id 1, not its depth-first index 0"),
+        (lambda d: tree_leaves(d["tree"])[1].update(leaf=True), "tree leaf 1 has the id true, not its depth-first index 1"),
         (lambda d: tree_leaves(d["tree"])[0]["cameras"].pop(), "tree leaf 0 is not independent cluster 0"),
         (lambda d: d["independent"][1].pop(), "tree leaf 1 is not independent cluster 1"),
         (lambda d: d["independent"].pop(), f"tree leaf {last} is not independent cluster {last}"),

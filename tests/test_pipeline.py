@@ -459,6 +459,8 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
         (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
          "interdependent cluster 0: cameras are not strictly ascending", ("local-sfm",)),  # exited 0
         (share, f"independent clusters 0 and 1 share camera {c}", ("triangulate", "ba")),  # triangulate exited 0
+        (lambda d: [leaf.update(leaf=99) for leaf in tree_leaves(d["tree"])],  # each exited 0
+         "tree leaf 0 has the id 99, not its depth-first index 0", ("tracks", "local-sfm", "triangulate", "ba", "evaluate")),
     ):
         data = json.loads(original)
         change(data)
@@ -467,6 +469,38 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
             assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (message, stage)
             _one_line_data_error(capsys, stage, "clusters.json", message)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _true_in_clusters(d):  # camera 1 of the first interdependent cluster that holds it
+    cameras = next(c for c in d["interdependent"] if 1 in c)
+    cameras[cameras.index(1)] = True
+
+
+def _true_in_motions(d):  # camera 1 of the first relative motion that measures it
+    motion = next(m for m in d if 1 in (m["i"], m["j"]))
+    motion["i" if motion["i"] == 1 else "j"] = True
+
+
+@pytest.mark.parametrize("name,stage,change,message", [
+    ("clusters.json", "local-sfm", _true_in_clusters,
+     "a cluster camera is not in the match graph's 0..17: interdependent cluster"),
+    ("relative_motions.json", "average", _true_in_motions, "an id is true or false, not an integer"),
+    ("global_motion.json", "triangulate", lambda d: next(c for c in d["cameras"] if c["id"] == 1).update(id=True),
+     "motion camera true is not in the match graph's 0..17"),
+    ("ground_truth.json", "evaluate", lambda d: d[1].update(cameraId=True),
+     "ground-truth camera true is not in the match graph's 0..17"),
+], ids=["clusters", "relative_motions", "global_motion", "ground_truth"])
+def test_cli_boolean_camera_id_exit_code(small_run, tmp_path, capsys, name, stage, change, message):
+    """JSON's true loads as a Python bool, which is an int equal to 1: each
+    stage took it for camera 1 and exited 0."""
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+    assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, stage, name, message)
 
 
 def test_cli_point_of_an_unknown_cluster_exit_code(small_run, tmp_path, capsys):

@@ -5,6 +5,7 @@ from clustersfm.errors import ConfigurationError
 from clustersfm.geometry import skew
 from clustersfm.synthetic import generate_synthetic_scene
 from conftest import project_point
+from synthetic_reference import reference_scene
 
 
 def true_correspondence_mask(scene, matches) -> np.ndarray:
@@ -95,8 +96,13 @@ def test_layout_validation():
         generate_synthetic_scene("grid", 3, 100)
     with pytest.raises(ConfigurationError):
         generate_synthetic_scene("nope", 10, 100)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="outlier_fraction must be in"):
         generate_synthetic_scene("loop", 10, 100, outlier_fraction=1.0)
+    with pytest.raises(ConfigurationError, match="pixel_sigma must be >= 0"):
+        generate_synthetic_scene("loop", 10, 100, pixel_sigma=-0.5)
+    # two cameras that face outward share no point, so every rejection round fails
+    with pytest.raises(ConfigurationError, match="layout 'loop' with 2 cameras cannot host 10 points"):
+        generate_synthetic_scene("loop", 2, 10)
 
 
 @pytest.mark.parametrize("layout,n", [("grid", 9), ("cityBlocks", 24), ("orbit", 6), ("loop", 16)])
@@ -107,3 +113,29 @@ def test_all_layouts_generate(layout, n):
     matches.check(n)
     # every point visible in >= 2 cameras
     assert min(len(v) for v in scene.visibility) >= 2
+
+
+@pytest.mark.parametrize("layout,n,points", [("grid", 9, 200), ("cityBlocks", 24, 200), ("orbit", 6, 200),
+                                             ("loop", 16, 200), ("loop", 12, 300)])  # the last takes 5 rounds
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("pixel_sigma,outlier_fraction", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.1), (0.5, 0.1)])
+def test_scene_equals_the_reference_generator(layout, n, points, seed, pixel_sigma, outlier_fraction):
+    """The array-built scene and match table equal, array for array, the
+    ones built one point and one pair at a time from the same draws."""
+    args = (layout, n, points, pixel_sigma, outlier_fraction, seed)
+    (scene, matches), (ref_scene, ref_matches) = generate_synthetic_scene(*args), reference_scene(*args)
+
+    def equal(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    for name in ("edges", "offsets", "feat", "xy"):
+        assert equal(getattr(matches, name), getattr(ref_matches, name)), name
+    for name in ("rotation", "center", "points"):
+        assert equal(getattr(scene, name), getattr(ref_scene, name)), name
+    assert equal(scene.cameras.intrinsics, ref_scene.cameras.intrinsics)
+    assert equal(scene.cameras.size, ref_scene.cameras.size)
+    for name in ("visibility", "feature_points", "feature_xy"):
+        arrays, ref_arrays = getattr(scene, name), getattr(ref_scene, name)
+        assert isinstance(arrays, list) and len(arrays) == len(ref_arrays), name
+        assert all(equal(a, b) for a, b in zip(arrays, ref_arrays)), name
+    assert (scene.pixel_sigma, scene.outlier_fraction, scene.seed) == (pixel_sigma, outlier_fraction, seed)
