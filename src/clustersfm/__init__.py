@@ -13,7 +13,6 @@ from .clustering import (
     ClusterTree,
     bisect_normalized_cut,
     cluster_cameras,
-    completeness_ratio,
     divide,
 )
 from .evaluation import ErrorReport, align_similarity, epipolar_error, pose_error_report

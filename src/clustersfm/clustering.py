@@ -1,11 +1,19 @@
 """Clustering the cameras: iterative graph division and expansion.
 
 Division recursively bisects the camera graph with a spectral normalized cut
-until every piece respects the size cap. Expansion then walks the discarded
-edges in descending weight and duplicates boundary cameras into neighboring
-clusters until each cluster's completeness ratio reaches the threshold. The
-two phases alternate because expansion can push a cluster back over the size
-cap.
+until every piece respects the size cap. Expansion then walks the edges
+between the pieces in descending weight and duplicates boundary cameras into
+neighboring clusters until each cluster's completeness ratio reaches the
+threshold. The two phases alternate because expansion can push a cluster back
+over the size cap: the oversize cluster is divided again, and the division
+of its home cameras replaces its leaf of the division tree. A divided state
+seen before would only repeat the rounds that followed it, so that round's
+expansion grows no cluster past the cap; it settles, possibly below the
+threshold.
+
+The graph is read as its edge arrays: each round's cross edges and the
+result's uncovered edges are masks over them, and the normalized cut is a
+prefix sum over the edges in sweep order.
 
 The fully exclusive clusters before expansion are the "independent" clusters
 (leaves of the division tree, used later for triangulation and partitioned
@@ -68,7 +76,6 @@ class ClusterTreeNode:
     cameras: tuple  # cameras covered by this node (home sets, no duplicates)
     left: "ClusterTreeNode | None" = None
     right: "ClusterTreeNode | None" = None
-    leaf_id: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -92,10 +99,6 @@ class ClusterTree:
         walk(self.root)
         return out
 
-    def assign_leaf_ids(self) -> None:
-        for k, leaf in enumerate(self.leaves()):
-            leaf.leaf_id = k
-
 
 @dataclass
 class ClusterSet:
@@ -107,16 +110,10 @@ class ClusterSet:
     exhausted: bool
     dropped_cameras: list = field(default_factory=list)
 
-    def independent_cluster_of(self) -> dict[int, int]:
-        out = {}
-        for cl in self.independent:
-            for c in cl.cameras:
-                out[c] = cl.id
-        return out
-
 
 class ClusteringError(NumericalError):
-    """Outer division/expansion loop failed to settle; carries the last state."""
+    """Outer division/expansion loop failed to settle; carries the last
+    expanded state, whose clusters break the size cap."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)
@@ -196,53 +193,41 @@ def bisect_normalized_cut(graph: CameraGraph, cameras=None) -> tuple[tuple, tupl
     if n_comp > 1:
         return _split_components(nodes, labels)
 
-    y = _fiedler_vector(W)
-    order = np.lexsort((nodes, y))
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    vol_total = float(deg.sum())
+    # The sweep moves the cameras to side A in Fiedler order, rank[v] being
+    # v's turn. After m moves an edge is cut when exactly one end has moved;
+    # the weights are integers, so these prefix sums are exact.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((nodes, _fiedler_vector(W)))] = np.arange(n)
+    inside = np.isin(graph.pairs, nodes).all(axis=1)
+    ends = np.sort(rank[np.searchsorted(nodes, graph.pairs[inside])], axis=1)
+    w = graph.weights[inside]
+    cut = np.cumsum(np.bincount(ends[:, 0] + 1, weights=w, minlength=n + 1)
+                    - np.bincount(ends[:, 1] + 1, weights=w, minlength=n + 1))
+    vol = np.cumsum(np.bincount(ends.ravel(), weights=np.repeat(w, 2), minlength=n))  # vol[m - 1]: vol(A)
 
     min_side = max(1, int(np.ceil(BALANCE_FLOOR * n)))
     lo, hi = min_side, n - min_side
     if lo > hi:
         lo, hi = 1, n - 1
+    vol_a = vol[lo - 1:hi]
+    vol_b = vol[-1] - vol_a
+    objective = (cut[lo:hi + 1] * (1.0 / np.maximum(vol_a, 1e-300) + 1.0 / np.maximum(vol_b, 1e-300))).tolist()
 
-    in_a = np.zeros(n, dtype=bool)
-    cut = 0.0
-    vol_a = 0.0
-    best = None  # (objective, -min_side_size, lex_key, m)
-    Wd = W.tocsr()
-    for m in range(1, n):
-        v = order[m - 1]
-        row = Wd.getrow(v)
-        w_to_a = float(row.data[in_a[row.indices]].sum())
-        cut += deg[v] - 2.0 * w_to_a
-        vol_a += deg[v]
-        in_a[v] = True
-        if not (lo <= m <= hi):
+    def first_side(m):  # the side of the smallest camera after m moves
+        moved = rank < m
+        return moved == moved[0]
+
+    best = lo
+    for m in range(lo + 1, hi + 1):
+        obj, best_obj = objective[m - lo], objective[best - lo]
+        if obj > best_obj + OBJECTIVE_TIE_TOL:
             continue
-        vol_b = vol_total - vol_a
-        obj = cut * (1.0 / max(vol_a, 1e-300) + 1.0 / max(vol_b, 1e-300))
-        side_a = tuple(sorted(nodes[order[:m]].tolist()))
-        side_b = tuple(sorted(nodes[order[m:]].tolist()))
-        lex = side_a if side_a[0] < side_b[0] else side_b
-        cand = (obj, -min(m, n - m), lex)
-        if best is None or _candidate_better(cand, best):
-            best = cand
-            best_sides = (side_a, side_b)
-    side_a, side_b = best_sides
-    if side_a[0] > side_b[0]:
-        side_a, side_b = side_b, side_a
-    return side_a, side_b
-
-
-def _candidate_better(cand, best) -> bool:
-    if cand[0] < best[0] - OBJECTIVE_TIE_TOL:
-        return True
-    if cand[0] > best[0] + OBJECTIVE_TIE_TOL:
-        return False
-    if cand[1] != best[1]:
-        return cand[1] < best[1]
-    return cand[2] < best[2]
+        balance, best_balance = min(m, n - m), min(best, n - best)
+        if (obj < best_obj - OBJECTIVE_TIE_TOL or balance > best_balance
+                or (balance == best_balance and nodes[first_side(m)].tolist() < nodes[first_side(best)].tolist())):
+            best = m
+    side = first_side(best)
+    return tuple(nodes[side].tolist()), tuple(nodes[~side].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -260,96 +245,57 @@ def _split_tree(graph: CameraGraph, cams: tuple, limit: int) -> ClusterTreeNode:
     )
 
 
-def _prune_tree(node: ClusterTreeNode, keep: set) -> ClusterTreeNode | None:
+def divide(graph: CameraGraph, max_cluster_size: int, cameras=None) -> tuple[list[Cluster], ClusterTree]:
+    """Recursively bisect until every leaf has at most max_cluster_size
+    cameras. Returns (leaf clusters, division tree)."""
+    if max_cluster_size < 2:
+        raise ConfigurationError("max_cluster_size must be >= 2")
+    cams = tuple(sorted(cameras) if cameras is not None else range(graph.num_cameras))
+    tree = ClusterTree(root=_split_tree(graph, cams, max_cluster_size))
+    return [Cluster(id=k, cameras=leaf.cameras) for k, leaf in enumerate(tree.leaves())], tree
+
+
+def _prune_tree(node: ClusterTreeNode, keep: set, pairs: list) -> ClusterTreeNode | None:
     """Copy of the subtree restricted to the cameras in keep; nodes left
-    empty vanish and a node with one surviving child is replaced by it."""
+    empty vanish and a node with one surviving child is replaced by it.
+    Appends (copied leaf, original leaf cameras) to pairs per surviving
+    leaf, in depth-first order."""
     cams = tuple(c for c in node.cameras if c in keep)
     if not cams:
         return None
     if node.is_leaf:
-        return ClusterTreeNode(cameras=cams)
-    left, right = _prune_tree(node.left, keep), _prune_tree(node.right, keep)
+        pairs.append((ClusterTreeNode(cameras=cams), node.cameras))
+        return pairs[-1][0]
+    left, right = _prune_tree(node.left, keep, pairs), _prune_tree(node.right, keep, pairs)
     if left is None or right is None:
         return right if left is None else left
     return ClusterTreeNode(cameras=cams, left=left, right=right)
 
 
-def divide(
-    graph: CameraGraph, max_cluster_size: int, cameras=None
-) -> tuple[list[Cluster], ClusterTree, list]:
-    """Recursively bisect until every leaf has at most max_cluster_size
-    cameras. Returns (leaf clusters, division tree, discarded edges with
-    weights)."""
-    if max_cluster_size < 2:
-        raise ConfigurationError("max_cluster_size must be >= 2")
-    cams = tuple(sorted(cameras) if cameras is not None else range(graph.num_cameras))
-    tree = ClusterTree(root=_split_tree(graph, cams, max_cluster_size))
-    tree.assign_leaf_ids()
-    leaves = [Cluster(id=k, cameras=leaf.cameras) for k, leaf in enumerate(tree.leaves())]
-    leaf_of = {}
-    for leaf in leaves:
-        for c in leaf.cameras:
-            leaf_of[c] = leaf.id
-    inside = set(cams)
-    discarded = [
-        (i, j, w)
-        for (i, j), w in sorted(graph.edges.items())
-        if i in inside and j in inside and leaf_of[i] != leaf_of[j]
-    ]
-    return leaves, tree, discarded
+def _redivide(graph: CameraGraph, leaf: ClusterTreeNode, full: tuple, limit: int) -> list[tuple]:
+    """Divide an oversize cluster's full camera set again. The division,
+    restricted to the cluster's home cameras (its leaf's), replaces the leaf
+    in place. Returns a (tree leaf, full set) pair per part that holds a home
+    camera, in depth-first order; a part of duplicates only is dropped."""
+    pairs = []
+    sub = _prune_tree(_split_tree(graph, full, limit), set(leaf.cameras), pairs)
+    if sub.is_leaf:
+        return [(leaf, pairs[0][1])]
+    leaf.left, leaf.right = sub.left, sub.right
+    return pairs
 
 
 # ---------------------------------------------------------------------------
-# Completeness ratio and graph expansion
+# Graph expansion
 # ---------------------------------------------------------------------------
 
-def completeness_ratio(cluster: Cluster, clusters: list[Cluster]) -> float:
-    """Sum of camera overlaps with every other cluster, divided by size."""
-    mine = set(cluster.cameras)
-    total = 0
-    for other in clusters:
-        if other is cluster or other.id == cluster.id:
-            continue
-        total += len(mine.intersection(other.cameras))
-    return total / len(cluster.cameras)
-
-
-class _Membership:
-    """Incremental completeness bookkeeping over a family of camera sets."""
-
-    def __init__(self, families: list[set]):
-        self.families = families
-        self.holders: dict[int, set[int]] = {}
-        for k, fam in enumerate(families):
-            for c in fam:
-                self.holders.setdefault(c, set()).add(k)
-        self.overlap = [sum(len(self.holders[c]) - 1 for c in fam) for fam in families]
-
-    def ratio(self, k: int) -> float:
-        return self.overlap[k] / len(self.families[k])
-
-    def add(self, k: int, camera: int) -> None:
-        holders = self.holders.setdefault(camera, set())
-        for other in holders:
-            self.overlap[other] += 1
-        self.overlap[k] += len(holders)
-        holders.add(k)
-        self.families[k].add(camera)
-
-
-def _contained(edge_i, edge_j, families: list[set]) -> bool:
-    return any(edge_i in fam and edge_j in fam for fam in families)
-
-
-def _expand_in_place(
-    home_of: dict,
-    families: list[set],
-    discarded: list,
-    completeness_threshold: float,
-    seed: int,
-) -> None:
-    """The expansion loop of cluster_cameras; mutates the family sets until
-    no discarded edge can add another camera.
+def _expand(home: list, member: np.ndarray, pairs: np.ndarray, threshold: float, seed: int, limit) -> np.ndarray:
+    """Grow the clusters over the cross edges `pairs`, in visiting order,
+    until none adds a camera; member[c, k], whether cluster k holds camera
+    c, grows in place, home[c] is the cluster of camera c's home. A cluster
+    of limit cameras takes no more. Returns each cluster's overlap: the
+    copies of its cameras that the other clusters hold, summed, so its
+    completeness ratio is its overlap over its size.
 
     Edges are visited by descending weight (ties by ascending camera pair),
     repeatedly, so a needy cluster keeps absorbing boundary cameras until it
@@ -357,32 +303,32 @@ def _expand_in_place(
     seeded per-edge coin flip when both homes are below the threshold, which
     keeps the outcome independent of pass structure and worker scheduling.
     """
-    members = _Membership(families)
-    order = sorted(discarded, key=lambda e: (-e[2], e[0], e[1]))
-    while True:
+    holders = member.sum(axis=1)
+    size = member.sum(axis=0)
+    overlap = member.T @ (holders - 1)
+    edges = pairs.tolist()
+    changed = True
+    while changed:
         changed = False
-        for (i, j, _w) in order:
-            if i not in home_of or j not in home_of:
-                continue
-            ki, kj = home_of[i], home_of[j]
-            if ki == kj:
-                continue
-            candidates = [k for k in (ki, kj) if members.ratio(k) < completeness_threshold]
-            if not candidates:
-                continue
-            if len(candidates) == 2 and stable_seed(seed, i, j) % 2 == 1:
-                candidates = candidates[::-1]
-            # the coin decides precedence; a no-op pick (vertex already
+        for i, j in edges:
+            ki, kj = home[i], home[j]
+            needy = [k for k in (ki, kj) if overlap[k] / size[k] < threshold and size[k] < limit]
+            if len(needy) == 2 and stable_seed(seed, i, j) % 2 == 1:
+                needy.reverse()
+            # the coin decides precedence; a no-op pick (camera already
             # present) falls through to the other needy side so the loop
             # truly stops only when nothing can be added
-            for pick in candidates:
-                foreign = j if pick == ki else i
-                if foreign not in families[pick]:
-                    members.add(pick, foreign)
+            for k in needy:
+                c = j if k == ki else i
+                if not member[c, k]:
+                    overlap[member[c]] += 1
+                    overlap[k] += holders[c]
+                    holders[c] += 1
+                    size[k] += 1
+                    member[c, k] = True
                     changed = True
                     break
-        if not changed:
-            break
+    return overlap
 
 
 # ---------------------------------------------------------------------------
@@ -391,110 +337,61 @@ def _expand_in_place(
 
 def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
     """Iterate graph division and expansion until every interdependent
-    cluster satisfies the size cap and (unless the discarded edges run out)
-    the completeness threshold."""
-    adj = graph.adjacency()
-    n_comp, labels = connected_components(adj, directed=False)
-    comp_sizes = np.bincount(labels, minlength=n_comp)
-    dropped = sorted(int(c) for c in range(graph.num_cameras) if comp_sizes[labels[c]] < 2)
-    kept = tuple(c for c in range(graph.num_cameras) if c not in set(dropped))
+    cluster satisfies the size cap and (unless the cross edges run out)
+    the completeness threshold. When a divided state repeats, that round's
+    expansion grows no cluster past the cap, and the round settles."""
+    n_comp, labels = connected_components(graph.adjacency(), directed=False)
+    alone = np.bincount(labels, minlength=n_comp)[labels] < 2  # a camera without edges
+    dropped, kept = np.flatnonzero(alone).tolist(), np.flatnonzero(~alone).tolist()
     if dropped:
         logger.warning("dropping %d isolated camera(s): %s", len(dropped), dropped[:10])
     if len(kept) < 2:
         raise ConfigurationError("camera graph has no component with >= 2 cameras")
 
-    leaves, tree, _ = divide(graph, config.max_cluster_size, kept)
-    # working state: per leaf, (home set, full set)
-    homes = [set(leaf.cameras) for leaf in leaves]
-    fulls = [set(leaf.cameras) for leaf in leaves]
-
-    settled = False
-    for _outer in range(config.max_outer_iterations):
-        # --- expansion over the cross-home (division-discarded) edges
-        home_of = {}
-        for k, home in enumerate(homes):
-            for c in home:
-                home_of[c] = k
-        cross = [
-            (i, j, w)
-            for (i, j), w in sorted(graph.edges.items())
-            if i in home_of and j in home_of and home_of[i] != home_of[j]
-        ]
-        _expand_in_place(home_of, fulls, cross, config.completeness_ratio, config.seed)
-
-        # --- size check; re-divide oversize clusters (duplicates ride along)
-        oversize = [k for k in range(len(fulls)) if len(fulls[k]) > config.max_cluster_size]
-        if not oversize:
-            settled = True
-            break
-        new_homes, new_fulls = [], []
-        replacements: dict[frozenset, ClusterTreeNode] = {}
-        for k in range(len(fulls)):
-            if k not in oversize:
-                new_homes.append(homes[k])
-                new_fulls.append(fulls[k])
-                continue
-            split = _split_tree(graph, tuple(sorted(fulls[k])), config.max_cluster_size)
-            subtree = _prune_tree(split, homes[k])
-            if subtree is None:
-                # all home cameras vanished (cannot happen: homes are subsets)
-                raise ClusteringError("re-division lost a cluster's home cameras")
-            replacements[frozenset(homes[k])] = subtree
-            for part in ClusterTree(root=split).leaves():
-                home_part = set(part.cameras) & homes[k]
-                if not home_part:
-                    continue  # duplicate-only fragment: drop it from this family
-                new_homes.append(home_part)
-                new_fulls.append(set(part.cameras))
-        homes, fulls = new_homes, new_fulls
-        _replace_leaves(tree, replacements)
-
-    if not settled:
-        last = _assemble(graph, tree, homes, fulls, config, dropped)
-        raise ClusteringError(
-            f"clustering did not settle within {config.max_outer_iterations} iterations",
-            last_state=last,
-        )
-    return _assemble(graph, tree, homes, fulls, config, dropped)
+    cap = config.max_cluster_size
+    _, tree = divide(graph, cap, kept)
+    state = [(leaf, leaf.cameras) for leaf in tree.leaves()]  # (tree leaf, full camera set)
+    seen = set()
+    for round_ in range(config.max_outer_iterations):
+        if round_:
+            state = [pair for leaf, full in state
+                     for pair in (_redivide(graph, leaf, full, cap) if len(full) > cap else [(leaf, full)])]
+        key = tuple((leaf.cameras, full) for leaf, full in state)
+        limit = cap if key in seen else np.inf
+        seen.add(key)
+        home = np.full(graph.num_cameras, -1)
+        member = np.zeros((graph.num_cameras, len(state)), dtype=bool)
+        for k, (leaf, full) in enumerate(state):
+            home[list(leaf.cameras)] = k
+            member[list(full), k] = True
+        # every edge joins two kept cameras: a dropped camera has none
+        i, j = graph.pairs.T
+        cross = home[i] != home[j]
+        order = np.lexsort((j[cross], i[cross], -graph.weights[cross]))
+        overlap = _expand(home.tolist(), member, graph.pairs[cross][order], config.completeness_ratio,
+                          config.seed, limit)
+        state = [(leaf, tuple(np.flatnonzero(column).tolist())) for (leaf, _), column in zip(state, member.T)]
+        if all(len(full) <= cap for _, full in state):
+            return _assemble(graph, tree, state, member, overlap, config, dropped)
+    raise ClusteringError(
+        f"clustering did not settle within {config.max_outer_iterations} iterations",
+        last_state=_assemble(graph, tree, state, member, overlap, config, dropped),
+    )
 
 
-def _replace_leaves(tree: ClusterTree, replacements: dict) -> None:
-    def walk(node):
-        if node.is_leaf:
-            return replacements.get(frozenset(node.cameras), node)
-        node.left = walk(node.left)
-        node.right = walk(node.right)
-        return node
-
-    tree.root = walk(tree.root)
-
-
-def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
-    tree.assign_leaf_ids()
-    leaf_nodes = tree.leaves()
-    by_home = {frozenset(h): set(f) for h, f in zip(homes, fulls)}
-    independent, interdependent = [], []
-    for k, leaf in enumerate(leaf_nodes):
-        home = frozenset(leaf.cameras)
-        full = by_home.get(home)
-        if full is None:
-            raise ClusteringError("tree leaves out of sync with working clusters")
-        independent.append(Cluster(id=k, cameras=leaf.cameras))
-        interdependent.append(Cluster(id=k, cameras=tuple(sorted(full))))
-    kept = {c for h in homes for c in h}
-    uncovered = [
-        (i, j, w)
-        for (i, j), w in sorted(graph.edges.items())
-        if i in kept and j in kept and not _contained(i, j, fulls)
-    ]
-    ratios = [completeness_ratio(cl, interdependent) for cl in interdependent]
-    exhausted = any(r < config.completeness_ratio for r in ratios)
+def _assemble(graph, tree, state, member, overlap, config, dropped) -> ClusterSet:
+    """The cluster set of the (tree leaf, full set) pairs, in the tree's
+    depth-first leaf order, and of member and overlap as _expand left them."""
+    incidence = csr_matrix(member)
+    i, j = graph.pairs.T
+    covered = np.asarray(incidence[i].multiply(incidence[j]).sum(axis=1)).ravel() > 0
+    ratios = (overlap / member.sum(axis=0)).tolist()
     return ClusterSet(
-        independent=independent,
-        interdependent=interdependent,
+        independent=[Cluster(id=k, cameras=leaf.cameras) for k, (leaf, _) in enumerate(state)],
+        interdependent=[Cluster(id=k, cameras=full) for k, (_, full) in enumerate(state)],
         tree=tree,
-        discarded_edges=uncovered,
+        discarded_edges=[tuple(e) for e in np.column_stack((graph.pairs, graph.weights))[~covered].tolist()],
         achieved_ratios=ratios,
-        exhausted=exhausted,
+        exhausted=any(r < config.completeness_ratio for r in ratios),
         dropped_cameras=dropped,
     )

@@ -77,11 +77,11 @@ def triangulate_global(
     views = np.bincount(track, minlength=len(tracks))
     offsets = np.append(0, np.cumsum(views))
     # votes[t, k]: the posed views of track t in independent cluster k
-    cluster_of = cluster_set.independent_cluster_of()
-    lookup = np.full(len(cameras), -1)
-    lookup[list(cluster_of)] = list(cluster_of.values())
-    k = lookup.max(initial=0) + 1
-    cluster = lookup[cams]
+    label = np.full(len(cameras), -1)
+    for cl in cluster_set.independent:
+        label[list(cl.cameras)] = cl.id
+    k = label.max(initial=0) + 1
+    cluster = label[cams]
     seen = cluster >= 0
     votes = np.bincount(track[seen] * k + cluster[seen], minlength=len(tracks) * k).reshape(-1, k)
     owner = np.where(votes.any(axis=1), votes.argmax(axis=1), -1)  # argmax takes the lowest id of a tie

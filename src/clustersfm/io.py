@@ -93,9 +93,11 @@ def _is_id(value) -> bool:
 
 def _array(data: dict, key: str, dtype, *shape) -> np.ndarray:
     """data[key], an array or a JSON list, cast to dtype within its kind (no
-    float to int; an empty list has no kind) and reshaped; a wrong kind is a
-    TypeError and a wrong size a ValueError."""
+    float to int, and no bool to int; an empty list has no kind) and
+    reshaped; a wrong kind is a TypeError and a wrong size a ValueError."""
     a = np.asarray(data[key])
+    if a.dtype == bool and np.dtype(dtype).kind in "iu":
+        raise TypeError(f"{key}: true or false where integers are expected")
     return a.astype(dtype, casting="same_kind" if a.size else "unsafe", copy=False).reshape(shape)
 
 
@@ -248,17 +250,23 @@ def load_ground_truth(path, num_cameras: int) -> tuple[np.ndarray, np.ndarray]:
 # Cluster set
 # ---------------------------------------------------------------------------
 
-def _tree_to_json(node: ClusterTreeNode):
+def _tree_to_json(node: ClusterTreeNode, leaf_ids):
+    """The tree below node, each leaf with its id, the next of leaf_ids."""
     if node.is_leaf:
-        return {"leaf": node.leaf_id, "cameras": list(node.cameras)}
-    return {"children": [_tree_to_json(node.left), _tree_to_json(node.right)]}
+        return {"leaf": next(leaf_ids), "cameras": list(node.cameras)}
+    return {"children": [_tree_to_json(node.left, leaf_ids), _tree_to_json(node.right, leaf_ids)]}
 
 
-def _tree_from_json(data) -> ClusterTreeNode:
+def _tree_from_json(data, leaf_ids) -> ClusterTreeNode:
+    """The tree of data; a leaf whose id is not the next of leaf_ids, its
+    depth-first index, is a DataError."""
     if "leaf" in data:
-        return ClusterTreeNode(cameras=tuple(data["cameras"]), leaf_id=data["leaf"])
-    left = _tree_from_json(data["children"][0])
-    right = _tree_from_json(data["children"][1])
+        k = next(leaf_ids)
+        if not (_is_id(data["leaf"]) and data["leaf"] == k):
+            raise DataError(f"tree leaf {k} has the id {json.dumps(data['leaf'])}, not its depth-first index {k}")
+        return ClusterTreeNode(cameras=tuple(data["cameras"]))
+    left = _tree_from_json(data["children"][0], leaf_ids)
+    right = _tree_from_json(data["children"][1], leaf_ids)
     return ClusterTreeNode(
         cameras=tuple(sorted(left.cameras + right.cameras)),
         left=left,
@@ -270,7 +278,7 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
     payload = {
         "independent": [list(c.cameras) for c in cs.independent],
         "interdependent": [list(c.cameras) for c in cs.interdependent],
-        "tree": _tree_to_json(cs.tree.root),
+        "tree": _tree_to_json(cs.tree.root, itertools.count()),
         "discardedEdges": [[int(i), int(j), int(w)] for (i, j, w) in cs.discarded_edges],
         "achievedRatios": cs.achieved_ratios,
         "exhausted": cs.exhausted,
@@ -288,10 +296,7 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
     not independent cluster k, else two independent clusters that share a
     camera."""
     data = _load(path)
-    tree = ClusterTree(root=_tree_from_json(data["tree"]))
-    for k, leaf in enumerate(tree.leaves()):
-        if not (_is_id(leaf.leaf_id) and leaf.leaf_id == k):
-            raise DataError(f"tree leaf {k} has the id {json.dumps(leaf.leaf_id)}, not its depth-first index {k}")
+    tree = ClusterTree(root=_tree_from_json(data["tree"], itertools.count()))
     leaves = [list(leaf.cameras) for leaf in tree.leaves()]
     named = [(f"{kind} cluster {k}", list(c)) for kind in ("independent", "interdependent")
              for k, c in enumerate(data[kind])] + [(f"tree leaf {k}", c) for k, c in enumerate(leaves)]
@@ -382,8 +387,10 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
 
 @_checked
 def load_local_reconstructions(path) -> list[LocalReconstruction]:
-    """Every cluster's reconstruction; a cluster whose registered cameras
-    do not rise strictly is a DataError."""
+    """Every cluster's reconstruction. A DataError names the first cluster
+    entry whose clusterId, registered cameras, seedPair or point count holds
+    a value that is not an integer (JSON true or false included), and a
+    cluster whose registered cameras do not rise strictly."""
     data = _load_table(path, "local-reconstruction")
     rotation = _decoded(data, "rotation", float, -1, 3, 3)
     center = _decoded(data, "center", float, len(rotation), 3)
@@ -395,6 +402,12 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     check_ascending(cameras, offsets, track)
     obs_tracks = np.repeat(track, np.diff(offsets))
     clusters = data["clusters"]
+    for k, c in enumerate(clusters):
+        for key, ids in (("clusterId", [c["clusterId"]]), ("registered", c["registered"]),
+                         ("seedPair", c["seedPair"] or []), ("points", [c["points"]])):
+            bad = [v for v in ids if not _is_id(v)]
+            if bad:
+                raise DataError(f"cluster entry {k}: {key} holds {json.dumps(bad[0])}, not an integer")
     registered = [_array(c, "registered", np.int64, -1) for c in clusters]
     for c, cams in zip(clusters, registered):
         if np.any(np.diff(cams) <= 0):

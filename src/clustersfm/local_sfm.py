@@ -231,8 +231,10 @@ def estimate_seed_pair(graph: CameraGraph, tracks: ClusterTracks, K: np.ndarray,
     centers, (m, 2) table rows of the pair's views of the m seed points,
     (m, 3) seed points).
     """
-    edges = sorted(graph.induced_edges(tracks.cameras.tolist()), key=lambda e: (-graph.weight(*e), e))
-    for pair in np.searchsorted(tracks.cameras, np.reshape(edges, (-1, 2))).tolist():
+    inside = np.isin(graph.pairs, tracks.cameras).all(axis=1)
+    edges, weights = graph.pairs[inside], graph.weights[inside]
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0], -weights))]
+    for pair in np.searchsorted(tracks.cameras, edges).tolist():
         rows = np.column_stack(tracks.shared_rows(*pair))
         if len(rows) < MIN_SEED_CORRESPONDENCES:
             continue
@@ -567,7 +569,7 @@ def extract_relative_motions(recs: list[LocalReconstruction], graph: CameraGraph
         seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
                           shape=(len(registered), track.max(initial=-1) + 1))
         shared = (seen @ seen.T).toarray()
-        pairs = np.reshape(graph.induced_edges(registered.tolist()), (-1, 2)).astype(np.int64)
+        pairs = graph.pairs[np.isin(graph.pairs, registered).all(axis=1)]
         i, j = np.searchsorted(registered, pairs).T
         R, c = rec.rotation, rec.center
         parts.append((pairs, np.full(len(pairs), rec.cluster_id, dtype=np.int64), R[j] @ R[i].transpose(0, 2, 1),

@@ -1,5 +1,5 @@
 """Core data model: the camera table, the match table, and the weighted
-camera graph.
+camera graph, whose edges are the match table's as arrays in (i, j) order.
 
 Conventions used everywhere: rotations are world-to-camera, camera positions
 are stored as centers c in world units, and the projection of a world point X
@@ -121,15 +121,15 @@ class MatchTable:
 
 
 class CameraGraph:
-    """Undirected camera graph with edge weight = correspondence count."""
+    """Undirected camera graph: edge e joins cameras pairs[e] = (i, j), i < j,
+    with weight weights[e], its correspondence count; the edges ascend by
+    (i, j)."""
 
-    def __init__(self, num_cameras: int, edges: dict[tuple[int, int], int]):
+    def __init__(self, num_cameras: int, pairs: np.ndarray, weights: np.ndarray):
         self.num_cameras = num_cameras
-        self.edges = edges  # (i, j) -> weight, i < j
+        self.pairs = pairs  # (E, 2) int64
+        self.weights = weights  # (E,) int64
         self._adjacency = None
-
-    def weight(self, i: int, j: int) -> int:
-        return self.edges[(i, j) if i < j else (j, i)]
 
     def adjacency(self):
         """Sparse symmetric weight matrix (CSR), built lazily."""
@@ -137,22 +137,11 @@ class CameraGraph:
             from scipy.sparse import coo_matrix
 
             n = self.num_cameras
-            if self.edges:
-                pairs = np.array(list(self.edges.keys()), dtype=np.int64)
-                w = np.array(list(self.edges.values()), dtype=float)
-                rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-                cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-                data = np.concatenate([w, w])
-            else:
-                rows = cols = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0)
+            rows = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
+            cols = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
+            data = np.concatenate([self.weights, self.weights]).astype(float)
             self._adjacency = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         return self._adjacency
-
-    def induced_edges(self, cameras) -> list[tuple[int, int]]:
-        """All graph edges with both endpoints in the given camera set."""
-        inside = set(cameras)
-        return sorted((i, j) for (i, j) in self.edges if i in inside and j in inside)
 
 
 def build_camera_graph(matches: MatchTable, num_cameras: int) -> CameraGraph:
@@ -160,5 +149,5 @@ def build_camera_graph(matches: MatchTable, num_cameras: int) -> CameraGraph:
     are retained as nodes."""
     if num_cameras < 2:
         raise DataError("camera graph needs at least 2 cameras")
-    pairs = map(tuple, matches.edges.tolist())
-    return CameraGraph(num_cameras, dict(sorted(zip(pairs, matches.weights.tolist()))))
+    order = np.lexsort((matches.edges[:, 1], matches.edges[:, 0]))
+    return CameraGraph(num_cameras, matches.edges[order], matches.weights[order])

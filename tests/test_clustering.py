@@ -1,22 +1,43 @@
+import itertools
+
+import numpy as np
 import pytest
 
+import clustering_reference
 from clustersfm.clustering import (
     Cluster,
     ClusterConfig,
-    _expand_in_place,
+    ClusteringError,
+    _expand,
     bisect_normalized_cut,
     cluster_cameras,
-    completeness_ratio,
     divide,
 )
 from clustersfm.errors import ConfigurationError
 from clustersfm.scene import build_camera_graph
+from clustersfm.synthetic import generate_synthetic_scene
 from conftest import geometric_graph, match_table, weighted_edge
 
 
 def depth(node) -> int:
     """Edges on the longest path from a cluster tree node down to a leaf."""
     return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+
+def cross_edges(graph, leaves) -> list[tuple[int, int]]:
+    """The (i, j) graph edges whose cameras lie in two different leaves."""
+    leaf_of = {c: leaf.id for leaf in leaves for c in leaf.cameras}
+    return [(i, j) for i, j in graph.pairs.tolist() if leaf_of[i] != leaf_of[j]]
+
+
+def ratios(clusters: list[Cluster], num_cameras: int = 10) -> list[float]:
+    """The completeness ratios of the clusters, from the overlap counts of
+    an expansion over no edges."""
+    member = np.zeros((num_cameras, len(clusters)), dtype=bool)
+    for k, cl in enumerate(clusters):
+        member[list(cl.cameras), k] = True
+    overlap = _expand([-1] * num_cameras, member, np.zeros((0, 2), dtype=np.int64), 0.0, 0, np.inf)
+    return (overlap / member.sum(axis=0)).tolist()
 
 
 def test_bisect_weighted_path_exhaustive_minimum():
@@ -44,21 +65,22 @@ def test_bisect_k4_balanced_tie_break():
 
 def test_divide_single_leaf():
     g = build_camera_graph(match_table([weighted_edge(0, 1, 3), weighted_edge(1, 2, 3), weighted_edge(2, 3, 3)]), 4)
-    leaves, tree, discarded = divide(g, 100)
-    assert len(leaves) == 1 and discarded == [] and depth(tree.root) == 0
+    leaves, tree = divide(g, 100)
+    assert len(leaves) == 1 and cross_edges(g, leaves) == [] and depth(tree.root) == 0
 
 
 def test_divide_path_of_eight():
     g = build_camera_graph(match_table([weighted_edge(i, i + 1, 1) for i in range(7)]), 8)
-    leaves, tree, discarded = divide(g, 2)
+    leaves, tree = divide(g, 2)
     assert [l.cameras for l in leaves] == [(0, 1), (2, 3), (4, 5), (6, 7)]
+    discarded = cross_edges(g, leaves)
     assert len(discarded) == 3
-    assert {(i, j) for (i, j, _) in discarded} == {(1, 2), (3, 4), (5, 6)}
+    assert set(discarded) == {(1, 2), (3, 4), (5, 6)}
 
 
 def test_divide_respects_cap_and_covers():
     g = geometric_graph(300, 0.09, 42)
-    leaves, tree, discarded = divide(g, 100)
+    leaves, tree = divide(g, 100)
     assert all(l.size <= 100 for l in leaves)
     covered = sorted(c for l in leaves for c in l.cameras)
     assert covered == list(range(300))
@@ -71,20 +93,27 @@ def test_divide_respects_cap_and_covers():
 def test_completeness_ratio_examples():
     a = Cluster(id=0, cameras=(1, 2, 3, 4))
     b = Cluster(id=1, cameras=(3, 4, 5, 6))
-    assert completeness_ratio(a, [a, b]) == 0.5
-    assert completeness_ratio(a, [a]) == 0.0
+    assert ratios([a, b])[0] == 0.5
+    assert ratios([a]) == [0.0]
     c = Cluster(id=0, cameras=(1, 2))
     d = Cluster(id=1, cameras=(1, 2))
-    assert completeness_ratio(c, [c, d]) == 1.0
+    assert ratios([c, d])[0] == 1.0
 
 
 def expand(leaves, discarded, completeness_threshold, seed):
-    """Grow disjoint leaf clusters by re-attaching discarded edges, through
-    the expansion loop that cluster_cameras runs."""
-    home_of = {c: k for k, leaf in enumerate(leaves) for c in leaf.cameras}
-    families = [set(leaf.cameras) for leaf in leaves]
-    _expand_in_place(home_of, families, discarded, completeness_threshold, seed)
-    return [Cluster(id=leaf.id, cameras=tuple(sorted(families[k]))) for k, leaf in enumerate(leaves)]
+    """Grow disjoint leaf clusters by re-attaching discarded (i, j, weight)
+    edges, through the expansion loop that cluster_cameras runs."""
+    num_cameras = 1 + max(c for leaf in leaves for c in leaf.cameras)
+    home = [-1] * num_cameras
+    member = np.zeros((num_cameras, len(leaves)), dtype=bool)
+    for k, leaf in enumerate(leaves):
+        for c in leaf.cameras:
+            home[c] = k
+        member[list(leaf.cameras), k] = True
+    order = sorted(discarded, key=lambda e: (-e[2], e[0], e[1]))
+    _expand(home, member, np.array([(i, j) for i, j, _ in order]).reshape(-1, 2), completeness_threshold, seed,
+            np.inf)
+    return [Cluster(id=leaf.id, cameras=np.flatnonzero(member[:, k]).tolist()) for k, leaf in enumerate(leaves)]
 
 
 def test_expand_zero_threshold_is_identity():
@@ -100,10 +129,9 @@ def test_expand_adds_foreign_vertex():
     # one side absorbed the foreign endpoint; the other may follow via the
     # same edge on a later pass until both reach the threshold or stall
     assert sizes in ([2, 3], [3, 3])
-    grown = [c for c in out if c.size == 3]
-    for c in grown:
-        ratios = completeness_ratio(c, out)
-        assert ratios > 0
+    for c, ratio in zip(out, ratios(out)):
+        if c.size == 3:
+            assert ratio > 0
 
 
 def test_expand_seed_changes_receiver_only():
@@ -185,3 +213,54 @@ def test_non_termination_guard_carries_state():
     last = info.value.last_state
     assert last is not None
     assert len(last.interdependent) >= 2
+
+
+def tree_shape(node):
+    """The cameras of every node of a cluster tree, nested as the tree is."""
+    return node.cameras if node.is_leaf else (node.cameras, tree_shape(node.left), tree_shape(node.right))
+
+
+def fields(cs) -> dict:
+    return dict(independent=[(c.id, c.cameras) for c in cs.independent],
+                interdependent=[(c.id, c.cameras) for c in cs.interdependent], tree=tree_shape(cs.tree.root),
+                discarded_edges=cs.discarded_edges, achieved_ratios=cs.achieved_ratios, exhausted=cs.exhausted,
+                dropped_cameras=cs.dropped_cameras)
+
+
+@pytest.mark.parametrize("layout,num_cameras,num_points", [
+    ("grid", 25, 300), ("orbit", 30, 300), ("loop", 48, 400), ("cityBlocks", 36, 300),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cluster_cameras_equals_the_reference(layout, num_cameras, num_points, seed):
+    """Every field and the tree equal the set-based reference's wherever it
+    settles; where it cycles, the clustering settles within the cap."""
+    _, matches = generate_synthetic_scene(layout, num_cameras, num_points, pixel_sigma=0.5, seed=seed)
+    g = build_camera_graph(matches, num_cameras)
+    caps = (num_cameras // 4 + 1, num_cameras // 2 + 2, num_cameras - 3)
+    for cap, ratio in itertools.product(caps, (0.0, 0.5, 0.7)):
+        config = ClusterConfig(max_cluster_size=cap, completeness_ratio=ratio, seed=seed)
+        cs = cluster_cameras(g, config)
+        try:
+            expected = clustering_reference.cluster_cameras(g, config)
+        except ClusteringError as exc:
+            assert "did not settle" in str(exc)
+            assert all(c.size <= cap for c in cs.interdependent), (cap, ratio)
+            continue
+        assert fields(cs) == fields(expected), (cap, ratio)
+
+
+def test_repeated_division_settles_within_the_cap():
+    """On the CI scene at seed 1 the re-division of an oversize cluster keeps
+    its home, so the next expansion re-adds the same cameras: a cycle that
+    used to end in ClusteringError."""
+    _, matches = generate_synthetic_scene("grid", 25, 300, pixel_sigma=0.5, seed=1)
+    g = build_camera_graph(matches, 25)
+    config = ClusterConfig(max_cluster_size=14, completeness_ratio=0.7, seed=1)
+    with pytest.raises(ClusteringError, match="did not settle within 16 iterations"):
+        clustering_reference.cluster_cameras(g, config)
+    cs = cluster_cameras(g, config)
+    assert max(c.size for c in cs.interdependent) <= 14
+    assert sorted(c for cl in cs.independent for c in cl.cameras) == list(range(25))
+    for ind, inter in zip(cs.independent, cs.interdependent):
+        assert set(ind.cameras) <= set(inter.cameras)
+    assert [leaf.cameras for leaf in cs.tree.leaves()] == [c.cameras for c in cs.independent]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustersfm import ba_core
-from clustersfm.clustering import ClusterConfig, cluster_cameras
+from clustersfm.clustering import Cluster, ClusterConfig, cluster_cameras
 from clustersfm.global_ba import (
     ROUND_RELATIVE_TOL,
     build_partitions,
@@ -85,7 +85,8 @@ def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
     }
     tracks = track_table(track_rows(tracks_from_scene(scene))
                          + [(t, cams, np.arange(len(cams)), np.ones((len(cams), 2))) for t, cams in made.items()])
-    points = triangulate_global(tracks, motion, SimpleNamespace(independent_cluster_of=lambda: cluster_of),
+    clusters = [Cluster(k, [c for c, o in cluster_of.items() if o == k]) for k in sorted(set(cluster_of.values()))]
+    points = triangulate_global(tracks, motion, SimpleNamespace(independent=clusters),
                                 scene.cameras)
     assert len(points) == len(tracks)
     for (t, cams, _, xy), p in zip(track_rows(tracks), points):
@@ -308,7 +309,7 @@ def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, 
     xy[perturbed, 0] += 30.0
     track = track_table([(0, np.arange(3), np.arange(3), xy)])
     motion = global_motion(rotations, centers, {0: 1.0})
-    cluster_set = SimpleNamespace(independent_cluster_of=lambda: {0: 0, 1: 0, 2: 0})
+    cluster_set = SimpleNamespace(independent=[Cluster(0, (0, 1, 2))])
     [point] = triangulate_global(track, motion, cluster_set, cameras)
     assert point.status == expected and point.position is None
 

@@ -29,7 +29,8 @@ def test_match_graph_roundtrip(tmp_path):
         assert np.array_equal(getattr(matches, name), getattr(loaded, name))
         assert getattr(matches, name).dtype == getattr(loaded, name).dtype
     # graph built from the roundtrip matches is identical
-    assert build_camera_graph(matches, 6).edges == build_camera_graph(loaded, 6).edges
+    a, b = build_camera_graph(matches, 6), build_camera_graph(loaded, 6)
+    assert np.array_equal(a.pairs, b.pairs) and np.array_equal(a.weights, b.weights)
     sfm_io.save_match_graph(path, scene.cameras, matches.take([]))
     cameras, empty = sfm_io.load_match_graph(path)
     assert np.array_equal(cameras.intrinsics, scene.cameras.intrinsics) and np.array_equal(cameras.size, scene.cameras.size)
@@ -275,6 +276,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         ("intrinsics", None, "intrinsics"),  # a missing key is named
         ("edges", [{"i": 0}], "malformed"),
         ("edges", [[i + 0.5, j] for i, j in edges], "Cannot cast"),  # no float to int
+        ("edges", [[False, True] for _ in edges], "edges: true or false where integers are expected"),
         ("version", 1, "unsupported match-graph version 1"),
         ("intrinsics", data["intrinsics"][:-1], "malformed"),  # one camera without intrinsics
         ("feat", data["feat"][:-4], "malformed"),  # not a whole number of int64
@@ -331,6 +333,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                              (dict(track=None), "track"),  # a missing key is named
                              (dict(cameras=data["cameras"].astype(object)), "Object arrays"),
                              (dict(cluster=data["cluster"] + 0.5), "Cannot cast"),
+                             (dict(cluster=data["cluster"] > 0), "cluster: true or false where integers are expected"),
                              (dict(has_position=data["has_position"][:-1]), "malformed"),
                              (dict(offsets=data["offsets"][::-1]), "offsets do not rise"),
                              (dict(cameras=np.append(data["cameras"][:-1], 7)),  # point 9 sees camera 2
@@ -456,6 +459,21 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match=f"^{path}: offsets do not rise from 0 to 3"):
         sfm_io.load_local_reconstructions(path)
+    sfm_io.save_local_reconstructions(path, _local_reconstructions())
+    good = path.read_text()
+    for change, message in (  # a JSON true was taken for the id or count 1
+        (lambda d: d["clusters"][0]["registered"].__setitem__(1, True), "cluster entry 0: registered holds true"),
+        (lambda d: d["clusters"][2].update(registered=[True, True]), "cluster entry 2: registered holds true"),
+        (lambda d: d["clusters"][1].update(clusterId=True), "cluster entry 1: clusterId holds true"),
+        (lambda d: d["clusters"][0]["seedPair"].__setitem__(0, False), "cluster entry 0: seedPair holds false"),
+        (lambda d: d["clusters"][2].update(points=False), "cluster entry 2: points holds false"),
+        (lambda d: d["clusters"][0].update(points=3.0), "cluster entry 0: points holds 3.0"),
+    ):
+        data = json.loads(good)
+        change(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: {message}, not an integer$"):
+            sfm_io.load_local_reconstructions(path)
     sfm_io.save_ground_truth(path, scene.rotation, scene.center)
     good = json.loads(path.read_text())
     flipped = np.diag([1.0, 1.0, -1.0]).ravel().tolist()

@@ -219,7 +219,7 @@ def test_triangulate_five_views_noisy_rms():
 def orbit_run(orbit_scene_small):
     scene, matches = orbit_scene_small
     graph = build_camera_graph(matches, scene.num_cameras)
-    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(scene.num_cameras)), leaf_id=0))
+    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(scene.num_cameras))))
     tracks = generate_tracks(tree, matches)
     cluster = Cluster(id=0, cameras=tuple(range(scene.num_cameras)))
     rec = run_local_sfm(graph, cluster, tracks, scene.cameras, SEED)
@@ -256,7 +256,7 @@ def test_run_local_sfm_deterministic(orbit_run):
 def test_two_camera_cluster_is_seed_only(orbit_scene_small):
     scene, matches = orbit_scene_small
     graph = build_camera_graph(matches, scene.num_cameras)
-    tree = ClusterTree(root=ClusterTreeNode(cameras=(0, 1), leaf_id=0))
+    tree = ClusterTree(root=ClusterTreeNode(cameras=(0, 1)))
     sub = matches.take((matches.edges == (0, 1)).all(axis=1))
     tracks = generate_tracks(tree, sub)
     rec = run_local_sfm(graph, Cluster(id=0, cameras=(0, 1)), tracks, scene.cameras, SEED)
@@ -308,7 +308,8 @@ def test_support_counts_shared_inlier_tracks(orbit_run):
     for t, c in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist()):
         tracks_of.setdefault(c, set()).add(t)
     motions = motion_rows(extract_relative_motions([rec], graph))
-    assert [(m.i, m.j) for m in motions] == graph.induced_edges(rec.registered.tolist())
+    registered = set(rec.registered.tolist())
+    assert [(m.i, m.j) for m in motions] == [(i, j) for i, j in graph.pairs.tolist() if {i, j} <= registered]
     row = {c: k for k, c in enumerate(rec.registered.tolist())}
     for m in motions:
         assert m.support == len(tracks_of.get(m.i, set()) & tracks_of.get(m.j, set()))
@@ -335,7 +336,7 @@ def test_run_local_sfm_inlier_rows_match_points(orbit_run):
 def test_cross_cluster_consistency_noise_free(orbit_scene_small):
     scene, matches = orbit_scene_small
     graph = build_camera_graph(matches, scene.num_cameras)
-    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(scene.num_cameras)), leaf_id=0))
+    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(scene.num_cameras))))
     tracks = generate_tracks(tree, matches)
     cams_a = tuple(range(0, 12))
     cams_b = tuple(range(8, 20))
@@ -360,7 +361,7 @@ def test_run_local_sfm_noisy_monte_carlo():
         "orbit", 50, 800, pixel_sigma=0.5, outlier_fraction=0.1, seed=9
     )
     graph = build_camera_graph(matches, 50)
-    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(50)), leaf_id=0))
+    tree = ClusterTree(root=ClusterTreeNode(cameras=tuple(range(50))))
     tracks = generate_tracks(tree, matches)
     rec = run_local_sfm(graph, Cluster(id=0, cameras=tuple(range(50))), tracks, scene.cameras, SEED)
     assert len(rec.registered) >= 48

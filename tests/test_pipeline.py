@@ -476,6 +476,11 @@ def _true_in_clusters(d):  # camera 1 of the first interdependent cluster that h
     cameras[cameras.index(1)] = True
 
 
+def _true_in_registered(d):  # camera 1 of the first local reconstruction that registers it
+    cameras = next(c["registered"] for c in d["clusters"] if 1 in c["registered"])
+    cameras[cameras.index(1)] = True
+
+
 def _true_in_motions(d):  # camera 1 of the first relative motion that measures it
     motion = next(m for m in d if 1 in (m["i"], m["j"]))
     motion["i" if motion["i"] == 1 else "j"] = True
@@ -485,11 +490,12 @@ def _true_in_motions(d):  # camera 1 of the first relative motion that measures 
     ("clusters.json", "local-sfm", _true_in_clusters,
      "a cluster camera is not in the match graph's 0..17: interdependent cluster"),
     ("relative_motions.json", "average", _true_in_motions, "an id is true or false, not an integer"),
+    ("local_reconstructions.json", "triangulate", _true_in_registered, "registered holds true, not an integer"),
     ("global_motion.json", "triangulate", lambda d: next(c for c in d["cameras"] if c["id"] == 1).update(id=True),
      "motion camera true is not in the match graph's 0..17"),
     ("ground_truth.json", "evaluate", lambda d: d[1].update(cameraId=True),
      "ground-truth camera true is not in the match graph's 0..17"),
-], ids=["clusters", "relative_motions", "global_motion", "ground_truth"])
+], ids=["clusters", "relative_motions", "local_reconstructions", "global_motion", "ground_truth"])
 def test_cli_boolean_camera_id_exit_code(small_run, tmp_path, capsys, name, stage, change, message):
     """JSON's true loads as a Python bool, which is an int equal to 1: each
     stage took it for camera 1 and exited 0."""

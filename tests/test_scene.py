@@ -93,8 +93,8 @@ def test_camera_table_check_names_the_first_faulty_camera():
 
 def test_build_camera_graph_direct_definition():
     g = build_camera_graph(match_table([weighted_edge(0, 1, 50), weighted_edge(1, 2, 20)]), 3)
-    assert g.weight(0, 1) == 50
-    assert g.weight(1, 2) == 20
+    assert g.pairs.tolist() == [[0, 1], [1, 2]]
+    assert g.weights.tolist() == [50, 20]
     assert g.num_cameras == 3
 
 
@@ -109,14 +109,15 @@ def test_match_table_check_rejects_unknown_camera():
 
 def test_build_camera_graph_empty_matches():
     g = build_camera_graph(match_table([]), 2)
-    assert g.num_cameras == 2 and len(g.edges) == 0
+    assert g.num_cameras == 2 and g.pairs.shape == (0, 2) and len(g.weights) == 0
 
 
 def test_build_camera_graph_cycle_weight_total():
     edges = [weighted_edge(i, (i + 1) % 4, 10) if i < 3 else weighted_edge(0, 3, 10) for i in range(4)]
     g = build_camera_graph(match_table(edges), 4)
-    assert g.edges == {(0, 1): 10, (0, 3): 10, (1, 2): 10, (2, 3): 10}
-    assert sum(g.edges.values()) == 40
+    assert g.pairs.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]  # ascending by (i, j)
+    assert g.weights.tolist() == [10, 10, 10, 10]
+    assert g.weights.sum() == 40
 
 
 def test_duplicate_edge_rejected():

@@ -16,16 +16,14 @@ def medge(i, j, pairs):
 
 def leaf(cameras):
     """A one-leaf tree over the cameras."""
-    return ClusterTree(root=ClusterTreeNode(cameras=tuple(cameras), leaf_id=0))
+    return ClusterTree(root=ClusterTreeNode(cameras=tuple(cameras)))
 
 
 def two_leaves(left, right):
     """A root over two leaves with the given cameras."""
-    tree = ClusterTree(root=ClusterTreeNode(
+    return ClusterTree(root=ClusterTreeNode(
         cameras=tuple(sorted(left + right)), left=ClusterTreeNode(cameras=left), right=ClusterTreeNode(cameras=right)
     ))
-    tree.assign_leaf_ids()
-    return tree
 
 
 def flat_union_find_oracle(matches):
@@ -158,7 +156,7 @@ def test_hierarchical_equals_flat_on_random_instances():
         if not len(matches):
             continue
         g = build_camera_graph(matches, ncams)
-        _, tree, _ = divide(g, max(2, ncams // 3))
+        _, tree = divide(g, max(2, ncams // 3))
         assert canonical(generate_tracks(tree, matches)) == flat_union_find_oracle(matches)
 
 
@@ -168,7 +166,7 @@ def test_tree_shape_does_not_matter():
     g = build_camera_graph(matches, 12)
     results = []
     for cap in (2, 3, 5, 12):
-        _, tree, _ = divide(g, cap)
+        _, tree = divide(g, cap)
         results.append(canonical(generate_tracks(tree, matches)))
     assert all(r == results[0] for r in results)
 
@@ -188,7 +186,7 @@ def test_track_invariants():
     rng = np.random.default_rng(6)
     matches = random_instance(rng, 20, 400)
     g = build_camera_graph(matches, 20)
-    _, tree, _ = divide(g, 5)
+    _, tree = divide(g, 5)
     tracks = generate_tracks(tree, matches)
     tracks.check(20)  # cameras strictly ascending within each track
     assert tracks.ids.tolist() == list(range(len(tracks)))
@@ -204,7 +202,7 @@ def test_idempotent_through_serialization(tmp_path):
     rng = np.random.default_rng(9)
     matches = random_instance(rng, 10, 100)
     g = build_camera_graph(matches, 10)
-    _, tree, _ = divide(g, 4)
+    _, tree = divide(g, 4)
     tracks = generate_tracks(tree, matches)
     save_tracks(tmp_path / "t.json", tracks)
     again = load_tracks(tmp_path / "t.json", 10)
@@ -245,7 +243,6 @@ def test_component_inconsistent_at_inner_node_dropped_at_root():
     tree = ClusterTree(root=ClusterTreeNode(
         cameras=(0, 1, 2, 3), left=inner, right=ClusterTreeNode(cameras=(3,))
     ))
-    tree.assign_leaf_ids()
     tracks = generate_tracks(tree, matches)
     assert as_tuples(tracks) == [((0, 5, 5.0, 5.0), (3, 5, 3.0, 5.0))]
     assert canonical(tracks) == flat_union_find_oracle(matches)
