@@ -6,6 +6,8 @@ import logging
 
 import numpy as np
 
+from .errors import DataError
+
 logger = logging.getLogger(__name__)
 
 # depth at or below which a point counts as behind a camera, in the
@@ -15,6 +17,7 @@ MIN_DEPTH = 1e-12
 # an observation stays an inlier, only within this many pixels
 MAX_REPROJECTION_PX = 4.0
 RANSAC_CONFIDENCE = 0.9999
+ROTATION_TOL = 1e-9  # of a pose read from a file: |R^T R - I| and |det R - 1|
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,21 @@ def rotation_angle(R: np.ndarray) -> float | np.ndarray:
     matrix."""
     theta = np.arccos(_cos_angle(R))
     return float(theta) if theta.ndim == 0 else theta
+
+
+def check_poses(R: np.ndarray, v: np.ndarray, name, v_name: str) -> None:
+    """Raise a DataError naming name(k), the first pose whose R[k] or v[k]
+    (its center or translation, v_name) is not finite, else the first whose
+    |R^T R - I| or |det R - 1| reaches ROTATION_TOL."""
+    bad = ~(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(v).all(axis=1))
+    if bad.any():
+        raise DataError(f"{name(int(np.argmax(bad)))}: R or {v_name} is not finite")
+    err = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max(axis=(1, 2))
+    det = np.linalg.det(R)
+    bad = ~((err < ROTATION_TOL) & (np.abs(det - 1.0) < ROTATION_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataError(f"{name(k)}: R is not a rotation (|R^T R - I| = {err[k]:.2e}, det {det[k]:.6g})")
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,12 +1,10 @@
 """File formats for every pipeline stage: the match graph, tracks and local
 reconstructions as ragged tables (versioned JSON with their bulk arrays in
 base64; the match graph and the tracks load as the MatchTable and TrackTable
-of the arrays they store, checked once), the global points as `.npz`
-archives of flat arrays plus offsets; the relative motions as a JSON list of
-one object per motion, which loads as a checked MotionTable; ground truth
-(which loads as rotation and center arrays indexed by camera id), cluster
-sets and global motion as JSON; PLY exports and the per-round cost
-log."""
+of the arrays they store, checked once); the relative motions, the global
+motion, the ground truth and the global points as `.npz` archives of the
+arrays their tables hold (the points flat, plus offsets), each checked once
+as it loads; cluster sets as JSON; PLY exports and the per-round cost log."""
 
 import base64
 import contextlib
@@ -21,16 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import GlobalMotion
+from .averaging import DEGENERATE_SCALE, GlobalMotion
 from .clustering import Cluster, ClusterSet, ClusterTree, ClusterTreeNode
 from .errors import DataError
+from .geometry import check_poses
 from .global_ba import STATUSES, GlobalPoint
 from .local_sfm import LocalReconstruction, MotionTable
 from .scene import CameraTable, MatchTable
 from .tracks import TrackTable, check_ascending
 
 TABLE_VERSION = 2  # of matches.json, tracks.json and local_reconstructions.json
-ROTATION_TOL = 1e-9  # of a ground-truth rotation: |R^T R - I| and |det R - 1|
 
 
 @contextlib.contextmanager
@@ -99,6 +97,14 @@ def _array(data: dict, key: str, dtype, *shape) -> np.ndarray:
     if a.dtype == bool and np.dtype(dtype).kind in "iu":
         raise TypeError(f"{key}: true or false where integers are expected")
     return a.astype(dtype, casting="same_kind" if a.size else "unsafe", copy=False).reshape(shape)
+
+
+def _check_rising(ids: np.ndarray, name: str, before: str) -> None:
+    """A DataError '{name} b follows {before} a' at the first id b <= a."""
+    falling = np.flatnonzero(np.diff(ids) <= 0)
+    if len(falling):
+        a, b = ids[falling[0]:falling[0] + 2].tolist()
+        raise DataError(f"{name} {b} follows {before} {a}: the ids must rise strictly")
 
 
 def _flat(parts: list, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,39 +216,19 @@ def load_match_graph(path) -> tuple[CameraTable, MatchTable]:
 
 
 def save_ground_truth(path, rotation: np.ndarray, center: np.ndarray) -> None:
-    """One {cameraId, rotation, center} object per camera, in camera order."""
-    poses = zip(rotation.reshape(-1, 9).tolist(), center.tolist())
-    _dump(path, [{"cameraId": k, "rotation": R, "center": c} for k, (R, c) in enumerate(poses)])
+    _save_npz(path, rotation=rotation, center=center)
 
 
 @_checked
 def load_ground_truth(path, num_cameras: int) -> tuple[np.ndarray, np.ndarray]:
-    """The true rotations (n, 3, 3) and centers (n, 3), indexed by camera
-    id. A DataError names the first camera id that is not an integer in the
-    match graph's 0..num_cameras-1, one that repeats or the first missing
-    one, and then the first camera whose R or c is not finite or whose R is
-    not a rotation."""
-    data = _load(path)
-    ids = [rec["cameraId"] for rec in data]
-    for k in ids:
-        if not (_is_id(k) and 0 <= k < num_cameras):
-            raise DataError(f"ground-truth camera {json.dumps(k)} is not in the match graph's 0..{num_cameras - 1}")
-    cameras, first = np.unique(np.array(ids, dtype=np.int64), return_index=True)
-    if len(cameras) < len(ids):
-        raise DataError(f"the ground truth repeats camera {np.delete(ids, first)[0]}")
-    if len(cameras) < num_cameras:
-        raise DataError(f"the ground truth lacks camera {np.setdiff1d(np.arange(num_cameras), cameras)[0]}")
-    rotation = np.array([data[k]["rotation"] for k in first.tolist()], dtype=float).reshape(num_cameras, 3, 3)
-    center = np.array([data[k]["center"] for k in first.tolist()], dtype=float).reshape(num_cameras, 3)
-    bad = ~(np.isfinite(rotation).all(axis=(1, 2)) & np.isfinite(center).all(axis=1))
-    if bad.any():
-        raise DataError(f"ground-truth camera {np.argmax(bad)}: R or c is not finite")
-    err = np.abs(rotation.transpose(0, 2, 1) @ rotation - np.eye(3)).max(axis=(1, 2))
-    det = np.linalg.det(rotation)
-    bad = ~((err < ROTATION_TOL) & (np.abs(det - 1.0) < ROTATION_TOL))
-    if bad.any():
-        k = np.argmax(bad)
-        raise DataError(f"ground-truth camera {k}: R is not a rotation (|R^T R - I| = {err[k]:.2e}, det {det[k]:.6g})")
+    """The true rotations (n, 3, 3) and centers (n, 3), row k camera k's,
+    checked against the match graph's camera count and by check_poses."""
+    data = _load_npz(path)
+    rotation = _array(data, "rotation", float, -1, 3, 3)
+    center = _array(data, "center", float, len(rotation), 3)
+    if len(rotation) != num_cameras:
+        raise DataError(f"the ground truth holds {len(rotation)} cameras, not the match graph's {num_cameras}")
+    check_poses(rotation, center, lambda k: f"ground-truth camera {k}", "c")
     return rotation, center
 
 
@@ -387,10 +373,11 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
 
 @_checked
 def load_local_reconstructions(path) -> list[LocalReconstruction]:
-    """Every cluster's reconstruction. A DataError names the first cluster
-    entry whose clusterId, registered cameras, seedPair or point count holds
-    a value that is not an integer (JSON true or false included), and a
-    cluster whose registered cameras do not rise strictly."""
+    """Every interdependent cluster's reconstruction, entry k cluster k's. A
+    DataError names the first entry whose clusterId, registered cameras,
+    seedPair or point count holds a non-integer (JSON true or false
+    included) or whose clusterId is not k, and a cluster whose registered
+    cameras do not rise strictly."""
     data = _load_table(path, "local-reconstruction")
     rotation = _decoded(data, "rotation", float, -1, 3, 3)
     center = _decoded(data, "center", float, len(rotation), 3)
@@ -408,6 +395,8 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
             bad = [v for v in ids if not _is_id(v)]
             if bad:
                 raise DataError(f"cluster entry {k}: {key} holds {json.dumps(bad[0])}, not an integer")
+        if c["clusterId"] != k:
+            raise DataError(f"cluster entry {k} has the clusterId {c['clusterId']}, not its index {k}")
     registered = [_array(c, "registered", np.int64, -1) for c in clusters]
     for c, cams in zip(clusters, registered):
         if np.any(np.diff(cams) <= 0):
@@ -427,26 +416,18 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
 
 
 def save_relative_motions(path, motions: MotionTable) -> None:
-    """A list of {i, j, k, R, t, support} objects, one per motion, in table order."""
-    columns = zip(motions.pairs.tolist(), motions.cluster.tolist(), motions.rotation.reshape(-1, 9).tolist(),
-                  motions.translation.tolist(), motions.support.tolist())
-    _dump(path, [{"i": i, "j": j, "k": k, "R": R, "t": t, "support": support}
-                 for (i, j), k, R, t, support in columns])
+    _save_npz(path, pairs=motions.pairs, cluster=motions.cluster, rotation=motions.rotation,
+              translation=motions.translation, support=motions.support)
 
 
 @_checked
 def load_relative_motions(path, num_cameras: int) -> MotionTable:
-    """The motion table, checked against the match graph's camera count; a
-    DataError names the first motion with an id that is true or false."""
-    data = _load(path)
-    rows = [[m["i"], m["j"], m["k"], m["support"]] for m in data]
-    for q, row in enumerate(rows):
-        if any(isinstance(v, bool) for v in row):
-            raise DataError(f"motion {q}: an id is true or false, not an integer")
-    ids = np.array(rows or np.zeros((0, 4), dtype=np.int64))
-    motions = MotionTable(pairs=ids[:, :2], cluster=ids[:, 2], support=ids[:, 3],
-                          rotation=np.array([m["R"] for m in data], dtype=float).reshape(-1, 3, 3),
-                          translation=np.array([m["t"] for m in data], dtype=float).reshape(-1, 3))
+    """The motion table, checked against the match graph's camera count."""
+    data = _load_npz(path)
+    pairs = _array(data, "pairs", np.int64, -1, 2)
+    m = len(pairs)
+    motions = MotionTable(pairs, _array(data, "cluster", np.int64, m), _array(data, "rotation", float, m, 3, 3),
+                          _array(data, "translation", float, m, 3), _array(data, "support", np.int64, m))
     motions.check(num_cameras)
     return motions
 
@@ -456,43 +437,36 @@ def load_relative_motions(path, num_cameras: int) -> MotionTable:
 # ---------------------------------------------------------------------------
 
 def save_global_motion(path, motion: GlobalMotion) -> None:
-    poses = zip(motion.cameras.tolist(), motion.rotation.reshape(-1, 9).tolist(), motion.center.tolist())
-    scales = zip(motion.clusters.tolist(), motion.scale.tolist())
-    _dump(path, {"cameras": [{"id": k, "R": R, "c": c} for k, R, c in poses],
-                 "scales": [{"clusterId": k, "alpha": alpha} for k, alpha in scales],
-                 "residuals": np.asarray(motion.residual_norms).tolist(), "objective": float(motion.objective)})
+    _save_npz(path, cameras=motion.cameras, rotation=motion.rotation, center=motion.center, clusters=motion.clusters,
+              scale=motion.scale, residual_norms=motion.residual_norms, objective=motion.objective)
 
 
 @_checked
 def load_global_motion(path, num_cameras: int) -> GlobalMotion:
-    """The global motion. A DataError names the first camera outside the
-    match graph's 0..num_cameras-1, or whose id does not rise strictly
-    from the one before it, or whose R or c is not finite, and a cluster
-    id of the scales that is not an integer or that they repeat."""
-    data = _load(path)
-    ids = [c["id"] for c in data["cameras"]]
-    for k in ids:
-        if not (_is_id(k) and 0 <= k < num_cameras):
-            raise DataError(f"motion camera {json.dumps(k)} is not in the match graph's 0..{num_cameras - 1}")
-    cameras = np.array(ids, dtype=np.int64)
-    falling = np.flatnonzero(np.diff(cameras) <= 0)
-    if len(falling):
-        a, b = cameras[falling[0]:falling[0] + 2].tolist()
-        raise DataError(f"motion camera {b} follows camera {a}: the ids must rise strictly")
-    rotation = np.array([c["R"] for c in data["cameras"]], dtype=float).reshape(len(ids), 3, 3)
-    center = np.array([c["c"] for c in data["cameras"]], dtype=float).reshape(len(ids), 3)
-    bad = ~(np.isfinite(rotation).all(axis=(1, 2)) & np.isfinite(center).all(axis=1))
-    if bad.any():
-        raise DataError(f"motion camera {cameras[np.argmax(bad)]}: R or c is not finite")
-    cluster_ids = [s["clusterId"] for s in data["scales"]]
-    if not all(_is_id(k) for k in cluster_ids):
-        raise DataError("a clusterId of the scales is not an integer")
-    clusters, first = np.unique(np.array(cluster_ids, dtype=np.int64), return_index=True)
+    """The global motion, its scales by ascending cluster. A DataError names
+    the first camera outside the match graph's 0..num_cameras-1, else one
+    that does not rise strictly or fails check_poses, else a repeated
+    cluster or one whose scale is not a finite value above DEGENERATE_SCALE."""
+    data = _load_npz(path)
+    cameras = _array(data, "cameras", np.int64, -1)
+    rotation = _array(data, "rotation", float, len(cameras), 3, 3)
+    center = _array(data, "center", float, len(cameras), 3)
+    outside = (cameras < 0) | (cameras >= num_cameras)
+    if outside.any():
+        raise DataError(f"motion camera {cameras[np.argmax(outside)]} is not in the match graph's 0..{num_cameras - 1}")
+    _check_rising(cameras, "motion camera", "camera")
+    check_poses(rotation, center, lambda k: f"motion camera {cameras[k]}", "c")
+    cluster_ids = _array(data, "clusters", np.int64, -1)
+    clusters, first = np.unique(cluster_ids, return_index=True)
     if len(clusters) < len(cluster_ids):
         raise DataError(f"the scales repeat cluster {np.delete(cluster_ids, first)[0]}")
-    scale = np.array([s["alpha"] for s in data["scales"]], dtype=float)[first]
+    scale = _array(data, "scale", float, len(cluster_ids))[first]
+    bad = ~(np.isfinite(scale) & (scale > DEGENERATE_SCALE))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataError(f"cluster {clusters[k]}: the scale {scale[k]} is not a finite value above {DEGENERATE_SCALE}")
     return GlobalMotion(cameras=cameras, rotation=rotation, center=center, clusters=clusters, scale=scale,
-                        residual_norms=np.asarray(data["residuals"], dtype=float), objective=float(data["objective"]))
+                        residual_norms=_array(data, "residual_norms", float, -1), objective=float(data["objective"]))
 
 
 def save_global_points(path, points) -> None:
@@ -508,9 +482,10 @@ def save_global_points(path, points) -> None:
 
 @_checked
 def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
-    """The points; a DataError names the first point whose cameras do not
-    rise strictly, else the first with a camera outside the match graph's
-    0..num_cameras-1."""
+    """The points. A DataError names a status code outside STATUSES, else a
+    track id that is negative or does not rise strictly, else a point whose
+    has_position is not (status == active) or whose cameras do not rise
+    strictly in the match graph's 0..num_cameras-1."""
     data = _load_npz(path)
     track = _array(data, "track", np.int64, -1)
     cluster = _array(data, "cluster", np.int64, len(track))
@@ -521,6 +496,13 @@ def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
     xy = _array(data, "xy", float, len(cameras), 2)
     if np.any((status < 0) | (status >= len(STATUSES))):
         raise DataError(f"a status code is not in 0..{len(STATUSES) - 1}")
+    if len(track) and track[0] < 0:
+        raise DataError(f"point track {track[0]} is negative")
+    _check_rising(track, "point track", "track")
+    wrong = has_position != (status == STATUSES.index("active"))
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise DataError(f"point of track {track[k]}: status {STATUSES[status[k]]}, but has_position {has_position[k]}")
     offsets = _offsets(data, len(track), len(cameras))
     check_ascending(cameras, offsets, track, num_cameras)
     return [

@@ -18,6 +18,7 @@ from .clustering import Cluster
 from .errors import DataError, NumericalError
 from .geometry import (
     MAX_REPROJECTION_PX,
+    check_poses,
     decompose_essential,
     eight_point_essential,
     projection_matrix,
@@ -97,30 +98,28 @@ class MotionTable:
         return len(self.pairs)
 
     def check(self, num_cameras: int) -> None:
-        """Raise a DataError naming the first motion with an id that is not
-        an integer, else the first whose pair is not 0 <= i < j, whose
-        camera j is outside the match graph's 0..num_cameras-1, whose
-        support is negative, whose R or t is not finite, or that repeats a
-        pair its cluster has already measured."""
-        ids = np.column_stack([self.pairs, self.cluster, self.support])
-        if ids.dtype.kind not in "iu":  # name a fractional id if there is one
-            fractional = (ids != np.trunc(ids)).any(axis=1)
-            self._fail(fractional if fractional.any() else np.ones(len(self), dtype=bool), "an id is not an integer")
+        """Raise a DataError naming the first motion whose pair is not
+        0 <= i < j, else the first whose camera j is outside the match
+        graph's 0..num_cameras-1, whose support is negative, whose R or t
+        is not finite, whose R is not a rotation, or that repeats a pair its
+        cluster has already measured. The ids are integers."""
         i, j = self.pairs.T
         self._fail((i < 0) | (i >= j), "the pair is not 0 <= i < j")
         self._fail(j >= num_cameras, f"a camera is not in the match graph's 0..{num_cameras - 1}")
         self._fail(self.support < 0, "the support is negative")
-        self._fail(~(np.isfinite(self.rotation).all(axis=(1, 2)) & np.isfinite(self.translation).all(axis=1)),
-                   "R or t is not finite")
+        check_poses(self.rotation, self.translation, self._name, "t")
+        first = np.unique(np.column_stack([self.pairs, self.cluster]), axis=0, return_index=True)[1]
         repeated = np.ones(len(self), dtype=bool)
-        repeated[np.unique(ids[:, :3], axis=0, return_index=True)[1]] = False  # all but each first (i, j, k)
+        repeated[first] = False  # all but each first (i, j, k)
         self._fail(repeated, "its cluster measures this pair twice")
+
+    def _name(self, q: int) -> str:
+        (i, j), k = self.pairs[q].tolist(), self.cluster[q].item()
+        return f"motion {q} ({i}, {j}) in cluster {k}"
 
     def _fail(self, bad: np.ndarray, what: str) -> None:
         if bad.any():
-            q = int(np.argmax(bad))
-            (i, j), k = self.pairs[q].tolist(), self.cluster[q].item()
-            raise DataError(f"motion {q} ({i}, {j}) in cluster {k}: {what}")
+            raise DataError(f"{self._name(int(np.argmax(bad)))}: {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,13 @@ _ACCEPTED = {str: str, int: numbers.Integral, float: numbers.Real}
 STAGES = ("synth", "cluster", "tracks", "local-sfm", "average", "triangulate", "ba", "evaluate")
 
 ARTIFACTS = {
-    "synth": ("matches.json", "ground_truth.json"),
+    "synth": ("matches.json", "ground_truth.npz"),
     "cluster": ("clusters.json",),
     "tracks": ("tracks.json",),
-    "local-sfm": ("local_reconstructions.json", "relative_motions.json"),
-    "average": ("global_motion.json",),
+    "local-sfm": ("local_reconstructions.json", "relative_motions.npz"),
+    "average": ("global_motion.npz",),
     "triangulate": ("points.npz",),
-    "ba": ("final_motion.json", "final_points.npz", "points.ply", "cameras.ply", "ba_rounds.csv"),
+    "ba": ("final_motion.npz", "final_points.npz", "points.ply", "cameras.ply", "ba_rounds.csv"),
     "evaluate": ("report.json",),
 }
 
@@ -54,10 +54,10 @@ STAGE_INPUTS = {
     "cluster": ("matches.json",),
     "tracks": ("matches.json", "clusters.json"),
     "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
-    "average": ("matches.json", "relative_motions.json"),
-    "triangulate": ("tracks.json", "clusters.json", "global_motion.json", "local_reconstructions.json"),
-    "ba": ("points.npz", "clusters.json", "global_motion.json", "matches.json"),
-    "evaluate": ("matches.json", "ground_truth.json", "relative_motions.json", "final_motion.json", "final_points.npz", "clusters.json"),
+    "average": ("matches.json", "relative_motions.npz"),
+    "triangulate": ("tracks.json", "clusters.json", "global_motion.npz", "local_reconstructions.json"),
+    "ba": ("points.npz", "clusters.json", "global_motion.npz", "matches.json"),
+    "evaluate": ("matches.json", "ground_truth.npz", "relative_motions.npz", "final_motion.npz", "final_points.npz", "clusters.json"),
 }
 
 
@@ -239,7 +239,7 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
         seed=config.seed,
     )
     sfm_io.save_match_graph(Path(out_dir) / "matches.json", scene.cameras, matches)
-    sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.json", scene.rotation, scene.center)
+    sfm_io.save_ground_truth(Path(out_dir) / "ground_truth.npz", scene.rotation, scene.center)
 
 
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
@@ -271,7 +271,7 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
     recs = parallel_map(run_one, cs.interdependent)
     motions = extract_relative_motions(recs, graph)
     sfm_io.save_local_reconstructions(Path(out_dir) / "local_reconstructions.json", recs)
-    sfm_io.save_relative_motions(Path(out_dir) / "relative_motions.json", motions)
+    sfm_io.save_relative_motions(Path(out_dir) / "relative_motions.npz", motions)
     failed = [r.cluster_id for r in recs if r.failed]
     if failed:
         logger.warning("local SfM failed for cluster(s) %s", failed)
@@ -279,10 +279,10 @@ def stage_local_sfm(config: PipelineConfig, out_dir) -> None:
 
 def stage_average(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
-    motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.json", len(cameras))
+    motions = sfm_io.load_relative_motions(Path(out_dir) / "relative_motions.npz", len(cameras))
     estimate = rotation_averaging(motions)
     motion = solve_translation_l1(motions, estimate)
-    sfm_io.save_global_motion(Path(out_dir) / "global_motion.json", motion)
+    sfm_io.save_global_motion(Path(out_dir) / "global_motion.npz", motion)
 
 
 def validated_tracks(tracks: TrackTable, recs) -> TrackTable:
@@ -314,7 +314,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json", len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
+    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
     points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
@@ -324,7 +324,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     points = sfm_io.load_global_points(Path(out_dir) / "points.npz", len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.json", len(cameras))
+    motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
     partitions = build_partitions(points, cs, motion)
     final_motion, final_points, log = distributed_bundle_adjust(
         partitions,
@@ -334,7 +334,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
         rounds=config.ba_rounds,
     )
     out = Path(out_dir)
-    sfm_io.save_global_motion(out / "final_motion.json", final_motion)
+    sfm_io.save_global_motion(out / "final_motion.npz", final_motion)
     sfm_io.save_global_points(out / "final_points.npz", final_points)
     active = np.array([p.position for p in final_points if p.active]).reshape(-1, 3)
     sfm_io.save_ply_points(out / "points.ply", active)
@@ -345,9 +345,9 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
 def stage_evaluate(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
     cameras, matches = sfm_io.load_match_graph(out / "matches.json")
-    gt_rotation, gt_center = sfm_io.load_ground_truth(out / "ground_truth.json", len(cameras))
-    motions = sfm_io.load_relative_motions(out / "relative_motions.json", len(cameras))
-    final_motion = sfm_io.load_global_motion(out / "final_motion.json", len(cameras))
+    gt_rotation, gt_center = sfm_io.load_ground_truth(out / "ground_truth.npz", len(cameras))
+    motions = sfm_io.load_relative_motions(out / "relative_motions.npz", len(cameras))
+    final_motion = sfm_io.load_global_motion(out / "final_motion.npz", len(cameras))
     points = sfm_io.load_global_points(out / "final_points.npz", len(cameras))
     cs = sfm_io.load_cluster_set(out / "clusters.json", len(cameras))
     med_epi = epipolar_error(final_motion, cameras, matches)

@@ -241,8 +241,8 @@ def test_criterion_7_loop_closure(loop_pipeline):
     cameras, matches = load_match_graph(out / "matches.json")
     cs = load_cluster_set(out / "clusters.json", len(cameras))
     assert len(cs.interdependent) == 4, "expected 4 interdependent clusters"
-    _, gt_centers = load_ground_truth(out / "ground_truth.json", len(cameras))
-    final = load_global_motion(out / "final_motion.json", len(cameras))
+    _, gt_centers = load_ground_truth(out / "ground_truth.npz", len(cameras))
+    final = load_global_motion(out / "final_motion.npz", len(cameras))
     points = load_global_points(out / "final_points.npz", len(cameras))
 
     cams = final.cameras.tolist()
@@ -341,8 +341,8 @@ def test_criterion_8_ba_correctness(loop_pipeline):
 def test_criterion_9_determinism(tmp_path):
     settings = dict(layout="orbit", num_cameras=18, num_points=250, pixel_sigma=0.3,
                     seed=5, max_cluster_size=8, completeness_ratio=0.7, ba_rounds=4)
-    tracked = ("matches.json", "clusters.json", "tracks.json", "relative_motions.json",
-               "global_motion.json", "points.npz", "final_motion.json",
+    tracked = ("matches.json", "clusters.json", "tracks.json", "relative_motions.npz",
+               "global_motion.npz", "points.npz", "final_motion.npz",
                "final_points.npz", "report.json")
     hashes = []
     for workers in (1, 4, 8):

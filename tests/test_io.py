@@ -53,19 +53,24 @@ def test_saves_are_byte_identical(tmp_path):
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_ground_truth_roundtrip(tmp_path):
+def _npz_arrays(path) -> dict:
+    with np.load(path) as archive:
+        return dict(archive)
+
+
+def test_ground_truth_roundtrip(tmp_path, small_run):
     scene, _ = generate_synthetic_scene("loop", 10, 100, seed=2)
-    path = tmp_path / "gt.json"
+    path = tmp_path / "gt.npz"
     sfm_io.save_ground_truth(path, scene.rotation, scene.center)
-    data = json.loads(path.read_text())
-    assert [set(rec) for rec in data] == [{"cameraId", "rotation", "center"}] * 10
+    assert sorted(_npz_arrays(path)) == ["center", "rotation"]  # row k is camera k
     rotation, center = sfm_io.load_ground_truth(path, 10)
     assert np.array_equal(rotation, scene.rotation) and rotation.shape == (10, 3, 3) and rotation.dtype == np.float64
     assert np.array_equal(center, scene.center) and center.shape == (10, 3) and center.dtype == np.float64
-    path.write_text(json.dumps(data[::-1]))  # the ids index the arrays, in whatever order they come
-    assert all(np.array_equal(a, b) for a, b in zip(sfm_io.load_ground_truth(path, 10), (rotation, center)))
-    sfm_io.save_ground_truth(path, rotation, center)
-    assert json.loads(path.read_text()) == data
+    # a pipeline artifact saves back to the same bytes
+    out = small_run[0]
+    artifact = out / "ground_truth.npz"
+    sfm_io.save_ground_truth(path, *sfm_io.load_ground_truth(artifact, len(sfm_io.load_cameras(out / "matches.json"))))
+    assert path.read_bytes() == artifact.read_bytes()
 
 
 def test_cluster_set_roundtrip(tmp_path):
@@ -110,21 +115,20 @@ def _motions():
 
 
 def test_relative_motions_roundtrip(tmp_path, small_run):
-    path = tmp_path / "motions.json"
+    path = tmp_path / "motions.npz"
+    names = ["cluster", "pairs", "rotation", "support", "translation"]
     for motions in (_motions(), motion_table([])):
         sfm_io.save_relative_motions(path, motions)
+        assert sorted(_npz_arrays(path)) == names  # the table's own arrays
         loaded = sfm_io.load_relative_motions(path, 5)
         assert len(loaded) == len(motions)
-        for name in ("pairs", "cluster", "rotation", "translation", "support"):
+        for name in names:
             assert np.array_equal(getattr(loaded, name), getattr(motions, name)), name
             assert getattr(loaded, name).dtype == getattr(motions, name).dtype, name
             assert getattr(loaded, name).shape == getattr(motions, name).shape, name
-    # the format is a list of {i, j, k, R, t, support} objects, and a
-    # pipeline artifact saves back to the same bytes
-    assert json.loads(path.read_text()) == []
+    # a pipeline artifact saves back to the same bytes
     out, _, _ = small_run
-    artifact = out / "relative_motions.json"
-    assert set(json.loads(artifact.read_text())[0]) == {"i", "j", "k", "R", "t", "support"}
+    artifact = out / "relative_motions.npz"
     num_cameras = len(sfm_io.load_cameras(out / "matches.json"))
     sfm_io.save_relative_motions(path, sfm_io.load_relative_motions(artifact, num_cameras))
     assert path.read_bytes() == artifact.read_bytes()
@@ -134,17 +138,17 @@ def _local_reconstructions():
     """A reconstructed cluster, a failed one and one with poses but no tracks."""
     rng = np.random.default_rng(4)
 
-    rec = LocalReconstruction(cluster_id=3, seed_pair=(0, 4), mean_reprojection=1 / 3)
+    rec = LocalReconstruction(cluster_id=0, seed_pair=(0, 4), mean_reprojection=1 / 3)
     rotations = {c: random_rotation(rng) for c in (4, 0, 7)}
     rec.registered, rec.rotation = np.array([0, 4, 7]), np.array([rotations[c] for c in (0, 4, 7)])
     rec.center = rng.normal(size=(3, 3))
     rec.point_tracks, rec.positions = np.array([9, 5, 12]), rng.normal(size=(3, 3))
     rec.obs_tracks, rec.obs_cameras = np.array([9, 9, 5, 5, 5, 12, 12]), np.array([0, 7, 0, 4, 7, 4, 7])
     rec.obs_xy = rng.normal(size=(7, 2)) * 1e3
-    empty = LocalReconstruction(cluster_id=5, seed_pair=(2, 3), registered=np.array([2, 3]),
+    empty = LocalReconstruction(cluster_id=2, seed_pair=(2, 3), registered=np.array([2, 3]),
                                 rotation=np.array([np.eye(3), np.eye(3)]),
                                 center=np.array([np.zeros(3), [1e-300, 0, -0.0]]))
-    return [rec, LocalReconstruction(cluster_id=4, failed=True), empty]
+    return [rec, LocalReconstruction(cluster_id=1, failed=True), empty]
 
 
 def test_local_reconstructions_roundtrip(tmp_path):
@@ -188,19 +192,21 @@ def test_global_motion_and_points_roundtrip(tmp_path, small_run):
     motion = global_motion({0: np.eye(3), 1: random_rotation(rng), 4: np.eye(3)},
                            {0: np.zeros(3), 1: np.array([1.0, 0, 1e-300]), 4: rng.normal(size=3)},
                            {0: 1.0, 1: 2.5, 3: 1 / 3}, residual_norms=[0.1, 0.2], objective=0.3)
+    names = ["cameras", "center", "clusters", "residual_norms", "rotation", "scale"]
     for saved in (motion, global_motion({})):
-        sfm_io.save_global_motion(tmp_path / "gm.json", saved)
-        loaded = sfm_io.load_global_motion(tmp_path / "gm.json", 5)
-        for name in ("cameras", "rotation", "center", "clusters", "scale", "residual_norms"):
+        sfm_io.save_global_motion(tmp_path / "gm.npz", saved)
+        assert sorted(_npz_arrays(tmp_path / "gm.npz")) == sorted(names + ["objective"])
+        loaded = sfm_io.load_global_motion(tmp_path / "gm.npz", 5)
+        for name in names:
             a, b = getattr(saved, name), getattr(loaded, name)
             assert np.array_equal(a, b) and b.shape == a.shape and b.dtype == a.dtype, name
-        assert loaded.objective == saved.objective
+        assert loaded.objective == saved.objective and type(loaded.objective) is float
     # a pipeline artifact saves back to the same bytes
     out = small_run[0]
-    artifact = out / "final_motion.json"
-    sfm_io.save_global_motion(tmp_path / "gm.json",
+    artifact = out / "final_motion.npz"
+    sfm_io.save_global_motion(tmp_path / "gm.npz",
                               sfm_io.load_global_motion(artifact, len(sfm_io.load_cameras(out / "matches.json"))))
-    assert (tmp_path / "gm.json").read_bytes() == artifact.read_bytes()
+    assert (tmp_path / "gm.npz").read_bytes() == artifact.read_bytes()
 
     points = [
         GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]), cluster_id=0,
@@ -345,7 +351,14 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                              (dict(cameras=np.append([1, 0], data["cameras"][2:])),  # the first two swapped
                               "track 0: cameras are not strictly ascending$"),
                              (dict(cameras=np.append([0, 0], data["cameras"][2:])),  # a repeated camera
-                              "track 0: cameras are not strictly ascending$")):
+                              "track 0: cameras are not strictly ascending$"),
+                             (dict(has_position=~data["has_position"]),  # a traceback in the ba stage
+                              "point of track 0: status active, but has_position False$"),
+                             (dict(has_position=np.ones(4, dtype=bool)),
+                              "point of track 1: status too_few_views, but has_position True$"),
+                             (dict(track=np.array([-1, 1, 7, 9])), "point track -1 is negative$"),  # accepted
+                             (dict(track=np.array([0, 7, 1, 9])), "point track 1 follows track 7: the ids must rise"),
+                             (dict(track=np.array([0, 1, 1, 9])), "point track 1 follows track 1: the ids must rise")):
         _rewrite_npz(path, data, **changes)
         with pytest.raises(DataError, match=f"^{path}: .*{message}"):
             sfm_io.load_global_points(path, 7)
@@ -424,7 +437,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     with pytest.raises(DataError, match=f"^{path}: track 5: cameras are not strictly ascending"):
         sfm_io.load_local_reconstructions(path)
     recs[0].obs_tracks = np.array([9, 5, 9, 5, 5, 12, 12])
-    with pytest.raises(ValueError, match="cluster 3: the inlier rows are not grouped by the points' tracks"):
+    with pytest.raises(ValueError, match="cluster 0: the inlier rows are not grouped by the points' tracks"):
         sfm_io.save_local_reconstructions(path, recs)
     nested = {  # the formats of earlier releases
         "tracks": [{"id": 0, "elements": [[0, 0, 0.0, 0.0], [1, 0, 0.0, 0.0]]}],
@@ -474,83 +487,113 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(DataError, match=f"^{path}: {message}, not an integer$"):
             sfm_io.load_local_reconstructions(path)
-    sfm_io.save_ground_truth(path, scene.rotation, scene.center)
-    good = json.loads(path.read_text())
-    flipped = np.diag([1.0, 1.0, -1.0]).ravel().tolist()
-    for change, message in (
-        (lambda d: d.pop(), "the ground truth lacks camera 5"),  # the last camera
-        (lambda d: d.pop(2), "the ground truth lacks camera 2"),
-        (lambda d: d.append(dict(d[0], cameraId=6)), "ground-truth camera 6 is not in the match graph's 0..5"),
-        (lambda d: d[0].update(cameraId=1), "the ground truth repeats camera 1"),  # camera 0 without a pose
-        (lambda d: d[0].update(cameraId=-1), "ground-truth camera -1 is not in the match graph's 0..5"),
-        (lambda d: d[0].update(cameraId=1.0), "ground-truth camera 1.0 is not in the match graph's 0..5"),
-        (lambda d: d[2].update(rotation=[nan] * 9), "ground-truth camera 2: R or c is not finite"),
-        (lambda d: d[4].update(center=[0.0, nan, 0.0]), "ground-truth camera 4: R or c is not finite"),
-        (lambda d: d[1].update(center=[inf, 0.0, 0.0]), "ground-truth camera 1: R or c is not finite"),
-        (lambda d: d[3].update(rotation=[2.0] + d[3]["rotation"][1:]),
-         r"ground-truth camera 3: R is not a rotation \(\|R\^T R - I\| = "),
-        (lambda d: d[3].update(rotation=flipped), r"ground-truth camera 3: R is not a rotation .*det -1\)"),
-        (lambda d: d[0].update(rotation=[1.0] * 8), "malformed"),
-        (lambda d: d[0].pop("center"), "malformed .*center"),  # a missing key is named
-    ):
-        data = json.loads(json.dumps(good))
-        change(data)
+    for clusterId, message in ((4, "cluster entry 1 has the clusterId 4, not its index 1"),
+                               (-1, "cluster entry 1 has the clusterId -1, not its index 1")):  # -1 was accepted
+        data = json.loads(good)
+        data["clusters"][1]["clusterId"] = clusterId
         path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=f"^{path}: {message}$"):
+            sfm_io.load_local_reconstructions(path)
+    path = tmp_path / "poses.npz"
+    sfm_io.save_ground_truth(path, scene.rotation, scene.center)
+    good = _npz_arrays(path)
+    rotation, center = good["rotation"], good["center"]
+    flipped = np.diag([1.0, 1.0, -1.0])
+
+    def at(a, k, value):  # a copy of a with row k replaced
+        a = a.copy()
+        a[k] = value
+        return a
+
+    for changes, message in (
+        (dict(rotation=rotation[:-1], center=center[:-1]), "the ground truth holds 5 cameras, not the match graph's 6"),
+        (dict(rotation=np.concatenate([rotation, rotation[:1]]), center=np.concatenate([center, center[:1]])),
+         "the ground truth holds 7 cameras, not the match graph's 6"),
+        (dict(rotation=at(rotation, 2, nan)), "ground-truth camera 2: R or c is not finite"),
+        (dict(center=at(center, 4, [0.0, nan, 0.0])), "ground-truth camera 4: R or c is not finite"),
+        (dict(center=at(center, 1, [inf, 0.0, 0.0])), "ground-truth camera 1: R or c is not finite"),
+        (dict(rotation=at(rotation, 3, rotation[3] + np.diag([1.0, 0, 0]))),
+         r"ground-truth camera 3: R is not a rotation \(\|R\^T R - I\| = "),
+        (dict(rotation=at(rotation, 3, flipped)), r"ground-truth camera 3: R is not a rotation .*det -1\)"),
+        (dict(rotation=rotation.reshape(-1)[:-1]), "malformed"),
+        (dict(center=center[:-1]), "malformed"),
+        (dict(center=None), "malformed .*center"),  # a missing key is named
+    ):
+        _rewrite_npz(path, good, **changes)
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sfm_io.load_ground_truth(path, 6)
     motion = global_motion({0: np.eye(3), 5: np.eye(3)}, {0: np.zeros(3), 5: np.ones(3)}, {0: 1.0, 2: 0.5},
                            residual_norms=np.zeros(1))
     sfm_io.save_global_motion(path, motion)
     assert sfm_io.load_global_motion(path, 6).cameras.tolist() == [0, 5]
-    good = json.loads(path.read_text())
+    good = _npz_arrays(path)
     for camera in (999, -1, 6):  # -1 would take the last camera's intrinsics
-        data = json.loads(json.dumps(good))
-        data["cameras"][1]["id"] = camera
-        path.write_text(json.dumps(data))
+        _rewrite_npz(path, good, cameras=np.array([0, camera]))
         with pytest.raises(DataError, match=f"^{path}: motion camera {camera} is not in the match graph's 0..5$"):
             sfm_io.load_global_motion(path, 6)
-    nan, inf = float("nan"), float("inf")
-    for change, message in (
-        (lambda d: d["cameras"][1].update(id=0), "motion camera 0 follows camera 0: the ids must rise strictly"),
-        (lambda d: d["cameras"].reverse(), "motion camera 0 follows camera 5: the ids must rise strictly"),
-        (lambda d: d["cameras"][1].update(R=[nan] * 9), "motion camera 5: R or c is not finite"),
-        (lambda d: d["cameras"][0].update(c=[0.0, inf, 0.0]), "motion camera 0: R or c is not finite"),
-        (lambda d: d["scales"][1].update(clusterId=0), "the scales repeat cluster 0"),
-        (lambda d: d["scales"][1].update(clusterId=0.5), "a clusterId of the scales is not an integer"),
-        (lambda d: d["cameras"][0].update(R=[1.0] * 8), "malformed"),
+    rotation, center = good["rotation"], good["center"]
+    for changes, message in (
+        (dict(cameras=np.array([0, 0])), "motion camera 0 follows camera 0: the ids must rise strictly"),
+        (dict(cameras=np.array([5, 0])), "motion camera 0 follows camera 5: the ids must rise strictly"),
+        (dict(rotation=at(rotation, 1, nan)), "motion camera 5: R or c is not finite"),
+        (dict(center=at(center, 0, [0.0, inf, 0.0])), "motion camera 0: R or c is not finite"),
+        (dict(rotation=-rotation), r"motion camera 0: R is not a rotation .*det -1\)"),  # accepted
+        (dict(rotation=at(rotation, 1, np.eye(3)[::-1])), r"motion camera 5: R is not a rotation .*det -1\)"),
+        (dict(rotation=at(rotation, 1, 2 * np.eye(3))), r"motion camera 5: R is not a rotation \(\|R\^T R - I\| = "),
+        (dict(clusters=np.array([0, 0])), "the scales repeat cluster 0"),
+        (dict(clusters=np.array([0.0, 2.5])), "malformed .*Cannot cast"),  # no float to int
+        (dict(cameras=np.array([False, True])), "malformed .*cameras: true or false where integers are expected"),
+        (dict(scale=np.array([nan, 0.5])), "cluster 0: the scale nan is not a finite value above 1e-12$"),  # accepted
+        (dict(scale=np.array([1.0, inf])), "cluster 2: the scale inf is not a finite value above 1e-12$"),
+        (dict(scale=np.array([1.0, 1e-12])), "cluster 2: the scale 1e-12 is not a finite value above 1e-12$"),
+        (dict(scale=np.array([-1.0, 0.5])), "cluster 0: the scale -1.0 is not a finite value above 1e-12$"),
+        (dict(clusters=np.array([2, 0])), None),  # the scales come back by ascending cluster
+        (dict(rotation=rotation.reshape(-1)[:-1]), "malformed"),
+        (dict(objective=None), "malformed .*objective"),
     ):
-        data = json.loads(json.dumps(good))
-        change(data)
-        path.write_text(json.dumps(data))
+        _rewrite_npz(path, good, **changes)
+        if message is None:
+            loaded = sfm_io.load_global_motion(path, 6)
+            assert loaded.clusters.tolist() == [0, 2] and loaded.scale.tolist() == [0.5, 1.0]
+            continue
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sfm_io.load_global_motion(path, 6)
+    path = tmp_path / "recs.json"
     sfm_io.save_local_reconstructions(path, _local_reconstructions())
     good = json.loads(path.read_text())
     for registered in ([0, 0, 7], [4, 0, 7]):  # a repeated camera, cameras out of order
         data = json.loads(json.dumps(good))
         data["clusters"][0]["registered"] = registered
         path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match=f"^{path}: cluster 3: the registered cameras do not rise strictly$"):
+        with pytest.raises(DataError, match=f"^{path}: cluster 0: the registered cameras do not rise strictly$"):
             sfm_io.load_local_reconstructions(path)
+    path = tmp_path / "motions.npz"
     sfm_io.save_relative_motions(path, _motions())
-    good = json.loads(path.read_text())
-    for q, key, value, message in (
-        (1, "j", 1, "motion 1 \\(1, 1\\) in cluster 2: the pair is not 0 <= i < j"),  # a self pair
-        (1, "i", 5, "motion 1 \\(5, 4\\) in cluster 2: the pair is not 0 <= i < j"),  # reversed
-        (0, "i", -1, "motion 0 \\(-1, 1\\) in cluster 2: the pair is not 0 <= i < j"),
-        (2, "support", -3, "motion 2 \\(0, 1\\) in cluster 0: the support is negative"),
-        (1, "i", 1.5, "motion 1 \\(1.5, 4.0\\) in cluster 2.0: an id is not an integer"),  # int() made it 1
-        (2, "k", 0.5, "motion 2 \\(0.0, 1.0\\) in cluster 0.5: an id is not an integer"),
-        (2, "R", [float("nan")] * 9, "motion 2 \\(0, 1\\) in cluster 0: R or t is not finite"),
-        (1, "t", [0.0, float("inf"), 0.0], "motion 1 \\(1, 4\\) in cluster 2: R or t is not finite"),
-        (2, "k", 2, "motion 2 \\(0, 1\\) in cluster 2: its cluster measures this pair twice"),
-        (1, "j", 5, "motion 1 \\(1, 5\\) in cluster 2: a camera is not in the match graph's 0..4"),  # the first past
-        (0, "j", 999, "motion 0 \\(0, 999\\) in cluster 2: a camera is not in the match graph's 0..4"),
-        (0, "R", [1.0] * 8, "malformed"),
-        (0, "support", None, ".*support"),  # a missing key is named
+    good = _npz_arrays(path)
+    pairs, rotation = good["pairs"], good["rotation"]
+    for changes, message in (
+        (dict(pairs=at(pairs, 1, [1, 1])), "motion 1 \\(1, 1\\) in cluster 2: the pair is not 0 <= i < j"),  # self
+        (dict(pairs=at(pairs, 1, [5, 4])), "motion 1 \\(5, 4\\) in cluster 2: the pair is not 0 <= i < j"),  # reversed
+        (dict(pairs=at(pairs, 0, [-1, 1])), "motion 0 \\(-1, 1\\) in cluster 2: the pair is not 0 <= i < j"),
+        (dict(support=np.array([17, 0, -3])), "motion 2 \\(0, 1\\) in cluster 0: the support is negative"),
+        (dict(pairs=pairs + 0.5), "malformed .*Cannot cast"),  # no float to int
+        (dict(cluster=np.array([2.0, 2.0, 0.5])), "malformed .*Cannot cast"),
+        (dict(pairs=pairs > 0), "malformed .*pairs: true or false where integers are expected"),
+        (dict(support=np.array([True, False, True])), "malformed .*support: true or false where integers are expected"),
+        (dict(rotation=at(rotation, 2, nan)), "motion 2 \\(0, 1\\) in cluster 0: R or t is not finite"),
+        (dict(translation=at(good["translation"], 1, [0.0, inf, 0.0])),
+         "motion 1 \\(1, 4\\) in cluster 2: R or t is not finite"),
+        (dict(rotation=-rotation), r"motion 0 \(0, 1\) in cluster 2: R is not a rotation .*det -1\)"),  # accepted
+        (dict(rotation=at(rotation, 1, 2 * rotation[1])), r"motion 1 \(1, 4\) in cluster 2: R is not a rotation"),
+        (dict(cluster=np.array([2, 2, 2])), "motion 2 \\(0, 1\\) in cluster 2: its cluster measures this pair twice"),
+        (dict(pairs=at(pairs, 1, [1, 5])),  # the first past the last camera
+         "motion 1 \\(1, 5\\) in cluster 2: a camera is not in the match graph's 0..4"),
+        (dict(pairs=at(pairs, 0, [0, 999])),
+         "motion 0 \\(0, 999\\) in cluster 2: a camera is not in the match graph's 0..4"),
+        (dict(rotation=rotation[:, :2]), "malformed"),
+        (dict(cluster=good["cluster"][:-1]), "malformed"),
+        (dict(support=None), "malformed .*support"),  # a missing key is named
     ):
-        data = json.loads(json.dumps(good))
-        data[q][key] = value
-        path.write_text(json.dumps([{k: v for k, v in m.items() if v is not None} for m in data]))
+        _rewrite_npz(path, good, **changes)
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sfm_io.load_relative_motions(path, 5)

@@ -9,6 +9,7 @@ import pytest
 
 from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
+from clustersfm.global_ba import STATUSES
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
 from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
@@ -18,8 +19,8 @@ from conftest import SMALL, track_rows, track_table, tree_leaves
 
 def test_full_run_produces_report(small_run):
     out, config, report = small_run
-    for name in ("matches.json", "clusters.json", "tracks.json", "relative_motions.json",
-                 "global_motion.json", "points.npz", "final_motion.json", "points.ply",
+    for name in ("matches.json", "clusters.json", "tracks.json", "relative_motions.npz",
+                 "global_motion.npz", "points.npz", "final_motion.npz", "points.ply",
                  "cameras.ply", "ba_rounds.csv", "report.json"):
         assert (out / name).exists(), name
     for key in ("meanPositionError", "medianPositionError", "meanRelRotationErrorDeg",
@@ -38,7 +39,7 @@ def test_status_reports_fresh(small_run):
 def test_resume_reruns_only_missing_stage(small_run):
     out, config, report = small_run
     (out / "report.json").unlink()
-    before = {name: (out / name).stat().st_mtime_ns for name in ("final_motion.json", "tracks.json")}
+    before = {name: (out / name).stat().st_mtime_ns for name in ("final_motion.npz", "tracks.json")}
     run_pipeline(config, resume=True)
     assert (out / "report.json").exists()
     after = {name: (out / name).stat().st_mtime_ns for name in before}
@@ -172,7 +173,7 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
         hashes[workers] = {
             name: file_hash(out / name)
             for name in ("matches.json", "clusters.json", "tracks.json", "local_reconstructions.json",
-                         "relative_motions.json", "global_motion.json", "points.npz", "final_motion.json",
+                         "relative_motions.npz", "global_motion.npz", "points.npz", "final_motion.npz",
                          "final_points.npz", "report.json")
         }
     assert hashes[1] == hashes[3]
@@ -261,87 +262,137 @@ def _one_line_data_error(capsys, stage, *fragments):
     assert all(f in err for f in fragments), err
 
 
-def test_cli_motion_camera_outside_match_graph_exit_code(small_run, tmp_path, capsys):
-    out, _, _ = small_run
-    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    for name, stages in (("global_motion.json", ("triangulate", "ba")), ("final_motion.json", ("evaluate",))):
-        path = tmp_path / name
-        original = path.read_text()
-        data = json.loads(original)
-        for camera in (999, -1):  # -1 would take the last camera's intrinsics
-            data["cameras"][0]["id"] = camera
-            path.write_text(json.dumps(data))
-            for stage in stages:
-                assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, camera, stage)
-                _one_line_data_error(capsys, stage, name, f"motion camera {camera} is not in the match graph's 0..17")
-        path.write_text(original)
+def _edit(path, change):
+    """Apply change to the arrays of an `.npz` artifact, or to the data of a
+    JSON one, save them in place and return them."""
+    if path.suffix == ".npz":
+        with np.load(path) as archive:
+            data = dict(archive)
+    else:
+        data = json.loads(path.read_text())
+    change(data)
+    if path.suffix == ".npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+    else:
+        path.write_text(json.dumps(data))
+    return data
 
 
-def test_cli_bad_relative_motion_exit_code(small_run, tmp_path, capsys):
-    out, _, _ = small_run
-    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "relative_motions.json"
-    original = json.loads(path.read_text())
-    first = original[0]
-    i, j, k = first["i"], first["j"], first["k"]
-    for changes, message in (
-        (dict(j=i), f"motion 0 ({i}, {i}) in cluster {k}: the pair is not 0 <= i < j"),  # a self pair
-        (dict(i=j, j=i), f"motion 0 ({j}, {i}) in cluster {k}: the pair is not 0 <= i < j"),
-        (dict(i=-1), f"motion 0 (-1, {j}) in cluster {k}: the pair is not 0 <= i < j"),
-        (dict(support=-3), f"motion 0 ({i}, {j}) in cluster {k}: the support is negative"),
-        (dict(i=i + 0.5), f"motion 0 ({i + 0.5}, {float(j)}) in cluster {float(k)}: an id is not an integer"),
-        (dict(R=[float("nan")] * 9), f"motion 0 ({i}, {j}) in cluster {k}: R or t is not finite"),
-    ):
-        path.write_text(json.dumps([dict(first, **changes), *original[1:]]))
-        assert cli_main(["average", "--output-dir", str(tmp_path)]) == 3, changes
-        _one_line_data_error(capsys, "average", "relative_motions.json", message)
-    path.write_text(json.dumps([*original, first]))  # the first motion's cluster measures its pair again
-    assert cli_main(["average", "--output-dir", str(tmp_path)]) == 3
-    _one_line_data_error(capsys, "average", f"motion {len(original)} ({i}, {j}) in cluster {k}: "
-                                            "its cluster measures this pair twice")
-    for camera in (SMALL["num_cameras"], 999):  # still i < j, but past the match graph's last camera
-        path.write_text(json.dumps([dict(first, j=camera), *original[1:]]))
-        for stage in ("average", "evaluate"):
-            assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (camera, stage)
-            _one_line_data_error(capsys, stage, "relative_motions.json",
-                                 f"motion 0 ({i}, {camera}) in cluster {k}: a camera is not in the match graph's 0..17")
-    assert not list(tmp_path.glob("*.tmp"))
+def _put(key, index, value):
+    """A change that sets data[key][index] to value, or to value(the old one)."""
+    def change(data):
+        data[key][index] = value(data[key][index]) if callable(value) else value
+    return change
 
 
-def test_cli_bad_pose_table_exit_code(small_run, tmp_path, capsys):
-    out, _, _ = small_run
-    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    nan, inf = float("nan"), float("inf")
-    for name, stages in (("global_motion.json", ("triangulate", "ba")), ("final_motion.json", ("evaluate",))):
-        path = tmp_path / name
-        original = path.read_text()
-        first, second = json.loads(original)["cameras"][:2]
-        cluster = json.loads(original)["scales"][0]["clusterId"]
-        for change, message in (
-            (lambda d: d["cameras"][1].update(id=first["id"]),  # the last entry of an id would win
-             f"motion camera {first['id']} follows camera {first['id']}: the ids must rise strictly"),
-            (lambda d: d["cameras"].insert(0, d["cameras"].pop(1)),
-             f"motion camera {first['id']} follows camera {second['id']}: the ids must rise strictly"),
-            (lambda d: d["cameras"][1].update(R=[nan] * 9), f"motion camera {second['id']}: R or c is not finite"),
-            (lambda d: d["cameras"][0].update(c=[0.0, inf, 0.0]), f"motion camera {first['id']}: R or c is not finite"),
-            (lambda d: d["scales"].append(dict(d["scales"][0], alpha=2.0)), f"the scales repeat cluster {cluster}"),
-            (lambda d: d["scales"][0].update(clusterId=cluster + 0.5), "a clusterId of the scales is not an integer"),
-        ):
-            data = json.loads(original)
-            change(data)
-            path.write_text(json.dumps(data))
-            for stage in stages:
-                assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (name, message, stage)
-                _one_line_data_error(capsys, stage, name, message)
-        path.write_text(original)
-    path = tmp_path / "local_reconstructions.json"
-    data = json.loads(path.read_text())
-    cluster = data["clusters"][0]
+def _replace(key, make):
+    """A change that replaces the array data[key] with make(it)."""
+    def change(data):
+        data[key] = make(data[key])
+    return change
+
+
+def _append_first_row(*keys):
+    """A change that appends a copy of its first row to each array of keys."""
+    def change(data):
+        for key in keys:
+            data[key] = np.concatenate([data[key], data[key][:1]])
+    return change
+
+
+def _register_first_twice(cluster):
     cluster["registered"][1] = cluster["registered"][0]
-    path.write_text(json.dumps(data))
-    assert cli_main(["triangulate", "--output-dir", str(tmp_path)]) == 3
-    _one_line_data_error(capsys, "triangulate", "local_reconstructions.json",
-                         f"cluster {cluster['clusterId']}: the registered cameras do not rise strictly")
+
+
+def _motion(d, q=0):
+    (i, j), k = d["pairs"][q].tolist(), d["cluster"][q].item()
+    return f"motion {q} ({i}, {j}) in cluster {k}"
+
+
+def _motion_file_rows(name, stages):
+    """The rows of a global motion file: global_motion.npz or final_motion.npz."""
+    return [pytest.param(name, stages, change, message, id=f"{name[:-4]}-{row_id}") for row_id, change, message in (
+        ("camera-999", _put("cameras", 0, 999), "motion camera 999 is not in the match graph's 0..17"),
+        ("camera-negative", _put("cameras", 0, -1),  # -1 would take the last camera's intrinsics
+         "motion camera -1 is not in the match graph's 0..17"),
+        ("camera-repeated", _put("cameras", [0, 1], lambda c: c[[0, 0]]),  # the last row of an id would win
+         lambda d: f"motion camera {d['cameras'][0]} follows camera {d['cameras'][0]}: the ids must rise strictly"),
+        ("cameras-swapped", _put("cameras", [0, 1], lambda c: c[::-1]),
+         lambda d: f"motion camera {d['cameras'][1]} follows camera {d['cameras'][0]}: the ids must rise strictly"),
+        ("R-nan", _put("rotation", 1, np.nan), lambda d: f"motion camera {d['cameras'][1]}: R or c is not finite"),
+        ("c-inf", _put("center", (0, 1), np.inf), lambda d: f"motion camera {d['cameras'][0]}: R or c is not finite"),
+        ("R-negated", _put("rotation", 0, np.negative),  # exited 0
+         lambda d: f"motion camera {d['cameras'][0]}: R is not a rotation (|R^T R - I| = "),
+        ("scales-repeated", _append_first_row("clusters", "scale"),
+         lambda d: f"the scales repeat cluster {d['clusters'][0]}"),
+        ("cluster-fractional", _replace("clusters", lambda k: k + 0.5), "malformed artifact (TypeError: Cannot cast"),
+        ("scale-nan", _put("scale", 0, np.nan),  # ba exited 0 and wrote NaN into the final motion
+         lambda d: f"cluster {d['clusters'][0]}: the scale nan is not a finite value above 1e-12"),
+    )]
+
+
+@pytest.mark.parametrize("name,stages,change,message", [
+    *_motion_file_rows("global_motion.npz", ("triangulate", "ba")),
+    *_motion_file_rows("final_motion.npz", ("evaluate",)),
+    *[pytest.param("relative_motions.npz", stages, change, message, id=f"relative_motions-{row_id}")
+      for row_id, stages, change, message in (
+        ("self-pair", ("average",), _put("pairs", 0, lambda p: [p[0], p[0]]),
+         lambda d: f"{_motion(d)}: the pair is not 0 <= i < j"),
+        ("pair-reversed", ("average",), _put("pairs", 0, lambda p: p[::-1]),
+         lambda d: f"{_motion(d)}: the pair is not 0 <= i < j"),
+        ("camera-negative", ("average",), _put("pairs", (0, 0), -1),
+         lambda d: f"{_motion(d)}: the pair is not 0 <= i < j"),
+        ("support-negative", ("average",), _put("support", 0, -3), lambda d: f"{_motion(d)}: the support is negative"),
+        ("id-fractional", ("average",), _replace("pairs", lambda p: p + 0.5),
+         "malformed artifact (TypeError: Cannot cast"),
+        ("R-nan", ("average",), _put("rotation", 0, np.nan), lambda d: f"{_motion(d)}: R or t is not finite"),
+        ("R-negated", ("average",), _put("rotation", 0, np.negative),  # exited 0
+         lambda d: f"{_motion(d)}: R is not a rotation (|R^T R - I| = "),
+        ("pair-measured-twice", ("average",),
+         _append_first_row("pairs", "cluster", "rotation", "translation", "support"),
+         lambda d: f"{_motion(d, len(d['pairs']) - 1)}: its cluster measures this pair twice"),
+        ("camera-18", ("average", "evaluate"), _put("pairs", (0, 1), 18),  # still i < j, past the last camera
+         lambda d: f"{_motion(d)}: a camera is not in the match graph's 0..17"),
+        ("camera-999", ("average", "evaluate"), _put("pairs", (0, 1), 999),
+         lambda d: f"{_motion(d)}: a camera is not in the match graph's 0..17"),
+    )],
+    *[pytest.param("ground_truth.npz", ("evaluate",), change, message, id=f"ground_truth-{row_id}")
+      for row_id, change, message in (
+        ("last-camera-missing", lambda d: d.update(rotation=d["rotation"][:-1], center=d["center"][:-1]),
+         "the ground truth holds 17 cameras, not the match graph's 18"),  # was an IndexError
+        ("camera-extra", _append_first_row("rotation", "center"),  # was accepted
+         "the ground truth holds 19 cameras, not the match graph's 18"),
+        ("R-nan", _put("rotation", 3, np.nan), "ground-truth camera 3: R or c is not finite"),  # reported nan
+        ("c-nan", _put("center", (3, 1), np.nan), "ground-truth camera 3: R or c is not finite"),  # SVD failed
+        ("R-not-orthonormal", _put("rotation", (5, 0, 0), lambda r: r + 0.001),
+         "ground-truth camera 5: R is not a rotation"),
+    )],
+    *[pytest.param(name, stages, change, message, id=f"{name[:-4]}-{row_id}")
+      for name, stages in (("points.npz", ("ba",)), ("final_points.npz", ("evaluate",)))
+      for row_id, change, message in (
+        ("has-position-reversed", _replace("has_position", np.logical_not),  # ba raised a ValueError
+         lambda d: f"point of track {d['track'][0]}: status {STATUSES[d['status'][0]]}, "
+                   f"but has_position {d['has_position'][0]}"),
+        ("track-negative", _put("track", 0, -1), "point track -1 is negative"),  # exited 0
+        ("tracks-swapped", _put("track", [0, 1], lambda t: t[::-1]),
+         lambda d: f"point track {d['track'][1]} follows track {d['track'][0]}: the ids must rise strictly"),
+    )],
+    pytest.param("local_reconstructions.json", ("triangulate",), lambda d: d["clusters"][0].update(clusterId=-1),
+                 "cluster entry 0 has the clusterId -1, not its index 0", id="local_reconstructions-cluster-id"),
+    pytest.param("local_reconstructions.json", ("triangulate",), lambda d: _register_first_twice(d["clusters"][0]),
+                 "cluster 0: the registered cameras do not rise strictly", id="local_reconstructions-registered"),
+])
+def test_cli_bad_table_exit_code(small_run, tmp_path, capsys, name, stages, change, message):
+    """One array of a pose, motion or point table (or one field of a local
+    reconstruction) edited: every stage that reads the file exits 3 with a
+    one-line message naming it."""
+    out, _, _ = small_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    data = _edit(tmp_path / name, change)
+    for stage in stages:
+        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
+        _one_line_data_error(capsys, stage, name, message(data) if callable(message) else message)
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -362,38 +413,11 @@ def test_cli_track_camera_outside_match_graph_exit_code(small_run, tmp_path, cap
 def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
     out, _, _ = small_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "global_motion.json"
-    data = json.loads(path.read_text())
-    data["cameras"] = [c for c in data["cameras"] if c["id"] != 3]  # the points still see camera 3
-    path.write_text(json.dumps(data))
+    _edit(tmp_path / "global_motion.npz",  # the points still see camera 3
+          lambda d: d.update({k: d[k][d["cameras"] != 3] for k in ("cameras", "rotation", "center")}))
     assert cli_main(["ba", "--output-dir", str(tmp_path)]) == 3
     _one_line_data_error(capsys, "ba", "point camera 3 is not posed by the global motion")
     assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_cli_bad_ground_truth_exit_code(small_run, tmp_path, capsys):
-    out, _, _ = small_run
-    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "ground_truth.json"
-    original = path.read_text()
-    last, nan = SMALL["num_cameras"] - 1, float("nan")
-    for change, message in (
-        (lambda d: d.pop(), f"the ground truth lacks camera {last}"),  # was an IndexError
-        (lambda d: d.append(dict(d[0], cameraId=last + 1)),  # was accepted
-         f"ground-truth camera {last + 1} is not in the match graph's 0..{last}"),
-        (lambda d: d[1].update(cameraId=0), "the ground truth repeats camera 0"),
-        (lambda d: d[3].update(rotation=[nan] * 9), "ground-truth camera 3: R or c is not finite"),  # reported nan
-        (lambda d: d[3].update(center=[0.0, nan, 0.0]), "ground-truth camera 3: R or c is not finite"),  # SVD failed
-        (lambda d: d[5].update(rotation=[1.001] + d[5]["rotation"][1:]), "ground-truth camera 5: R is not a rotation"),
-    ):
-        data = json.loads(original)
-        change(data)
-        path.write_text(json.dumps(data))
-        assert cli_main(["evaluate", "--output-dir", str(tmp_path)]) == 3, message
-        _one_line_data_error(capsys, "evaluate", "ground_truth.json", message)
-    path.write_text(original)
-    assert cli_main(["evaluate", "--output-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_cli_bad_camera_table_exit_code(small_run, tmp_path, capsys):
@@ -481,30 +505,22 @@ def _true_in_registered(d):  # camera 1 of the first local reconstruction that r
     cameras[cameras.index(1)] = True
 
 
-def _true_in_motions(d):  # camera 1 of the first relative motion that measures it
-    motion = next(m for m in d if 1 in (m["i"], m["j"]))
-    motion["i" if motion["i"] == 1 else "j"] = True
-
-
 @pytest.mark.parametrize("name,stage,change,message", [
     ("clusters.json", "local-sfm", _true_in_clusters,
      "a cluster camera is not in the match graph's 0..17: interdependent cluster"),
-    ("relative_motions.json", "average", _true_in_motions, "an id is true or false, not an integer"),
+    ("relative_motions.npz", "average", _replace("pairs", lambda p: p == 1),
+     "pairs: true or false where integers are expected"),
     ("local_reconstructions.json", "triangulate", _true_in_registered, "registered holds true, not an integer"),
-    ("global_motion.json", "triangulate", lambda d: next(c for c in d["cameras"] if c["id"] == 1).update(id=True),
-     "motion camera true is not in the match graph's 0..17"),
-    ("ground_truth.json", "evaluate", lambda d: d[1].update(cameraId=True),
-     "ground-truth camera true is not in the match graph's 0..17"),
-], ids=["clusters", "relative_motions", "local_reconstructions", "global_motion", "ground_truth"])
+    ("global_motion.npz", "triangulate", _replace("cameras", lambda c: c == 1),
+     "cameras: true or false where integers are expected"),
+], ids=["clusters", "relative_motions", "local_reconstructions", "global_motion"])
 def test_cli_boolean_camera_id_exit_code(small_run, tmp_path, capsys, name, stage, change, message):
-    """JSON's true loads as a Python bool, which is an int equal to 1: each
-    stage took it for camera 1 and exited 0."""
+    """JSON's true loads as a Python bool, which is an int equal to 1, and
+    an `.npz` array of ids may hold bools: each stage took true for camera 1
+    and exited 0."""
     out, _, _ = small_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / name
-    data = json.loads(path.read_text())
-    change(data)
-    path.write_text(json.dumps(data))
+    _edit(tmp_path / name, change)
     assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3
     _one_line_data_error(capsys, stage, name, message)
 

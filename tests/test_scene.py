@@ -40,7 +40,7 @@ def test_projection_rigid_invariance():
 
 
 def test_pose_validation(tmp_path):
-    path = tmp_path / "ground_truth.json"
+    path = tmp_path / "ground_truth.npz"
     rotation, center = np.array([np.eye(3)] * 3), np.zeros((3, 3))
     sfm_io.save_ground_truth(path, rotation, center)
     assert all(np.array_equal(a, b) for a, b in zip(sfm_io.load_ground_truth(path, 3), (rotation, center)))
