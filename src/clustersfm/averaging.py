@@ -12,6 +12,9 @@ built from the arrays of the table and solved jointly for all cluster scales
 and camera centers as a robust L1 problem (IRLS) after pinning one center
 and one scale. Because the scale of every baseline is encoded explicitly,
 collinear camera motion stays well posed.
+
+Both solvers take one connected motion graph, in one gauge, and refuse a
+split graph: later stages would take poses in several gauges for one frame.
 """
 
 import logging
@@ -40,11 +43,10 @@ DEGENERATE_SCALE = 1e-12
 
 @dataclass
 class RotationEstimate:
-    """The camera rotations; each component's root, its smallest camera, is the identity."""
+    """The camera rotations; the smallest camera, the gauge, is the identity."""
 
     cameras: np.ndarray  # (n,) int64, strictly ascending
     rotation: np.ndarray  # (n, 3, 3)
-    components: np.ndarray  # (n,) the root camera of each camera's component
     iterations: int
     final_median_residual: float  # radians
 
@@ -63,15 +65,28 @@ class GlobalMotion:
     iterations: int = 0
 
 
+def _refuse_split(cameras, rows):
+    """Raise NumericalError naming the cameras that the motions, rows (m, 2)
+    of indices into `cameras`, do not connect to the gauge camera cameras[0]."""
+    labels = component_labels(len(cameras), rows[:, 0], rows[:, 1])
+    cut = cameras[labels != labels[0]].tolist()
+    if cut:
+        raise NumericalError(f"the motion graph is split: cameras {cut} are cut off from camera {cameras[0]}")
+
+
 # ---------------------------------------------------------------------------
 # Rotation averaging
 # ---------------------------------------------------------------------------
 
-def _spanning_tree_init(roots, motions: MotionTable):
-    """Propagate rotations from each component root along the
-    maximum-support spanning tree (Kruskal, ties by camera pair), each pair
-    through its first motion of highest support."""
-    rotations = {root: np.eye(3) for root in roots}
+def _spanning_tree_init(root, motions: MotionTable):
+    """Propagate rotations from the root camera through one motion per pair,
+    its first of highest support. The pairs are scanned by falling support,
+    ties by pair, and each that joins a posed camera to an unposed one poses
+    it; the scan repeats until a pass poses nothing. A pair met before either
+    of its cameras is posed waits for the next pass, so this is not a
+    maximum-support spanning tree: with pairs (1, 2), (0, 1), (2, 3), (0, 2)
+    of support 10, 5, 4, 3, camera 2 is posed through (0, 2)."""
+    rotations = {root: np.eye(3)}
     rows = np.lexsort((-motions.support, motions.pairs[:, 1], motions.pairs[:, 0]))  # stable
     _, first = np.unique(motions.pairs[rows], axis=0, return_index=True)
     best = rows[first]  # by pair
@@ -91,41 +106,27 @@ def _spanning_tree_init(roots, motions: MotionTable):
 
 
 def rotation_averaging(motions: MotionTable) -> RotationEstimate:
-    """Robust global rotation averaging over all relative rotations.
-
-    Disconnected measurement graphs are solved per connected component, each
-    with its own identity-gauge root; the component labels are reported so
-    callers can treat them separately.
-    """
+    """Robust global rotation averaging over all relative rotations, the
+    smallest camera the identity; a split graph raises NumericalError."""
     if not len(motions):
         raise DataError("no relative motions to average")
     cameras, rows = np.unique(motions.pairs, return_inverse=True)
-    rows_i, rows_j = rows.reshape(-1, 2).T
-    n = len(cameras)
-    labels = component_labels(n, rows_i, rows_j)
-    # each component is labelled by its smallest camera id, its gauge root
-    _, root_pos = np.unique(labels, return_index=True)
-    roots = cameras[root_pos]
-    if len(roots) > 1:
-        logger.warning("rotation graph has %d connected components", len(roots))
-
-    tree = _spanning_tree_init(roots.tolist(), motions)
+    rows = rows.reshape(-1, 2)
+    _refuse_split(cameras, rows)
+    rows_i, rows_j = rows.T
+    tree = _spanning_tree_init(int(cameras[0]), motions)
     R = np.stack([tree[c] for c in cameras.tolist()])
     R_ij = motions.rotation
 
-    # +1/-1 incidence of d_i - d_j over the free (non-root) cameras
-    free = np.setdiff1d(np.arange(n), root_pos)
-    free_pos = -np.ones(n, dtype=np.int64)
-    free_pos[free] = np.arange(len(free))
-    cols = np.column_stack([free_pos[rows_i], free_pos[rows_j]]).ravel()
+    # +1/-1 incidence of d_i - d_j over the free cameras, all but the root
+    cols = rows.ravel() - 1
     keep = cols >= 0
     incidence = coo_matrix(
         (np.tile([1.0, -1.0], len(motions))[keep],
          (np.repeat(np.arange(len(motions)), 2)[keep], cols[keep])),
-        shape=(len(motions), len(free)),
+        shape=(len(motions), len(cameras) - 1),
     ).tocsr()
     entry_rows = np.repeat(np.arange(len(motions)), np.diff(incidence.indptr))
-    iterations = 0
 
     for iterations in range(1, ROTATION_MAX_ITERATIONS + 1):
         # residual r_e = log(R_j^T R_ij R_i) per measurement
@@ -139,20 +140,17 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
         Asp = incidence.copy()
         Asp.data *= sqrt_w[entry_rows]
         rhs = -residuals * sqrt_w[:, None]
-        delta = np.zeros((n, 3))
-        if len(free):
-            H = (Asp.T @ Asp).tocsc()
-            g = Asp.T @ rhs
-            try:
-                solve = factorized(H)
-                delta[free] = np.column_stack([solve(g[:, d]) for d in range(3)])
-            except RuntimeError as exc:
-                raise NumericalError(f"rotation averaging solve failed: {exc}") from exc
-            if not np.all(np.isfinite(delta)):
-                raise NumericalError("rotation averaging system is singular")
-        step = float(np.abs(delta).max()) if len(free) else 0.0
-        R[free] = R[free] @ so3_exp(delta[free])
-        if step < ROTATION_UPDATE_TOL:
+        H = (Asp.T @ Asp).tocsc()
+        g = Asp.T @ rhs
+        try:
+            solve = factorized(H)
+            delta = np.column_stack([solve(g[:, d]) for d in range(3)])
+        except RuntimeError as exc:
+            raise NumericalError(f"rotation averaging solve failed: {exc}") from exc
+        if not np.all(np.isfinite(delta)):
+            raise NumericalError("rotation averaging system is singular")
+        R[1:] = R[1:] @ so3_exp(delta)
+        if np.abs(delta).max() < ROTATION_UPDATE_TOL:
             break
     else:
         logger.warning("rotation averaging stopped at its cap of %d iterations", iterations)
@@ -161,7 +159,6 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
     return RotationEstimate(
         cameras=cameras,
         rotation=R,
-        components=roots[labels],
         iterations=iterations,
         final_median_residual=float(np.median(final_norms)),
     )
@@ -171,37 +168,13 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
 # Translation averaging
 # ---------------------------------------------------------------------------
 
-class _RankDeficiency(Exception):
-    """Internal: carries the non-finite variable indices of a failed solve."""
-
-    def __init__(self, var_indices):
-        super().__init__("rank deficient")
-        self.var_indices = var_indices
-
-
-def _solve_component(A, B, gauge_scale_col, max_iterations, relative_tol):
-    """IRLS over the combined system [A | -B] z = 0 with the gauge scale
-    fixed at 1 and the gauge camera, the first column block of B, at the
-    origin (their columns removed; the scale column moves to the right-hand
-    side). Returns (z, objective, iterations, residual, capped); capped is
-    True when the loop used all max_iterations without meeting its stopping
-    test."""
-    n_rows = A.shape[0]
-    scale_cols = [c for c in range(A.shape[1]) if c != gauge_scale_col]
-    cam_cols = list(range(3, B.shape[1]))
-    A_csc = A.tocsc()
-    B_csc = B.tocsc()
-    M = sp_hstack([A_csc[:, scale_cols], -B_csc[:, cam_cols]]).tocsr()
-    d = -np.asarray(A_csc[:, [gauge_scale_col]].todense()).ravel()  # alpha_gauge = 1
-
-    n_vars = M.shape[1]
-    if n_vars == 0:
-        return np.zeros(0), np.abs(d).sum(), 0, d, False
-    weights = np.ones(n_rows)
-    z = None
-    objective = None
-    iterations = 0
-    capped = False
+def _irls_l1(M, d, max_iterations, relative_tol):
+    """Minimize ||M z - d||_1 by IRLS from the least-squares start. An
+    iterate that raises the objective is rejected and ends the loop, and so
+    does one that cuts it by at most relative_tol of its value. Returns (z,
+    iterations); z is not finite where a solve found M rank deficient."""
+    weights = np.ones(M.shape[0])
+    z = objective = None
     for iterations in range(1, max_iterations + 1):
         Wsqrt = np.sqrt(weights)
         Mw = M.multiply(Wsqrt[:, None]).tocsr()
@@ -210,12 +183,11 @@ def _solve_component(A, B, gauge_scale_col, max_iterations, relative_tol):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                z_new = spsolve(H, g)
+                z_new = np.atleast_1d(spsolve(H, g))
         except RuntimeError as exc:
             raise NumericalError(f"translation averaging solve failed: {exc}") from exc
-        z_new = np.atleast_1d(z_new)
         if not np.all(np.isfinite(z_new)):
-            raise _RankDeficiency(np.flatnonzero(~np.isfinite(z_new)))
+            return z_new, iterations
         r = M @ z_new - d
         new_objective = float(np.abs(r).sum())
         if objective is not None and new_objective > objective * (1.0 + 1e-12):
@@ -227,9 +199,8 @@ def _solve_component(A, B, gauge_scale_col, max_iterations, relative_tol):
         if not improved:
             break
     else:
-        capped = True
-    residual = M @ z - d
-    return z, objective, iterations, residual, capped
+        logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
+    return z, iterations
 
 
 def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
@@ -243,9 +214,11 @@ def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
     to its own cluster scale. The rotations are those of `estimate`, or of
     any pose table with ascending `cameras` and their `rotation`.
 
-    The gauge camera is the smallest camera id of each connected component
-    of the equation graph, and the gauge cluster is the lowest cluster id
-    measured at that camera. Components are solved independently.
+    The gauge camera is the smallest camera, and the gauge cluster is the
+    lowest cluster measured at it. Their columns leave the system, the gauge
+    cluster's as the right-hand side, giving M z = d over the other clusters'
+    scales, then the other cameras' centers. A split graph raises
+    NumericalError.
     """
     cameras, cam = np.unique(motions.pairs, return_inverse=True)
     clusters, cl = np.unique(motions.cluster, return_inverse=True)
@@ -254,67 +227,39 @@ def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
     if lacking.any():
         i, j = motions.pairs[np.argmax(lacking)].tolist()
         raise DataError(f"motion ({i}, {j}) lacks a rotation estimate")
+    _refuse_split(cameras, cam)
     R = estimate.rotation[np.searchsorted(estimate.cameras, cameras)]
     p = (R[cam[:, 1]].transpose(0, 2, 1) @ motions.translation[:, :, None])[:, :, 0]
     m, n_cams = len(motions), len(cameras)
-    d = np.arange(3)
-    A = coo_matrix((p.ravel(), (np.arange(3 * m), np.repeat(cl, 3))), shape=(3 * m, len(clusters))).tocsr()
+    dim = np.arange(3)
+    A = coo_matrix((p.ravel(), (np.arange(3 * m), np.repeat(cl, 3))), shape=(3 * m, len(clusters))).tocsc()
     B = coo_matrix((np.broadcast_to([[1.0], [-1.0]], (m, 2, 3)).ravel(),
-                    (np.repeat(3 * np.arange(m), 6) + np.tile(d, 2 * m), (3 * cam[:, :, None] + d).ravel())),
-                   shape=(3 * m, 3 * n_cams)).tocsr()
+                    (np.repeat(3 * np.arange(m), 6) + np.tile(dim, 2 * m), (3 * cam[:, :, None] + dim).ravel())),
+                   shape=(3 * m, 3 * n_cams)).tocsc()
+    gauge = cl[(cam == 0).any(axis=1)].min()
+    free_cls = np.delete(np.arange(len(clusters)), gauge)
+    M = sp_hstack([A[:, free_cls], -B[:, 3:]]).tocsr()
+    d = -A[:, [gauge]].toarray().ravel()  # alpha_gauge = 1
+    z, iterations = _irls_l1(M, d, max_iterations, relative_tol)
 
-    # connected components over cameras + clusters through the equations
-    labels = component_labels(n_cams + len(clusters), np.repeat(cam[:, 0], 2),
-                              np.column_stack([cam[:, 1], n_cams + cl]).ravel())
-    n_groups = int(labels.max(initial=-1)) + 1
-    if n_groups > 1:
-        logger.warning("translation system has %d connected components", n_groups)
-
-    center = np.zeros((n_cams, 3))  # each gauge camera stays at the origin
-    scale = np.ones(len(clusters))  # and each gauge cluster at 1
-    all_residuals = np.zeros(m)
-    total_objective = 0.0
-    total_iterations = 0
-
-    for g in range(n_groups):
-        comp_cams = np.flatnonzero(labels[:n_cams] == g)  # ascending: the first is the gauge camera
-        comp_cls = np.flatnonzero(labels[n_cams:] == g)
-        eq_sel = np.flatnonzero(labels[cam[:, 0]] == g)
-        at_gauge = (cam[eq_sel] == comp_cams[0]).any(axis=1)
-        gauge = np.searchsorted(comp_cls, cl[eq_sel][at_gauge].min())
-        rows = (3 * eq_sel[:, None] + d).ravel()
-        free_cls = np.delete(comp_cls, gauge)
-        off = len(free_cls)
-        try:
-            z, objective, iterations, residual, capped = _solve_component(
-                A[rows][:, comp_cls].tocoo(), B[rows][:, (3 * comp_cams[:, None] + d).ravel()].tocoo(), gauge,
-                max_iterations, relative_tol,
-            )
-        except _RankDeficiency as exc:
-            v = exc.var_indices
-            bad_cams = np.unique(cameras[comp_cams[1 + (v[v >= off] - off) // 3]]).tolist()
-            bad_cls = clusters[free_cls[v[v < off]]].tolist()
-            raise NumericalError(
-                f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}"
-            ) from exc
-        if capped:
-            logger.warning("L1 translation averaging stopped at its cap of %d iterations", iterations)
-        total_objective += objective
-        total_iterations = max(total_iterations, iterations)
-        scale[free_cls] = z[:off]
-        center[comp_cams[1:]] = z[off:].reshape(-1, 3)
-        all_residuals[eq_sel] = [np.linalg.norm(r) for r in residual.reshape(-1, 3)]
-
+    off = len(free_cls)
+    v = np.flatnonzero(~np.isfinite(z))
+    if len(v):
+        bad_cams = np.unique(cameras[1 + (v[v >= off] - off) // 3]).tolist()
+        bad_cls = clusters[free_cls[v[v < off]]].tolist()
+        raise NumericalError(f"translation system under-constrained: cameras {bad_cams}, clusters {bad_cls}")
+    residual = M @ z - d
+    scale = np.insert(z[:off], gauge, 1.0)
     bad = clusters[scale <= DEGENERATE_SCALE].tolist()
     if bad:
         raise NumericalError(f"degenerate scale for cluster(s) {bad}")
     return GlobalMotion(
         cameras=cameras,
         rotation=R,
-        center=center,
+        center=np.vstack([np.zeros((1, 3)), z[off:].reshape(-1, 3)]),  # the gauge camera at the origin
         clusters=clusters,
         scale=scale,
-        residual_norms=all_residuals,
-        objective=total_objective,
-        iterations=total_iterations,
+        residual_norms=np.array([np.linalg.norm(r) for r in residual.reshape(-1, 3)]),
+        objective=float(np.abs(residual).sum()),
+        iterations=iterations,
     )

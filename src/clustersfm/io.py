@@ -280,7 +280,8 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
     with a camera outside the match graph's 0..num_cameras-1 or with
     cameras that do not rise strictly, else the first tree leaf k that is
     not independent cluster k, else two independent clusters that share a
-    camera."""
+    camera, else the first interdependent cluster k that does not hold every
+    camera of independent cluster k or has no such partner."""
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"], itertools.count()))
     leaves = [list(leaf.cameras) for leaf in tree.leaves()]
@@ -299,6 +300,9 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
         for c in cameras:
             if owner.setdefault(c, k) != k:
                 raise DataError(f"independent clusters {owner[c]} and {k} share camera {c}")
+    for k, (cameras, expanded) in enumerate(itertools.zip_longest(data["independent"], data["interdependent"])):
+        if cameras is None or expanded is None or not set(cameras) <= set(expanded):
+            raise DataError(f"interdependent cluster {k} does not hold independent cluster {k}")
     independent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["independent"])]
     interdependent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])]
     return ClusterSet(

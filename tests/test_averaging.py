@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, hstack as sp_hstack
 from scipy.sparse.linalg import factorized
 
 from clustersfm import averaging
@@ -16,7 +16,6 @@ from clustersfm.averaging import (
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.evaluation import align_similarity
 from clustersfm.geometry import rotation_angle, so3_exp, so3_log
-from clustersfm.utils import component_labels
 from conftest import Motion, global_motion, motion_table, random_rotation
 
 
@@ -93,27 +92,27 @@ def test_rotation_robustness_quick():
     assert wins >= 4
 
 
-def test_rotation_disconnected_components_reported():
-    # union by rank roots {3, 4, 5} at camera 4; the label must still be 3
+def test_split_motion_graph_refused():
+    # cameras 3, 4 and 5 share no motion with camera 0, so no one gauge poses them all
     motions = [
-        motion(0, 1, np.eye(3), np.zeros(3)),
-        motion(4, 5, np.eye(3), np.zeros(3)),
-        motion(3, 5, np.eye(3), np.zeros(3)),
+        motion(0, 1, np.eye(3), np.array([1.0, 0, 0])),
+        motion(4, 5, np.eye(3), np.array([1.0, 0, 0]), k=1),
+        motion(3, 5, np.eye(3), np.array([1.0, 0, 0]), k=1),
     ]
-    est = averaged(motions)
-    # each component is labelled by its smallest camera id, the gauge root
-    assert est.cameras.tolist() == [0, 1, 3, 4, 5]
-    assert est.components.tolist() == [0, 0, 3, 3, 3]
-    assert rotation_angle(est.rotation[[0, 2]]).max() < 1e-12  # cameras 0 and 3
+    message = r"^the motion graph is split: cameras \[3, 4, 5\] are cut off from camera 0$"
+    with pytest.raises(NumericalError, match=message):
+        averaged(motions)
+    with pytest.raises(NumericalError, match=message):
+        solve_translation_l1(motion_table(motions), global_motion({c: np.eye(3) for c in (0, 1, 3, 4, 5)}))
 
 
-def _spanning_tree_reference(roots, motions):
+def _spanning_tree_reference(root, motions):
     """The spanning-tree start one motion at a time: the motions of each
     pair in a dict of lists, the pairs by falling best support, then by pair."""
     motions_by_pair = {}
     for m in motions:
         motions_by_pair.setdefault((m.i, m.j), []).append(m)
-    rotations = {root: np.eye(3) for root in roots}
+    rotations = {root: np.eye(3)}
     edges = sorted(motions_by_pair, key=lambda pair: (-max(m.support for m in motions_by_pair[pair]), pair))
     changed = True
     while changed:
@@ -139,12 +138,9 @@ def _rotation_averaging_reference(motions):
     rows_i = np.array([cam_pos[m.i] for m in motions])
     rows_j = np.array([cam_pos[m.j] for m in motions])
     n = len(cameras)
-    _, root_pos = np.unique(component_labels(n, rows_i, rows_j), return_index=True)
-    rotations = _spanning_tree_reference([cameras[k] for k in root_pos], motions)
-    free = np.setdiff1d(np.arange(n), root_pos)
-    free_pos = -np.ones(n, dtype=np.int64)
-    free_pos[free] = np.arange(len(free))
-    cols = np.column_stack([free_pos[rows_i], free_pos[rows_j]]).ravel()
+    rotations = _spanning_tree_reference(cameras[0], motions)
+    free = np.arange(1, n)  # all but the root, the smallest camera
+    cols = np.column_stack([rows_i - 1, rows_j - 1]).ravel()
     keep = cols >= 0
     incidence = coo_matrix(
         (np.tile([1.0, -1.0], len(motions))[keep],
@@ -178,7 +174,7 @@ def _rotation_averaging_reference(motions):
 def test_rotation_averaging_matches_per_motion_reference_exactly():
     rng = np.random.default_rng(12)
     gt = {c: random_rotation(rng) for c in range(20)}
-    pairs = random_pair_graph(rng, 9, 24) + [(9 + i, 9 + j) for i, j in random_pair_graph(rng, 11, 30)]
+    pairs = random_pair_graph(rng, 20, 54)
     motions = [motion(i, j, so3_exp(rng.normal(scale=0.02, size=3)) @ gt[j] @ gt[i].T, np.zeros(3),
                       k=q % 3, support=int(rng.integers(5, 50)))
                for q, (i, j) in enumerate(pairs)]
@@ -189,7 +185,6 @@ def test_rotation_averaging_matches_per_motion_reference_exactly():
     motions.append(motion(i, j, so3_exp(np.array([0.0, 0.0, np.pi - 1e-3])) @ gt[j] @ gt[i].T, np.zeros(3)))
     est = averaged(motions)
     rotations, iterations, final = _rotation_averaging_reference(motions)
-    assert len(np.unique(est.components)) == 2
     assert 1 < est.iterations == iterations
     assert est.cameras.tolist() == sorted(rotations)
     for c, R in zip(est.cameras.tolist(), est.rotation):
@@ -240,9 +235,10 @@ def test_translation_system_structural_counts():
 def _translation_reference(motions, rot):
     """solve_translation_l1 one motion at a time: the per-motion A/B builder
     (3 rows per motion; A holds R_j^T t in its cluster's column, B holds +I
-    at camera i, then -I at camera j) and the component split over the
-    list of motions. Returns (scales, centers, residual norms, objective,
-    iterations)."""
+    at camera i, then -I at camera j), reduced to [A | -B] z = 0 without the
+    columns of the gauge camera and of the gauge cluster, whose column moves
+    to the right-hand side. Returns (scales, centers, residual norms,
+    objective, iterations)."""
     cluster_ids = sorted({m.k for m in motions})
     camera_ids = sorted({m.i for m in motions} | {m.j for m in motions})
     col_of_cluster = {k: c for c, k in enumerate(cluster_ids)}
@@ -259,45 +255,32 @@ def _translation_reference(motions, rot):
                 b_rows.append(3 * q + d)
                 b_cols.append(3 * col_of_camera[cam] + d)
                 b_vals.append(sign)
-    A = coo_matrix((a_vals, (a_rows, a_cols)), shape=(3 * len(motions), len(cluster_ids))).tocsr()
-    B = coo_matrix((b_vals, (b_rows, b_cols)), shape=(3 * len(motions), 3 * len(camera_ids))).tocsr()
-    n_cams = len(camera_ids)
-    eqs = np.array([(col_of_camera[m.i], col_of_camera[m.j], n_cams + col_of_cluster[m.k]) for m in motions])
-    labels = component_labels(n_cams + len(cluster_ids), eqs[:, [0, 0]].ravel(), eqs[:, 1:].ravel())
-    scales, centers, norms = {}, {}, np.zeros(len(motions))
-    objective, iterations = 0.0, 0
-    for g in range(labels.max() + 1):
-        comp_cams = [c for c, label in zip(camera_ids, labels) if label == g]
-        comp_cls = [k for k, label in zip(cluster_ids, labels[n_cams:]) if label == g]
-        eq_sel = np.flatnonzero(labels[eqs[:, 0]] == g)
-        gauge_cluster = min(motions[q].k for q in eq_sel if comp_cams[0] in (motions[q].i, motions[q].j))
-        rows = np.concatenate([[3 * q, 3 * q + 1, 3 * q + 2] for q in eq_sel])
-        cols = np.concatenate([[3 * col_of_camera[c] + d for d in range(3)] for c in comp_cams])
-        z, obj, its, residual, _ = averaging._solve_component(
-            A[rows][:, [col_of_cluster[k] for k in comp_cls]].tocoo(), B[rows][:, cols].tocoo(),
-            comp_cls.index(gauge_cluster), L1_MAX_ITERATIONS, averaging.L1_RELATIVE_TOL)
-        objective += obj
-        iterations = max(iterations, its)
-        free_cls = [k for k in comp_cls if k != gauge_cluster]
-        for pos, k in enumerate(free_cls):
-            scales[k] = float(z[pos])
-        scales[gauge_cluster] = 1.0
-        for pos, c in enumerate(comp_cams[1:]):
-            centers[c] = z[len(free_cls) + 3 * pos : len(free_cls) + 3 * pos + 3]
-        centers[comp_cams[0]] = np.zeros(3)
-        for local_q, q in enumerate(eq_sel):
-            norms[q] = np.linalg.norm(residual.reshape(-1, 3)[local_q])
-    return scales, centers, norms, objective, iterations
+    A = coo_matrix((a_vals, (a_rows, a_cols)), shape=(3 * len(motions), len(cluster_ids))).tocsc()
+    B = coo_matrix((b_vals, (b_rows, b_cols)), shape=(3 * len(motions), 3 * len(camera_ids))).tocsc()
+    gauge_camera = camera_ids[0]
+    gauge_cluster = min(m.k for m in motions if gauge_camera in (m.i, m.j))
+    free_cls = [k for k in cluster_ids if k != gauge_cluster]
+    M = sp_hstack([A[:, [col_of_cluster[k] for k in free_cls]], -B[:, 3:]]).tocsr()
+    d = -A[:, [col_of_cluster[gauge_cluster]]].toarray().ravel()
+    z, iterations = averaging._irls_l1(M, d, L1_MAX_ITERATIONS, averaging.L1_RELATIVE_TOL)
+    residual = M @ z - d
+    scales = {gauge_cluster: 1.0} | {k: float(z[pos]) for pos, k in enumerate(free_cls)}
+    centers = {gauge_camera: np.zeros(3)}
+    for pos, c in enumerate(camera_ids[1:]):
+        centers[c] = z[len(free_cls) + 3 * pos : len(free_cls) + 3 * pos + 3]
+    norms = np.array([np.linalg.norm(residual[3 * q : 3 * q + 3]) for q in range(len(motions))])
+    return scales, centers, norms, float(np.abs(residual).sum()), iterations
 
 
 def test_translation_matches_per_motion_reference_exactly():
-    # two components of two clusters each; the cameras two clusters share
-    # give pairs measured in both, and the motions come in shuffled order
+    # four clusters in a chain, each sharing cameras with the next; the
+    # cameras two clusters share give pairs measured in both, and the motions
+    # come in shuffled order
     rng = np.random.default_rng(13)
     gt_R = {c: random_rotation(rng) for c in range(14)}
     gt_c = rng.normal(scale=5.0, size=(14, 3))
     motions = []
-    for k, cams in ((5, range(0, 5)), (2, range(3, 8)), (9, range(8, 12)), (7, range(10, 14))):
+    for k, cams in ((5, range(0, 5)), (2, range(3, 8)), (9, range(6, 12)), (7, range(10, 14))):
         scale = rng.uniform(0.5, 2.0)
         motions += [motion(i, j, gt_R[j] @ gt_R[i].T,
                            scale * gt_R[j] @ (gt_c[i] - gt_c[j]) + rng.normal(scale=0.05, size=3), k=k)

@@ -242,6 +242,19 @@ def test_cli_malformed_artifact_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_cli_split_motion_graph_exit_code(tmp_path, capsys):
+    # at cap 12 this grid's clusters fall into two groups that share no
+    # camera; posed in a gauge each, the run exited 0 with a median position
+    # error of 2.53
+    argv = ["run", "--output-dir", str(tmp_path), "--layout", "grid", "--cameras", "64", "--points", "500",
+            "--max-cluster-size", "12", "--seed", "2"]
+    assert cli_main(argv) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: stage 'average' failed: the motion graph is split: cameras [24, ")
+    assert err.endswith(", 63] are cut off from camera 0") and "\n" not in err
+    assert (tmp_path / "relative_motions.npz").exists() and not (tmp_path / "global_motion.npz").exists()
+
+
 def test_cli_cluster_camera_outside_match_graph_exit_code(small_run, tmp_path, capsys):
     out, _, _ = small_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
@@ -472,6 +485,8 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
     path = tmp_path / "clusters.json"
     original = path.read_text()
     c = json.loads(original)["independent"][0][0]
+    last = len(json.loads(original)["independent"]) - 1
+    consumers = ("tracks", "local-sfm", "triangulate", "ba", "evaluate")
 
     def share(d):  # camera c of cluster 0 joins independent cluster 1 and tree leaf 1 too
         for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
@@ -484,7 +499,11 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
          "interdependent cluster 0: cameras are not strictly ascending", ("local-sfm",)),  # exited 0
         (share, f"independent clusters 0 and 1 share camera {c}", ("triangulate", "ba")),  # triangulate exited 0
         (lambda d: [leaf.update(leaf=99) for leaf in tree_leaves(d["tree"])],  # each exited 0
-         "tree leaf 0 has the id 99, not its depth-first index 0", ("tracks", "local-sfm", "triangulate", "ba", "evaluate")),
+         "tree leaf 0 has the id 99, not its depth-first index 0", consumers),
+        (lambda d: d["interdependent"].pop(),  # each exited 0
+         f"interdependent cluster {last} does not hold independent cluster {last}", consumers),
+        (lambda d: d["interdependent"].__setitem__(1, d["interdependent"][0]),  # each exited 0
+         "interdependent cluster 1 does not hold independent cluster 1", consumers),
     ):
         data = json.loads(original)
         change(data)
