@@ -102,13 +102,20 @@ class ClusterTree:
 
 @dataclass
 class ClusterSet:
-    independent: list[Cluster]
+    """The interdependent clusters and the division tree; independent
+    cluster k is the tree's depth-first leaf k, and interdependent cluster k
+    its expansion."""
+
     interdependent: list[Cluster]
     tree: ClusterTree
     discarded_edges: list  # (i, j, weight) not covered by any interdependent cluster
     achieved_ratios: list[float]
     exhausted: bool
     dropped_cameras: list = field(default_factory=list)
+
+    @property
+    def independent(self) -> list[Cluster]:
+        return [Cluster(id=k, cameras=leaf.cameras) for k, leaf in enumerate(self.tree.leaves())]
 
 
 class ClusteringError(NumericalError):
@@ -387,7 +394,6 @@ def _assemble(graph, tree, state, member, overlap, config, dropped) -> ClusterSe
     covered = np.asarray(incidence[i].multiply(incidence[j]).sum(axis=1)).ravel() > 0
     ratios = (overlap / member.sum(axis=0)).tolist()
     return ClusterSet(
-        independent=[Cluster(id=k, cameras=leaf.cameras) for k, (leaf, _) in enumerate(state)],
         interdependent=[Cluster(id=k, cameras=full) for k, (_, full) in enumerate(state)],
         tree=tree,
         discarded_edges=[tuple(e) for e in np.column_stack((graph.pairs, graph.weights))[~covered].tolist()],

@@ -114,13 +114,14 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion:
     """
     posed = set(motion.cameras.tolist())
     active = [p for p in points if p.active]
-    cluster_ids = sorted({cl.id for cl in cluster_set.independent})
+    independent = cluster_set.independent
+    cluster_ids = sorted({cl.id for cl in independent})
     unknown = [p.track_id for p in points if p.cluster_id != -1 and p.cluster_id not in cluster_ids]
     if unknown:
         raise DataError(f"point of track {unknown[0]}: its cluster is neither -1 nor an independent cluster id")
     partitions = []
     for cid in cluster_ids:
-        cams = tuple(sorted(c for c in cluster_set.independent[cid].cameras if c in posed))
+        cams = tuple(sorted(c for c in independent[cid].cameras if c in posed))
         if not cams:
             continue
         cam_set = set(cams)
@@ -188,15 +189,16 @@ def distributed_bundle_adjust(
         return cost, rms
 
     # boundary points grouped by their number of posed views, for the
-    # batched consensus re-triangulation
-    interior = {pi for part in partitions for pi in part.interior_points}
-    by_views: dict[int, list] = {}
-    for pi, p in enumerate(active):
-        if pi not in interior and len(p.cameras) >= 2:
-            by_views.setdefault(len(p.cameras), []).append((pi, np.searchsorted(cam_ids, p.cameras), p.xy))
-    boundary_groups = [
-        tuple(np.array(column) for column in zip(*group)) for _, group in sorted(by_views.items())
-    ]
+    # batched consensus re-triangulation: (points, camera rows, pixels)
+    views = np.bincount(obs_pt, minlength=len(active))
+    offsets = np.append(0, np.cumsum(views))
+    boundary = views >= 2
+    boundary[[pi for part in partitions for pi in part.interior_points]] = False
+    boundary_groups = []
+    for n in np.unique(views[boundary]).tolist():
+        pts = np.flatnonzero(boundary & (views == n))
+        group_rows = offsets[pts, None] + np.arange(n)
+        boundary_groups.append((pts, obs_cam[group_rows], obs_xy[group_rows]))
 
     log: list[RoundLog] = []
     cost, rms = global_cost()
@@ -244,8 +246,8 @@ def distributed_bundle_adjust(
 
         # consensus: re-triangulate boundary points, guarded per point
         Ps = projection_matrix(Ks, rotations, centers)
-        for pts, views, xy in boundary_groups:
-            P = Ps[views]
+        for pts, group_cams, xy in boundary_groups:
+            P = Ps[group_cams]
             X_new, finite = triangulate_linear(P, xy)
             take = finite & (_point_costs(P, xy, X_new) <= _point_costs(P, xy, positions[pts]))
             positions[pts[take]] = X_new[take]

@@ -236,35 +236,23 @@ def load_ground_truth(path, num_cameras: int) -> tuple[np.ndarray, np.ndarray]:
 # Cluster set
 # ---------------------------------------------------------------------------
 
-def _tree_to_json(node: ClusterTreeNode, leaf_ids):
-    """The tree below node, each leaf with its id, the next of leaf_ids."""
+def _tree_to_json(node: ClusterTreeNode):
     if node.is_leaf:
-        return {"leaf": next(leaf_ids), "cameras": list(node.cameras)}
-    return {"children": [_tree_to_json(node.left, leaf_ids), _tree_to_json(node.right, leaf_ids)]}
+        return {"cameras": list(node.cameras)}
+    return {"children": [_tree_to_json(node.left), _tree_to_json(node.right)]}
 
 
-def _tree_from_json(data, leaf_ids) -> ClusterTreeNode:
-    """The tree of data; a leaf whose id is not the next of leaf_ids, its
-    depth-first index, is a DataError."""
-    if "leaf" in data:
-        k = next(leaf_ids)
-        if not (_is_id(data["leaf"]) and data["leaf"] == k):
-            raise DataError(f"tree leaf {k} has the id {json.dumps(data['leaf'])}, not its depth-first index {k}")
+def _tree_from_json(data) -> ClusterTreeNode:
+    if "children" not in data:
         return ClusterTreeNode(cameras=tuple(data["cameras"]))
-    left = _tree_from_json(data["children"][0], leaf_ids)
-    right = _tree_from_json(data["children"][1], leaf_ids)
-    return ClusterTreeNode(
-        cameras=tuple(sorted(left.cameras + right.cameras)),
-        left=left,
-        right=right,
-    )
+    left, right = _tree_from_json(data["children"][0]), _tree_from_json(data["children"][1])
+    return ClusterTreeNode(cameras=tuple(sorted(left.cameras + right.cameras)), left=left, right=right)
 
 
 def save_cluster_set(path, cs: ClusterSet) -> None:
     payload = {
-        "independent": [list(c.cameras) for c in cs.independent],
         "interdependent": [list(c.cameras) for c in cs.interdependent],
-        "tree": _tree_to_json(cs.tree.root, itertools.count()),
+        "tree": _tree_to_json(cs.tree.root),
         "discardedEdges": [[int(i), int(j), int(w)] for (i, j, w) in cs.discarded_edges],
         "achievedRatios": cs.achieved_ratios,
         "exhausted": cs.exhausted,
@@ -275,39 +263,33 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
 
 @_checked
 def load_cluster_set(path, num_cameras: int) -> ClusterSet:
-    """The cluster set. A DataError names the first tree leaf whose stored
-    id is not its depth-first index, else the first cluster or tree leaf
-    with a camera outside the match graph's 0..num_cameras-1 or with
-    cameras that do not rise strictly, else the first tree leaf k that is
-    not independent cluster k, else two independent clusters that share a
-    camera, else the first interdependent cluster k that does not hold every
-    camera of independent cluster k or has no such partner."""
+    """The cluster set; independent cluster k is the tree's depth-first
+    leaf k. A DataError names the first independent or interdependent
+    cluster with a camera outside the match graph's 0..num_cameras-1 or
+    with cameras that do not rise strictly, else two independent clusters
+    that share a camera, else the first interdependent cluster k that does
+    not hold every camera of independent cluster k or has no such partner."""
     data = _load(path)
-    tree = ClusterTree(root=_tree_from_json(data["tree"], itertools.count()))
+    tree = ClusterTree(root=_tree_from_json(data["tree"]))
     leaves = [list(leaf.cameras) for leaf in tree.leaves()]
-    named = [(f"{kind} cluster {k}", list(c)) for kind in ("independent", "interdependent")
-             for k, c in enumerate(data[kind])] + [(f"tree leaf {k}", c) for k, c in enumerate(leaves)]
+    named = [(f"{kind} cluster {k}", list(c)) for kind, clusters in (("independent", leaves),
+                                                                      ("interdependent", data["interdependent"]))
+             for k, c in enumerate(clusters)]
     for name, cameras in named:
         if not all(_is_id(c) and 0 <= c < num_cameras for c in cameras):
             raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}: {name}")
         if any(b <= a for a, b in zip(cameras, cameras[1:])):
             raise DataError(f"{name}: cameras are not strictly ascending")
-    for k, (leaf, cameras) in enumerate(itertools.zip_longest(leaves, data["independent"])):
-        if leaf != cameras:
-            raise DataError(f"tree leaf {k} is not independent cluster {k}")
     owner = {}
-    for k, cameras in enumerate(data["independent"]):
+    for k, cameras in enumerate(leaves):
         for c in cameras:
             if owner.setdefault(c, k) != k:
                 raise DataError(f"independent clusters {owner[c]} and {k} share camera {c}")
-    for k, (cameras, expanded) in enumerate(itertools.zip_longest(data["independent"], data["interdependent"])):
+    for k, (cameras, expanded) in enumerate(itertools.zip_longest(leaves, data["interdependent"])):
         if cameras is None or expanded is None or not set(cameras) <= set(expanded):
             raise DataError(f"interdependent cluster {k} does not hold independent cluster {k}")
-    independent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["independent"])]
-    interdependent = [Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])]
     return ClusterSet(
-        independent=independent,
-        interdependent=interdependent,
+        interdependent=[Cluster(id=k, cameras=tuple(c)) for k, c in enumerate(data["interdependent"])],
         tree=tree,
         discarded_edges=[tuple(e) for e in data["discardedEdges"]],
         achieved_ratios=list(data["achievedRatios"]),
@@ -342,37 +324,28 @@ def load_tracks(path, num_cameras: int) -> TrackTable:
 # Local reconstructions and relative motions
 # ---------------------------------------------------------------------------
 
-def _rows_per_point(rec: LocalReconstruction) -> np.ndarray:
-    """The inlier row count of each point; the rows must come grouped by
-    track in point order, so that offsets over the points describe them."""
-    tracks = rec.obs_tracks
-    first = np.flatnonzero(np.diff(tracks, prepend=tracks[:1] - 1))
-    if not np.array_equal(tracks[first], rec.point_tracks):
-        raise ValueError(f"cluster {rec.cluster_id}: the inlier rows are not grouped by the points' tracks")
-    return np.diff(np.append(first, len(tracks)))
-
-
 def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
     """One ragged table of every cluster's points, in cluster order, with
     each point's inlier rows; the clusters' poses are flat arrays too."""
     ints = np.zeros(0, np.int64)
-    counts, _ = _flat([_rows_per_point(r) for r in recs], ints)
+    tables = [r.inliers for r in recs]
     arrays = {
         "rotation": _flat([r.rotation for r in recs], np.zeros((0, 3, 3)))[0],
         "center": _flat([r.center for r in recs], np.zeros((0, 3)))[0],
-        "track": _flat([r.point_tracks for r in recs], ints)[0],
+        "track": _flat([t.ids for t in tables], ints)[0],
         "position": _flat([r.positions for r in recs], np.zeros((0, 3)))[0],
-        "cameras": _flat([r.obs_cameras for r in recs], ints)[0],
-        "xy": _flat([r.obs_xy for r in recs], np.zeros((0, 2)))[0],
+        "cameras": _flat([t.cameras for t in tables], ints)[0],
+        "features": _flat([t.features for t in tables], ints)[0],
+        "xy": _flat([t.xy for t in tables], np.zeros((0, 2)))[0],
     }
     clusters = [
-        {"clusterId": int(r.cluster_id), "failed": bool(r.failed),
-         "seedPair": [int(c) for c in r.seed_pair] if r.seed_pair else None,
+        {"clusterId": int(r.cluster_id), "seedPair": [int(c) for c in r.seed_pair] if r.seed_pair else None,
          "meanReprojection": r.mean_reprojection if np.isfinite(r.mean_reprojection) else None,
-         "registered": r.registered.tolist(), "points": len(r.point_tracks)}
+         "registered": r.registered.tolist(), "points": len(r.inliers)}
         for r in recs
     ]
-    _save_table(path, np.cumsum(np.append(0, counts)), arrays, clusters=clusters)
+    views = _flat([np.diff(t.offsets) for t in tables], ints)[0]
+    _save_table(path, np.append(0, np.cumsum(views)), arrays, clusters=clusters)
 
 
 @_checked
@@ -380,18 +353,18 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     """Every interdependent cluster's reconstruction, entry k cluster k's. A
     DataError names the first entry whose clusterId, registered cameras,
     seedPair or point count holds a non-integer (JSON true or false
-    included) or whose clusterId is not k, and a cluster whose registered
-    cameras do not rise strictly."""
+    included) or whose clusterId is not k, a cluster whose registered
+    cameras do not rise strictly, and a point whose cameras do not."""
     data = _load_table(path, "local-reconstruction")
     rotation = _decoded(data, "rotation", float, -1, 3, 3)
     center = _decoded(data, "center", float, len(rotation), 3)
     track = _decoded(data, "track", np.int64, -1)
     position = _decoded(data, "position", float, len(track), 3)
     cameras = _decoded(data, "cameras", np.int64, -1)
+    features = _decoded(data, "features", np.int64, len(cameras))
     xy = _decoded(data, "xy", float, len(cameras), 2)
     offsets = _offsets(data, len(track), len(cameras))
     check_ascending(cameras, offsets, track)
-    obs_tracks = np.repeat(track, np.diff(offsets))
     clusters = data["clusters"]
     for k, c in enumerate(clusters):
         for key, ids in (("clusterId", [c["clusterId"]]), ("registered", c["registered"]),
@@ -410,11 +383,10 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     out = []
     for c, cams, (a, b), (p, q) in zip(clusters, registered, _spans(poses), _spans(points)):
         rows = slice(offsets[p], offsets[q])
+        inliers = TrackTable(track[p:q], offsets[p:q + 1] - offsets[p], cameras[rows], features[rows], xy[rows])
         out.append(LocalReconstruction(
             cluster_id=c["clusterId"], registered=cams, rotation=rotation[a:b], center=center[a:b],
-            point_tracks=track[p:q], positions=position[p:q],
-            obs_tracks=obs_tracks[rows], obs_cameras=cameras[rows], obs_xy=xy[rows],
-            seed_pair=tuple(c["seedPair"]) if c["seedPair"] else None, failed=c["failed"],
+            positions=position[p:q], inliers=inliers, seed_pair=tuple(c["seedPair"]) if c["seedPair"] else None,
             mean_reprojection=float("nan") if c["meanReprojection"] is None else c["meanReprojection"]))
     return out
 
@@ -480,21 +452,19 @@ def save_global_points(path, points) -> None:
               track=np.array([p.track_id for p in points], dtype=np.int64),
               cluster=np.array([p.cluster_id for p in points], dtype=np.int64),
               status=np.array([STATUSES.index(p.status) for p in points], dtype=np.int64),
-              has_position=np.array([p.position is not None for p in points], dtype=bool),
               position=np.array([np.zeros(3) if p.position is None else p.position for p in points], dtype=float))
 
 
 @_checked
 def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
-    """The points. A DataError names a status code outside STATUSES, else a
-    track id that is negative or does not rise strictly, else a point whose
-    has_position is not (status == active) or whose cameras do not rise
-    strictly in the match graph's 0..num_cameras-1."""
+    """The points, an active one with its position. A DataError names a
+    status code outside STATUSES, else a track id that is negative or does
+    not rise strictly, else a point whose cameras do not rise strictly in
+    the match graph's 0..num_cameras-1."""
     data = _load_npz(path)
     track = _array(data, "track", np.int64, -1)
     cluster = _array(data, "cluster", np.int64, len(track))
     status = _array(data, "status", np.int64, len(track))
-    has_position = _array(data, "has_position", bool, len(track))
     position = _array(data, "position", float, len(track), 3)
     cameras = _array(data, "cameras", np.int64, -1)
     xy = _array(data, "xy", float, len(cameras), 2)
@@ -503,17 +473,12 @@ def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
     if len(track) and track[0] < 0:
         raise DataError(f"point track {track[0]} is negative")
     _check_rising(track, "point track", "track")
-    wrong = has_position != (status == STATUSES.index("active"))
-    if wrong.any():
-        k = int(np.argmax(wrong))
-        raise DataError(f"point of track {track[k]}: status {STATUSES[status[k]]}, but has_position {has_position[k]}")
     offsets = _offsets(data, len(track), len(cameras))
     check_ascending(cameras, offsets, track, num_cameras)
     return [
-        GlobalPoint(track_id=t, position=X if h else None, cluster_id=c, cameras=cameras[a:b], xy=xy[a:b],
-                    status=STATUSES[s])
-        for t, c, s, h, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), has_position.tolist(),
-                                         position, _spans(offsets))
+        GlobalPoint(track_id=t, position=X if STATUSES[s] == "active" else None, cluster_id=c, cameras=cameras[a:b],
+                    xy=xy[a:b], status=STATUSES[s])
+        for t, c, s, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), position, _spans(offsets))
     ]
 
 

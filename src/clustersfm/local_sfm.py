@@ -62,23 +62,23 @@ class LocalReconstruction:
     """One cluster's reconstruction in an arbitrary local frame and scale.
 
     Its registered cameras have the poses rotation and center; its points
-    are track ids and positions; its inlier rows say camera obs_cameras[r]
-    sees track obs_tracks[r] at pixel obs_xy[r]. The rows are grouped by
-    track in point order, cameras ascending inside each track.
+    are the tracks of inliers, positions[p] that of track inliers.ids[p],
+    and the elements of a track are its inlier rows, cameras ascending. A
+    cluster with fewer than two registered cameras failed.
     """
 
     cluster_id: int
     registered: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (n,) strictly ascending
     rotation: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))  # (n, 3, 3)
     center: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (n, 3)
-    point_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (p,)
     positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (p, 3)
-    obs_tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (r,)
-    obs_cameras: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (r,)
-    obs_xy: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))  # (r, 2)
+    inliers: TrackTable = field(default_factory=TrackTable.empty)
     seed_pair: tuple | None = None
-    failed: bool = False
     mean_reprojection: float = float("nan")
+
+    @property
+    def failed(self) -> bool:
+        return len(self.registered) < 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ class ClusterTracks:
     says the camera of index pos[r] sees track track[r] (an index into
     track_ids) at pixel xy[r]. Rows are grouped by track in input order,
     with cameras ascending inside each track, so a camera has at most one
-    row per track.
+    row per track; features[r] is its feature index.
     """
 
     def __init__(self, cluster_cameras, tracks: TrackTable):
@@ -145,7 +145,7 @@ class ClusterTracks:
         self.track_ids = tracks.ids[kept]
         self.track = np.cumsum(kept)[owner[rows]] - 1
         self.pos = np.searchsorted(self.cameras, tracks.cameras[rows])
-        self.xy = tracks.xy[rows]
+        self.features, self.xy = tracks.features[rows], tracks.xy[rows]
         self._by_camera = np.argsort(self.pos, kind="stable")
         self._offsets = np.append(0, np.cumsum(np.bincount(self.pos, minlength=len(self.cameras))))
 
@@ -492,7 +492,8 @@ def run_local_sfm(
 
     Deterministic for a fixed seed: the cluster RNG is derived from it by
     stable hashing, so worker scheduling cannot change results. A cluster
-    whose seed pair cannot be established is returned marked failed.
+    whose seed pair cannot be established is returned with no camera
+    registered, so failed.
     """
     ct = ClusterTracks(cluster.cameras, tracks)
     rng = seeded_rng(seed, "local_sfm", cluster.id)
@@ -503,7 +504,6 @@ def run_local_sfm(
         pair, rotation, center, seed_rows, seed_points = estimate_seed_pair(graph, ct, state.K, rng)
     except SeedFailure as exc:
         logger.warning("cluster %d: %s", cluster.id, exc)
-        rec.failed = True
         return rec
     state.seed_pair = pair
     for k, R, c in zip(pair, rotation, center):
@@ -541,13 +541,12 @@ def run_local_sfm(
     rec.seed_pair = tuple(ct.cameras[list(pair)].tolist())
     rec.registered = ct.cameras[state.registered]
     rec.rotation, rec.center = state.rotation[state.registered], state.center[state.registered]
-    # an active track is exactly one with inlier rows
-    active = np.flatnonzero(state.status == ACTIVE)
-    rec.point_tracks, rec.positions = ct.track_ids[active], state.X[active]
     rows = np.flatnonzero(state.joined >= 0)  # by track, cameras ascending
-    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = ct.track_ids[ct.track[rows]], ct.cameras[ct.pos[rows]], ct.xy[rows]
-    if len(rec.registered) < 2:
-        rec.failed = True
+    # an active track is exactly one with inlier rows
+    active, views = np.unique(ct.track[rows], return_counts=True)
+    rec.inliers = TrackTable(ct.track_ids[active], np.append(0, np.cumsum(views)), ct.cameras[ct.pos[rows]],
+                             ct.features[rows], ct.xy[rows])
+    rec.positions = state.X[active]
     return rec
 
 
@@ -559,14 +558,14 @@ def extract_relative_motions(recs: list[LocalReconstruction], graph: CameraGraph
     parts = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 3, 3)), np.zeros((0, 3)),
               np.zeros(0, dtype=np.int64))]  # the empty table, which fixes the dtypes
     for rec in recs:
-        if rec.failed or len(rec.registered) < 2:
+        if rec.failed:
             continue
-        registered = rec.registered
+        registered, inliers = rec.registered, rec.inliers
         # camera x track incidence of the inlier rows; its Gram matrix counts
         # the tracks each pair of cameras shares
-        _, track = np.unique(rec.obs_tracks, return_inverse=True)
-        seen = csr_matrix((np.ones(len(track), dtype=np.int64), (np.searchsorted(registered, rec.obs_cameras), track)),
-                          shape=(len(registered), track.max(initial=-1) + 1))
+        seen = csr_matrix((np.ones(len(inliers.cameras), dtype=np.int64),
+                           (np.searchsorted(registered, inliers.cameras), inliers.owner())),
+                          shape=(len(registered), len(inliers)))
         shared = (seen @ seen.T).toarray()
         pairs = graph.pairs[np.isin(graph.pairs, registered).all(axis=1)]
         i, j = np.searchsorted(registered, pairs).T

@@ -9,6 +9,7 @@ changes any artifact.
 """
 
 import dataclasses
+import hashlib
 import json
 import logging
 import numbers
@@ -55,7 +56,7 @@ STAGE_INPUTS = {
     "tracks": ("matches.json", "clusters.json"),
     "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
     "average": ("matches.json", "relative_motions.npz"),
-    "triangulate": ("tracks.json", "clusters.json", "global_motion.npz", "local_reconstructions.json"),
+    "triangulate": ("clusters.json", "global_motion.npz", "local_reconstructions.json"),
     "ba": ("points.npz", "clusters.json", "global_motion.npz", "matches.json"),
     "evaluate": ("matches.json", "ground_truth.npz", "relative_motions.npz", "final_motion.npz", "final_points.npz", "clusters.json"),
 }
@@ -147,11 +148,10 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
+        """The hash of every setting but output_dir and workers, which
+        change no artifact."""
+        settings = {k: v for k, v in self.to_dict().items() if k not in ("output_dir", "workers")}
+        return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +285,28 @@ def stage_average(config: PipelineConfig, out_dir) -> None:
     sfm_io.save_global_motion(Path(out_dir) / "global_motion.npz", motion)
 
 
-def validated_tracks(tracks: TrackTable, recs) -> TrackTable:
-    """Tracks restricted to the observations the local reconstructions kept
-    as inliers, by track id; of the rows of one camera on one track the
-    first in cluster order is kept. Tracks unknown to `tracks` or left with
-    fewer than 2 views are dropped; a view that `tracks` lacks gets feature
-    -1."""
-    ints = np.zeros(0, dtype=np.int64)
-    track = np.concatenate([ints] + [r.obs_tracks for r in recs])
-    cam = np.concatenate([ints] + [r.obs_cameras for r in recs])
-    xy = np.concatenate([np.zeros((0, 2))] + [r.obs_xy for r in recs])
-    # one sortable key per (track, camera)
-    stride = max(cam.max(initial=0), tracks.cameras.max(initial=0)) + 1
-    src_key = tracks.ids[tracks.owner()] * stride + tracks.cameras
-    known = np.flatnonzero(np.isin(track, tracks.ids))
-    key, first = np.unique((track * stride + cam)[known], return_index=True)
-    rows = known[first]
-    by_key = np.argsort(src_key)
-    at = by_key[np.minimum(np.searchsorted(src_key, key, sorter=by_key), len(src_key) - 1)]
-    feat = np.where(src_key[at] == key, tracks.features[at], -1)
+def validated_tracks(recs) -> TrackTable:
+    """The local reconstructions' inlier rows merged by track id: of the
+    rows of one camera on one track the first in cluster order is kept, and
+    tracks left with fewer than 2 views are dropped."""
+    tables = [TrackTable.empty()] + [r.inliers for r in recs]
+    track = np.concatenate([t.ids[t.owner()] for t in tables])
+    cam = np.concatenate([t.cameras for t in tables])
+    # one sortable key per (track, camera); np.unique returns each key's first row
+    _, rows = np.unique(track * (cam.max(initial=0) + 1) + cam, return_index=True)
     ids, owner, views = np.unique(track[rows], return_inverse=True, return_counts=True)
     kept = views >= 2
-    rows, feat = rows[kept[owner]], feat[kept[owner]]
-    return TrackTable(ids[kept], np.append(0, np.cumsum(views[kept])), cam[rows], feat, xy[rows])
+    rows = rows[kept[owner]]
+    return TrackTable(ids[kept], np.append(0, np.cumsum(views[kept])), cam[rows],
+                      np.concatenate([t.features for t in tables])[rows], np.concatenate([t.xy for t in tables])[rows])
 
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
-    tracks = sfm_io.load_tracks(Path(out_dir) / "tracks.json", len(cameras))
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
-    points = triangulate_global(validated_tracks(tracks, recs), motion, cs, cameras)
+    points = triangulate_global(validated_tracks(recs), motion, cs, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
 
 
@@ -383,8 +373,9 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
     """Run the requested stages in pipeline order.
 
     With resume=True, stages whose artifacts are present and fresh (per the
-    manifest hash chain) are skipped. Any stage failure propagates with the
-    failing stage named; earlier artifacts stay intact.
+    manifest hash chain) and that ran with the same config_hash are
+    skipped. Any stage failure propagates with the failing stage named;
+    earlier artifacts stay intact.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -398,8 +389,9 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
         if stage not in selected:
             continue
         if resume:
-            status = stage_status(out_dir).get(stage, {})
-            if status.get("present") and not status.get("stale"):
+            status = stage_status(out_dir)[stage]
+            settled = _load_manifest(out_dir).get(stage, {}).get("configHash") == config.config_hash()
+            if status["present"] and not status["stale"] and settled:
                 logger.info("stage %s: fresh, skipped", stage)
                 continue
         t0 = time.time()

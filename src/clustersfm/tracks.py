@@ -36,6 +36,11 @@ class TrackTable:
     features: np.ndarray  # (R,) int64
     xy: np.ndarray  # (R, 2) float
 
+    @classmethod
+    def empty(cls) -> "TrackTable":
+        ints = np.zeros(0, dtype=np.int64)
+        return cls(ints, np.zeros(1, dtype=np.int64), ints, ints, np.zeros((0, 2)))
+
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -349,13 +349,12 @@ def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
     tree.assign_leaf_ids()
     leaf_nodes = tree.leaves()
     by_home = {frozenset(h): set(f) for h, f in zip(homes, fulls)}
-    independent, interdependent = [], []
+    interdependent = []
     for k, leaf in enumerate(leaf_nodes):
         home = frozenset(leaf.cameras)
         full = by_home.get(home)
         if full is None:
             raise ClusteringError("tree leaves out of sync with working clusters")
-        independent.append(Cluster(id=k, cameras=leaf.cameras))
         interdependent.append(Cluster(id=k, cameras=tuple(sorted(full))))
     kept = {c for h in homes for c in h}
     uncovered = [
@@ -366,7 +365,6 @@ def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
     ratios = [completeness_ratio(cl, interdependent) for cl in interdependent]
     exhausted = any(r < config.completeness_ratio for r in ratios)
     return ClusterSet(
-        independent=independent,
         interdependent=interdependent,
         tree=tree,
         discarded_edges=uncovered,

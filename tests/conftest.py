@@ -32,8 +32,9 @@ def project_point(R, c, intrinsics, X) -> np.ndarray:
 
 
 def tree_leaves(node) -> list[dict]:
-    """The leaf objects of a clusters.json tree, in leaf-id order."""
-    return [node] if "leaf" in node else tree_leaves(node["children"][0]) + tree_leaves(node["children"][1])
+    """The leaf objects of a clusters.json tree in depth-first order, leaf k
+    independent cluster k."""
+    return [node] if "children" not in node else tree_leaves(node["children"][0]) + tree_leaves(node["children"][1])
 
 
 def match_table(edges):

@@ -30,7 +30,7 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     clusters without enough common tracks to reach the root are dropped
     with a warning.
     """
-    recs = [r for r in reconstructions if not r.failed and len(r.registered) >= 2]
+    recs = [r for r in reconstructions if not r.failed]
     if not recs:
         raise NumericalError("no usable cluster reconstructions to merge")
     recs = sorted(recs, key=lambda r: r.cluster_id)
@@ -39,7 +39,7 @@ def merge_by_similarity(reconstructions: list[LocalReconstruction]):
     edges = []
     for a in range(len(recs)):
         for b in range(a + 1, len(recs)):
-            common, in_a, in_b = np.intersect1d(recs[a].point_tracks, recs[b].point_tracks, return_indices=True)
+            common, in_a, in_b = np.intersect1d(recs[a].inliers.ids, recs[b].inliers.ids, return_indices=True)
             if len(common) < MIN_COMMON_TRACKS:
                 continue
             pts_a, pts_b = recs[a].positions[in_a], recs[b].positions[in_b]

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -85,17 +87,27 @@ def test_cluster_set_roundtrip(tmp_path):
     assert [l.cameras for l in loaded.tree.leaves()] == [l.cameras for l in cs.tree.leaves()]
 
 
+@pytest.mark.parametrize("name,load,save", [pytest.param(*row, id=row[0]) for row in (
+    ("clusters.json", sfm_io.load_cluster_set, sfm_io.save_cluster_set),
+    ("local_reconstructions.json", lambda path, n: sfm_io.load_local_reconstructions(path),
+     sfm_io.save_local_reconstructions),
+    ("points.npz", sfm_io.load_global_points, sfm_io.save_global_points),
+    ("final_points.npz", sfm_io.load_global_points, sfm_io.save_global_points),
+)])
+def test_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, small_run, name, load, save):
+    out = small_run[0]
+    save(tmp_path / name, load(out / name, len(sfm_io.load_cameras(out / "matches.json"))))
+    assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_cluster_set_cameras_checked_against_match_graph(tmp_path):
     g = geometric_graph(30, 0.3, 5)
     cs = cluster_cameras(g, ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3))
     path = tmp_path / "clusters.json"
     sfm_io.save_cluster_set(path, cs)
     data = json.loads(path.read_text())
-    leaf = data["tree"]
-    while "leaf" not in leaf:
-        leaf = leaf["children"][0]
-    for cameras, bad in ((data["interdependent"][0], 999), (data["independent"][-1], 30),
-                         (leaf["cameras"], -1)):
+    leaves = tree_leaves(data["tree"])
+    for cameras, bad in ((data["interdependent"][0], 999), (leaves[-1]["cameras"], 30), (leaves[0]["cameras"], -1)):
         cameras.append(bad)
         path.write_text(json.dumps(data))
         with pytest.raises(DataError, match=r"clusters.json: a cluster camera is not in the match graph's 0\.\.29"):
@@ -142,13 +154,14 @@ def _local_reconstructions():
     rotations = {c: random_rotation(rng) for c in (4, 0, 7)}
     rec.registered, rec.rotation = np.array([0, 4, 7]), np.array([rotations[c] for c in (0, 4, 7)])
     rec.center = rng.normal(size=(3, 3))
-    rec.point_tracks, rec.positions = np.array([9, 5, 12]), rng.normal(size=(3, 3))
-    rec.obs_tracks, rec.obs_cameras = np.array([9, 9, 5, 5, 5, 12, 12]), np.array([0, 7, 0, 4, 7, 4, 7])
-    rec.obs_xy = rng.normal(size=(7, 2)) * 1e3
+    rec.positions = rng.normal(size=(3, 3))
+    xy = rng.normal(size=(7, 2)) * 1e3
+    rec.inliers = track_table([(9, [0, 7], [3, 1], xy[:2]), (5, [0, 4, 7], [8, 0, 2], xy[2:5]),
+                               (12, [4, 7], [5, 6], xy[5:])])
     empty = LocalReconstruction(cluster_id=2, seed_pair=(2, 3), registered=np.array([2, 3]),
                                 rotation=np.array([np.eye(3), np.eye(3)]),
                                 center=np.array([np.zeros(3), [1e-300, 0, -0.0]]))
-    return [rec, LocalReconstruction(cluster_id=1, failed=True), empty]
+    return [rec, LocalReconstruction(cluster_id=1), empty]
 
 
 def test_local_reconstructions_roundtrip(tmp_path):
@@ -162,11 +175,13 @@ def test_local_reconstructions_roundtrip(tmp_path):
             assert (a.cluster_id, a.seed_pair, a.failed) == (b.cluster_id, b.seed_pair, b.failed)
             assert type(b.cluster_id) is int
             assert np.array_equal(a.mean_reprojection, b.mean_reprojection, equal_nan=True)  # NaN if failed
-            ints = ("registered", "point_tracks", "obs_tracks", "obs_cameras")
-            for name in ints + ("rotation", "center", "positions", "obs_xy"):
+            for name in ("registered", "rotation", "center", "positions"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
                 assert getattr(b, name).shape == getattr(a, name).shape, name
-                assert getattr(b, name).dtype == (np.int64 if name in ints else np.float64), name
+                assert getattr(b, name).dtype == getattr(a, name).dtype, name
+            for name in ("ids", "offsets", "cameras", "features", "xy"):
+                x, y = getattr(a.inliers, name), getattr(b.inliers, name)
+                assert np.array_equal(x, y) and y.shape == x.shape and y.dtype == x.dtype, name
 
 
 _FIRST_TRACK = (0, [0, 3], [7, 2], [[1.5, 2.5], [-3.0, 1e-300]])
@@ -340,7 +355,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                              (dict(cameras=data["cameras"].astype(object)), "Object arrays"),
                              (dict(cluster=data["cluster"] + 0.5), "Cannot cast"),
                              (dict(cluster=data["cluster"] > 0), "cluster: true or false where integers are expected"),
-                             (dict(has_position=data["has_position"][:-1]), "malformed"),
+                             (dict(position=data["position"][:-1]), "malformed"),
                              (dict(offsets=data["offsets"][::-1]), "offsets do not rise"),
                              (dict(cameras=np.append(data["cameras"][:-1], 7)),  # point 9 sees camera 2
                               "track 9: camera 7 is not in the match graph's 0..6$"),
@@ -352,10 +367,6 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
                               "track 0: cameras are not strictly ascending$"),
                              (dict(cameras=np.append([0, 0], data["cameras"][2:])),  # a repeated camera
                               "track 0: cameras are not strictly ascending$"),
-                             (dict(has_position=~data["has_position"]),  # a traceback in the ba stage
-                              "point of track 0: status active, but has_position False$"),
-                             (dict(has_position=np.ones(4, dtype=bool)),
-                              "point of track 1: status too_few_views, but has_position True$"),
                              (dict(track=np.array([-1, 1, 7, 9])), "point track -1 is negative$"),  # accepted
                              (dict(track=np.array([0, 7, 1, 9])), "point track 1 follows track 7: the ids must rise"),
                              (dict(track=np.array([0, 1, 1, 9])), "point track 1 follows track 1: the ids must rise")):
@@ -366,8 +377,12 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     assert len(sfm_io.load_global_points(path, 7)) == 4
     with pytest.raises(DataError, match=f"^{path}: track 7: camera 6 is not in the match graph's 0..5$"):
         sfm_io.load_global_points(path, 6)
+    with zipfile.ZipFile(path) as archive:
+        member = archive.getinfo("position.npy")
+    start = member.header_offset + 30  # past the fixed part of the member's local header
+    start += int.from_bytes(good[start - 4:start - 2], "little") + int.from_bytes(good[start - 2:start], "little")
     flipped = bytearray(good)
-    flipped[len(good) // 2] ^= 0xFF
+    flipped[start + member.compress_size - 1] ^= 0xFF  # the last byte of the positions
     for damaged, message in ((good[: len(good) // 2], "BadZipFile"), (b"", "EOFError"),
                              (bytes(flipped), "Bad CRC-32")):
         path.write_bytes(damaged)
@@ -377,31 +392,28 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     sfm_io.save_cluster_set(path, cluster_cameras(geometric_graph(30, 0.3, 5),
                                                   ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3)))
     good = path.read_text()
-    independent = json.loads(good)["independent"]
-    c, last = independent[0][0], len(independent) - 1
+    leaves = [leaf["cameras"] for leaf in tree_leaves(json.loads(good)["tree"])]
+    c, last = leaves[0][0], len(leaves) - 1
 
-    def share(d):  # camera c of cluster 0 joins independent cluster 1 and tree leaf 1 too
-        for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
-            cameras[:] = sorted(cameras + [c])
-
-    def swap(d):  # the first two leaves trade ids
-        a, b = tree_leaves(d["tree"])[:2]
-        a["leaf"], b["leaf"] = b["leaf"], a["leaf"]
+    def share(d):  # camera c of leaf 0 joins leaf 1 too
+        cameras = tree_leaves(d["tree"])[1]["cameras"]
+        cameras[:] = sorted(cameras + [c])
 
     for change, message in (
-        (lambda d: [leaf.update(leaf=99) for leaf in tree_leaves(d["tree"])],  # accepted: the loader renumbered the leaves
-         "tree leaf 0 has the id 99, not its depth-first index 0"),
-        (swap, "tree leaf 0 has the id 1, not its depth-first index 0"),
-        (lambda d: tree_leaves(d["tree"])[1].update(leaf=True), "tree leaf 1 has the id true, not its depth-first index 1"),
-        (lambda d: tree_leaves(d["tree"])[0]["cameras"].pop(), "tree leaf 0 is not independent cluster 0"),
-        (lambda d: d["independent"][1].pop(), "tree leaf 1 is not independent cluster 1"),
-        (lambda d: d["independent"].pop(), f"tree leaf {last} is not independent cluster {last}"),
         (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
          "interdependent cluster 0: cameras are not strictly ascending"),
-        (lambda d: d["independent"][0].reverse(), "independent cluster 0: cameras are not strictly ascending"),
+        (lambda d: tree_leaves(d["tree"])[0]["cameras"].reverse(),
+         "independent cluster 0: cameras are not strictly ascending"),
         (lambda d: tree_leaves(d["tree"])[1]["cameras"].append(tree_leaves(d["tree"])[1]["cameras"][-1]),
-         "tree leaf 1: cameras are not strictly ascending"),
+         "independent cluster 1: cameras are not strictly ascending"),
+        (lambda d: tree_leaves(d["tree"])[1]["cameras"].append(True),
+         "a cluster camera is not in the match graph's 0..29: independent cluster 1"),
         (share, f"independent clusters 0 and 1 share camera {c}"),
+        (lambda d: d["interdependent"][1].remove(leaves[1][0]),
+         "interdependent cluster 1 does not hold independent cluster 1"),
+        (lambda d: d["interdependent"].pop(), f"interdependent cluster {last} does not hold independent cluster {last}"),
+        (lambda d: d["interdependent"].append([0]),
+         f"interdependent cluster {last + 1} does not hold independent cluster {last + 1}"),
     ):
         data = json.loads(good)
         change(data)
@@ -432,13 +444,10 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         with pytest.raises(DataError, match=f"^{path}: track 4: a pixel is not finite$"):
             sfm_io.load_tracks(path, 6)
     recs = _local_reconstructions()
-    recs[0].obs_cameras = np.array([0, 7, 0, 7, 4, 4, 7])  # the rows of track 5 are unsorted
+    recs[0].inliers = dataclasses.replace(recs[0].inliers, cameras=np.array([0, 7, 0, 7, 4, 4, 7]))  # track 5 unsorted
     sfm_io.save_local_reconstructions(path, recs)
     with pytest.raises(DataError, match=f"^{path}: track 5: cameras are not strictly ascending"):
         sfm_io.load_local_reconstructions(path)
-    recs[0].obs_tracks = np.array([9, 5, 9, 5, 5, 12, 12])
-    with pytest.raises(ValueError, match="cluster 0: the inlier rows are not grouped by the points' tracks"):
-        sfm_io.save_local_reconstructions(path, recs)
     nested = {  # the formats of earlier releases
         "tracks": [{"id": 0, "elements": [[0, 0, 0.0, 0.0], [1, 0, 0.0, 0.0]]}],
         "local-reconstruction": [{"clusterId": 0, "failed": False, "seedPair": [0, 1], "meanReprojection": 0.5,
@@ -463,6 +472,7 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
             ("offsets", [offsets[0], offsets[2], offsets[1], *offsets[3:]], "offsets do not rise"),
             ("offsets", offsets[:-1] + [offsets[-1] + 1], "offsets do not rise"),  # ends after the last row
             ("track", None, "track"),  # a missing key is named
+            ("features", data["features"][:-12], "malformed"),  # one row short
         ):
             broken = {k: v for k, v in dict(data, **{key: change}).items() if v is not None}
             path.write_text(json.dumps(broken))

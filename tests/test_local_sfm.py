@@ -267,21 +267,20 @@ def test_two_camera_cluster_is_seed_only(orbit_scene_small):
 def test_extract_relative_motions_identity_example():
     rec = LocalReconstruction(cluster_id=0, registered=np.array([0, 1]), rotation=np.stack([np.eye(3), np.eye(3)]),
                               center=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    rec.point_tracks, rec.positions = np.array([0]), np.zeros((1, 3))
-    rec.obs_tracks, rec.obs_cameras, rec.obs_xy = np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2))
+    rec.positions, rec.inliers = np.zeros((1, 3)), track_table([(0, [0, 1], [0, 0], np.zeros((2, 2)))])
     from conftest import match_table, weighted_edge
 
     graph = build_camera_graph(match_table([weighted_edge(0, 1, 5)]), 2)
     # the same pair measured again by cluster 7, at twice the scale, after a
     # failed cluster that adds nothing
     twice = dataclasses.replace(rec, cluster_id=7, center=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
-    motions = extract_relative_motions([rec, LocalReconstruction(cluster_id=4, failed=True), twice], graph)
+    motions = extract_relative_motions([rec, LocalReconstruction(cluster_id=4), twice], graph)
     assert len(motions) == 2 and motions.pairs.tolist() == [[0, 1], [0, 1]] and motions.cluster.tolist() == [0, 7]
     assert np.array_equal(motions.rotation, np.stack([np.eye(3), np.eye(3)]))
     assert np.array_equal(motions.translation, [[-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
     assert motions.support.tolist() == [1, 1]
     motions.check(2)
-    empty = extract_relative_motions([LocalReconstruction(cluster_id=4, failed=True)], graph)
+    empty = extract_relative_motions([LocalReconstruction(cluster_id=4)], graph)
     assert len(empty) == 0 and empty.pairs.shape == (0, 2) and empty.rotation.shape == (0, 3, 3)
 
 
@@ -305,8 +304,9 @@ def test_support_counts_shared_inlier_tracks(orbit_run):
     scene, _, graph, _, rec = orbit_run
     # reference: the set of tracks each camera keeps as inliers
     tracks_of = {}
-    for t, c in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist()):
-        tracks_of.setdefault(c, set()).add(t)
+    for t, cams, _, _ in track_rows(rec.inliers):
+        for c in cams.tolist():
+            tracks_of.setdefault(c, set()).add(t)
     motions = motion_rows(extract_relative_motions([rec], graph))
     registered = set(rec.registered.tolist())
     assert [(m.i, m.j) for m in motions] == [(i, j) for i, j in graph.pairs.tolist() if {i, j} <= registered]
@@ -322,15 +322,16 @@ def test_support_counts_shared_inlier_tracks(orbit_run):
 
 def test_run_local_sfm_inlier_rows_match_points(orbit_run):
     _, _, _, tracks, rec = orbit_run
-    # each point's rows are contiguous, in point order, cameras ascending
-    first = np.flatnonzero(np.diff(rec.obs_tracks, prepend=-1))
-    assert np.array_equal(rec.obs_tracks[first], rec.point_tracks)
-    assert np.all(np.diff(np.append(first, len(rec.obs_tracks))) >= 2)
-    by_id = {t: (cams.tolist(), xys) for t, cams, _, xys in track_rows(tracks)}
-    for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy):
-        cams, xys = by_id[t]
-        assert np.array_equal(xys[cams.index(c)], xy)
-    assert rec.positions.shape == (len(rec.point_tracks), 3) and rec.obs_xy.shape == (len(rec.obs_tracks), 2)
+    # each point's rows are a track of the table: >= 2 cameras, ascending,
+    # each with the feature and pixel of the track's element
+    rec.inliers.check(int(rec.registered[-1]) + 1)
+    assert np.all(np.diff(rec.inliers.offsets) >= 2) and np.all(np.diff(rec.inliers.ids) > 0)
+    by_id = {t: (cams.tolist(), feats, xys) for t, cams, feats, xys in track_rows(tracks)}
+    for t, cams, feats, xys in track_rows(rec.inliers):
+        all_cams, all_feats, all_xys = by_id[t]
+        at = [all_cams.index(c) for c in cams.tolist()]
+        assert np.array_equal(all_feats[at], feats) and np.array_equal(all_xys[at], xys)
+    assert rec.positions.shape == (len(rec.inliers), 3)
 
 
 def test_cross_cluster_consistency_noise_free(orbit_scene_small):
@@ -344,7 +345,7 @@ def test_cross_cluster_consistency_noise_free(orbit_scene_small):
     rec_b = run_local_sfm(graph, Cluster(id=1, cameras=cams_b), tracks, scene.cameras, SEED)
     # the second cluster's camera indices are not its camera ids
     assert set(rec_b.seed_pair) <= set(rec_b.registered.tolist()) <= set(cams_b)
-    assert set(rec_b.obs_cameras.tolist()) <= set(rec_b.registered.tolist())
+    assert set(rec_b.inliers.cameras.tolist()) <= set(rec_b.registered.tolist())
     motions = motion_rows(extract_relative_motions([rec_a, rec_b], graph))
     ma = {(m.i, m.j): m for m in motions if m.k == 0}
     mb = {(m.i, m.j): m for m in motions if m.k == 1}

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import logging
 import shutil
 import threading
 
@@ -9,10 +10,9 @@ import pytest
 
 from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
-from clustersfm.global_ba import STATUSES
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
-from clustersfm.pipeline import PipelineConfig, run_pipeline, stage_status, validated_tracks
+from clustersfm.pipeline import STAGES, PipelineConfig, run_pipeline, stage_status, validated_tracks
 from clustersfm.utils import parallel_map
 from conftest import SMALL, track_rows, track_table, tree_leaves
 
@@ -44,6 +44,29 @@ def test_resume_reruns_only_missing_stage(small_run):
     assert (out / "report.json").exists()
     after = {name: (out / name).stat().st_mtime_ns for name in before}
     assert before == after  # upstream stages untouched
+
+
+def _resumed_stages(caplog, config) -> list:
+    """The stages a resumed run of config runs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="clustersfm.pipeline"):
+        run_pipeline(config, resume=True)
+    return [r.args[0] for r in caplog.records if r.msg == "stage %s: running"]
+
+
+def test_resume_reruns_every_stage_when_a_setting_changed(small_run, tmp_path, caplog):
+    """One hash covers every setting but output_dir and workers, so a new
+    cap re-runs cluster and every later stage (and synth, whose settings
+    share that hash)."""
+    shutil.copytree(small_run[0], tmp_path, dirs_exist_ok=True)
+    config = PipelineConfig(output_dir=str(tmp_path), **dict(SMALL, max_cluster_size=12))
+    assert _resumed_stages(caplog, config) == list(STAGES)
+    assert _resumed_stages(caplog, config) == []
+
+
+def test_resume_reruns_nothing_when_only_workers_or_output_dir_changed(small_run, tmp_path, caplog):
+    shutil.copytree(small_run[0], tmp_path, dirs_exist_ok=True)
+    assert _resumed_stages(caplog, PipelineConfig(output_dir=str(tmp_path), workers=2, **SMALL)) == []
 
 
 def test_tampering_marks_downstream_stale(small_run):
@@ -384,9 +407,6 @@ def _motion_file_rows(name, stages):
     *[pytest.param(name, stages, change, message, id=f"{name[:-4]}-{row_id}")
       for name, stages in (("points.npz", ("ba",)), ("final_points.npz", ("evaluate",)))
       for row_id, change, message in (
-        ("has-position-reversed", _replace("has_position", np.logical_not),  # ba raised a ValueError
-         lambda d: f"point of track {d['track'][0]}: status {STATUSES[d['status'][0]]}, "
-                   f"but has_position {d['has_position'][0]}"),
         ("track-negative", _put("track", 0, -1), "point track -1 is negative"),  # exited 0
         ("tracks-swapped", _put("track", [0, 1], lambda t: t[::-1]),
          lambda d: f"point track {d['track'][1]} follows track {d['track'][0]}: the ids must rise strictly"),
@@ -417,10 +437,9 @@ def test_cli_track_camera_outside_match_graph_exit_code(small_run, tmp_path, cap
     cameras = tracks.cameras.copy()
     cameras[tracks.offsets[1] - 1] = 999  # the last camera of the first track, so it stays ascending
     save_tracks(path, dataclasses.replace(tracks, cameras=cameras))
-    for stage in ("local-sfm", "triangulate"):
-        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
-        _one_line_data_error(capsys, stage, "tracks.json",
-                             f"track {tracks.ids[0]}: camera 999 is not in the match graph's 0..17")
+    assert cli_main(["local-sfm", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "local-sfm", "tracks.json",
+                         f"track {tracks.ids[0]}: camera 999 is not in the match graph's 0..17")
 
 
 def test_cli_point_camera_not_posed_exit_code(small_run, tmp_path, capsys):
@@ -484,22 +503,20 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "clusters.json"
     original = path.read_text()
-    c = json.loads(original)["independent"][0][0]
-    last = len(json.loads(original)["independent"]) - 1
+    leaves = tree_leaves(json.loads(original)["tree"])
+    c, last = leaves[0]["cameras"][0], len(leaves) - 1
     consumers = ("tracks", "local-sfm", "triangulate", "ba", "evaluate")
 
-    def share(d):  # camera c of cluster 0 joins independent cluster 1 and tree leaf 1 too
-        for cameras in (d["independent"][1], tree_leaves(d["tree"])[1]["cameras"]):
-            cameras[:] = sorted(cameras + [c])
+    def share(d):  # camera c of leaf 0 joins leaf 1 too
+        cameras = tree_leaves(d["tree"])[1]["cameras"]
+        cameras[:] = sorted(cameras + [c])
 
     for change, message, stages in (
-        (lambda d: tree_leaves(d["tree"])[0]["cameras"].pop(), "tree leaf 0 is not independent cluster 0",
-         ("tracks", "triangulate", "ba")),  # each exited 0
         (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
          "interdependent cluster 0: cameras are not strictly ascending", ("local-sfm",)),  # exited 0
-        (share, f"independent clusters 0 and 1 share camera {c}", ("triangulate", "ba")),  # triangulate exited 0
-        (lambda d: [leaf.update(leaf=99) for leaf in tree_leaves(d["tree"])],  # each exited 0
-         "tree leaf 0 has the id 99, not its depth-first index 0", consumers),
+        (share, f"independent clusters 0 and 1 share camera {c}", consumers),  # triangulate exited 0
+        (lambda d: tree_leaves(d["tree"])[1]["cameras"].reverse(),
+         "independent cluster 1: cameras are not strictly ascending", consumers),
         (lambda d: d["interdependent"].pop(),  # each exited 0
          f"interdependent cluster {last} does not hold independent cluster {last}", consumers),
         (lambda d: d["interdependent"].__setitem__(1, d["interdependent"][0]),  # each exited 0
@@ -577,9 +594,8 @@ def test_cli_non_finite_pixel_exit_code(small_run, tmp_path, capsys):
     xy = tracks.xy.copy()
     xy[tracks.offsets[1], 0] = float("inf")  # the first pixel of the second track
     save_tracks(path, dataclasses.replace(tracks, xy=xy))
-    for stage in ("local-sfm", "triangulate"):
-        assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
-        _one_line_data_error(capsys, stage, "tracks.json", f"track {tracks.ids[1]}: a pixel is not finite")
+    assert cli_main(["local-sfm", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "local-sfm", "tracks.json", f"track {tracks.ids[1]}: a pixel is not finite")
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -617,26 +633,16 @@ def test_cli_unwritable_artifact_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def _validated_tracks_reference(tracks, recs):
+def _validated_tracks_reference(recs):
     """validated_tracks as a merge of per-track dicts: (id, cameras,
     features, pixels) per track."""
-    by_id = {t: dict(zip(cams.tolist(), feats.tolist())) for t, cams, feats, _ in track_rows(tracks)}
     merged = {}
     for rec in recs:
-        for t, c, xy in zip(rec.obs_tracks.tolist(), rec.obs_cameras.tolist(), rec.obs_xy.tolist()):
-            merged.setdefault(t, {}).setdefault(c, xy)
-    out = []
-    for t in sorted(merged):
-        if len(merged[t]) < 2 or t not in by_id:
-            continue
-        cameras = sorted(merged[t])
-        out.append((t, cameras, [by_id[t].get(c, -1) for c in cameras], [merged[t][c] for c in cameras]))
-    return out
-
-
-def _rec(cluster_id, tracks, cameras, xy):
-    return LocalReconstruction(cluster_id=cluster_id, obs_tracks=np.array(tracks), obs_cameras=np.array(cameras),
-                               obs_xy=np.array(xy, dtype=float))
+        for t, cams, feats, xy in track_rows(rec.inliers):
+            for c, f, p in zip(cams.tolist(), feats.tolist(), xy.tolist()):
+                merged.setdefault(t, {}).setdefault(c, (f, p))
+    return [(t, sorted(merged[t]), [merged[t][c][0] for c in sorted(merged[t])],
+             [merged[t][c][1] for c in sorted(merged[t])]) for t in sorted(merged) if len(merged[t]) >= 2]
 
 
 def test_validated_tracks_matches_dict_merge(small_run):
@@ -645,23 +651,26 @@ def test_validated_tracks_matches_dict_merge(small_run):
     recs = load_local_reconstructions(out / "local_reconstructions.json")
     registered = [c for r in recs for c in r.registered]
     assert len(set(registered)) < len(registered)  # the clusters overlap
-    made = track_table([
-        (0, [0, 1, 2], [10, 11, 12], np.zeros((3, 2))),
-        (1, [1, 2], [20, 21], np.zeros((2, 2))),
-        (3, [0, 4], [30, 31], np.zeros((2, 2))),
-    ])
     made_recs = [
-        # track 7 is not in the tracks; camera 5 is not in track 1
-        _rec(0, [0, 0, 1, 1, 7, 7], [0, 1, 1, 5, 0, 1], [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [1, 1]]),
+        LocalReconstruction(cluster_id=0, inliers=track_table([
+            (0, [0, 1], [10, 11], [[0, 1], [2, 3]]), (1, [1, 5], [20, 25], [[4, 5], [6, 7]]),
+            (7, [0, 1], [70, 71], [[8, 9], [1, 1]])])),
         # camera 1 of track 0 again, with another pixel; track 3 keeps one view
-        _rec(1, [0, 0, 3], [1, 2, 4], [[-1, -1], [-2, -2], [5, 5]]),
+        LocalReconstruction(cluster_id=1, inliers=track_table([
+            (0, [1, 2], [11, 12], [[-1, -1], [-2, -2]]), (3, [4], [31], [[5, 5]])])),
     ]
-    for tracks, recs in ((tracks, recs), (made, made_recs), (made, []), (track_table([]), made_recs)):
-        got = validated_tracks(tracks, recs)
+    for merged in (recs, made_recs, []):
+        got = validated_tracks(merged)
         assert [(t, cams.tolist(), feats.tolist(), xy.tolist()) for t, cams, feats, xy in track_rows(got)] == \
-            _validated_tracks_reference(tracks, recs)
+            _validated_tracks_reference(merged)
         assert got.ids.dtype == got.offsets.dtype == got.cameras.dtype == got.features.dtype == np.int64
         assert got.xy.dtype == np.float64 and got.xy.shape == (len(got.cameras), 2)
         got.check(SMALL["num_cameras"])
-    assert [(t, feats.tolist(), xy.tolist()) for t, _, feats, xy in track_rows(validated_tracks(made, made_recs))] == [
-        (0, [10, 11, 12], [[0, 1], [2, 3], [-2, -2]]), (1, [20, -1], [[4, 5], [6, 7]])]
+    assert [(t, feats.tolist(), xy.tolist()) for t, _, feats, xy in track_rows(validated_tracks(made_recs))] == [
+        (0, [10, 11, 12], [[0, 1], [2, 3], [-2, -2]]), (1, [20, 25], [[4, 5], [6, 7]]),
+        (7, [70, 71], [[8, 9], [1, 1]])]
+    # the inlier rows of a run keep the features and pixels of their tracks
+    features = {(t, c): (f, p) for t, cams, feats, xy in track_rows(tracks)
+                for c, f, p in zip(cams.tolist(), feats.tolist(), xy.tolist())}
+    for t, cams, feats, xy in track_rows(validated_tracks(recs)):
+        assert [features[t, c] for c in cams.tolist()] == list(zip(feats.tolist(), xy.tolist()))
