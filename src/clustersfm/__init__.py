@@ -8,7 +8,6 @@ from .averaging import (
 )
 from .clustering import (
     Cluster,
-    ClusterConfig,
     ClusterSet,
     ClusterTree,
     bisect_normalized_cut,

@@ -168,14 +168,15 @@ def rotation_averaging(motions: MotionTable) -> RotationEstimate:
 # Translation averaging
 # ---------------------------------------------------------------------------
 
-def _irls_l1(M, d, max_iterations, relative_tol):
-    """Minimize ||M z - d||_1 by IRLS from the least-squares start. An
-    iterate that raises the objective is rejected and ends the loop, and so
-    does one that cuts it by at most relative_tol of its value. Returns (z,
-    iterations); z is not finite where a solve found M rank deficient."""
+def _irls_l1(M, d):
+    """Minimize ||M z - d||_1 by IRLS from the least-squares start, for at
+    most L1_MAX_ITERATIONS iterations. An iterate that raises the objective
+    is rejected and ends the loop, and so does one that cuts it by at most
+    L1_RELATIVE_TOL of its value. Returns (z, iterations); z is not finite
+    where a solve found M rank deficient."""
     weights = np.ones(M.shape[0])
     z = objective = None
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, L1_MAX_ITERATIONS + 1):
         Wsqrt = np.sqrt(weights)
         Mw = M.multiply(Wsqrt[:, None]).tocsr()
         H = (Mw.T @ Mw).tocsc()
@@ -193,7 +194,7 @@ def _irls_l1(M, d, max_iterations, relative_tol):
         if objective is not None and new_objective > objective * (1.0 + 1e-12):
             break  # reject non-improving iterate; keep previous solution
         z = z_new
-        improved = objective is None or (objective - new_objective) > relative_tol * max(objective, 1e-300)
+        improved = objective is None or (objective - new_objective) > L1_RELATIVE_TOL * max(objective, 1e-300)
         objective = new_objective
         weights = 1.0 / np.maximum(np.abs(r), L1_EPS)
         if not improved:
@@ -203,9 +204,7 @@ def _irls_l1(M, d, max_iterations, relative_tol):
     return z, iterations
 
 
-def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
-                         max_iterations: int = L1_MAX_ITERATIONS,
-                         relative_tol: float = L1_RELATIVE_TOL) -> GlobalMotion:
+def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate) -> GlobalMotion:
     """Minimize ||A x_s - B y_c||_1 with c_gauge = 0 and alpha_gauge = 1.
 
     Each motion q gives the 3 rows 3q..3q+2: A holds p = R_j^T t_ij in the
@@ -240,7 +239,7 @@ def solve_translation_l1(motions: MotionTable, estimate: RotationEstimate,
     free_cls = np.delete(np.arange(len(clusters)), gauge)
     M = sp_hstack([A[:, free_cls], -B[:, 3:]]).tocsr()
     d = -A[:, [gauge]].toarray().ravel()  # alpha_gauge = 1
-    z, iterations = _irls_l1(M, d, max_iterations, relative_tol)
+    z, iterations = _irls_l1(M, d)
 
     off = len(free_cls)
     v = np.flatnonzero(~np.isfinite(z))

@@ -5,6 +5,7 @@ failure.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -42,10 +43,6 @@ def _add_cluster(parser):
     parser.add_argument("--completeness-ratio", type=float, default=None)
 
 
-def _add_ba(parser):
-    parser.add_argument("--rounds", type=int, default=None, dest="ba_rounds")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clustersfm",
@@ -59,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
             _add_synth(p)
         if name in ("cluster", "run"):
             _add_cluster(p)
-        if name in ("ba", "run"):
-            _add_ba(p)
         if name == "run":
             p.add_argument("--resume", action="store_true", help="skip fresh stages")
             p.add_argument("--stages", default=None, help="comma-separated stage subset")
@@ -69,14 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "seed", "workers", "layout", "num_cameras", "num_points", "pixel_sigma",
-    "outlier_fraction", "max_cluster_size", "completeness_ratio", "ba_rounds",
-)
+# each flag's dest is a PipelineConfig field; an unset flag leaves the field to the config file
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {"output_dir": args.output_dir}
+    overrides = {}
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:

@@ -40,22 +40,7 @@ EIG_TOL = 1e-8
 EIG_MAX_ITER = 500
 BALANCE_FLOOR = 0.2
 OBJECTIVE_TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    max_cluster_size: int = 100
-    completeness_ratio: float = 0.7
-    seed: int = 0
-    max_outer_iterations: int = 16
-
-    def __post_init__(self):
-        if self.max_cluster_size < 2:
-            raise ConfigurationError("max_cluster_size must be >= 2")
-        if not (0.0 <= self.completeness_ratio < 1.0):
-            raise ConfigurationError("completeness_ratio must be in [0, 1)")
-        if self.max_outer_iterations < 1:
-            raise ConfigurationError("max_outer_iterations must be >= 1")
+MAX_OUTER_ITERATIONS = 16  # division/expansion rounds before ClusteringError
 
 
 @dataclass
@@ -342,11 +327,13 @@ def _expand(home: list, member: np.ndarray, pairs: np.ndarray, threshold: float,
 # Full clustering loop
 # ---------------------------------------------------------------------------
 
-def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
+def cluster_cameras(graph: CameraGraph, max_cluster_size: int, completeness_ratio: float, seed: int) -> ClusterSet:
     """Iterate graph division and expansion until every interdependent
-    cluster satisfies the size cap and (unless the cross edges run out)
-    the completeness threshold. When a divided state repeats, that round's
-    expansion grows no cluster past the cap, and the round settles."""
+    cluster holds at most max_cluster_size cameras and (unless the cross
+    edges run out) reaches completeness_ratio. When a divided state
+    repeats, that round's expansion grows no cluster past the cap, and the
+    round settles; MAX_OUTER_ITERATIONS rounds without settling raise
+    ClusteringError."""
     n_comp, labels = connected_components(graph.adjacency(), directed=False)
     alone = np.bincount(labels, minlength=n_comp)[labels] < 2  # a camera without edges
     dropped, kept = np.flatnonzero(alone).tolist(), np.flatnonzero(~alone).tolist()
@@ -355,11 +342,11 @@ def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
     if len(kept) < 2:
         raise ConfigurationError("camera graph has no component with >= 2 cameras")
 
-    cap = config.max_cluster_size
+    cap = max_cluster_size
     _, tree = divide(graph, cap, kept)
     state = [(leaf, leaf.cameras) for leaf in tree.leaves()]  # (tree leaf, full camera set)
     seen = set()
-    for round_ in range(config.max_outer_iterations):
+    for round_ in range(MAX_OUTER_ITERATIONS):
         if round_:
             state = [pair for leaf, full in state
                      for pair in (_redivide(graph, leaf, full, cap) if len(full) > cap else [(leaf, full)])]
@@ -375,18 +362,17 @@ def cluster_cameras(graph: CameraGraph, config: ClusterConfig) -> ClusterSet:
         i, j = graph.pairs.T
         cross = home[i] != home[j]
         order = np.lexsort((j[cross], i[cross], -graph.weights[cross]))
-        overlap = _expand(home.tolist(), member, graph.pairs[cross][order], config.completeness_ratio,
-                          config.seed, limit)
+        overlap = _expand(home.tolist(), member, graph.pairs[cross][order], completeness_ratio, seed, limit)
         state = [(leaf, tuple(np.flatnonzero(column).tolist())) for (leaf, _), column in zip(state, member.T)]
         if all(len(full) <= cap for _, full in state):
-            return _assemble(graph, tree, state, member, overlap, config, dropped)
+            return _assemble(graph, tree, state, member, overlap, completeness_ratio, dropped)
     raise ClusteringError(
-        f"clustering did not settle within {config.max_outer_iterations} iterations",
-        last_state=_assemble(graph, tree, state, member, overlap, config, dropped),
+        f"clustering did not settle within {MAX_OUTER_ITERATIONS} iterations",
+        last_state=_assemble(graph, tree, state, member, overlap, completeness_ratio, dropped),
     )
 
 
-def _assemble(graph, tree, state, member, overlap, config, dropped) -> ClusterSet:
+def _assemble(graph, tree, state, member, overlap, threshold, dropped) -> ClusterSet:
     """The cluster set of the (tree leaf, full set) pairs, in the tree's
     depth-first leaf order, and of member and overlap as _expand left them."""
     incidence = csr_matrix(member)
@@ -398,6 +384,6 @@ def _assemble(graph, tree, state, member, overlap, config, dropped) -> ClusterSe
         tree=tree,
         discarded_edges=[tuple(e) for e in np.column_stack((graph.pairs, graph.weights))[~covered].tolist()],
         achieved_ratios=ratios,
-        exhausted=any(r < config.completeness_ratio for r in ratios),
+        exhausted=any(r < threshold for r in ratios),
         dropped_cameras=dropped,
     )

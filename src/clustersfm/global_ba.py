@@ -24,7 +24,8 @@ from .utils import parallel_map
 logger = logging.getLogger(__name__)
 
 MIN_GLOBAL_VIEWS = 3
-DEFAULT_ROUNDS = 10
+MAX_ROUNDS = 10
+PARTITION_MAX_ITERATIONS = 50  # LM iterations of one partition solve
 ROUND_RELATIVE_TOL = 1e-4  # stop when a round cuts the global cost by at most this share
 STATUSES = ("active", "too_few_views", "cheirality", "reprojection")
 
@@ -47,8 +48,7 @@ class GlobalPoint:
 class BAPartition:
     cluster_id: int
     cameras: tuple
-    owned_points: list  # indices into the active point list
-    interior_points: list  # owned points seen only by this partition
+    interior_points: list  # indices into the active point list of the points it owns that only it sees
 
 
 @dataclass
@@ -125,11 +125,9 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion:
         if not cams:
             continue
         cam_set = set(cams)
-        owned = [pi for pi, p in enumerate(active) if p.cluster_id == cid]
-        interior = [
-            pi for pi in owned if all(int(c) in cam_set for c in active[pi].cameras)
-        ]
-        partitions.append(BAPartition(cluster_id=cid, cameras=cams, owned_points=owned, interior_points=interior))
+        interior = [pi for pi, p in enumerate(active)
+                    if p.cluster_id == cid and all(int(c) in cam_set for c in p.cameras)]
+        partitions.append(BAPartition(cluster_id=cid, cameras=cams, interior_points=interior))
     return partitions
 
 
@@ -138,8 +136,6 @@ def distributed_bundle_adjust(
     motion: GlobalMotion,
     points: list[GlobalPoint],
     cameras: CameraTable,
-    rounds: int = DEFAULT_ROUNDS,
-    inner_max_iterations: int = 50,
 ):
     """Block-coordinate consensus bundle adjustment over the partitions.
 
@@ -149,8 +145,10 @@ def distributed_bundle_adjust(
     points from all partitions' cameras with a per-point no-worsening
     guard, so the global reprojection cost never increases between
     rounds. The rounds stop when one cuts the global cost by at most
-    ROUND_RELATIVE_TOL of its value before the round, or at the `rounds`
-    cap. Returns (motion, points, round_log).
+    ROUND_RELATIVE_TOL of its value before the round, or at the cap of
+    MAX_ROUNDS rounds; each partition solve runs at most
+    PARTITION_MAX_ITERATIONS LM iterations. Returns (motion, points,
+    round_log).
     """
     active = [p for p in points if p.active]
     cam_ids = motion.cameras
@@ -204,7 +202,7 @@ def distributed_bundle_adjust(
     cost, rms = global_cost()
     log.append(RoundLog(round=0, cost=cost, rms_px=rms))
 
-    for rnd in range(1, rounds + 1):
+    for rnd in range(1, MAX_ROUNDS + 1):
         state = (rotations.copy(), centers.copy(), positions.copy())
 
         def solve_partition(part: BAPartition):
@@ -225,7 +223,7 @@ def distributed_bundle_adjust(
                 free_cams=free_cams,
                 free_pts=free_pts,
             )
-            result = ba_core.lm_minimize(problem, max_iterations=inner_max_iterations)
+            result = ba_core.lm_minimize(problem, max_iterations=PARTITION_MAX_ITERATIONS)
             return part, result
 
         results = parallel_map(solve_partition, partitions)
@@ -262,7 +260,7 @@ def distributed_bundle_adjust(
         if prev_cost - cost <= ROUND_RELATIVE_TOL * prev_cost:
             break
     else:
-        logger.warning("distributed bundle adjustment stopped at its cap of %d rounds", rounds)
+        logger.warning("distributed bundle adjustment stopped at its cap of %d rounds", MAX_ROUNDS)
 
     out_motion = replace(motion, rotation=rotations, center=centers, residual_norms=np.zeros(0), objective=cost)
     out_points = []

@@ -349,12 +349,14 @@ def save_local_reconstructions(path, recs: list[LocalReconstruction]) -> None:
 
 
 @_checked
-def load_local_reconstructions(path) -> list[LocalReconstruction]:
+def load_local_reconstructions(path, num_cameras: int | None = None) -> list[LocalReconstruction]:
     """Every interdependent cluster's reconstruction, entry k cluster k's. A
     DataError names the first entry whose clusterId, registered cameras,
     seedPair or point count holds a non-integer (JSON true or false
     included) or whose clusterId is not k, a cluster whose registered
-    cameras do not rise strictly, and a point whose cameras do not."""
+    cameras do not rise strictly, and a point whose cameras do not or,
+    given num_cameras, one that lies outside the match graph's
+    0..num_cameras-1."""
     data = _load_table(path, "local-reconstruction")
     rotation = _decoded(data, "rotation", float, -1, 3, 3)
     center = _decoded(data, "center", float, len(rotation), 3)
@@ -364,7 +366,7 @@ def load_local_reconstructions(path) -> list[LocalReconstruction]:
     features = _decoded(data, "features", np.int64, len(cameras))
     xy = _decoded(data, "xy", float, len(cameras), 2)
     offsets = _offsets(data, len(track), len(cameras))
-    check_ascending(cameras, offsets, track)
+    check_ascending(cameras, offsets, track, num_cameras)
     clusters = data["clusters"]
     for k, c in enumerate(clusters):
         for key, ids in (("clusterId", [c["clusterId"]]), ("registered", c["registered"]),

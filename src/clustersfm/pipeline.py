@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as sfm_io
 from .averaging import rotation_averaging, solve_translation_l1
-from .clustering import ClusterConfig, cluster_cameras
+from .clustering import cluster_cameras
 from .errors import ConfigurationError, DataError
 from .evaluation import connected_pair_count, epipolar_error, pose_error_report
 from .global_ba import build_partitions, distributed_bundle_adjust, triangulate_global
@@ -61,6 +61,13 @@ STAGE_INPUTS = {
     "evaluate": ("matches.json", "ground_truth.npz", "relative_motions.npz", "final_motion.npz", "final_points.npz", "clusters.json"),
 }
 
+# the PipelineConfig fields each stage reads; output_dir and workers change no artifact
+STAGE_SETTINGS = {
+    "synth": ("seed", "layout", "num_cameras", "num_points", "pixel_sigma", "outlier_fraction"),
+    "cluster": ("seed", "max_cluster_size", "completeness_ratio"),
+    "local-sfm": ("seed",),
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -78,9 +85,6 @@ class PipelineConfig:
     # clustering
     max_cluster_size: int = 100
     completeness_ratio: float = 0.7
-    max_outer_iterations: int = 16
-    # distributed BA
-    ba_rounds: int = 10
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -100,19 +104,14 @@ class PipelineConfig:
             raise ConfigurationError("pixel_sigma must be >= 0")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ConfigurationError("outlier_fraction must be in [0, 1)")
-        # checks the clustering settings before any stage runs
-        self.cluster_config = ClusterConfig(
-            max_cluster_size=self.max_cluster_size,
-            completeness_ratio=self.completeness_ratio,
-            seed=self.seed,
-            max_outer_iterations=self.max_outer_iterations,
-        )
+        if self.max_cluster_size < 2:
+            raise ConfigurationError("max_cluster_size must be >= 2")
+        if not (0.0 <= self.completeness_ratio < 1.0):
+            raise ConfigurationError("completeness_ratio must be in [0, 1)")
         if self.workers is None:
             default_worker_count()  # a malformed worker variable fails before any stage
         elif self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.ba_rounds < 1:
-            raise ConfigurationError("ba_rounds must be >= 1")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -144,13 +143,9 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown config keys: {unknown}")
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def config_hash(self) -> str:
-        """The hash of every setting but output_dir and workers, which
-        change no artifact."""
-        settings = {k: v for k, v in self.to_dict().items() if k not in ("output_dir", "workers")}
+    def config_hash(self, stage: str) -> str:
+        """The hash of the settings that stage reads."""
+        settings = {k: getattr(self, k) for k in STAGE_SETTINGS.get(stage, ())}
         return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
@@ -176,7 +171,7 @@ def _load_manifest(out_dir) -> dict:
 
 def _record_stage(out_dir, stage: str, config: PipelineConfig) -> None:
     manifest = _load_manifest(out_dir)
-    entry = {"configHash": config.config_hash(), "timestamp": time.time(), "inputs": {}, "outputs": {}}
+    entry = {"configHash": config.config_hash(stage), "timestamp": time.time(), "inputs": {}, "outputs": {}}
     for name in STAGE_INPUTS[stage]:
         p = Path(out_dir) / name
         if p.exists():
@@ -245,17 +240,14 @@ def stage_synth(config: PipelineConfig, out_dir) -> None:
 def stage_cluster(config: PipelineConfig, out_dir) -> None:
     cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     graph = build_camera_graph(matches, len(cameras))
-    cs = cluster_cameras(graph, config.cluster_config)
+    cs = cluster_cameras(graph, config.max_cluster_size, config.completeness_ratio, config.seed)
     sfm_io.save_cluster_set(Path(out_dir) / "clusters.json", cs)
 
 
 def stage_tracks(config: PipelineConfig, out_dir) -> None:
     cameras, matches = sfm_io.load_match_graph(Path(out_dir) / "matches.json")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
-    usable = np.isin(matches.edges, cs.tree.root.cameras).all(axis=1)
-    if not usable.all():
-        logger.warning("dropping %d match edges touching dropped cameras", len(matches) - usable.sum())
-    tracks = generate_tracks(cs.tree, matches.take(usable))
+    tracks = generate_tracks(cs.tree, matches)
     sfm_io.save_tracks(Path(out_dir) / "tracks.json", tracks)
 
 
@@ -305,7 +297,7 @@ def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
-    recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json")
+    recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json", len(cameras))
     points = triangulate_global(validated_tracks(recs), motion, cs, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
 
@@ -316,13 +308,7 @@ def stage_ba(config: PipelineConfig, out_dir) -> None:
     cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
     partitions = build_partitions(points, cs, motion)
-    final_motion, final_points, log = distributed_bundle_adjust(
-        partitions,
-        motion,
-        points,
-        cameras,
-        rounds=config.ba_rounds,
-    )
+    final_motion, final_points, log = distributed_bundle_adjust(partitions, motion, points, cameras)
     out = Path(out_dir)
     sfm_io.save_global_motion(out / "final_motion.npz", final_motion)
     sfm_io.save_global_points(out / "final_points.npz", final_points)
@@ -373,9 +359,9 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
     """Run the requested stages in pipeline order.
 
     With resume=True, stages whose artifacts are present and fresh (per the
-    manifest hash chain) and that ran with the same config_hash are
-    skipped. Any stage failure propagates with the failing stage named;
-    earlier artifacts stay intact.
+    manifest hash chain) and that ran with the same config_hash of their
+    own settings are skipped. Any stage failure propagates with the
+    failing stage named; earlier artifacts stay intact.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,7 +376,7 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
             continue
         if resume:
             status = stage_status(out_dir)[stage]
-            settled = _load_manifest(out_dir).get(stage, {}).get("configHash") == config.config_hash()
+            settled = _load_manifest(out_dir).get(stage, {}).get("configHash") == config.config_hash(stage)
             if status["present"] and not status["stale"] and settled:
                 logger.info("stage %s: fresh, skipped", stage)
                 continue

@@ -36,9 +36,6 @@ class SyntheticScene:
     visibility: list[np.ndarray]  # per point: sorted camera ids
     feature_points: list[np.ndarray]  # per camera: point id per feature
     feature_xy: list[np.ndarray]  # per camera: (F, 2) noisy pixels
-    pixel_sigma: float
-    outlier_fraction: float
-    seed: int
 
     @property
     def num_cameras(self) -> int:
@@ -171,8 +168,8 @@ def _layout_poses(layout: str, num_cameras: int) -> tuple[np.ndarray, np.ndarray
     raise ConfigurationError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
 
 
-def _sample_points(region: dict, rotation: np.ndarray, center: np.ndarray, focal: float, principal: np.ndarray,
-                   last_pixel: np.ndarray, num_points: int, rng: np.random.Generator):
+def _sample_points(region: dict, rotation: np.ndarray, center: np.ndarray, num_points: int,
+                   rng: np.random.Generator):
     """Rejection-sample points until num_points land in >= 2 views: each
     round draws max(2 * need, 64) candidates and keeps the first `need` that
     two cameras see. Returns the points (P, 3), the camera x point
@@ -180,6 +177,8 @@ def _sample_points(region: dict, rotation: np.ndarray, center: np.ndarray, focal
     point) in that order; fewer than num_points points if 40 rounds do not
     find them."""
     n = len(rotation)
+    principal = np.array([DEFAULT_WIDTH / 2.0, DEFAULT_HEIGHT / 2.0])
+    last_pixel = np.array([DEFAULT_WIDTH - 1, DEFAULT_HEIGHT - 1])
     points, visible, cams, pixels = [], [], [], []
     need = num_points
     for _ in range(40):
@@ -191,7 +190,7 @@ def _sample_points(region: dict, rotation: np.ndarray, center: np.ndarray, focal
         for ci in range(n):  # visible: in front of the camera and inside its image
             x_cam = (cand - center[ci]) @ rotation[ci].T
             with np.errstate(divide="ignore", invalid="ignore"):
-                uv = focal * x_cam[:, :2] / x_cam[:, 2:] + principal
+                uv = DEFAULT_FOCAL * x_cam[:, :2] / x_cam[:, 2:] + principal
                 inside = ((uv >= 0.0) & (uv <= last_pixel)).all(axis=1)
             vis[ci] = (x_cam[:, 2] > 0.1) & inside
             seen.append(uv[vis[ci]])
@@ -226,8 +225,7 @@ def _shared_points(visible: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _inject_outliers(edges: np.ndarray, offsets: np.ndarray, feat: np.ndarray, pixels: np.ndarray,
-                     features: np.ndarray, outlier_fraction: float, width: int, height: int,
-                     rng: np.random.Generator) -> None:
+                     features: np.ndarray, outlier_fraction: float, rng: np.random.Generator) -> None:
     """Replace round(outlier_fraction * rows) rows of each edge, in place.
 
     Each edge, in (i, j) order, draws the rows it drops and then, for each,
@@ -240,7 +238,7 @@ def _inject_outliers(edges: np.ndarray, offsets: np.ndarray, feat: np.ndarray, p
         return
     keep = np.ones(len(feat), dtype=bool)
     new_xy = []
-    low, high = [0, 0], [width - 1, height - 1]
+    low, high = [0, 0], [DEFAULT_WIDTH - 1, DEFAULT_HEIGHT - 1]
     for e, k in zip(np.flatnonzero(n_out).tolist(), n_out[n_out > 0].tolist()):
         keep[offsets[e] + rng.choice(int(rows[e]), size=k, replace=False)] = False
         xi = rng.uniform(low, high, size=(k, 2))
@@ -255,7 +253,7 @@ def _inject_outliers(edges: np.ndarray, offsets: np.ndarray, feat: np.ndarray, p
     feat[new], pixels[new] = new_feat.reshape(-1, 2), np.concatenate(new_xy)
 
 
-def _match_table(visible: np.ndarray, xy: np.ndarray, outlier_fraction: float, width: int, height: int,
+def _match_table(visible: np.ndarray, xy: np.ndarray, outlier_fraction: float,
                  rng: np.random.Generator) -> MatchTable:
     """The matches of every camera pair that shares points, given the
     visibility matrix and the features' pixels in (camera, point) order:
@@ -274,7 +272,7 @@ def _match_table(visible: np.ndarray, xy: np.ndarray, outlier_fraction: float, w
     pixels[:, :2] = xy[start[i] + feat[:, 0]]
     pixels[:, 2:] = xy[start[j] + feat[:, 1]]
     del i, j
-    _inject_outliers(edges, offsets, feat, pixels, features, outlier_fraction, width, height, rng)
+    _inject_outliers(edges, offsets, feat, pixels, features, outlier_fraction, rng)
     return MatchTable(edges=edges, offsets=offsets, feat=feat, xy=pixels)
 
 
@@ -285,9 +283,6 @@ def generate_synthetic_scene(
     pixel_sigma: float = 0.0,
     outlier_fraction: float = 0.0,
     seed: int = 0,
-    focal: float = DEFAULT_FOCAL,
-    width: int = DEFAULT_WIDTH,
-    height: int = DEFAULT_HEIGHT,
 ) -> tuple[SyntheticScene, MatchTable]:
     """Generate a ground-truth scene plus its pairwise match table.
 
@@ -311,13 +306,11 @@ def generate_synthetic_scene(
         raise ConfigurationError("outlier_fraction must be in [0, 1)")
 
     rotation, center, region = _layout_poses(layout, num_cameras)
-    principal, last_pixel = np.array([width / 2.0, height / 2.0]), np.array([width - 1, height - 1])
-    cameras = CameraTable(np.tile([focal, *principal], (num_cameras, 1)),
-                          np.tile(np.array([width, height], dtype=np.int64), (num_cameras, 1)))
-    cameras.check()
+    cameras = CameraTable(np.tile([DEFAULT_FOCAL, DEFAULT_WIDTH / 2.0, DEFAULT_HEIGHT / 2.0], (num_cameras, 1)),
+                          np.tile(np.array([DEFAULT_WIDTH, DEFAULT_HEIGHT], dtype=np.int64), (num_cameras, 1)))
     rng = np.random.default_rng(seed)
 
-    points, visible, xy = _sample_points(region, rotation, center, focal, principal, last_pixel, num_points, rng)
+    points, visible, xy = _sample_points(region, rotation, center, num_points, rng)
     if len(points) < num_points:
         raise ConfigurationError(
             f"layout {layout!r} with {num_cameras} cameras cannot host {num_points} points"
@@ -325,7 +318,7 @@ def generate_synthetic_scene(
     # Camera c's features are the points it sees, in id order.
     if pixel_sigma > 0:
         xy += rng.normal(0.0, pixel_sigma, size=xy.shape)
-    matches = _match_table(visible, xy, outlier_fraction, width, height, rng)
+    matches = _match_table(visible, xy, outlier_fraction, rng)
 
     per_camera = np.cumsum(visible.sum(axis=1))[:-1]
     scene = SyntheticScene(
@@ -336,8 +329,5 @@ def generate_synthetic_scene(
         visibility=np.split(np.nonzero(visible.T)[1], np.cumsum(visible.sum(axis=0))[:-1]),
         feature_points=np.split(np.nonzero(visible)[1], per_camera),
         feature_xy=np.split(xy, per_camera),
-        pixel_sigma=pixel_sigma,
-        outlier_fraction=outlier_fraction,
-        seed=seed,
     )
     return scene, matches

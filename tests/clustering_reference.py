@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from clustersfm.clustering import (BALANCE_FLOOR, OBJECTIVE_TIE_TOL, Cluster, ClusterConfig, ClusteringError,
-                                   ClusterSet, _fiedler_vector, _split_components)
+from clustersfm import clustering
+from clustersfm.clustering import (BALANCE_FLOOR, OBJECTIVE_TIE_TOL, Cluster, ClusteringError, ClusterSet,
+                                   _fiedler_vector, _split_components)
 from clustersfm.errors import ConfigurationError
 from clustersfm.utils import stable_seed
 
@@ -264,7 +265,7 @@ def _expand_in_place(
             break
 
 
-def cluster_cameras(package_graph, config: ClusterConfig) -> ClusterSet:
+def cluster_cameras(package_graph, max_cluster_size, completeness_ratio, seed) -> ClusterSet:
     """Iterate graph division and expansion until every interdependent
     cluster satisfies the size cap and (unless the discarded edges run out)
     the completeness threshold."""
@@ -279,13 +280,13 @@ def cluster_cameras(package_graph, config: ClusterConfig) -> ClusterSet:
     if len(kept) < 2:
         raise ConfigurationError("camera graph has no component with >= 2 cameras")
 
-    leaves, tree, _ = divide(graph, config.max_cluster_size, kept)
+    leaves, tree, _ = divide(graph, max_cluster_size, kept)
     # working state: per leaf, (home set, full set)
     homes = [set(leaf.cameras) for leaf in leaves]
     fulls = [set(leaf.cameras) for leaf in leaves]
 
     settled = False
-    for _outer in range(config.max_outer_iterations):
+    for _outer in range(clustering.MAX_OUTER_ITERATIONS):
         # --- expansion over the cross-home (division-discarded) edges
         home_of = {}
         for k, home in enumerate(homes):
@@ -296,10 +297,10 @@ def cluster_cameras(package_graph, config: ClusterConfig) -> ClusterSet:
             for (i, j), w in sorted(graph.edges.items())
             if i in home_of and j in home_of and home_of[i] != home_of[j]
         ]
-        _expand_in_place(home_of, fulls, cross, config.completeness_ratio, config.seed)
+        _expand_in_place(home_of, fulls, cross, completeness_ratio, seed)
 
         # --- size check; re-divide oversize clusters (duplicates ride along)
-        oversize = [k for k in range(len(fulls)) if len(fulls[k]) > config.max_cluster_size]
+        oversize = [k for k in range(len(fulls)) if len(fulls[k]) > max_cluster_size]
         if not oversize:
             settled = True
             break
@@ -310,7 +311,7 @@ def cluster_cameras(package_graph, config: ClusterConfig) -> ClusterSet:
                 new_homes.append(homes[k])
                 new_fulls.append(fulls[k])
                 continue
-            split = _split_tree(graph, tuple(sorted(fulls[k])), config.max_cluster_size)
+            split = _split_tree(graph, tuple(sorted(fulls[k])), max_cluster_size)
             subtree = _prune_tree(split, homes[k])
             if subtree is None:
                 # all home cameras vanished (cannot happen: homes are subsets)
@@ -326,12 +327,12 @@ def cluster_cameras(package_graph, config: ClusterConfig) -> ClusterSet:
         _replace_leaves(tree, replacements)
 
     if not settled:
-        last = _assemble(graph, tree, homes, fulls, config, dropped)
+        last = _assemble(graph, tree, homes, fulls, completeness_ratio, dropped)
         raise ClusteringError(
-            f"clustering did not settle within {config.max_outer_iterations} iterations",
+            f"clustering did not settle within {clustering.MAX_OUTER_ITERATIONS} iterations",
             last_state=last,
         )
-    return _assemble(graph, tree, homes, fulls, config, dropped)
+    return _assemble(graph, tree, homes, fulls, completeness_ratio, dropped)
 
 
 def _replace_leaves(tree: ClusterTree, replacements: dict) -> None:
@@ -345,7 +346,7 @@ def _replace_leaves(tree: ClusterTree, replacements: dict) -> None:
     tree.root = walk(tree.root)
 
 
-def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
+def _assemble(graph, tree, homes, fulls, threshold, dropped) -> ClusterSet:
     tree.assign_leaf_ids()
     leaf_nodes = tree.leaves()
     by_home = {frozenset(h): set(f) for h, f in zip(homes, fulls)}
@@ -363,7 +364,7 @@ def _assemble(graph, tree, homes, fulls, config, dropped) -> ClusterSet:
         if i in kept and j in kept and not _contained(i, j, fulls)
     ]
     ratios = [completeness_ratio(cl, interdependent) for cl in interdependent]
-    exhausted = any(r < config.completeness_ratio for r in ratios)
+    exhausted = any(r < threshold for r in ratios)
     return ClusterSet(
         interdependent=interdependent,
         tree=tree,

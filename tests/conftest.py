@@ -3,6 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from clustersfm import averaging
 from clustersfm.averaging import GlobalMotion
 from clustersfm.geometry import so3_exp
 from clustersfm.local_sfm import MotionTable
@@ -104,6 +105,16 @@ def global_motion(rotations, centers=None, scales=None, residual_norms=(), objec
     )
 
 
+def solve_translation_with(monkeypatch, motions, estimate, **constants):
+    """averaging.solve_translation_l1 with the given module constants, such
+    as L1_MAX_ITERATIONS=1 for the least-squares start, in place for this
+    one call."""
+    with monkeypatch.context() as m:
+        for name, value in constants.items():
+            m.setattr(averaging, name, value)
+        return averaging.solve_translation_l1(motions, estimate)
+
+
 def track_rows(tracks):
     """The (id, cameras, features, xy) of each track of a TrackTable."""
     bounds = tracks.offsets[1:-1]
@@ -137,7 +148,6 @@ SMALL = dict(
     seed=5,
     max_cluster_size=8,
     completeness_ratio=0.7,
-    ba_rounds=4,
 )
 
 

@@ -15,9 +15,9 @@ from clustersfm.synthetic import (DEFAULT_FOCAL, DEFAULT_HEIGHT, DEFAULT_WIDTH, 
                                   _sample_region)
 
 
-def reference_scene(layout, num_cameras, num_points, pixel_sigma=0.0, outlier_fraction=0.0, seed=0,
-                    focal=DEFAULT_FOCAL, width=DEFAULT_WIDTH, height=DEFAULT_HEIGHT):
+def reference_scene(layout, num_cameras, num_points, pixel_sigma=0.0, outlier_fraction=0.0, seed=0):
     """(SyntheticScene, MatchTable) of the given settings, built one point and one pair at a time."""
+    focal, width, height = DEFAULT_FOCAL, DEFAULT_WIDTH, DEFAULT_HEIGHT
     rotation, center, region = _layout_poses(layout, num_cameras)
     principal, last_pixel = np.array([width / 2.0, height / 2.0]), np.array([width - 1, height - 1])
     cameras = CameraTable(np.tile([focal, *principal], (num_cameras, 1)),
@@ -100,6 +100,5 @@ def reference_scene(layout, num_cameras, num_points, pixel_sigma=0.0, outlier_fr
         xy=np.concatenate([np.zeros((0, 4)), *pair_xy]),
     )
     scene = SyntheticScene(cameras=cameras, rotation=rotation, center=center, points=points, visibility=vis_list,
-                           feature_points=feature_points, feature_xy=feature_xy, pixel_sigma=pixel_sigma,
-                           outlier_fraction=outlier_fraction, seed=seed)
+                           feature_points=feature_points, feature_xy=feature_xy)
     return scene, matches

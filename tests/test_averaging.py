@@ -16,7 +16,7 @@ from clustersfm.averaging import (
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.evaluation import align_similarity
 from clustersfm.geometry import rotation_angle, so3_exp, so3_log
-from conftest import Motion, global_motion, motion_table, random_rotation
+from conftest import Motion, global_motion, motion_table, random_rotation, solve_translation_with
 
 
 def motion(i, j, R, t, k=0, support=10):
@@ -262,7 +262,7 @@ def _translation_reference(motions, rot):
     free_cls = [k for k in cluster_ids if k != gauge_cluster]
     M = sp_hstack([A[:, [col_of_cluster[k] for k in free_cls]], -B[:, 3:]]).tocsr()
     d = -A[:, [col_of_cluster[gauge_cluster]]].toarray().ravel()
-    z, iterations = averaging._irls_l1(M, d, L1_MAX_ITERATIONS, averaging.L1_RELATIVE_TOL)
+    z, iterations = averaging._irls_l1(M, d)
     residual = M @ z - d
     scales = {gauge_cluster: 1.0} | {k: float(z[pos]) for pos, k in enumerate(free_cls)}
     centers = {gauge_camera: np.zeros(3)}
@@ -353,7 +353,7 @@ def test_translation_noise_free_scale_recovery(five_cluster_problem):
     assert (sol.scale > 0).all()
 
 
-def test_l1_beats_l2_with_outliers():
+def test_l1_beats_l2_with_outliers(monkeypatch):
     rng = np.random.default_rng(2)
     n = 60
     gt_R = {c: random_rotation(rng) for c in range(n)}
@@ -377,7 +377,8 @@ def test_l1_beats_l2_with_outliers():
             return np.median(np.linalg.norm(s * sol.center @ R.T + tt - gt_c, axis=1))
 
         rot = global_motion(gt_R)
-        wins += med(solve_translation_l1(table, rot)) < med(solve_translation_l1(table, rot, max_iterations=1))
+        l2 = solve_translation_with(monkeypatch, table, rot, L1_MAX_ITERATIONS=1)
+        wins += med(solve_translation_l1(table, rot)) < med(l2)
     assert wins == 5
 
 
@@ -419,7 +420,7 @@ def test_degenerate_scale_raises():
         solve_translation_l1(motion_table(flipped), global_motion(rot))
 
 
-def test_objective_monotone_under_irls(five_cluster_problem):
+def test_objective_monotone_under_irls(five_cluster_problem, monkeypatch):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
     rng = np.random.default_rng(3)
     noisy = []
@@ -431,22 +432,22 @@ def test_objective_monotone_under_irls(five_cluster_problem):
     sol = solve_translation_l1(table, est)
     # the L2 start (the first, unit-weight iterate) can only improve under
     # accepted IRLS iterations
-    l2 = solve_translation_l1(table, est, max_iterations=1)
+    l2 = solve_translation_with(monkeypatch, table, est, L1_MAX_ITERATIONS=1)
     assert sol.objective <= l2.objective + 1e-9
 
 
-def test_translation_cap_warning(five_cluster_problem, caplog):
+def test_translation_cap_warning(five_cluster_problem, caplog, monkeypatch):
     gt_R, gt_c, gt_scales, motions = five_cluster_problem
     rng = np.random.default_rng(4)
     noisy = [motion(m.i, m.j, m.R, m.t + rng.normal(0, 0.02, 3), k=m.k)
              for m in motions]
     table = motion_table(noisy)
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l2 = solve_translation_l1(table, global_motion(gt_R), max_iterations=1)
+        l2 = solve_translation_with(monkeypatch, table, global_motion(gt_R), L1_MAX_ITERATIONS=1)
     assert l2.iterations == 1 and "stopped at its cap of 1 iterations" in caplog.text
     caplog.clear()
     with caplog.at_level("WARNING", logger="clustersfm.averaging"):
-        l1 = solve_translation_l1(table, global_motion(gt_R), max_iterations=2)
+        l1 = solve_translation_with(monkeypatch, table, global_motion(gt_R), L1_MAX_ITERATIONS=2)
     assert l1.iterations == 2 and "stopped at its cap of 2 iterations" in caplog.text
     assert l1.objective < l2.objective
 
@@ -471,12 +472,12 @@ def noisy_loop_motions(seed, n=60, clusters=4, overlap=6, sigma=0.02):
     return motion_table(motions), global_motion(gt_R)
 
 
-def test_translation_l1_stops_near_its_converged_objective(caplog):
+def test_translation_l1_stops_near_its_converged_objective(caplog, monkeypatch):
     for seed in range(3):
         table, rot = noisy_loop_motions(seed)
         caplog.clear()
         sol = solve_translation_l1(table, rot)
         assert sol.iterations < L1_MAX_ITERATIONS // 4 and "cap" not in caplog.text, seed
         # no relative stop: the IRLS runs until an iterate fails to improve, or to its cap
-        converged = solve_translation_l1(table, rot, relative_tol=0.0)
+        converged = solve_translation_with(monkeypatch, table, rot, L1_RELATIVE_TOL=0.0)
         assert sol.objective - converged.objective <= 1e-3 * converged.objective, seed

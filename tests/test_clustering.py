@@ -6,14 +6,12 @@ import pytest
 import clustering_reference
 from clustersfm.clustering import (
     Cluster,
-    ClusterConfig,
     ClusteringError,
     _expand,
     bisect_normalized_cut,
     cluster_cameras,
     divide,
 )
-from clustersfm.errors import ConfigurationError
 from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from conftest import geometric_graph, match_table, weighted_edge
@@ -144,7 +142,7 @@ def test_expand_seed_changes_receiver_only():
 
 def test_cluster_cameras_single_cluster_reports_zero_ratio():
     g = build_camera_graph(match_table([weighted_edge(0, 1, 4), weighted_edge(1, 2, 4)]), 3)
-    cs = cluster_cameras(g, ClusterConfig(max_cluster_size=100, completeness_ratio=0.7, seed=0))
+    cs = cluster_cameras(g, max_cluster_size=100, completeness_ratio=0.7, seed=0)
     assert len(cs.interdependent) == 1
     assert cs.achieved_ratios == [0.0]
     assert cs.exhausted  # no discarded edges can ever raise the ratio
@@ -152,7 +150,7 @@ def test_cluster_cameras_single_cluster_reports_zero_ratio():
 
 def test_cluster_cameras_properties_on_random_graph():
     g = geometric_graph(150, 0.12, 3)
-    cs = cluster_cameras(g, ClusterConfig(max_cluster_size=100, completeness_ratio=0.1, seed=5))
+    cs = cluster_cameras(g, max_cluster_size=100, completeness_ratio=0.1, seed=5)
     assert len(cs.interdependent) >= 2
     for c, ratio in zip(cs.interdependent, cs.achieved_ratios):
         assert c.size <= 100
@@ -172,9 +170,8 @@ def test_cluster_cameras_properties_on_random_graph():
 
 def test_cluster_cameras_deterministic():
     g = geometric_graph(200, 0.1, 11)
-    cfg = ClusterConfig(max_cluster_size=60, completeness_ratio=0.5, seed=21)
-    a = cluster_cameras(g, cfg)
-    b = cluster_cameras(g, cfg)
+    a = cluster_cameras(g, max_cluster_size=60, completeness_ratio=0.5, seed=21)
+    b = cluster_cameras(g, max_cluster_size=60, completeness_ratio=0.5, seed=21)
     assert [c.cameras for c in a.interdependent] == [c.cameras for c in b.interdependent]
     assert a.discarded_edges == b.discarded_edges
     assert a.achieved_ratios == b.achieved_ratios
@@ -184,21 +181,15 @@ def test_cluster_cameras_monotone_in_completeness():
     g = geometric_graph(400, 0.08, 17)
     dup, disc = [], []
     for dc in (0.0, 0.3, 0.5, 0.7):
-        cs = cluster_cameras(g, ClusterConfig(max_cluster_size=100, completeness_ratio=dc, seed=2))
+        cs = cluster_cameras(g, max_cluster_size=100, completeness_ratio=dc, seed=2)
         dup.append(sum(c.size for c in cs.interdependent))
         disc.append(sum(w for (_, _, w) in cs.discarded_edges))
     assert dup == sorted(dup)
     assert disc == sorted(disc, reverse=True)
 
 
-def test_cluster_config_validation():
-    with pytest.raises(ConfigurationError):
-        ClusterConfig(max_cluster_size=1)
-    with pytest.raises(ConfigurationError):
-        ClusterConfig(completeness_ratio=1.5)
-
-
-def test_non_termination_guard_carries_state():
+def test_non_termination_guard_carries_state(monkeypatch):
+    from clustersfm import clustering
     from clustersfm.clustering import ClusteringError
     from clustersfm.scene import build_camera_graph
     from clustersfm.synthetic import generate_synthetic_scene
@@ -206,10 +197,9 @@ def test_non_termination_guard_carries_state():
     scene, matches = generate_synthetic_scene("loop", 120, 2000, pixel_sigma=0.0, seed=7)
     g = build_camera_graph(matches, 120)
     # cap 55 forces a re-division round; one outer iteration cannot settle
-    cfg = ClusterConfig(max_cluster_size=55, completeness_ratio=0.7, seed=7,
-                        max_outer_iterations=1)
+    monkeypatch.setattr(clustering, "MAX_OUTER_ITERATIONS", 1)
     with pytest.raises(ClusteringError) as info:
-        cluster_cameras(g, cfg)
+        cluster_cameras(g, max_cluster_size=55, completeness_ratio=0.7, seed=7)
     last = info.value.last_state
     assert last is not None
     assert len(last.interdependent) >= 2
@@ -238,10 +228,9 @@ def test_cluster_cameras_equals_the_reference(layout, num_cameras, num_points, s
     g = build_camera_graph(matches, num_cameras)
     caps = (num_cameras // 4 + 1, num_cameras // 2 + 2, num_cameras - 3)
     for cap, ratio in itertools.product(caps, (0.0, 0.5, 0.7)):
-        config = ClusterConfig(max_cluster_size=cap, completeness_ratio=ratio, seed=seed)
-        cs = cluster_cameras(g, config)
+        cs = cluster_cameras(g, cap, ratio, seed)
         try:
-            expected = clustering_reference.cluster_cameras(g, config)
+            expected = clustering_reference.cluster_cameras(g, cap, ratio, seed)
         except ClusteringError as exc:
             assert "did not settle" in str(exc)
             assert all(c.size <= cap for c in cs.interdependent), (cap, ratio)
@@ -255,10 +244,9 @@ def test_repeated_division_settles_within_the_cap():
     used to end in ClusteringError."""
     _, matches = generate_synthetic_scene("grid", 25, 300, pixel_sigma=0.5, seed=1)
     g = build_camera_graph(matches, 25)
-    config = ClusterConfig(max_cluster_size=14, completeness_ratio=0.7, seed=1)
     with pytest.raises(ClusteringError, match="did not settle within 16 iterations"):
-        clustering_reference.cluster_cameras(g, config)
-    cs = cluster_cameras(g, config)
+        clustering_reference.cluster_cameras(g, 14, 0.7, 1)
+    cs = cluster_cameras(g, 14, 0.7, 1)
     assert max(c.size for c in cs.interdependent) <= 14
     assert sorted(c for cl in cs.independent for c in cl.cameras) == list(range(25))
     for ind, inter in zip(cs.independent, cs.interdependent):

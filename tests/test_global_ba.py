@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from clustersfm import ba_core
-from clustersfm.clustering import Cluster, ClusterConfig, cluster_cameras
+from clustersfm import ba_core, global_ba
+from clustersfm.clustering import Cluster, cluster_cameras
 from clustersfm.global_ba import (
     ROUND_RELATIVE_TOL,
     build_partitions,
@@ -45,7 +45,7 @@ def tracks_from_scene(scene, noise=0.0, seed=0):
 def loop24():
     scene, matches = generate_synthetic_scene("loop", 24, 400, pixel_sigma=0.0, seed=5)
     graph = build_camera_graph(matches, 24)
-    cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=9, completeness_ratio=0.0, seed=1))
+    cs = cluster_cameras(graph, max_cluster_size=9, completeness_ratio=0.0, seed=1)
     return scene, matches, graph, cs
 
 
@@ -109,7 +109,7 @@ def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
 def test_triangulate_global_noisy_rms():
     scene, matches = generate_synthetic_scene("orbit", 10, 250, pixel_sigma=0.0, seed=6)
     graph = build_camera_graph(matches, 10)
-    cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=5, completeness_ratio=0.0, seed=1))
+    cs = cluster_cameras(graph, max_cluster_size=5, completeness_ratio=0.0, seed=1)
     tracks = track_table([t for t in track_rows(tracks_from_scene(scene, noise=0.5, seed=3)) if len(t[1]) >= 6])
     assert len(tracks)
     points = triangulate_global(tracks, gt_motion(scene), cs, scene.cameras)
@@ -133,9 +133,8 @@ def test_partition_structure(loop24):
         assert not seen.intersection(part.cameras)
         seen.update(part.cameras)
     # ownership: each active point owned by exactly one partition
-    owned = sorted(pi for part in partitions for pi in part.owned_points)
-    assert owned == sorted(set(owned))
-    assert len(owned) == sum(p.active for p in points)
+    owners = {part.cluster_id for part in partitions}
+    assert all(p.cluster_id in owners for p in points if p.active)
     # every observation appears in exactly one sub-problem
     total_obs = sum(np.isin(p.cameras, part.cameras).sum() for part in partitions for p in points if p.active)
     assert total_obs == sum(len(p.cameras) for p in points if p.active)
@@ -147,7 +146,7 @@ def test_point_camera_the_motion_does_not_pose_is_a_data_error(loop24):
     motion = gt_motion(scene, unposed=(3,))  # posed when the points were triangulated, not now
     partitions = build_partitions(points, cs, motion)
     with pytest.raises(DataError, match="^point camera 3 is not posed by the global motion$"):
-        distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
+        distributed_bundle_adjust(partitions, motion, points, scene.cameras)
 
 
 def test_point_of_an_unknown_cluster_is_a_data_error(loop24):
@@ -166,14 +165,12 @@ def test_ground_truth_noise_free_terminates_immediately(loop24):
     points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
     partitions = build_partitions(points, cs, gt_motion(scene))
     assert len(partitions) >= 3
-    motion, out_points, log = distributed_bundle_adjust(
-        partitions, gt_motion(scene), points, scene.cameras, rounds=5
-    )
+    motion, out_points, log = distributed_bundle_adjust(partitions, gt_motion(scene), points, scene.cameras)
     assert log[0].cost < 1e-12
     assert len(log) <= 2  # terminates after the first round
 
 
-def test_global_cost_non_increasing(loop24):
+def test_global_cost_non_increasing(loop24, monkeypatch):
     scene, matches, graph, cs = loop24
     rng = np.random.default_rng(4)
     motion = gt_motion(scene)
@@ -183,9 +180,8 @@ def test_global_cost_non_increasing(loop24):
     before = motion.rotation.copy(), motion.center.copy()
     points = triangulate_global(tracks_from_scene(scene), motion, cs, scene.cameras)
     partitions = build_partitions(points, cs, motion)
-    final, out_points, log = distributed_bundle_adjust(
-        partitions, motion, points, scene.cameras, rounds=6
-    )
+    monkeypatch.setattr(global_ba, "MAX_ROUNDS", 6)
+    final, out_points, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
     costs = [entry.cost for entry in log]
     assert all(b <= a + 1e-9 * max(a, 1.0) for a, b in zip(costs, costs[1:]))
     assert costs[-1] < costs[0]
@@ -201,7 +197,7 @@ def orbit_perturbed(orbit_scene_small):
     split into four partitions: the rounds have work to do."""
     scene, matches = orbit_scene_small
     graph = build_camera_graph(matches, scene.num_cameras)
-    cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=6, completeness_ratio=0.0, seed=1))
+    cs = cluster_cameras(graph, max_cluster_size=6, completeness_ratio=0.0, seed=1)
     rng = np.random.default_rng(4)
     motion = gt_motion(scene)
     for k in range(1, len(motion.cameras)):
@@ -215,25 +211,26 @@ def test_rounds_stop_on_relative_cost_drop(orbit_perturbed, caplog):
     scene, motion, points, partitions = orbit_perturbed
     assert len(partitions) >= 3
     with caplog.at_level("WARNING", logger="clustersfm.global_ba"):
-        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=10)
-    assert len(log) - 1 < 10 and "cap" not in caplog.text
+        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
+    assert len(log) - 1 < global_ba.MAX_ROUNDS and "cap" not in caplog.text
     drops = [(before.cost - after.cost, before.cost) for before, after in zip(log, log[1:])]
     assert drops[-1][0] <= ROUND_RELATIVE_TOL * drops[-1][1]
     assert all(drop > ROUND_RELATIVE_TOL * cost for drop, cost in drops[:-1])
 
 
-def test_rounds_cap_warning(orbit_perturbed, caplog):
+def test_rounds_cap_warning(orbit_perturbed, caplog, monkeypatch):
     scene, motion, points, partitions = orbit_perturbed
+    monkeypatch.setattr(global_ba, "MAX_ROUNDS", 1)
     with caplog.at_level("WARNING", logger="clustersfm.global_ba"):
-        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=1)
+        _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
     assert len(log) == 2 and log[0].cost - log[1].cost > ROUND_RELATIVE_TOL * log[0].cost
     assert "distributed bundle adjustment stopped at its cap of 1 rounds" in caplog.text
 
 
-def test_single_partition_matches_monolithic():
+def test_single_partition_matches_monolithic(monkeypatch):
     scene, matches = generate_synthetic_scene("orbit", 8, 150, pixel_sigma=0.4, seed=9)
     graph = build_camera_graph(matches, 8)
-    cs = cluster_cameras(graph, ClusterConfig(max_cluster_size=100, completeness_ratio=0.0, seed=1))
+    cs = cluster_cameras(graph, max_cluster_size=100, completeness_ratio=0.0, seed=1)
     assert len(cs.independent) == 1
     rng = np.random.default_rng(2)
     motion = gt_motion(scene)
@@ -243,9 +240,9 @@ def test_single_partition_matches_monolithic():
     points = triangulate_global(tracks, motion, cs, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     assert len(partitions) == 1
-    final, _, log = distributed_bundle_adjust(
-        partitions, motion, points, scene.cameras, rounds=3, inner_max_iterations=80
-    )
+    monkeypatch.setattr(global_ba, "MAX_ROUNDS", 3)
+    monkeypatch.setattr(global_ba, "PARTITION_MAX_ITERATIONS", 80)
+    final, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
 
     # monolithic oracle: one LM over the identical problem
     active = [p for p in points if p.active]
@@ -287,7 +284,7 @@ def test_non_finite_residuals_raise(loop24):
     )
     assert behind >= 1
     with pytest.raises(NumericalError, match=f"^{behind} observations have non-finite residuals"):
-        distributed_bundle_adjust(partitions, motion, points, scene.cameras, rounds=2)
+        distributed_bundle_adjust(partitions, motion, points, scene.cameras)
 
 
 @pytest.mark.parametrize("flipped, perturbed, expected", [(2, 0, "reprojection"), (0, 2, "cheirality")])

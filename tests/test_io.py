@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clustersfm import io as sfm_io
-from clustersfm.clustering import ClusterConfig, cluster_cameras
+from clustersfm.clustering import cluster_cameras
 from clustersfm.errors import DataError
 from clustersfm.global_ba import GlobalPoint
 from clustersfm.local_sfm import LocalReconstruction
@@ -77,7 +77,7 @@ def test_ground_truth_roundtrip(tmp_path, small_run):
 
 def test_cluster_set_roundtrip(tmp_path):
     g = geometric_graph(80, 0.15, 5)
-    cs = cluster_cameras(g, ClusterConfig(max_cluster_size=30, completeness_ratio=0.4, seed=3))
+    cs = cluster_cameras(g, max_cluster_size=30, completeness_ratio=0.4, seed=3)
     path = tmp_path / "clusters.json"
     sfm_io.save_cluster_set(path, cs)
     loaded = sfm_io.load_cluster_set(path, 80)
@@ -102,7 +102,7 @@ def test_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, small_run, nam
 
 def test_cluster_set_cameras_checked_against_match_graph(tmp_path):
     g = geometric_graph(30, 0.3, 5)
-    cs = cluster_cameras(g, ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3))
+    cs = cluster_cameras(g, max_cluster_size=12, completeness_ratio=0.4, seed=3)
     path = tmp_path / "clusters.json"
     sfm_io.save_cluster_set(path, cs)
     data = json.loads(path.read_text())
@@ -389,8 +389,8 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
         with pytest.raises(DataError, match=f"^{path}: malformed artifact .*{message}"):
             sfm_io.load_global_points(path, 7)
     path = tmp_path / "clusters.json"
-    sfm_io.save_cluster_set(path, cluster_cameras(geometric_graph(30, 0.3, 5),
-                                                  ClusterConfig(max_cluster_size=12, completeness_ratio=0.4, seed=3)))
+    sfm_io.save_cluster_set(path, cluster_cameras(geometric_graph(30, 0.3, 5), max_cluster_size=12,
+                                                  completeness_ratio=0.4, seed=3))
     good = path.read_text()
     leaves = [leaf["cameras"] for leaf in tree_leaves(json.loads(good)["tree"])]
     c, last = leaves[0][0], len(leaves) - 1

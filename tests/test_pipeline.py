@@ -12,7 +12,7 @@ from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
-from clustersfm.pipeline import STAGES, PipelineConfig, run_pipeline, stage_status, validated_tracks
+from clustersfm.pipeline import STAGE_SETTINGS, STAGES, PipelineConfig, run_pipeline, stage_status, validated_tracks
 from clustersfm.utils import parallel_map
 from conftest import SMALL, track_rows, track_table, tree_leaves
 
@@ -54,14 +54,30 @@ def _resumed_stages(caplog, config) -> list:
     return [r.args[0] for r in caplog.records if r.msg == "stage %s: running"]
 
 
-def test_resume_reruns_every_stage_when_a_setting_changed(small_run, tmp_path, caplog):
-    """One hash covers every setting but output_dir and workers, so a new
-    cap re-runs cluster and every later stage (and synth, whose settings
-    share that hash)."""
+def test_resume_reruns_the_stages_whose_settings_or_inputs_changed(small_run, tmp_path, caplog):
+    """Each stage hashes only its own settings, so a new cap re-runs cluster
+    and every later stage, whose inputs it changed, and skips synth."""
     shutil.copytree(small_run[0], tmp_path, dirs_exist_ok=True)
     config = PipelineConfig(output_dir=str(tmp_path), **dict(SMALL, max_cluster_size=12))
-    assert _resumed_stages(caplog, config) == list(STAGES)
+    assert _resumed_stages(caplog, config) == list(STAGES[1:])
     assert _resumed_stages(caplog, config) == []
+
+
+def test_resume_after_single_stage_runs_reruns_nothing(small_run, tmp_path, caplog):
+    """A subcommand takes only its own stage's flags; the settings it leaves
+    at their defaults are none of the stage's, so its record stays fresh."""
+    shutil.copytree(small_run[0], tmp_path, dirs_exist_ok=True)
+    seed = ["--output-dir", str(tmp_path), "--seed", str(SMALL["seed"])]
+    assert cli_main(["cluster", *seed, "--max-cluster-size", str(SMALL["max_cluster_size"])]) == 0
+    assert cli_main(["tracks", *seed]) == 0
+    assert cli_main(["triangulate", *seed]) == 0
+    assert _resumed_stages(caplog, PipelineConfig(output_dir=str(tmp_path), **SMALL)) == []
+
+
+def test_stage_settings_cover_every_setting_that_changes_an_artifact():
+    names = {f.name for f in dataclasses.fields(PipelineConfig)} - {"output_dir", "workers"}
+    assert set(STAGE_SETTINGS) <= set(STAGES)
+    assert {name for settings in STAGE_SETTINGS.values() for name in settings} == names
 
 
 def test_resume_reruns_nothing_when_only_workers_or_output_dir_changed(small_run, tmp_path, caplog):
@@ -91,10 +107,10 @@ def test_status_empty_dir(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="completeness_ratio"):
         PipelineConfig(completeness_ratio=1.5)
-    with pytest.raises(ConfigurationError, match="max_outer_iterations"):
-        PipelineConfig(max_outer_iterations=0)
+    with pytest.raises(ConfigurationError, match="max_cluster_size"):
+        PipelineConfig(max_cluster_size=1)
     with pytest.raises(ConfigurationError):
         PipelineConfig.from_dict({"not_a_key": 1})
 
@@ -109,11 +125,15 @@ def test_cli_invalid_config_exit_code(tmp_path):
     cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
     assert not (tmp_path / "matches.json").exists()
-    for removed in ({"l1_max_iters": 200}, {"l1_tol": 1e-10}):  # averaging settings are constants now
+    # solver caps are module constants now
+    for removed in ({"l1_max_iters": 200}, {"l1_tol": 1e-10}, {"ba_rounds": 10}, {"max_outer_iterations": 16}):
         cfg.write_text(json.dumps(removed))
         assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
         assert not (tmp_path / "matches.json").exists()
-    cfg.write_text(json.dumps({"max_outer_iterations": 0}))  # checked before the synth stage
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--output-dir", str(tmp_path), "--rounds", "10"])
+    assert info.value.code == 2
+    cfg.write_text(json.dumps({"max_cluster_size": 1}))  # checked before the synth stage
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
     assert not (tmp_path / "matches.json").exists()
 
@@ -235,11 +255,13 @@ def test_parallel_map_keeps_order_and_stops_at_the_first_error():
     assert ran == [0, 1]
 
 
-def test_stage_error_keeps_exception_object(tmp_path):
+def test_stage_error_keeps_exception_object(tmp_path, monkeypatch):
+    from clustersfm import clustering
     from clustersfm.clustering import ClusteringError
 
     # one outer iteration cannot settle this clustering
-    config = PipelineConfig(output_dir=str(tmp_path), **dict(SMALL, max_outer_iterations=1))
+    monkeypatch.setattr(clustering, "MAX_OUTER_ITERATIONS", 1)
+    config = PipelineConfig(output_dir=str(tmp_path), **SMALL)
     run_pipeline(config, stages=["synth"])
     with pytest.raises(ClusteringError) as info:
         run_pipeline(config, stages=["cluster"])
@@ -337,6 +359,21 @@ def _append_first_row(*keys):
     return change
 
 
+def _b64_ints(data, key):
+    """The int64 array that data[key] holds as base64."""
+    return np.frombuffer(base64.b64decode(data[key]), "<i8").copy()
+
+
+def _change_b64_ints(key, change):
+    """A change that applies change(data, values) to the int64 values of the
+    base64 array data[key]."""
+    def apply(data):
+        values = _b64_ints(data, key)
+        change(data, values)
+        data[key] = base64.b64encode(values.tobytes()).decode()
+    return apply
+
+
 def _register_first_twice(cluster):
     cluster["registered"][1] = cluster["registered"][0]
 
@@ -415,6 +452,15 @@ def _motion_file_rows(name, stages):
                  "cluster entry 0 has the clusterId -1, not its index 0", id="local_reconstructions-cluster-id"),
     pytest.param("local_reconstructions.json", ("triangulate",), lambda d: _register_first_twice(d["clusters"][0]),
                  "cluster 0: the registered cameras do not rise strictly", id="local_reconstructions-registered"),
+    *[pytest.param("local_reconstructions.json", ("triangulate",), change, message, id=f"local_reconstructions-{row_id}")
+      for row_id, change, message in (
+        # the last camera of cluster 0's first point, so it stays ascending; exited 0
+        ("camera-999", _change_b64_ints("cameras", lambda d, c: c.__setitem__(d["offsets"][1] - 1, 999)),
+         lambda d: f"track {_b64_ints(d, 'track')[0]}: camera 999 is not in the match graph's 0..17"),
+        # its first camera; broke the (track, camera) key of validated_tracks
+        ("camera-negative", _change_b64_ints("cameras", lambda d, c: c.__setitem__(0, -1)),
+         lambda d: f"track {_b64_ints(d, 'track')[0]}: camera -1 is not in the match graph's 0..17"),
+    )],
 ])
 def test_cli_bad_table_exit_code(small_run, tmp_path, capsys, name, stages, change, message):
     """One array of a pose, motion or point table (or one field of a local
@@ -528,6 +574,13 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
         for stage in stages:
             assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (message, stage)
             _one_line_data_error(capsys, stage, "clusters.json", message)
+    # a tree without camera c, whose match edges remain: the tracks are refused, not thinned
+    data = json.loads(original)
+    tree_leaves(data["tree"])[0]["cameras"].remove(c)
+    path.write_text(json.dumps(data))
+    i, j = next(e for e in json.loads((tmp_path / "matches.json").read_text())["edges"] if c in e)
+    assert cli_main(["tracks", "--output-dir", str(tmp_path)]) == 3
+    _one_line_data_error(capsys, "tracks", f"match edge ({i}, {j}) references a camera outside the tree")
     assert not list(tmp_path.glob("*.tmp"))
 
 

