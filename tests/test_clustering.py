@@ -188,6 +188,20 @@ def test_cluster_cameras_monotone_in_completeness():
     assert disc == sorted(disc, reverse=True)
 
 
+def test_cluster_config_validation():
+    from clustersfm.errors import ConfigurationError
+    from clustersfm.pipeline import PipelineConfig
+
+    # the two clustering settings are checked once, by PipelineConfig
+    with pytest.raises(ConfigurationError, match="max_cluster_size"):
+        PipelineConfig(max_cluster_size=1)
+    with pytest.raises(ConfigurationError, match="completeness_ratio"):
+        PipelineConfig(completeness_ratio=1.5)
+    # a direct call still cannot divide below two cameras a cluster
+    with pytest.raises(ConfigurationError, match="max_cluster_size"):
+        cluster_cameras(geometric_graph(20, 0.4, 3), max_cluster_size=1, completeness_ratio=0.5, seed=0)
+
+
 def test_non_termination_guard_carries_state(monkeypatch):
     from clustersfm import clustering
     from clustersfm.clustering import ClusteringError
