@@ -134,6 +134,7 @@ def _fiedler_vector(W: csr_matrix) -> np.ndarray:
             vals, vecs = eigsh(Wn, k=2, which="LA", v0=v0, tol=EIG_TOL, maxiter=EIG_MAX_ITER)
             u2 = vecs[:, np.argsort(vals)[0]]
         except (ArpackError, ArpackNoConvergence):
+            logger.warning("sparse eigensolver failed on %d cameras; falling back to the dense one", n)
             vals, vecs = np.linalg.eigh(Wn.toarray())
             u2 = vecs[:, -2]
     y = dinv * u2

@@ -3,8 +3,9 @@
 The independent (disjoint) clusters define the sub-problems: each partition
 refines its own cameras and the points it owns, with points whose
 observations span partitions held fixed at the shared consensus value.
-Between rounds, boundary points are re-estimated from all current cameras
-with a guard that never lets the global cost increase.
+Between rounds, one LM over the boundary points' observations, every camera
+fixed, moves the boundary points; its normal equations are one 3x3 block
+per point, so the consensus step stays separable by point.
 """
 
 import logging
@@ -16,7 +17,7 @@ from . import ba_core
 from .averaging import GlobalMotion
 from .clustering import ClusterSet
 from .errors import DataError, NumericalError
-from .geometry import projection_matrix, reprojection_offsets, triangulate_linear, triangulation_status
+from .geometry import projection_matrix, triangulate_linear, triangulation_status
 from .scene import CameraTable
 from .tracks import TrackTable
 from .utils import parallel_map
@@ -141,20 +142,20 @@ def distributed_bundle_adjust(
 
     Each round solves the partitions one after another, each from the
     state at the start of the round (their sub-problems share no mutable
-    state, so the order does not matter), then re-triangulates boundary
-    points from all partitions' cameras with a per-point no-worsening
-    guard, so the global reprojection cost never increases between
-    rounds. The rounds stop when one cuts the global cost by at most
-    ROUND_RELATIVE_TOL of its value before the round, or at the cap of
-    MAX_ROUNDS rounds; each partition solve runs at most
-    PARTITION_MAX_ITERATIONS LM iterations. Returns (motion, points,
-    round_log).
+    state, so the order does not matter), then refines the boundary points
+    by one LM over their observations with every camera held at its new
+    pose. Neither step can raise its own cost, so the global reprojection
+    cost never increases between rounds. The rounds stop when one cuts the
+    global cost by at most ROUND_RELATIVE_TOL of its value before the
+    round, or at the cap of MAX_ROUNDS rounds; each partition solve and
+    each consensus solve runs at most PARTITION_MAX_ITERATIONS LM
+    iterations. Returns (motion, points, round_log).
     """
     active = [p for p in points if p.active]
     cam_ids = motion.cameras
     rotations = motion.rotation.copy()
     centers = motion.center.copy()
-    intrinsics, Ks = cameras.intrinsics[cam_ids], cameras.K(cam_ids)
+    intrinsics = cameras.intrinsics[cam_ids]
     positions = np.array([p.position for p in active]) if active else np.zeros((0, 3))
 
     # the observation table: one row per view of an active point
@@ -166,18 +167,18 @@ def distributed_bundle_adjust(
     obs_pt = np.repeat(np.arange(len(active)), [len(p.cameras) for p in active])
     obs_xy = np.concatenate([np.zeros((0, 2))] + [p.xy for p in active])
 
+    def subproblem(rows, free_cams, free_pts, state):
+        """The problem over the observations rows, at state (rotations, centers, positions)."""
+        rot, cen, pos = state
+        return ba_core.BAProblem(rotations=rot, centers=cen, intrinsics=intrinsics, points=pos,
+                                 cam_idx=obs_cam[rows], pt_idx=obs_pt[rows], pixels=obs_xy[rows],
+                                 free_cams=free_cams, free_pts=free_pts)
+
+    fixed_cams = np.zeros(len(cam_ids), dtype=bool)
+
     def global_cost():
-        problem = ba_core.BAProblem(
-            rotations=rotations,
-            centers=centers,
-            intrinsics=intrinsics,
-            points=positions,
-            cam_idx=obs_cam,
-            pt_idx=obs_pt,
-            pixels=obs_xy,
-            free_cams=np.zeros(len(cam_ids), dtype=bool),
-            free_pts=np.zeros(len(active), dtype=bool),
-        )
+        problem = subproblem(slice(None), fixed_cams, np.zeros(len(active), dtype=bool),
+                             (rotations, centers, positions))
         r = ba_core.residuals(problem)
         bad = int((~np.isfinite(r).all(axis=1)).sum())
         if bad:
@@ -186,17 +187,11 @@ def distributed_bundle_adjust(
         rms = float(np.sqrt(cost / max(len(r), 1)))
         return cost, rms
 
-    # boundary points grouped by their number of posed views, for the
-    # batched consensus re-triangulation: (points, camera rows, pixels)
-    views = np.bincount(obs_pt, minlength=len(active))
-    offsets = np.append(0, np.cumsum(views))
-    boundary = views >= 2
+    # the boundary points: active points interior to no partition, and the
+    # observations of the consensus solve
+    boundary = np.ones(len(active), dtype=bool)
     boundary[[pi for part in partitions for pi in part.interior_points]] = False
-    boundary_groups = []
-    for n in np.unique(views[boundary]).tolist():
-        pts = np.flatnonzero(boundary & (views == n))
-        group_rows = offsets[pts, None] + np.arange(n)
-        boundary_groups.append((pts, obs_cam[group_rows], obs_xy[group_rows]))
+    boundary_obs = np.flatnonzero(boundary[obs_pt])
 
     log: list[RoundLog] = []
     cost, rms = global_cost()
@@ -206,25 +201,12 @@ def distributed_bundle_adjust(
         state = (rotations.copy(), centers.copy(), positions.copy())
 
         def solve_partition(part: BAPartition):
-            rot_s, cen_s, pos_s = state
-            sub_obs = np.flatnonzero(np.isin(obs_ids, part.cameras))
-            free_cams = np.zeros(len(cam_ids), dtype=bool)
+            free_cams = fixed_cams.copy()
             free_cams[np.searchsorted(cam_ids, part.cameras)] = True
             free_pts = np.zeros(len(active), dtype=bool)
             free_pts[part.interior_points] = True
-            problem = ba_core.BAProblem(
-                rotations=rot_s,
-                centers=cen_s,
-                intrinsics=intrinsics,
-                points=pos_s,
-                cam_idx=obs_cam[sub_obs],
-                pt_idx=obs_pt[sub_obs],
-                pixels=obs_xy[sub_obs],
-                free_cams=free_cams,
-                free_pts=free_pts,
-            )
-            result = ba_core.lm_minimize(problem, max_iterations=PARTITION_MAX_ITERATIONS)
-            return part, result
+            problem = subproblem(np.flatnonzero(np.isin(obs_ids, part.cameras)), free_cams, free_pts, state)
+            return part, ba_core.lm_minimize(problem, max_iterations=PARTITION_MAX_ITERATIONS)
 
         results = parallel_map(solve_partition, partitions)
         for part, result in results:
@@ -242,13 +224,9 @@ def distributed_bundle_adjust(
             if part.interior_points:
                 positions[part.interior_points] = result.points[part.interior_points]
 
-        # consensus: re-triangulate boundary points, guarded per point
-        Ps = projection_matrix(Ks, rotations, centers)
-        for pts, group_cams, xy in boundary_groups:
-            P = Ps[group_cams]
-            X_new, finite = triangulate_linear(P, xy)
-            take = finite & (_point_costs(P, xy, X_new) <= _point_costs(P, xy, positions[pts]))
-            positions[pts[take]] = X_new[take]
+        if len(boundary_obs):
+            consensus = subproblem(boundary_obs, fixed_cams, boundary, (rotations, centers, positions))
+            positions = ba_core.lm_minimize(consensus, max_iterations=PARTITION_MAX_ITERATIONS).points
 
         cost_new, rms_new = global_cost()
         if cost_new > cost + 1e-9 * max(cost, 1.0):
@@ -275,9 +253,3 @@ def distributed_bundle_adjust(
             out_points.append(p)
     return out_motion, out_points, log
 
-
-def _point_costs(Ps, xy, X):
-    """Summed squared reprojection error of each point over its views: Ps
-    (n, k, 3, 4), xy (n, k, 2), X (n, 3); +inf for a point behind a view."""
-    offsets, behind = reprojection_offsets(Ps, xy, X)
-    return np.where(behind.any(axis=1), np.inf, (offsets**2).sum(axis=2).sum(axis=1))

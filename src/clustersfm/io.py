@@ -265,16 +265,19 @@ def save_cluster_set(path, cs: ClusterSet) -> None:
 def load_cluster_set(path, num_cameras: int) -> ClusterSet:
     """The cluster set; independent cluster k is the tree's depth-first
     leaf k. A DataError names the first independent or interdependent
-    cluster with a camera outside the match graph's 0..num_cameras-1 or
-    with cameras that do not rise strictly, else two independent clusters
-    that share a camera, else the first interdependent cluster k that does
-    not hold every camera of independent cluster k or has no such partner."""
+    cluster, or droppedCameras, with a camera outside the match graph's
+    0..num_cameras-1 or with cameras that do not rise strictly, else two
+    independent clusters that share a camera, else the first camera that
+    is in neither a tree leaf nor droppedCameras or in both, else the first
+    interdependent cluster k that does not hold every camera of independent
+    cluster k or has no such partner."""
     data = _load(path)
     tree = ClusterTree(root=_tree_from_json(data["tree"]))
     leaves = [list(leaf.cameras) for leaf in tree.leaves()]
+    dropped = list(data.get("droppedCameras", []))
     named = [(f"{kind} cluster {k}", list(c)) for kind, clusters in (("independent", leaves),
                                                                       ("interdependent", data["interdependent"]))
-             for k, c in enumerate(clusters)]
+             for k, c in enumerate(clusters)] + [("droppedCameras", dropped)]
     for name, cameras in named:
         if not all(_is_id(c) and 0 <= c < num_cameras for c in cameras):
             raise DataError(f"a cluster camera is not in the match graph's 0..{num_cameras - 1}: {name}")
@@ -285,6 +288,10 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
         for c in cameras:
             if owner.setdefault(c, k) != k:
                 raise DataError(f"independent clusters {owner[c]} and {k} share camera {c}")
+    for c in range(num_cameras):
+        if (c in owner) == (c in dropped):
+            raise DataError(f"camera {c} is {'in both a tree leaf and' if c in owner else 'in neither a tree leaf nor'}"
+                            " droppedCameras")
     for k, (cameras, expanded) in enumerate(itertools.zip_longest(leaves, data["interdependent"])):
         if cameras is None or expanded is None or not set(cameras) <= set(expanded):
             raise DataError(f"interdependent cluster {k} does not hold independent cluster {k}")
@@ -294,7 +301,7 @@ def load_cluster_set(path, num_cameras: int) -> ClusterSet:
         discarded_edges=[tuple(e) for e in data["discardedEdges"]],
         achieved_ratios=list(data["achievedRatios"]),
         exhausted=bool(data["exhausted"]),
-        dropped_cameras=list(data.get("droppedCameras", [])),
+        dropped_cameras=dropped,
     )
 
 

@@ -3,7 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from clustersfm import averaging
+from clustersfm import averaging, ba_core
 from clustersfm.averaging import GlobalMotion
 from clustersfm.geometry import so3_exp
 from clustersfm.local_sfm import MotionTable
@@ -103,6 +103,23 @@ def global_motion(rotations, centers=None, scales=None, residual_norms=(), objec
         residual_norms=np.asarray(residual_norms, dtype=float),
         objective=objective,
     )
+
+
+def joint_bundle_adjust(motion, points, cameras, max_iterations):
+    """The oracle of the distributed bundle adjustment: one LM over every
+    posed camera and every active point together, from the same start."""
+    active = [p for p in points if p.active]
+    return ba_core.lm_minimize(ba_core.BAProblem(
+        rotations=motion.rotation.copy(),
+        centers=motion.center.copy(),
+        intrinsics=cameras.intrinsics[motion.cameras],
+        points=np.array([p.position for p in active]),
+        cam_idx=np.searchsorted(motion.cameras, np.concatenate([p.cameras for p in active])),
+        pt_idx=np.repeat(np.arange(len(active)), [len(p.cameras) for p in active]),
+        pixels=np.concatenate([p.xy for p in active]),
+        free_cams=np.ones(len(motion.cameras), dtype=bool),
+        free_pts=np.ones(len(active), dtype=bool),
+    ), max_iterations=max_iterations)
 
 
 def solve_translation_with(monkeypatch, motions, estimate, **constants):

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from clustersfm import ba_core
 from clustersfm.averaging import rotation_averaging, solve_translation_l1
 from clustersfm.clustering import cluster_cameras
 from clustersfm.evaluation import align_similarity, epipolar_error
@@ -19,7 +18,8 @@ from clustersfm.scene import build_camera_graph
 from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.tracks import generate_tracks
 from clustersfm.utils import parallel_map
-from conftest import geometric_graph, global_motion, motion_table, random_rotation, solve_translation_with
+from conftest import (geometric_graph, global_motion, joint_bundle_adjust, motion_table, random_rotation,
+                      solve_translation_with)
 from similarity_merge import merge_by_similarity
 from test_tracks import canonical, flat_union_find_oracle, random_instance
 
@@ -312,22 +312,7 @@ def test_criterion_8_ba_correctness(loop_pipeline, monkeypatch):
     monkeypatch.setattr(global_ba, "MAX_ROUNDS", 3)
     monkeypatch.setattr(global_ba, "PARTITION_MAX_ITERATIONS", 80)
     _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
-    active = [p for p in points if p.active]
-    cam_ids = motion.cameras.tolist()
-    cam_pos = {c: k for k, c in enumerate(cam_ids)}
-    obs = [(cam_pos[int(c)], pi, p.xy[k]) for pi, p in enumerate(active) for k, c in enumerate(p.cameras)]
-    problem = ba_core.BAProblem(
-        rotations=motion.rotation.copy(),
-        centers=motion.center.copy(),
-        intrinsics=scene.cameras.intrinsics[cam_ids],
-        points=np.array([p.position for p in active]),
-        cam_idx=np.array([o[0] for o in obs]),
-        pt_idx=np.array([o[1] for o in obs]),
-        pixels=np.array([o[2] for o in obs]),
-        free_cams=np.ones(len(cam_ids), dtype=bool),
-        free_pts=np.ones(len(active), dtype=bool),
-    )
-    reference = ba_core.lm_minimize(problem, max_iterations=240)
+    reference = joint_bundle_adjust(motion, points, scene.cameras, max_iterations=240)
     single_ok = abs(log[-1].cost - reference.cost) <= 1e-10 * max(reference.cost, 1e-12)
 
     ok = jac_ok and monotone and single_ok

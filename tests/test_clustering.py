@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import clustering_reference
+from clustersfm import clustering
 from clustersfm.clustering import (
     Cluster,
     ClusteringError,
@@ -86,6 +88,22 @@ def test_divide_respects_cap_and_covers():
     for l in leaves:
         assert not seen.intersection(l.cameras)
         seen.update(l.cameras)
+
+
+def test_sparse_eigensolver_failure_warns_and_splits_as_dense(monkeypatch, caplog):
+    g = geometric_graph(150, 0.2, 3)  # connected, so the bisection runs the eigensolver
+    assert g.num_cameras > clustering.DENSE_EIG_LIMIT
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((g.num_cameras, 0)))
+
+    with monkeypatch.context() as m, caplog.at_level("WARNING", logger="clustersfm.clustering"):
+        m.setattr(clustering, "eigsh", no_convergence)
+        fallback = bisect_normalized_cut(g)
+    assert caplog.text.count("sparse eigensolver failed") == 1
+    assert "sparse eigensolver failed on 150 cameras; falling back to the dense one" in caplog.text
+    monkeypatch.setattr(clustering, "DENSE_EIG_LIMIT", g.num_cameras)
+    assert bisect_normalized_cut(g) == fallback
 
 
 def test_completeness_ratio_examples():

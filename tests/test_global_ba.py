@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from clustersfm import ba_core, global_ba
+from clustersfm import global_ba
 from clustersfm.clustering import Cluster, cluster_cameras
 from clustersfm.global_ba import (
     ROUND_RELATIVE_TOL,
@@ -16,7 +16,7 @@ from clustersfm.synthetic import generate_synthetic_scene
 from clustersfm.errors import DataError, NumericalError
 from clustersfm.geometry import so3_exp
 from clustersfm.io import load_global_points, save_global_points
-from conftest import camera_table, global_motion, project_point, track_rows, track_table
+from conftest import camera_table, global_motion, joint_bundle_adjust, project_point, track_rows, track_table
 
 
 def gt_motion(scene, unposed=()):
@@ -243,30 +243,31 @@ def test_single_partition_matches_monolithic(monkeypatch):
     monkeypatch.setattr(global_ba, "MAX_ROUNDS", 3)
     monkeypatch.setattr(global_ba, "PARTITION_MAX_ITERATIONS", 80)
     final, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
-
-    # monolithic oracle: one LM over the identical problem
-    active = [p for p in points if p.active]
-    cam_ids = motion.cameras.tolist()
-    cam_pos = {c: k for k, c in enumerate(cam_ids)}
-    obs_cam, obs_pt, obs_xy = [], [], []
-    for pi, p in enumerate(active):
-        for k, c in enumerate(p.cameras):
-            obs_cam.append(cam_pos[int(c)])
-            obs_pt.append(pi)
-            obs_xy.append(p.xy[k])
-    problem = ba_core.BAProblem(
-        rotations=motion.rotation.copy(),
-        centers=motion.center.copy(),
-        intrinsics=scene.cameras.intrinsics[cam_ids],
-        points=np.array([p.position for p in active]),
-        cam_idx=np.array(obs_cam),
-        pt_idx=np.array(obs_pt),
-        pixels=np.array(obs_xy),
-        free_cams=np.ones(len(cam_ids), dtype=bool),
-        free_pts=np.ones(len(active), dtype=bool),
-    )
-    reference = ba_core.lm_minimize(problem, max_iterations=240)
+    reference = joint_bundle_adjust(motion, points, scene.cameras, max_iterations=240)
     assert abs(log[-1].cost - reference.cost) <= 1e-10 * max(reference.cost, 1e-12)
+
+
+def test_all_boundary_points_reach_the_joint_optimum():
+    """A cityBlocks scene whose every active point spans partitions: only
+    the consensus step moves the points, and the rounds end within 0.1% of
+    one LM over all cameras and points together. A linear re-triangulation
+    of the boundary points stopped 8.5% above it."""
+    scene, matches = generate_synthetic_scene("cityBlocks", 36, 300, pixel_sigma=0.5, seed=2)
+    cs = cluster_cameras(build_camera_graph(matches, 36), max_cluster_size=12, completeness_ratio=0.0, seed=1)
+    rng = np.random.default_rng(4)
+    motion = gt_motion(scene)
+    for k in range(1, len(motion.cameras)):
+        motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.001) @ motion.rotation[k]
+        motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.003
+    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, cs, scene.cameras)
+    partitions = build_partitions(points, cs, motion)
+    active = sum(p.active for p in points)
+    assert len(partitions) >= 3 and active > 200
+    assert not any(part.interior_points for part in partitions)  # boundary points == active
+    _, _, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
+    reference = joint_bundle_adjust(motion, points, scene.cameras, max_iterations=200)
+    assert reference.converged
+    assert log[-1].cost <= 1.001 * reference.cost
 
 
 def test_non_finite_residuals_raise(loop24):
@@ -310,26 +311,3 @@ def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, 
     [point] = triangulate_global(track, motion, cluster_set, cameras)
     assert point.status == expected and point.position is None
 
-
-def test_point_costs_match_per_view_loop():
-    from clustersfm.global_ba import _point_costs
-
-    rng = np.random.default_rng(3)
-    n, k = 12, 3
-    Ps = rng.normal(size=(n, k, 3, 4))
-    Ps[..., 2, :] = [0.0, 0.0, 1.0, 5.0]  # depth z + 5
-    X = rng.normal(size=(n, 3))
-    X[0, 2] = -6.0  # behind every view
-    xy = rng.normal(size=(n, k, 2))
-    ref = []
-    for i in range(n):
-        total = 0.0
-        for P, z in zip(Ps[i], xy[i]):
-            uvw = P @ np.append(X[i], 1.0)
-            if uvw[2] <= 1e-12:
-                total = np.inf
-                break
-            total += (uvw[0] / uvw[2] - z[0]) ** 2 + (uvw[1] / uvw[2] - z[1]) ** 2
-        ref.append(total)
-    assert np.isinf(ref[0])
-    assert np.allclose(_point_costs(Ps, xy, X), ref, rtol=1e-12)

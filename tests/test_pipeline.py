@@ -567,6 +567,12 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
          f"interdependent cluster {last} does not hold independent cluster {last}", consumers),
         (lambda d: d["interdependent"].__setitem__(1, d["interdependent"][0]),  # each exited 0
          "interdependent cluster 1 does not hold independent cluster 1", consumers),
+        # a tree without camera c, whose match edges remain: tracks named a match edge, not the file
+        (lambda d: tree_leaves(d["tree"])[0]["cameras"].remove(c),
+         f"camera {c} is in neither a tree leaf nor droppedCameras", consumers),
+        (lambda d: d["droppedCameras"].append(c), f"camera {c} is in both a tree leaf and droppedCameras", consumers),
+        (lambda d: d["droppedCameras"].append(99),
+         "a cluster camera is not in the match graph's 0..17: droppedCameras", consumers),
     ):
         data = json.loads(original)
         change(data)
@@ -574,13 +580,6 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
         for stage in stages:
             assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, (message, stage)
             _one_line_data_error(capsys, stage, "clusters.json", message)
-    # a tree without camera c, whose match edges remain: the tracks are refused, not thinned
-    data = json.loads(original)
-    tree_leaves(data["tree"])[0]["cameras"].remove(c)
-    path.write_text(json.dumps(data))
-    i, j = next(e for e in json.loads((tmp_path / "matches.json").read_text())["edges"] if c in e)
-    assert cli_main(["tracks", "--output-dir", str(tmp_path)]) == 3
-    _one_line_data_error(capsys, "tracks", f"match edge ({i}, {j}) references a camera outside the tree")
     assert not list(tmp_path.glob("*.tmp"))
 
 
