@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .geometry import MIN_DEPTH, so3_exp
+from .geometry import MIN_DEPTH, skew, so3_exp
 
 logger = logging.getLogger(__name__)
 
@@ -121,16 +121,8 @@ def jacobian_blocks(problem: BAProblem, rotations=None, centers=None, points=Non
     A[:, 0, 2] = -f * Y[:, 0] / z**2
     A[:, 1, 1] = f / z
     A[:, 1, 2] = -f * Y[:, 1] / z**2
-    # -[Y]x
-    negYx = np.zeros((m, 3, 3))
-    negYx[:, 0, 1] = Y[:, 2]
-    negYx[:, 0, 2] = -Y[:, 1]
-    negYx[:, 1, 0] = -Y[:, 2]
-    negYx[:, 1, 2] = Y[:, 0]
-    negYx[:, 2, 0] = Y[:, 1]
-    negYx[:, 2, 1] = -Y[:, 0]
     AR = np.matmul(A, R)
-    J_rot = np.matmul(A, negYx)
+    J_rot = np.matmul(A, skew(-Y))  # -[Y]x = [-Y]x
     J_cam = np.concatenate([J_rot, -AR], axis=2)
     J_pt = AR
     return J_cam, J_pt

@@ -142,8 +142,9 @@ def ransac(
     When a sample improves the consensus, the model is re-fit on its inliers
     with an annealed threshold (4x -> 2x -> 1x), the classic local
     optimization step. A loop that reaches max_iterations before the
-    adaptive hypothesis count logs a warning. Returns (model, inlier_mask)
-    or (None, None).
+    adaptive hypothesis count logs a warning. Last, the best model is re-fit
+    once on all its inliers, and the refit is kept when it holds at least as
+    many. Returns (model, inlier_mask) or (None, None).
     """
     sample_size = sample_size or min_samples
     if num_data < sample_size:
@@ -183,11 +184,14 @@ def ransac(
             ratio = max(count / num_data, 1e-9)
             denom = np.log(max(1.0 - ratio**min_samples, 1e-15))
             needed = np.inf if denom >= -1e-15 else int(np.ceil(np.log(max(1.0 - RANSAC_CONFIDENCE, 1e-15)) / denom))
+    refit = None if best_model is None else fit_fn(np.flatnonzero(best_mask))
+    if refit is not None:
+        refit_mask = residual_fn(refit) < threshold
+        if refit_mask.sum() >= best_count:
+            best_model, best_mask, best_count = refit, refit_mask, int(refit_mask.sum())
     if needed > max_iterations:
         logger.warning("RANSAC stopped at its cap of %d hypotheses with %d of %d data as inliers",
                        max_iterations, max(best_count, 0), num_data)
-    if best_model is None:
-        return None, None
     return best_model, best_mask
 
 

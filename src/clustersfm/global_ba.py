@@ -1,7 +1,7 @@
 """Global point triangulation and cluster-partitioned bundle adjustment.
 
 The independent (disjoint) clusters define the sub-problems: each partition
-refines its own cameras and the points it owns, with points whose
+refines its own cameras and the points seen only by them, with points whose
 observations span partitions held fixed at the shared consensus value.
 Between rounds, one LM over the boundary points' observations, every camera
 fixed, moves the boundary points; its normal equations are one 3x3 block
@@ -35,7 +35,6 @@ STATUSES = ("active", "too_few_views", "cheirality", "reprojection")
 class GlobalPoint:
     track_id: int
     position: np.ndarray | None
-    cluster_id: int  # owning independent cluster
     cameras: np.ndarray  # observing cameras (posed ones)
     xy: np.ndarray  # (n, 2)
     status: str  # one of STATUSES
@@ -49,7 +48,7 @@ class GlobalPoint:
 class BAPartition:
     cluster_id: int
     cameras: tuple
-    interior_points: list  # indices into the active point list of the points it owns that only it sees
+    interior_points: list  # indices into the active point list of the points only its cameras see
 
 
 @dataclass
@@ -59,36 +58,22 @@ class RoundLog:
     rms_px: float
 
 
-def triangulate_global(
-    tracks: TrackTable,
-    motion: GlobalMotion,
-    cluster_set: ClusterSet,
-    cameras: CameraTable,
-) -> list[GlobalPoint]:
+def triangulate_global(tracks: TrackTable, motion: GlobalMotion, cameras: CameraTable) -> list[GlobalPoint]:
     """Triangulate every track against the averaged global poses.
 
     Tracks failing the view-count, cheirality, or reprojection gates are
     kept with a reason code, never silently dropped. Each point keeps its
-    posed views; the independent cluster holding the plurality of them owns
-    it (ties to the lowest cluster id, -1 when no view is in one).
+    posed views, which alone fix the partition that may move it (see
+    build_partitions).
     """
     posed = motion.cameras
     rows = np.flatnonzero(np.isin(tracks.cameras, posed))  # the posed views, by track
     cams, xy, track = tracks.cameras[rows], tracks.xy[rows], tracks.owner()[rows]
     views = np.bincount(track, minlength=len(tracks))
     offsets = np.append(0, np.cumsum(views))
-    # votes[t, k]: the posed views of track t in independent cluster k
-    label = np.full(len(cameras), -1)
-    for cl in cluster_set.independent:
-        label[list(cl.cameras)] = cl.id
-    k = label.max(initial=0) + 1
-    cluster = label[cams]
-    seen = cluster >= 0
-    votes = np.bincount(track[seen] * k + cluster[seen], minlength=len(tracks) * k).reshape(-1, k)
-    owner = np.where(votes.any(axis=1), votes.argmax(axis=1), -1)  # argmax takes the lowest id of a tie
     out = [
-        GlobalPoint(t, None, o, cams[a:b], xy[a:b], "too_few_views")
-        for t, o, a, b in zip(tracks.ids.tolist(), owner.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        GlobalPoint(t, None, cams[a:b], xy[a:b], "too_few_views")
+        for t, a, b in zip(tracks.ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
     ]
     P = projection_matrix(cameras.K(posed), motion.rotation, motion.center)
     at = np.searchsorted(posed, cams)
@@ -109,26 +94,21 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion:
     """Assemble disjoint per-independent-cluster sub-problems.
 
     Every observation lands in exactly one partition (its camera's
-    cluster); a point is interior when all its observations stay inside its
-    owner. A point owned by no independent cluster (-1) is a boundary
-    point; any other unknown owner is a DataError.
+    cluster). An active point is interior to a partition when every one of
+    its views is of one of the partition's posed cameras; an active point
+    interior to none, because its views span clusters or include a camera
+    in no independent cluster, is a boundary point.
     """
     posed = set(motion.cameras.tolist())
     active = [p for p in points if p.active]
-    independent = cluster_set.independent
-    cluster_ids = sorted({cl.id for cl in independent})
-    unknown = [p.track_id for p in points if p.cluster_id != -1 and p.cluster_id not in cluster_ids]
-    if unknown:
-        raise DataError(f"point of track {unknown[0]}: its cluster is neither -1 nor an independent cluster id")
     partitions = []
-    for cid in cluster_ids:
-        cams = tuple(sorted(c for c in independent[cid].cameras if c in posed))
+    for cl in cluster_set.independent:
+        cams = tuple(sorted(c for c in cl.cameras if c in posed))
         if not cams:
             continue
         cam_set = set(cams)
-        interior = [pi for pi, p in enumerate(active)
-                    if p.cluster_id == cid and all(int(c) in cam_set for c in p.cameras)]
-        partitions.append(BAPartition(cluster_id=cid, cameras=cams, interior_points=interior))
+        interior = [pi for pi, p in enumerate(active) if cam_set.issuperset(p.cameras.tolist())]
+        partitions.append(BAPartition(cluster_id=cl.id, cameras=cams, interior_points=interior))
     return partitions
 
 
@@ -241,15 +221,7 @@ def distributed_bundle_adjust(
         logger.warning("distributed bundle adjustment stopped at its cap of %d rounds", MAX_ROUNDS)
 
     out_motion = replace(motion, rotation=rotations, center=centers, residual_norms=np.zeros(0), objective=cost)
-    out_points = []
-    idx = 0
-    for p in points:
-        if p.active:
-            out_points.append(
-                GlobalPoint(p.track_id, positions[idx].copy(), p.cluster_id, p.cameras, p.xy, "active")
-            )
-            idx += 1
-        else:
-            out_points.append(p)
+    new_positions = iter(positions)
+    out_points = [replace(p, position=next(new_positions)) if p.active else p for p in points]
     return out_motion, out_points, log
 

@@ -459,7 +459,6 @@ def save_global_points(path, points) -> None:
     xy, _ = _flat([p.xy for p in points], np.zeros((0, 2)))
     _save_npz(path, offsets=offsets, cameras=cameras, xy=xy,
               track=np.array([p.track_id for p in points], dtype=np.int64),
-              cluster=np.array([p.cluster_id for p in points], dtype=np.int64),
               status=np.array([STATUSES.index(p.status) for p in points], dtype=np.int64),
               position=np.array([np.zeros(3) if p.position is None else p.position for p in points], dtype=float))
 
@@ -472,7 +471,6 @@ def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
     the match graph's 0..num_cameras-1."""
     data = _load_npz(path)
     track = _array(data, "track", np.int64, -1)
-    cluster = _array(data, "cluster", np.int64, len(track))
     status = _array(data, "status", np.int64, len(track))
     position = _array(data, "position", float, len(track), 3)
     cameras = _array(data, "cameras", np.int64, -1)
@@ -485,9 +483,9 @@ def load_global_points(path, num_cameras: int) -> list[GlobalPoint]:
     offsets = _offsets(data, len(track), len(cameras))
     check_ascending(cameras, offsets, track, num_cameras)
     return [
-        GlobalPoint(track_id=t, position=X if STATUSES[s] == "active" else None, cluster_id=c, cameras=cameras[a:b],
+        GlobalPoint(track_id=t, position=X if STATUSES[s] == "active" else None, cameras=cameras[a:b],
                     xy=xy[a:b], status=STATUSES[s])
-        for t, c, s, X, (a, b) in zip(track.tolist(), cluster.tolist(), status.tolist(), position, _spans(offsets))
+        for t, s, X, (a, b) in zip(track.tolist(), status.tolist(), position, _spans(offsets))
     ]
 
 

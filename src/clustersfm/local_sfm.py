@@ -206,13 +206,6 @@ def estimate_relative_pose(
     )
     if E is None or mask.sum() < 8:
         return None
-    # refit on the full inlier set
-    E_ref = eight_point_essential(rays_i[mask], rays_j[mask])
-    if E_ref is not None:
-        F = Kj_inv.T @ E_ref @ Ki_inv
-        mask_ref = sampson_distance(F, xy_i, xy_j) < ESSENTIAL_THRESHOLD_PX
-        if mask_ref.sum() >= mask.sum():
-            E, mask = E_ref, mask_ref
     pose = decompose_essential(E, rays_i[mask], rays_j[mask])
     if pose is None:
         return None
@@ -308,11 +301,6 @@ def register_next_view(
     )
     if model is None:
         return None
-    refit = resect_linear(points3d[mask], rays[mask])
-    if refit is not None:
-        mask_ref = residual(refit) < RESECTION_THRESHOLD_PX
-        if mask_ref.sum() >= mask.sum():
-            model, mask = refit, mask_ref
     count = int(mask.sum())
     if count < RESECTION_MIN_INLIERS or count / n < RESECTION_MIN_INLIER_RATIO:
         return None

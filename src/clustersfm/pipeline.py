@@ -56,7 +56,7 @@ STAGE_INPUTS = {
     "tracks": ("matches.json", "clusters.json"),
     "local-sfm": ("matches.json", "clusters.json", "tracks.json"),
     "average": ("matches.json", "relative_motions.npz"),
-    "triangulate": ("clusters.json", "global_motion.npz", "local_reconstructions.json"),
+    "triangulate": ("matches.json", "global_motion.npz", "local_reconstructions.json"),
     "ba": ("points.npz", "clusters.json", "global_motion.npz", "matches.json"),
     "evaluate": ("matches.json", "ground_truth.npz", "relative_motions.npz", "final_motion.npz", "final_points.npz", "clusters.json"),
 }
@@ -100,8 +100,10 @@ class PipelineConfig:
             raise ConfigurationError("num_cameras must be >= 2")
         if self.num_points < 1:
             raise ConfigurationError("num_points must be >= 1")
-        if self.pixel_sigma < 0:
-            raise ConfigurationError("pixel_sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        if not 0.0 <= self.pixel_sigma < np.inf:
+            raise ConfigurationError("pixel_sigma must be >= 0 and finite")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ConfigurationError("outlier_fraction must be in [0, 1)")
         if self.max_cluster_size < 2:
@@ -295,10 +297,9 @@ def validated_tracks(recs) -> TrackTable:
 
 def stage_triangulate(config: PipelineConfig, out_dir) -> None:
     cameras = sfm_io.load_cameras(Path(out_dir) / "matches.json")
-    cs = sfm_io.load_cluster_set(Path(out_dir) / "clusters.json", len(cameras))
     motion = sfm_io.load_global_motion(Path(out_dir) / "global_motion.npz", len(cameras))
     recs = sfm_io.load_local_reconstructions(Path(out_dir) / "local_reconstructions.json", len(cameras))
-    points = triangulate_global(validated_tracks(recs), motion, cs, cameras)
+    points = triangulate_global(validated_tracks(recs), motion, cameras)
     sfm_io.save_global_points(Path(out_dir) / "points.npz", points)
 
 

@@ -300,8 +300,8 @@ def generate_synthetic_scene(
         raise ConfigurationError("need at least 2 cameras")
     if num_points < 1:
         raise ConfigurationError("need at least 1 point")
-    if pixel_sigma < 0:
-        raise ConfigurationError("pixel_sigma must be >= 0")
+    if not 0.0 <= pixel_sigma < np.inf:
+        raise ConfigurationError("pixel_sigma must be >= 0 and finite")
     if not (0.0 <= outlier_fraction < 1.0):
         raise ConfigurationError("outlier_fraction must be in [0, 1)")
 

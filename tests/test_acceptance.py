@@ -307,7 +307,7 @@ def test_criterion_8_ba_correctness(loop_pipeline, monkeypatch):
     r2 = np.random.default_rng(2)
     for k in range(1, len(motion.cameras)):
         motion.center[k] = motion.center[k] + r2.normal(size=3) * 0.01
-    points = triangulate_global(tracks_from_scene(scene, noise=0.4, seed=1), motion, cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene, noise=0.4, seed=1), motion, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     monkeypatch.setattr(global_ba, "MAX_ROUNDS", 3)
     monkeypatch.setattr(global_ba, "PARTITION_MAX_ITERATIONS", 80)

@@ -265,6 +265,28 @@ def test_ransac_cap_warning(caplog):
         f"RANSAC stopped at its cap of 50 hypotheses with {mask.sum()} of 200 data as inliers"]
 
 
+def test_ransac_refits_on_the_final_inliers():
+    """The last fit is one on the best consensus; its threshold inliers,
+    three more than it was fit on here, are what RANSAC returns."""
+    rng = np.random.default_rng(15)
+    n = 40
+    x = rng.uniform(-1, 1, n)
+    y = 2.0 * x + 1.0 + rng.normal(0, 0.05, n)
+    out = rng.choice(n, 10, replace=False)
+    y[out] += rng.uniform(0.5, 3, 10)
+    fit, residual = _line_fit(x, y)
+    fitted = []
+
+    def recorded_fit(idx):
+        fitted.append(np.asarray(idx))
+        return fit(idx)
+
+    model, mask = ransac(n, 2, recorded_fit, residual, 0.05, np.random.default_rng(1015))
+    assert np.array_equal(model, fit(fitted[-1]))
+    assert np.array_equal(mask, residual(model) < 0.05)
+    assert mask.sum() == len(fitted[-1]) + 3
+
+
 def test_ransac_insufficient_data():
     rng = np.random.default_rng(8)
     model, mask = ransac(3, 8, lambda idx: None, lambda m: np.zeros(3), 1.0, rng)

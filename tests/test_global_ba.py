@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from clustersfm import global_ba
-from clustersfm.clustering import Cluster, cluster_cameras
+from clustersfm.clustering import cluster_cameras
 from clustersfm.global_ba import (
     ROUND_RELATIVE_TOL,
     build_partitions,
@@ -51,7 +49,7 @@ def loop24():
 
 def test_triangulate_global_noise_free(loop24):
     scene, matches, graph, cs = loop24
-    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), scene.cameras)
     active = [p for p in points if p.active]
     # noise-free: every track with >= 3 views triangulates exactly
     expected = sum(1 for v in scene.visibility if len(v) >= 3)
@@ -63,44 +61,33 @@ def test_triangulate_global_noise_free(loop24):
 def test_triangulate_global_too_few_views(loop24):
     scene, matches, graph, cs = loop24
     t = track_table([(0, [0, 1], [0, 1], np.zeros((2, 2)))])
-    points = triangulate_global(t, gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(t, gt_motion(scene), scene.cameras)
     assert points[0].status == "too_few_views"
     assert not points[0].active
 
 
-def test_triangulate_global_owner_matches_counter_reference(loop24, tmp_path):
-    from collections import Counter
-    from types import SimpleNamespace
-
+def test_triangulate_global_keeps_each_tracks_posed_views(loop24, tmp_path):
     scene = loop24[0]
     motion = gt_motion(scene, unposed=(3, 10))
-    # clusters of two cameras and four cameras in none, so ties are common
-    cluster_of = {c: c // 2 for c in range(20)}
     made = {
-        900: [4, 6, 10, 11],  # a three-way tie 2/3/5, which unposed camera 10 would break for 5
-        901: [20, 21, 22],  # posed, in no cluster
+        900: [4, 6, 10, 11],  # three posed views
+        901: [20, 21, 22],
         902: [3, 10],  # no posed view
-        903: [1, 3, 7],  # two posed views, a tie 0/3
-        904: [8, 9, 12, 13],  # a tie 4/6 of two views each
+        903: [1, 3, 7],  # two posed views
+        904: [8, 9, 12, 13],
     }
     tracks = track_table(track_rows(tracks_from_scene(scene))
                          + [(t, cams, np.arange(len(cams)), np.ones((len(cams), 2))) for t, cams in made.items()])
-    clusters = [Cluster(k, [c for c, o in cluster_of.items() if o == k]) for k in sorted(set(cluster_of.values()))]
-    points = triangulate_global(tracks, motion, SimpleNamespace(independent=clusters),
-                                scene.cameras)
+    points = triangulate_global(tracks, motion, scene.cameras)
     assert len(points) == len(tracks)
     for (t, cams, _, xy), p in zip(track_rows(tracks), points):
         keep = [k for k, c in enumerate(cams.tolist()) if c in motion.cameras]
-        counts = Counter(cluster_of[c] for c in cams[keep].tolist() if c in cluster_of)
-        owner = min(counts, key=lambda o: (-counts[o], o)) if counts else -1
-        assert (p.track_id, p.cluster_id, p.cameras.tolist(), p.xy.tolist()) == \
-            (t, owner, cams[keep].tolist(), xy[keep].tolist())
+        assert (p.track_id, p.cameras.tolist(), p.xy.tolist()) == (t, cams[keep].tolist(), xy[keep].tolist())
         assert p.cameras.dtype == np.int64 and p.xy.shape == (len(keep), 2)
         if len(keep) < 3:
             assert p.status == "too_few_views" and p.position is None
         elif t < 900:  # a noise-free scene track
             assert p.active and np.abs(p.position - scene.points[t]).max() < 1e-9
-    assert {p.track_id: p.cluster_id for p in points[-5:]} == {900: 2, 901: -1, 902: -1, 903: 0, 904: 4}
     # a point without posed views keeps int64 cameras, so the ba stage can load it
     save_global_points(tmp_path / "points.npz", points)
     assert load_global_points(tmp_path / "points.npz", scene.num_cameras)[-3].cameras.tolist() == []
@@ -112,7 +99,7 @@ def test_triangulate_global_noisy_rms():
     cs = cluster_cameras(graph, max_cluster_size=5, completeness_ratio=0.0, seed=1)
     tracks = track_table([t for t in track_rows(tracks_from_scene(scene, noise=0.5, seed=3)) if len(t[1]) >= 6])
     assert len(tracks)
-    points = triangulate_global(tracks, gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(tracks, gt_motion(scene), scene.cameras)
     sq = []
     for p in points:
         if not p.active:
@@ -126,15 +113,18 @@ def test_triangulate_global_noisy_rms():
 
 def test_partition_structure(loop24):
     scene, matches, graph, cs = loop24
-    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), scene.cameras)
     partitions = build_partitions(points, cs, gt_motion(scene))
     seen = set()
     for part in partitions:
         assert not seen.intersection(part.cameras)
         seen.update(part.cameras)
-    # ownership: each active point owned by exactly one partition
-    owners = {part.cluster_id for part in partitions}
-    assert all(p.cluster_id in owners for p in points if p.active)
+    # an active point is interior to partition k exactly when all its cameras are among k's
+    active = [p for p in points if p.active]
+    for part in partitions:
+        inside = [pi for pi, p in enumerate(active) if set(p.cameras.tolist()) <= set(part.cameras)]
+        assert part.interior_points == inside
+    assert any(part.interior_points for part in partitions)
     # every observation appears in exactly one sub-problem
     total_obs = sum(np.isin(p.cameras, part.cameras).sum() for part in partitions for p in points if p.active)
     assert total_obs == sum(len(p.cameras) for p in points if p.active)
@@ -142,27 +132,16 @@ def test_partition_structure(loop24):
 
 def test_point_camera_the_motion_does_not_pose_is_a_data_error(loop24):
     scene, matches, graph, cs = loop24
-    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), scene.cameras)
     motion = gt_motion(scene, unposed=(3,))  # posed when the points were triangulated, not now
     partitions = build_partitions(points, cs, motion)
     with pytest.raises(DataError, match="^point camera 3 is not posed by the global motion$"):
         distributed_bundle_adjust(partitions, motion, points, scene.cameras)
 
 
-def test_point_of_an_unknown_cluster_is_a_data_error(loop24):
-    scene, matches, graph, cs = loop24
-    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
-    build_partitions([dataclasses.replace(points[0], cluster_id=-1)] + points[1:], cs, gt_motion(scene))
-    for cluster in (len(cs.independent), 99, -2):
-        with pytest.raises(DataError, match=f"^point of track {points[3].track_id}: its cluster is neither -1 nor "
-                                            "an independent cluster id$"):
-            build_partitions(points[:3] + [dataclasses.replace(points[3], cluster_id=cluster)] + points[4:],
-                             cs, gt_motion(scene))
-
-
 def test_ground_truth_noise_free_terminates_immediately(loop24):
     scene, matches, graph, cs = loop24
-    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), gt_motion(scene), scene.cameras)
     partitions = build_partitions(points, cs, gt_motion(scene))
     assert len(partitions) >= 3
     motion, out_points, log = distributed_bundle_adjust(partitions, gt_motion(scene), points, scene.cameras)
@@ -178,7 +157,7 @@ def test_global_cost_non_increasing(loop24, monkeypatch):
         motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.002) @ motion.rotation[k]
         motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.02
     before = motion.rotation.copy(), motion.center.copy()
-    points = triangulate_global(tracks_from_scene(scene), motion, cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), motion, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     monkeypatch.setattr(global_ba, "MAX_ROUNDS", 6)
     final, out_points, log = distributed_bundle_adjust(partitions, motion, points, scene.cameras)
@@ -203,7 +182,7 @@ def orbit_perturbed(orbit_scene_small):
     for k in range(1, len(motion.cameras)):
         motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.0005) @ motion.rotation[k]
         motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.005
-    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, scene.cameras)
     return scene, motion, points, build_partitions(points, cs, motion)
 
 
@@ -237,7 +216,7 @@ def test_single_partition_matches_monolithic(monkeypatch):
     for k in range(1, len(motion.cameras)):
         motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.01
     tracks = tracks_from_scene(scene, noise=0.4, seed=1)
-    points = triangulate_global(tracks, motion, cs, scene.cameras)
+    points = triangulate_global(tracks, motion, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     assert len(partitions) == 1
     monkeypatch.setattr(global_ba, "MAX_ROUNDS", 3)
@@ -259,7 +238,7 @@ def test_all_boundary_points_reach_the_joint_optimum():
     for k in range(1, len(motion.cameras)):
         motion.rotation[k] = so3_exp(rng.normal(size=3) * 0.001) @ motion.rotation[k]
         motion.center[k] = motion.center[k] + rng.normal(size=3) * 0.003
-    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene, noise=0.5, seed=1), motion, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     active = sum(p.active for p in points)
     assert len(partitions) >= 3 and active > 200
@@ -273,7 +252,7 @@ def test_all_boundary_points_reach_the_joint_optimum():
 def test_non_finite_residuals_raise(loop24):
     scene, matches, graph, cs = loop24
     motion = gt_motion(scene)
-    points = triangulate_global(tracks_from_scene(scene), motion, cs, scene.cameras)
+    points = triangulate_global(tracks_from_scene(scene), motion, scene.cameras)
     partitions = build_partitions(points, cs, motion)
     p = next(p for p in points if p.active)
     # mirror the point through its first camera's center: behind that camera
@@ -290,8 +269,6 @@ def test_non_finite_residuals_raise(loop24):
 
 @pytest.mark.parametrize("flipped, perturbed, expected", [(2, 0, "reprojection"), (0, 2, "cheirality")])
 def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, expected):
-    from types import SimpleNamespace
-
     # three cameras along x looking down +z; one is turned to look down -z,
     # so the point is behind it, and another sees the point 30 px off
     X = np.array([0.2, -0.1, 10.0])
@@ -307,7 +284,6 @@ def test_triangulate_global_first_failing_view_names_status(flipped, perturbed, 
     xy[perturbed, 0] += 30.0
     track = track_table([(0, np.arange(3), np.arange(3), xy)])
     motion = global_motion(rotations, centers, {0: 1.0})
-    cluster_set = SimpleNamespace(independent=[Cluster(0, (0, 1, 2))])
-    [point] = triangulate_global(track, motion, cluster_set, cameras)
+    [point] = triangulate_global(track, motion, cameras)
     assert point.status == expected and point.position is None
 

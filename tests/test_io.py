@@ -224,9 +224,9 @@ def test_global_motion_and_points_roundtrip(tmp_path, small_run):
     assert (tmp_path / "gm.npz").read_bytes() == artifact.read_bytes()
 
     points = [
-        GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]), cluster_id=0,
+        GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]),
                     cameras=np.array([0, 1, 2]), xy=np.zeros((3, 2)), status="active"),
-        GlobalPoint(track_id=1, position=None, cluster_id=1,
+        GlobalPoint(track_id=1, position=None,
                     cameras=np.array([0, 1]), xy=np.zeros((2, 2)), status="too_few_views"),
     ]
     sfm_io.save_global_points(tmp_path / "pts.npz", points)
@@ -237,13 +237,13 @@ def test_global_motion_and_points_roundtrip(tmp_path, small_run):
 
 def _points_of_every_status():
     return [
-        GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]), cluster_id=0,
+        GlobalPoint(track_id=0, position=np.array([1.0, 2, 3]),
                     cameras=np.array([0, 1, 2]), xy=np.arange(6.0).reshape(3, 2) / 3, status="active"),
-        GlobalPoint(track_id=1, position=None, cluster_id=1,
+        GlobalPoint(track_id=1, position=None,
                     cameras=np.array([0, 1]), xy=np.zeros((2, 2)), status="too_few_views"),
-        GlobalPoint(track_id=7, position=None, cluster_id=1,
+        GlobalPoint(track_id=7, position=None,
                     cameras=np.array([3, 4, 5, 6]), xy=np.full((4, 2), 0.1), status="cheirality"),
-        GlobalPoint(track_id=9, position=None, cluster_id=0,
+        GlobalPoint(track_id=9, position=None,
                     cameras=np.array([2]), xy=np.array([[1e-300, -2.5]]), status="reprojection"),
     ]
 
@@ -255,8 +255,7 @@ def test_global_points_roundtrip_exact(tmp_path):
         loaded = sfm_io.load_global_points(path, 7)
         assert len(loaded) == len(points)
         for a, b in zip(points, loaded):
-            assert (a.track_id, a.cluster_id, a.status) == (b.track_id, b.cluster_id, b.status)
-            assert type(b.track_id) is int and type(b.cluster_id) is int
+            assert (a.track_id, a.status) == (b.track_id, b.status) and type(b.track_id) is int
             assert (b.position is None) == (a.position is None)
             assert a.position is None or np.array_equal(a.position, b.position)
             assert np.array_equal(a.cameras, b.cameras) and b.cameras.dtype == np.int64
@@ -353,8 +352,8 @@ def test_malformed_artifacts_raise_data_error(tmp_path):
     for changes, message in ((dict(status=data["status"] + 1), "status code is not in 0..3"),
                              (dict(track=None), "track"),  # a missing key is named
                              (dict(cameras=data["cameras"].astype(object)), "Object arrays"),
-                             (dict(cluster=data["cluster"] + 0.5), "Cannot cast"),
-                             (dict(cluster=data["cluster"] > 0), "cluster: true or false where integers are expected"),
+                             (dict(status=data["status"] + 0.5), "Cannot cast"),
+                             (dict(status=data["status"] > 0), "status: true or false where integers are expected"),
                              (dict(position=data["position"][:-1]), "malformed"),
                              (dict(offsets=data["offsets"][::-1]), "offsets do not rise"),
                              (dict(cameras=np.append(data["cameras"][:-1], 7)),  # point 9 sees camera 2

@@ -4,15 +4,18 @@ import json
 import logging
 import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clustersfm import io as sfm_io
 from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
-from clustersfm.pipeline import STAGE_SETTINGS, STAGES, PipelineConfig, run_pipeline, stage_status, validated_tracks
+from clustersfm.pipeline import (STAGE_INPUTS, STAGE_SETTINGS, STAGES, PipelineConfig, run_pipeline, stage_status,
+                                  validated_tracks)
 from clustersfm.utils import parallel_map
 from conftest import SMALL, track_rows, track_table, tree_leaves
 
@@ -101,6 +104,29 @@ def test_tampering_marks_downstream_stale(small_run):
         clusters.write_text(original)
 
 
+def test_each_stage_reads_exactly_the_files_it_declares(small_run, tmp_path, monkeypatch):
+    """Every loader reads through io._load or io._load_npz; the files a
+    stage reads are the inputs its manifest entry hashes, so a change to
+    any of them marks the stage stale."""
+    shutil.copytree(small_run[0], tmp_path, dirs_exist_ok=True)
+    config = PipelineConfig(output_dir=str(tmp_path), **SMALL)
+    read = []
+    for reader in ("_load", "_load_npz"):
+        def recording(path, _reader=getattr(sfm_io, reader)):
+            read.append(Path(path).name)
+            return _reader(path)
+        monkeypatch.setattr(sfm_io, reader, recording)
+    for stage in STAGES:
+        read.clear()
+        run_pipeline(config, stages=[stage])
+        assert set(read) - {"manifest.json"} == set(STAGE_INPUTS[stage]), stage
+    path = tmp_path / "matches.json"
+    data = json.loads(path.read_text())
+    data["intrinsics"][0][0] += 1.0  # one focal length
+    path.write_text(json.dumps(data))
+    assert all(info["stale"] for info in stage_status(tmp_path).values())
+
+
 def test_status_empty_dir(tmp_path):
     status = stage_status(tmp_path)
     assert all(not info["present"] for info in status.values())
@@ -115,12 +141,20 @@ def test_config_validation():
         PipelineConfig.from_dict({"not_a_key": 1})
 
 
-def test_cli_invalid_config_exit_code(tmp_path):
+def test_cli_invalid_config_exit_code(tmp_path, capsys):
     code = cli_main([
         "run", "--output-dir", str(tmp_path), "--completeness-ratio", "1.5",
     ])
     assert code == 2
     assert not (tmp_path / "matches.json").exists()
+    capsys.readouterr()
+    for flags, message in (
+        (["--seed", "-1"], "seed must be >= 0"),  # a traceback in the synth stage, exit 1
+        (["--pixel-sigma", "nan"], "pixel_sigma must be >= 0 and finite"),  # a noise-free scene, exit 0
+        (["--pixel-sigma", "inf"], "pixel_sigma must be >= 0 and finite"),  # the cluster stage exited 3
+    ):
+        _assert_config_error(capsys, ["run", "--output-dir", str(tmp_path), *flags], message)
+        assert not (tmp_path / "matches.json").exists()
     cfg = tmp_path / "removed.json"
     cfg.write_text(json.dumps({"ba_every": 0}))  # a removed key is an unknown key
     assert cli_main(["run", "--output-dir", str(tmp_path), "--config", str(cfg)]) == 2
@@ -307,7 +341,7 @@ def test_cli_cluster_camera_outside_match_graph_exit_code(small_run, tmp_path, c
     data = json.loads(clusters.read_text())
     data["interdependent"][0].append(999)
     clusters.write_text(json.dumps(data))
-    for stage in ("tracks", "local-sfm", "triangulate", "ba", "evaluate"):
+    for stage in ("tracks", "local-sfm", "ba", "evaluate"):
         assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3, stage
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"data error: stage {stage!r} failed:") and "clusters.json" in err
@@ -551,7 +585,7 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
     original = path.read_text()
     leaves = tree_leaves(json.loads(original)["tree"])
     c, last = leaves[0]["cameras"][0], len(leaves) - 1
-    consumers = ("tracks", "local-sfm", "triangulate", "ba", "evaluate")
+    consumers = ("tracks", "local-sfm", "ba", "evaluate")
 
     def share(d):  # camera c of leaf 0 joins leaf 1 too
         cameras = tree_leaves(d["tree"])[1]["cameras"]
@@ -560,7 +594,7 @@ def test_cli_inconsistent_cluster_set_exit_code(small_run, tmp_path, capsys):
     for change, message, stages in (
         (lambda d: d["interdependent"][0].insert(0, d["interdependent"][0][0]),
          "interdependent cluster 0: cameras are not strictly ascending", ("local-sfm",)),  # exited 0
-        (share, f"independent clusters 0 and 1 share camera {c}", consumers),  # triangulate exited 0
+        (share, f"independent clusters 0 and 1 share camera {c}", consumers),
         (lambda d: tree_leaves(d["tree"])[1]["cameras"].reverse(),
          "independent cluster 1: cameras are not strictly ascending", consumers),
         (lambda d: d["interdependent"].pop(),  # each exited 0
@@ -611,21 +645,6 @@ def test_cli_boolean_camera_id_exit_code(small_run, tmp_path, capsys, name, stag
     _edit(tmp_path / name, change)
     assert cli_main([stage, "--output-dir", str(tmp_path)]) == 3
     _one_line_data_error(capsys, stage, name, message)
-
-
-def test_cli_point_of_an_unknown_cluster_exit_code(small_run, tmp_path, capsys):
-    out, _, _ = small_run
-    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "points.npz"
-    with np.load(path) as archive:
-        data = dict(archive)
-    for cluster in (99, -2):  # 99 exited 0 and made the point a boundary point
-        with open(path, "wb") as fh:
-            np.savez(fh, **dict(data, cluster=np.append(data["cluster"][:-1], cluster)))
-        assert cli_main(["ba", "--output-dir", str(tmp_path)]) == 3, cluster
-        _one_line_data_error(capsys, "ba", f"point of track {data['track'][-1]}: its cluster is neither -1 nor "
-                                           "an independent cluster id")
-    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_non_finite_pixel_exit_code(small_run, tmp_path, capsys):

@@ -98,8 +98,9 @@ def test_layout_validation():
         generate_synthetic_scene("nope", 10, 100)
     with pytest.raises(ConfigurationError, match="outlier_fraction must be in"):
         generate_synthetic_scene("loop", 10, 100, outlier_fraction=1.0)
-    with pytest.raises(ConfigurationError, match="pixel_sigma must be >= 0"):
-        generate_synthetic_scene("loop", 10, 100, pixel_sigma=-0.5)
+    for sigma in (-0.5, float("nan"), float("inf")):  # nan skipped the noise
+        with pytest.raises(ConfigurationError, match="pixel_sigma must be >= 0 and finite"):
+            generate_synthetic_scene("loop", 10, 100, pixel_sigma=sigma)
     # two cameras that face outward share no point, so every rejection round fails
     with pytest.raises(ConfigurationError, match="layout 'loop' with 2 cameras cannot host 10 points"):
         generate_synthetic_scene("loop", 2, 10)

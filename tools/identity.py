@@ -3,16 +3,18 @@
     python3 tools/identity.py --against REV
 
 The tool extracts `src/` of git revision REV into `.bench_work/identity/`,
-then runs the pipeline on each scene from that tree and from this
-checkout's `src/`, each in a fresh interpreter at OPENBLAS_NUM_THREADS=1
-and seed 7. The scenes are the benchmark workloads of
-`perfbench/workloads.py`: smoke (the CI scene), loop120, grid64-single and
-city72.
+then runs the pipeline on each scene from that tree at 1 worker and from
+this checkout's `src/` at 1 and at 2 workers, each in a fresh interpreter
+at OPENBLAS_NUM_THREADS=1 and seed 7. The scenes are the benchmark
+workloads of `perfbench/workloads.py`: smoke (the CI scene), loop120,
+grid64-single and city72.
 
-It prints one line per scene: `identical`, or the artifacts whose bytes
-differ and those that only one side wrote. `manifest.json` holds run
-times and is never compared. The exit status is 1 when any scene
-differs or any run fails, else 0.
+It prints one line per scene: `identical`, or the artifacts of the
+checkout's 1-worker run whose bytes differ from REV's and those that only
+one side wrote, then the same for the checkout's 2-worker run against its
+1-worker run, marked `at 2 workers`. `manifest.json` holds run times and
+is never compared. The exit status is 1 when any scene differs or any run
+fails, else 0.
 """
 
 import argparse
@@ -42,15 +44,18 @@ def compare(dir_a, dir_b) -> tuple[list[str], list[str]]:
     return differing, sorted(names_a ^ names_b)
 
 
-def report(scene: str, dir_a, dir_b) -> int:
-    """Print the line of one scene whose runs wrote dir_a and dir_b;
-    returns 0 when their artifacts are identical, else 1."""
-    differing, missing = compare(dir_a, dir_b)
-    parts = []
-    if differing:
-        parts.append(f"differ: {', '.join(differing)}")
-    if missing:
-        parts.append(f"missing: {', '.join(missing)}")
+def differences(dir_a, dir_b, suffix: str = "") -> list[str]:
+    """The `differ` and `missing` parts of a scene's line for two output
+    directories, each label followed by suffix; empty when they match."""
+    return [f"{label}{suffix}: {', '.join(names)}"
+            for label, names in zip(("differ", "missing"), compare(dir_a, dir_b)) if names]
+
+
+def report(scene: str, reference, checkout, checkout_2) -> int:
+    """Print the line of one scene whose reference run wrote reference and
+    whose checkout runs at 1 and 2 workers wrote checkout and checkout_2;
+    returns 0 when all three hold the same artifacts, else 1."""
+    parts = differences(reference, checkout) + differences(checkout, checkout_2, " at 2 workers")
     print(f"{scene}: {'; '.join(parts) or 'identical'}", flush=True)
     return 1 if parts else 0
 
@@ -66,13 +71,14 @@ def extract(rev: str) -> Path:
     return tree
 
 
-def run_scene(tree: Path, scene: dict, out: Path) -> int:
-    """Run every stage of scene with tree's clustersfm into out (emptied
-    first); the log goes beside out. Returns the exit status."""
+def run_scene(tree: Path, scene: dict, workers: int, out: Path) -> int:
+    """Run every stage of scene with tree's clustersfm at workers workers
+    into out (emptied first); the log goes beside out. Returns the exit
+    status."""
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     config = out.parent / f"{out.name}.config.json"
-    config.write_text(json.dumps(dict(scene, seed=SEED)))
+    config.write_text(json.dumps(dict(scene, seed=SEED, workers=workers)))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     with open(out.parent / f"{out.name}.log", "w") as log:
         return subprocess.run([sys.executable, "-m", "clustersfm.cli", "run", "--config", str(config),
@@ -88,16 +94,16 @@ def main(argv=None) -> int:
 
     reference = extract(args.against)
     status = 0
+    runs = (("reference", reference, 1), ("checkout", ROOT, 1), ("checkout-2", ROOT, 2))
     for name in SCENES:
-        outs = {side: WORK / side / name for side in ("reference", "checkout")}
-        codes = {side: run_scene(tree, WORKLOADS[name].scene, outs[side])
-                 for side, tree in (("reference", reference), ("checkout", ROOT))}
+        outs = {side: WORK / side / name for side, _, _ in runs}
+        codes = {side: run_scene(tree, WORKLOADS[name].scene, workers, outs[side]) for side, tree, workers in runs}
         if any(codes.values()):
-            print(f"{name}: run failed (exit {codes['reference']} at {args.against}, "
-                  f"{codes['checkout']} in the checkout)", flush=True)
+            print(f"{name}: run failed (exit {codes['reference']} at {args.against}, {codes['checkout']} in the "
+                  f"checkout, {codes['checkout-2']} in the checkout at 2 workers)", flush=True)
             status = 1
         else:
-            status |= report(name, outs["reference"], outs["checkout"])
+            status |= report(name, *outs.values())
     return status
 
 
