@@ -46,7 +46,6 @@ class GlobalPoint:
 
 @dataclass
 class BAPartition:
-    cluster_id: int
     cameras: tuple
     interior_points: list  # indices into the active point list of the points only its cameras see
 
@@ -108,7 +107,7 @@ def build_partitions(points: list[GlobalPoint], cluster_set: ClusterSet, motion:
             continue
         cam_set = set(cams)
         interior = [pi for pi, p in enumerate(active) if cam_set.issuperset(p.cameras.tolist())]
-        partitions.append(BAPartition(cluster_id=cl.id, cameras=cams, interior_points=interior))
+        partitions.append(BAPartition(cameras=cams, interior_points=interior))
     return partitions
 
 
@@ -124,8 +123,10 @@ def distributed_bundle_adjust(
     state at the start of the round (their sub-problems share no mutable
     state, so the order does not matter), then refines the boundary points
     by one LM over their observations with every camera held at its new
-    pose. Neither step can raise its own cost, so the global reprojection
-    cost never increases between rounds. The rounds stop when one cuts the
+    pose. Neither step can raise its own cost (LM takes only a step that
+    lowers it), so each partition's result is taken as it is and the global
+    reprojection cost never increases between rounds; a round that raises
+    it anyway is a NumericalError. The rounds stop when one cuts the
     global cost by at most ROUND_RELATIVE_TOL of its value before the
     round, or at the cap of MAX_ROUNDS rounds; each partition solve and
     each consensus solve runs at most PARTITION_MAX_ITERATIONS LM
@@ -188,16 +189,7 @@ def distributed_bundle_adjust(
             problem = subproblem(np.flatnonzero(np.isin(obs_ids, part.cameras)), free_cams, free_pts, state)
             return part, ba_core.lm_minimize(problem, max_iterations=PARTITION_MAX_ITERATIONS)
 
-        results = parallel_map(solve_partition, partitions)
-        for part, result in results:
-            if result.cost > result.initial_cost + 1e-12:
-                logger.warning(
-                    "partition %d diverged (cost %.3e -> %.3e); rolled back",
-                    part.cluster_id,
-                    result.initial_cost,
-                    result.cost,
-                )
-                continue
+        for part, result in parallel_map(solve_partition, partitions):
             sel = np.searchsorted(cam_ids, part.cameras)
             rotations[sel] = result.rotations[sel]
             centers[sel] = result.centers[sel]

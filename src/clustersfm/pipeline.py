@@ -155,71 +155,63 @@ class PipelineConfig:
 # Manifest and status
 # ---------------------------------------------------------------------------
 
-def _manifest_path(out_dir) -> Path:
-    return Path(out_dir) / "manifest.json"
+class _Provenance:
+    """One pass over an output directory's provenance: the manifest, read
+    and checked once, and each artifact's sha256 (None when the file is
+    missing), hashed at most once."""
 
+    def __init__(self, out_dir):
+        self.out_dir = Path(out_dir)
+        self.path = self.out_dir / "manifest.json"
+        self.manifest = sfm_io._load(self.path) if self.path.exists() else {}
+        for entry in self.manifest.values() if isinstance(self.manifest, dict) else [None]:
+            tables = [entry.get(key) for key in ("inputs", "outputs")] if isinstance(entry, dict) else [None]
+            if not all(isinstance(t, dict) and all(isinstance(h, str) for h in t.values()) for t in tables):
+                raise DataError(f"{self.path}: malformed manifest: "
+                                "each stage needs inputs and outputs tables of name -> hash")
+        self.hashes = {}
 
-def _load_manifest(out_dir) -> dict:
-    path = _manifest_path(out_dir)
-    if not path.exists():
-        return {}
-    manifest = sfm_io._load(path)
-    for entry in manifest.values() if isinstance(manifest, dict) else [None]:
-        tables = [entry.get(key) for key in ("inputs", "outputs")] if isinstance(entry, dict) else [None]
-        if not all(isinstance(t, dict) and all(isinstance(h, str) for h in t.values()) for t in tables):
-            raise DataError(f"{path}: malformed manifest: each stage needs inputs and outputs tables of name -> hash")
-    return manifest
+    def hash(self, name: str) -> str | None:
+        if name not in self.hashes:
+            p = self.out_dir / name
+            self.hashes[name] = sfm_io.file_hash(p) if p.exists() else None
+        return self.hashes[name]
 
+    def status(self, stage: str, config_hash: str | None = None) -> dict:
+        """present: every artifact of the stage exists. stale: a recorded
+        input or output no longer has its recorded hash (or vanished), or
+        artifacts exist with no record; with config_hash given (on resume),
+        also a record of another configHash."""
+        entry = self.manifest.get(stage)
+        present = all((self.out_dir / n).exists() for n in ARTIFACTS[stage])
+        if entry is None:
+            return {"present": present, "stale": present}
+        recorded = {**entry["inputs"], **entry["outputs"]}
+        stale = ((config_hash is not None and entry.get("configHash") != config_hash)
+                 or any(self.hash(n) != h for n, h in recorded.items()))
+        return {"present": present, "stale": stale}
 
-def _record_stage(out_dir, stage: str, config: PipelineConfig) -> None:
-    manifest = _load_manifest(out_dir)
-    entry = {"configHash": config.config_hash(stage), "timestamp": time.time(), "inputs": {}, "outputs": {}}
-    for name in STAGE_INPUTS[stage]:
-        p = Path(out_dir) / name
-        if p.exists():
-            entry["inputs"][name] = sfm_io.file_hash(p)
-    for name in ARTIFACTS[stage]:
-        p = Path(out_dir) / name
-        if p.exists():
-            entry["outputs"][name] = sfm_io.file_hash(p)
-    manifest[stage] = entry
-    sfm_io._dump(_manifest_path(out_dir), manifest)
+    def record(self, stage: str, config_hash: str) -> None:
+        """Record a stage that just ran; its outputs are hashed anew."""
+        for name in ARTIFACTS[stage]:
+            self.hashes.pop(name, None)
+
+        def hashed(names):
+            return {n: h for n in names if (h := self.hash(n)) is not None}
+
+        self.manifest[stage] = {"configHash": config_hash, "timestamp": time.time(),
+                                "inputs": hashed(STAGE_INPUTS[stage]), "outputs": hashed(ARTIFACTS[stage])}
+        sfm_io._dump(self.path, self.manifest)
 
 
 def stage_status(out_dir) -> dict:
-    """Per-stage presence, output hash, timestamp, and staleness.
-
-    A stage is stale when any recorded input hash no longer matches the
-    file on disk (or the file vanished), or when its own outputs changed
-    since it ran.
-    """
-    out = {}
-    out_dir = Path(out_dir)
-    if not out_dir.is_dir():
+    """Each stage's {"present", "stale"}, by the freshness rule of
+    --resume without its configHash check (_Provenance.status); the
+    manifest is read once and each artifact hashed at most once."""
+    if not Path(out_dir).is_dir():
         raise DataError(f"{out_dir} is not a directory")
-    manifest = _load_manifest(out_dir)
-    for stage in STAGES:
-        entry = manifest.get(stage)
-        present = all((out_dir / n).exists() for n in ARTIFACTS[stage])
-        stale = False
-        if entry is None:
-            stale = present  # artifacts exist with no provenance record
-        else:
-            for name, recorded in entry["inputs"].items():
-                p = out_dir / name
-                if not p.exists() or sfm_io.file_hash(p) != recorded:
-                    stale = True
-            for name, recorded in entry["outputs"].items():
-                p = out_dir / name
-                if not p.exists() or sfm_io.file_hash(p) != recorded:
-                    stale = True
-        out[stage] = {
-            "present": present,
-            "stale": stale,
-            "hash": entry["outputs"] if entry else {},
-            "timestamp": entry.get("timestamp") if entry else None,
-        }
-    return out
+    provenance = _Provenance(out_dir)
+    return {stage: provenance.status(stage) for stage in STAGES}
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +351,12 @@ STAGE_FUNCTIONS = {
 def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> dict:
     """Run the requested stages in pipeline order.
 
-    With resume=True, stages whose artifacts are present and fresh (per the
-    manifest hash chain) and that ran with the same config_hash of their
-    own settings are skipped. Any stage failure propagates with the
-    failing stage named; earlier artifacts stay intact.
+    With resume=True, a stage is skipped when it is present and not stale
+    by the rule of stage_status, a record of another config_hash of its own
+    settings counting as stale. The manifest is read once per call and each
+    artifact hashed at most once; a stage that runs has its outputs hashed
+    anew. Any stage failure propagates with the failing stage named;
+    earlier artifacts stay intact.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,15 +364,15 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
     for s in selected:
         if s not in STAGES:
             raise ConfigurationError(f"unknown stage {s!r}")
-    _load_manifest(out_dir)  # a malformed manifest fails before any stage runs
+    provenance = _Provenance(out_dir)  # a malformed manifest fails before any stage runs
     result = {}
     for stage in STAGES:
         if stage not in selected:
             continue
+        config_hash = config.config_hash(stage)
         if resume:
-            status = stage_status(out_dir)[stage]
-            settled = _load_manifest(out_dir).get(stage, {}).get("configHash") == config.config_hash(stage)
-            if status["present"] and not status["stale"] and settled:
+            status = provenance.status(stage, config_hash)
+            if status["present"] and not status["stale"]:
                 logger.info("stage %s: fresh, skipped", stage)
                 continue
         t0 = time.time()
@@ -390,7 +384,7 @@ def run_pipeline(config: PipelineConfig, stages=None, resume: bool = False) -> d
             # (type, attributes, traceback) intact
             exc.args = (f"stage {stage!r} failed: {exc}",)
             raise
-        _record_stage(out_dir, stage, config)
+        provenance.record(stage, config_hash)
         logger.info("stage %s: done in %.1fs", stage, time.time() - t0)
         if stage == "evaluate" and ret is not None:
             result = ret

@@ -28,12 +28,15 @@ def seeded_rng(*parts) -> np.random.Generator:
 
 def default_worker_count() -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
+    return workers
 
 
 def parallel_map(fn, items) -> list:

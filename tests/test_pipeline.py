@@ -1,4 +1,5 @@
 import base64
+import collections
 import dataclasses
 import json
 import logging
@@ -14,8 +15,8 @@ from clustersfm.cli import main as cli_main
 from clustersfm.errors import ConfigurationError
 from clustersfm.io import load_local_reconstructions, load_tracks, save_tracks
 from clustersfm.local_sfm import LocalReconstruction
-from clustersfm.pipeline import (STAGE_INPUTS, STAGE_SETTINGS, STAGES, PipelineConfig, run_pipeline, stage_status,
-                                  validated_tracks)
+from clustersfm.pipeline import (ARTIFACTS, STAGE_INPUTS, STAGE_SETTINGS, STAGES, PipelineConfig, run_pipeline,
+                                  stage_status, validated_tracks)
 from clustersfm.utils import parallel_map
 from conftest import SMALL, track_rows, track_table, tree_leaves
 
@@ -127,6 +128,38 @@ def test_each_stage_reads_exactly_the_files_it_declares(small_run, tmp_path, mon
     assert all(info["stale"] for info in stage_status(tmp_path).values())
 
 
+def test_each_artifact_is_hashed_at_most_once_per_call(small_run, tmp_path, monkeypatch, caplog):
+    """A call reads the manifest once and hashes each artifact at most once;
+    a full run hashes each artifact once, after the stage that writes it."""
+    hashed, manifest_reads = collections.Counter(), []
+
+    def counting(path, _hash=sfm_io.file_hash):
+        hashed[Path(path).name] += 1
+        return _hash(path)
+
+    def loading(path, _load=sfm_io._load):
+        if Path(path).name == "manifest.json":
+            manifest_reads.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(sfm_io, "file_hash", counting)
+    monkeypatch.setattr(sfm_io, "_load", loading)
+    artifacts = {name for names in ARTIFACTS.values() for name in names}
+    run_pipeline(PipelineConfig(output_dir=str(tmp_path / "full"), **SMALL))
+    assert hashed == dict.fromkeys(artifacts, 1)
+    resumed = tmp_path / "resumed"
+    shutil.copytree(small_run[0], resumed)
+    for call in (lambda: _resumed_stages(caplog, PipelineConfig(output_dir=str(resumed), **SMALL)),
+                 lambda: stage_status(resumed)):
+        hashed.clear()
+        manifest_reads.clear()
+        ret = call()
+        assert set(hashed) <= artifacts and set(hashed.values()) == {1}
+        assert len(manifest_reads) == 1
+    assert ret.keys() == set(STAGES) and all(info.keys() == {"present", "stale"} for info in ret.values())
+    assert all(info["present"] and not info["stale"] for info in ret.values())
+
+
 def test_status_empty_dir(tmp_path):
     status = stage_status(tmp_path)
     assert all(not info["present"] for info in status.values())
@@ -209,10 +242,11 @@ def test_cli_wrong_typed_config_value_exit_code(tmp_path, capsys):
 
 def test_cli_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     _synth_small(tmp_path)
-    monkeypatch.setenv("CLUSTERSFM_WORKERS", "abc")
-    _assert_config_error(capsys, ["cluster", "--output-dir", str(tmp_path)],
-                         "CLUSTERSFM_WORKERS must be an integer, got 'abc'")
-    assert not (tmp_path / "clusters.json").exists()
+    for value, message in (("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got '0'"),
+                           ("-3", "must be >= 1, got '-3'")):
+        monkeypatch.setenv("CLUSTERSFM_WORKERS", value)
+        _assert_config_error(capsys, ["cluster", "--output-dir", str(tmp_path)], f"CLUSTERSFM_WORKERS {message}")
+        assert not (tmp_path / "clusters.json").exists()
 
 
 def _synth_small(out_dir):
